@@ -31,14 +31,14 @@
 // configurations per batch instead of failing outright. GET /stats
 // exposes per-worker breaker state and trip counts.
 //
-// With -max-concurrent-runs the daemon becomes an explicitly multi-tenant
-// coordinator: runs are admitted through a fair-share scheduler
-// (internal/sched) that bounds fleet concurrency, enforces per-tenant
-// quotas, queues overflow per tenant (state "queued"), rejects past the
-// queue bound with 429 + Retry-After, and merges concurrent runs'
-// evaluation batches onto the shared backend. Tenants identify themselves
-// via the request body's "tenant" field or the X-Tenant / X-API-Key
-// headers:
+// Every run is admitted through a fair-share scheduler (internal/sched).
+// By default it bounds nothing; -max-concurrent-runs bounds fleet
+// concurrency and the -tenant-* flags set per-tenant quotas, after which
+// overflow queues per tenant (state "queued") and submissions past the
+// queue bound are rejected with 429 + Retry-After. Setting any of them (or
+// -coalesce-window) also merges concurrent runs' evaluation batches onto
+// the shared backend. Tenants identify themselves via the request body's
+// "tenant" field or the X-Tenant / X-API-Key headers:
 //
 //	hypermapperd -addr :8089 -max-concurrent-runs 8 -tenant-max-running 4 -tenant-max-queued 16
 //	curl -s -X POST localhost:8089/runs -H 'X-Tenant: alice' -d '{"problem":"synthetic","seed":1,"priority":5}'
@@ -114,15 +114,15 @@ func main() {
 			"default per-batch fraction of configurations a run may leave unmeasured before failing, 0..1 (requests can override)")
 
 		maxConcurrentRuns = flag.Int("max-concurrent-runs", 0,
-			"fleet-wide cap on concurrently running sessions; setting it enables the multi-tenant fair-share scheduler (0 = no scheduler: every accepted run starts immediately)")
+			"fleet-wide cap on concurrently running sessions (0 = no fleet-wide bound)")
 		tenantMaxRunning = flag.Int("tenant-max-running", 0,
-			"per-tenant concurrent-run quota under the scheduler (0 = bounded only by -max-concurrent-runs)")
+			"per-tenant concurrent-run quota (0 = bounded only by -max-concurrent-runs)")
 		tenantMaxQueued = flag.Int("tenant-max-queued", 0,
 			"per-tenant admission-queue depth; submissions past it are rejected with 429 + Retry-After (0 selects the default)")
 		retryAfter = flag.Duration("retry-after", 0,
 			"backoff hint attached to 429 queue-full rejections (0 selects the default)")
 		coalesceWindow = flag.Duration("coalesce-window", 0,
-			"under the scheduler, how long a run's evaluation batch waits to merge with concurrent runs' batches before dispatch (0 selects the default, negative disables merging)")
+			"how long a run's evaluation batch waits to merge with concurrent runs' batches before dispatch, once any admission bound turns merging on (0 selects the default, negative disables merging)")
 
 		problemsDir = flag.String("problems", "",
 			"directory of declarative problem specs (*.json, docs/SCENARIOS.md) to load at startup")
@@ -205,7 +205,10 @@ func main() {
 		fatalf("-max-unmeasured %g must be in [0, 1]", f)
 	}
 	cfg.MaxUnmeasuredFraction = *maxUnmeasured
-	if *maxConcurrentRuns > 0 {
+	// A daemon given none of these admits every run at once and leaves
+	// evaluation batches unmerged (cfg.Sched stays nil).
+	admission := "no admission bounds"
+	if *maxConcurrentRuns > 0 || *tenantMaxRunning > 0 || *tenantMaxQueued > 0 || *coalesceWindow != 0 {
 		cfg.Sched = &sched.Config{
 			MaxRunning: *maxConcurrentRuns,
 			Quota: sched.TenantQuota{
@@ -215,8 +218,8 @@ func main() {
 			RetryAfter:     *retryAfter,
 			CoalesceWindow: *coalesceWindow,
 		}
-	} else if *tenantMaxRunning > 0 || *tenantMaxQueued > 0 || *coalesceWindow != 0 {
-		fatalf("-tenant-max-running, -tenant-max-queued, and -coalesce-window require -max-concurrent-runs")
+		admission = fmt.Sprintf("run slots: %d fleet-wide, %d per tenant (0 = unbounded), batch coalescing",
+			*maxConcurrentRuns, *tenantMaxRunning)
 	}
 	if *workers != "" {
 		urls := strings.Split(*workers, ",")
@@ -253,10 +256,7 @@ func main() {
 	if *dataDir != "" {
 		mode += ", durable state in " + *dataDir
 	}
-	if cfg.Sched != nil {
-		mode += fmt.Sprintf(", scheduler: %d run slots", cfg.Sched.MaxRunning)
-	}
-	infof("listening on %s (%d problems, %s)", *addr, len(mgr.Problems()), mode)
+	infof("listening on %s (%d problems, %s, %s)", *addr, len(mgr.Problems()), mode, admission)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

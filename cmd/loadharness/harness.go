@@ -159,7 +159,7 @@ type statsResp struct {
 	CacheHits         int64 `json:"cache_hits"`
 	CacheMisses       int64 `json:"cache_misses"`
 	CacheCoalesceHits int64 `json:"cache_coalesce_hits"`
-	Sched             *struct {
+	Sched             struct {
 		MaxRunning    int     `json:"max_running"`
 		Running       int     `json:"running"`
 		Queued        int     `json:"queued"`
@@ -561,13 +561,10 @@ func (h *harness) pollStats() {
 	h.statMu.Lock()
 	defer h.statMu.Unlock()
 	h.lastStats = st
-	if st.Sched == nil {
-		return
-	}
 	if st.Sched.MaxQueueDepth > h.maxQueueDepth {
 		h.maxQueueDepth = st.Sched.MaxQueueDepth
 	}
-	if st.Sched.Running > st.Sched.MaxRunning {
+	if bound := st.Sched.MaxRunning; bound > 0 && st.Sched.Running > bound {
 		h.quotaViolations++
 	}
 	if h.cfg.TenantMaxRunning > 0 {
@@ -612,13 +609,9 @@ func (h *harness) buildReport(elapsed time.Duration) *report {
 	rep.MaxQueueDepth = h.maxQueueDepth
 	rep.QuotaViolations = h.quotaViolations
 	h.statMu.Unlock()
-	if st.Sched != nil {
-		rep.WaitP50MS = st.Sched.WaitP50MS
-		rep.WaitP99MS = st.Sched.WaitP99MS
-		if st.Sched.MaxQueueDepth > rep.MaxQueueDepth {
-			rep.MaxQueueDepth = st.Sched.MaxQueueDepth
-		}
-	}
+	rep.WaitP50MS = st.Sched.WaitP50MS
+	rep.WaitP99MS = st.Sched.WaitP99MS
+	rep.MaxQueueDepth = max(rep.MaxQueueDepth, st.Sched.MaxQueueDepth)
 	rep.CacheHits = st.CacheHits
 	rep.CacheMisses = st.CacheMisses
 	rep.CoalesceHits = st.CacheCoalesceHits
@@ -680,9 +673,8 @@ func (h *harness) printReport(rep *report) {
 	}
 }
 
-// benchResult / benchBaseline mirror cmd/benchjson's artifact shape so
-// BENCH_load.json sits next to BENCH_fit.json with identical structure
-// (benchjson is package main, so the structs are mirrored, not imported).
+// benchResult / benchBaseline are the BENCH_load.json artifact: named
+// results, each a map of metric name to value.
 type benchResult struct {
 	Name       string             `json:"name"`
 	Package    string             `json:"package,omitempty"`

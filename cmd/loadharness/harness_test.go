@@ -57,8 +57,8 @@ func TestCrowdSmoke(t *testing.T) {
 		t.Errorf("missing PASS line in output:\n%s", buf.String())
 	}
 
-	// The artifact must parse in benchjson's Baseline shape with the
-	// metrics CI publishes.
+	// The artifact must parse as a benchBaseline with the metrics CI
+	// publishes.
 	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatalf("reading artifact: %v", err)

@@ -26,8 +26,8 @@
 //
 // and exits non-zero (printing "LOAD: FAIL ..." lines) when any of them
 // does not hold. Results are written to -out as a BENCH_load.json artifact
-// in the same Baseline shape cmd/benchjson emits, and a "LOAD:" summary is
-// printed for CI job summaries:
+// (see benchBaseline), and a "LOAD:" summary is printed for CI job
+// summaries:
 //
 //	go run ./cmd/loadharness -clients 100000 -duration 30s -out BENCH_load.json
 //	go run ./cmd/loadharness -addr http://localhost:8089 -clients 20000
@@ -58,7 +58,7 @@ func main() {
 	flag.Float64Var(&cfg.P99BoundMS, "p99-bound", 10_000, "assertion bound on the scheduler's p99 admission wait, in ms")
 	flag.Float64Var(&cfg.RSSBoundMB, "rss-bound-mb", 2048, "assertion bound on the process's peak RSS, in MiB (0 disables)")
 	flag.BoolVar(&cfg.RequireCoalesce, "require-coalesce", true, "fail unless the coalesce hit rate is > 0")
-	flag.StringVar(&cfg.Out, "out", "BENCH_load.json", "benchjson-shaped result artifact path (empty disables)")
+	flag.StringVar(&cfg.Out, "out", "BENCH_load.json", "result artifact path (empty disables)")
 	flag.BoolVar(&cfg.Verbose, "v", false, "per-phase progress output")
 	flag.Parse()
 

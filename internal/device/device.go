@@ -37,11 +37,34 @@ func (w Work) Scale(f float64) Work {
 
 // Total returns the sum of all entries.
 func (w Work) Total() float64 {
+	return w.sum(func(string) float64 { return 1 })
+}
+
+// sum adds ops × price(kernel) over w in sorted kernel-name order. Float
+// addition is not associative: in map iteration order one Work's sum
+// differs in its last bit from call to call, and with it the objectives of
+// one configuration between two evaluations.
+func (w Work) sum(price func(kernel string) float64) float64 {
+	kernels := make([]string, 0, len(w))
+	for k := range w {
+		kernels = append(kernels, k)
+	}
+	slices.Sort(kernels)
 	t := 0.0
-	for _, v := range w {
-		t += v
+	for _, k := range kernels {
+		t += w[k] * price(k)
 	}
 	return t
+}
+
+// priced returns a kernel's price from table, or def for a kernel it lacks.
+func priced(table map[string]float64, def float64) func(string) float64 {
+	return func(kernel string) float64 {
+		if p, ok := table[kernel]; ok {
+			return p
+		}
+		return def
+	}
 }
 
 // Model converts counted kernel work into modeled time and power.
@@ -72,14 +95,7 @@ func (m Model) SecondsPerFrame(w Work, frames float64) float64 {
 	if frames <= 0 {
 		return 0
 	}
-	ns := 0.0
-	for k, ops := range w {
-		c, ok := m.CoeffNs[k]
-		if !ok {
-			c = m.DefaultNs
-		}
-		ns += ops * c
-	}
+	ns := w.sum(priced(m.CoeffNs, m.DefaultNs))
 	return ns/1e9/frames + m.FrameOverheadMs/1e3
 }
 
@@ -90,15 +106,7 @@ func (m Model) AveragePowerW(w Work, frames float64) float64 {
 	if secPerFrame <= 0 || frames <= 0 {
 		return m.PowerStaticW
 	}
-	nj := 0.0
-	for k, ops := range w {
-		e, ok := m.EnergyNJ[k]
-		if !ok {
-			e = m.DefaultNJ
-		}
-		nj += ops * e
-	}
-	joulesPerFrame := nj / 1e9 / frames
+	joulesPerFrame := w.sum(priced(m.EnergyNJ, m.DefaultNJ)) / 1e9 / frames
 	return m.PowerStaticW + joulesPerFrame/secPerFrame
 }
 

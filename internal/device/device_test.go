@@ -1,7 +1,9 @@
 package device
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,26 @@ func TestAveragePower(t *testing.T) {
 	}
 	if m.AveragePowerW(Work{}, 0) != 1 {
 		t.Fatal("idle power should be static")
+	}
+}
+
+// TestSumsAreOrderStable: a Work is a map, and a sum taken in map iteration
+// order differs in its last bit from call to call — enough to make one
+// configuration's runtime objective, and so a KFusion front's bytes, differ
+// between two evaluations.
+func TestSumsAreOrderStable(t *testing.T) {
+	m := ODROIDXU3()
+	w := Work{}
+	ops := 1.0
+	for _, k := range slices.Sorted(maps.Keys(m.CoeffNs)) {
+		ops *= math.Pi // magnitudes spread over seven decades, none a round number
+		w[k] = ops * 1e3
+	}
+	total, sec, watts := w.Total(), m.SecondsPerFrame(w, 10), m.AveragePowerW(w, 10)
+	for i := 0; i < 200; i++ {
+		if a, b, c := w.Total(), m.SecondsPerFrame(w, 10), m.AveragePowerW(w, 10); a != total || b != sec || c != watts {
+			t.Fatalf("evaluation %d: (%v, %v, %v) != (%v, %v, %v)", i, a, b, c, total, sec, watts)
+		}
 	}
 }
 

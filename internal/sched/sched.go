@@ -4,10 +4,10 @@
 // queue, or is rejected with backpressure.
 //
 // The paper's crowd-sourcing scenario (Fig. 5) implies many independent
-// clients feeding one DSE coordinator. Without a scheduler every accepted
-// run spawns an engine goroutine immediately and they all compete blindly
-// for the worker fleet: one aggressive tenant can occupy every evaluation
-// slot and starve the rest. The scheduler enforces three policies:
+// clients feeding one DSE coordinator. With no bounds configured every
+// submission is admitted on the spot and the runs compete blindly for the
+// worker fleet: one aggressive tenant can occupy every evaluation slot and
+// starve the rest. Given bounds, the scheduler enforces three policies:
 //
 //   - Fair-share admission: when a slot frees, the next run is taken from
 //     the tenant with the lowest weighted running count, so concurrent
@@ -63,16 +63,15 @@ type TenantQuota struct {
 
 // Defaults for the zero Config; see Config.
 const (
-	DefaultMaxRunning = 64
 	DefaultMaxQueued  = 64
 	DefaultRetryAfter = time.Second
 )
 
-// Config configures a Scheduler. The zero value runs with the documented
-// defaults.
+// Config configures a Scheduler. The zero value bounds nothing: every
+// submission is admitted inside Submit and no queue ever forms.
 type Config struct {
-	// MaxRunning bounds concurrently running runs across all tenants
-	// (default DefaultMaxRunning).
+	// MaxRunning bounds concurrently running runs across all tenants; 0
+	// means no fleet-wide bound.
 	MaxRunning int
 	// Quota is the default per-tenant quota; Quotas overrides it for named
 	// tenants.
@@ -86,13 +85,6 @@ type Config struct {
 	// DefaultCoalesceWindow; negative disables merging (batches pass
 	// through unmerged, still deduplicated within themselves).
 	CoalesceWindow time.Duration
-}
-
-func (c Config) maxRunning() int {
-	if c.MaxRunning <= 0 {
-		return DefaultMaxRunning
-	}
-	return c.MaxRunning
 }
 
 func (c Config) quota(tenant string) TenantQuota {
@@ -162,11 +154,15 @@ func (t *Ticket) Cancel() bool {
 		ts.queue = slices.Delete(ts.queue, i, i+1)
 	}
 	s.cancelled++
+	s.forgetIdleLocked(ts)
 	s.mu.Unlock()
 	return true
 }
 
-// tenantState is one tenant's live accounting.
+// tenantState is one tenant's live accounting. It exists only while the
+// tenant has a run running or queued: any client can mint tenant ids, so
+// idle ones are forgotten (forgetIdleLocked) and only the scheduler-wide
+// totals outlive them.
 type tenantState struct {
 	name       string
 	quota      TenantQuota
@@ -218,7 +214,7 @@ func (s *Scheduler) Submit(tenant string, priority int, start, abort func(*Ticke
 	s.submitted++
 	ts := s.tenant(tenant)
 	t := &Ticket{tenant: tenant, priority: priority, start: start, abort: abort, enqueued: time.Now(), s: s}
-	if s.running < s.cfg.maxRunning() && s.tenantCanRun(ts) && len(ts.queue) == 0 {
+	if s.fleetCanRun() && s.tenantCanRun(ts) && len(ts.queue) == 0 {
 		// Immediate admission. The queue-empty condition keeps FIFO order
 		// within the tenant: free slots with a non-empty tenant queue can
 		// only coexist transiently (dispatch drains queues whenever slots
@@ -246,11 +242,12 @@ func (s *Scheduler) Done(t *Ticket) {
 	if t.state == ticketRunning {
 		t.state = ticketDone
 		s.running--
-		if ts := s.tenants[t.tenant]; ts != nil {
-			ts.running--
-		}
+		s.tenants[t.tenant].running-- // present: a running ticket keeps its tenant
 	}
 	next := s.dispatchLocked()
+	if ts := s.tenants[t.tenant]; ts != nil {
+		s.forgetIdleLocked(ts) // after dispatch, which may have restarted it
+	}
 	s.mu.Unlock()
 	for _, n := range next {
 		go n.start(n)
@@ -275,6 +272,7 @@ func (s *Scheduler) Close() {
 			dropped = append(dropped, t)
 		}
 		ts.queue = nil
+		s.forgetIdleLocked(ts)
 	}
 	s.mu.Unlock()
 	for _, t := range dropped {
@@ -292,6 +290,19 @@ func (s *Scheduler) tenant(name string) *tenantState {
 		s.tenants[name] = ts
 	}
 	return ts
+}
+
+// forgetIdleLocked drops a tenant with nothing running and nothing queued.
+func (s *Scheduler) forgetIdleLocked(ts *tenantState) {
+	if ts.running == 0 && len(ts.queue) == 0 {
+		delete(s.tenants, ts.name)
+	}
+}
+
+// fleetCanRun reports whether the fleet-wide bound admits one more run.
+// Called under mu.
+func (s *Scheduler) fleetCanRun() bool {
+	return s.cfg.MaxRunning <= 0 || s.running < s.cfg.MaxRunning
 }
 
 // tenantCanRun reports whether the tenant is under its concurrent cap.
@@ -341,7 +352,7 @@ func (s *Scheduler) dispatchLocked() []*Ticket {
 		return nil
 	}
 	var out []*Ticket
-	for s.running < s.cfg.maxRunning() {
+	for s.fleetCanRun() {
 		var pick *tenantState
 		for _, ts := range s.tenants {
 			if len(ts.queue) == 0 || !s.tenantCanRun(ts) {
@@ -411,7 +422,8 @@ func (r *waitRing) quantiles(qs ...float64) []time.Duration {
 type TenantStats struct {
 	Tenant string `json:"tenant"`
 	// Running and Queued are the tenant's current counts; Dispatched and
-	// Rejected total its admitted and backpressured submissions.
+	// Rejected total its admitted and backpressured submissions since it
+	// was last idle.
 	Running    int   `json:"running"`
 	Queued     int   `json:"queued"`
 	Dispatched int64 `json:"dispatched"`
@@ -420,7 +432,7 @@ type TenantStats struct {
 
 // Stats is the scheduler's observable state, surfaced through GET /stats.
 type Stats struct {
-	// MaxRunning echoes the fleet-wide concurrency bound.
+	// MaxRunning echoes the fleet-wide concurrency bound (0 = unbounded).
 	MaxRunning int `json:"max_running"`
 	// Running and Queued are current totals; MaxQueueDepth is the queued
 	// high-water mark since the scheduler was built.
@@ -437,7 +449,8 @@ type Stats struct {
 	// dispatch) over a sliding window of recent dispatches.
 	WaitP50MS float64 `json:"wait_p50_ms"`
 	WaitP99MS float64 `json:"wait_p99_ms"`
-	// Tenants lists per-tenant accounting, sorted by tenant id.
+	// Tenants lists per-tenant accounting for the tenants that currently
+	// have a run running or queued, sorted by tenant id; never null.
 	Tenants []TenantStats `json:"tenants"`
 }
 
@@ -446,7 +459,7 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		MaxRunning:    s.cfg.maxRunning(),
+		MaxRunning:    max(s.cfg.MaxRunning, 0),
 		Running:       s.running,
 		Queued:        s.queuedLocked(),
 		MaxQueueDepth: s.maxDepth,
@@ -454,6 +467,7 @@ func (s *Scheduler) Stats() Stats {
 		Dispatched:    s.dispatched,
 		Rejected:      s.rejected,
 		Cancelled:     s.cancelled,
+		Tenants:       make([]TenantStats, 0, len(s.tenants)),
 	}
 	if q := s.waits.quantiles(0.50, 0.99); q != nil {
 		st.WaitP50MS = float64(q[0]) / float64(time.Millisecond)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,6 +261,53 @@ func TestStatsTenants(t *testing.T) {
 		t.Fatalf("tenant accounting: %+v", st.Tenants)
 	}
 	s.Done(run)
+}
+
+// TestIdleTenantsAreForgotten: any client can mint tenant ids (X-API-Key),
+// so a tenant's state must not outlive its last run, however that run left
+// the scheduler: finished, withdrawn from the queue, or dropped by Close.
+// The scheduler-wide totals keep counting.
+func TestIdleTenantsAreForgotten(t *testing.T) {
+	const n = 10_000
+	s := New(Config{}) // the zero config bounds nothing: all n run at once
+	var c collector
+	tickets := make([]*Ticket, n)
+	for i := range tickets {
+		tk, err := s.Submit(fmt.Sprintf("key-%d", i), 0, c.start, c.abort)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		tickets[i] = tk
+	}
+	if st := s.Stats(); st.Running != n || len(st.Tenants) != n || st.MaxRunning != 0 {
+		t.Fatalf("unbounded scheduler: running %d, tenants %d, max_running %d", st.Running, len(st.Tenants), st.MaxRunning)
+	}
+	for _, tk := range tickets {
+		s.Done(tk)
+	}
+	st := s.Stats()
+	if len(st.Tenants) != 0 || st.Tenants == nil {
+		t.Fatalf("%d one-run tenants left %d tenant entries (nil: %v)", n, len(st.Tenants), st.Tenants == nil)
+	}
+	if st.Submitted != n || st.Dispatched != n || st.Running != 0 {
+		t.Fatalf("totals after forgetting: %+v", st)
+	}
+
+	b := New(Config{MaxRunning: 1})
+	run, _ := b.Submit("holder", 0, c.start, c.abort)
+	withdrawn, _ := b.Submit("withdrawn", 0, c.start, c.abort)
+	b.Submit("dropped", 0, c.start, c.abort)
+	if !withdrawn.Cancel() {
+		t.Fatal("queued ticket did not cancel")
+	}
+	b.Close()
+	if st := b.Stats(); len(st.Tenants) != 1 || st.Tenants[0].Tenant != "holder" {
+		t.Fatalf("tenants after cancel + close = %+v, want only the running one", st.Tenants)
+	}
+	b.Done(run)
+	if st := b.Stats(); len(st.Tenants) != 0 || st.Cancelled != 2 {
+		t.Fatalf("after the last Done: %+v", st)
+	}
 }
 
 // TestSoakFairShare is the S1 soak: three tenants with skewed offered load

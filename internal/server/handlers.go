@@ -38,11 +38,7 @@ func decodeRunRequest(body io.Reader, hdr http.Header) (RunRequest, error) {
 // retryAfterSeconds renders the scheduler's backoff hint for the
 // Retry-After header (integer seconds, minimum 1).
 func (m *Manager) retryAfterSeconds() string {
-	d := sched.DefaultRetryAfter
-	if m.cfg.Sched != nil {
-		d = m.cfg.Sched.RetryAfterHint()
-	}
-	secs := int(d.Round(time.Second) / time.Second)
+	secs := int(m.retryAfter.Round(time.Second) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}

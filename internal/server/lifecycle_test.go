@@ -1,15 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 func newTestServerConfig(t *testing.T, cfg Config, problems ...Problem) (*Manager, *httptest.Server) {
@@ -314,6 +320,233 @@ func TestEventTimingFieldsAlwaysPresent(t *testing.T) {
 	for _, field := range []string{"fit_ms", "encode_ms", "predict_ms", "eval_ms"} {
 		if !strings.Contains(string(b), fmt.Sprintf("%q:0", field)) {
 			t.Fatalf("marshalled zero event %s is missing %q", b, field)
+		}
+	}
+}
+
+// endingEnv is one manager under test in TestSessionEndings: a durable
+// manager over a gated problem, so a run stays mid-evaluation until the row
+// opens the gate.
+type endingEnv struct {
+	cfg  Config
+	m    *Manager
+	gate chan struct{}
+}
+
+func newEndingEnv(cfg Config) *endingEnv {
+	e := &endingEnv{cfg: cfg, gate: make(chan struct{})}
+	e.m = NewManagerConfig(cfg, gatedProblem("toy", e.gate))
+	return e
+}
+
+// submit starts one run and reports whether it queued: behind a held slot
+// it does on the one-slot scheduler and does not on the default config.
+func (e *endingEnv) submit(t *testing.T) (RunStatus, bool) {
+	t.Helper()
+	st, err := e.m.Start(schedReq)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	return st, st.State == StateQueued
+}
+
+// blockNextRunDir makes the next run's directory impossible to create.
+func (e *endingEnv) blockNextRunDir(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(e.cfg.DataDir, "runs", fmt.Sprintf("run-%06d", e.m.seq.Load()+1))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// beginShutdown calls Shutdown on its own goroutine, for rows that act
+// while it is in progress.
+func (e *endingEnv) beginShutdown() <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		done <- e.m.Shutdown(ctx)
+	}()
+	return done
+}
+
+// awaitShutdown is every row's last step: Shutdown must return within its
+// deadline (a session that kept its waitgroup slot would hang it) and leave
+// no scheduler slot held. A session released twice panics the test binary
+// with "sync: negative WaitGroup counter".
+func (e *endingEnv) awaitShutdown(t *testing.T, done <-chan error) {
+	t.Helper()
+	if err := <-done; err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	if sc := e.m.Stats().Sched; sc.Running != 0 || sc.Queued != 0 || len(sc.Tenants) != 0 {
+		t.Errorf("scheduler still holds work after shutdown: %+v", sc)
+	}
+}
+
+func (e *endingEnv) shutdown(t *testing.T) {
+	t.Helper()
+	e.awaitShutdown(t, e.beginShutdown())
+}
+
+func (e *endingEnv) wantDir(t *testing.T, id string, want bool) {
+	t.Helper()
+	if got := runDirExists(t, e.cfg.DataDir, id); got != want {
+		t.Errorf("run directory of %s exists = %v, want %v", id, got, want)
+	}
+}
+
+// sessionEndings has one row per way a session can end. Each row runs on
+// the default config and on a one-slot scheduler. Rows that hold the slot
+// with a first run make the second one queue on the scheduler; the default
+// config admits it at once, and what the row expects follows from which of
+// the two happened — a run that never left the queue ends cancelled and
+// leaves no directory.
+var sessionEndings = []struct {
+	name string
+	run  func(t *testing.T, e *endingEnv)
+}{
+	{"admitted and finished", func(t *testing.T, e *endingEnv) {
+		close(e.gate)
+		st, _ := e.submit(t)
+		if final := waitManagerTerminal(t, e.m, st.ID); final.State != StateDone {
+			t.Errorf("final state = %s (%s)", final.State, final.Error)
+		}
+		e.shutdown(t)
+		e.wantDir(t, st.ID, true)
+	}},
+	{"queued then shutdown-dropped", func(t *testing.T, e *endingEnv) {
+		e.submit(t) // holds the slot
+		st, queued := e.submit(t)
+		done := e.beginShutdown()
+		if queued {
+			// Dropped from the queue before any live run drained.
+			waitState(t, e.m, st.ID, StateCancelled)
+		}
+		close(e.gate)
+		e.awaitShutdown(t, done)
+		if final := waitManagerTerminal(t, e.m, st.ID); final.State != StateCancelled {
+			t.Errorf("final state = %s, want cancelled", final.State)
+		}
+		e.wantDir(t, st.ID, !queued)
+	}},
+	{"queued then DELETEd", func(t *testing.T, e *endingEnv) {
+		e.submit(t)
+		st, queued := e.submit(t)
+		cst, ok := e.m.Cancel(st.ID)
+		if !ok || (queued && cst.State != StateCancelled) {
+			t.Fatalf("cancel = %+v, %v", cst, ok)
+		}
+		close(e.gate)
+		if final := waitManagerTerminal(t, e.m, st.ID); final.State != StateCancelled {
+			t.Errorf("final state = %s, want cancelled", final.State)
+		}
+		e.shutdown(t)
+		e.wantDir(t, st.ID, !queued)
+	}},
+	{"dispatch after Shutdown began", func(t *testing.T, e *endingEnv) {
+		e.submit(t)
+		st, queued := e.submit(t)
+		// Shutdown's first step, frozen there: the holder's Done now hands
+		// the queued run to a manager that must not start it.
+		e.m.mu.Lock()
+		e.m.closed = true
+		e.m.mu.Unlock()
+		close(e.gate)
+		want := StateDone
+		if queued {
+			want = StateCancelled
+		}
+		if final := waitManagerTerminal(t, e.m, st.ID); final.State != want {
+			t.Errorf("final state = %s, want %s", final.State, want)
+		}
+		e.shutdown(t)
+		e.wantDir(t, st.ID, !queued)
+	}},
+	{"storage failure at submission", func(t *testing.T, e *endingEnv) {
+		// Admitted inside Submit on both configs: the client gets a 500 and
+		// no run, not a 201 with a failed one.
+		blocked := e.blockNextRunDir(t)
+		ts := httptest.NewServer(e.m.Handler())
+		defer ts.Close()
+		body, _ := json.Marshal(schedReq)
+		resp, err := http.Post(ts.URL+"/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("POST /runs = %d, want 500", resp.StatusCode)
+		}
+		if n := len(e.m.Statuses()); n != 0 {
+			t.Errorf("store holds %d sessions after the refused launch", n)
+		}
+		if fi, err := os.Stat(blocked); err != nil || fi.IsDir() {
+			t.Errorf("refused launch left a directory behind (%v)", err)
+		}
+		e.shutdown(t)
+	}},
+	{"storage failure after the queue", func(t *testing.T, e *endingEnv) {
+		e.submit(t)
+		e.blockNextRunDir(t)
+		st, err := e.m.Start(schedReq)
+		close(e.gate)
+		if err != nil {
+			// Admitted at once (default config): same answer as above.
+			if !errors.Is(err, ErrStorage) || len(e.m.Statuses()) != 1 {
+				t.Errorf("err = %v with %d sessions, want ErrStorage and only the holder", err, len(e.m.Statuses()))
+			}
+		} else {
+			// The client already holds the id, so the failure is its state.
+			final := waitManagerTerminal(t, e.m, st.ID)
+			if final.State != StateFailed || !strings.Contains(final.Error, ErrStorage.Error()) {
+				t.Errorf("dequeued run = %s (%q), want failed with a storage error", final.State, final.Error)
+			}
+		}
+		e.shutdown(t)
+	}},
+	{"resumed", func(t *testing.T, e *endingEnv) {
+		// Interrupt a run by shutdown, then restart on the same directory.
+		st, _ := e.submit(t)
+		done := e.beginShutdown()
+		<-e.m.baseCtx.Done() // cancelled mid-evaluation, not finished
+		close(e.gate)
+		e.awaitShutdown(t, done)
+		if _, err := os.Stat(filepath.Join(e.cfg.DataDir, "runs", st.ID, "result.json")); !os.IsNotExist(err) {
+			t.Fatalf("interrupted run has a result.json (err=%v); nothing to resume", err)
+		}
+		cfg := e.cfg
+		cfg.Resume = true
+		r := newEndingEnv(cfg)
+		close(r.gate)
+		if final := waitManagerTerminal(t, r.m, st.ID); final.State != StateDone {
+			t.Errorf("resumed run = %s (%s)", final.State, final.Error)
+		}
+		// Resumed runs skip admission, as documented.
+		if sc := r.m.Stats().Sched; sc.Submitted != 0 {
+			t.Errorf("resumed run went through admission: %+v", sc)
+		}
+		r.shutdown(t)
+	}},
+}
+
+func TestSessionEndings(t *testing.T) {
+	for _, mode := range []struct {
+		name  string
+		sched *sched.Config
+	}{
+		{"default", nil},
+		{"one-slot", &sched.Config{MaxRunning: 1}},
+	} {
+		for _, row := range sessionEndings {
+			t.Run(mode.name+"/"+row.name, func(t *testing.T) {
+				row.run(t, newEndingEnv(Config{DataDir: t.TempDir(), Sched: mode.sched}))
+			})
 		}
 	}
 }

@@ -290,6 +290,7 @@ func (m *Manager) resumeInterrupted(metas []runMeta) {
 			problem: Problem{Name: meta.Problem},
 			created: meta.Created,
 			cancel:  cancel,
+			runCtx:  ctx,
 			req:     meta.Request,
 			state:   StateRecovering,
 		}
@@ -299,23 +300,21 @@ func (m *Manager) resumeInterrupted(metas []runMeta) {
 		}
 		m.store.Put(s)
 		m.wg.Add(1)
-		go func(meta runMeta) {
-			defer m.wg.Done()
-			defer cancel()
-			m.resumeRun(ctx, s, meta)
-		}(meta)
+		go m.resumeRun(s, meta)
 	}
 }
 
 // resumeRun replays one interrupted run's journal through the engine and
-// continues it from the first unmeasured configuration.
-func (m *Manager) resumeRun(ctx context.Context, s *session, meta runMeta) {
+// continues it from the first unmeasured configuration. It holds no
+// scheduler slot: recovery must never wait behind queued work.
+func (m *Manager) resumeRun(s *session, meta runMeta) {
+	defer m.release(s, nil)
 	fail := func(err error) {
 		m.logf("resume %s: %v", s.id, err)
 		s.finish(nil, err)
 	}
-	p, ok := m.problem(meta.Problem)
-	if !ok {
+	p := s.problem // looked up when the session was built; run uses the same one
+	if p.Space == nil {
 		fail(fmt.Errorf("%w: %q (re-register it and restart to resume)", ErrUnknownProblem, meta.Problem))
 		return
 	}
@@ -356,9 +355,7 @@ func (m *Manager) resumeRun(ctx context.Context, s *session, meta runMeta) {
 	opts.Replay = rec.Replay()
 	opts.ReplaySkips = rec.Skips()
 	opts.Journal = sessionRecorder{s}
-	res, err := core.RunContext(ctx, p.Space, p.Eval, opts)
-	s.finish(res, err)
-	m.persistTerminal(s)
+	m.run(s, opts)
 }
 
 // restoreDone finalizes a run whose journal already carries a non-done

@@ -118,8 +118,7 @@ type RunRequest struct {
 	// Tenant identifies the submitting tenant for fair-share scheduling and
 	// quotas. The HTTP layer falls back to the X-Tenant and then X-API-Key
 	// headers when the body leaves it empty; a run with no identity at all
-	// is admitted under the shared "anonymous" tenant. Ignored (but still
-	// echoed) on daemons without a scheduler.
+	// is admitted under the shared "anonymous" tenant.
 	Tenant string `json:"tenant,omitempty"`
 	// Priority orders this run within its own tenant's admission queue
 	// (higher dispatches first, FIFO within a class). Priority never crosses
@@ -284,20 +283,20 @@ type Config struct {
 	// Logf, when non-nil, receives durability-layer diagnostics (recovery
 	// progress, resume refusals, persistence errors).
 	Logf func(format string, args ...any)
-	// Sched, when non-nil, puts every new run through the multi-tenant
-	// fair-share scheduler: runs are admitted immediately, queued (state
-	// "queued") when their tenant is at quota or the fleet is saturated, or
-	// rejected with 429 + Retry-After when the tenant's queue is full. It
+	// Sched configures the multi-tenant fair-share scheduler every new run
+	// is admitted through: a run starts immediately, waits (state "queued")
+	// while its tenant is at quota or the fleet is saturated, or is rejected
+	// with 429 + Retry-After when the tenant's queue is full. Nil bounds
+	// nothing, so every accepted run starts immediately. A non-nil config
 	// also enables cross-run evaluation-batch coalescing onto the shared
 	// backend (see sched.Coalescer); with a nil EvalPool, coalesced batches
 	// evaluate in-process bounded by GOMAXPROCS rather than by each run's
-	// Workers field. Nil preserves the historical behavior: every accepted
-	// run starts immediately, with no concurrency bound.
+	// Workers field.
 	//
-	// Two scheduler caveats: resumed runs (Resume) relaunch outside the
-	// scheduler so recovery can never deadlock behind queued work, and
-	// NoCache runs still go through batch coalescing (merging dedups within
-	// a dispatch, not across time, so fresh measurements stay fresh).
+	// Two caveats: resumed runs (Resume) relaunch without admission so
+	// recovery can never deadlock behind queued work, and NoCache runs still
+	// go through batch coalescing (merging dedups within a dispatch, not
+	// across time, so fresh measurements stay fresh).
 	Sched *sched.Config
 }
 
@@ -321,7 +320,8 @@ type Manager struct {
 	closed   bool                       // Shutdown has begun; no new sessions
 
 	cfg        Config
-	sched      *sched.Scheduler // nil unless cfg.Sched is set
+	sched      *sched.Scheduler // admits every fresh run
+	retryAfter time.Duration    // backoff hint on a queue-full rejection
 	coalesce   *sched.Group     // nil unless cfg.Sched is set
 	store      SessionStore
 	evictMu    sync.Mutex   // serializes eviction passes (janitor vs Start)
@@ -362,10 +362,13 @@ func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 	if cfg.DataDir != "" {
 		m.store = newPersistentStore(cfg.Shards, cfg.DataDir)
 	}
+	var sc sched.Config // no limits: every submission is admitted in Submit
 	if cfg.Sched != nil {
-		m.sched = sched.New(*cfg.Sched)
-		m.coalesce = sched.NewGroup(cfg.Sched.CoalesceWindow)
+		sc = *cfg.Sched
+		m.coalesce = sched.NewGroup(sc.CoalesceWindow)
 	}
+	m.sched = sched.New(sc)
+	m.retryAfter = sc.RetryAfterHint()
 	for _, p := range problems {
 		m.Register(p)
 	}
@@ -461,13 +464,12 @@ func (m *Manager) Cache(problem string) (*core.EvalCache, bool) {
 	return c, ok
 }
 
-// Start launches one exploration session and returns its initial status.
-// The status is taken before the session enters the store: with eviction
-// enabled, a later lookup by id is allowed to miss.
-//
-// With a scheduler configured (Config.Sched), Start is the admission path:
-// the run may come back "queued" instead of "running", and a submission
-// past the tenant's queue bound fails with sched.ErrQueueFull (HTTP 429).
+// Start submits one exploration session for admission and returns its
+// initial status: "running" when the scheduler admitted it on the spot,
+// "queued" when it waits for a slot. A submission past the tenant's queue
+// bound fails with sched.ErrQueueFull (HTTP 429). The status is taken
+// before the session enters the store: with eviction enabled, a later
+// lookup by id is allowed to miss.
 func (m *Manager) Start(req RunRequest) (RunStatus, error) {
 	if err := req.validate(); err != nil {
 		return RunStatus{}, err
@@ -497,55 +499,27 @@ func (m *Manager) Start(req RunRequest) (RunStatus, error) {
 		runCtx:  ctx,
 		cache:   cache,
 		req:     req,
-		state:   StateRunning,
+		state:   StateQueued,
 	}
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	if m.sched == nil {
-		// Unscheduled manager: every accepted run starts immediately
-		// (the historical behavior small deployments and tests rely on).
-		opts := m.buildOpts(p, req, cache, s)
-		if m.cfg.DataDir != "" {
-			// Persist the run's identity and open its journal before the
-			// session becomes visible: once a client sees the id, a crash at
-			// any later instant leaves a recoverable directory.
-			if err := m.persistStart(s, core.RunFingerprint(p.Space, opts)); err != nil {
-				m.wg.Done()
-				cancel()
-				return RunStatus{}, fmt.Errorf("%w: %v", ErrStorage, err)
-			}
-			opts.Journal = sessionRecorder{s}
-		}
-		st := s.status()
-		m.store.Put(s)
-		m.enforceCap()
-		go m.runSession(s, opts, nil)
-		return st, nil
-	}
-
-	// Scheduled admission. The session is visible immediately — queued or
-	// running — but nothing touches the data directory until dispatch: a
-	// rejected, queue-cancelled, or shutdown-dropped run must leave no
-	// on-disk trace (persistence happens in dispatch, after admission).
-	s.mu.Lock()
-	s.state = StateQueued
-	s.mu.Unlock()
+	// Nothing touches the data directory until dispatch: a rejected,
+	// queue-cancelled, or shutdown-dropped run must leave no on-disk trace.
 	ticket, err := m.sched.Submit(req.tenant(), req.Priority,
 		func(t *sched.Ticket) { m.dispatch(s, t) },
-		func(*sched.Ticket) {
-			// Dropped while queued by scheduler Close: no engine goroutine
-			// ever existed, so release the waitgroup slot here.
-			s.finish(nil, context.Canceled)
-			cancel()
-			m.wg.Done()
-		})
+		func(*sched.Ticket) { m.end(s, nil, context.Canceled) }) // Shutdown dropped it queued
 	if err != nil {
-		m.wg.Done()
-		cancel()
+		m.release(s, nil)
 		if errors.Is(err, sched.ErrClosed) {
 			return RunStatus{}, ErrShuttingDown
 		}
+		return RunStatus{}, err
+	}
+	if err := s.failure(); errors.Is(err, ErrStorage) {
+		// Dispatched inside Submit, and the run directory could not be
+		// created. Nobody has seen the id yet, so the client gets the error
+		// rather than a failed run (dispatch already released the session).
 		return RunStatus{}, err
 	}
 	s.ticket = ticket
@@ -555,49 +529,62 @@ func (m *Manager) Start(req RunRequest) (RunStatus, error) {
 	return st, nil
 }
 
-// dispatch launches a scheduler-admitted session: it persists the run (S6:
-// only now — admission rejections never touch the disk), flips it to
-// running, and starts the engine goroutine. Called synchronously from
-// Submit on immediate admission, or from whatever goroutine freed the slot.
+// dispatch launches an admitted session: it persists the run (S6: only now
+// — admission rejections never touch the disk, and once a client sees a
+// running id a crash at any later instant leaves a recoverable directory),
+// flips it to running, and starts the engine goroutine. Called
+// synchronously from Submit on immediate admission, or from whatever
+// goroutine freed the slot. It is the only caller of persistStart.
 func (m *Manager) dispatch(s *session, t *sched.Ticket) {
 	if m.isClosed() {
 		// A slot freed during shutdown dispatched us; the engine must not
 		// start now.
-		s.finish(nil, context.Canceled)
-		s.cancel()
-		m.sched.Done(t)
-		m.wg.Done()
+		m.end(s, t, context.Canceled)
 		return
 	}
 	opts := m.buildOpts(s.problem, s.req, s.cache, s)
 	if m.cfg.DataDir != "" {
 		if err := m.persistStart(s, core.RunFingerprint(s.problem.Space, opts)); err != nil {
-			s.finish(nil, fmt.Errorf("%w: %v", ErrStorage, err))
-			s.cancel()
-			m.sched.Done(t)
-			m.wg.Done()
+			m.end(s, t, fmt.Errorf("%w: %v", ErrStorage, err))
 			return
 		}
 		opts.Journal = sessionRecorder{s}
 	}
 	s.setRunning()
-	go m.runSession(s, opts, t)
+	go func() {
+		m.run(s, opts)
+		m.release(s, t)
+	}()
 }
 
-// runSession is the engine goroutine shared by both admission paths; t is
-// the scheduler ticket to release (nil on unscheduled managers).
-func (m *Manager) runSession(s *session, opts core.Options, t *sched.Ticket) {
-	defer m.wg.Done()
+// run is the one engine call in this package: fresh and dequeued sessions
+// reach it from dispatch, resumed ones from resumeRun with their journal
+// pre-loaded in opts.Replay / opts.ReplaySkips.
+func (m *Manager) run(s *session, opts core.Options) {
 	res, err := core.RunContext(s.runCtx, s.problem.Space, s.problem.Eval, opts)
 	s.finish(res, err)
 	m.persistTerminal(s)
+}
+
+// end finishes a session that will not reach the engine — refused at
+// dispatch, or cancelled or dropped while still queued — and releases it.
+func (m *Manager) end(s *session, t *sched.Ticket, err error) {
+	s.finish(nil, err)
+	m.release(s, t)
+}
+
+// release gives back what a session holds, exactly once per session: its
+// scheduler slot (t is nil when it never got one — never dispatched, or
+// resumed without admission), its context, and its waitgroup slot.
+func (m *Manager) release(s *session, t *sched.Ticket) {
 	if t != nil {
 		m.sched.Done(t)
 	}
 	s.cancel()
+	m.wg.Done()
 }
 
-// buildOpts assembles the engine options for a request — shared by Start
+// buildOpts assembles the engine options for a request — shared by dispatch
 // and the resume path, which must produce an identical configuration for
 // the run fingerprints to match.
 func (m *Manager) buildOpts(p Problem, req RunRequest, cache *core.EvalCache, s *session) core.Options {
@@ -637,10 +624,11 @@ func (m *Manager) buildOpts(p Problem, req RunRequest, cache *core.EvalCache, s 
 		opts.Backend = m.cfg.EvalPool.Backend(p.Name, len(p.Objectives))
 	}
 	if m.coalesce != nil {
-		// Scheduled daemons merge concurrent runs' evaluation batches onto
-		// one shared backend per space (cross-run coalescing). The shared
-		// local backend runs with the default worker bound (GOMAXPROCS)
-		// since a merged batch serves many runs' Workers settings at once.
+		// Daemons given a scheduler config merge concurrent runs' evaluation
+		// batches onto one shared backend per space (cross-run coalescing).
+		// The shared local backend runs with the default worker bound
+		// (GOMAXPROCS) since a merged batch serves many runs' Workers
+		// settings at once.
 		inner := opts.Backend
 		if inner == nil {
 			inner = &core.LocalBackend{Eval: p.Eval}
@@ -681,12 +669,9 @@ func (m *Manager) Cancel(id string) (RunStatus, bool) {
 	if t := s.ticket; t != nil && t.Cancel() {
 		// Withdrawn while still queued: the scheduler guarantees the start
 		// callback will never run, so no engine goroutine and no run
-		// directory exist — finish the session here and release its
-		// waitgroup slot. The scheduler lock arbitrates the race with
-		// dispatch; exactly one side wins.
-		s.finish(nil, context.Canceled)
-		s.cancel()
-		m.wg.Done()
+		// directory exist — end the session here. The scheduler lock
+		// arbitrates the race with dispatch; exactly one side wins.
+		m.end(s, nil, context.Canceled)
 		return s.status(), true
 	}
 	// The session pointer stays valid even if eviction removes it from
@@ -731,17 +716,15 @@ type Stats struct {
 	Persistent       bool  `json:"persistent"`
 	Recovering       int64 `json:"recovering"`
 	CacheSpillErrors int64 `json:"cache_spill_errors"`
-	// Queued counts retained sessions waiting for scheduler admission
-	// (always 0 on unscheduled daemons).
+	// Queued counts retained sessions waiting for scheduler admission.
 	Queued int `json:"queued"`
 	// Sched reports the multi-tenant scheduler's admission accounting —
 	// per-tenant running/queued/rejected counts, queue-depth high-water
-	// mark, and admission-wait quantiles; absent when no scheduler is
-	// configured.
-	Sched *sched.Stats `json:"sched,omitempty"`
+	// mark, and admission-wait quantiles. Always set.
+	Sched *sched.Stats `json:"sched"`
 	// Coalesce reports cross-run evaluation-batch merging (calls vs
-	// flushes, configs deduplicated inside merges); absent when no
-	// scheduler is configured.
+	// flushes, configs deduplicated inside merges); absent unless the
+	// daemon was given a scheduler config.
 	Coalesce *sched.CoalesceStats `json:"coalesce,omitempty"`
 	// CacheHits / CacheMisses / CacheCoalesceHits total memo-cache lookups
 	// across every problem cache; CacheCoalesceHits is the subset of hits
@@ -775,10 +758,8 @@ func (m *Manager) Stats() Stats {
 		st.Workers = m.cfg.EvalPool.Stats()
 		st.PoolBatches, st.PoolBatchConfigs = m.cfg.EvalPool.BatchStats()
 	}
-	if m.sched != nil {
-		ss := m.sched.Stats()
-		st.Sched = &ss
-	}
+	ss := m.sched.Stats()
+	st.Sched = &ss
 	if m.coalesce != nil {
 		cs := m.coalesce.Stats()
 		st.Coalesce = &cs
@@ -816,12 +797,9 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true // every wg.Add happened-before this; Wait is now safe
 	m.mu.Unlock()
-	if m.sched != nil {
-		// Drop every queued ticket first (their abort callbacks finish the
-		// sessions and release waitgroup slots); dispatched runs are
-		// cancelled via the base context below, exactly like before.
-		m.sched.Close()
-	}
+	// Drop every queued ticket first (their abort callbacks end the
+	// sessions); dispatched runs are cancelled via the base context below.
+	m.sched.Close()
 	if m.cfg.DataDir != "" {
 		for _, s := range m.store.Snapshot() {
 			if state, _ := s.terminalInfo(); !state.Terminal() {

@@ -172,8 +172,8 @@ type RunStatus struct {
 	Problem string    `json:"problem"`
 	State   State     `json:"state"`
 	Created time.Time `json:"created"`
-	// Tenant and Priority echo the admission identity the run was
-	// scheduled under (empty/0 on unscheduled managers).
+	// Tenant and Priority echo the admission identity the request carried
+	// (empty means the shared anonymous tenant).
 	Tenant   string `json:"tenant,omitempty"`
 	Priority int    `json:"priority,omitempty"`
 	// Samples and FrontSize summarize progress: evaluated configurations
@@ -211,9 +211,9 @@ type session struct {
 	// runCtx is the run's context (a child of the manager's base context)
 	// and cache the memo-cache resolved at submission; both are fixed
 	// before the session becomes visible. ticket is the scheduler admission
-	// handle — nil on unscheduled managers and on resumed runs, which
-	// relaunch outside the scheduler. It is written once before store.Put
-	// publishes the session, so readers see it safely.
+	// handle, which Cancel uses to withdraw a still-queued run — nil on
+	// resumed and restored sessions, which skip admission. It is written
+	// once before store.Put publishes the session, so readers see it safely.
 	runCtx context.Context
 	cache  *core.EvalCache
 	ticket *sched.Ticket
@@ -355,6 +355,13 @@ func (s *session) closeJournal() {
 	if s.jw != nil {
 		_ = s.jw.Close()
 	}
+}
+
+// failure returns the error a failed session ended with, nil otherwise.
+func (s *session) failure() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // terminalInfo returns the state and, if terminal, when it became so.
