@@ -590,14 +590,16 @@ func RunContext(ctx context.Context, space *param.Space, eval Evaluator, opts Op
 		res.Forests = forests
 
 		// Predict every objective over the pool and filter the predicted
-		// front P. The incremental path reuses the pool encodings and fuses
-		// the per-objective sweeps into one pass; the legacy path rebuilds
-		// everything per round.
+		// front P. The incremental path keeps the pool across rounds (the
+		// whole grid when the space is enumerable, else a re-drawn flat
+		// matrix); the legacy path rebuilds everything per round.
 		var predicted []pareto.Point
 		var encodeTime, predictTime time.Duration
 		if st != nil {
 			encStart := time.Now()
-			st.pool(rng, evaluated, o.Workers)
+			if err := st.pool(rng, evaluated, o.Workers); err != nil {
+				return nil, err
+			}
 			encodeTime = time.Since(encStart)
 			predStart := time.Now()
 			points := st.predict(forests, o.Workers)

@@ -11,7 +11,8 @@
 // sorted through splits by stable partitioning, so split search never
 // sorts. Fitting and batch prediction parallelize across trees and across
 // input chunks respectively, with all per-tree scratch pooled across trees,
-// objectives, and active-learning refits.
+// objectives, and active-learning refits. A pool that is a whole Cartesian
+// grid is predicted by box-fill instead of row by row (Grid, PredictGrid).
 package forest
 
 import (

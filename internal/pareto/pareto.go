@@ -42,16 +42,17 @@ func Dominates(a, b []float64) bool {
 // is sorted by the first objective, then the second, for deterministic
 // output.
 //
+// A point with a NaN objective is never on a front: NaN compares false both
+// ways, so such a point would dominate nothing, be dominated by nothing, and
+// break the ordering the 2-objective sweep relies on; it is skipped. This is
+// the filter's own contract only — keeping non-finite evaluator output out
+// of Result.Samples and the training set (non-finite ⇒ Result.Invalid) is
+// the engine's ingest contract and is not enforced here.
+//
 // A 2-objective fast path runs in O(n log n); the general k-objective path
 // is the O(n²) pairwise filter, fine for the set sizes HyperMapper produces.
 func Front(points []Point) []Point {
-	if len(points) == 0 {
-		return nil
-	}
-	if len(points[0].Objs) == 2 {
-		return front2D(points)
-	}
-	return frontKD(points)
+	return FrontInPlace(slices.Clone(points))
 }
 
 // FrontInPlace is Front, but it may reorder points instead of copying them.
@@ -59,6 +60,7 @@ func Front(points []Point) []Point {
 // without duplicating the pool slice every iteration; callers that need the
 // input order preserved must use Front.
 func FrontInPlace(points []Point) []Point {
+	points = dropNaN(points)
 	if len(points) == 0 {
 		return nil
 	}
@@ -68,36 +70,124 @@ func FrontInPlace(points []Point) []Point {
 	return frontKD(points)
 }
 
-func front2D(points []Point) []Point {
-	return front2DInPlace(append([]Point(nil), points...))
+// dropNaN moves every point with a NaN objective behind the others, which
+// keep their order, and returns the NaN-free prefix.
+func dropNaN(points []Point) []Point {
+	kept := 0
+	for i, p := range points {
+		if slices.ContainsFunc(p.Objs, math.IsNaN) {
+			continue
+		}
+		if i != kept {
+			points[kept], points[i] = points[i], points[kept]
+		}
+		kept++
+	}
+	return points[:kept]
 }
 
-// front2DInPlace sorts its argument and sweeps it once: after ordering by
-// (obj0, obj1, ID), a point is non-dominated exactly when its obj1 strictly
-// improves on everything before it. Duplicate objective vectors fail the
-// strict test, so only the first occurrence (lowest ID) is kept. The sort is
-// unstable but the comparator is a total order (IDs break every tie), so the
-// output is deterministic; slices.SortFunc beats sort.Slice's reflection-
-// based swaps by a wide margin on the 10⁵-point prediction pools.
-func front2DInPlace(sorted []Point) []Point {
-	slices.SortFunc(sorted, func(a, b Point) int {
-		if a.Objs[0] != b.Objs[0] {
-			return cmp.Compare(a.Objs[0], b.Objs[0])
-		}
-		if a.Objs[1] != b.Objs[1] {
-			return cmp.Compare(a.Objs[1], b.Objs[1])
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	var out []Point
-	best1 := math.Inf(1)
+func front2D(points []Point) []Point {
+	return front2DInPlace(dropNaN(slices.Clone(points)))
+}
+
+const (
+	// prefilterMin is the input size from which front2DInPlace discards
+	// dominated points before sorting; below it the plain sort is as fast.
+	prefilterMin = 4096
+	// prefilterSample bounds the strided sample whose front does the
+	// discarding.
+	prefilterSample = 1024
+)
+
+// compare2D orders 2-objective points by (obj0, obj1, ID) — a total order on
+// NaN-free points, since IDs break every tie.
+func compare2D(a, b Point) int {
+	if a.Objs[0] != b.Objs[0] {
+		return cmp.Compare(a.Objs[0], b.Objs[0])
+	}
+	if a.Objs[1] != b.Objs[1] {
+		return cmp.Compare(a.Objs[1], b.Objs[1])
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// sweep2D appends to out the front of points sorted by compare2D: a point is
+// non-dominated exactly when its obj1 strictly improves on everything before
+// it. Duplicate objective vectors fail the strict test, so only the first
+// occurrence (lowest ID) is kept. out may alias points.
+func sweep2D(out, sorted []Point) []Point {
 	for _, p := range sorted {
-		if p.Objs[1] < best1 {
+		if len(out) == 0 || p.Objs[1] < out[len(out)-1].Objs[1] {
 			out = append(out, p)
-			best1 = p.Objs[1]
 		}
 	}
 	return out
+}
+
+// front2DInPlace sorts its NaN-free argument and sweeps it once. The sort is
+// unstable but compare2D is a total order, so the output is deterministic;
+// slices.SortFunc beats sort.Slice's reflection-based swaps by a wide margin
+// on the 10⁵-point prediction pools. Large inputs are thinned first: nearly
+// all of a prediction pool is dominated, and finding that out costs a binary
+// search per point instead of that point's share of the sort.
+func front2DInPlace(points []Point) []Point {
+	if len(points) >= prefilterMin {
+		points = prefilter2D(points)
+	}
+	slices.SortFunc(points, compare2D)
+	return sweep2D(nil, points)
+}
+
+// prefilter2D moves behind the others, and cuts off, every point strictly
+// dominated by the front of an evenly strided sample of points — a
+// staircase ascending in obj0 and strictly descending in obj1. A removed
+// point is dominated by a sample point, hence (dominance is transitive) by a
+// member of the true front, so the front of what remains is the front of
+// points. Points that merely equal a staircase step stay, so which of
+// several equal vectors wins (the lowest ID) is still decided by the sort.
+func prefilter2D(points []Point) []Point {
+	var buf [prefilterSample]Point
+	stride := (len(points) + prefilterSample - 1) / prefilterSample
+	sample := buf[:0]
+	for i := 0; i < len(points); i += stride {
+		sample = append(sample, points[i])
+	}
+	slices.SortFunc(sample, compare2D)
+	stair := sweep2D(sample[:0], sample)
+
+	// Any step that strictly dominates p condemns it. Pool neighbours have
+	// similar objectives, so the step that condemned the previous point is
+	// tried first; only when it fails is the decisive one searched for: of
+	// the steps no worse than p in obj0, the last has the lowest obj1.
+	kept, hint := 0, 0
+	for i, p := range points {
+		p0, p1 := p.Objs[0], p.Objs[1]
+		s := stair[hint].Objs
+		if s[0] <= p0 && s[1] <= p1 && (s[0] < p0 || s[1] < p1) {
+			continue
+		}
+		lo, hi := 0, len(stair)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if stair[mid].Objs[0] <= p0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo > 0 {
+			s = stair[lo-1].Objs
+			if s[1] < p1 || (s[1] == p1 && s[0] < p0) {
+				hint = lo - 1
+				continue
+			}
+		}
+		if i != kept {
+			points[kept], points[i] = points[i], points[kept]
+		}
+		kept++
+	}
+	return points[:kept]
 }
 
 func frontKD(points []Point) []Point {
