@@ -61,6 +61,22 @@ func (p *Pool) tripped(i int) bool {
 	return w.brk != BreakerClosed
 }
 
+// healthy counts the workers a new chunk can be routed to: those whose
+// breaker is closed, or the whole fleet when none is — pick degrades the
+// same way, so the chunk plan and the placement agree on the fleet's size.
+func (p *Pool) healthy() int {
+	n := 0
+	for i := range p.workers {
+		if !p.tripped(i) {
+			n++
+		}
+	}
+	if n == 0 {
+		return len(p.workers)
+	}
+	return n
+}
+
 // recordSuccess resets worker i's breaker on any completed exchange —
 // including a hedge loser's, and including traffic that reached an open
 // worker because the whole fleet was tripped: a real success is better

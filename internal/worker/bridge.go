@@ -61,7 +61,8 @@ type HTTPRequest struct {
 }
 
 // HTTPResponse is the HTTP bridge success body: one objective vector per
-// configuration, positionally matched.
+// configuration, positionally matched. A null objective is read as NaN,
+// the "invalid configuration" marker (core.Result.Invalid).
 type HTTPResponse struct {
 	Objectives [][]float64 `json:"objectives"`
 }
@@ -290,14 +291,18 @@ func (e *HTTPEvaluator) evaluate(cfg param.Config) ([]float64, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("%d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var out HTTPResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("reading response: %w", err)
+	}
+	out, err := decodeObjectives(reply) // HTTPResponse's shape; null → NaN
+	if err != nil {
 		return nil, fmt.Errorf("decoding response: %w", err)
 	}
-	if len(out.Objectives) != 1 || len(out.Objectives[0]) != e.objectives {
-		return nil, fmt.Errorf("response shape %v, want 1 vector of %d objectives", shape(out.Objectives), e.objectives)
+	if len(out) != 1 || len(out[0]) != e.objectives {
+		return nil, fmt.Errorf("response shape %v, want 1 vector of %d objectives", shape(out), e.objectives)
 	}
-	return out.Objectives[0], nil
+	return out[0], nil
 }
 
 // shape renders the per-vector lengths of a reply for error messages.

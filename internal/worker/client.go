@@ -23,9 +23,13 @@ import (
 // Options tunes a Pool. The zero value selects the documented defaults.
 type Options struct {
 	// ChunkSize is the maximum number of configurations per worker
-	// request; a batch is split into ⌈n/ChunkSize⌉ chunks that spread
-	// across the fleet (default 32). Smaller chunks balance better across
-	// heterogeneous workers; larger chunks amortize per-request overhead.
+	// request (default 32). It is a ceiling, not a stride: a batch is cut
+	// into the fewest equal-sized chunks (sizes differ by at most one) that
+	// respect it and whose count is a multiple of the workers whose breaker
+	// is closed, so a batch smaller than ChunkSize still reaches every
+	// healthy worker (see planChunks). A smaller ceiling means more, smaller
+	// requests for a large batch; a larger one amortizes per-request
+	// overhead.
 	ChunkSize int
 	// MaxInFlight bounds the pool's concurrent HTTP requests across all
 	// sessions sharing it, hedges included (default 4 × workers).
@@ -58,14 +62,18 @@ type Options struct {
 	Seed int64
 	// HedgeAfter is the straggler threshold: a request outstanding this
 	// long is re-dispatched to a second worker, first reply wins. 0
-	// derives the threshold adaptively from the observed completion-latency
-	// quantile (see HedgeQuantile); a negative value disables hedging.
+	// derives the threshold adaptively from the observed per-configuration
+	// service-time quantile (see HedgeQuantile); a negative value disables
+	// hedging.
 	HedgeAfter time.Duration
-	// HedgeQuantile is the completion-latency quantile used when
-	// HedgeAfter is 0, in (0,1) (default 0.95). Latencies are tracked per
-	// problem (a SLAM batch and a synthetic batch have nothing in
-	// common), and hedging stays off until that problem has observed at
-	// least hedgeMinSamples completions.
+	// HedgeQuantile is the service-time quantile used when HedgeAfter is
+	// 0, in (0,1) (default 0.95). Service time is tracked per
+	// configuration — chunks range from 1 to ChunkSize configurations, so
+	// whole-request times share no scale — and a request's threshold is
+	// that quantile × its configuration count. Windows are per problem (a
+	// SLAM batch and a synthetic batch have nothing in common), and
+	// hedging stays off until that problem has observed at least
+	// hedgeMinSamples completions.
 	HedgeQuantile float64
 	// RequestTimeout is the hard per-request ceiling (default 15m). It is
 	// the backstop that keeps a wedged worker — accepts the connection,
@@ -98,8 +106,8 @@ const (
 	// hedgeMinSamples is how many completed requests the adaptive hedger
 	// needs before it trusts its latency window.
 	hedgeMinSamples = 8
-	// latencyWindowSize bounds the sliding window of completion latencies
-	// the adaptive hedge threshold is computed from.
+	// latencyWindowSize bounds the sliding window of per-configuration
+	// service times the adaptive hedge threshold is computed from.
 	latencyWindowSize = 64
 )
 
@@ -160,7 +168,7 @@ type Pool struct {
 	cursor  atomic.Int64  // round-robin worker pick
 
 	winMu   sync.Mutex
-	windows map[string]*latencyWindow // per-problem completion latencies
+	windows map[string]*latencyWindow // per-problem service times
 
 	// batches/batchConfigs count backend-level dispatches: how many
 	// EvaluateBatch calls reached the fleet and how many configurations
@@ -178,11 +186,14 @@ type Pool struct {
 	closeOnce sync.Once
 }
 
-// latencyWindow is one problem's sliding window of completion latencies,
-// feeding the adaptive hedge threshold. Windows are per problem because
-// pooling them would be meaningless: a coordinator runs millisecond
-// synthetic batches next to minutes-long SLAM batches, and a quantile over
-// the mixture would hedge every legitimately slow batch immediately.
+// latencyWindow is one problem's sliding window of service times per
+// configuration (a request's service time ÷ the configurations it
+// carried), feeding the adaptive hedge threshold. The unit is what lets a
+// 4-configuration chunk and a 32-configuration chunk share one window.
+// Windows are per problem because pooling them would be meaningless: a
+// coordinator runs millisecond synthetic batches next to minutes-long SLAM
+// batches, and a quantile over the mixture would hedge every legitimately
+// slow batch immediately.
 type latencyWindow struct {
 	mu  sync.Mutex
 	lat []time.Duration // ring buffer
@@ -303,11 +314,12 @@ type remoteBackend struct {
 	objectives int // expected objective-vector length; 0 = unchecked
 }
 
-// EvaluateBatch implements core.Backend: the batch is split into chunks,
-// each chunk is dispatched to a worker (with retries on other workers and
-// hedged re-dispatch of stragglers), and results land at fixed offsets of
-// the output — so however completion order shuffles, the merged result is
-// in input order and seeded runs stay deterministic.
+// EvaluateBatch implements core.Backend: the batch is cut into even chunks
+// across the healthy fleet (planChunks), each chunk is dispatched to a
+// worker (with retries on other workers and hedged re-dispatch of
+// stragglers), and results land at fixed offsets of the output — so
+// however the batch is cut and however completion order shuffles, the
+// merged result is in input order and seeded runs stay deterministic.
 //
 // On failure the error of the first chunk to exhaust its attempts is
 // returned together with every completed chunk's results; unevaluated
@@ -327,8 +339,9 @@ func (b *remoteBackend) EvaluateBatch(ctx context.Context, cfgs []param.Config) 
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
-	for lo := 0; lo < n; lo += p.opts.ChunkSize {
-		hi := min(lo+p.opts.ChunkSize, n)
+	bounds := planChunks(n, p.healthy(), p.opts.ChunkSize)
+	for i := 1; i < len(bounds); i++ {
+		lo, hi := bounds[i-1], bounds[i]
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -359,6 +372,25 @@ func (b *remoteBackend) EvaluateBatch(ctx context.Context, cfgs []param.Config) 
 	}
 	wg.Wait()
 	return out, firstErr
+}
+
+// planChunks cuts a batch of n configurations into contiguous chunks for
+// workers dispatchable workers under a ceiling of chunkSize configurations
+// per request, returning the boundaries b (chunk i is [b[i], b[i+1])). It
+// plans the fewest whole rounds of the fleet that respect the ceiling —
+// k = min(n, workers·⌈n/(workers·chunkSize)⌉) chunks whose sizes differ by
+// at most one — so round-robin placement hands every worker the same
+// number of equal chunks, and a batch far smaller than chunkSize still
+// uses the whole fleet instead of one worker while the rest idle. The plan
+// depends on nothing but its three arguments.
+func planChunks(n, workers, chunkSize int) []int {
+	perRound := workers * chunkSize
+	k := min(n, workers*((n+perRound-1)/perRound))
+	bounds := make([]int, k+1)
+	for i := 1; i <= k; i++ {
+		bounds[i] = i * n / k
+	}
+	return bounds
 }
 
 // permanentError marks worker replies retrying cannot fix — 4xx protocol
@@ -469,9 +501,11 @@ func (p *Pool) evalChunk(ctx context.Context, problem string, cfgs []param.Confi
 // primary acquires it blocking (that wait IS the pool's backpressure);
 // a hedge leg only dispatches if a slot is free right now — blocking would
 // queue it behind the very stragglers it exists to bypass. The latency
-// window records the winning leg's service time (post-acquisition), not
-// attempt wall-clock, so queueing and primary straggle never inflate the
-// adaptive hedge threshold.
+// window records the winning leg's service time (post-acquisition) per
+// configuration, not attempt wall-clock, so queueing and primary straggle
+// never inflate the adaptive hedge threshold — and the hedge timer is
+// armed at that per-configuration quantile × len(cfgs), so a small chunk
+// is not judged against a large one's time (see hedgeDelay).
 func (p *Pool) attemptHedged(ctx context.Context, avoid map[int]bool, problem string, cfgs []param.Config) ([][]float64, []int, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel() // reels in the losing leg
@@ -521,7 +555,7 @@ func (p *Pool) attemptHedged(ctx context.Context, avoid map[int]bool, problem st
 					}
 				}
 			}
-			replies <- hedgeReply{objs, err, worker, time.Since(start)}
+			replies <- hedgeReply{objs, err, worker, time.Since(start) / time.Duration(len(cfgs))}
 		}()
 		return true
 	}
@@ -533,7 +567,7 @@ func (p *Pool) attemptHedged(ctx context.Context, avoid map[int]bool, problem st
 	outstanding := 1
 	var attemptFailed []int
 	var hedgeTimer <-chan time.Time
-	if d := p.hedgeDelay(problem); d > 0 && len(p.workers) > 1 {
+	if d := p.hedgeDelay(problem, len(cfgs)); d > 0 && len(p.workers) > 1 {
 		hedgeTimer = time.After(d)
 	}
 	var lastErr error
@@ -542,7 +576,7 @@ func (p *Pool) attemptHedged(ctx context.Context, avoid map[int]bool, problem st
 		case r := <-replies:
 			outstanding--
 			if r.err == nil {
-				p.window(problem).record(r.service)
+				p.window(problem).record(r.perConfig)
 				if outstanding > 0 {
 					p.drainLosers(problem, replies, outstanding)
 				}
@@ -581,25 +615,27 @@ func (p *Pool) attemptHedged(ctx context.Context, avoid map[int]bool, problem st
 
 // hedgeReply is one leg's outcome in a hedged attempt.
 type hedgeReply struct {
-	objs    [][]float64
-	err     error
-	worker  int
-	service time.Duration
+	objs   [][]float64
+	err    error
+	worker int
+	// perConfig is the leg's service time ÷ the chunk's configurations,
+	// the unit latencyWindow keeps.
+	perConfig time.Duration
 }
 
 // drainLosers collects the outstanding legs of a decided hedged attempt
 // in the background. A loser that completed successfully before the
 // winner's cancellation landed did real, measurable service — its
-// duration feeds the latency window exactly once (here, and only here:
-// the winner path above records only the winning leg), so a worker's
-// hedge losses count as completions in the health snapshot instead of
-// vanishing from it. Cancelled or failed losers were already accounted
-// for by the launch goroutine.
+// per-configuration time feeds the latency window exactly once (here, and
+// only here: the winner path above records only the winning leg), so a
+// worker's hedge losses count as completions in the health snapshot
+// instead of vanishing from it. Cancelled or failed losers were already
+// accounted for by the launch goroutine.
 func (p *Pool) drainLosers(problem string, replies <-chan hedgeReply, outstanding int) {
 	go func() {
 		for i := 0; i < outstanding; i++ {
 			if r := <-replies; r.err == nil {
-				p.window(problem).record(r.service)
+				p.window(problem).record(r.perConfig)
 			}
 		}
 	}()
@@ -653,19 +689,23 @@ func (p *Pool) post(ctx context.Context, w *workerState, problem string, cfgs []
 		}
 		return nil, err
 	}
-	var out EvaluateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("worker %s: reading response: %w", w.url, err)
+	}
+	out, err := decodeObjectives(reply)
+	if err != nil {
 		return nil, fmt.Errorf("worker %s: decoding response: %w", w.url, err)
 	}
-	if len(out.Objectives) != len(cfgs) {
-		return nil, fmt.Errorf("worker %s: %d objective vectors for %d configs", w.url, len(out.Objectives), len(cfgs))
+	if len(out) != len(cfgs) {
+		return nil, fmt.Errorf("worker %s: %d objective vectors for %d configs", w.url, len(out), len(cfgs))
 	}
-	for i, objs := range out.Objectives {
+	for i, objs := range out {
 		if objs == nil {
 			return nil, fmt.Errorf("worker %s: nil objectives at position %d", w.url, i)
 		}
 	}
-	return out.Objectives, nil
+	return out, nil
 }
 
 // parseRetryAfter reads a Retry-After header's delay-seconds form; 0 when
@@ -722,7 +762,8 @@ func (p *Pool) window(problem string) *latencyWindow {
 	return w
 }
 
-// record appends one completion latency to the sliding window.
+// record appends one request's per-configuration service time to the
+// sliding window.
 func (w *latencyWindow) record(d time.Duration) {
 	w.mu.Lock()
 	if len(w.lat) < latencyWindowSize {
@@ -734,8 +775,9 @@ func (w *latencyWindow) record(d time.Duration) {
 	w.mu.Unlock()
 }
 
-// quantile returns the q-quantile of the windowed latencies, or 0 when
-// fewer than hedgeMinSamples completions have been recorded.
+// quantile returns the q-quantile of the windowed per-configuration
+// service times, or 0 when fewer than hedgeMinSamples completions have
+// been recorded.
 func (w *latencyWindow) quantile(q float64) time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -751,17 +793,19 @@ func (w *latencyWindow) quantile(q float64) time.Duration {
 	return window[i]
 }
 
-// hedgeDelay returns the current straggler threshold for one problem: the
-// fixed HedgeAfter when configured, otherwise the HedgeQuantile of that
-// problem's observed completion latencies. 0 means "do not hedge"
-// (hedging disabled, or the adaptive window has too few samples to
-// trust); RequestTimeout still bounds the attempt either way.
-func (p *Pool) hedgeDelay(problem string) time.Duration {
+// hedgeDelay returns the current straggler threshold for a request of
+// configs configurations of one problem: the fixed HedgeAfter when
+// configured (whatever the request's size), otherwise the HedgeQuantile of
+// that problem's observed per-configuration service times × configs. 0
+// means "do not hedge" (hedging disabled, or the adaptive window has too
+// few samples to trust); RequestTimeout still bounds the attempt either
+// way.
+func (p *Pool) hedgeDelay(problem string, configs int) time.Duration {
 	if p.opts.HedgeAfter > 0 {
 		return p.opts.HedgeAfter
 	}
 	if p.opts.HedgeAfter < 0 {
 		return 0
 	}
-	return p.window(problem).quantile(p.opts.HedgeQuantile)
+	return p.window(problem).quantile(p.opts.HedgeQuantile) * time.Duration(configs)
 }

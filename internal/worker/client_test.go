@@ -69,30 +69,40 @@ func TestHedgeDelayAdaptiveQuantile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := p.hedgeDelay("slam"); d != 0 {
+	if d := p.hedgeDelay("slam", 1); d != 0 {
 		t.Fatalf("hedge with no latency samples: %v", d)
 	}
 	for i := 1; i <= hedgeMinSamples; i++ {
 		p.window("slam").record(time.Duration(i) * time.Millisecond)
 	}
-	d := p.hedgeDelay("slam")
+	d := p.hedgeDelay("slam", 1)
 	if d <= 0 || d > hedgeMinSamples*time.Millisecond {
 		t.Fatalf("adaptive hedge delay = %v, want within the observed window", d)
 	}
 
+	// The window's unit is one configuration: a request's threshold is the
+	// quantile × its size, so a 4-configuration chunk and a 32-configuration
+	// chunk arm their timers in ratio 1 : 8.
+	if d4, d32 := p.hedgeDelay("slam", 4), p.hedgeDelay("slam", 32); d4 != 4*d || d32 != 8*d4 {
+		t.Fatalf("hedge delay for 1 / 4 / 32 configurations = %v / %v / %v, want 1 : 4 : 32", d, d4, d32)
+	}
+
 	// Windows are per problem: a fast problem's warmed-up window must not
 	// set the hedge threshold for a slow problem sharing the pool.
-	if d := p.hedgeDelay("synthetic"); d != 0 {
+	if d := p.hedgeDelay("synthetic", 32); d != 0 {
 		t.Fatalf("unwarmed problem inherited another problem's window: %v", d)
 	}
 
-	// Fixed threshold takes precedence; negative disables hedging.
+	// Fixed threshold takes precedence, whatever the request's size;
+	// negative disables hedging.
 	p.opts.HedgeAfter = 7 * time.Millisecond
-	if d := p.hedgeDelay("slam"); d != 7*time.Millisecond {
-		t.Fatalf("fixed hedge delay = %v", d)
+	for _, n := range []int{4, 32} {
+		if d := p.hedgeDelay("slam", n); d != 7*time.Millisecond {
+			t.Fatalf("fixed hedge delay for %d configurations = %v", n, d)
+		}
 	}
 	p.opts.HedgeAfter = -1
-	if d := p.hedgeDelay("slam"); d != 0 {
+	if d := p.hedgeDelay("slam", 32); d != 0 {
 		t.Fatalf("disabled hedge delay = %v", d)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -190,7 +191,8 @@ func TestRetryDelayJitterBoundsAndDeterminism(t *testing.T) {
 // Regression: a hedge leg that completed successfully but lost the race
 // used to vanish from the latency window, skewing the adaptive hedge
 // threshold toward the winners. Loser service times are recorded exactly
-// once — successful legs only.
+// once — successful legs only — and in the window's unit, time per
+// configuration, as the launch goroutine reports them.
 func TestHedgeLoserServiceTimeRecordedOnce(t *testing.T) {
 	p, err := NewPool([]string{"http://a", "http://b"}, Options{})
 	if err != nil {
@@ -198,7 +200,7 @@ func TestHedgeLoserServiceTimeRecordedOnce(t *testing.T) {
 	}
 	defer p.Close()
 	replies := make(chan hedgeReply, 2)
-	replies <- hedgeReply{service: 5 * time.Millisecond}                  // successful loser
+	replies <- hedgeReply{perConfig: 5 * time.Millisecond}                // successful loser
 	replies <- hedgeReply{err: errors.New("context canceled"), worker: 1} // cancelled loser
 	p.drainLosers("prob", replies, 2)
 	w := p.window("prob")
@@ -209,10 +211,10 @@ func TestHedgeLoserServiceTimeRecordedOnce(t *testing.T) {
 	}, "loser latency record")
 	time.Sleep(10 * time.Millisecond) // would catch a spurious second record
 	w.mu.Lock()
-	n := w.n
+	n, lat := w.n, slices.Clone(w.lat)
 	w.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("window recorded %d completions, want exactly the successful loser", n)
+	if n != 1 || len(lat) != 1 || lat[0] != 5*time.Millisecond {
+		t.Fatalf("window recorded %d completions %v, want exactly the successful loser's 5ms per configuration", n, lat)
 	}
 }
 

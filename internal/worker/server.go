@@ -279,13 +279,27 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if ctx.Err() != nil {
 		return // client is gone; nothing to write to
 	}
-	writeJSON(w, http.StatusOK, EvaluateResponse{Objectives: out})
+	body, err := encodeObjectives(out)
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	writeEncoded(w, code, body, err)
+}
+
+// writeEncoded sends a body that was marshalled before the status line
+// goes out, so a value encoding/json refuses (err: a NaN among a
+// parameter's levels, say) answers a 500 with an error body instead of a
+// 200 with none.
+func writeEncoded(w http.ResponseWriter, code int, body []byte, err error) {
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client is gone
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -47,11 +47,24 @@ func testEval() core.Evaluator {
 // delays). Callers own the returned server's lifetime.
 func newWorker(t testing.TB, wrap func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
+	return newWorkerFor(t, testEval(), wrap)
+}
+
+// newServer is a 2-slot worker Server with the test problem registered,
+// measured by eval.
+func newServer(t testing.TB, eval core.Evaluator) *Server {
+	t.Helper()
 	s := NewServer(2)
-	if err := s.Register(Problem{Name: "test", Space: testSpace(t), Eval: testEval(), Objectives: 2}); err != nil {
+	if err := s.Register(Problem{Name: "test", Space: testSpace(t), Eval: eval, Objectives: 2}); err != nil {
 		t.Fatal(err)
 	}
-	h := http.Handler(s.Handler())
+	return s
+}
+
+// newWorkerFor is newWorker with the test problem measured by eval.
+func newWorkerFor(t testing.TB, eval core.Evaluator, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
+	h := http.Handler(newServer(t, eval).Handler())
 	if wrap != nil {
 		h = wrap(h)
 	}
