@@ -265,8 +265,10 @@ type IterationStats struct {
 	// while undefined — no valid samples yet.
 	Hypervolume float64
 	// Per-phase wall-clock durations of the round, in loop order: forest
-	// fitting, pool construction/encoding, pool prediction (including the
-	// predicted-front filter), and hardware evaluation of the new batch.
+	// fitting, pool construction (EncodeTime: the subsampled pool's draw of
+	// cell indices, next to nothing on an enumerable space — no pool row is
+	// encoded on either), pool prediction (including the predicted-front
+	// filter), and hardware evaluation of the new batch.
 	// The bootstrap event carries only EvalTime. They make the
 	// optimizer-side cost observable end to end (they stream out over the
 	// server's /events NDJSON feed).
@@ -282,14 +284,12 @@ type Result struct {
 	// first the random phase, then each AL round. Invalid measurements are
 	// kept apart in Invalid, so Samples is always safe to train on.
 	Samples []Sample
-	// Invalid holds measurements the evaluator marked invalid by returning
-	// NaN in any objective — configurations that violate a constraint only
-	// the real system knows about. They are only collected under a
-	// feasibility-aware strategy (Options.Modeler implementing
-	// FeasibilityLabeler): there they feed the feasibility classifier and
-	// are excluded from training matrices and fronts. Under the default
-	// strategy NaN objectives flow into Samples untouched, preserving the
-	// engine's historical behavior.
+	// Invalid holds measurements with a non-finite objective (NaN or ±Inf)
+	// — configurations that violate a constraint only the real system knows
+	// about, or whose measurement broke. Under every strategy they are kept
+	// out of Samples, training matrices, hypervolume bounds and fronts, and
+	// are not measured again; a feasibility-aware strategy (Options.Modeler
+	// implementing FeasibilityLabeler) also feeds them to its classifier.
 	Invalid []Sample
 	// RandomFront is the measured Pareto front using only the random
 	// bootstrap samples (the red curve of Figs. 3–4).
@@ -455,31 +455,28 @@ func RunContext(ctx context.Context, space *param.Space, eval Evaluator, opts Op
 		return pareto.Hypervolume(front, ref)
 	}
 
-	// ingest routes one measured batch into the run state: valid samples
-	// into the training set and result; NaN-marked ones — evaluator-side
-	// constraint violations, recognized only under a feasibility-aware
-	// strategy — into Result.Invalid and the classifier's labels.
+	// ingest is the one place a measured batch enters the run state. A sample
+	// with any non-finite objective (NaN or ±Inf: an evaluator-side constraint
+	// violation, a crashed program, a `null` over a bridge) is an invalid
+	// configuration under every strategy: it goes to Result.Invalid and stays
+	// marked as measured, and never reaches Samples, the training matrix, the
+	// hypervolume bounds or a front. A feasibility-aware strategy also takes
+	// every sample, valid or not, as a classifier label.
 	ingest := func(batch []Sample) error {
 		for _, s := range batch {
+			invalid := slices.ContainsFunc(s.Objs, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
 			if wantFeas {
-				invalid := slices.ContainsFunc(s.Objs, math.IsNaN)
 				addLabel(s.Config, !invalid)
-				if invalid {
-					res.Invalid = append(res.Invalid, s)
-					if st != nil {
-						st.noteInvalid(s)
-					}
-					evaluated[s.Index] = -1 // measured, but not in res.Samples
-					continue
-				}
+			}
+			if invalid {
+				res.Invalid = append(res.Invalid, s)
+				evaluated[s.Index] = -1 // measured, but not in res.Samples
+				continue
 			}
 			if err := addSample(s); err != nil {
 				return err
 			}
 			for k, v := range s.Objs {
-				if math.IsNaN(v) {
-					continue // keep the hypervolume bounds defined
-				}
 				if v > nadir[k] {
 					nadir[k] = v
 				}
@@ -590,14 +587,15 @@ func RunContext(ctx context.Context, space *param.Space, eval Evaluator, opts Op
 		res.Forests = forests
 
 		// Predict every objective over the pool and filter the predicted
-		// front P. The incremental path keeps the pool across rounds (the
-		// whole grid when the space is enumerable, else a re-drawn flat
-		// matrix); the legacy path rebuilds everything per round.
+		// front P. The incremental path keeps the grid across rounds (all of
+		// its cells are the pool when the space is enumerable, else a
+		// re-drawn list of them); the legacy path rebuilds everything per
+		// round.
 		var predicted []pareto.Point
 		var encodeTime, predictTime time.Duration
 		if st != nil {
 			encStart := time.Now()
-			if err := st.pool(rng, evaluated, o.Workers); err != nil {
+			if err := st.pool(rng, evaluated); err != nil {
 				return nil, err
 			}
 			encodeTime = time.Since(encStart)
@@ -704,7 +702,7 @@ func RunContext(ctx context.Context, space *param.Space, eval Evaluator, opts Op
 func legacyPredict(space *param.Space, rng *rand.Rand, o Options, evaluated map[int64]int, forests []*forest.Forest) (predicted []pareto.Point, encodeTime, predictTime time.Duration) {
 	dim := space.Dim()
 	encStart := time.Now()
-	poolIdx, _ := predictionPool(space, rng, o.Sampler, o.PoolCap, evaluated)
+	poolIdx := predictionPool(space, rng, o.Sampler, o.PoolCap, evaluated)
 	feats := make([][]float64, len(poolIdx))
 	flat := make([]float64, len(poolIdx)*dim)
 	cfg := make(param.Config, dim)
@@ -974,18 +972,14 @@ func fitForests(ctx context.Context, cols *forest.Columns, ys [][]float64, o Opt
 
 // predictionPool returns the pool X of Algorithm 1: every feasible index
 // when the space fits under cap, otherwise up to cap fresh indices drawn by
-// the run's sampler plus every evaluated index (so the predicted front can
-// stabilize onto measured points and the loop can converge). fresh is the
-// length of the leading enumerated-or-drawn segment — on a constrained
-// space the sampler can return fewer than poolCap draws, so callers that
-// encode the fresh segment separately must not assume it is poolCap long.
-func predictionPool(space *param.Space, rng *rand.Rand, sampler Sampler, poolCap int, evaluated map[int64]int) (pool []int64, fresh int) {
+// the run's sampler (fewer on a tightly constrained space) plus every
+// evaluated index (so the predicted front can stabilize onto measured points
+// and the loop can converge).
+func predictionPool(space *param.Space, rng *rand.Rand, sampler Sampler, poolCap int, evaluated map[int64]int) []int64 {
 	if space.Size() <= int64(poolCap) {
-		pool = space.FeasibleIndices()
-		return pool, len(pool)
+		return space.FeasibleIndices()
 	}
-	pool = sampler.Draw(space, rng, poolCap)
-	fresh = len(pool)
+	pool := sampler.Draw(space, rng, poolCap)
 	seen := make(map[int64]struct{}, len(pool))
 	for _, idx := range pool {
 		seen[idx] = struct{}{}
@@ -1000,7 +994,7 @@ func predictionPool(space *param.Space, rng *rand.Rand, sampler Sampler, poolCap
 		}
 	}
 	slices.Sort(extra)
-	return append(pool, extra...), fresh
+	return append(pool, extra...)
 }
 
 // measuredFront computes the Pareto front of the measured samples.

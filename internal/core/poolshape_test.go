@@ -31,19 +31,23 @@ func awkwardEval(cfg param.Config) []float64 {
 }
 
 func TestGridPoolMatchesLegacyPath(t *testing.T) {
-	// Whole seeded runs over enumerable spaces — predicted through the grid
-	// kernel — must equal the legacy reference (row-by-row Forest.Predict
-	// over a re-encoded pool) byte for byte, whatever the worker count.
+	// Whole seeded runs — predicted through the grid kernel when the space
+	// fits under PoolCap, through the drawn-cells kernel when it does not —
+	// must equal the legacy reference (row-by-row Forest.Predict over a
+	// re-encoded pool) byte for byte, whatever the worker count.
 	constrained := awkwardSpace()
 	constrained.SetConstraint(func(cfg param.Config) bool {
 		return !(cfg[0] == 1 && cfg[1] > 3) && cfg[3] != 4
 	})
 	for _, tc := range []struct {
-		name  string
-		space *param.Space
+		name    string
+		space   *param.Space
+		poolCap int // 0: the default, far above the space's 672 configurations
 	}{
-		{"boolean-first", awkwardSpace()},
-		{"boolean-first-constrained", constrained},
+		{"boolean-first", awkwardSpace(), 0},
+		{"boolean-first-constrained", constrained, 0},
+		{"boolean-first-drawn", awkwardSpace(), 150},
+		{"boolean-first-constrained-drawn", constrained, 150},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{
@@ -51,6 +55,7 @@ func TestGridPoolMatchesLegacyPath(t *testing.T) {
 				RandomSamples: 40,
 				MaxIterations: 3,
 				MaxBatch:      20,
+				PoolCap:       tc.poolCap,
 				Seed:          11,
 			}
 			legacy := opts
@@ -70,7 +75,7 @@ func TestGridPoolMatchesLegacyPath(t *testing.T) {
 					t.Fatal(err)
 				}
 				if fingerprintRun(res) != want {
-					t.Fatalf("workers=%d: grid-pool run diverged from the legacy reference", workers)
+					t.Fatalf("workers=%d: run diverged from the legacy reference", workers)
 				}
 				for i, it := range res.Iterations {
 					if ref := reference.Iterations[i]; it.PredictedFrontSize != ref.PredictedFrontSize {
@@ -85,9 +90,10 @@ func TestGridPoolMatchesLegacyPath(t *testing.T) {
 
 func TestPoolShapesPredictIdentically(t *testing.T) {
 	// The same forests swept over the same space through both pool shapes —
-	// the grid (PoolCap ≥ Size) and a flat matrix that happens to hold every
-	// index — must give every configuration bit-identical objectives, and
-	// both must equal Forest.Predict on the encoded configuration.
+	// all cells of the grid (PoolCap ≥ Size) and a drawn-cells list that
+	// happens to hold every index — must give every configuration
+	// bit-identical objectives, and both must equal Forest.Predict on the
+	// encoded configuration.
 	for _, constrain := range []bool{false, true} {
 		t.Run(fmt.Sprintf("constrained=%v", constrain), func(t *testing.T) {
 			space := awkwardSpace()
@@ -97,11 +103,13 @@ func TestPoolShapesPredictIdentically(t *testing.T) {
 			o := Options{Objectives: 2, Seed: 5}.withDefaults()
 			gridSt := newPoolState(space, o)
 			rng := rand.New(rand.NewSource(1))
-			for _, idx := range space.SampleIndices(rng, 150) {
+			evaluated := make(map[int64]int)
+			for i, idx := range space.SampleIndices(rng, 150) {
 				cfg := space.AtIndex(idx)
 				if err := gridSt.addSample(Sample{Index: idx, Config: cfg, Objs: awkwardEval(cfg)}); err != nil {
 					t.Fatal(err)
 				}
+				evaluated[idx] = i
 			}
 			cols, err := gridSt.columns()
 			if err != nil {
@@ -112,42 +120,51 @@ func TestPoolShapesPredictIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if err := gridSt.pool(rng, nil, 3); err != nil {
+			if err := gridSt.pool(rng, evaluated); err != nil {
 				t.Fatal(err)
 			}
-			if gridSt.grid == nil || gridSt.poolFlat != nil {
-				t.Fatal("an enumerable space must predict through the grid and never encode a flat pool")
+			if gridSt.grid == nil {
+				t.Fatal("an enumerable space must predict through the grid")
 			}
 			if !constrain && gridSt.poolIdx != nil {
 				t.Fatal("an unconstrained enumerable space needs no index list")
 			}
 			gridPoints := gridSt.predict(forests, 3)
 
-			// A flat-shaped state over the same indices: not enumerable, its
-			// pool the feasible indices in order.
-			flatSt := newPoolState(space, o)
-			flatSt.enumerable = false
-			flatSt.poolIdx = space.FeasibleIndices()
-			flatSt.poolFlat = make([]float64, len(flatSt.poolIdx)*flatSt.dim)
-			flatSt.encodeRange(0, len(flatSt.poolIdx), 2)
-			flatPoints := flatSt.predict(forests, 2)
+			// A subsampled state of the same space: it holds the same grid
+			// and a list of cells — this round's draw plus the evaluated
+			// indices — and nothing per configuration.
+			o.PoolCap = 100
+			drawnSt := newPoolState(space, o)
+			if err := drawnSt.pool(rng, evaluated); err != nil {
+				t.Fatal(err)
+			}
+			if drawnSt.enumerable || drawnSt.grid == nil || drawnSt.grid.Cells() != gridSt.grid.Cells() {
+				t.Fatal("a subsampled space must hold the whole grid too")
+			}
+			if n := len(drawnSt.poolIdx); n < o.PoolCap || n > o.PoolCap+len(evaluated) {
+				t.Fatalf("drawn pool holds %d cells, want %d draws plus up to %d evaluated", n, o.PoolCap, len(evaluated))
+			}
+			// Predict every feasible index through it, in order.
+			drawnSt.poolIdx = space.FeasibleIndices()
+			drawnPoints := drawnSt.predict(forests, 2)
 
-			if len(gridPoints) != len(flatPoints) || len(gridPoints) != len(space.FeasibleIndices()) {
-				t.Fatalf("pool sizes: grid %d, flat %d, feasible %d",
-					len(gridPoints), len(flatPoints), len(space.FeasibleIndices()))
+			if len(gridPoints) != len(drawnPoints) || len(gridPoints) != len(space.FeasibleIndices()) {
+				t.Fatalf("pool sizes: all cells %d, drawn cells %d, feasible %d",
+					len(gridPoints), len(drawnPoints), len(space.FeasibleIndices()))
 			}
 			row := make([]float64, space.Dim())
 			for i, gp := range gridPoints {
-				fp := flatPoints[i]
-				if gp.ID != fp.ID {
-					t.Fatalf("point %d: grid ID %d, flat ID %d", i, gp.ID, fp.ID)
+				dp := drawnPoints[i]
+				if gp.ID != dp.ID {
+					t.Fatalf("point %d: all-cells ID %d, drawn-cells ID %d", i, gp.ID, dp.ID)
 				}
 				space.Encode(space.AtIndex(gp.ID), row)
 				for j, f := range forests {
 					want := math.Float64bits(f.Predict(row))
-					if math.Float64bits(gp.Objs[j]) != want || math.Float64bits(fp.Objs[j]) != want {
-						t.Fatalf("index %d objective %d: grid %v, flat %v, Predict %v",
-							gp.ID, j, gp.Objs[j], fp.Objs[j], f.Predict(row))
+					if math.Float64bits(gp.Objs[j]) != want || math.Float64bits(dp.Objs[j]) != want {
+						t.Fatalf("index %d objective %d: all cells %v, drawn cells %v, Predict %v",
+							gp.ID, j, gp.Objs[j], dp.Objs[j], f.Predict(row))
 					}
 				}
 			}

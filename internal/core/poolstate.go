@@ -14,27 +14,29 @@ import (
 // active-learning iterations, so the loop stops redoing work the paper's
 // Algorithm 1 only needs once:
 //
-//   - the prediction pool, which takes one of two shapes. A space that fits
-//     under PoolCap is predicted whole: the pool is the Cartesian grid
-//     itself, described once by each parameter's encoded levels
-//     (forest.Grid), and no per-configuration encoding is ever built — a
-//     constrained space adds only the list of its feasible indices. A larger
-//     space is subsampled every round: a flat row-major matrix holds the
-//     encodings, only the fresh random draws are encoded per round, and the
-//     evaluated-index suffix is served from cached encodings;
+//   - the prediction pool. Every pool point is a cell of the design grid,
+//     described once by each parameter's encoded levels (forest.Grid), so no
+//     per-configuration encoding is ever built. The pool takes one of two
+//     shapes. "Grid, all cells": a space that fits under PoolCap is predicted
+//     whole — a constrained space adds only the list of its feasible indices.
+//     "Grid, drawn cells": a larger space is subsampled every round, and the
+//     pool is this round's list of cell indices (fresh random draws, then
+//     the evaluated indices) and nothing else;
 //   - the training matrix: samples are encoded when they are measured and
 //     appended, instead of re-encoding all of X_out before every forest fit;
 //   - the prediction scratch: per-objective output columns, the point slice
 //     and its objective backing array are reused across iterations, so a
 //     steady-state round performs no pool-sized allocations.
 //
-// Each shape has its own prediction kernel, chosen in predict: the grid is
+// Each shape has its own prediction kernel, chosen in predict: all cells are
 // swept by box-fill (forest.PredictGrid: every tree walked once, each leaf
-// adding its value to the whole box of cells that reaches it), the flat
-// matrix row by row (forest.PredictFlatRange). Both give every pool point
-// the sum of tree 0..T-1's leaf values in that order and one final division,
-// so they are bit-identical to each other and to Forest.Predict, and a
-// seeded run does not depend on which one ran.
+// adding its value to the whole box of cells that reaches it), drawn cells
+// are walked row by row on level ranks (forest.PredictCells). Both give every
+// pool point the sum of tree 0..T-1's leaf values in that order and one final
+// division, and both decide every node test as the float comparison on the
+// encoded level would, so they are bit-identical to each other and to
+// Forest.Predict on the encoded configuration, and a seeded run does not
+// depend on which one ran.
 //
 // The state is bound to one run (one space, one objective count) and is not
 // safe for concurrent use; RunContext drives it from a single goroutine.
@@ -47,16 +49,14 @@ type poolState struct {
 	poolCap    int
 	enumerable bool // the whole space fits under poolCap
 
-	grid *forest.Grid // enumerable pool: the whole space, built once
+	grid *forest.Grid // the whole space, built once
 
-	// poolIdx lists the pool's design-space indices: on a subsampled space
-	// this round's draw plus the evaluated suffix, on an enumerable
-	// constrained space the feasible indices (built once), and nil on an
-	// enumerable unconstrained space, whose pool is every index in order.
-	poolIdx  []int64
-	poolFlat []float64 // subsampled pool: row-major encodings of poolIdx
-
-	enc map[int64][]float64 // design-space index → encoded row (evaluated points)
+	// poolIdx lists the pool's design-space indices (grid cells): on a
+	// subsampled space this round's draw plus the evaluated suffix, on an
+	// enumerable constrained space the feasible indices (built once), and nil
+	// on an enumerable unconstrained space, whose pool is every index in
+	// order.
+	poolIdx []int64
 
 	// Append-only training matrix: one encoded row per measured sample, in
 	// evaluation order, plus the per-objective target columns.
@@ -72,7 +72,7 @@ type poolState struct {
 	colsRows int // prefix of xRows already appended to cols
 
 	// Prediction scratch, grown on demand and reused.
-	pred   [][]float64    // per-objective prediction columns (one entry per grid cell or flat row)
+	pred   [][]float64    // per-objective prediction columns (one entry per grid cell or drawn cell)
 	objs   []float64      // point-major objective backing (pool size × k)
 	points []pareto.Point // pool points handed to the front filter
 }
@@ -85,37 +85,24 @@ func newPoolState(space *param.Space, o Options) *poolState {
 		sampler:    o.Sampler,
 		poolCap:    o.PoolCap,
 		enumerable: space.Size() <= int64(o.PoolCap),
-		enc:        make(map[int64][]float64),
 		ys:         make([][]float64, o.Objectives),
 		pred:       make([][]float64, o.Objectives),
 	}
 }
 
 // addSample encodes the measured configuration once and appends it to the
-// training matrix; the row doubles as the cached pool encoding for the
-// subsampled evaluated-index suffix.
+// training matrix.
 func (st *poolState) addSample(s Sample) error {
 	if len(s.Objs) != st.k {
 		return fmt.Errorf("core: evaluator returned %d objectives, want %d", len(s.Objs), st.k)
 	}
 	row := make([]float64, st.dim)
 	st.space.Encode(s.Config, row)
-	st.enc[s.Index] = row
 	st.xRows = append(st.xRows, row)
 	for j := 0; j < st.k; j++ {
 		st.ys[j] = append(st.ys[j], s.Objs[j])
 	}
 	return nil
-}
-
-// noteInvalid caches the encoding of a measured-but-invalid configuration
-// (NaN objectives under a feasibility strategy): it never joins the
-// training matrix, but on subsampled spaces its index sits in the
-// evaluated-pool suffix, which is served from these cached rows.
-func (st *poolState) noteInvalid(s Sample) {
-	row := make([]float64, st.dim)
-	st.space.Encode(s.Config, row)
-	st.enc[s.Index] = row
 }
 
 // columns returns the shared presorted training matrix, first appending any
@@ -132,46 +119,28 @@ func (st *poolState) columns() (*forest.Columns, error) {
 	return st.cols, nil
 }
 
-// pool prepares this iteration's prediction pool X. An enumerable space
-// builds its grid (and, when constrained, its feasible-index list) exactly
-// once; a subsampled space draws poolCap fresh indices (consuming the rng
-// exactly like predictionPool, so seeded runs stay byte-identical across
-// engine versions), encodes only those into poolFlat, and copies the cached
-// rows for the sorted evaluated suffix.
-func (st *poolState) pool(rng *rand.Rand, evaluated map[int64]int, workers int) error {
-	if st.enumerable {
-		if st.grid != nil {
-			return nil
-		}
+// pool prepares this iteration's prediction pool X. The grid (and, on an
+// enumerable constrained space, the feasible-index list) is built exactly
+// once; a subsampled space draws poolCap fresh indices plus the evaluated
+// ones every round, consuming the rng exactly like the legacy path, so
+// seeded runs stay byte-identical across engine versions.
+func (st *poolState) pool(rng *rand.Rand, evaluated map[int64]int) error {
+	if st.grid == nil {
 		grid, err := spaceGrid(st.space)
 		if err != nil {
 			return err
 		}
 		st.grid = grid
-		if st.space.Constrained() {
+		if st.enumerable && st.space.Constrained() {
 			// The pool is the feasible subset only: the predicted front
 			// must never nominate a configuration the evaluator would
 			// reject. The sweep still fills the whole grid (bounded by
 			// poolCap); predict reads the feasible cells out of it.
 			st.poolIdx = st.space.FeasibleIndices()
 		}
-		return nil
 	}
-
-	// Same draw (and rng consumption) as the legacy path; on this branch the
-	// space exceeds poolCap, so the leading fresh entries are the random
-	// draws (poolCap of them, fewer on a tightly constrained space) and the
-	// rest is the sorted evaluated suffix, whose encodings are cached.
-	pool, fresh := predictionPool(st.space, rng, st.sampler, st.poolCap, evaluated)
-
-	if cap(st.poolFlat) < len(pool)*st.dim {
-		st.poolFlat = make([]float64, len(pool)*st.dim)
-	}
-	st.poolFlat = st.poolFlat[:len(pool)*st.dim]
-	st.poolIdx = pool
-	st.encodeRange(0, fresh, workers)
-	for i, idx := range pool[fresh:] {
-		copy(st.poolFlat[(fresh+i)*st.dim:(fresh+i+1)*st.dim], st.enc[idx])
+	if !st.enumerable {
+		st.poolIdx = predictionPool(st.space, rng, st.sampler, st.poolCap, evaluated)
 	}
 	return nil
 }
@@ -193,34 +162,20 @@ func spaceGrid(space *param.Space) (*forest.Grid, error) {
 	return forest.NewGrid(levels)
 }
 
-// encodeRange decodes and encodes pool rows [lo, hi) into poolFlat in
-// parallel chunks.
-func (st *poolState) encodeRange(lo, hi, workers int) {
-	par.ForChunkedWorkers(hi-lo, workers, func(clo, chi int) {
-		cfg := make(param.Config, st.dim)
-		for i := lo + clo; i < lo+chi; i++ {
-			row := st.poolFlat[i*st.dim : (i+1)*st.dim]
-			st.space.AtIndexInto(st.poolIdx[i], cfg)
-			st.space.Encode(cfg, row)
-		}
-	})
-}
-
 // predict sweeps every objective's forest over the pool and transposes the
 // per-objective columns into the point-major backing array, so no per-point
 // Objs slice is allocated. This is the one place the pool-prediction kernel
-// is chosen: the grid is swept whole by PredictGrid and the pool's cells read
-// out of it; the flat matrix is predicted chunk by chunk via
-// PredictFlatRange and each chunk transposed while it is cache-hot. The
-// returned points (and any front filtered from them) alias reusable buffers
-// that are overwritten by the next call.
+// is chosen: an enumerable space is swept whole by PredictGrid and the pool's
+// cells read out of it; a subsampled one predicts exactly its drawn cells
+// with PredictCells. The returned points (and any front filtered from them)
+// alias reusable buffers that are overwritten by the next call.
 func (st *poolState) predict(forests []*forest.Forest, workers int) []pareto.Point {
-	// n pool points, read from `rows` predictions: a flat pool predicts
-	// exactly its points; a grid predicts every cell, all of which are pool
+	// n pool points, read from `rows` predictions: drawn cells are predicted
+	// one row each; the whole grid predicts every cell, all of which are pool
 	// points unless a constraint keeps only those listed in poolIdx.
 	n := len(st.poolIdx)
 	rows := n
-	if st.grid != nil {
+	if st.enumerable {
 		rows = st.grid.Cells()
 		if st.poolIdx == nil {
 			n = rows
@@ -241,14 +196,21 @@ func (st *poolState) predict(forests []*forest.Forest, workers int) []pareto.Poi
 	}
 	st.points = st.points[:n]
 
-	// gather fills points [lo, hi) from the prediction columns: point i is
-	// flat row i, or the grid cell of its design-space index.
-	gather := func(lo, hi int) {
+	for j, f := range forests {
+		if st.enumerable {
+			f.PredictGrid(st.grid, st.pred[j], workers)
+		} else {
+			f.PredictCells(st.grid, st.poolIdx, st.pred[j], workers)
+		}
+	}
+	// Point i is prediction row i, or — read out of the whole grid — the
+	// cell of its design-space index.
+	par.ForChunkedWorkers(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			id, row := int64(i), i
 			if st.poolIdx != nil {
 				id = st.poolIdx[i]
-				if st.grid != nil {
+				if st.enumerable {
 					row = int(id)
 				}
 			}
@@ -258,19 +220,6 @@ func (st *poolState) predict(forests []*forest.Forest, workers int) []pareto.Poi
 			}
 			st.points[i] = pareto.Point{ID: id, Objs: objs}
 		}
-	}
-	if st.grid != nil {
-		for j, f := range forests {
-			f.PredictGrid(st.grid, st.pred[j], workers)
-		}
-		par.ForChunkedWorkers(n, workers, gather)
-	} else {
-		par.ForChunkedWorkers(n, workers, func(lo, hi int) {
-			for j, f := range forests {
-				f.PredictFlatRange(st.poolFlat, st.dim, lo, hi, st.pred[j])
-			}
-			gather(lo, hi)
-		})
-	}
+	})
 	return st.points
 }

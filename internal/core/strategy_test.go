@@ -1,7 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -147,33 +150,129 @@ func TestFeasibilityStrategySegregatesInvalid(t *testing.T) {
 	}
 }
 
-// TestDefaultStrategyIgnoresNaN pins the compatibility contract: without a
-// feasibility-aware modeler, NaN objectives flow into Samples exactly as the
-// engine always let them — Result.Invalid stays empty.
-func TestDefaultStrategyIgnoresNaN(t *testing.T) {
-	space := benchSpace(t)
-	res, err := Run(space, nanBelt(benchEval(space)), Options{
-		Objectives:    2,
-		RandomSamples: 60,
-		MaxIterations: 1,
-		MaxBatch:      20,
-		Seed:          11,
+// hostileBelt is nanBelt for every way a measurement can come back broken:
+// on the hidden belt the named objectives carry bad instead of a number.
+func hostileBelt(inner Evaluator, bad float64, objectives ...int) Evaluator {
+	return EvaluatorFunc(func(cfg param.Config) []float64 {
+		objs := inner.Evaluate(cfg)
+		if s := cfg[0] + cfg[1]; s > 3 && s <= 4 {
+			for _, k := range objectives {
+				objs[k] = bad
+			}
+		}
+		return objs
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Invalid) != 0 {
-		t.Fatalf("default strategy filed %d samples as invalid", len(res.Invalid))
-	}
-	sawNaN := false
-	for _, smp := range res.Samples {
-		if slices.ContainsFunc(smp.Objs, math.IsNaN) {
-			sawNaN = true
-			break
+}
+
+// TestNonFiniteObjectivesAreInvalidUnderEveryStrategy pins the ingest
+// contract: whatever the strategy, a measurement with a NaN or ±Inf objective
+// is an invalid configuration — filed in Result.Invalid, measured once, and
+// never trained on, counted into the hypervolume bounds or put on a front.
+func TestNonFiniteObjectivesAreInvalidUnderEveryStrategy(t *testing.T) {
+	space := benchSpace(t)
+	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	for _, tc := range []struct {
+		name string
+		eval Evaluator
+	}{
+		{"NaN", nanBelt(benchEval(space))},
+		{"NaN-in-one-objective", hostileBelt(benchEval(space), math.NaN(), 1)},
+		{"+Inf", hostileBelt(benchEval(space), math.Inf(1), 0)},
+		{"-Inf", hostileBelt(benchEval(space), math.Inf(-1), 0, 1)}, // would dominate everything
+	} {
+		for _, modeler := range []Modeler{nil, FeasibilityModeler{Probes: 64}} {
+			for _, poolCap := range []int{0, 200} { // all cells and drawn cells
+				t.Run(fmt.Sprintf("%s/feasibility=%v/poolcap=%d", tc.name, modeler != nil, poolCap), func(t *testing.T) {
+					res, err := Run(space, tc.eval, Options{
+						Objectives:    2,
+						RandomSamples: 60,
+						MaxIterations: 3,
+						MaxBatch:      20,
+						PoolCap:       poolCap,
+						Seed:          11,
+						Modeler:       modeler,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.Invalid) == 0 {
+						t.Fatal("the belt produced no invalid samples — the test lost its teeth")
+					}
+					seen := make(map[int64]bool)
+					for _, smp := range res.Invalid {
+						if !slices.ContainsFunc(smp.Objs, nonFinite) {
+							t.Fatalf("valid measurement misfiled into Invalid at index %d", smp.Index)
+						}
+						if _, ok := res.ByIndex(smp.Index); ok || seen[smp.Index] {
+							t.Fatalf("invalid index %d was measured again", smp.Index)
+						}
+						seen[smp.Index] = true
+					}
+					for _, smp := range res.Samples {
+						if slices.ContainsFunc(smp.Objs, nonFinite) {
+							t.Fatalf("non-finite objectives %v leaked into Samples at index %d", smp.Objs, smp.Index)
+						}
+					}
+					if len(res.Front) == 0 || len(res.RandomFront) == 0 {
+						t.Fatal("no front over the valid region")
+					}
+					for _, p := range append(append([]pareto.Point(nil), res.Front...), res.RandomFront...) {
+						if slices.ContainsFunc(p.Objs, nonFinite) {
+							t.Fatalf("front carries the non-finite point %v (index %d)", p.Objs, p.ID)
+						}
+					}
+					for _, it := range res.Iterations {
+						if nonFinite(it.Hypervolume) {
+							t.Fatalf("iteration %d reports hypervolume %v", it.Iteration, it.Hypervolume)
+						}
+					}
+					// Forests trained on a non-finite target predict one.
+					row := make([]float64, space.Dim())
+					for idx := int64(0); idx < space.Size(); idx++ {
+						space.Encode(space.AtIndex(idx), row)
+						for k, f := range res.Forests {
+							if v := f.Predict(row); nonFinite(v) {
+								t.Fatalf("objective %d forest predicts %v at index %d", k, v, idx)
+							}
+						}
+					}
+				})
+			}
 		}
 	}
-	if !sawNaN {
-		t.Fatal("expected NaN measurements among the bootstrap samples")
+}
+
+// TestAllFiniteRunUnchangedByIngestContract holds the other side of the
+// contract: a run whose evaluator never misbehaves files nothing as invalid
+// and is byte-identical to the engine before the contract existed (digests
+// of the same seeded runs taken at the commit before it; float formatting
+// and math.Sin are only comparable on the architecture they were taken on).
+func TestAllFiniteRunUnchangedByIngestContract(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests were recorded on amd64")
+	}
+	space := benchSpace(t)
+	for poolCap, want := range map[int]string{
+		0:   "2383aa7002065b72d6f34a2eb77ea7e90b49897bdf4dd17f786c2648059d3f0c",
+		200: "ede8a947d6dd4547e18d28136e6914f77a89399ed4db9b1546b79b0c42b2babd",
+	} {
+		res, err := Run(space, benchEval(space), Options{
+			Objectives:    2,
+			RandomSamples: 60,
+			MaxIterations: 3,
+			MaxBatch:      20,
+			PoolCap:       poolCap,
+			Seed:          11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Invalid) != 0 {
+			t.Fatalf("PoolCap %d: %d finite samples filed as invalid", poolCap, len(res.Invalid))
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fingerprintRun(res)))); got != want {
+			t.Fatalf("PoolCap %d: seeded all-finite run changed: digest %s, want %s", poolCap, got, want)
+		}
 	}
 }
 

@@ -11,8 +11,10 @@
 // sorted through splits by stable partitioning, so split search never
 // sorts. Fitting and batch prediction parallelize across trees and across
 // input chunks respectively, with all per-tree scratch pooled across trees,
-// objectives, and active-learning refits. A pool that is a whole Cartesian
-// grid is predicted by box-fill instead of row by row (Grid, PredictGrid).
+// objectives, and active-learning refits. Prediction pools are cells of the
+// design grid (Grid) and never encoded: the whole grid is predicted by
+// box-fill (PredictGrid), a drawn subset by a branch-free walk on level
+// ranks (PredictCells).
 package forest
 
 import (
@@ -414,10 +416,12 @@ func (f *Forest) PredictInto(x [][]float64, out []float64) {
 
 // PredictFlat predicts over a row-major flat feature matrix (len(flat) =
 // n*dim, row i at flat[i*dim:(i+1)*dim]) writing the n predictions into out.
-// It is the allocation-free pool-sweep path: no per-row slice headers, and
-// chunks are traversed tree-major so each tree's node arrays stay cache-hot
-// across the whole chunk instead of being re-walked per point. Results are
-// bit-identical to Predict on the same rows.
+// No per-row slice headers, and chunks are traversed tree-major so each
+// tree's node arrays stay cache-hot across the whole chunk instead of being
+// re-walked per point. Results are bit-identical to Predict on the same
+// rows. The engine's pools are grid cells and go through PredictGrid or
+// PredictCells; this is the kernel for rows that are not, and the reference
+// both are tested against.
 func (f *Forest) PredictFlat(flat []float64, dim int, out []float64) {
 	if dim != f.nFeatures {
 		panic(fmt.Sprintf("forest: PredictFlat dim %d, forest fitted on %d features", dim, f.nFeatures))

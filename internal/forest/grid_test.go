@@ -191,18 +191,19 @@ func TestGridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("feature mismatch", func() { f.PredictGrid(g, make([]float64, 3), 1) })
+	mustPanic(t, "feature mismatch", func() { f.PredictGrid(g, make([]float64, 3), 1) })
 	g2, _ := NewGrid([][]float64{{1, 2, 3}, {1, 2}})
-	mustPanic("short out", func() { f.PredictGrid(g2, make([]float64, 5), 1) })
+	mustPanic(t, "short out", func() { f.PredictGrid(g2, make([]float64, 5), 1) })
+}
+
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: expected panic", name)
+		}
+	}()
+	fn()
 }
 
 func TestGridSweepAllocationFree(t *testing.T) {

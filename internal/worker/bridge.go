@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -48,7 +49,8 @@ type ExecRequest struct {
 
 // ExecResponse is one JSON line the subprocess answers with: the objective
 // vector, or an error explaining why this configuration could not be
-// measured.
+// measured. A null objective is read as NaN, the "invalid configuration"
+// marker (core.Result.Invalid).
 type ExecResponse struct {
 	Objectives []float64 `json:"objectives,omitempty"`
 	Error      string    `json:"error,omitempty"`
@@ -174,17 +176,27 @@ func (e *ExecEvaluator) roundTrip(cfg param.Config) (objs []float64, appErr, err
 	if err != nil {
 		return nil, nil, fmt.Errorf("reading response: %w", err)
 	}
-	var resp ExecResponse
+	var resp struct {
+		Objectives json.RawMessage `json:"objectives"`
+		Error      string          `json:"error"`
+	}
 	if err := json.Unmarshal(reply, &resp); err != nil {
 		return nil, nil, fmt.Errorf("decoding response %q: %w", bytes.TrimSpace(reply), err)
 	}
 	if resp.Error != "" {
 		return nil, fmt.Errorf("program error: %s", resp.Error), nil
 	}
-	if len(resp.Objectives) != e.objectives {
-		return nil, fmt.Errorf("program returned %d objectives, want %d", len(resp.Objectives), e.objectives), nil
+	// The vector goes through the decoder of /evaluate and the HTTP bridge,
+	// as a batch of one, so a null objective is read as NaN here too and not
+	// as encoding/json's 0 — a fabricated perfect measurement.
+	out, err := decodeObjectives(slices.Concat([]byte(`{"objectives":[`), resp.Objectives, []byte(`]}`)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("decoding response %q: %w", bytes.TrimSpace(reply), err)
 	}
-	return resp.Objectives, nil, nil
+	if len(out) != 1 || len(out[0]) != e.objectives {
+		return nil, fmt.Errorf("program returned %v objectives, want %d", shape(out), e.objectives), nil
+	}
+	return out[0], nil, nil
 }
 
 func (e *ExecEvaluator) startLocked() error {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -51,6 +52,15 @@ func TestHelperObjective(t *testing.T) {
 			}})
 		case "garbage":
 			fmt.Println("this is not JSON")
+		case "null-belt":
+			// A program that marks a configuration invalid the JSON way:
+			// null where it has no number (the belt of nullBeltEval).
+			objs := nullBeltEval(param.Config{req.Config["a"], req.Config["b"]})
+			if math.IsNaN(objs[0]) {
+				fmt.Printf("{\"objectives\":[null,%g]}\n", objs[1])
+			} else {
+				out.Encode(ExecResponse{Objectives: objs})
+			}
 		}
 	}
 	os.Exit(0)
@@ -66,13 +76,30 @@ func bridgeSpace(t *testing.T) *param.Space {
 	)
 }
 
+// nullBeltEval is the objective function of the "null-belt" helper mode: a
+// two-objective trade-off over (a, b) with a hidden belt, 3 < a+b <= 4, on
+// which the first objective cannot be measured.
+func nullBeltEval(cfg param.Config) []float64 {
+	a, b := cfg[0], cfg[1]
+	objs := []float64{a + 0.5*math.Sin(3*b) + 2, b + 0.5*math.Cos(2*a) + 2}
+	if a+b > 3 && a+b <= 4 {
+		objs[0] = math.NaN()
+	}
+	return objs
+}
+
 // helperEvaluator builds an ExecEvaluator that re-runs this test binary as
 // the objective program in the given mode.
 func helperEvaluator(t *testing.T, mode string, objectives int) *ExecEvaluator {
 	t.Helper()
+	return helperEvaluatorOver(t, mode, bridgeSpace(t), objectives)
+}
+
+func helperEvaluatorOver(t *testing.T, mode string, space *param.Space, objectives int) *ExecEvaluator {
+	t.Helper()
 	t.Setenv("BRIDGE_HELPER_MODE", mode)
 	cmd := os.Args[0] + " -test.run=^TestHelperObjective$"
-	e, err := NewExecEvaluator(cmd, bridgeSpace(t), objectives)
+	e, err := NewExecEvaluator(cmd, space, objectives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +116,20 @@ func TestExecEvaluatorRoundTrip(t *testing.T) {
 		if len(objs) != 2 || objs[0] != 5 || objs[1] != 6 {
 			t.Fatalf("call %d: objectives = %v, want [5 6]", i, objs)
 		}
+	}
+}
+
+// TestExecEvaluatorNullObjectiveIsNaN: encoding/json decodes a null into a
+// float64 as 0, so a program's "I have no number for this" used to arrive as
+// a perfect measurement. It must arrive as NaN — an invalid configuration.
+func TestExecEvaluatorNullObjectiveIsNaN(t *testing.T) {
+	e := helperEvaluator(t, "null-belt", 2)
+	objs := e.Evaluate(param.Config{2, 2}) // a+b = 4: on the belt
+	if len(objs) != 2 || !math.IsNaN(objs[0]) || objs[1] != nullBeltEval(param.Config{2, 2})[1] {
+		t.Fatalf("objectives = %v, want [NaN %v]", objs, nullBeltEval(param.Config{2, 2})[1])
+	}
+	if objs := e.Evaluate(param.Config{0, 1}); len(objs) != 2 || objs[0] != nullBeltEval(param.Config{0, 1})[0] {
+		t.Fatalf("off the belt: objectives = %v, want %v", objs, nullBeltEval(param.Config{0, 1}))
 	}
 }
 
