@@ -94,16 +94,18 @@ func RunFingerprint(space *param.Space, opts Options) string {
 		o.MaxUnmeasuredFraction)
 }
 
-// evalCacheView is a cache handle bound to one space namespace; the engine
-// obtains one per run so every lookup and store lands in the right space.
+// evalCacheView is a cache handle bound to one space namespace and to the
+// backend that measures its misses; the engine obtains one per run so every
+// lookup and store lands in the right space.
 type evalCacheView struct {
-	c *EvalCache
-	s *spaceCache
+	c       *EvalCache
+	s       *spaceCache
+	backend Backend
 }
 
 // view returns the handle for the given space fingerprint, creating the
 // namespace on first use.
-func (c *EvalCache) view(fingerprint string) *evalCacheView {
+func (c *EvalCache) view(fingerprint string, backend Backend) *evalCacheView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.spaces[fingerprint]
@@ -124,49 +126,24 @@ func (c *EvalCache) view(fingerprint string) *evalCacheView {
 		}
 		c.spaces[fingerprint] = s
 	}
-	return &evalCacheView{c: c, s: s}
-}
-
-// backendFunc adapts a function to the Backend interface.
-type backendFunc func(ctx context.Context, cfgs []param.Config) ([][]float64, error)
-
-// EvaluateBatch implements Backend.
-func (f backendFunc) EvaluateBatch(ctx context.Context, cfgs []param.Config) ([][]float64, error) {
-	return f(ctx, cfgs)
-}
-
-// fetch returns the memoized objectives for idx, or computes them via fn —
-// the single-index convenience over fetchBatch, with the same singleflight
-// guarantee: concurrent fetches of the same index are deduplicated, one
-// caller runs fn while the others wait for its result (or for ctx
-// cancellation). hit reports whether the value came from the cache rather
-// than this caller's own fn run. The returned slice is always a private
-// copy.
-func (v *evalCacheView) fetch(ctx context.Context, idx int64, fn func() []float64) (objs []float64, hit bool, err error) {
-	res, hits, _, err := v.fetchBatch(ctx, []int64{idx}, []param.Config{nil},
-		backendFunc(func(context.Context, []param.Config) ([][]float64, error) {
-			return [][]float64{fn()}, nil
-		}))
-	if err != nil {
-		return nil, false, err
-	}
-	return res[0], hits == 1, nil
+	return &evalCacheView{c: c, s: s, backend: backend}
 }
 
 // fetchBatch resolves one evaluation batch against the cache: cached
 // indices are served directly, misses are evaluated through the backend in
 // a single batched call, and indices another run is already evaluating are
-// waited on rather than re-measured. It is the batch generalization of
-// fetch with the same singleflight guarantee — across any number of
-// concurrent runs, each configuration is measured at most once.
+// waited on rather than re-measured — the singleflight guarantee: across
+// any number of concurrent runs, each configuration is measured at most
+// once.
 //
-// objs has len(idxs), position-matched; nil entries mark configurations
-// that could not be resolved (cancellation, backend failure), in which
-// case err is non-nil. hits and misses count this call's cache outcomes:
-// an index resolved by waiting on another run's in-flight evaluation
-// counts as a hit, exactly as the per-index fetch loop did.
-func (v *evalCacheView) fetchBatch(ctx context.Context, idxs []int64, cfgs []param.Config, backend Backend) (objs [][]float64, hits, misses int, err error) {
-	objs = make([][]float64, len(idxs))
+// The returned objectives have len(idxs), position-matched, each a private
+// copy; nil entries mark configurations that could not be resolved
+// (cancellation, backend failure), in which case the error is non-nil. The
+// outcome counts this call's hits and misses: an index resolved by waiting
+// on another run's in-flight evaluation counts as a hit.
+func (v *evalCacheView) fetchBatch(ctx context.Context, idxs []int64, cfgs []param.Config) ([][]float64, batchOutcome, error) {
+	var bo batchOutcome
+	objs := make([][]float64, len(idxs))
 	pending := make([]int, len(idxs)) // positions still unresolved
 	for i := range pending {
 		pending[i] = i
@@ -181,7 +158,7 @@ func (v *evalCacheView) fetchBatch(ctx context.Context, idxs []int64, cfgs []par
 			idx := idxs[i]
 			if cached, ok := v.s.objs[idx]; ok {
 				objs[i] = append([]float64(nil), cached...)
-				hits++
+				bo.hits++
 				v.c.hits.Add(1)
 				if waited[i] {
 					// Served by the evaluation another run had in flight
@@ -201,7 +178,7 @@ func (v *evalCacheView) fetchBatch(ctx context.Context, idxs []int64, cfgs []par
 			}
 			v.s.inflight[idx] = make(chan struct{})
 			lead = append(lead, i)
-			misses++
+			bo.misses++
 			v.c.misses.Add(1)
 		}
 		v.c.mu.Unlock()
@@ -218,14 +195,14 @@ func (v *evalCacheView) fetchBatch(ctx context.Context, idxs []int64, cfgs []par
 				// panics, so waiters elect a new leader instead of hanging;
 				// store whatever completed first.
 				defer func() {
-					var stored []spillRecord
+					var stored []journal.SampleRecord
 					v.c.mu.Lock()
 					for j, i := range lead {
 						idx := idxs[i]
 						if j < len(res) && res[j] != nil {
 							v.s.objs[idx] = append([]float64(nil), res[j]...)
 							objs[i] = append([]float64(nil), res[j]...)
-							stored = append(stored, spillRecord{Index: idx, Objs: objs[i]})
+							stored = append(stored, journal.SampleRecord{Index: idx, Objs: objs[i]})
 						}
 						if ch, ok := v.s.inflight[idx]; ok {
 							delete(v.s.inflight, idx)
@@ -237,10 +214,10 @@ func (v *evalCacheView) fetchBatch(ctx context.Context, idxs []int64, cfgs []par
 					// own mutex and fsyncs must not serialize other runs.
 					v.c.spill(v.s, stored)
 				}()
-				res, evalErr = backend.EvaluateBatch(ctx, batch)
+				res, evalErr = v.backend.EvaluateBatch(ctx, batch)
 			}()
 			if evalErr != nil {
-				return objs, hits, misses, evalErr
+				return objs, bo, evalErr
 			}
 		}
 
@@ -250,12 +227,12 @@ func (v *evalCacheView) fetchBatch(ctx context.Context, idxs []int64, cfgs []par
 				// The leader stored the value (next round hits the cache)
 				// or aborted (next round elects a new leader).
 			case <-ctx.Done():
-				return objs, hits, misses, ctx.Err()
+				return objs, bo, ctx.Err()
 			}
 		}
 		pending = waits
 	}
-	return objs, hits, misses, nil
+	return objs, bo, nil
 }
 
 // Hits returns the number of lookups served from memoized entries.

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -27,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/forest"
+	"repro/internal/journal"
 	"repro/internal/par"
 	"repro/internal/param"
 	"repro/internal/pareto"
@@ -141,9 +143,6 @@ type Options struct {
 	Modeler  Modeler
 	Selector Selector
 
-	// cache is the run's space-bound view of Cache, set by RunContext.
-	cache *evalCacheView
-
 	// legacyState forces the pre-incremental per-iteration path: re-encode
 	// the training matrix before every fit, rebuild and re-encode the whole
 	// prediction pool every round, and predict each objective in its own
@@ -197,29 +196,19 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-// RecordedBatch is one completed evaluation batch as handed to a
-// BatchRecorder: the phase identity, the genuinely measured samples
-// (replay-served ones are excluded — they are already journaled), and
-// the design-space indices the batch skipped unmeasured under
-// MaxUnmeasuredFraction, in batch order. At least one of Samples and
-// Unmeasured is non-empty.
-type RecordedBatch struct {
-	Iteration int
-	Active    bool
-	Samples   []Sample
-	// Unmeasured lists only live, tolerated skips: an interrupted batch's
-	// missing tail is deliberately NOT recorded here, so resume
-	// re-measures it instead of skipping it.
-	Unmeasured []int64
-}
-
-// BatchRecorder receives each measured evaluation batch as it completes —
-// see Options.Journal. Implementations must be safe for concurrent use
-// with whatever else writes the same journal (e.g. a shutdown checkpoint).
+// BatchRecorder receives each evaluation batch as it completes, in the
+// journal's own record — see Options.Journal. The batch carries the
+// genuinely measured samples (replay-served ones are excluded — they are
+// already journaled) and, in Unmeasured, the live skips tolerated under
+// MaxUnmeasuredFraction in batch order; at least one of the two is
+// non-empty. An interrupted batch's missing tail is deliberately NOT listed
+// as unmeasured, so resume re-measures it instead of skipping it.
+// Implementations must be safe for concurrent use with whatever else writes
+// the same journal (e.g. a shutdown checkpoint).
 type BatchRecorder interface {
 	// RecordBatch records one completed batch (bootstrap or
 	// active-learning round).
-	RecordBatch(b RecordedBatch) error
+	RecordBatch(b journal.Batch) error
 }
 
 // Sample is one evaluated configuration.
@@ -377,12 +366,77 @@ func RunContext(ctx context.Context, space *param.Space, eval Evaluator, opts Op
 	if opts.Objectives < 1 {
 		return nil, errors.New("core: Objectives must be ≥ 1")
 	}
+	r := newRun(ctx, space, eval, opts)
+	err := r.bootstrap()
+	for iter := 1; err == nil && !r.res.Converged && iter <= r.o.MaxIterations; iter++ {
+		err = r.iterate(iter)
+	}
+	if r.failed {
+		return nil, err
+	}
+	r.res.Front = measuredFront(r.res.Samples)
+	if err == nil {
+		r.o.logf("done: %d samples, final front size %d", len(r.res.Samples), len(r.res.Front))
+	}
+	return r.res, err
+}
+
+// run is the state of one RunContext call: Algorithm 1's X_out and what the
+// loop carries from one phase to the next. Its methods are the phases —
+// bootstrap, then iterate once per active-learning round — and both measure
+// through measure → evaluate. A run is driven from a single goroutine.
+type run struct {
+	ctx   context.Context
+	space *param.Space
+	o     Options // defaults filled, Backend resolved
+	rng   *rand.Rand
+	res   *Result
+	// evaluated maps every measured design-space index to its position in
+	// res.Samples, or to -1 for an invalid measurement (measured, never
+	// trained on, never measured again).
+	evaluated map[int64]int
+	st        *poolState // incremental state; nil on the legacy reference path
+
+	// Feasibility labels, collected only when the modeler asks for them
+	// (labeler != nil): the default strategy must not encode extra rows or
+	// draw extra RNG values.
+	labeler FeasibilityLabeler
+	feasX   [][]float64
+	feasY   []float64
+
+	// Running per-objective bounds over valid measurements, feeding the
+	// per-phase hypervolume stat: reference = nadir + 10% of the range.
+	nadir, ideal []float64
+
+	// skips holds a resumed run's pending journaled skips, consumed as its
+	// batches replay. A copy: Options.ReplaySkips stays read-only.
+	skips map[int64]int
+	// fetch measures the configurations of a batch that replay does not
+	// answer, position-matched, with the memo-cache's hit and miss counts.
+	// It is resolved once, when the run starts: the space-bound view of
+	// Options.Cache in front of the backend, or the backend alone.
+	fetch func(ctx context.Context, idxs []int64, cfgs []param.Config) ([][]float64, batchOutcome, error)
+
+	// failed marks a run ended by fail: no partial result is returned.
+	failed bool
+}
+
+// fail ends the run on an error that is the engine's or a broken contract's
+// (a wrong objective count, a forest that cannot be fit), not a
+// measurement's: unlike a failed or cancelled batch, it returns no partial
+// result.
+func (r *run) fail(err error) error {
+	r.failed = true
+	return err
+}
+
+// newRun resolves the options — defaults, the in-process backend over eval
+// when none is given, the evaluation path — into the state of a run that
+// has measured nothing yet.
+func newRun(ctx context.Context, space *param.Space, eval Evaluator, opts Options) *run {
 	o := opts.withDefaults()
 	if o.Backend == nil {
 		o.Backend = &LocalBackend{Eval: eval, Workers: o.Workers}
-	}
-	if o.Cache != nil {
-		o.cache = o.Cache.view(spaceFingerprint(space, o.Objectives))
 	}
 	if o.legacyState {
 		// The reference path re-sorts every node segment during tree
@@ -391,307 +445,272 @@ func RunContext(ctx context.Context, space *param.Space, eval Evaluator, opts Op
 		// compare whole runs.
 		o.Forest.Reference = true
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
-
-	res := &Result{}
-	evaluated := make(map[int64]int) // space index → position in res.Samples
-	finish := func(err error) (*Result, error) {
-		res.Front = measuredFront(res.Samples)
-		return res, err
+	r := &run{
+		ctx:       ctx,
+		space:     space,
+		o:         o,
+		rng:       rand.New(rand.NewSource(o.Seed)),
+		res:       &Result{},
+		evaluated: make(map[int64]int),
+		nadir:     make([]float64, o.Objectives),
+		ideal:     make([]float64, o.Objectives),
+		skips:     maps.Clone(o.ReplaySkips),
 	}
-	var st *poolState // incremental state; nil on the legacy reference path
+	for k := range r.nadir {
+		r.nadir[k] = math.Inf(-1)
+		r.ideal[k] = math.Inf(1)
+	}
 	if !o.legacyState {
-		st = newPoolState(space, o)
+		r.st = newPoolState(space, o)
 	}
-	// addSample appends one measured sample to the result (and, on the
-	// incremental path, encodes it into the append-only training matrix).
-	addSample := func(s Sample) error {
-		if st != nil {
-			if err := st.addSample(s); err != nil {
-				return err
-			}
-		}
-		res.Samples = append(res.Samples, s)
-		evaluated[s.Index] = len(res.Samples) - 1
-		return nil
+	if l, ok := o.Modeler.(FeasibilityLabeler); ok && l.WantsFeasibilityLabels() {
+		r.labeler = l
 	}
-
-	// Feasibility labeling is active only when the modeler asks for it: the
-	// default strategy must not encode extra rows or draw extra RNG values.
-	labeler, _ := o.Modeler.(FeasibilityLabeler)
-	wantFeas := labeler != nil && labeler.WantsFeasibilityLabels()
-	var feasX [][]float64
-	var feasY []float64
-	addLabel := func(cfg param.Config, valid bool) {
-		row := make([]float64, space.Dim())
-		space.Encode(cfg, row)
-		feasX = append(feasX, row)
-		if valid {
-			feasY = append(feasY, 1)
-		} else {
-			feasY = append(feasY, 0)
+	if o.Cache != nil {
+		r.fetch = o.Cache.view(spaceFingerprint(space, o.Objectives), o.Backend).fetchBatch
+	} else {
+		r.fetch = func(ctx context.Context, _ []int64, cfgs []param.Config) ([][]float64, batchOutcome, error) {
+			objs, err := o.Backend.EvaluateBatch(ctx, cfgs)
+			return objs, batchOutcome{}, err
 		}
 	}
 
-	// Running per-objective bounds over valid measurements, feeding the
-	// per-phase hypervolume stat: reference = nadir + 10% of the range.
-	nadir := make([]float64, o.Objectives)
-	ideal := make([]float64, o.Objectives)
-	for k := range nadir {
-		nadir[k] = math.Inf(-1)
-		ideal[k] = math.Inf(1)
-	}
-	frontHypervolume := func(front []pareto.Point) float64 {
-		if len(front) == 0 {
-			return math.NaN()
-		}
-		ref := make([]float64, o.Objectives)
-		for k := range ref {
-			if math.IsInf(nadir[k], -1) {
-				return math.NaN()
-			}
-			ref[k] = nadir[k] + 0.1*(nadir[k]-ideal[k])
-		}
-		return pareto.Hypervolume(front, ref)
-	}
+	return r
+}
 
-	// ingest is the one place a measured batch enters the run state. A sample
-	// with any non-finite objective (NaN or ±Inf: an evaluator-side constraint
-	// violation, a crashed program, a `null` over a bridge) is an invalid
-	// configuration under every strategy: it goes to Result.Invalid and stays
-	// marked as measured, and never reaches Samples, the training matrix, the
-	// hypervolume bounds or a front. A feasibility-aware strategy also takes
-	// every sample, valid or not, as a classifier label.
-	ingest := func(batch []Sample) error {
-		for _, s := range batch {
-			invalid := slices.ContainsFunc(s.Objs, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
-			if wantFeas {
-				addLabel(s.Config, !invalid)
-			}
-			if invalid {
-				res.Invalid = append(res.Invalid, s)
-				evaluated[s.Index] = -1 // measured, but not in res.Samples
-				continue
-			}
-			if err := addSample(s); err != nil {
-				return err
-			}
-			for k, v := range s.Objs {
-				if v > nadir[k] {
-					nadir[k] = v
-				}
-				if v < ideal[k] {
-					ideal[k] = v
-				}
-			}
-		}
-		return nil
+// bootstrap is the random sampling phase: X_out ← rs samples.
+func (r *run) bootstrap() error {
+	n := r.o.RandomSamples
+	if int64(n) > r.space.Size() {
+		n = int(r.space.Size())
 	}
-
-	// Pending journaled skips of a resumed run, consumed as batches replay.
-	// The copy keeps Options.ReplaySkips read-only for the caller.
-	var skips map[int64]int
-	if len(o.ReplaySkips) > 0 {
-		skips = make(map[int64]int, len(o.ReplaySkips))
-		for idx, n := range o.ReplaySkips {
-			skips[idx] = n
-		}
-	}
-
-	// ---- Random sampling bootstrap (X_out ← rs samples) ----
-	n := o.RandomSamples
-	if int64(n) > space.Size() {
-		n = int(space.Size())
-	}
-	bootstrap := o.Sampler.Draw(space, rng, n)
-	o.logf("random sampling: evaluating %d configurations", len(bootstrap))
-	evalStart := time.Now()
-	batch, bo, err := evaluateBatch(ctx, space, bootstrap, o, skips, 0, false)
-	evalTime := time.Since(evalStart)
-	res.CacheHits += bo.hits
-	res.CacheMisses += bo.misses
-	res.Unmeasured += bo.unmeasured
-	if err := ingest(batch); err != nil {
-		return nil, err
-	}
-	res.RandomFront = measuredFront(res.Samples)
+	draw := r.o.Sampler.Draw(r.space, r.rng, n)
+	r.o.logf("random sampling: evaluating %d configurations", len(draw))
+	var stats IterationStats
+	err := r.measure(draw, &stats)
+	r.res.RandomFront = measuredFront(r.res.Samples)
 	if err != nil {
-		return finish(err)
+		return err
 	}
-	if len(batch) == 0 && bo.unmeasured > 0 {
+	if stats.NewSamples == 0 && stats.Unmeasured > 0 {
 		// Degradation tolerated away the whole bootstrap — there is nothing
 		// to train on, and every later fit would fail obscurely.
-		return finish(fmt.Errorf("core: bootstrap batch fully unmeasured (%d configurations); cannot train", bo.unmeasured))
+		return fmt.Errorf("core: bootstrap batch fully unmeasured (%d configurations); cannot train", stats.Unmeasured)
 	}
-	if wantFeas {
+	if r.labeler != nil {
 		// Probe the space's declared constraint predicate: uniform index
 		// draws labeled feasible/infeasible without touching the evaluator.
 		// They give the classifier a view of the infeasible region that
 		// measured samples alone (drawn feasible by construction) cannot.
-		probes := labeler.FeasibilityProbes()
-		cfg := make(param.Config, space.Dim())
-		for i := 0; i < probes; i++ {
-			space.AtIndexInto(rng.Int63n(space.Size()), cfg)
-			addLabel(cfg, space.Feasible(cfg))
+		cfg := make(param.Config, r.space.Dim())
+		for i := r.labeler.FeasibilityProbes(); i > 0; i-- {
+			r.space.AtIndexInto(r.rng.Int63n(r.space.Size()), cfg)
+			r.addLabel(cfg, r.space.Feasible(cfg))
 		}
 	}
-	o.logf("random sampling: front size %d", len(res.RandomFront))
-	o.onIteration(IterationStats{
-		NewSamples:   len(batch),
-		TotalSamples: len(res.Samples),
-		FrontSize:    len(res.RandomFront),
-		Hypervolume:  frontHypervolume(res.RandomFront),
-		CacheHits:    bo.hits,
-		CacheMisses:  bo.misses,
-		Unmeasured:   bo.unmeasured,
-		EvalTime:     evalTime,
+	r.o.logf("random sampling: front size %d", len(r.res.RandomFront))
+	r.publish(stats, r.res.RandomFront)
+	return nil
+}
+
+// iterate is one active-learning round: fit, predict the pool, select
+// P − X_out, measure it. A round that selects nothing marks the run
+// converged.
+func (r *run) iterate(iter int) error {
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	o := r.o
+	stats := IterationStats{Iteration: iter}
+	fitStart := time.Now()
+	models, err := r.fit(iter)
+	stats.FitTime = time.Since(fitStart)
+	if err != nil {
+		if cerr := r.ctx.Err(); cerr != nil {
+			return cerr
+		}
+		return r.fail(err)
+	}
+	stats.OOBError, stats.OOBSamples = models.OOBError, models.OOBSamples
+	forests := models.Objectives
+	r.res.Forests = forests
+
+	// Predict every objective over the pool and filter the predicted
+	// front P. The incremental path keeps the grid across rounds (all of
+	// its cells are the pool when the space is enumerable, else a
+	// re-drawn list of them); the legacy path rebuilds everything per
+	// round.
+	var predicted []pareto.Point
+	if r.st != nil {
+		encStart := time.Now()
+		if err := r.st.pool(r.rng, r.evaluated); err != nil {
+			return r.fail(err)
+		}
+		stats.EncodeTime = time.Since(encStart)
+		predStart := time.Now()
+		predicted = pareto.FrontInPlace(r.st.predict(forests, o.Workers))
+		stats.PredictTime = time.Since(predStart)
+	} else {
+		predicted, stats.EncodeTime, stats.PredictTime = legacyPredict(r.space, r.rng, o, r.evaluated, forests)
+	}
+	stats.PredictedFrontSize = len(predicted)
+
+	// P − X_out: predicted-front candidates not yet measured, run
+	// through the feasibility filter (when a classifier was fit) and
+	// handed to the selector to pick this round's batch.
+	cands := make([]pareto.Point, 0, len(predicted))
+	for _, p := range predicted {
+		if _, done := r.evaluated[p.ID]; !done {
+			cands = append(cands, p)
+		}
+	}
+	var feasProbs []float64
+	if models.Feasibility != nil && len(cands) > 0 {
+		selStart := time.Now()
+		feasProbs = predictFeasibility(r.space, models.Feasibility, cands)
+		cands, feasProbs = filterFeasible(cands, feasProbs, r.labeler.FeasibilityThreshold())
+		stats.PredictTime += time.Since(selStart)
+	}
+	todo := o.Selector.Select(Selection{
+		Space:       r.space,
+		Candidates:  cands,
+		Feasibility: feasProbs,
+		MaxBatch:    o.MaxBatch,
 	})
-
-	// ---- Active learning loop ----
-	for iter := 1; iter <= o.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		fitStart := time.Now()
-		var models *Models
-		if st != nil {
-			// Warm path: append the fresh batch to the shared presorted
-			// matrix and fit from it.
-			var cols *forest.Columns
-			cols, err = st.columns()
-			if err == nil {
-				models, err = o.Modeler.Fit(ctx, Training{Cols: cols, Ys: st.ys, FeasX: feasX, FeasY: feasY}, o, iter)
-			}
-		} else {
-			// Legacy reference path: re-encode the training matrix and
-			// rebuild the column transpose from scratch, every iteration.
-			var x, ys [][]float64
-			x, ys, err = trainingMatrix(space, res.Samples, o.Objectives)
-			if err == nil {
-				var cols *forest.Columns
-				cols, err = forest.ColumnsFromRows(x)
-				if err == nil {
-					models, err = o.Modeler.Fit(ctx, Training{Cols: cols, Ys: ys, FeasX: feasX, FeasY: feasY}, o, iter)
-				}
-			}
-		}
-		fitTime := time.Since(fitStart)
-		if err != nil {
-			if ctx.Err() != nil {
-				return finish(ctx.Err())
-			}
-			return nil, err
-		}
-		forests := models.Objectives
-		oob, oobN := models.OOBError, models.OOBSamples
-		res.Forests = forests
-
-		// Predict every objective over the pool and filter the predicted
-		// front P. The incremental path keeps the grid across rounds (all of
-		// its cells are the pool when the space is enumerable, else a
-		// re-drawn list of them); the legacy path rebuilds everything per
-		// round.
-		var predicted []pareto.Point
-		var encodeTime, predictTime time.Duration
-		if st != nil {
-			encStart := time.Now()
-			if err := st.pool(rng, evaluated); err != nil {
-				return nil, err
-			}
-			encodeTime = time.Since(encStart)
-			predStart := time.Now()
-			points := st.predict(forests, o.Workers)
-			predicted = pareto.FrontInPlace(points)
-			predictTime = time.Since(predStart)
-		} else {
-			predicted, encodeTime, predictTime = legacyPredict(space, rng, o, evaluated, forests)
-		}
-
-		// P − X_out: predicted-front candidates not yet measured, run
-		// through the feasibility filter (when a classifier was fit) and
-		// handed to the selector to pick this round's batch.
-		cands := make([]pareto.Point, 0, len(predicted))
-		for _, p := range predicted {
-			if _, done := evaluated[p.ID]; !done {
-				cands = append(cands, p)
-			}
-		}
-		var feasProbs []float64
-		if models.Feasibility != nil && len(cands) > 0 {
-			selStart := time.Now()
-			feasProbs = predictFeasibility(space, models.Feasibility, cands)
-			cands, feasProbs = filterFeasible(cands, feasProbs, labeler.FeasibilityThreshold())
-			predictTime += time.Since(selStart)
-		}
-		todo := o.Selector.Select(Selection{
-			Space:       space,
-			Candidates:  cands,
-			Feasibility: feasProbs,
-			MaxBatch:    o.MaxBatch,
-		})
-		if len(todo) > o.MaxBatch {
-			todo = todo[:o.MaxBatch] // clamp custom selectors to the contract
-		}
-		o.logf("iteration %d: predicted front %d, new configurations %d",
-			iter, len(predicted), len(todo))
-
-		if len(todo) == 0 {
-			res.Converged = true
-			front := measuredFront(res.Samples)
-			stats := IterationStats{
-				Iteration:          iter,
-				PredictedFrontSize: len(predicted),
-				TotalSamples:       len(res.Samples),
-				FrontSize:          len(front),
-				Hypervolume:        frontHypervolume(front),
-				OOBError:           oob,
-				OOBSamples:         oobN,
-				FitTime:            fitTime,
-				EncodeTime:         encodeTime,
-				PredictTime:        predictTime,
-			}
-			res.Iterations = append(res.Iterations, stats)
-			o.onIteration(stats)
-			break
-		}
-
-		evalStart := time.Now()
-		newSamples, bo, err := evaluateBatch(ctx, space, todo, o, skips, iter, true)
-		evalTime := time.Since(evalStart)
-		res.CacheHits += bo.hits
-		res.CacheMisses += bo.misses
-		res.Unmeasured += bo.unmeasured
-		if err := ingest(newSamples); err != nil {
-			return nil, err
-		}
-		if err != nil {
-			return finish(err)
-		}
-		front := measuredFront(res.Samples)
-		stats := IterationStats{
-			Iteration:          iter,
-			PredictedFrontSize: len(predicted),
-			NewSamples:         len(newSamples),
-			TotalSamples:       len(res.Samples),
-			FrontSize:          len(front),
-			Hypervolume:        frontHypervolume(front),
-			OOBError:           oob,
-			OOBSamples:         oobN,
-			CacheHits:          bo.hits,
-			CacheMisses:        bo.misses,
-			Unmeasured:         bo.unmeasured,
-			FitTime:            fitTime,
-			EncodeTime:         encodeTime,
-			PredictTime:        predictTime,
-			EvalTime:           evalTime,
-		}
-		res.Iterations = append(res.Iterations, stats)
-		o.onIteration(stats)
+	if len(todo) > o.MaxBatch {
+		todo = todo[:o.MaxBatch] // clamp custom selectors to the contract
 	}
+	o.logf("iteration %d: predicted front %d, new configurations %d",
+		iter, len(predicted), len(todo))
 
-	res.Front = measuredFront(res.Samples)
-	o.logf("done: %d samples, final front size %d", len(res.Samples), len(res.Front))
-	return res, nil
+	if len(todo) == 0 {
+		r.res.Converged = true
+	} else if err := r.measure(todo, &stats); err != nil {
+		return err
+	}
+	r.publish(stats, measuredFront(r.res.Samples))
+	return nil
+}
+
+// fit trains the round's models on everything measured so far.
+func (r *run) fit(iter int) (*Models, error) {
+	tr := Training{FeasX: r.feasX, FeasY: r.feasY}
+	var err error
+	if r.st != nil {
+		// Warm path: append the fresh batch to the shared presorted
+		// matrix and fit from it.
+		tr.Ys = r.st.ys
+		tr.Cols, err = r.st.columns()
+	} else {
+		// Legacy reference path: re-encode the training matrix and
+		// rebuild the column transpose from scratch, every iteration.
+		var x [][]float64
+		x, tr.Ys, err = trainingMatrix(r.space, r.res.Samples, r.o.Objectives)
+		if err == nil {
+			tr.Cols, err = forest.ColumnsFromRows(x)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r.o.Modeler.Fit(r.ctx, tr, r.o, iter)
+}
+
+// measure is the one way configurations become samples, in either phase:
+// evaluate idxs, ingest what came back — on an error too, measurements are
+// too expensive to discard — and account for the batch in the phase's
+// statistics and the result's totals.
+func (r *run) measure(idxs []int64, stats *IterationStats) error {
+	start := time.Now()
+	batch, bo, err := r.evaluate(idxs, stats.Iteration)
+	stats.EvalTime = time.Since(start)
+	stats.NewSamples = len(batch)
+	stats.CacheHits, stats.CacheMisses, stats.Unmeasured = bo.hits, bo.misses, bo.unmeasured
+	r.res.CacheHits += bo.hits
+	r.res.CacheMisses += bo.misses
+	r.res.Unmeasured += bo.unmeasured
+	if ierr := r.ingest(batch); ierr != nil {
+		return r.fail(ierr)
+	}
+	return err
+}
+
+// publish completes a phase's statistics with the state of X_out after it —
+// front being its measured front — and hands them out: to
+// Result.Iterations (rounds only; the bootstrap is Iteration 0) and to
+// Options.OnIteration.
+func (r *run) publish(stats IterationStats, front []pareto.Point) {
+	stats.TotalSamples = len(r.res.Samples)
+	stats.FrontSize = len(front)
+	stats.Hypervolume = r.hypervolume(front)
+	if stats.Iteration > 0 {
+		r.res.Iterations = append(r.res.Iterations, stats)
+	}
+	if r.o.OnIteration != nil {
+		r.o.OnIteration(stats)
+	}
+}
+
+// hypervolume is the per-phase progress stat of IterationStats.Hypervolume.
+func (r *run) hypervolume(front []pareto.Point) float64 {
+	if len(front) == 0 {
+		return math.NaN()
+	}
+	ref := make([]float64, len(r.nadir))
+	for k := range ref {
+		if math.IsInf(r.nadir[k], -1) {
+			return math.NaN()
+		}
+		ref[k] = r.nadir[k] + 0.1*(r.nadir[k]-r.ideal[k])
+	}
+	return pareto.Hypervolume(front, ref)
+}
+
+// addLabel records one feasibility-classifier label.
+func (r *run) addLabel(cfg param.Config, valid bool) {
+	row := make([]float64, r.space.Dim())
+	r.space.Encode(cfg, row)
+	r.feasX = append(r.feasX, row)
+	if valid {
+		r.feasY = append(r.feasY, 1)
+	} else {
+		r.feasY = append(r.feasY, 0)
+	}
+}
+
+// ingest is the one place a measured batch enters the run state. A sample
+// with any non-finite objective (NaN or ±Inf: an evaluator-side constraint
+// violation, a crashed program, a `null` over a bridge) is an invalid
+// configuration under every strategy: it goes to Result.Invalid and stays
+// marked as measured, and never reaches Samples, the training matrix, the
+// hypervolume bounds or a front. A feasibility-aware strategy also takes
+// every sample, valid or not, as a classifier label.
+func (r *run) ingest(batch []Sample) error {
+	for _, s := range batch {
+		invalid := slices.ContainsFunc(s.Objs, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
+		if r.labeler != nil {
+			r.addLabel(s.Config, !invalid)
+		}
+		if invalid {
+			r.res.Invalid = append(r.res.Invalid, s)
+			r.evaluated[s.Index] = -1
+			continue
+		}
+		if r.st != nil {
+			// The incremental path encodes the sample into the append-only
+			// training matrix as it arrives.
+			if err := r.st.addSample(s); err != nil {
+				return err
+			}
+		}
+		r.res.Samples = append(r.res.Samples, s)
+		r.evaluated[s.Index] = len(r.res.Samples) - 1
+		for k, v := range s.Objs {
+			r.nadir[k] = max(r.nadir[k], v)
+			r.ideal[k] = min(r.ideal[k], v)
+		}
+	}
+	return nil
 }
 
 // legacyPredict is the pre-incremental prediction step, kept as the
@@ -732,12 +751,6 @@ func legacyPredict(space *param.Space, rng *rand.Rand, o Options, evaluated map[
 	return predicted, encodeTime, predictTime
 }
 
-func (o Options) onIteration(stats IterationStats) {
-	if o.OnIteration != nil {
-		o.OnIteration(stats)
-	}
-}
-
 // predictFeasibility encodes each candidate and asks the classifier for its
 // validity probability. Candidate sets are front-sized (tens to hundreds of
 // points), so a serial pass is cheap next to the pool prediction.
@@ -774,34 +787,30 @@ func filterFeasible(cands []pareto.Point, probs []float64, threshold float64) ([
 	return keptC, keptP
 }
 
-// batchOutcome carries one evaluateBatch's accounting: memo-cache hit and
-// miss counts, plus how many of the batch's configurations ended
-// unmeasured (live skips tolerated under MaxUnmeasuredFraction and
-// replayed skips of a resumed run alike).
+// batchOutcome carries one batch's accounting: memo-cache hit and miss
+// counts (both zero without a cache), plus how many of the batch's
+// configurations ended unmeasured (live skips tolerated under
+// MaxUnmeasuredFraction and replayed skips of a resumed run alike).
 type batchOutcome struct {
 	hits, misses int
 	unmeasured   int
 }
 
-// evaluateBatch measures the given configuration indices through the run's
-// Backend, returning samples in the order of idxs plus the batch's
-// accounting. skips holds the resumed run's pending journaled skips by
-// index (a mutable copy of Options.ReplaySkips, owned by the run loop); a
-// pending skip is consumed before Replay is consulted, so an index the
-// original run skipped in one batch and measured in a later one replays in
-// that same order. Indices present in Options.Replay are served from the
-// journal replay and never reach the cache or backend; the rest resolve as
-// before: with a cache the batch goes through fetchBatch (cached indices
-// served, the miss set evaluated in one backend call, in-flight indices of
-// concurrent runs waited on), without one the whole batch goes to the
-// backend directly. Genuinely measured samples — and only those — are
-// recorded to Options.Journal before returning, so a resumed run never
-// re-journals what it replayed.
+// evaluate answers one batch of configuration indices, returning samples
+// in the order of idxs plus the batch's accounting. Each position is
+// answered by the first stage that can: a pending journaled skip of a
+// resumed run leaves it unmeasured again (consumed before the replay is
+// consulted, so an index the original run skipped in one batch and measured
+// in a later one replays in that same order), then Options.Replay serves
+// the journaled objectives, then run.fetch — the memo-cache, and the
+// Backend in one call for what is left. What fetch answered — and only
+// that, so a resumed run never re-journals what it replayed — is recorded
+// to Options.Journal before returning.
 //
 // A batch that comes back partially unmeasured normally fails the run;
 // with MaxUnmeasuredFraction > 0 and the unmeasured share within it the
 // batch instead degrades: the backend error is swallowed, the live skips
-// are journaled (RecordedBatch.Unmeasured) so a resumed run degrades
+// are journaled (Batch.Unmeasured) so a resumed run degrades
 // byte-identically, and the skipped indices stay eligible for later
 // rounds. Cancellation never degrades — on cancellation or intolerable
 // backend failure only the evaluations that did complete are returned,
@@ -809,55 +818,46 @@ type batchOutcome struct {
 // batch must not throw finished ones away); completed measurements are
 // still journaled on the way out, without skip entries, so resume
 // re-measures the interrupted tail instead of skipping it.
-func evaluateBatch(ctx context.Context, space *param.Space, idxs []int64, o Options, skips map[int64]int, iter int, active bool) ([]Sample, batchOutcome, error) {
+func (r *run) evaluate(idxs []int64, iter int) ([]Sample, batchOutcome, error) {
 	var bo batchOutcome
-	if err := ctx.Err(); err != nil {
+	if err := r.ctx.Err(); err != nil {
 		return nil, bo, err
 	}
+	o := r.o
 	cfgs := make([]param.Config, len(idxs))
-	for i, idx := range idxs {
-		cfgs[i] = space.AtIndex(idx)
-	}
 	objs := make([][]float64, len(idxs))
 	skipped := make([]bool, len(idxs)) // replayed a journaled skip here
-	live := make([]int, 0, len(idxs))  // positions not served by replay
+	var live []int                     // positions left to fetch
+	var liveIdxs []int64
+	var liveCfgs []param.Config
 	for i, idx := range idxs {
-		if n := skips[idx]; n > 0 {
-			skips[idx] = n - 1
+		cfgs[i] = r.space.AtIndex(idx)
+		if r.skips[idx] > 0 {
+			r.skips[idx]--
 			skipped[i] = true
-			continue
-		}
-		if rec, ok := o.Replay[idx]; ok {
+		} else if rec, ok := o.Replay[idx]; ok {
 			objs[i] = append([]float64(nil), rec...)
-			continue
+		} else {
+			live = append(live, i)
+			liveIdxs = append(liveIdxs, idx)
+			liveCfgs = append(liveCfgs, cfgs[i])
 		}
-		live = append(live, i)
 	}
 	var err error
 	if len(live) > 0 {
-		liveIdxs := make([]int64, len(live))
-		liveCfgs := make([]param.Config, len(live))
-		for j, i := range live {
-			liveIdxs[j] = idxs[i]
-			liveCfgs[j] = cfgs[i]
-		}
 		var liveObjs [][]float64
-		if o.cache != nil {
-			liveObjs, bo.hits, bo.misses, err = o.cache.fetchBatch(ctx, liveIdxs, liveCfgs, o.Backend)
-		} else {
-			liveObjs, err = o.Backend.EvaluateBatch(ctx, liveCfgs)
-		}
-		if len(liveObjs) > len(liveIdxs) {
+		liveObjs, bo, err = r.fetch(r.ctx, liveIdxs, liveCfgs)
+		if len(liveObjs) > len(live) {
 			// A contract violation must fail like the under-length case
 			// below, not index past idxs.
-			return nil, bo, fmt.Errorf("core: backend returned %d results for a %d-configuration batch", len(liveObjs), len(liveIdxs))
+			return nil, bo, fmt.Errorf("core: backend returned %d results for a %d-configuration batch", len(liveObjs), len(live))
 		}
 		for j, ob := range liveObjs {
 			objs[live[j]] = ob
 		}
 	}
 	out := make([]Sample, 0, len(idxs))
-	var measured []Sample   // the live completions, for the journal
+	rec := journal.Batch{Iteration: iter, Active: iter > 0}
 	var liveSkipped []int64 // live positions without a measurement, batch order
 	for i, ob := range objs {
 		if ob == nil {
@@ -867,23 +867,21 @@ func evaluateBatch(ctx context.Context, space *param.Space, idxs []int64, o Opti
 			}
 			continue // not evaluated: skipped, cancelled, or failed mid-batch
 		}
-		s := Sample{Index: idxs[i], Config: cfgs[i], Objs: ob, Iteration: iter, ActiveLearning: active}
-		out = append(out, s)
-		if _, replayed := o.Replay[s.Index]; !replayed {
-			measured = append(measured, s)
+		out = append(out, Sample{Index: idxs[i], Config: cfgs[i], Objs: ob, Iteration: iter, ActiveLearning: iter > 0})
+		if _, replayed := o.Replay[idxs[i]]; !replayed {
+			rec.Samples = append(rec.Samples, journal.SampleRecord{Index: idxs[i], Objs: ob})
 		}
 	}
 	// Decide degradation before journaling: a tolerated batch journals its
 	// skips, an intolerable or cancelled one must not (its missing tail is
 	// re-measured on resume). The fraction is taken over the whole batch,
 	// replayed skips included, so a resumed run reaches the same verdict.
-	degraded := len(liveSkipped) > 0 && ctx.Err() == nil && o.MaxUnmeasuredFraction > 0 &&
+	degraded := len(liveSkipped) > 0 && r.ctx.Err() == nil && o.MaxUnmeasuredFraction > 0 &&
 		float64(bo.unmeasured) <= o.MaxUnmeasuredFraction*float64(len(idxs))
-	if o.Journal != nil && (len(measured) > 0 || degraded) {
-		rec := RecordedBatch{Iteration: iter, Active: active, Samples: measured}
-		if degraded {
-			rec.Unmeasured = liveSkipped
-		}
+	if degraded {
+		rec.Unmeasured = liveSkipped
+	}
+	if o.Journal != nil && (len(rec.Samples) > 0 || degraded) {
 		if jerr := o.Journal.RecordBatch(rec); jerr != nil {
 			return out, bo, fmt.Errorf("core: journaling evaluation batch: %w", jerr)
 		}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/param"
 )
 
@@ -18,11 +19,16 @@ import (
 type dropBackend struct {
 	fn    func(cfg param.Config) []float64
 	drop  func(cfg param.Config) bool
+	quiet bool   // leave the nil entries to speak for themselves: no error
+	begin func() // when non-nil, called as each batch arrives
 	calls atomic.Int64
 }
 
 func (b *dropBackend) EvaluateBatch(ctx context.Context, cfgs []param.Config) ([][]float64, error) {
 	b.calls.Add(1)
+	if b.begin != nil {
+		b.begin()
+	}
 	out := make([][]float64, len(cfgs))
 	dropped := 0
 	for i, cfg := range cfgs {
@@ -32,7 +38,7 @@ func (b *dropBackend) EvaluateBatch(ctx context.Context, cfgs []param.Config) ([
 		}
 		out[i] = b.fn(cfg)
 	}
-	if dropped > 0 {
+	if dropped > 0 && !b.quiet {
 		return out, fmt.Errorf("drop backend: %d of %d configurations lost", dropped, len(cfgs))
 	}
 	return out, nil
@@ -113,57 +119,172 @@ func TestUnmeasuredFractionToleratesLossyBackend(t *testing.T) {
 	}
 }
 
-// Degradation boundaries at the batch level: unmeasured/batch ≤ fraction
-// degrades, anything above fails; fraction 1 tolerates a fully lost batch.
-func TestEvaluateBatchDegradationBoundaries(t *testing.T) {
+// gateBackend is the other run of TestEvaluatePath: it holds its one
+// measurement in flight from started until release.
+type gateBackend struct{ started, release chan struct{} }
+
+func (g gateBackend) EvaluateBatch(_ context.Context, cfgs []param.Config) ([][]float64, error) {
+	close(g.started)
+	<-g.release
+	return [][]float64{{-5, -6}}, nil
+}
+
+// The evaluation path as one table. A single batch holds a position for
+// every way a configuration can be answered — a replayed skip, two replayed
+// measurements, a memo-cache hit, a wait on another run's in-flight
+// measurement, two live misses and a configuration the backend loses — and
+// the rows vary what the backend does about the loss (leave a nil entry, or
+// also report an error) and how much of it MaxUnmeasuredFraction tolerates.
+// Each row pins the samples returned, the accounting, and the exact batch
+// journaled: replayed entries are never re-journaled, and only a tolerated
+// loss is recorded as unmeasured.
+func TestEvaluatePath(t *testing.T) {
 	space := resumeSpace(t)
-	idxs := []int64{0, 1, 2, 3}
-	run := func(frac float64, dropN int) ([]Sample, batchOutcome, error, *memRecorder) {
-		t.Helper()
-		seen := 0
-		b := &dropBackend{fn: degradeEval, drop: func(param.Config) bool {
-			seen++
-			return seen <= dropN
-		}}
+	const skip, replayA, replayB, hit, wait, missA, missB, drop = 10, 11, 12, 13, 14, 15, 16, 17
+	idxs := []int64{skip, replayA, replayB, hit, wait, missA, missB, drop}
+	cfg := func(idx int64) param.Config { return space.AtIndex(idx) }
+	live := func(idx int64) []float64 { return degradeEval(cfg(idx)) }
+	sample := func(idx int64, objs []float64) Sample {
+		return Sample{Index: idx, Config: cfg(idx), Objs: objs, Iteration: 2, ActiveLearning: true}
+	}
+	record := func(idx int64, objs []float64) journal.SampleRecord {
+		return journal.SampleRecord{Index: idx, Objs: objs}
+	}
+	replayed := []Sample{sample(replayA, []float64{-1, -2}), sample(replayB, []float64{-7, -8})}
+	cached := sample(hit, []float64{-3, -4})
+	waited := sample(wait, []float64{-5, -6})
+	missed := []Sample{sample(missA, live(missA)), sample(missB, live(missB))}
+
+	// withWait is what comes back when the fetch gets to wait for the other
+	// run (the backend reported no error); withoutWait when a backend error
+	// or a cancellation ends the fetch first and leaves the in-flight
+	// position unanswered.
+	withWait := append(append(append([]Sample(nil), replayed...), cached, waited), missed...)
+	withoutWait := append(append(append([]Sample(nil), replayed...), cached), missed...)
+	journaled := func(samples []Sample, unmeasured ...int64) journal.Batch {
+		b := journal.Batch{Iteration: 2, Active: true, Unmeasured: unmeasured}
+		for _, s := range samples[len(replayed):] {
+			b.Samples = append(b.Samples, record(s.Index, s.Objs))
+		}
+		return b
+	}
+
+	for _, tc := range []struct {
+		name     string
+		fraction float64
+		loud     bool // the backend reports its loss as an error too
+		cancel   bool // the run is cancelled while the backend measures
+		samples  []Sample
+		outcome  batchOutcome
+		journal  journal.Batch
+		wantErr  string // substring; "" = the batch succeeds (degraded)
+	}{
+		{name: "strict", fraction: 0,
+			samples: withWait, outcome: batchOutcome{hits: 2, misses: 3, unmeasured: 2},
+			journal: journaled(withWait), wantErr: "backend returned 6 results for a 8-configuration batch"},
+		{name: "below the loss", fraction: 0.2,
+			samples: withWait, outcome: batchOutcome{hits: 2, misses: 3, unmeasured: 2},
+			journal: journaled(withWait), wantErr: "backend returned 6 results"},
+		{name: "at the loss", fraction: 0.25,
+			samples: withWait, outcome: batchOutcome{hits: 2, misses: 3, unmeasured: 2},
+			journal: journaled(withWait, drop)},
+		{name: "above the loss", fraction: 1,
+			samples: withWait, outcome: batchOutcome{hits: 2, misses: 3, unmeasured: 2},
+			journal: journaled(withWait, drop)},
+		{name: "backend error below the loss", fraction: 0.25, loud: true,
+			samples: withoutWait, outcome: batchOutcome{hits: 1, misses: 3, unmeasured: 3},
+			journal: journaled(withoutWait), wantErr: "drop backend"},
+		{name: "backend error at the loss", fraction: 0.375, loud: true,
+			samples: withoutWait, outcome: batchOutcome{hits: 1, misses: 3, unmeasured: 3},
+			journal: journaled(withoutWait, wait, drop)},
+		{name: "cancelled", fraction: 1, cancel: true,
+			samples: withoutWait, outcome: batchOutcome{hits: 1, misses: 3, unmeasured: 3},
+			journal: journaled(withoutWait), wantErr: "drop backend"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cache := NewEvalCache()
+			fp := spaceFingerprint(space, 2)
+			seed := &LocalBackend{Eval: EvaluatorFunc(func(param.Config) []float64 { return cached.Objs })}
+			if _, _, err := cache.view(fp, seed).fetchBatch(ctx, []int64{hit}, []param.Config{cfg(hit)}); err != nil {
+				t.Fatal(err)
+			}
+			other := gateBackend{started: make(chan struct{}), release: make(chan struct{})}
+			otherDone := make(chan struct{})
+			go func() {
+				defer close(otherDone)
+				cache.view(fp, other).fetchBatch(context.Background(), []int64{wait}, []param.Config{cfg(wait)})
+			}()
+			<-other.started
+
+			// The backend under test is called with the misses only. From
+			// inside that call — the in-flight position has been found in
+			// flight by then — it lets the other run finish and, in the
+			// cancelled row, cancels this one.
+			b := &dropBackend{fn: degradeEval, quiet: !tc.loud && !tc.cancel,
+				drop: func(c param.Config) bool { return reflect.DeepEqual(c, cfg(drop)) },
+				begin: func() {
+					close(other.release)
+					if tc.cancel {
+						cancel()
+					}
+				}}
+			rec := &memRecorder{}
+			r := newRun(ctx, space, nil, Options{
+				Objectives: 2, MaxUnmeasuredFraction: tc.fraction, Journal: rec, Cache: cache,
+				Backend:     b,
+				Replay:      map[int64][]float64{replayA: replayed[0].Objs, replayB: replayed[1].Objs},
+				ReplaySkips: map[int64]int{skip: 1},
+			})
+			out, bo, err := r.evaluate(idxs, 2)
+			<-otherDone
+
+			if tc.wantErr == "" && err != nil {
+				t.Fatalf("tolerated batch failed: %v", err)
+			}
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+			}
+			if !reflect.DeepEqual(out, tc.samples) {
+				t.Errorf("samples = %+v\nwant %+v", out, tc.samples)
+			}
+			if bo != tc.outcome {
+				t.Errorf("outcome = %+v, want %+v", bo, tc.outcome)
+			}
+			if len(rec.batches) != 1 || !reflect.DeepEqual(rec.batches[0], tc.journal) {
+				t.Errorf("journaled %+v\nwant one batch %+v", rec.batches, tc.journal)
+			}
+			if calls := b.calls.Load(); calls != 1 {
+				t.Errorf("%d backend calls, want the misses in one", calls)
+			}
+			if waits := cache.CoalesceHits(); waits != int64(tc.outcome.hits-1) {
+				t.Errorf("%d coalesce hits, want %d", waits, tc.outcome.hits-1)
+			}
+			if r.skips[skip] != 0 {
+				t.Errorf("the replayed skip was not consumed")
+			}
+		})
+	}
+
+	// With no cache and no journal to replay the whole batch goes to the
+	// backend; fraction 1 tolerates losing all of it, and the journal still
+	// gets the batch — nothing measured, everything unmeasured.
+	t.Run("fully lost", func(t *testing.T) {
 		rec := &memRecorder{}
-		o := Options{Objectives: 2, MaxUnmeasuredFraction: frac, Journal: rec, Backend: b}
-		out, bo, err := evaluateBatch(context.Background(), space, idxs, o, nil, 1, true)
-		return out, bo, err, rec
-	}
-
-	// Exactly at the threshold: 2 of 4 unmeasured, fraction 0.5 → degraded.
-	out, bo, err, rec := run(0.5, 2)
-	if err != nil {
-		t.Fatalf("at-threshold batch failed: %v", err)
-	}
-	if len(out) != 2 || bo.unmeasured != 2 {
-		t.Fatalf("at-threshold: %d measured, %d unmeasured", len(out), bo.unmeasured)
-	}
-	if len(rec.batches) != 1 || len(rec.batches[0].Unmeasured) != 2 {
-		t.Fatalf("at-threshold journal = %+v", rec.batches)
-	}
-
-	// Just below: same loss, fraction 0.49 → the batch fails, and the
-	// journal must NOT record skips (resume re-measures).
-	_, _, err, rec = run(0.49, 2)
-	if err == nil {
-		t.Fatal("over-threshold batch succeeded")
-	}
-	if len(rec.batches) != 1 || len(rec.batches[0].Unmeasured) != 0 {
-		t.Fatalf("failed batch journaled skips: %+v", rec.batches)
-	}
-
-	// Fraction 1 tolerates a fully lost batch.
-	out, bo, err, rec = run(1, len(idxs))
-	if err != nil {
-		t.Fatalf("fraction-1 fully-lost batch failed: %v", err)
-	}
-	if len(out) != 0 || bo.unmeasured != len(idxs) {
-		t.Fatalf("fully-lost: %d measured, %d unmeasured", len(out), bo.unmeasured)
-	}
-	if len(rec.batches) != 1 || len(rec.batches[0].Unmeasured) != len(idxs) || len(rec.batches[0].Samples) != 0 {
-		t.Fatalf("fully-lost journal = %+v", rec.batches)
-	}
+		r := newRun(context.Background(), space, nil, Options{
+			Objectives: 2, MaxUnmeasuredFraction: 1, Journal: rec,
+			Backend: &dropBackend{fn: degradeEval, drop: func(param.Config) bool { return true }},
+		})
+		out, bo, err := r.evaluate(idxs, 2)
+		if err != nil || len(out) != 0 || bo != (batchOutcome{unmeasured: len(idxs)}) {
+			t.Fatalf("fully lost batch: %d samples, outcome %+v, err %v", len(out), bo, err)
+		}
+		want := journal.Batch{Iteration: 2, Active: true, Unmeasured: idxs}
+		if len(rec.batches) != 1 || !reflect.DeepEqual(rec.batches[0], want) {
+			t.Errorf("journaled %+v\nwant one batch %+v", rec.batches, want)
+		}
+	})
 }
 
 // A bootstrap tolerated away entirely must still fail: there is nothing

@@ -339,17 +339,25 @@ func TestEvalCacheHitsAcrossRuns(t *testing.T) {
 	}
 }
 
+// fetchOne resolves one index through a view of the cache whose backend
+// measures by calling fn (nil: it must not be called), reporting whether the
+// value was a cache hit.
+func fetchOne(ctx context.Context, cache *EvalCache, space string, idx int64, fn func() []float64) (objs []float64, hit bool, err error) {
+	backend := &LocalBackend{Eval: EvaluatorFunc(func(param.Config) []float64 { return fn() })}
+	res, bo, err := cache.view(space, backend).fetchBatch(ctx, []int64{idx}, []param.Config{nil})
+	return res[0], bo.hits == 1, err
+}
+
 func TestEvalCacheCopiesObjectives(t *testing.T) {
 	ctx := context.Background()
 	cache := NewEvalCache()
-	v := cache.view("test-space")
 	objs := []float64{1, 2}
-	got, hit, err := v.fetch(ctx, 7, func() []float64 { return objs })
+	got, hit, err := fetchOne(ctx, cache, "test-space", 7, func() []float64 { return objs })
 	if err != nil || hit {
 		t.Fatalf("first fetch: hit=%v err=%v", hit, err)
 	}
 	objs[0] = 99 // caller mutates its slice after the cache stored it
-	got, hit, err = v.fetch(ctx, 7, func() []float64 { t.Fatal("re-evaluated"); return nil })
+	got, hit, err = fetchOne(ctx, cache, "test-space", 7, nil)
 	if err != nil || !hit {
 		t.Fatalf("second fetch: hit=%v err=%v", hit, err)
 	}
@@ -357,7 +365,7 @@ func TestEvalCacheCopiesObjectives(t *testing.T) {
 		t.Fatalf("cache returned mutated objectives %v", got)
 	}
 	got[1] = -5 // caller mutates the returned slice
-	again, _, _ := v.fetch(ctx, 7, func() []float64 { t.Fatal("re-evaluated"); return nil })
+	again, _, _ := fetchOne(ctx, cache, "test-space", 7, nil)
 	if again[1] != 2 {
 		t.Fatalf("cache content corrupted via returned slice: %v", again)
 	}
@@ -367,11 +375,10 @@ func TestEvalCacheCopiesObjectives(t *testing.T) {
 
 	// Entries are namespaced per space: the same index in another space
 	// misses and stays isolated.
-	w := cache.view("other-space")
-	if _, hit, _ := w.fetch(ctx, 7, func() []float64 { return []float64{8} }); hit {
+	if _, hit, _ := fetchOne(ctx, cache, "other-space", 7, func() []float64 { return []float64{8} }); hit {
 		t.Fatal("index leaked across space namespaces")
 	}
-	if back, _, _ := v.fetch(ctx, 7, nil); back[0] != 1 {
+	if back, _, _ := fetchOne(ctx, cache, "test-space", 7, nil); back[0] != 1 {
 		t.Fatalf("other-space store clobbered the entry: %v", back)
 	}
 	if cache.Len() != 2 {
@@ -416,17 +423,16 @@ func TestEvalCacheSingleflight(t *testing.T) {
 
 	// A waiter whose context is cancelled must not hang on the leader.
 	ctx, cancel := context.WithCancel(context.Background())
-	v := cache.view("sf-space")
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go v.fetch(context.Background(), 3, func() []float64 {
+	go fetchOne(context.Background(), cache, "sf-space", 3, func() []float64 {
 		close(started)
 		<-release
 		return []float64{1}
 	})
 	<-started
 	cancel()
-	if _, _, err := v.fetch(ctx, 3, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := fetchOne(ctx, cache, "sf-space", 3, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter err = %v, want context.Canceled", err)
 	}
 	close(release)

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/param"
 )
 
@@ -17,27 +21,27 @@ var errTest = errors.New("journal write failed")
 // would journal.
 type memRecorder struct {
 	mu      sync.Mutex
-	batches []RecordedBatch
+	batches []journal.Batch
 	fail    error // when non-nil, RecordBatch returns it
 }
 
-func (r *memRecorder) RecordBatch(b RecordedBatch) error {
+func (r *memRecorder) RecordBatch(b journal.Batch) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fail != nil {
 		return r.fail
 	}
 	cp := b
-	cp.Samples = append([]Sample(nil), b.Samples...)
+	cp.Samples = append([]journal.SampleRecord(nil), b.Samples...)
 	cp.Unmeasured = append([]int64(nil), b.Unmeasured...)
 	r.batches = append(r.batches, cp)
 	return nil
 }
 
-func (r *memRecorder) samples() []Sample {
+func (r *memRecorder) samples() []journal.SampleRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Sample
+	var out []journal.SampleRecord
 	for _, b := range r.batches {
 		out = append(out, b.Samples...)
 	}
@@ -101,6 +105,14 @@ func sampleKeys(samples []Sample) []int64 {
 	return out
 }
 
+func recordKeys(recs []journal.SampleRecord) []int64 {
+	out := make([]int64, len(recs))
+	for i, s := range recs {
+		out[i] = s.Index
+	}
+	return out
+}
+
 // A run resumed from a replay of any journaled prefix must be
 // byte-identical to the uninterrupted run — same sample order, same
 // objectives, same front — and must journal exactly the suffix it
@@ -116,7 +128,7 @@ func TestResumeReplayByteIdentical(t *testing.T) {
 		t.Fatalf("reference journaled %d batches; test needs ≥ 2", len(ref.batches))
 	}
 	refSamples := ref.samples()
-	if !reflect.DeepEqual(sampleKeys(refSamples), sampleKeys(refRes.Samples)) {
+	if !reflect.DeepEqual(recordKeys(refSamples), sampleKeys(refRes.Samples)) {
 		t.Fatal("journal order differs from result sample order")
 	}
 
@@ -155,8 +167,8 @@ func TestResumeReplayByteIdentical(t *testing.T) {
 		}
 		// The resumed run must have journaled exactly the measurements the
 		// reference made after the cut: replayed ones are never re-recorded.
-		wantSuffix := sampleKeys(refSamples[cut:])
-		gotSuffix := sampleKeys(rec.samples())
+		wantSuffix := recordKeys(refSamples[cut:])
+		gotSuffix := recordKeys(rec.samples())
 		if !reflect.DeepEqual(gotSuffix, wantSuffix) {
 			t.Fatalf("cut=%d: resumed run journaled %d samples, want the %d-sample suffix",
 				cut, len(gotSuffix), len(wantSuffix))
@@ -242,5 +254,92 @@ func TestJournalFailureFailsRun(t *testing.T) {
 	}
 	if res == nil || len(res.Samples) == 0 {
 		t.Error("measurements of the failed batch were discarded")
+	}
+}
+
+// fileRecorder journals to a real journal file, so a test can resume from
+// what actually reached the disk.
+type fileRecorder struct{ w *journal.Writer }
+
+func (r fileRecorder) RecordBatch(b journal.Batch) error { return r.w.Batch(b) }
+
+// sameSamples compares two sample lists to the bit: NaN objectives included,
+// which reflect.DeepEqual would call unequal to themselves.
+func sameSamples(a, b []Sample) bool {
+	return slices.EqualFunc(a, b, func(x, y Sample) bool {
+		return x.Index == y.Index && x.Iteration == y.Iteration && x.ActiveLearning == y.ActiveLearning &&
+			slices.EqualFunc(x.Objs, y.Objs, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+	})
+}
+
+// An invalid measurement (a NaN objective) is a measurement: it is journaled
+// and spilled as null, so a run that met some completes with both durable
+// layers on, replays from its on-disk journal to the same samples, invalid
+// set and front without one evaluator call, and finds the invalid entries
+// still memoized when the spill directory is reopened.
+func TestResumeAcrossNaNBatch(t *testing.T) {
+	space := resumeSpace(t)
+	dir := t.TempDir()
+	calls := 0
+	eval := EvaluatorFunc(func(cfg param.Config) []float64 {
+		calls++
+		objs := resumeEval().Evaluate(cfg)
+		if sum := cfg[0] + cfg[1]; sum > 3 && sum <= 4 {
+			objs[1] = math.NaN()
+		}
+		return objs
+	})
+	jpath := filepath.Join(dir, "journal.jsonl")
+	w, err := journal.Create(jpath, journal.Header{RunID: "nan"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewEvalCacheDir(filepath.Join(dir, "cache"))
+	opts := resumeOpts(nil)
+	opts.Workers = 1 // calls is a plain counter
+	opts.Journal = fileRecorder{w}
+	opts.Cache = cache
+	ref, err := Run(space, eval, opts)
+	if err != nil {
+		t.Fatalf("run with NaN objectives and both durable layers: %v", err)
+	}
+	if len(ref.Invalid) == 0 {
+		t.Fatal("no invalid measurement; the scenario is not exercised")
+	}
+	if n := cache.SpillErrors(); n != 0 {
+		t.Fatalf("%d spill errors: the NaN was not spilled", n)
+	}
+	w.Close()
+	cache.Close()
+
+	rec, err := journal.Recover(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls = 0
+	replayed := &memRecorder{}
+	opts = resumeOpts(replayed)
+	opts.Workers = 1
+	opts.Replay = rec.Replay()
+	res, err := Run(space, eval, opts)
+	if err != nil {
+		t.Fatalf("replaying the journal: %v", err)
+	}
+	if calls != 0 || len(replayed.batches) != 0 {
+		t.Errorf("full replay made %d evaluator calls and journaled %d batches, want none", calls, len(replayed.batches))
+	}
+	if !sameSamples(res.Samples, ref.Samples) || !sameSamples(res.Invalid, ref.Invalid) {
+		t.Error("replayed samples or invalid set differ from the original run")
+	}
+	if !reflect.DeepEqual(res.Front, ref.Front) {
+		t.Error("replayed front differs from the original run")
+	}
+
+	reopened := NewEvalCacheDir(filepath.Join(dir, "cache"))
+	defer reopened.Close()
+	inv := ref.Invalid[0]
+	objs, hit, err := fetchOne(context.Background(), reopened, SpaceFingerprint(space, 2), inv.Index, nil)
+	if err != nil || !hit || !math.IsNaN(objs[1]) || objs[0] != inv.Objs[0] {
+		t.Errorf("reopened spill served %v (hit=%v, err=%v) for the invalid entry %v", objs, hit, err, inv.Objs)
 	}
 }

@@ -35,15 +35,10 @@ func NewEvalCacheDir(dir string) *EvalCache {
 	return c
 }
 
-// spillHeader is the first line of a namespace spill file.
+// spillHeader is the first line of a namespace spill file; every later line
+// is one journal.SampleRecord, the same record a run journal's batch holds.
 type spillHeader struct {
 	Fingerprint string `json:"fingerprint"`
-}
-
-// spillRecord is one memoized measurement.
-type spillRecord struct {
-	Index int64     `json:"i"`
-	Objs  []float64 `json:"o"`
 }
 
 // spillPath maps a space fingerprint to its namespace file.
@@ -75,7 +70,7 @@ func (c *EvalCache) openSpill(fingerprint string, s *spaceCache) (*journal.Appen
 		if foreign {
 			return nil
 		}
-		var r spillRecord
+		var r journal.SampleRecord
 		if json.Unmarshal(line, &r) != nil {
 			return nil // schema drift: skip the record, keep the rest
 		}
@@ -107,7 +102,7 @@ func (c *EvalCache) openSpill(fingerprint string, s *spaceCache) (*journal.Appen
 // serialize unrelated runs); a failure disables the namespace's spill so
 // one sick disk degrades to memory-only caching instead of failing every
 // future batch.
-func (c *EvalCache) spill(s *spaceCache, recs []spillRecord) {
+func (c *EvalCache) spill(s *spaceCache, recs []journal.SampleRecord) {
 	if len(recs) == 0 {
 		return
 	}

@@ -153,8 +153,7 @@ func TestEvalCacheRemoveSpill(t *testing.T) {
 	dir := filepath.Join(base, "cache")
 	c := NewEvalCacheDir(dir)
 	space := spillSpace(t)
-	v := c.view(SpaceFingerprint(space, 1))
-	if _, _, err := v.fetch(context.Background(), 0, func() []float64 { return []float64{1} }); err != nil {
+	if _, _, err := fetchOne(context.Background(), c, SpaceFingerprint(space, 1), 0, func() []float64 { return []float64{1} }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(dir); err != nil {

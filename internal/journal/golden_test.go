@@ -1,0 +1,140 @@
+package journal
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+)
+
+// goldenRecovered is what testdata/golden.jsonl must recover to: a header,
+// the bootstrap batch, a degraded active-learning batch holding an invalid
+// measurement (a null objective) and two unmeasured indices, a shutdown
+// checkpoint and a done marker.
+func goldenRecovered() *Recovered {
+	stamp := time.Date(2024, 3, 9, 12, 0, 0, 0, time.UTC)
+	return &Recovered{
+		Header: Header{Version: 1, RunID: "run-000042", Problem: "kfusion/odroid", Fingerprint: "objs=2;size=64;seed=7", Seed: 7, Created: stamp},
+		Batches: []Batch{
+			{Iteration: 0, Samples: []SampleRecord{
+				{Index: 3, Objs: []float64{0.25, 41.5}},
+				{Index: 60, Objs: []float64{1e-09, 1.0 / 3}},
+			}},
+			{Iteration: 1, Active: true, Samples: []SampleRecord{
+				{Index: 17, Objs: []float64{math.NaN(), 12}},
+				{Index: 18, Objs: []float64{0, -2.5e+21}},
+			}, Unmeasured: []int64{5, 44}},
+		},
+		Checkpoints: []Checkpoint{{Reason: "shutdown", Samples: 4, Time: stamp.Add(90 * time.Second)}},
+		Done:        &Done{State: "failed", Error: "core: backend returned 2 results for a 4-configuration batch"},
+	}
+}
+
+// copyGolden copies a testdata journal into a scratch directory: Recover
+// truncates torn tails in place.
+func copyGolden(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// The committed journal is the on-disk format: today's reader must recover
+// it to the fixed value, with or without a torn tail after it, and today's
+// writer must produce it byte for byte — so a format drift fails here
+// instead of in somebody's resume.
+func TestGoldenJournal(t *testing.T) {
+	want := goldenRecovered()
+	for name, torn := range map[string]int64{"golden.jsonl": 0, "golden_torn.jsonl": 76} {
+		rec, err := Recover(copyGolden(t, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rec.TruncatedBytes != torn {
+			t.Errorf("%s: %d bytes truncated, want %d", name, rec.TruncatedBytes, torn)
+		}
+		rec.TruncatedBytes = 0
+		// Compared through JSON: a NaN is not reflect.DeepEqual to itself.
+		got, _ := json.Marshal(rec)
+		if wantJSON, _ := json.Marshal(want); !bytes.Equal(got, wantJSON) {
+			t.Errorf("%s recovered to\n%s\nwant\n%s", name, got, wantJSON)
+		}
+		if v := rec.Batches[1].Samples[0].Objs[0]; !math.IsNaN(v) {
+			t.Errorf("%s: null objective read back as %v, want NaN", name, v)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	w, err := Create(path, want.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range want.Batches {
+		if err := w.Batch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Checkpoint(want.Checkpoints[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Done(*want.Done); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	written, _ := os.ReadFile(path)
+	golden, _ := os.ReadFile(filepath.Join("testdata", "golden.jsonl"))
+	if !bytes.Equal(written, golden) {
+		t.Errorf("the writer produced\n%s\nwant testdata/golden.jsonl\n%s", written, golden)
+	}
+}
+
+// FuzzRecover feeds Recover arbitrary file contents. It must never panic,
+// and what it does recover must be a journal appending can continue on:
+// every returned batch can be appended again, and the file then recovers
+// with nothing left to truncate and every batch read back.
+func FuzzRecover(f *testing.F) {
+	for _, name := range []string{"golden.jsonl", "golden_torn.jsonl"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Recover(path)
+		if err != nil {
+			return
+		}
+		w, err := OpenAppendWriter(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range rec.Batches {
+			if err := w.Batch(b); err != nil {
+				t.Fatalf("recovered batch %d cannot be appended again: %v", i, err)
+			}
+		}
+		w.Close()
+		again, err := Recover(path)
+		if err != nil {
+			t.Fatalf("recovering the continued journal: %v", err)
+		}
+		if again.TruncatedBytes != 0 || len(again.Batches) != 2*len(rec.Batches) {
+			t.Fatalf("continued journal: %d bytes truncated, %d batches; want 0 and %d",
+				again.TruncatedBytes, len(again.Batches), 2*len(rec.Batches))
+		}
+	})
+}

@@ -28,6 +28,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/nanjson"
 )
 
 // Record types, the "t" discriminator of each journal line.
@@ -57,13 +59,16 @@ type Header struct {
 	Created     time.Time `json:"created"`
 }
 
-// SampleRecord is one measured configuration inside a batch: its
-// design-space index and objective vector. The configuration values are
-// not stored — the index decodes deterministically against the space, and
-// the header fingerprint pins the space.
+// SampleRecord is the one on-disk record of a measurement — a line of the
+// memo-cache spill, an entry of a journal batch: its design-space index
+// and objective vector. The configuration values are not stored — the
+// index decodes deterministically against the space, and the header
+// fingerprint pins the space. A non-finite objective (an invalid
+// configuration, see core.Result.Invalid) is written as null and read back
+// as NaN; an all-finite record is plain encoding/json, to the byte.
 type SampleRecord struct {
-	Index int64     `json:"i"`
-	Objs  []float64 `json:"o"`
+	Index int64          `json:"i"`
+	Objs  nanjson.Vector `json:"o"`
 }
 
 // Batch is one completed evaluation batch: the bootstrap (iteration 0) or

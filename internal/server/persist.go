@@ -141,29 +141,18 @@ func (m *Manager) persistTerminal(s *session) {
 	}
 }
 
-// sessionRecorder adapts a session's journal to the engine's BatchRecorder
-// hook: each measured batch — and any indices it tolerated away unmeasured
-// under MaxUnmeasuredFraction — is durably appended before the engine
-// proceeds. A successful append also flips a recovering session to running
-// — replayed batches are never re-journaled, so an append means the run is
+// RecordBatch implements core.BatchRecorder over the session's journal:
+// each measured batch — and any indices it tolerated away unmeasured under
+// MaxUnmeasuredFraction — is durably appended before the engine proceeds.
+// A successful append also flips a recovering session to running —
+// replayed batches are never re-journaled, so an append means the run is
 // past its recovered history and measuring live again.
-type sessionRecorder struct{ s *session }
-
-// RecordBatch implements core.BatchRecorder.
-func (r sessionRecorder) RecordBatch(batch core.RecordedBatch) error {
-	b := journal.Batch{
-		Iteration:  batch.Iteration,
-		Active:     batch.Active,
-		Unmeasured: batch.Unmeasured,
-	}
-	for _, s := range batch.Samples {
-		b.Samples = append(b.Samples, journal.SampleRecord{Index: s.Index, Objs: s.Objs})
-	}
-	if err := r.s.jw.Batch(b); err != nil {
+func (s *session) RecordBatch(b journal.Batch) error {
+	if err := s.jw.Batch(b); err != nil {
 		return err
 	}
-	r.s.journaled.Add(int64(len(batch.Samples)))
-	r.s.leaveRecovering()
+	s.journaled.Add(int64(len(b.Samples)))
+	s.leaveRecovering()
 	return nil
 }
 
@@ -354,7 +343,6 @@ func (m *Manager) resumeRun(s *session, meta runMeta) {
 	s.journaled.Store(int64(rec.Samples()))
 	opts.Replay = rec.Replay()
 	opts.ReplaySkips = rec.Skips()
-	opts.Journal = sessionRecorder{s}
 	m.run(s, opts)
 }
 

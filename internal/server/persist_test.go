@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -478,5 +479,50 @@ func TestPersistResumeTornJournalTail(t *testing.T) {
 	defer shutdownManager(t, m2)
 	if final := waitManagerTerminal(t, m2, st.ID); final.State != StateDone {
 		t.Fatalf("resumed run after torn tail: %s (%s)", final.State, final.Error)
+	}
+}
+
+// A run that measures an invalid configuration (a NaN objective) is as
+// durable as any other: the journal and the cache spill carry the NaN as
+// null, the run finishes, and resuming it from the bootstrap batch — which
+// holds such nulls — ends on the same front, byte for byte.
+func TestPersistNaNObjectiveResumes(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Resume: true, Logf: t.Logf}
+	problem := testProblem("toy", 0)
+	inner := problem.Eval
+	problem.Eval = core.EvaluatorFunc(func(cfg param.Config) []float64 {
+		objs := inner.Evaluate(cfg)
+		if sum := cfg[0] + cfg[1]; sum > 3 && sum <= 4 {
+			objs[0] = math.NaN()
+		}
+		return objs
+	})
+
+	m1 := NewManagerConfig(cfg, problem)
+	ts1 := httptest.NewServer(m1.Handler())
+	st := postRun(t, ts1, persistReq)
+	if final := waitTerminal(t, ts1, st.ID); final.State != StateDone {
+		t.Fatalf("run with NaN objectives: %s (%s)", final.State, final.Error)
+	}
+	front := getFrontBytes(t, ts1, st.ID)
+	ts1.Close()
+	shutdownManager(t, m1)
+
+	jpath := filepath.Join(dir, "runs", st.ID, "journal.jsonl")
+	if data, err := os.ReadFile(jpath); err != nil || !strings.Contains(string(data), `"o":[null,`) {
+		t.Fatalf("journal carries no null objective (err=%v); the scenario is not exercised", err)
+	}
+	truncateToFirstBatch(t, cfg, st.ID)
+
+	m2 := NewManagerConfig(cfg, problem)
+	ts2 := httptest.NewServer(m2.Handler())
+	defer ts2.Close()
+	defer shutdownManager(t, m2)
+	if final := waitTerminal(t, ts2, st.ID); final.State != StateDone {
+		t.Fatalf("resumed run: %s (%s)", final.State, final.Error)
+	}
+	if got := getFrontBytes(t, ts2, st.ID); got != front {
+		t.Errorf("resumed front differs from the uninterrupted one:\n resumed: %s\n original: %s", got, front)
 	}
 }

@@ -548,7 +548,6 @@ func (m *Manager) dispatch(s *session, t *sched.Ticket) {
 			m.end(s, t, fmt.Errorf("%w: %v", ErrStorage, err))
 			return
 		}
-		opts.Journal = sessionRecorder{s}
 	}
 	s.setRunning()
 	go func() {
@@ -559,8 +558,12 @@ func (m *Manager) dispatch(s *session, t *sched.Ticket) {
 
 // run is the one engine call in this package: fresh and dequeued sessions
 // reach it from dispatch, resumed ones from resumeRun with their journal
-// pre-loaded in opts.Replay / opts.ReplaySkips.
+// pre-loaded in opts.Replay / opts.ReplaySkips. Either way a session that
+// has a journal open records every batch to it.
 func (m *Manager) run(s *session, opts core.Options) {
+	if s.jw != nil {
+		opts.Journal = s
+	}
 	res, err := core.RunContext(s.runCtx, s.problem.Space, s.problem.Eval, opts)
 	s.finish(res, err)
 	m.persistTerminal(s)

@@ -18,8 +18,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 
+	"repro/internal/nanjson"
 	"repro/internal/param"
 )
 
@@ -48,58 +48,46 @@ type EvaluateResponse struct {
 
 // nullableResponse is EvaluateResponse's shape with room for the nulls.
 type nullableResponse struct {
-	Objectives [][]*float64 `json:"objectives"`
+	Objectives []nanjson.Vector `json:"objectives"`
 }
 
 // encodeObjectives renders an EvaluateResponse body. All-finite vectors —
 // every reply of most problems — take encoding/json's plain path; only
 // when that refuses a NaN or ±Inf is the body rebuilt with null in its
-// place.
+// place (nanjson.Vector, the rule the journal and the cache spill share).
 func encodeObjectives(objs [][]float64) ([]byte, error) {
 	body, err := json.Marshal(EvaluateResponse{Objectives: objs})
 	var nonFinite *json.UnsupportedValueError
 	if !errors.As(err, &nonFinite) {
 		return body, err
 	}
-	nullable := make([][]*float64, len(objs))
+	nullable := make([]nanjson.Vector, len(objs))
 	for i, row := range objs {
-		if row == nil {
-			continue // stays null, as the plain path writes it
-		}
-		nullable[i] = make([]*float64, len(row))
-		for j := range row {
-			if !math.IsNaN(row[j]) && !math.IsInf(row[j], 0) {
-				nullable[i][j] = &row[j]
-			}
-		}
+		nullable[i] = row
 	}
 	return json.Marshal(nullableResponse{Objectives: nullable})
 }
 
 // decodeObjectives parses a {"objectives": [[…], …]} body, reading a null
 // objective back as NaN: the receiving side of encodeObjectives, and how an
-// HTTP-bridged program marks a configuration invalid. encoding/json
-// decodes null into a float64 as "leave it 0", so a body that spells null
-// anywhere is decoded a second time to find which zeros those were; every
-// other body is decoded once, as plain float64s.
+// HTTP-bridged program marks a configuration invalid. Only a body that
+// spells null anywhere pays for nanjson.Vector's second look; every other
+// body is decoded once, as plain float64s.
 func decodeObjectives(body []byte) ([][]float64, error) {
+	if bytes.Contains(body, []byte("null")) {
+		var marked nullableResponse
+		if err := json.Unmarshal(body, &marked); err != nil {
+			return nil, err
+		}
+		out := make([][]float64, len(marked.Objectives))
+		for i, row := range marked.Objectives {
+			out[i] = row
+		}
+		return out, nil
+	}
 	var out EvaluateResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		return nil, err
-	}
-	if !bytes.Contains(body, []byte("null")) {
-		return out.Objectives, nil
-	}
-	var marked nullableResponse
-	if err := json.Unmarshal(body, &marked); err != nil {
-		return nil, err
-	}
-	for i, row := range marked.Objectives {
-		for j, v := range row {
-			if v == nil {
-				out.Objectives[i][j] = math.NaN()
-			}
-		}
 	}
 	return out.Objectives, nil
 }
