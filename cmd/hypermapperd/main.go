@@ -186,11 +186,7 @@ func main() {
 		DataDir:     *dataDir,
 		Resume:      *resume,
 		SpecLoader: func(data []byte) (server.Problem, error) {
-			p, err := catalog.FromSpecDataLogf(data, bridgeLogf)
-			if err != nil {
-				return server.Problem{}, err
-			}
-			return toServerProblem(p), nil
+			return catalog.FromSpecDataLogf(data, bridgeLogf)
 		},
 	}
 	if *dataDir != "" && !*quiet {
@@ -238,7 +234,7 @@ func main() {
 		cfg.EvalPool = pool
 	}
 
-	problems := buildProblems(reg)
+	problems := reg.Problems()
 	if *evalDelay > 0 {
 		for i := range problems {
 			problems[i].Eval = delayEval{inner: problems[i].Eval, d: *evalDelay}
@@ -280,26 +276,6 @@ func main() {
 	}
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "hypermapperd: http shutdown: %v\n", err)
-	}
-}
-
-// buildProblems maps the shared catalog registry onto the server's problem
-// type.
-func buildProblems(reg *catalog.Registry) []server.Problem {
-	var out []server.Problem
-	for _, p := range reg.Problems() {
-		out = append(out, toServerProblem(p))
-	}
-	return out
-}
-
-func toServerProblem(p catalog.Problem) server.Problem {
-	return server.Problem{
-		Name:        p.Name,
-		Description: p.Description,
-		Space:       p.Space,
-		Eval:        p.Eval,
-		Objectives:  p.Objectives,
 	}
 }
 

@@ -234,7 +234,6 @@ func run(cfg config, out io.Writer) (*report, error) {
 // startEmbedded boots a real daemon — manager, scheduler, HTTP server — on
 // a loopback port, serving the dataset-free synthetic problem.
 func startEmbedded(cfg config) (base string, shutdown func(), err error) {
-	p := catalog.Synthetic()
 	mgr := server.NewManagerConfig(server.Config{
 		Shards:          64,
 		MaxSessions:     20_000,
@@ -248,13 +247,7 @@ func startEmbedded(cfg config) (base string, shutdown func(), err error) {
 			},
 			CoalesceWindow: cfg.CoalesceWindow,
 		},
-	}, server.Problem{
-		Name:        p.Name,
-		Description: p.Description,
-		Space:       p.Space,
-		Eval:        p.Eval,
-		Objectives:  p.Objectives,
-	})
+	}, catalog.Synthetic())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err

@@ -18,13 +18,18 @@ import (
 )
 
 // Problem is one named optimization target, daemon-agnostic: hypermapperd
-// maps it onto server.Problem, hypermapper-worker registers it as a
-// worker.Problem.
+// registers it as is (server.Problem is an alias of this type),
+// hypermapper-worker registers it as a worker.Problem.
 type Problem struct {
-	Name        string
+	// Name identifies the problem in run requests and, under a remote
+	// evaluation pool, on the workers — both sides must use one name.
+	Name string
+	// Description is the human-readable GET /problems summary.
 	Description string
-	Space       *param.Space
-	Eval        core.Evaluator
+	// Space is the design space explored.
+	Space *param.Space
+	// Eval measures one configuration in-process.
+	Eval core.Evaluator
 	// Objectives names the evaluator's outputs, in order; its length is
 	// the objective count.
 	Objectives []string

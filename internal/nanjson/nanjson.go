@@ -4,7 +4,10 @@
 // so it is written as null and read back as NaN. The worker wire protocol,
 // the run journal and the memo-cache spill all carry vectors through
 // Vector, so a measurement that was invalid in memory is the same invalid
-// measurement on the wire and on disk.
+// measurement on the wire and on disk. The daemon's progress events carry
+// their legitimately undefined numbers (an OOB error with no out-of-bag
+// sample, a hypervolume before any valid measurement) the same way, through
+// Vector and its scalar sibling Float.
 package nanjson
 
 import (
@@ -61,4 +64,26 @@ func (v *Vector) UnmarshalJSON(body []byte) error {
 	}
 	*v = plain
 	return nil
+}
+
+// Float is the scalar sibling of Vector: one float64 with the same
+// null ⇄ NaN JSON form.
+type Float float64
+
+// MarshalJSON implements json.Marshaler: encoding/json's float64 form, or
+// null for NaN and ±Inf.
+func (f Float) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
+}
+
+// UnmarshalJSON implements json.Unmarshaler, reading null back as NaN.
+func (f *Float) UnmarshalJSON(body []byte) error {
+	if bytes.Equal(body, []byte("null")) {
+		*f = Float(math.NaN())
+		return nil
+	}
+	return json.Unmarshal(body, (*float64)(f))
 }

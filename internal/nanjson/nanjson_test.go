@@ -62,3 +62,47 @@ func TestVectorJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestFloatJSON pins the scalar null mapping both ways.
+func TestFloatJSON(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		json string
+	}{
+		{math.NaN(), "null"}, {math.Inf(1), "null"}, {math.Inf(-1), "null"},
+		{2.5, "2.5"}, {0, "0"}, {1e-5, "0.00001"}, {2.5e6, "2500000"}, {1e-7, "1e-7"},
+	} {
+		body, err := json.Marshal(Float(tc.f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != tc.json {
+			t.Errorf("Float(%v) marshalled %s, want %s", tc.f, body, tc.json)
+		}
+		var back Float
+		if err := json.Unmarshal(body, &back); err != nil {
+			t.Fatal(err)
+		}
+		want := tc.f
+		if tc.json == "null" {
+			want = math.NaN() // non-finite ⇒ undefined has one marker
+		}
+		if math.Float64bits(float64(back)) != math.Float64bits(want) {
+			t.Errorf("%s read back as %v, want %v to the bit", body, float64(back), want)
+		}
+	}
+	// The spellings the daemon's events used before they went through
+	// encoding/json must still load from an old result.json.
+	for old, want := range map[string]float64{"1e-05": 1e-5, "2.5e+06": 2.5e6, "1e-07": 1e-7} {
+		var f Float
+		if err := json.Unmarshal([]byte(old), &f); err != nil || float64(f) != want {
+			t.Errorf("%s read as %v (%v), want %v", old, float64(f), err, want)
+		}
+	}
+	var f Float
+	for _, bad := range []string{`"x"`, `[1]`, `1e999`} {
+		if err := json.Unmarshal([]byte(bad), &f); err == nil {
+			t.Errorf("%s decoded without error, as %v", bad, float64(f))
+		}
+	}
+}

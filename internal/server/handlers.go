@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/worker"
 )
@@ -209,26 +208,14 @@ func (m *Manager) Handler() http.Handler {
 			return
 		}
 		s.mu.Lock()
-		res, state, stored := s.result, s.state, s.stored
+		state, rec := s.state, s.record
 		s.mu.Unlock()
-		if res == nil && stored != nil {
-			// Restored after a restart: the live result did not survive the
-			// process, but the persisted front did.
-			if stored.Front == nil {
-				writeError(w, http.StatusConflict,
-					fmt.Errorf("run is %s; no front was persisted", state))
-				return
-			}
-			writeJSON(w, http.StatusOK, stored.Front)
+		if rec == nil || rec.Front == nil {
+			// Still running, or ended without ever reaching the engine.
+			writeError(w, http.StatusConflict, fmt.Errorf("run is %s; no front available", state))
 			return
 		}
-		if res == nil {
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("run is %s; front not available yet", state))
-			return
-		}
-		sf := core.NewStoredFront(s.problem.Space, res, s.problem.Name, "", s.problem.Objectives)
-		writeJSON(w, http.StatusOK, sf)
+		writeJSON(w, http.StatusOK, rec.Front)
 	})
 
 	mux.HandleFunc("GET /runs/{id}/events", func(w http.ResponseWriter, r *http.Request) {

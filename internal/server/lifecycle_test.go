@@ -11,10 +11,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/param"
 	"repro/internal/sched"
 )
 
@@ -276,6 +279,48 @@ func TestBoundedMemoryUnderChurn(t *testing.T) {
 	}
 }
 
+// A retained session holds its terminal record — status, progress events,
+// front — and nothing of the engine's result: not the samples, not their
+// configurations, and not the final forests, which are by far the largest
+// part (a session that pinned its *core.Result measured 74 KiB here, against
+// 4 KiB for the record).
+func TestRetainedSessionHeap(t *testing.T) {
+	const (
+		sessions = 32
+		bound    = 16 << 10 // bytes of live heap per retained session
+	)
+	mgr := NewManager(testProblem("toy", 0))
+	defer shutdownManager(t, mgr)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a second cycle frees what the first one's finalizers released
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	req := persistReq
+	req.NoCache = true // the shared memo-cache is the problem's, not a session's
+	start := liveHeap()
+	for i := range sessions {
+		req.Seed = int64(i + 1)
+		st, err := mgr.Start(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitManagerTerminal(t, mgr, st.ID); final.State != StateDone {
+			t.Fatalf("run %s = %s (%s)", st.ID, final.State, final.Error)
+		}
+	}
+	if got := mgr.Stats().Terminal; got != sessions {
+		t.Fatalf("%d terminal sessions retained, want %d", got, sessions)
+	}
+	per := (int64(liveHeap()) - int64(start)) / sessions
+	t.Logf("live heap per retained session: %d bytes", per)
+	if per > bound {
+		t.Errorf("a retained session holds %d bytes of live heap, want ≤ %d", per, bound)
+	}
+}
+
 func TestEmptyCollectionsMarshalAsArrays(t *testing.T) {
 	// Strict clients reject null where a collection is expected: an empty
 	// problem registry and a pre-first-event status must both say [].
@@ -335,8 +380,57 @@ type endingEnv struct {
 
 func newEndingEnv(cfg Config) *endingEnv {
 	e := &endingEnv{cfg: cfg, gate: make(chan struct{})}
-	e.m = NewManagerConfig(cfg, gatedProblem("toy", e.gate))
+	// "broken" measures nothing: once the gate opens its runs fail in the
+	// bootstrap, inside the engine.
+	broken := gatedProblem("broken", e.gate)
+	broken.Eval = core.EvaluatorFunc(func(param.Config) []float64 {
+		<-e.gate
+		return nil
+	})
+	e.m = NewManagerConfig(cfg, gatedProblem("toy", e.gate), broken)
 	return e
+}
+
+// served is what a client reads of a run: the status code and body of
+// GET /runs/{id} and of GET /runs/{id}/front.
+func (e *endingEnv) served(t *testing.T, id string) [2]string {
+	t.Helper()
+	ts := httptest.NewServer(e.m.Handler())
+	defer ts.Close()
+	var out [2]string
+	for i, path := range []string{"/runs/" + id, "/runs/" + id + "/front"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = fmt.Sprintf("%d %s", resp.StatusCode, body)
+	}
+	return out
+}
+
+// wantAfterRestart starts a second manager on the (shut down) first one's
+// directory. A run whose ending was persisted must read there exactly as it
+// read before — status and front, byte for byte; one that ended without
+// ever reaching the disk is gone.
+func (e *endingEnv) wantAfterRestart(t *testing.T, id string, before [2]string, persisted bool) {
+	t.Helper()
+	r := newEndingEnv(e.cfg)
+	close(r.gate)
+	defer r.shutdown(t)
+	after := r.served(t, id)
+	for i, what := range []string{"status", "front"} {
+		switch {
+		case persisted && after[i] != before[i]:
+			t.Errorf("%s of %s after a restart:\n%s\nbefore it:\n%s", what, id, after[i], before[i])
+		case !persisted && !strings.HasPrefix(after[i], "404 "):
+			t.Errorf("%s of %s, which left no directory, after a restart: %s", what, id, after[i])
+		}
+	}
 }
 
 // submit starts one run and reports whether it queued: behind a held slot
@@ -417,8 +511,28 @@ var sessionEndings = []struct {
 		if final := waitManagerTerminal(t, e.m, st.ID); final.State != StateDone {
 			t.Errorf("final state = %s (%s)", final.State, final.Error)
 		}
+		before := e.served(t, st.ID)
+		if !strings.HasPrefix(before[1], "200 ") {
+			t.Errorf("front of a finished run: %s", before[1])
+		}
 		e.shutdown(t)
 		e.wantDir(t, st.ID, true)
+		e.wantAfterRestart(t, st.ID, before, true)
+	}},
+	{"failed in the engine", func(t *testing.T, e *endingEnv) {
+		req := schedReq
+		req.Problem = "broken"
+		st, err := e.m.Start(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(e.gate)
+		if final := waitManagerTerminal(t, e.m, st.ID); final.State != StateFailed || final.Error == "" {
+			t.Errorf("final state = %s (%q), want failed with its reason", final.State, final.Error)
+		}
+		before := e.served(t, st.ID)
+		e.shutdown(t)
+		e.wantAfterRestart(t, st.ID, before, true)
 	}},
 	{"queued then shutdown-dropped", func(t *testing.T, e *endingEnv) {
 		e.submit(t) // holds the slot
@@ -427,6 +541,8 @@ var sessionEndings = []struct {
 		if queued {
 			// Dropped from the queue before any live run drained.
 			waitState(t, e.m, st.ID, StateCancelled)
+		} else {
+			<-e.m.baseCtx.Done() // cancelled mid-evaluation, not finished
 		}
 		close(e.gate)
 		e.awaitShutdown(t, done)
@@ -434,6 +550,11 @@ var sessionEndings = []struct {
 			t.Errorf("final state = %s, want cancelled", final.State)
 		}
 		e.wantDir(t, st.ID, !queued)
+		if queued {
+			// (Cancelled mid-run by the shutdown it stays resumable instead;
+			// the "resumed" row restarts that one.)
+			e.wantAfterRestart(t, st.ID, [2]string{}, false)
+		}
 	}},
 	{"queued then DELETEd", func(t *testing.T, e *endingEnv) {
 		e.submit(t)
@@ -446,8 +567,12 @@ var sessionEndings = []struct {
 		if final := waitManagerTerminal(t, e.m, st.ID); final.State != StateCancelled {
 			t.Errorf("final state = %s, want cancelled", final.State)
 		}
+		before := e.served(t, st.ID)
 		e.shutdown(t)
 		e.wantDir(t, st.ID, !queued)
+		// Cancelled mid-run (admitted at once, DELETEd behind the gate), the
+		// ending is on disk; cancelled in the queue, nothing is.
+		e.wantAfterRestart(t, st.ID, before, !queued)
 	}},
 	{"dispatch after Shutdown began", func(t *testing.T, e *endingEnv) {
 		e.submit(t)
@@ -465,8 +590,10 @@ var sessionEndings = []struct {
 		if final := waitManagerTerminal(t, e.m, st.ID); final.State != want {
 			t.Errorf("final state = %s, want %s", final.State, want)
 		}
+		before := e.served(t, st.ID)
 		e.shutdown(t)
 		e.wantDir(t, st.ID, !queued)
+		e.wantAfterRestart(t, st.ID, before, !queued)
 	}},
 	{"storage failure at submission", func(t *testing.T, e *endingEnv) {
 		// Admitted inside Submit on both configs: the client gets a 500 and
@@ -507,6 +634,13 @@ var sessionEndings = []struct {
 			if final.State != StateFailed || !strings.Contains(final.Error, ErrStorage.Error()) {
 				t.Errorf("dequeued run = %s (%q), want failed with a storage error", final.State, final.Error)
 			}
+			before := e.served(t, st.ID)
+			if !strings.HasPrefix(before[1], "409 ") {
+				t.Errorf("front of a run refused at dispatch: %s", before[1])
+			}
+			e.shutdown(t)
+			e.wantAfterRestart(t, st.ID, before, false)
+			return
 		}
 		e.shutdown(t)
 	}},
@@ -531,7 +665,9 @@ var sessionEndings = []struct {
 		if sc := r.m.Stats().Sched; sc.Submitted != 0 {
 			t.Errorf("resumed run went through admission: %+v", sc)
 		}
+		before := r.served(t, st.ID)
 		r.shutdown(t)
+		r.wantAfterRestart(t, st.ID, before, true)
 	}},
 }
 

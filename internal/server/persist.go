@@ -41,8 +41,12 @@ type runMeta struct {
 	Request RunRequest `json:"request"`
 }
 
-// storedResult is result.json: everything a restarted daemon needs to keep
-// serving a finished run's status and front without the live result.
+// storedResult is a session's terminal record — the status it ended with,
+// when, and its front (nil when the run never produced a result) — and,
+// marshalled as is, result.json. session.finish builds it once; from then
+// on the same value is what GET /runs/{id} and /front answer with, what
+// persistTerminal writes and what a restarted daemon reads back, so a
+// client reads the same bytes before and after a restart.
 type storedResult struct {
 	Status   RunStatus         `json:"status"`
 	Finished time.Time         `json:"finished"`
@@ -113,31 +117,28 @@ func (m *Manager) persistStart(s *session, fingerprint string) error {
 }
 
 // persistTerminal runs after a session's engine goroutine finishes: it
-// journals the terminal marker and writes result.json — unless the run was
-// stopped by daemon shutdown, in which case the journal keeps only its
-// shutdown checkpoint and the directory stays in the interrupted
-// (resumable) shape. A user DELETE is different: it persists as terminal,
-// so a restart cannot resurrect a run its owner ended.
-func (m *Manager) persistTerminal(s *session) {
-	if m.cfg.DataDir == "" || s.jw == nil {
+// journals the terminal marker and writes the session's record as
+// result.json — unless the run was stopped by daemon shutdown, in which
+// case the journal keeps only its shutdown checkpoint and the directory
+// stays in the interrupted (resumable) shape. A user DELETE is different:
+// it persists as terminal, so a restart cannot resurrect a run its owner
+// ended.
+func (m *Manager) persistTerminal(s *session, rec *storedResult) {
+	if s.jw == nil {
 		return
 	}
 	defer s.closeJournal()
-	state, finished := s.terminalInfo()
-	if state == StateCancelled && m.isClosed() {
+	if rec.Status.State == StateCancelled && m.isClosed() {
 		return // graceful shutdown: leave the run resumable
 	}
-	st := s.status()
-	_ = s.jw.Done(journal.Done{State: string(state), Error: st.Error})
-	res := storedResult{Status: st, Finished: finished}
-	s.mu.Lock()
-	r := s.result
-	s.mu.Unlock()
-	if r != nil {
-		res.Front = core.NewStoredFront(s.problem.Space, r, s.problem.Name, "", s.problem.Objectives)
-	}
-	if err := journal.WriteJSONAtomic(filepath.Join(m.runDir(s.id), "result.json"), &res); err != nil {
-		m.logf("run %s: persisting result: %v", s.id, err)
+	_ = s.jw.Done(journal.Done{State: string(rec.Status.State), Error: rec.Status.Error})
+	m.writeResult(s.id, rec)
+}
+
+// writeResult writes a terminal record as the run's result.json.
+func (m *Manager) writeResult(id string, rec *storedResult) {
+	if err := journal.WriteJSONAtomic(filepath.Join(m.runDir(id), "result.json"), rec); err != nil {
+		m.logf("run %s: persisting result: %v", id, err)
 	}
 }
 
@@ -184,12 +185,21 @@ func (m *Manager) restoreDataDir() []runMeta {
 			m.logf("run %s: unreadable meta.json, skipping: %v", id, err)
 			continue
 		}
+		if meta.ID != id || meta.Seq != seq {
+			// The store and eviction key a session by its id: one built from
+			// this meta would shadow, and on eviction unlink, another run.
+			m.logf("run %s: meta.json names %s (seq %d), skipping", id, meta.ID, meta.Seq)
+			continue
+		}
 		maxSeq = max(maxSeq, seq)
-		var res storedResult
-		err := journal.ReadJSON(filepath.Join(dir, "result.json"), &res)
+		var rec storedResult
+		err := journal.ReadJSON(filepath.Join(dir, "result.json"), &rec)
+		if err == nil && !rec.Status.State.Terminal() {
+			err = fmt.Errorf("stored state %q is not terminal", rec.Status.State)
+		}
 		switch {
 		case err == nil:
-			m.restoreTerminal(meta, &res)
+			m.restoreTerminal(meta, &rec)
 		case errors.Is(err, os.ErrNotExist):
 			interrupted = append(interrupted, meta)
 		default:
@@ -205,31 +215,15 @@ func (m *Manager) restoreDataDir() []runMeta {
 	return interrupted
 }
 
-// restoreTerminal places a finished run back in the store from its
-// persisted artifacts.
-func (m *Manager) restoreTerminal(meta runMeta, res *storedResult) {
-	finished := res.Finished
-	if finished.IsZero() {
-		finished = time.Now()
+// restoreTerminal places a finished run back in the store under the record
+// it persisted.
+func (m *Manager) restoreTerminal(meta runMeta, rec *storedResult) {
+	if rec.Finished.IsZero() {
+		rec.Finished = time.Now()
 	}
-	s := &session{
-		id:       meta.ID,
-		seq:      meta.Seq,
-		problem:  Problem{Name: meta.Problem},
-		created:  meta.Created,
-		cancel:   func() {},
-		req:      meta.Request,
-		state:    res.Status.State,
-		finished: finished,
-		events:   res.Status.Iterations,
-		stored:   res,
-	}
-	if p, ok := m.problem(meta.Problem); ok {
-		s.problem = p
-	}
-	if res.Status.Error != "" {
-		s.err = errors.New(res.Status.Error)
-	}
+	s := m.newSession(meta, StateRecovering)
+	s.settle(rec)
+	s.cancel()
 	m.store.Put(s)
 }
 
@@ -237,20 +231,9 @@ func (m *Manager) restoreTerminal(meta runMeta, res *storedResult) {
 // its directory — a later restart under a fixed configuration can still
 // resume it.
 func (m *Manager) restoreFailed(meta runMeta, err error) {
-	s := &session{
-		id:       meta.ID,
-		seq:      meta.Seq,
-		problem:  Problem{Name: meta.Problem},
-		created:  meta.Created,
-		cancel:   func() {},
-		req:      meta.Request,
-		state:    StateFailed,
-		finished: time.Now(),
-		err:      err,
-	}
-	if p, ok := m.problem(meta.Problem); ok {
-		s.problem = p
-	}
+	s := m.newSession(meta, StateRecovering)
+	s.finish(nil, err)
+	s.cancel()
 	m.store.Put(s)
 }
 
@@ -272,39 +255,25 @@ func (m *Manager) failInterrupted(metas []runMeta) {
 func (m *Manager) resumeInterrupted(metas []runMeta) {
 	m.recovering.Add(int64(len(metas)))
 	for _, meta := range metas {
-		ctx, cancel := context.WithCancel(m.baseCtx)
-		s := &session{
-			id:      meta.ID,
-			seq:     meta.Seq,
-			problem: Problem{Name: meta.Problem},
-			created: meta.Created,
-			cancel:  cancel,
-			runCtx:  ctx,
-			req:     meta.Request,
-			state:   StateRecovering,
-		}
+		s := m.newSession(meta, StateRecovering)
 		s.recoverDone = func() { m.recovering.Add(-1) }
-		if p, ok := m.problem(meta.Problem); ok {
-			s.problem = p
-		}
 		m.store.Put(s)
 		m.wg.Add(1)
-		go m.resumeRun(s, meta)
+		go m.resumeRun(s)
 	}
 }
 
 // resumeRun replays one interrupted run's journal through the engine and
 // continues it from the first unmeasured configuration. It holds no
 // scheduler slot: recovery must never wait behind queued work.
-func (m *Manager) resumeRun(s *session, meta runMeta) {
+func (m *Manager) resumeRun(s *session) {
 	defer m.release(s, nil)
 	fail := func(err error) {
 		m.logf("resume %s: %v", s.id, err)
 		s.finish(nil, err)
 	}
-	p := s.problem // looked up when the session was built; run uses the same one
-	if p.Space == nil {
-		fail(fmt.Errorf("%w: %q (re-register it and restart to resume)", ErrUnknownProblem, meta.Problem))
+	if s.problem.Space == nil {
+		fail(fmt.Errorf("%w: %q (re-register it and restart to resume)", ErrUnknownProblem, s.problem.Name))
 		return
 	}
 	rec, err := journal.Recover(m.journalPath(s.id))
@@ -315,19 +284,15 @@ func (m *Manager) resumeRun(s *session, meta runMeta) {
 	if rec.TruncatedBytes > 0 {
 		m.logf("resume %s: dropped a %d-byte torn journal tail", s.id, rec.TruncatedBytes)
 	}
-	cache, _ := m.Cache(meta.Problem)
-	if meta.Request.NoCache {
-		cache = nil
-	}
-	opts := m.buildOpts(p, meta.Request, cache, s)
-	if fp := core.RunFingerprint(p.Space, opts); fp != rec.Header.Fingerprint {
+	opts := m.buildOpts(s)
+	if fp := core.RunFingerprint(s.problem.Space, opts); fp != rec.Header.Fingerprint {
 		fail(fmt.Errorf("journal fingerprint mismatch (journal %q, relaunch %q); refusing to replay", rec.Header.Fingerprint, fp))
 		return
 	}
 	if rec.Done != nil && rec.Done.State != string(StateDone) {
 		// The run was cancelled or failed but crashed before result.json:
 		// persist the terminal state now instead of resurrecting the run.
-		m.restoreDone(s, rec)
+		m.restoreDone(s, rec.Done)
 		return
 	}
 	// A journal with a done(done) marker replays to the identical finished
@@ -348,30 +313,12 @@ func (m *Manager) resumeRun(s *session, meta runMeta) {
 
 // restoreDone finalizes a run whose journal already carries a non-done
 // terminal marker (cancelled or failed) but whose result.json was lost to
-// the crash: the terminal status is rebuilt from the journal and persisted
-// so the next restart restores it directly.
-func (m *Manager) restoreDone(s *session, rec *journal.Recovered) {
-	st := RunStatus{
-		ID:         s.id,
-		Problem:    s.problem.Name,
-		State:      State(rec.Done.State),
-		Created:    s.created,
-		Samples:    rec.Samples(),
-		Error:      rec.Done.Error,
-		Iterations: []IterationEvent{},
+// the crash: the session ends the way the marker says and its record is
+// persisted, so the next restart restores it directly.
+func (m *Manager) restoreDone(s *session, done *journal.Done) {
+	err := context.Canceled
+	if done.State != string(StateCancelled) {
+		err = errors.New(done.Error)
 	}
-	res := &storedResult{Status: st, Finished: time.Now()}
-	s.mu.Lock()
-	s.stored = res
-	s.state = st.State
-	s.finished = res.Finished
-	if st.Error != "" {
-		s.err = errors.New(st.Error)
-	}
-	s.wakeLocked()
-	s.mu.Unlock()
-	s.recoverExit()
-	if err := journal.WriteJSONAtomic(filepath.Join(m.runDir(s.id), "result.json"), res); err != nil {
-		m.logf("run %s: persisting restored result: %v", s.id, err)
-	}
+	m.writeResult(s.id, s.finish(nil, err))
 }

@@ -214,6 +214,119 @@ func TestPersistEvictionUnlinksAndSurvivesRestart(t *testing.T) {
 	}
 }
 
+// finishedRuns runs n requests to completion on a durable manager over dir,
+// shuts it down, and returns their ids: the disk state the hostile-input
+// tests below tamper with.
+func finishedRuns(t *testing.T, dir string, n int) []string {
+	t.Helper()
+	m := NewManagerConfig(Config{DataDir: dir}, testProblem("toy", 0))
+	ids := make([]string, n)
+	for i := range ids {
+		st, err := m.Start(persistReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitManagerTerminal(t, m, st.ID); final.State != StateDone {
+			t.Fatalf("run %s = %s (%s)", st.ID, final.State, final.Error)
+		}
+		ids[i] = st.ID
+	}
+	shutdownManager(t, m)
+	return ids
+}
+
+// A result.json whose state is not a terminal one must not restore a
+// session that can never end — never evicted, counted as running, its
+// /events stream open forever. It is an unreadable result: the run comes
+// back failed and its directory stays.
+func TestPersistRestoreRejectsNonTerminalStoredState(t *testing.T) {
+	for _, state := range []State{StateRunning, StateQueued, StateRecovering, "", "finished"} {
+		t.Run(string(state), func(t *testing.T) {
+			dir := t.TempDir()
+			id := finishedRuns(t, dir, 1)[0]
+			path := filepath.Join(dir, "runs", id, "result.json")
+			var rec storedResult
+			if err := journal.ReadJSON(path, &rec); err != nil {
+				t.Fatal(err)
+			}
+			rec.Status.State = state
+			if err := journal.WriteJSONAtomic(path, &rec); err != nil {
+				t.Fatal(err)
+			}
+
+			m := NewManagerConfig(Config{DataDir: dir, Resume: true}, testProblem("toy", 0))
+			defer shutdownManager(t, m)
+			s, ok := m.Get(id)
+			if !ok {
+				t.Fatal("run gone after restart")
+			}
+			if st := s.status(); st.State != StateFailed || !strings.Contains(st.Error, "not terminal") {
+				t.Errorf("restored as %s (%q), want failed over the stored state", st.State, st.Error)
+			}
+			if _, _, terminal := s.eventsSince(0); !terminal {
+				t.Error("the restored session's event stream would never end")
+			}
+			if st := m.Stats(); st.Terminal != 1 || st.Running != 0 || st.Queued != 0 {
+				t.Errorf("stats count it as %d terminal / %d running / %d queued", st.Terminal, st.Running, st.Queued)
+			}
+			if !runDirExists(t, dir, id) {
+				t.Error("run directory removed")
+			}
+		})
+	}
+}
+
+// A run directory is restored under its own name only. One whose meta.json
+// names another run would shadow that run in the store, and evicting it
+// would unlink the other's directory.
+func TestPersistRestoreSkipsMismatchedMeta(t *testing.T) {
+	dir := t.TempDir()
+	ids := finishedRuns(t, dir, 2)
+	impostor, victim := ids[0], ids[1]
+	meta, err := os.ReadFile(filepath.Join(dir, "runs", victim, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "runs", impostor, "meta.json"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Without a result.json the impostor reads as an interrupted run: built
+	// from its meta.json it would replace the victim's done record.
+	if err := os.Remove(filepath.Join(dir, "runs", impostor, "result.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged []string
+	cfg := Config{DataDir: dir, MaxSessions: 1, JanitorInterval: time.Hour,
+		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }}
+	m := NewManagerConfig(cfg, testProblem("toy", 0))
+	defer shutdownManager(t, m)
+	if _, ok := m.Get(impostor); ok {
+		t.Errorf("%s restored from a meta.json that names %s", impostor, victim)
+	}
+	s, ok := m.Get(victim)
+	if !ok {
+		t.Fatalf("%s lost", victim)
+	}
+	if st := s.status(); st.State != StateDone {
+		t.Errorf("%s restored as %s (%q), want its own done record", victim, st.State, st.Error)
+	}
+	if n := len(m.Statuses()); n != 1 {
+		t.Errorf("%d sessions restored, want 1", n)
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], impostor) || !strings.Contains(logged[0], victim) {
+		t.Errorf("skip not logged with both names: %q", logged)
+	}
+	// Evicting the victim unlinks its own directory and nothing else.
+	if !m.store.Delete(victim) {
+		t.Fatal("delete missed")
+	}
+	if runDirExists(t, dir, victim) || !runDirExists(t, dir, impostor) {
+		t.Errorf("after evicting %s: its directory exists = %v, %s's = %v", victim,
+			runDirExists(t, dir, victim), impostor, runDirExists(t, dir, impostor))
+	}
+}
+
 // A user DELETE persists as terminal: the cancelled run must not restart
 // as running (or recovering) after a daemon restart.
 func TestPersistUserCancelStaysCancelled(t *testing.T) {

@@ -22,11 +22,18 @@
 // Sessions over the same problem share one evaluator memo-cache, so
 // repeated explorations of a space skip re-measurement.
 //
+// A session that has ended is one value, its terminal record
+// (storedResult: final status, finish time, stored front). session.finish
+// builds it once from what the engine returned and drops the result; the
+// status and front endpoints serve it, the durability layer writes it as
+// result.json, and a restarted daemon reads it back as the same value.
+//
 // The package splits along its layers: this file owns the Manager
-// (registry, session launch, lifecycle policy), session.go the per-session
-// state machine, store.go the sharded SessionStore and eviction,
-// persist.go the data-directory durability layer (journals, crash-safe
-// resume, persisted results), and handlers.go the HTTP surface.
+// (registry, session construction and launch, lifecycle policy), session.go
+// the per-session state machine, store.go the sharded SessionStore and
+// eviction, persist.go the data-directory durability layer (journals,
+// crash-safe resume, the persisted record), and handlers.go the HTTP
+// surface.
 package server
 
 import (
@@ -41,31 +48,18 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/param"
 	"repro/internal/sched"
 	"repro/internal/worker"
 )
 
-// Problem is one named optimization target: a design space plus an
-// evaluator. Evaluators must be safe for concurrent use; one problem can
-// back many simultaneous sessions.
-type Problem struct {
-	// Name identifies the problem in run requests (and, under a remote
-	// evaluation pool, on the workers — both sides must use one name).
-	Name string
-	// Description is the human-readable GET /problems summary.
-	Description string
-	// Space is the design space explored.
-	Space *param.Space
-	// Eval measures one configuration in-process. With a remote
-	// evaluation pool configured it is bypassed, but the space is still
-	// needed locally for sampling, encoding, and validation.
-	Eval core.Evaluator
-	// Objectives names the evaluator's outputs, in order; its length is
-	// the objective count passed to the engine.
-	Objectives []string
-}
+// Problem is the catalog's problem type: the daemon registers what the
+// catalog builds, as is. Evaluators must be safe for concurrent use; one
+// problem can back many simultaneous sessions. Under a remote evaluation
+// pool Eval is bypassed (the name identifies the problem on the workers),
+// but Space is still needed locally for sampling, encoding and validation.
+type Problem = catalog.Problem
 
 // StrategyRequest selects the search-strategy pipeline for one run. The
 // zero value is the paper-faithful default on every axis — uniform
@@ -424,14 +418,6 @@ func (m *Manager) newCache(problem string) *core.EvalCache {
 	return core.NewEvalCacheDir(filepath.Join(m.cfg.DataDir, "cache", cacheDirName(problem)))
 }
 
-// problem looks up one registered problem.
-func (m *Manager) problem(name string) (Problem, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.problems[name]
-	return p, ok
-}
-
 // isClosed reports whether Shutdown has begun.
 func (m *Manager) isClosed() bool {
 	m.mu.Lock()
@@ -479,30 +465,20 @@ func (m *Manager) Start(req RunRequest) (RunStatus, error) {
 		m.mu.Unlock()
 		return RunStatus{}, ErrShuttingDown
 	}
-	p, ok := m.problems[req.Problem]
-	if !ok {
+	if _, ok := m.problems[req.Problem]; !ok {
 		m.mu.Unlock()
 		return RunStatus{}, fmt.Errorf("%w: %q", ErrUnknownProblem, req.Problem)
 	}
-	cache := m.caches[req.Problem]
-	if req.NoCache {
-		cache = nil
-	}
 	seq := m.seq.Add(1)
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	s := &session{
-		id:      fmt.Sprintf("run-%06d", seq),
-		seq:     seq,
-		problem: p,
-		created: time.Now(),
-		cancel:  cancel,
-		runCtx:  ctx,
-		cache:   cache,
-		req:     req,
-		state:   StateQueued,
-	}
 	m.wg.Add(1)
 	m.mu.Unlock()
+	s := m.newSession(runMeta{
+		ID:      fmt.Sprintf("run-%06d", seq),
+		Seq:     seq,
+		Problem: req.Problem,
+		Created: time.Now(),
+		Request: req,
+	}, StateQueued)
 
 	// Nothing touches the data directory until dispatch: a rejected,
 	// queue-cancelled, or shutdown-dropped run must leave no on-disk trace.
@@ -529,6 +505,35 @@ func (m *Manager) Start(req RunRequest) (RunStatus, error) {
 	return st, nil
 }
 
+// newSession is the one way a session is built — for a fresh submission, a
+// run being resumed, and a finished run restored from disk alike: identity
+// and request from meta, a run context under the manager's, and the problem
+// and its memo-cache resolved here, once. A problem that is not registered
+// (possible only when restoring) leaves the session with the bare name, and
+// a nil Space for the resume path to refuse.
+func (m *Manager) newSession(meta runMeta, state State) *session {
+	ctx, cancel := context.WithCancel(m.baseCtx)
+	s := &session{
+		id:      meta.ID,
+		seq:     meta.Seq,
+		problem: Problem{Name: meta.Problem},
+		created: meta.Created,
+		cancel:  cancel,
+		runCtx:  ctx,
+		req:     meta.Request,
+		state:   state,
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p, ok := m.problems[meta.Problem]; ok {
+		s.problem = p
+		if !meta.Request.NoCache {
+			s.cache = m.caches[meta.Problem]
+		}
+	}
+	return s
+}
+
 // dispatch launches an admitted session: it persists the run (S6: only now
 // — admission rejections never touch the disk, and once a client sees a
 // running id a crash at any later instant leaves a recoverable directory),
@@ -542,7 +547,7 @@ func (m *Manager) dispatch(s *session, t *sched.Ticket) {
 		m.end(s, t, context.Canceled)
 		return
 	}
-	opts := m.buildOpts(s.problem, s.req, s.cache, s)
+	opts := m.buildOpts(s)
 	if m.cfg.DataDir != "" {
 		if err := m.persistStart(s, core.RunFingerprint(s.problem.Space, opts)); err != nil {
 			m.end(s, t, fmt.Errorf("%w: %v", ErrStorage, err))
@@ -565,8 +570,7 @@ func (m *Manager) run(s *session, opts core.Options) {
 		opts.Journal = s
 	}
 	res, err := core.RunContext(s.runCtx, s.problem.Space, s.problem.Eval, opts)
-	s.finish(res, err)
-	m.persistTerminal(s)
+	m.persistTerminal(s, s.finish(res, err))
 }
 
 // end finishes a session that will not reach the engine — refused at
@@ -587,10 +591,11 @@ func (m *Manager) release(s *session, t *sched.Ticket) {
 	m.wg.Done()
 }
 
-// buildOpts assembles the engine options for a request — shared by dispatch
-// and the resume path, which must produce an identical configuration for
-// the run fingerprints to match.
-func (m *Manager) buildOpts(p Problem, req RunRequest, cache *core.EvalCache, s *session) core.Options {
+// buildOpts assembles the engine options for a session's request — shared by
+// dispatch and the resume path, which must produce an identical
+// configuration for the run fingerprints to match.
+func (m *Manager) buildOpts(s *session) core.Options {
+	p, req := s.problem, s.req
 	// A request's 0 means "daemon default", so the resume path — which
 	// rebuilds options from the persisted request under the then-current
 	// daemon config — computes the same fingerprint as the original launch
@@ -607,7 +612,7 @@ func (m *Manager) buildOpts(p Problem, req RunRequest, cache *core.EvalCache, s 
 		PoolCap:               req.PoolCap,
 		Seed:                  req.Seed,
 		Workers:               req.Workers,
-		Cache:                 cache,
+		Cache:                 s.cache,
 		MaxUnmeasuredFraction: frac,
 		OnIteration:           func(st core.IterationStats) { s.publish(toEvent(st)) },
 	}

@@ -2,16 +2,14 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/nanjson"
 	"repro/internal/sched"
 )
 
@@ -44,7 +42,7 @@ const (
 
 // Terminal reports whether no further progress events can arrive.
 func (s State) Terminal() bool {
-	return s != StateRunning && s != StateRecovering && s != StateQueued
+	return s == StateDone || s == StateCancelled || s == StateFailed
 }
 
 // IterationEvent is one progress record: the bootstrap (iteration 0) or an
@@ -66,8 +64,12 @@ type IterationEvent struct {
 	NewSamples   int `json:"new_samples"`
 	TotalSamples int `json:"total_samples"`
 	FrontSize    int `json:"front_size"`
-	// OOBError is the per-objective forest OOB MSE (null = undefined).
-	OOBError jsonFloats `json:"oob_error,omitempty"`
+	// OOBError is the per-objective forest OOB MSE. JSON has no NaN/Inf and
+	// encoding/json fails the whole write on one, but the engine reports NaN
+	// for an undefined OOB error (no out-of-bag samples on a tiny training
+	// set) and extreme objective values can overflow the MSE to +Inf, so the
+	// entries marshal as null while undefined instead of crashing the feed.
+	OOBError nanjson.Vector `json:"oob_error,omitempty"`
 	// OOBSamples mirrors the engine's per-objective OOB sample counts: a 0
 	// marks the matching oob_error as null/undefined (no sample was ever out
 	// of bag), not as a perfect fit.
@@ -83,86 +85,13 @@ type IterationEvent struct {
 	// (reference point: per-objective nadir padded by 10% of the observed
 	// range). It marshals as null while undefined — before any valid
 	// measurement, or on a degenerate single-point range.
-	Hypervolume jsonFloat `json:"hypervolume"`
+	Hypervolume nanjson.Float `json:"hypervolume"`
 	// FitMS, EncodeMS, PredictMS, and EvalMS are the per-phase wall-clock
 	// timings described above.
 	FitMS     float64 `json:"fit_ms"`
 	EncodeMS  float64 `json:"encode_ms"`
 	PredictMS float64 `json:"predict_ms"`
 	EvalMS    float64 `json:"eval_ms"`
-}
-
-// jsonFloats is a float slice whose non-finite entries marshal as null.
-// JSON has no NaN/Inf literals and encoding/json fails the whole write on
-// one, but the engine legitimately reports NaN for an undefined OOB error
-// (no out-of-bag samples on a tiny training set) and an evaluator with
-// extreme objective values can overflow the MSE to +Inf — the event stream
-// must carry "undefined" instead of crashing the NDJSON feed.
-type jsonFloats []float64
-
-// MarshalJSON renders the slice with null in place of NaN/±Inf.
-func (v jsonFloats) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 0, 2+16*len(v))
-	buf = append(buf, '[')
-	for i, f := range v {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			buf = append(buf, "null"...)
-			continue
-		}
-		buf = strconv.AppendFloat(buf, f, 'g', -1, 64)
-	}
-	return append(buf, ']'), nil
-}
-
-// jsonFloat is the scalar sibling of jsonFloats: a float64 that marshals
-// NaN/±Inf as null, for per-event values (like the hypervolume) that are
-// legitimately undefined early in a run.
-type jsonFloat float64
-
-// MarshalJSON renders the value, with null in place of NaN/±Inf.
-func (v jsonFloat) MarshalJSON() ([]byte, error) {
-	f := float64(v)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return []byte("null"), nil
-	}
-	return strconv.AppendFloat(nil, f, 'g', -1, 64), nil
-}
-
-// UnmarshalJSON accepts the null MarshalJSON writes, mapping it back to
-// NaN so a round-trip preserves "undefined".
-func (v *jsonFloat) UnmarshalJSON(data []byte) error {
-	var p *float64
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	if p == nil {
-		*v = jsonFloat(math.NaN())
-	} else {
-		*v = jsonFloat(*p)
-	}
-	return nil
-}
-
-// UnmarshalJSON accepts the null entries MarshalJSON writes, mapping them
-// back to NaN so a round-trip preserves "undefined".
-func (v *jsonFloats) UnmarshalJSON(data []byte) error {
-	var raw []*float64
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	out := make(jsonFloats, len(raw))
-	for i, p := range raw {
-		if p == nil {
-			out[i] = math.NaN()
-		} else {
-			out[i] = *p
-		}
-	}
-	*v = out
-	return nil
 }
 
 // RunStatus is the GET /runs/{id} body: one session's identity, lifecycle
@@ -229,17 +158,18 @@ type session struct {
 	recoverDone func()
 	recoverOnce sync.Once
 
-	mu       sync.Mutex
-	state    State
-	finished time.Time // when state went terminal; zero while running
-	events   []IterationEvent
-	subs     map[chan struct{}]struct{} // wake signals for event streamers
-	result   *core.Result
-	err      error
-	// stored, when non-nil, is the terminal payload restored from disk
-	// after a restart: status and front are served from it, because the
-	// live *core.Result did not survive the process.
-	stored *storedResult
+	mu     sync.Mutex
+	state  State
+	events []IterationEvent
+	subs   map[chan struct{}]struct{} // wake signals for event streamers
+	// record is the session's terminal record, nil until the session ends.
+	// finish builds it, once, from what the engine returned; a restart reads
+	// it back from result.json. Either way it is the one value status(), the
+	// front handler and eviction serve from then on, and nothing mutates it.
+	record *storedResult
+	// err is the error finish was given; Start reads it to tell a run that
+	// was refused at dispatch from one that failed later.
+	err error
 }
 
 func toEvent(s core.IterationStats) IterationEvent {
@@ -249,12 +179,12 @@ func toEvent(s core.IterationStats) IterationEvent {
 		NewSamples:         s.NewSamples,
 		TotalSamples:       s.TotalSamples,
 		FrontSize:          s.FrontSize,
-		OOBError:           jsonFloats(s.OOBError),
+		OOBError:           s.OOBError,
 		OOBSamples:         s.OOBSamples,
 		CacheHits:          s.CacheHits,
 		CacheMisses:        s.CacheMisses,
 		Unmeasured:         s.Unmeasured,
-		Hypervolume:        jsonFloat(s.Hypervolume),
+		Hypervolume:        nanjson.Float(s.Hypervolume),
 		FitMS:              durationMS(s.FitTime),
 		EncodeMS:           durationMS(s.EncodeTime),
 		PredictMS:          durationMS(s.PredictTime),
@@ -285,22 +215,50 @@ func (s *session) wakeLocked() {
 	}
 }
 
-// finish moves the session to a terminal state. A run stopped by
+// finish ends the session: it builds the terminal record from what the
+// engine returned, installs it, and returns it for the durability layer to
+// write. The result itself is dropped here — samples, configurations and
+// the final forests are not retained with the session. A run stopped by
 // cancellation reports context.Canceled from RunContext; a nil error means
 // the run completed even if its context was cancelled moments later.
-func (s *session) finish(res *core.Result, err error) {
+func (s *session) finish(res *core.Result, err error) *storedResult {
+	var front *core.StoredFront
+	if res != nil {
+		front = core.NewStoredFront(s.problem.Space, res, s.problem.Name, "", s.problem.Objectives)
+	}
 	s.mu.Lock()
-	s.result = res
+	st := s.liveStatus()
 	switch {
 	case errors.Is(err, context.Canceled):
-		s.state = StateCancelled
+		st.State = StateCancelled
 	case err != nil:
-		s.state = StateFailed
+		st.State = StateFailed
+		st.Error = err.Error()
 		s.err = err
 	default:
-		s.state = StateDone
+		st.State = StateDone
 	}
-	s.finished = time.Now()
+	if res != nil {
+		st.Samples = len(res.Samples)
+		st.FrontSize = len(res.Front)
+		st.Converged = res.Converged
+		st.CacheHits = res.CacheHits
+		st.CacheMisses = res.CacheMisses
+		st.Unmeasured = res.Unmeasured
+	}
+	rec := &storedResult{Status: st, Finished: time.Now(), Front: front}
+	s.mu.Unlock()
+	s.settle(rec)
+	return rec
+}
+
+// settle installs a terminal record — finish's, or one read back from
+// result.json — and ends the event stream.
+func (s *session) settle(rec *storedResult) {
+	s.mu.Lock()
+	s.record = rec
+	s.state = rec.Status.State
+	s.events = rec.Status.Iterations
 	s.wakeLocked()
 	s.mu.Unlock()
 	s.recoverExit()
@@ -368,7 +326,10 @@ func (s *session) failure() error {
 func (s *session) terminalInfo() (State, time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state, s.finished
+	if s.record == nil {
+		return s.state, time.Time{}
+	}
+	return s.state, s.record.Finished
 }
 
 // subscribe registers a wake channel for the event stream.
@@ -403,13 +364,20 @@ func (s *session) eventsSince(cursor int) ([]IterationEvent, int, bool) {
 	return fresh, len(s.events), s.state.Terminal()
 }
 
+// status is the GET /runs/{id} body: the terminal record's once there is
+// one, the live progress summary until then.
 func (s *session) status() RunStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stored != nil {
-		// Restored after a restart: the persisted status is the status.
-		return s.stored.Status
+	if s.record != nil {
+		return s.record.Status
 	}
+	return s.liveStatus()
+}
+
+// liveStatus summarizes a session that has not ended from its progress
+// events. Called with s.mu held.
+func (s *session) liveStatus() RunStatus {
 	st := RunStatus{
 		ID:       s.id,
 		Problem:  s.problem.Name,
@@ -422,14 +390,7 @@ func (s *session) status() RunStatus {
 		// null, for strict clients.
 		Iterations: append(make([]IterationEvent, 0, len(s.events)), s.events...),
 	}
-	if s.result != nil {
-		st.Samples = len(s.result.Samples)
-		st.FrontSize = len(s.result.Front)
-		st.Converged = s.result.Converged
-		st.CacheHits = s.result.CacheHits
-		st.CacheMisses = s.result.CacheMisses
-		st.Unmeasured = s.result.Unmeasured
-	} else if n := len(s.events); n > 0 {
+	if n := len(s.events); n > 0 {
 		st.Samples = s.events[n-1].TotalSamples
 		st.FrontSize = s.events[n-1].FrontSize
 		for _, ev := range s.events {
@@ -437,9 +398,6 @@ func (s *session) status() RunStatus {
 			st.CacheMisses += ev.CacheMisses
 			st.Unmeasured += ev.Unmeasured
 		}
-	}
-	if s.err != nil {
-		st.Error = s.err.Error()
 	}
 	return st
 }

@@ -110,36 +110,3 @@ func TestEventStreamCarriesHypervolume(t *testing.T) {
 		}
 	}
 }
-
-// TestJSONFloatRoundTrip pins the scalar null mapping both ways.
-func TestJSONFloatRoundTrip(t *testing.T) {
-	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		b, err := json.Marshal(jsonFloat(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b) != "null" {
-			t.Fatalf("jsonFloat(%v) marshaled %s, want null", f, b)
-		}
-	}
-	b, err := json.Marshal(jsonFloat(2.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "2.5" {
-		t.Fatalf("jsonFloat(2.5) marshaled %s", b)
-	}
-	var v jsonFloat
-	if err := json.Unmarshal([]byte("null"), &v); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(float64(v)) {
-		t.Fatalf("null unmarshaled to %v, want NaN", float64(v))
-	}
-	if err := json.Unmarshal([]byte("3.25"), &v); err != nil {
-		t.Fatal(err)
-	}
-	if float64(v) != 3.25 {
-		t.Fatalf("3.25 unmarshaled to %v", float64(v))
-	}
-}

@@ -10,11 +10,11 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/nanjson"
 	"repro/internal/param"
 )
 
@@ -176,9 +176,12 @@ func (e *ExecEvaluator) roundTrip(cfg param.Config) (objs []float64, appErr, err
 	if err != nil {
 		return nil, nil, fmt.Errorf("reading response: %w", err)
 	}
+	// A null objective is read as NaN (nanjson.Vector), as /evaluate and the
+	// HTTP bridge read it, and not as encoding/json's 0 — a fabricated
+	// perfect measurement.
 	var resp struct {
-		Objectives json.RawMessage `json:"objectives"`
-		Error      string          `json:"error"`
+		Objectives nanjson.Vector `json:"objectives"`
+		Error      string         `json:"error"`
 	}
 	if err := json.Unmarshal(reply, &resp); err != nil {
 		return nil, nil, fmt.Errorf("decoding response %q: %w", bytes.TrimSpace(reply), err)
@@ -186,17 +189,10 @@ func (e *ExecEvaluator) roundTrip(cfg param.Config) (objs []float64, appErr, err
 	if resp.Error != "" {
 		return nil, fmt.Errorf("program error: %s", resp.Error), nil
 	}
-	// The vector goes through the decoder of /evaluate and the HTTP bridge,
-	// as a batch of one, so a null objective is read as NaN here too and not
-	// as encoding/json's 0 — a fabricated perfect measurement.
-	out, err := decodeObjectives(slices.Concat([]byte(`{"objectives":[`), resp.Objectives, []byte(`]}`)))
-	if err != nil {
-		return nil, nil, fmt.Errorf("decoding response %q: %w", bytes.TrimSpace(reply), err)
+	if len(resp.Objectives) != e.objectives {
+		return nil, fmt.Errorf("program returned %d objectives, want %d", len(resp.Objectives), e.objectives), nil
 	}
-	if len(out) != 1 || len(out[0]) != e.objectives {
-		return nil, fmt.Errorf("program returned %v objectives, want %d", shape(out), e.objectives), nil
-	}
-	return out[0], nil, nil
+	return resp.Objectives, nil, nil
 }
 
 func (e *ExecEvaluator) startLocked() error {
