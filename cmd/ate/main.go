@@ -96,7 +96,7 @@ func runDemo(dir string) {
 	ds := slambench.CachedDataset("test")
 	cfg := kfusion.DefaultConfig()
 	cfg.VolumeResolution = 128
-	res, err := kfusion.Run(ds, cfg, kfusion.SimOptions{})
+	res, err := kfusion.Run(ds, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ate: %v\n", err)
 		os.Exit(1)

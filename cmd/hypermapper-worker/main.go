@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,18 +45,10 @@ import (
 
 func main() {
 	var (
+		boot  = catalog.NewDaemon("hypermapper-worker", flag.CommandLine)
 		addr  = flag.String("addr", ":9090", "listen address")
-		scale = flag.String("dataset", "dse", "dataset scale: full, dse, or test")
-		power = flag.Bool("power", false, "add power as a third objective")
 		evals = flag.Int("eval-workers", 0,
 			"concurrent evaluations per request batch (0 = GOMAXPROCS)")
-
-		problemsDir = flag.String("problems", "",
-			"directory of declarative problem specs (*.json, docs/SCENARIOS.md) to load at startup")
-		validate = flag.Bool("validate", false,
-			"build the problem catalog (builtins plus -problems specs), print it, and exit without serving")
-		quiet = flag.Bool("quiet", false,
-			"suppress informational output and bridge-evaluator failure chatter (fatal errors still print)")
 
 		shedAfter = flag.Int("shed-after", 0,
 			"shed /evaluate requests with 503 + Retry-After once this many are in flight (0 = never shed)")
@@ -81,52 +72,13 @@ func main() {
 	)
 	flag.Parse()
 
-	infof := func(format string, args ...any) {
-		fmt.Printf("hypermapper-worker: "+format+"\n", args...)
-	}
-	if *quiet {
-		infof = func(string, ...any) {}
-	}
-
-	// Bridge evaluators (exec:/http: spec bindings) report measurement
-	// failures through this logger. -quiet and -validate silence them (nil);
-	// normal serving prefixes them onto stderr instead of leaking the
-	// process-global log.Printf default.
-	var bridgeLogf func(format string, args ...any)
-	if !*quiet && !*validate {
-		bridgeLogf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "hypermapper-worker: "+format+"\n", args...)
-		}
-	}
-
-	reg := catalog.NewRegistry()
-	reg.SetLogf(bridgeLogf)
-	if err := reg.RegisterBuiltins(*scale, *power); err != nil {
-		fatalf("registering builtin problems: %v", err)
-	}
-	if *problemsDir != "" {
-		n, err := reg.LoadDir(*problemsDir)
-		if err != nil {
-			fatalf("loading problem specs: %v", err)
-		}
-		infof("loaded %d problem specs from %s", n, *problemsDir)
-	}
-	if *validate {
-		for _, p := range reg.Problems() {
-			fmt.Printf("  %-28s %d params, %d objectives, size %d\n",
-				p.Name, p.Space.Dim(), len(p.Objectives), p.Space.Size())
-		}
-		fmt.Printf("hypermapper-worker: catalog valid (%d problems)\n", reg.Len())
-		return
-	}
+	infof, fatalf := boot.Info.Printf, boot.Err.Fatalf
+	reg := boot.Catalog() // under -validate, prints the catalog and exits
 
 	ws := worker.NewServer(*evals)
 	ws.SetSpecLoader(func(data []byte) (worker.Problem, error) {
-		p, err := catalog.FromSpecDataLogf(data, bridgeLogf)
-		if err != nil {
-			return worker.Problem{}, err
-		}
-		return toWorkerProblem(p), nil
+		p, err := reg.AddSpecData(data)
+		return toWorkerProblem(p), err
 	})
 	for _, p := range reg.Problems() {
 		if err := ws.Register(toWorkerProblem(p)); err != nil {
@@ -175,7 +127,7 @@ func main() {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "hypermapper-worker: http shutdown: %v\n", err)
+		boot.Err.Printf("http shutdown: %v", err)
 	}
 }
 
@@ -186,9 +138,4 @@ func toWorkerProblem(p catalog.Problem) worker.Problem {
 		Eval:       p.Eval,
 		Objectives: len(p.Objectives),
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "hypermapper-worker: "+format+"\n", args...)
-	os.Exit(1)
 }

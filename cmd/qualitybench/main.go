@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"strconv"
 	"strings"
@@ -107,7 +108,7 @@ func loadProblems(dir string) ([]quality.Problem, error) {
 	}
 	out := make([]quality.Problem, 0, len(specs))
 	for _, sp := range specs {
-		p, err := catalog.FromSpec(sp)
+		p, err := catalog.FromSpec(sp, log.Printf)
 		if err != nil {
 			return nil, err
 		}

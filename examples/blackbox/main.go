@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -25,7 +26,7 @@ var problemSpec = &spec.Spec{
 }
 
 func main() {
-	problem, err := catalog.FromSpec(problemSpec)
+	problem, err := catalog.FromSpec(problemSpec, log.Printf)
 	if err != nil {
 		panic(err)
 	}

@@ -15,18 +15,6 @@ import (
 // scale ("full", "dse", or "test"), with power as a third objective when
 // requested: every benchmark × platform pair plus Synthetic.
 func (r *Registry) RegisterBuiltins(scale string, power bool) error {
-	for _, p := range Problems(scale, power) {
-		if err := r.Register(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Problems builds the standard builtin set. Most callers want a Registry
-// (RegisterBuiltins); this constructor remains for tests and tools that
-// need the raw slice.
-func Problems(scale string, power bool) []Problem {
 	objs, names := slambench.RuntimeAccuracy, []string{"runtime_s_per_frame", "accuracy_ate_m"}
 	if power {
 		objs, names = slambench.RuntimeAccuracyPower, append(names, "power_w")
@@ -36,20 +24,21 @@ func Problems(scale string, power bool) []Problem {
 		slambench.NewKFusionBench(ds),
 		slambench.NewElasticFusionBench(ds),
 	}
-	var out []Problem
 	for _, b := range benches {
 		for _, dev := range device.Platforms() {
-			out = append(out, Problem{
+			err := r.Register(Problem{
 				Name:        b.Name() + "/" + dev.Name,
 				Description: fmt.Sprintf("%s on %s (%s dataset)", b.Name(), dev.Name, scale),
 				Space:       b.Space(),
 				Eval:        slambench.Evaluator(b, dev, objs),
 				Objectives:  names,
 			})
+			if err != nil {
+				return err
+			}
 		}
 	}
-	out = append(out, Synthetic())
-	return out
+	return r.Register(Synthetic())
 }
 
 // Synthetic is a dataset-free two-objective toy space, useful for

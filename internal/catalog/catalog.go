@@ -2,10 +2,12 @@
 // (cmd/hypermapperd) and the worker daemon (cmd/hypermapper-worker):
 // builtin problems register into it at startup and declarative spec files
 // (internal/spec) load into it, either from a -problems directory or at
-// runtime via POST /problems. Keeping registration in one place guarantees
-// that a coordinator and its workers agree on problem names, spaces, and
-// evaluator semantics — the worker protocol identifies evaluators by name
-// only, so both sides must build them identically.
+// runtime via POST /problems. Both daemons build their catalog through one
+// bootstrap (Daemon) and register runtime specs through one loader
+// (Registry.AddSpecData), because the worker protocol identifies
+// evaluators by name only: a coordinator and its workers agree on problem
+// names, spaces and evaluator semantics only if both sides build them
+// identically.
 package catalog
 
 import (
@@ -41,32 +43,14 @@ type Registry struct {
 	mu       sync.Mutex
 	problems map[string]Problem
 	logf     func(format string, args ...any)
-	logfSet  bool
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{problems: make(map[string]Problem)}
-}
-
-// SetLogf routes the failure log of every bridge evaluator materialized by
-// this registry from now on (AddSpec, AddSpecData, LoadDir) to logf; nil
-// silences them. Daemons call it once at startup so -quiet and -validate
-// modes do not leak bridge chatter through the process-global logger.
-// Already-registered problems are unaffected.
-func (r *Registry) SetLogf(logf func(format string, args ...any)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.logf = logf
-	r.logfSet = true
-}
-
-// bridgeLogf returns the configured bridge logger and whether SetLogf was
-// ever called (false = keep the bridges' process-global default).
-func (r *Registry) bridgeLogf() (func(format string, args ...any), bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.logf, r.logfSet
+// NewRegistry returns an empty registry. logf receives the failure log of
+// every bridge evaluator the registry materializes (AddSpecData, LoadDir);
+// nil silences them, which is what a daemon's -quiet and -validate modes
+// want instead of bridge chatter on the process-global logger.
+func NewRegistry(logf func(format string, args ...any)) *Registry {
+	return &Registry{problems: make(map[string]Problem), logf: logf}
 }
 
 // Register validates and adds a problem, replacing any existing problem of
@@ -108,11 +92,4 @@ func (r *Registry) Problems() []Problem {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Len reports the number of registered problems.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.problems)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRegistryBasics(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	if err := r.Register(Synthetic()); err != nil {
 		t.Fatal(err)
 	}
@@ -35,17 +35,17 @@ func TestRegistryBasics(t *testing.T) {
 	if p, _ := r.Get("synthetic"); p.Description != "replaced" {
 		t.Fatal("re-registration did not replace")
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
+	if len(r.Problems()) != 1 {
+		t.Fatalf("%d problems registered, want 1", len(r.Problems()))
 	}
 }
 
 func TestRegisterBuiltins(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	if err := r.RegisterBuiltins("test", false); err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, 0, r.Len())
+	names := make([]string, 0, len(r.Problems()))
 	for _, p := range r.Problems() {
 		names = append(names, p.Name)
 	}
@@ -66,7 +66,7 @@ func TestRegisterBuiltins(t *testing.T) {
 func specsDir() string { return filepath.Join("..", "..", "specs") }
 
 func TestShippedSpecsLoadAndRegister(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	n, err := r.LoadDir(specsDir())
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestConstrainedSyntheticSamplingStaysFeasible(t *testing.T) {
 }
 
 func TestBuiltinModelsProduceFiniteObjectives(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	if _, err := r.LoadDir(specsDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestBuiltinModelsProduceFiniteObjectives(t *testing.T) {
 }
 
 func TestBuiltinModelsAreDeterministic(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	if _, err := r.LoadDir(specsDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestFromSpecErrors(t *testing.T) {
 
 	s := base()
 	s.Evaluator = "builtin:no-such-model"
-	if _, err := FromSpec(s); err == nil || !strings.Contains(err.Error(), "no builtin model") {
+	if _, err := FromSpec(s, nil); err == nil || !strings.Contains(err.Error(), "no builtin model") {
 		t.Fatalf("err = %v", err)
 	}
 
@@ -196,14 +196,14 @@ func TestFromSpecErrors(t *testing.T) {
 	s = base()
 	s.Objectives = []string{"f0", "f1"}
 	s.Evaluator = "builtin:dbms-model"
-	if _, err := FromSpec(s); err == nil || !strings.Contains(err.Error(), "needs parameter") {
+	if _, err := FromSpec(s, nil); err == nil || !strings.Contains(err.Error(), "needs parameter") {
 		t.Fatalf("err = %v", err)
 	}
 
 	// Wrong objective count for a fixed-output model.
 	s = base()
 	s.Evaluator = "builtin:constrained-model"
-	if _, err := FromSpec(s); err == nil || !strings.Contains(err.Error(), "objectives") {
+	if _, err := FromSpec(s, nil); err == nil || !strings.Contains(err.Error(), "objectives") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestFromSpecExecAndHTTPBindings(t *testing.T) {
 		Objectives: []string{"f"},
 		Evaluator:  "exec:/does/not/run --yet",
 	}
-	p, err := FromSpec(s)
+	p, err := FromSpec(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestFromSpecExecAndHTTPBindings(t *testing.T) {
 	}
 
 	s.Evaluator = "http://localhost:1/eval"
-	if p, err = FromSpec(s); err != nil || p.Eval == nil {
+	if p, err = FromSpec(s, nil); err != nil || p.Eval == nil {
 		t.Fatalf("http binding: %v", err)
 	}
 }

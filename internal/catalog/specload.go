@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/spec"
 	"repro/internal/worker"
@@ -12,21 +13,10 @@ import (
 // evaluator binding resolves to a builtin model, an exec bridge, or an
 // HTTP bridge (internal/worker). Exec and HTTP evaluators are constructed
 // lazily enough to be safe here — no subprocess is started and no request
-// is sent until the first evaluation. Bridge failure reports go to the
-// process-global logger; use FromSpecLogf to route or silence them.
-func FromSpec(sp *spec.Spec) (Problem, error) {
-	return fromSpec(sp, nil, false)
-}
-
-// FromSpecLogf is FromSpec with the bridge evaluators' failure log routed
-// to logf — nil silences it, which is what a daemon's -validate pass or
-// -quiet mode wants instead of bridge chatter on stderr. Builtin
-// evaluators have no bridge log and are unaffected.
-func FromSpecLogf(sp *spec.Spec, logf func(format string, args ...any)) (Problem, error) {
-	return fromSpec(sp, logf, true)
-}
-
-func fromSpec(sp *spec.Spec, logf func(format string, args ...any), routeLog bool) (Problem, error) {
+// is sent until the first evaluation. A bridge reports its measurement
+// failures to logf: log.Printf, a daemon's own logger, or nil for silence.
+// Builtin evaluators have no failure log and ignore it.
+func FromSpec(sp *spec.Spec, logf func(format string, args ...any)) (Problem, error) {
 	if err := sp.Validate(); err != nil {
 		return Problem{}, err
 	}
@@ -60,15 +50,11 @@ func fromSpec(sp *spec.Spec, logf func(format string, args ...any), routeLog boo
 		if err != nil {
 			return Problem{}, fmt.Errorf("spec %q: %w", sp.Name, err)
 		}
-		if routeLog {
-			ex.SetLogf(logf)
-		}
+		ex.SetLogf(logf)
 		p.Eval = ex
 	case "http":
 		he := worker.NewHTTPEvaluator(binding.Target, space, len(sp.Objectives))
-		if routeLog {
-			he.SetLogf(logf)
-		}
+		he.SetLogf(logf)
 		p.Eval = he
 	default:
 		return Problem{}, fmt.Errorf("spec %q: unknown binding kind %q", sp.Name, binding.Kind)
@@ -76,45 +62,36 @@ func fromSpec(sp *spec.Spec, logf func(format string, args ...any), routeLog boo
 	return p, nil
 }
 
-// FromSpecData parses raw spec JSON and materializes it — the loader shape
-// both daemons plug into their POST /problems endpoints.
+// FromSpecData parses raw spec JSON and materializes it, with bridge
+// failures on the process-global logger — the registry-free form for
+// tools that run one problem.
 func FromSpecData(data []byte) (Problem, error) {
 	sp, err := spec.Parse(data)
 	if err != nil {
 		return Problem{}, err
 	}
-	return FromSpec(sp)
+	return FromSpec(sp, log.Printf)
 }
 
-// FromSpecDataLogf is FromSpecData with the bridge log routed to logf (nil
-// silences it), mirroring FromSpecLogf.
-func FromSpecDataLogf(data []byte, logf func(format string, args ...any)) (Problem, error) {
+// AddSpecData parses, materializes and registers raw spec JSON with the
+// registry's bridge logger, and returns the problem it registered. It is
+// the runtime loader both daemons hand to their POST /problems endpoint
+// (server.Config.SpecLoader, worker.Server.SetSpecLoader), so the registry
+// a daemon was started from also knows what it serves now.
+func (r *Registry) AddSpecData(data []byte) (Problem, error) {
 	sp, err := spec.Parse(data)
 	if err != nil {
 		return Problem{}, err
 	}
-	return FromSpecLogf(sp, logf)
+	return r.addSpec(sp)
 }
 
-// AddSpec materializes and registers one spec, with the registry's bridge
-// logger applied (see SetLogf).
-func (r *Registry) AddSpec(sp *spec.Spec) error {
-	logf, routeLog := r.bridgeLogf()
-	p, err := fromSpec(sp, logf, routeLog)
+func (r *Registry) addSpec(sp *spec.Spec) (Problem, error) {
+	p, err := FromSpec(sp, r.logf)
 	if err != nil {
-		return err
+		return Problem{}, err
 	}
-	return r.Register(p)
-}
-
-// AddSpecData parses, materializes, and registers raw spec JSON, with the
-// registry's bridge logger applied (see SetLogf).
-func (r *Registry) AddSpecData(data []byte) error {
-	sp, err := spec.Parse(data)
-	if err != nil {
-		return err
-	}
-	return r.AddSpec(sp)
+	return p, r.Register(p)
 }
 
 // LoadDir registers every *.json spec in dir (sorted by name; later files
@@ -125,7 +102,7 @@ func (r *Registry) LoadDir(dir string) (int, error) {
 		return 0, err
 	}
 	for _, sp := range specs {
-		if err := r.AddSpec(sp); err != nil {
+		if _, err := r.addSpec(sp); err != nil {
 			return 0, err
 		}
 	}

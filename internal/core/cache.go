@@ -37,17 +37,22 @@ type EvalCache struct {
 
 	// dir, when non-empty, spills memoized entries to one JSON-lines file
 	// per space namespace and pre-loads them on first use; see
-	// NewEvalCacheDir. spillErrors counts degraded-to-memory failures.
+	// NewEvalCacheDir. spillErrors counts degraded-to-memory failures and
+	// persisted records skipped at load.
 	dir         string
 	spillErrors atomic.Int64
 }
 
 // spaceCache is one space's namespace: memoized objectives plus the
-// in-flight evaluations being computed right now.
+// in-flight evaluations being computed right now. objectives and size are
+// the space's vector length and index range: what a persisted record must
+// fit before it is served.
 type spaceCache struct {
-	objs     map[int64][]float64
-	inflight map[int64]chan struct{}
-	spill    *journal.AppendFile // nil when memory-only (or degraded)
+	objectives int
+	size       int64
+	objs       map[int64][]float64
+	inflight   map[int64]chan struct{}
+	spill      *journal.AppendFile // nil when memory-only (or degraded)
 }
 
 // NewEvalCache returns an empty cache.
@@ -103,16 +108,19 @@ type evalCacheView struct {
 	backend Backend
 }
 
-// view returns the handle for the given space fingerprint, creating the
-// namespace on first use.
-func (c *EvalCache) view(fingerprint string, backend Backend) *evalCacheView {
+// view returns the handle for the given space fingerprint — built from
+// the same objective count and space size — creating the namespace on
+// first use.
+func (c *EvalCache) view(fingerprint string, objectives int, size int64, backend Backend) *evalCacheView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.spaces[fingerprint]
 	if !ok {
 		s = &spaceCache{
-			objs:     make(map[int64][]float64),
-			inflight: make(map[int64]chan struct{}),
+			objectives: objectives,
+			size:       size,
+			objs:       make(map[int64][]float64),
+			inflight:   make(map[int64]chan struct{}),
 		}
 		if c.dir != "" {
 			// Rehydrate the namespace from its spill file and keep the

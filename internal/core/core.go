@@ -467,7 +467,7 @@ func newRun(ctx context.Context, space *param.Space, eval Evaluator, opts Option
 		r.labeler = l
 	}
 	if o.Cache != nil {
-		r.fetch = o.Cache.view(spaceFingerprint(space, o.Objectives), o.Backend).fetchBatch
+		r.fetch = o.Cache.view(spaceFingerprint(space, o.Objectives), o.Objectives, space.Size(), o.Backend).fetchBatch
 	} else {
 		r.fetch = func(ctx context.Context, _ []int64, cfgs []param.Config) ([][]float64, batchOutcome, error) {
 			objs, err := o.Backend.EvaluateBatch(ctx, cfgs)

@@ -207,14 +207,14 @@ func TestEvaluatePath(t *testing.T) {
 			cache := NewEvalCache()
 			fp := spaceFingerprint(space, 2)
 			seed := &LocalBackend{Eval: EvaluatorFunc(func(param.Config) []float64 { return cached.Objs })}
-			if _, _, err := cache.view(fp, seed).fetchBatch(ctx, []int64{hit}, []param.Config{cfg(hit)}); err != nil {
+			if _, _, err := cache.view(fp, 2, space.Size(), seed).fetchBatch(ctx, []int64{hit}, []param.Config{cfg(hit)}); err != nil {
 				t.Fatal(err)
 			}
 			other := gateBackend{started: make(chan struct{}), release: make(chan struct{})}
 			otherDone := make(chan struct{})
 			go func() {
 				defer close(otherDone)
-				cache.view(fp, other).fetchBatch(context.Background(), []int64{wait}, []param.Config{cfg(wait)})
+				cache.view(fp, 2, space.Size(), other).fetchBatch(context.Background(), []int64{wait}, []param.Config{cfg(wait)})
 			}()
 			<-other.started
 

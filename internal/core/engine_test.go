@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -339,12 +340,12 @@ func TestEvalCacheHitsAcrossRuns(t *testing.T) {
 	}
 }
 
-// fetchOne resolves one index through a view of the cache whose backend
-// measures by calling fn (nil: it must not be called), reporting whether the
-// value was a cache hit.
-func fetchOne(ctx context.Context, cache *EvalCache, space string, idx int64, fn func() []float64) (objs []float64, hit bool, err error) {
+// fetchOne resolves one index through a view of the cache's namespace for
+// objectives-long vectors, whose backend measures by calling fn (nil: it
+// must not be called), reporting whether the value was a cache hit.
+func fetchOne(ctx context.Context, cache *EvalCache, space string, objectives int, idx int64, fn func() []float64) (objs []float64, hit bool, err error) {
 	backend := &LocalBackend{Eval: EvaluatorFunc(func(param.Config) []float64 { return fn() })}
-	res, bo, err := cache.view(space, backend).fetchBatch(ctx, []int64{idx}, []param.Config{nil})
+	res, bo, err := cache.view(space, objectives, math.MaxInt64, backend).fetchBatch(ctx, []int64{idx}, []param.Config{nil})
 	return res[0], bo.hits == 1, err
 }
 
@@ -352,12 +353,12 @@ func TestEvalCacheCopiesObjectives(t *testing.T) {
 	ctx := context.Background()
 	cache := NewEvalCache()
 	objs := []float64{1, 2}
-	got, hit, err := fetchOne(ctx, cache, "test-space", 7, func() []float64 { return objs })
+	got, hit, err := fetchOne(ctx, cache, "test-space", 2, 7, func() []float64 { return objs })
 	if err != nil || hit {
 		t.Fatalf("first fetch: hit=%v err=%v", hit, err)
 	}
 	objs[0] = 99 // caller mutates its slice after the cache stored it
-	got, hit, err = fetchOne(ctx, cache, "test-space", 7, nil)
+	got, hit, err = fetchOne(ctx, cache, "test-space", 2, 7, nil)
 	if err != nil || !hit {
 		t.Fatalf("second fetch: hit=%v err=%v", hit, err)
 	}
@@ -365,7 +366,7 @@ func TestEvalCacheCopiesObjectives(t *testing.T) {
 		t.Fatalf("cache returned mutated objectives %v", got)
 	}
 	got[1] = -5 // caller mutates the returned slice
-	again, _, _ := fetchOne(ctx, cache, "test-space", 7, nil)
+	again, _, _ := fetchOne(ctx, cache, "test-space", 2, 7, nil)
 	if again[1] != 2 {
 		t.Fatalf("cache content corrupted via returned slice: %v", again)
 	}
@@ -375,10 +376,10 @@ func TestEvalCacheCopiesObjectives(t *testing.T) {
 
 	// Entries are namespaced per space: the same index in another space
 	// misses and stays isolated.
-	if _, hit, _ := fetchOne(ctx, cache, "other-space", 7, func() []float64 { return []float64{8} }); hit {
+	if _, hit, _ := fetchOne(ctx, cache, "other-space", 1, 7, func() []float64 { return []float64{8} }); hit {
 		t.Fatal("index leaked across space namespaces")
 	}
-	if back, _, _ := fetchOne(ctx, cache, "test-space", 7, nil); back[0] != 1 {
+	if back, _, _ := fetchOne(ctx, cache, "test-space", 2, 7, nil); back[0] != 1 {
 		t.Fatalf("other-space store clobbered the entry: %v", back)
 	}
 	if cache.Len() != 2 {
@@ -425,14 +426,14 @@ func TestEvalCacheSingleflight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go fetchOne(context.Background(), cache, "sf-space", 3, func() []float64 {
+	go fetchOne(context.Background(), cache, "sf-space", 1, 3, func() []float64 {
 		close(started)
 		<-release
 		return []float64{1}
 	})
 	<-started
 	cancel()
-	if _, _, err := fetchOne(ctx, cache, "sf-space", 3, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := fetchOne(ctx, cache, "sf-space", 1, 3, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter err = %v, want context.Canceled", err)
 	}
 	close(release)

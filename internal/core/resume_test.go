@@ -338,7 +338,7 @@ func TestResumeAcrossNaNBatch(t *testing.T) {
 	reopened := NewEvalCacheDir(filepath.Join(dir, "cache"))
 	defer reopened.Close()
 	inv := ref.Invalid[0]
-	objs, hit, err := fetchOne(context.Background(), reopened, SpaceFingerprint(space, 2), inv.Index, nil)
+	objs, hit, err := fetchOne(context.Background(), reopened, SpaceFingerprint(space, 2), 2, inv.Index, nil)
 	if err != nil || !hit || !math.IsNaN(objs[1]) || objs[0] != inv.Objs[0] {
 		t.Errorf("reopened spill served %v (hit=%v, err=%v) for the invalid entry %v", objs, hit, err, inv.Objs)
 	}

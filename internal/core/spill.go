@@ -21,8 +21,9 @@ import (
 // header does not match is left untouched and the namespace runs
 // memory-only (never serve one space's objectives to another). Spill I/O
 // degrades, it never breaks a run: a load failure starts the namespace
-// empty, an append failure disables further spilling for that namespace,
-// and both are counted in SpillErrors.
+// empty, a record of the wrong vector length or outside the space is
+// skipped (its index is measured again), an append failure disables
+// further spilling for that namespace, and each is counted in SpillErrors.
 //
 // The usual EvalCache caveat applies with more force once entries
 // persist: the evaluator cannot be fingerprinted, so a directory must
@@ -73,6 +74,13 @@ func (c *EvalCache) openSpill(fingerprint string, s *spaceCache) (*journal.Appen
 		var r journal.SampleRecord
 		if json.Unmarshal(line, &r) != nil {
 			return nil // schema drift: skip the record, keep the rest
+		}
+		if len(r.Objs) != s.objectives || r.Index < 0 || r.Index >= s.size {
+			// A record the space cannot have produced would fail every run
+			// that draws its index: skip it and let the index be measured
+			// and re-spilled.
+			c.spillErrors.Add(1)
+			return nil
 		}
 		s.objs[r.Index] = r.Objs
 		return nil
@@ -127,8 +135,9 @@ func (c *EvalCache) spill(s *spaceCache, recs []journal.SampleRecord) {
 	}
 }
 
-// SpillErrors counts spill I/O failures since the cache was created (0 on
-// a healthy disk, and always 0 for a memory-only cache).
+// SpillErrors counts spill I/O failures and skipped records since the cache
+// was created (0 on a healthy disk holding only its own records, and always
+// 0 for a memory-only cache).
 func (c *EvalCache) SpillErrors() int64 { return c.spillErrors.Load() }
 
 // Close releases every namespace's spill file. The cache remains usable

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -153,7 +157,7 @@ func TestEvalCacheRemoveSpill(t *testing.T) {
 	dir := filepath.Join(base, "cache")
 	c := NewEvalCacheDir(dir)
 	space := spillSpace(t)
-	if _, _, err := fetchOne(context.Background(), c, SpaceFingerprint(space, 1), 0, func() []float64 { return []float64{1} }); err != nil {
+	if _, _, err := fetchOne(context.Background(), c, SpaceFingerprint(space, 1), 1, 0, func() []float64 { return []float64{1} }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(dir); err != nil {
@@ -172,4 +176,128 @@ func TestEvalCacheRemoveSpill(t *testing.T) {
 	if err := NewEvalCache().RemoveSpill(); err != nil {
 		t.Errorf("memory-only RemoveSpill: %v", err)
 	}
+}
+
+// hostileSpillLines are valid-JSON records no run over a 2-objective,
+// 24-point space can have written: wrong vector lengths, and indices outside
+// the space. Served from the cache, the first four failed every later run
+// that drew index 7 ("evaluator returned 1 objectives, want 2", "backend
+// returned N-1 results for an N-configuration batch").
+var hostileSpillLines = []struct{ name, line string }{
+	{"short vector", `{"i":7,"o":[1]}`},
+	{"long vector", `{"i":7,"o":[1,2,3]}`},
+	{"empty vector", `{"i":7,"o":[]}`},
+	{"no vector", `{"i":7}`},
+	{"index past the space", `{"i":24,"o":[1,2]}`},
+	{"negative index", `{"i":-1,"o":[1,2]}`},
+}
+
+// A record that does not fit the namespace is skipped and counted, and its
+// index is measured and re-spilled like any miss: the run finishes with the
+// front a cache-less run finds.
+func TestEvalCacheSpillHostileRecords(t *testing.T) {
+	space := spillSpace(t)
+	eval := EvaluatorFunc(func(cfg param.Config) []float64 { return []float64{cfg[0] + cfg[1], cfg[0] - cfg[1]} })
+	opts := Options{Objectives: 2, RandomSamples: 24, MaxIterations: 1, MaxBatch: 4, Seed: 11}
+	ref, err := Run(space, eval, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []float64
+	for _, s := range ref.Samples {
+		if s.Index == 7 {
+			want = s.Objs
+		}
+	}
+	if want == nil {
+		t.Fatal("the seeded run never draws index 7")
+	}
+	fp := SpaceFingerprint(space, 2)
+	for _, tc := range hostileSpillLines {
+		line := tc.line
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			header, _ := json.Marshal(spillHeader{Fingerprint: fp})
+			if err := os.WriteFile(spillPath(dir, fp), []byte(string(header)+"\n"+line+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c := NewEvalCacheDir(dir)
+			opts := opts
+			opts.Cache = c
+			res, err := Run(space, eval, opts)
+			if err != nil {
+				t.Fatalf("run over a spill holding %s: %v", line, err)
+			}
+			if !reflect.DeepEqual(res.Front, ref.Front) {
+				t.Errorf("front differs from the cache-less run:\n got %v\nwant %v", res.Front, ref.Front)
+			}
+			if res.CacheHits != 0 || c.SpillErrors() != 1 {
+				t.Errorf("hits = %d, spill errors = %d; want the record skipped (0 hits) and counted once", res.CacheHits, c.SpillErrors())
+			}
+			c.Close()
+
+			reopened := NewEvalCacheDir(dir)
+			defer reopened.Close()
+			got, hit, err := fetchOne(context.Background(), reopened, fp, 2, 7, nil)
+			if err != nil || !hit || !reflect.DeepEqual(got, want) {
+				t.Errorf("index 7 after the run: %v (hit=%v, err=%v), want the re-spilled measurement %v", got, hit, err, want)
+			}
+		})
+	}
+}
+
+// loadSpill opens a cache over a directory whose namespace file for
+// spillSpace's 2-objective fingerprint holds data, and returns the cache
+// and the namespace it loaded.
+func loadSpill(t *testing.T, data []byte) (*EvalCache, *spaceCache) {
+	t.Helper()
+	space := spillSpace(t)
+	fp := SpaceFingerprint(space, 2)
+	dir := t.TempDir()
+	if err := os.WriteFile(spillPath(dir, fp), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewEvalCacheDir(dir)
+	t.Cleanup(func() { c.Close() })
+	return c, c.view(fp, 2, space.Size(), nil).s
+}
+
+// The committed spill file (a seeded run's nine measurements plus one with
+// a null objective) must keep loading whole: a format change that orphans
+// the caches on users' disks fails here.
+func TestSpillGoldenLoads(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "spill.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, s := loadSpill(t, data)
+	if len(s.objs) != 10 || c.SpillErrors() != 0 {
+		t.Fatalf("loaded %d entries with %d spill errors, want 10 and 0", len(s.objs), c.SpillErrors())
+	}
+	if o := s.objs[3]; len(o) != 2 || !math.IsNaN(o[0]) || o[1] != 1 {
+		t.Fatalf("entry 3 = %v, want [NaN 1]", o)
+	}
+}
+
+// FuzzSpillRecords feeds the spill loader arbitrary file contents. It must
+// never panic, and whatever it decides to serve must fit the namespace: a
+// vector of the space's objective count at an index inside the space.
+func FuzzSpillRecords(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "spill.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	header := golden[:bytes.IndexByte(golden, '\n')+1]
+	for _, tc := range hostileSpillLines {
+		f.Add(append(append([]byte(nil), header...), tc.line+"\n"...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, s := loadSpill(t, data)
+		for idx, objs := range s.objs {
+			if len(objs) != 2 || idx < 0 || idx >= 24 {
+				t.Fatalf("serving %v at index %d of a 2-objective, 24-point space", objs, idx)
+			}
+		}
+	})
 }

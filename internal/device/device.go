@@ -263,14 +263,3 @@ func ByName(name string) (Model, bool) {
 	}
 	return Model{}, false
 }
-
-// Names returns the sorted platform names.
-func Names() []string {
-	ps := Platforms()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	slices.Sort(names)
-	return names
-}

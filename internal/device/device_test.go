@@ -106,9 +106,6 @@ func TestByName(t *testing.T) {
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("unknown platform found")
 	}
-	if len(Names()) != len(Platforms()) {
-		t.Fatal("Names/Platforms length mismatch")
-	}
 }
 
 func TestGTXFasterThanEmbedded(t *testing.T) {

@@ -199,16 +199,36 @@ func TestDeterministicRun(t *testing.T) {
 	}
 }
 
+// alignPair builds a single-frame map from dataset frame a (at its ground
+// truth pose), aligns frame b against it starting from a's pose with the
+// given ICP/RGB weight, and reports the translation error to b's ground
+// truth before and after.
+func alignPair(ds *sensor.Dataset, a, b int, icpWeight float64) (startErr, endErr float64, err error) {
+	intr := ds.Intrinsics
+	poseA, gtB := ds.GroundTruth[a], ds.GroundTruth[b]
+	curA, _ := buildFrameData(ds.Frames[a].Depth, ds.Frames[a].Intensity, intr, pyramidLevels)
+	curB, _ := buildFrameData(ds.Frames[b].Depth, ds.Frames[b].Intensity, intr, pyramidLevels)
+
+	smap := &SurfelMap{}
+	smap.Fuse(curA.vertex[0], curA.normal[0], curA.intensity[0], intr, poseA, newRenderMaps(intr.W, intr.H), 0, 1, 0)
+	model, _ := smap.Render(intr, poseA, nil)
+	aligned, _, _, err := jointTrack(
+		curB, model, model.intensity, model.vertex, poseA, intr,
+		poseA, icpWeight, []int{0, 1, 2}, []int{10, 5, 4},
+	)
+	return geom.Distance(poseA, gtB), geom.Distance(aligned, gtB), err
+}
+
 func TestDebugAlignConvergesBothTerms(t *testing.T) {
 	// Both the geometric and the photometric term must individually shrink
 	// the initial pose error between consecutive frames.
 	for _, w := range []float64{0, 10, 100} {
-		res := DebugAlign(testDataset, 0, 1, w)
-		if res.Err != nil {
-			t.Fatalf("weight %v: %v", w, res.Err)
+		start, end, err := alignPair(testDataset, 0, 1, w)
+		if err != nil {
+			t.Fatalf("weight %v: %v", w, err)
 		}
-		if res.EndErr > res.StartErr*0.6 {
-			t.Fatalf("weight %v: %v -> %v (no convergence)", w, res.StartErr, res.EndErr)
+		if end > start*0.6 {
+			t.Fatalf("weight %v: %v -> %v (no convergence)", w, start, end)
 		}
 	}
 }
@@ -258,13 +278,6 @@ func TestSurfelCulling(t *testing.T) {
 	}
 	if m.Surfels[0].Conf != 20 {
 		t.Fatal("culled the wrong surfel")
-	}
-}
-
-func TestCountStable(t *testing.T) {
-	m := &SurfelMap{Surfels: []Surfel{{Conf: 5}, {Conf: 15}, {Conf: 10}}}
-	if got := m.CountStable(10); got != 2 {
-		t.Fatalf("CountStable = %d", got)
 	}
 }
 

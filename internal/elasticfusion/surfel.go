@@ -25,17 +25,6 @@ type SurfelMap struct {
 // Len returns the number of surfels in the map.
 func (m *SurfelMap) Len() int { return len(m.Surfels) }
 
-// CountStable returns how many surfels pass the confidence threshold.
-func (m *SurfelMap) CountStable(confThreshold float32) int {
-	n := 0
-	for i := range m.Surfels {
-		if m.Surfels[i].Conf >= confThreshold {
-			n++
-		}
-	}
-	return n
-}
-
 // renderMaps holds the model prediction rendered from a viewpoint: world
 // vertices/normals, intensity, and the index of the source surfel per pixel
 // (-1 when empty).

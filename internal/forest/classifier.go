@@ -35,13 +35,8 @@ func FitClassifier(x [][]float64, y []float64, opts Options) (*Classifier, error
 	return &Classifier{f: f}, nil
 }
 
-// PredictProb returns the predicted probability that x is class 1,
-// clamped to [0, 1].
-func (c *Classifier) PredictProb(x []float64) float64 {
-	return clamp01(c.f.Predict(x))
-}
-
-// PredictProbs predicts class-1 probabilities for a batch of rows.
+// PredictProbs predicts the probability that each row is class 1, clamped
+// to [0, 1].
 func (c *Classifier) PredictProbs(x [][]float64) []float64 {
 	out := c.f.PredictBatch(x)
 	for i, p := range out {
@@ -49,15 +44,6 @@ func (c *Classifier) PredictProbs(x [][]float64) []float64 {
 	}
 	return out
 }
-
-// OOBBrier returns the out-of-bag Brier score — the mean squared error
-// between predicted probability and true label, the proper scoring rule
-// that is exactly the regression OOB MSE on 0/1 targets. NaN when no
-// sample was ever out of bag.
-func (c *Classifier) OOBBrier() float64 { return c.f.OOBError() }
-
-// NumTrees returns the number of trees in the ensemble.
-func (c *Classifier) NumTrees() int { return c.f.NumTrees() }
 
 func clamp01(p float64) float64 {
 	if p < 0 {

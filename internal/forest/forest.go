@@ -359,12 +359,6 @@ func Refit(c *Columns, y []float64, opts Options) (*Forest, error) {
 	return f, nil
 }
 
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
-// NumFeatures returns the feature dimensionality the forest was fitted on.
-func (f *Forest) NumFeatures() int { return f.nFeatures }
-
 // OOBError returns the out-of-bag mean squared error estimated during
 // fitting. It is NaN when no sample was out of bag (OOBSamples() == 0),
 // which on tiny training sets is the honest answer — a literal 0 would be
@@ -404,16 +398,6 @@ func (f *Forest) PredictBatch(x [][]float64) []float64 {
 	return out
 }
 
-// PredictInto is PredictBatch writing into a caller-provided slice, avoiding
-// allocation in the active-learning hot loop.
-func (f *Forest) PredictInto(x [][]float64, out []float64) {
-	par.ForChunked(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f.Predict(x[i])
-		}
-	})
-}
-
 // PredictFlat predicts over a row-major flat feature matrix (len(flat) =
 // n*dim, row i at flat[i*dim:(i+1)*dim]) writing the n predictions into out.
 // No per-row slice headers, and chunks are traversed tree-major so each
@@ -442,7 +426,7 @@ func (f *Forest) PredictFlat(flat []float64, dim int, out []float64) {
 // out[lo:hi] with predictions for rows [lo, hi) of the flat matrix. Callers
 // that fuse several forests into one parallel sweep (one chunk pass filling
 // every objective) invoke it directly from their own worker loop. dim must
-// equal NumFeatures and out must have length ≥ hi; neither is re-validated
+// equal the fitted feature count and out must have length ≥ hi; neither is re-validated
 // here.
 func (f *Forest) PredictFlatRange(flat []float64, dim, lo, hi int, out []float64) {
 	for i := lo; i < hi; i++ {

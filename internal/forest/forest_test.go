@@ -173,13 +173,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			t.Fatalf("batch[%d] = %v != %v", i, batch[i], f.Predict(x[i]))
 		}
 	}
-	into := make([]float64, len(x))
-	f.PredictInto(x, into)
-	for i := range into {
-		if into[i] != batch[i] {
-			t.Fatal("PredictInto disagrees with PredictBatch")
-		}
-	}
 }
 
 func TestPredictFlatMatchesPredictBatch(t *testing.T) {
@@ -324,9 +317,6 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumTrees() != 5 || f.NumFeatures() != 2 {
-		t.Fatalf("accessors: %d trees, %d features", f.NumTrees(), f.NumFeatures())
-	}
 	imp := f.FeatureImportance()
 	imp[0] = 99
 	if f.FeatureImportance()[0] == 99 {
@@ -367,10 +357,9 @@ func BenchmarkPredictBatch(b *testing.B) {
 	for i := range pool {
 		pool[i] = []float64{rng.Float64() * 4, rng.Float64() * 4, rng.Float64()}
 	}
-	out := make([]float64, len(pool))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictInto(pool, out)
+		f.PredictBatch(pool)
 	}
 }
 

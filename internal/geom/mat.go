@@ -83,26 +83,6 @@ func Skew(v Vec3) Mat3 {
 	}
 }
 
-// RotX returns the rotation matrix about the X axis by angle a (radians).
-func RotX(a float64) Mat3 {
-	c, s := math.Cos(a), math.Sin(a)
-	return Mat3{
-		1, 0, 0,
-		0, c, -s,
-		0, s, c,
-	}
-}
-
-// RotY returns the rotation matrix about the Y axis by angle a (radians).
-func RotY(a float64) Mat3 {
-	c, s := math.Cos(a), math.Sin(a)
-	return Mat3{
-		c, 0, s,
-		0, 1, 0,
-		-s, 0, c,
-	}
-}
-
 // RotZ returns the rotation matrix about the Z axis by angle a (radians).
 func RotZ(a float64) Mat3 {
 	c, s := math.Cos(a), math.Sin(a)

@@ -36,9 +36,6 @@ func (a Vec3) Cross(b Vec3) Vec3 {
 // Norm returns |a|.
 func (a Vec3) Norm() float64 { return math.Sqrt(a.Dot(a)) }
 
-// Norm2 returns |a|².
-func (a Vec3) Norm2() float64 { return a.Dot(a) }
-
 // Normalized returns a/|a|, or the zero vector if |a| is (near) zero.
 func (a Vec3) Normalized() Vec3 {
 	n := a.Norm()
@@ -63,17 +60,3 @@ func (a Vec3) MaxComponent() float64 {
 
 // Lerp returns a + t*(b-a).
 func Lerp(a, b Vec3, t float64) Vec3 { return a.Add(b.Sub(a).Scale(t)) }
-
-// Clamp returns v with each component clamped into [lo, hi].
-func Clamp(v Vec3, lo, hi float64) Vec3 {
-	c := func(x float64) float64 {
-		if x < lo {
-			return lo
-		}
-		if x > hi {
-			return hi
-		}
-		return x
-	}
-	return Vec3{c(v.X), c(v.Y), c(v.Z)}
-}

@@ -8,7 +8,6 @@
 package imgproc
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -369,12 +368,4 @@ func SampleBilinear(src *Map, u, v float64) (float32, bool) {
 	top := src.At(x0, y0)*(1-fx) + src.At(x1, y0)*fx
 	bot := src.At(x0, y1)*(1-fx) + src.At(x1, y1)*fx
 	return top*(1-fy) + bot*fy, true
-}
-
-// CheckSameSize returns an error when the two maps differ in size.
-func CheckSameSize(a, b *Map) error {
-	if a.W != b.W || a.H != b.H {
-		return fmt.Errorf("imgproc: size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	return nil
 }

@@ -277,15 +277,6 @@ func TestSampleBilinear(t *testing.T) {
 	}
 }
 
-func TestCheckSameSize(t *testing.T) {
-	if err := CheckSameSize(NewMap(2, 2), NewMap(2, 3)); err == nil {
-		t.Fatal("size mismatch not detected")
-	}
-	if err := CheckSameSize(NewMap(2, 2), NewMap(2, 2)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkBilateral160x120(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src := NewMap(160, 120)

@@ -141,7 +141,7 @@ func TestInterpUnobservedInvalid(t *testing.T) {
 }
 
 func TestRunEndToEndTracksWell(t *testing.T) {
-	res, err := Run(testDataset, testConfig(), SimOptions{})
+	res, err := Run(testDataset, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRunEndToEndTracksWell(t *testing.T) {
 func TestFullSweepBilling(t *testing.T) {
 	cfg := testConfig()
 	cfg.IntegrationRate = 2
-	res, err := Run(testDataset, cfg, SimOptions{})
+	res, err := Run(testDataset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFullSweepBilling(t *testing.T) {
 func TestTrackingRateSkipsTracking(t *testing.T) {
 	cfg := testConfig()
 	cfg.TrackingRate = 5
-	res, err := Run(testDataset, cfg, SimOptions{})
+	res, err := Run(testDataset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +198,11 @@ func TestLargerICPThresholdIsFasterAndWorse(t *testing.T) {
 	sloppy := testConfig()
 	sloppy.ICPThreshold = 1e-1 // stops after the first iteration per level
 
-	rp, err := Run(testDataset, precise, SimOptions{})
+	rp, err := Run(testDataset, precise)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Run(testDataset, sloppy, SimOptions{})
+	rs, err := Run(testDataset, sloppy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,11 @@ func TestComputeRatioReducesWork(t *testing.T) {
 	quarter := testConfig()
 	quarter.ComputeRatio = 2
 
-	rf, err := Run(testDataset, full, SimOptions{})
+	rf, err := Run(testDataset, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rq, err := Run(testDataset, quarter, SimOptions{})
+	rq, err := Run(testDataset, quarter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +245,11 @@ func TestMuAffectsIntegrationWork(t *testing.T) {
 	wide := testConfig()
 	wide.Mu = 0.4
 
-	rn, err := Run(testDataset, narrow, SimOptions{})
+	rn, err := Run(testDataset, narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := Run(testDataset, wide, SimOptions{})
+	rw, err := Run(testDataset, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,42 +260,43 @@ func TestMuAffectsIntegrationWork(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := Run(nil, testConfig(), SimOptions{}); err == nil {
+	if _, err := Run(nil, testConfig()); err == nil {
 		t.Fatal("nil dataset accepted")
 	}
 	bad := testConfig()
 	bad.Mu = -1
-	if _, err := Run(testDataset, bad, SimOptions{}); err == nil {
+	if _, err := Run(testDataset, bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	tooSmall := testConfig()
 	tooSmall.ComputeRatio = 64
-	if _, err := Run(testDataset, tooSmall, SimOptions{}); err == nil {
+	if _, err := Run(testDataset, tooSmall); err == nil {
 		t.Fatal("degenerate compute ratio accepted")
 	}
 }
 
 func TestVolumeScaleReducesMemoryNotBilling(t *testing.T) {
 	cfg := testConfig()
-	r1, err := Run(testDataset, cfg, SimOptions{VolumeScale: 2})
+	res, err := Run(testDataset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(testDataset, cfg, SimOptions{VolumeScale: 4})
-	if err != nil {
-		t.Fatal(err)
+	c := res.Counters
+	cube := func(n int) int64 { return int64(n) * int64(n) * int64(n) }
+	if want := cube(cfg.VolumeResolution) * c.IntegratedFrames; c.IntegrateFullSweep != want {
+		t.Fatalf("billed %d voxel updates, want %d: billing must follow the declared resolution", c.IntegrateFullSweep, want)
 	}
-	if r1.Counters.IntegrateFullSweep != r2.Counters.IntegrateFullSweep {
-		t.Fatal("billed integration work must not depend on VolumeScale")
+	if max := cube(cfg.VolumeResolution/volumeScale) * c.IntegratedFrames; c.IntegrateActual > max {
+		t.Fatalf("simulated %d voxel updates, more than the scaled volume holds (%d)", c.IntegrateActual, max)
 	}
 }
 
 func TestDeterministicRun(t *testing.T) {
-	a, err := Run(testDataset, testConfig(), SimOptions{})
+	a, err := Run(testDataset, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(testDataset, testConfig(), SimOptions{})
+	b, err := Run(testDataset, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func BenchmarkPipelineFrame(b *testing.B) {
 	cfg := testConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(testDataset, cfg, SimOptions{}); err != nil {
+		if _, err := Run(testDataset, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

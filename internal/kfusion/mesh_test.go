@@ -91,7 +91,7 @@ func TestEndToEndMeshFromPipeline(t *testing.T) {
 	// Run the full pipeline, then extract the room mesh and measure its
 	// error against the true scene SDF.
 	cfg := testConfig()
-	res, err := Run(testDataset, cfg, SimOptions{})
+	res, err := Run(testDataset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,39 +68,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// SimOptions controls the simulation substrate (not part of the paper's
-// design space).
-type SimOptions struct {
-	// VolumeScale divides the simulated voxel resolution: the runtime
+// The simulation substrate (not part of the paper's design space).
+const (
+	// volumeScale divides the simulated voxel resolution: the runtime
 	// model is billed at Config.VolumeResolution but the in-memory volume
-	// uses VolumeResolution/VolumeScale voxels so that thousands of DSE
-	// evaluations stay tractable (DESIGN.md §1). 0 means 2.
-	VolumeScale int
-	// VolumeSize is the physical edge length in meters (0 = 5.4, sized to
-	// the living room).
-	VolumeSize float64
-	// VolumeCenter is the world-space volume center (zero value = room
-	// center at (0, 1.3, 0)).
-	VolumeCenter geom.Vec3
-	// MaxWeight caps the TSDF running average (0 = 100).
-	MaxWeight float32
-}
-
-func (s SimOptions) withDefaults() SimOptions {
-	if s.VolumeScale <= 0 {
-		s.VolumeScale = 2
-	}
-	if s.VolumeSize <= 0 {
-		s.VolumeSize = 5.4
-	}
-	if s.VolumeCenter == (geom.Vec3{}) {
-		s.VolumeCenter = geom.V3(0, 1.3, 0)
-	}
-	if s.MaxWeight <= 0 {
-		s.MaxWeight = 100
-	}
-	return s
-}
+	// uses VolumeResolution/volumeScale voxels so that thousands of DSE
+	// evaluations stay tractable (DESIGN.md §1).
+	volumeScale = 2
+	// volumeSize is the physical edge length in meters, sized to the
+	// living room.
+	volumeSize = 5.4
+	// maxWeight caps the TSDF running average.
+	maxWeight = 100
+)
 
 // Counters accumulates per-kernel work over a run. Image-kernel counts are
 // in actual operations at the simulated resolution; IntegrateFullSweep is
@@ -128,20 +108,19 @@ type Result struct {
 }
 
 // Run executes the full pipeline over the dataset.
-func Run(ds *sensor.Dataset, cfg Config, sim SimOptions) (*Result, error) {
+func Run(ds *sensor.Dataset, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if ds == nil || ds.NumFrames() == 0 {
 		return nil, errors.New("kfusion: empty dataset")
 	}
-	sim = sim.withDefaults()
 
-	simRes := cfg.VolumeResolution / sim.VolumeScale
+	simRes := cfg.VolumeResolution / volumeScale
 	if simRes < 16 {
 		simRes = 16
 	}
-	vol := NewVolume(simRes, sim.VolumeSize, sim.VolumeCenter)
+	vol := NewVolume(simRes, volumeSize, geom.V3(0, 1.3, 0)) // centered on the room
 
 	res := &Result{Trajectory: make([]geom.Pose, ds.NumFrames())}
 	c := &res.Counters
@@ -202,7 +181,7 @@ func Run(ds *sensor.Dataset, cfg Config, sim SimOptions) (*Result, error) {
 
 		// --- Integration ---
 		if i == 0 || i%cfg.IntegrationRate == 0 {
-			c.IntegrateActual += vol.Integrate(filtered, intr, pose, cfg.Mu, sim.MaxWeight)
+			c.IntegrateActual += vol.Integrate(filtered, intr, pose, cfg.Mu, maxWeight)
 			c.IntegrateFullSweep += fullSweep
 			c.IntegratedFrames++
 		}

@@ -90,7 +90,7 @@ func TestPipelineAllInvalidDepth(t *testing.T) {
 			Intensity: imgproc.NewMap(ds2.Intrinsics.W, ds2.Intrinsics.H),
 		})
 	}
-	res, err := Run(&ds2, testConfig(), SimOptions{})
+	res, err := Run(&ds2, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

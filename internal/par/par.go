@@ -18,43 +18,12 @@ func MaxWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// For runs f(i) for every i in [0, n) using up to MaxWorkers goroutines.
-// Each index is dispatched individually; use ForChunked when per-index work
-// is tiny.
-func For(n int, f func(i int)) {
-	ForWorkers(n, MaxWorkers(), f)
-}
-
-// ForWorkers is For with an explicit worker count. workers <= 1 runs inline.
+// ForWorkers runs f(i) for every i in [0, n) on up to workers goroutines;
+// workers <= 1 runs inline. Each index is dispatched individually; use
+// ForChunked when per-index work is tiny.
 func ForWorkers(n, workers int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
+	ForWorkersScratch(n, workers, func() struct{} { return struct{}{} }, func(struct{}) {},
+		func(_ struct{}, i int) { f(i) })
 }
 
 // ForWorkersScratch is ForWorkers for loops whose iterations want reusable
@@ -144,12 +113,4 @@ func ForChunkedWorkers(n, workers int, f func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// Map applies f to every index in [0, n) in parallel and collects results
-// in order.
-func Map[T any](n int, f func(i int) T) []T {
-	out := make([]T, n)
-	For(n, func(i int) { out[i] = f(i) })
-	return out
 }

@@ -9,7 +9,7 @@ import (
 func TestForVisitsEveryIndexOnce(t *testing.T) {
 	const n = 1000
 	var counts [n]int32
-	For(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+	ForWorkers(n, 4, func(i int) { atomic.AddInt32(&counts[i], 1) })
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)
@@ -19,8 +19,8 @@ func TestForVisitsEveryIndexOnce(t *testing.T) {
 
 func TestForZeroAndNegative(t *testing.T) {
 	called := false
-	For(0, func(int) { called = true })
-	For(-5, func(int) { called = true })
+	ForWorkers(0, 4, func(int) { called = true })
+	ForWorkers(-5, 4, func(int) { called = true })
 	if called {
 		t.Fatal("f called for empty range")
 	}
@@ -79,25 +79,10 @@ func TestForChunkedWorkersCoversRangeExactly(t *testing.T) {
 	}
 }
 
-func TestMapPreservesOrder(t *testing.T) {
-	got := Map(100, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	if got := Map(0, func(i int) int { return i }); len(got) != 0 {
-		t.Fatalf("Map(0) returned %d elements", len(got))
-	}
-}
-
 func BenchmarkForSmallBodies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var sum atomic.Int64
-		For(256, func(i int) { sum.Add(int64(i)) })
+		ForWorkers(256, MaxWorkers(), func(i int) { sum.Add(int64(i)) })
 	}
 }
 

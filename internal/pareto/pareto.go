@@ -232,14 +232,6 @@ func equalObjs(a, b []float64) bool {
 	return true
 }
 
-// Merge returns the Pareto front of the union of a and b.
-func Merge(a, b []Point) []Point {
-	all := make([]Point, 0, len(a)+len(b))
-	all = append(all, a...)
-	all = append(all, b...)
-	return Front(all)
-}
-
 // Hypervolume2D returns the hypervolume indicator of a 2-objective front with
 // respect to reference point ref (both objectives minimized; ref must be
 // dominated by every front point for the result to be meaningful). Points at
@@ -264,29 +256,6 @@ func Hypervolume2D(front []Point, ref [2]float64) float64 {
 		}
 	}
 	return hv
-}
-
-// Filter returns the points satisfying keep.
-func Filter(points []Point, keep func(Point) bool) []Point {
-	var out []Point
-	for _, p := range points {
-		if keep(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// CountValid returns how many points have Objs[obj] < bound — the paper's
-// "valid configurations" metric (max ATE < 5 cm).
-func CountValid(points []Point, obj int, bound float64) int {
-	n := 0
-	for _, p := range points {
-		if p.Objs[obj] < bound {
-			n++
-		}
-	}
-	return n
 }
 
 // BestBy returns the point minimizing objective obj, and false if points is
@@ -318,16 +287,6 @@ func BestUnderConstraint(points []Point, obj, cObj int, bound float64) (best Poi
 		}
 	}
 	return best, ok
-}
-
-// Contains reports whether the front contains a point with the given ID.
-func Contains(points []Point, id int64) bool {
-	for _, p := range points {
-		if p.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // IDs returns the configuration IDs of points, in order.

@@ -203,28 +203,6 @@ func TestFront2DMatchesKD(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := []Point{pt(0, 1, 5), pt(1, 5, 1)}
-	b := []Point{pt(2, 0.5, 6), pt(3, 3, 3)}
-	m := Merge(a, b)
-	// (2) has best obj0, (0) then (3) then (1).
-	wantIDs := map[int64]bool{0: true, 1: true, 2: true, 3: true}
-	if len(m) != 4 {
-		t.Fatalf("merge = %v", m)
-	}
-	for _, p := range m {
-		if !wantIDs[p.ID] {
-			t.Fatalf("unexpected point %v", p)
-		}
-	}
-	// Now a front that dominates part of the other.
-	c := []Point{pt(9, 0.1, 0.1)}
-	m = Merge(a, c)
-	if len(m) != 1 || m[0].ID != 9 {
-		t.Fatalf("dominating merge = %v", m)
-	}
-}
-
 func TestHypervolume2D(t *testing.T) {
 	// Single point (1,1) with ref (3,3): rectangle 2x2 = 4.
 	hv := Hypervolume2D([]Point{pt(0, 1, 1)}, [2]float64{3, 3})
@@ -251,17 +229,6 @@ func TestHypervolumeMonotoneUnderImprovement(t *testing.T) {
 	better := []Point{pt(0, 4, 4), pt(1, 2, 6)}
 	if Hypervolume2D(better, ref) <= Hypervolume2D(base, ref) {
 		t.Fatal("adding a non-dominated point must increase hypervolume")
-	}
-}
-
-func TestCountValidAndFilter(t *testing.T) {
-	points := []Point{pt(0, 1, 0.04), pt(1, 2, 0.06), pt(2, 3, 0.049)}
-	if got := CountValid(points, 1, 0.05); got != 2 {
-		t.Fatalf("CountValid = %d", got)
-	}
-	f := Filter(points, func(p Point) bool { return p.Objs[0] > 1 })
-	if len(f) != 2 {
-		t.Fatalf("Filter = %v", f)
 	}
 }
 
@@ -298,9 +265,6 @@ func TestBestUnderConstraint(t *testing.T) {
 
 func TestContainsAndIDs(t *testing.T) {
 	points := []Point{pt(3, 1, 1), pt(9, 2, 2)}
-	if !Contains(points, 9) || Contains(points, 4) {
-		t.Fatal("Contains broken")
-	}
 	ids := IDs(points)
 	if len(ids) != 2 || ids[0] != 3 || ids[1] != 9 {
 		t.Fatalf("IDs = %v", ids)

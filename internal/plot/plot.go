@@ -92,41 +92,6 @@ func Scatter(w io.Writer, title string, series []Series, width, height int, xlab
 	}
 }
 
-// Bar renders a horizontal bar chart of values with the given labels.
-func Bar(w io.Writer, title string, labels []string, values []float64, width int) {
-	if width < 10 {
-		width = 10
-	}
-	max := 0.0
-	for _, v := range values {
-		if finite(v) && v > max {
-			max = v
-		}
-	}
-	fmt.Fprintf(w, "%s\n", title)
-	if max <= 0 {
-		fmt.Fprintln(w, "  (no data)")
-		return
-	}
-	labelW := 0
-	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-	}
-	for i, v := range values {
-		n := 0
-		if finite(v) {
-			n = int(v / max * float64(width))
-		}
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		fmt.Fprintf(w, "  %-*s %8.2f |%s\n", labelW, label, v, strings.Repeat("#", n))
-	}
-}
-
 // Histogram renders counts as a vertical profile with bucket ranges.
 func Histogram(w io.Writer, title string, lo, hi float64, counts []int, width int) {
 	max := 0

@@ -54,37 +54,6 @@ func TestScatterMinimumSize(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	var buf bytes.Buffer
-	Bar(&buf, "speedups", []string{"dev1", "dev2"}, []float64{2, 12}, 24)
-	out := buf.String()
-	if !strings.Contains(out, "dev1") || !strings.Contains(out, "dev2") {
-		t.Fatalf("missing labels:\n%s", out)
-	}
-	// dev2 bar must be longer than dev1 bar.
-	lines := strings.Split(out, "\n")
-	var l1, l2 int
-	for _, l := range lines {
-		if strings.Contains(l, "dev1") {
-			l1 = strings.Count(l, "#")
-		}
-		if strings.Contains(l, "dev2") {
-			l2 = strings.Count(l, "#")
-		}
-	}
-	if l2 <= l1 {
-		t.Fatalf("bar lengths wrong: %d vs %d", l1, l2)
-	}
-}
-
-func TestBarNoData(t *testing.T) {
-	var buf bytes.Buffer
-	Bar(&buf, "t", nil, nil, 20)
-	if !strings.Contains(buf.String(), "no data") {
-		t.Fatal("empty bar should say so")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	var buf bytes.Buffer
 	Histogram(&buf, "h", 0, 10, []int{1, 5, 2}, 20)

@@ -10,12 +10,12 @@
 // starve the rest. Given bounds, the scheduler enforces three policies:
 //
 //   - Fair-share admission: when a slot frees, the next run is taken from
-//     the tenant with the lowest weighted running count, so concurrent
-//     capacity divides evenly (or by configured weight) across tenants with
-//     pending work, regardless of how fast each one submits. Within one
-//     tenant, higher Priority runs dispatch first, FIFO within a priority
-//     class — priority never crosses tenant boundaries, so a tenant cannot
-//     starve others by marking everything urgent.
+//     the tenant with the lowest running count, so concurrent capacity
+//     divides evenly across tenants with pending work, regardless of how
+//     fast each one submits. Within one tenant, higher Priority runs
+//     dispatch first, FIFO within a priority class — priority never
+//     crosses tenant boundaries, so a tenant cannot starve others by
+//     marking everything urgent.
 //   - Quotas: per-tenant concurrent-run and queue-depth caps bound what any
 //     single tenant can hold, and MaxRunning bounds the fleet.
 //   - Backpressure: a submission past a full tenant queue fails with
@@ -56,9 +56,6 @@ type TenantQuota struct {
 	// MaxQueued caps the tenant's admission queue; 0 selects the default
 	// (DefaultMaxQueued). Submissions past the cap fail with ErrQueueFull.
 	MaxQueued int
-	// Weight scales the tenant's fair share; 0 selects 1. A tenant with
-	// weight 2 is offered slots as if it were running half as much.
-	Weight float64
 }
 
 // Defaults for the zero Config; see Config.
@@ -73,10 +70,8 @@ type Config struct {
 	// MaxRunning bounds concurrently running runs across all tenants; 0
 	// means no fleet-wide bound.
 	MaxRunning int
-	// Quota is the default per-tenant quota; Quotas overrides it for named
-	// tenants.
-	Quota  TenantQuota
-	Quotas map[string]TenantQuota
+	// Quota is the per-tenant quota, the same for every tenant.
+	Quota TenantQuota
 	// RetryAfter is the backoff hint attached to ErrQueueFull rejections
 	// (the HTTP Retry-After header value; default DefaultRetryAfter).
 	RetryAfter time.Duration
@@ -85,20 +80,6 @@ type Config struct {
 	// DefaultCoalesceWindow; negative disables merging (batches pass
 	// through unmerged, still deduplicated within themselves).
 	CoalesceWindow time.Duration
-}
-
-func (c Config) quota(tenant string) TenantQuota {
-	q := c.Quota
-	if o, ok := c.Quotas[tenant]; ok {
-		q = o
-	}
-	if q.MaxQueued <= 0 {
-		q.MaxQueued = DefaultMaxQueued
-	}
-	if q.Weight <= 0 {
-		q.Weight = 1
-	}
-	return q
 }
 
 // RetryAfterHint returns the configured backoff hint for rejections.
@@ -165,7 +146,6 @@ func (t *Ticket) Cancel() bool {
 // totals outlive them.
 type tenantState struct {
 	name       string
-	quota      TenantQuota
 	queue      []*Ticket // priority-ordered, FIFO within a priority class
 	running    int
 	dispatched int64
@@ -193,6 +173,9 @@ type Scheduler struct {
 
 // New returns a scheduler over cfg.
 func New(cfg Config) *Scheduler {
+	if cfg.Quota.MaxQueued <= 0 {
+		cfg.Quota.MaxQueued = DefaultMaxQueued
+	}
 	return &Scheduler{cfg: cfg, tenants: make(map[string]*tenantState)}
 }
 
@@ -224,7 +207,7 @@ func (s *Scheduler) Submit(tenant string, priority int, start, abort func(*Ticke
 		t.start(t)
 		return t, nil
 	}
-	if len(ts.queue) >= ts.quota.MaxQueued {
+	if len(ts.queue) >= s.cfg.Quota.MaxQueued {
 		ts.rejected++
 		s.rejected++
 		s.mu.Unlock()
@@ -286,7 +269,7 @@ func (s *Scheduler) Close() {
 func (s *Scheduler) tenant(name string) *tenantState {
 	ts, ok := s.tenants[name]
 	if !ok {
-		ts = &tenantState{name: name, quota: s.cfg.quota(name)}
+		ts = &tenantState{name: name}
 		s.tenants[name] = ts
 	}
 	return ts
@@ -308,7 +291,7 @@ func (s *Scheduler) fleetCanRun() bool {
 // tenantCanRun reports whether the tenant is under its concurrent cap.
 // Called under mu.
 func (s *Scheduler) tenantCanRun(ts *tenantState) bool {
-	return ts.quota.MaxRunning <= 0 || ts.running < ts.quota.MaxRunning
+	return s.cfg.Quota.MaxRunning <= 0 || ts.running < s.cfg.Quota.MaxRunning
 }
 
 // admitLocked moves a ticket to running and records its wait.
@@ -344,7 +327,7 @@ func (s *Scheduler) queuedLocked() int {
 
 // dispatchLocked fills free slots from the queues: repeatedly pick, among
 // tenants with queued work and headroom under their own cap, the one with
-// the lowest weighted running count (ties: longest-waiting head first, then
+// the lowest running count (ties: longest-waiting head first, then
 // tenant name, for determinism). Returns the tickets to start — the caller
 // invokes their callbacks off the lock.
 func (s *Scheduler) dispatchLocked() []*Ticket {
@@ -375,9 +358,8 @@ func (s *Scheduler) dispatchLocked() []*Ticket {
 
 // less orders candidate tenants for the next free slot.
 func less(a, b *tenantState) bool {
-	la, lb := float64(a.running)/a.quota.Weight, float64(b.running)/b.quota.Weight
-	if la != lb {
-		return la < lb
+	if a.running != b.running {
+		return a.running < b.running
 	}
 	ea, eb := a.queue[0].enqueued, b.queue[0].enqueued
 	if !ea.Equal(eb) {

@@ -95,7 +95,7 @@ func TestQueueBoundBackpressure(t *testing.T) {
 }
 
 // TestFairShareDispatch pins the core fairness rule: when a slot frees, the
-// tenant with the lowest weighted running count wins, even if another
+// tenant with the lowest running count wins, even if another
 // tenant queued earlier.
 func TestFairShareDispatch(t *testing.T) {
 	s := New(Config{MaxRunning: 2})
@@ -117,36 +117,6 @@ func TestFairShareDispatch(t *testing.T) {
 	}
 	s.Done(a2)
 	waitFor(t, func() bool { return c.startedCount() == 4 })
-}
-
-// TestWeightedFairShare: a tenant with weight 2 is offered slots as if it
-// were running half as much. With heavy and light each at 1 running run,
-// heavy's weighted load (0.5) beats light's (1.0) — even though light's
-// queued ticket is older, which would win the unweighted tie-break.
-func TestWeightedFairShare(t *testing.T) {
-	s := New(Config{
-		MaxRunning: 3,
-		Quotas: map[string]TenantQuota{
-			"heavy": {Weight: 2},
-		},
-	})
-	var c collector
-	h1, _ := s.Submit("heavy", 0, c.start, c.abort)
-	h2, _ := s.Submit("heavy", 0, c.start, c.abort)
-	l1, _ := s.Submit("light", 0, c.start, c.abort)
-	s.Submit("light", 0, c.start, c.abort) // queued first (older head)
-	s.Submit("heavy", 0, c.start, c.abort)
-	s.Done(h1)
-	// Now heavy runs 1 (load 0.5), light runs 1 (load 1.0).
-	waitFor(t, func() bool { return c.startedCount() == 4 })
-	c.mu.Lock()
-	fourth := c.started[3]
-	c.mu.Unlock()
-	if fourth.Tenant() != "heavy" {
-		t.Fatalf("freed slot went to %q, want heavy (weighted load 0.5 < 1.0)", fourth.Tenant())
-	}
-	s.Done(h2)
-	s.Done(l1)
 }
 
 // TestPriorityWithinTenant: higher priority dispatches first within one

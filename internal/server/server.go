@@ -30,7 +30,7 @@
 //
 // The package splits along its layers: this file owns the Manager
 // (registry, session construction and launch, lifecycle policy), session.go
-// the per-session state machine, store.go the sharded SessionStore and
+// the per-session state machine, store.go the sharded session store and
 // eviction, persist.go the data-directory durability layer (journals,
 // crash-safe resume, the persisted record), and handlers.go the HTTP
 // surface.
@@ -317,7 +317,7 @@ type Manager struct {
 	sched      *sched.Scheduler // admits every fresh run
 	retryAfter time.Duration    // backoff hint on a queue-full rejection
 	coalesce   *sched.Group     // nil unless cfg.Sched is set
-	store      SessionStore
+	store      *shardedStore
 	evictMu    sync.Mutex   // serializes eviction passes (janitor vs Start)
 	evictedTTL atomic.Int64 // sessions evicted by TTL expiry
 	evictedCap atomic.Int64 // sessions evicted by the MaxSessions cap
@@ -348,13 +348,10 @@ func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 		problems: make(map[string]Problem),
 		caches:   make(map[string]*core.EvalCache),
 		cfg:      cfg,
-		store:    newShardedStore(cfg.Shards),
+		store:    newShardedStore(cfg.Shards, cfg.DataDir),
 		baseCtx:  ctx,
 		baseStop: stop,
 		started:  time.Now(),
-	}
-	if cfg.DataDir != "" {
-		m.store = newPersistentStore(cfg.Shards, cfg.DataDir)
 	}
 	var sc sched.Config // no limits: every submission is admitted in Submit
 	if cfg.Sched != nil {

@@ -10,28 +10,6 @@ import (
 	"time"
 )
 
-// SessionStore holds the manager's live and retained sessions. The manager
-// owns session lifecycle (creation, eviction policy); the store only
-// provides concurrent-safe placement and lookup. Implementations must be
-// safe for concurrent use from many HTTP handlers at once.
-//
-// This indirection is what the roadmap's persistent-store and multi-daemon
-// items build on: handlers never assume a session lives forever in one
-// process-local map — any Get can miss, and every handler must treat a
-// missing id as "gone", not "bug".
-type SessionStore interface {
-	// Put places a session; the key is the session's numeric sequence.
-	Put(s *session)
-	// Get returns the session with the given id, if retained.
-	Get(id string) (*session, bool)
-	// Delete removes a session and reports whether it was present.
-	Delete(id string) bool
-	// Snapshot returns all retained sessions in no particular order.
-	Snapshot() []*session
-	// Len reports the number of retained sessions.
-	Len() int
-}
-
 const (
 	runIDPrefix   = "run-"
 	defaultShards = 16
@@ -51,13 +29,21 @@ func parseSeq(id string) (int64, bool) {
 	return seq, true
 }
 
-// shardedStore is the in-memory SessionStore: N independently locked
-// shards keyed by the run sequence, so concurrent POST/GET/DELETE traffic
-// spreads across locks instead of serializing on one mutex. Run sequences
-// are assigned round-robin by the manager, so consecutive sessions land on
-// consecutive shards.
+// shardedStore holds the manager's live and retained sessions. The manager
+// owns session lifecycle (creation, eviction policy); the store provides
+// concurrent-safe placement and lookup: N independently locked shards
+// keyed by the run sequence, so concurrent POST/GET/DELETE traffic spreads
+// across locks instead of serializing on one mutex. Run sequences are
+// assigned round-robin by the manager, so consecutive sessions land on
+// consecutive shards. Any Get can miss — sessions are evicted — and every
+// handler treats a missing id as "gone".
+//
+// With a dataDir, deleting a session (explicit eviction, TTL, or cap) also
+// unlinks its on-disk run directory, so an evicted id stays 404 across
+// restarts instead of resurrecting as a zombie at the next recovery scan.
 type shardedStore struct {
-	shards []storeShard
+	shards  []storeShard
+	dataDir string
 }
 
 type storeShard struct {
@@ -66,12 +52,12 @@ type storeShard struct {
 }
 
 // newShardedStore returns a store with n shards (n < 1 selects the
-// default).
-func newShardedStore(n int) *shardedStore {
+// default) over dataDir (empty = in-memory only).
+func newShardedStore(n int, dataDir string) *shardedStore {
 	if n < 1 {
 		n = defaultShards
 	}
-	st := &shardedStore{shards: make([]storeShard, n)}
+	st := &shardedStore{shards: make([]storeShard, n), dataDir: dataDir}
 	for i := range st.shards {
 		st.shards[i].runs = make(map[int64]*session)
 	}
@@ -82,7 +68,7 @@ func (st *shardedStore) shardFor(seq int64) *storeShard {
 	return &st.shards[int(seq%int64(len(st.shards)))]
 }
 
-// Put implements SessionStore.
+// Put places a session; the key is the session's numeric sequence.
 func (st *shardedStore) Put(s *session) {
 	sh := st.shardFor(s.seq)
 	sh.mu.Lock()
@@ -90,7 +76,7 @@ func (st *shardedStore) Put(s *session) {
 	sh.mu.Unlock()
 }
 
-// Get implements SessionStore.
+// Get returns the session with the given id, if retained.
 func (st *shardedStore) Get(id string) (*session, bool) {
 	seq, ok := parseSeq(id)
 	if !ok {
@@ -109,7 +95,10 @@ func (st *shardedStore) Get(id string) (*session, bool) {
 	return s, true
 }
 
-// Delete implements SessionStore.
+// Delete removes a session and reports whether it was present. The run
+// directory is unlinked only after the in-memory delete succeeded, which
+// requires the canonical minted id — a hostile id never reaches the
+// filesystem.
 func (st *shardedStore) Delete(id string) bool {
 	seq, ok := parseSeq(id)
 	if !ok {
@@ -117,16 +106,20 @@ func (st *shardedStore) Delete(id string) bool {
 	}
 	sh := st.shardFor(seq)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	s, ok := sh.runs[seq]
 	if !ok || s.id != id {
+		sh.mu.Unlock()
 		return false
 	}
 	delete(sh.runs, seq)
+	sh.mu.Unlock()
+	if st.dataDir != "" {
+		_ = os.RemoveAll(filepath.Join(st.dataDir, "runs", id))
+	}
 	return true
 }
 
-// Snapshot implements SessionStore.
+// Snapshot returns all retained sessions in no particular order.
 func (st *shardedStore) Snapshot() []*session {
 	out := make([]*session, 0, st.Len())
 	for i := range st.shards {
@@ -140,7 +133,7 @@ func (st *shardedStore) Snapshot() []*session {
 	return out
 }
 
-// Len implements SessionStore.
+// Len reports the number of retained sessions.
 func (st *shardedStore) Len() int {
 	n := 0
 	for i := range st.shards {
@@ -150,32 +143,6 @@ func (st *shardedStore) Len() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// persistentStore couples the sharded in-memory store to a data
-// directory: deleting a session (explicit eviction, TTL, or cap) also
-// unlinks its on-disk run directory, so an evicted id stays 404 across
-// restarts instead of resurrecting as a zombie at the next recovery scan.
-// The unlink happens only after the in-memory delete succeeded, which
-// requires the canonical minted id — a hostile id never reaches the
-// filesystem.
-type persistentStore struct {
-	*shardedStore
-	dataDir string
-}
-
-// newPersistentStore returns a store over dataDir with n shards.
-func newPersistentStore(n int, dataDir string) *persistentStore {
-	return &persistentStore{shardedStore: newShardedStore(n), dataDir: dataDir}
-}
-
-// Delete implements SessionStore; it also removes the run's directory.
-func (st *persistentStore) Delete(id string) bool {
-	if !st.shardedStore.Delete(id) {
-		return false
-	}
-	_ = os.RemoveAll(filepath.Join(st.dataDir, "runs", id))
-	return true
 }
 
 // --- lifecycle: TTL and cap eviction ---------------------------------------

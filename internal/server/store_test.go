@@ -35,7 +35,7 @@ func TestParseSeq(t *testing.T) {
 func TestShardedStoreBasics(t *testing.T) {
 	for _, shards := range []int{1, 4, 16, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			st := newShardedStore(shards)
+			st := newShardedStore(shards, "")
 			const n = 100
 			for i := int64(1); i <= n; i++ {
 				st.Put(storeSession(i))
@@ -87,7 +87,7 @@ func TestShardedStoreBasics(t *testing.T) {
 
 func TestShardedStoreDefaultShardCount(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		if got := len(newShardedStore(n).shards); got != defaultShards {
+		if got := len(newShardedStore(n, "").shards); got != defaultShards {
 			t.Fatalf("newShardedStore(%d) built %d shards, want %d", n, got, defaultShards)
 		}
 	}
@@ -96,7 +96,7 @@ func TestShardedStoreDefaultShardCount(t *testing.T) {
 func TestShardedStoreConcurrent(t *testing.T) {
 	// Hammer all operations from many goroutines; the race detector is the
 	// real assertion here.
-	st := newShardedStore(8)
+	st := newShardedStore(8, "")
 	const (
 		workers = 16
 		perW    = 200

@@ -39,7 +39,6 @@ func KFusionSpace() *param.Space {
 // KFusionBench runs KFusion configurations on a dataset.
 type KFusionBench struct {
 	DS    *sensor.Dataset
-	Sim   kfusion.SimOptions
 	space *param.Space
 }
 
@@ -94,7 +93,7 @@ func (b *KFusionBench) ToConfig(cfg param.Config) kfusion.Config {
 
 // Evaluate implements Benchmark.
 func (b *KFusionBench) Evaluate(cfg param.Config, dev device.Model) (Metrics, error) {
-	res, err := kfusion.Run(b.DS, b.ToConfig(cfg), b.Sim)
+	res, err := kfusion.Run(b.DS, b.ToConfig(cfg))
 	if err != nil {
 		return Metrics{}, fmtErr(b, err)
 	}

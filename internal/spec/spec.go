@@ -217,6 +217,10 @@ func (s *Spec) Space() (*param.Space, error) {
 // its kind requires (the hard-error counterpart of param.Grid/LogGrid's
 // degenerate-input clamping).
 func (p ParamSpec) build() (param.Parameter, error) {
+	// A grid's levels are allocated when the spec is read, and POST
+	// /problems reads specs off the network: the list kinds are bounded by
+	// the request body, a grid needs its own bound.
+	const maxGridPoints = 1 << 20
 	if strings.TrimSpace(p.Name) == "" {
 		return param.Parameter{}, fmt.Errorf("empty name")
 	}
@@ -233,8 +237,8 @@ func (p ParamSpec) build() (param.Parameter, error) {
 		if len(p.Values) != 0 {
 			return param.Parameter{}, fmt.Errorf("kind %q takes low/high/points, not explicit values", p.Kind)
 		}
-		if p.Points < 1 {
-			return param.Parameter{}, fmt.Errorf("kind %q needs points ≥ 1, got %d", p.Kind, p.Points)
+		if p.Points < 1 || p.Points > maxGridPoints {
+			return param.Parameter{}, fmt.Errorf("kind %q needs 1 ≤ points ≤ %d, got %d", p.Kind, maxGridPoints, p.Points)
 		}
 		if p.Points > 1 && p.Low >= p.High {
 			return param.Parameter{}, fmt.Errorf("kind %q needs low < high, got [%g, %g]", p.Kind, p.Low, p.High)

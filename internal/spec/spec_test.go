@@ -69,6 +69,7 @@ func TestParseErrors(t *testing.T) {
 		{"bool with values", `{"version":1,"name":"a","parameters":[{"name":"x","kind":"bool","values":[1]}],"objectives":["f"],"evaluator":"builtin:m"}`, "takes no values"},
 		{"ordinal without values", `{"version":1,"name":"a","parameters":[{"name":"x","kind":"ordinal"}],"objectives":["f"],"evaluator":"builtin:m"}`, "at least one value"},
 		{"grid without points", `{"version":1,"name":"a","parameters":[{"name":"x","kind":"grid","low":0,"high":1}],"objectives":["f"],"evaluator":"builtin:m"}`, "points"},
+		{"grid too fine", `{"version":1,"name":"a","parameters":[{"name":"x","kind":"grid","low":0,"high":1,"points":2000000000}],"objectives":["f"],"evaluator":"builtin:m"}`, "points"},
 		{"grid inverted range", `{"version":1,"name":"a","parameters":[{"name":"x","kind":"grid","low":2,"high":1,"points":3}],"objectives":["f"],"evaluator":"builtin:m"}`, "low < high"},
 		{"log-grid nonpositive low", `{"version":1,"name":"a","parameters":[{"name":"x","kind":"log-grid","low":0,"high":1,"points":3}],"objectives":["f"],"evaluator":"builtin:m"}`, "positive low"},
 		{"no evaluator", `{"version":1,"name":"a","parameters":[{"name":"x","kind":"bool"}],"objectives":["f"],"evaluator":""}`, "no evaluator"},

@@ -40,15 +40,6 @@ func FromPoses(poses []geom.Pose, fps float64) Trajectory {
 	return out
 }
 
-// Poses strips the timestamps.
-func (t Trajectory) Poses() []geom.Pose {
-	out := make([]geom.Pose, len(t))
-	for i, s := range t {
-		out[i] = s.Pose
-	}
-	return out
-}
-
 // Write emits the trajectory in TUM format. Rotations are serialized as
 // unit quaternions.
 func Write(w io.Writer, t Trajectory) error {

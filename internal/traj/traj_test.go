@@ -73,8 +73,8 @@ func TestFromPosesDefaults(t *testing.T) {
 	if math.Abs(tr[1].Time-1.0/30) > 1e-12 {
 		t.Fatalf("default fps wrong: %v", tr[1].Time)
 	}
-	if len(tr.Poses()) != 3 {
-		t.Fatal("Poses() length wrong")
+	if len(tr) != 3 {
+		t.Fatal("trajectory length wrong")
 	}
 }
 

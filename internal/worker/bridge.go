@@ -172,7 +172,9 @@ func (e *ExecEvaluator) roundTrip(cfg param.Config) (objs []float64, appErr, err
 	if _, err := e.in.Write(append(line, '\n')); err != nil {
 		return nil, nil, fmt.Errorf("writing request: %w", err)
 	}
-	reply, err := e.out.ReadBytes('\n')
+	// e.out holds one reply line at most (startLocked): a longer one is
+	// bufio.ErrBufferFull, a transport failure like any desynced reply.
+	reply, err := e.out.ReadSlice('\n')
 	if err != nil {
 		return nil, nil, fmt.Errorf("reading response: %w", err)
 	}
@@ -209,7 +211,7 @@ func (e *ExecEvaluator) startLocked() error {
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("starting %s: %w", e.argv[0], err)
 	}
-	e.cmd, e.in, e.out = cmd, in, bufio.NewReader(out)
+	e.cmd, e.in, e.out = cmd, in, bufio.NewReaderSize(out, maxExecReply)
 	return nil
 }
 
@@ -231,6 +233,11 @@ func (e *ExecEvaluator) Close() error {
 	e.stopLocked()
 	return nil
 }
+
+// maxExecReply bounds one reply line of an exec-bridge program (an
+// objective vector or an error message), so a program that never ends its
+// line cannot grow the coordinator's memory.
+const maxExecReply = bufio.MaxScanTokenSize
 
 // httpBridgeTimeout is the per-request ceiling of the HTTP bridge — the
 // same backstop role RequestTimeout plays for worker requests: an
@@ -299,7 +306,7 @@ func (e *HTTPEvaluator) evaluate(cfg param.Config) ([]float64, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("%d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	reply, err := io.ReadAll(resp.Body)
+	reply, err := readReply(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}

@@ -52,6 +52,9 @@ func TestHelperObjective(t *testing.T) {
 			}})
 		case "garbage":
 			fmt.Println("this is not JSON")
+		case "long-line":
+			// A valid reply, padded past maxExecReply before its newline.
+			fmt.Printf("{\"objectives\":[1,2]%s}\n", strings.Repeat(" ", 2*maxExecReply))
 		case "null-belt":
 			// A program that marks a configuration invalid the JSON way:
 			// null where it has no number (the belt of nullBeltEval).

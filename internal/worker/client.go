@@ -31,9 +31,6 @@ type Options struct {
 	// requests for a large batch; a larger one amortizes per-request
 	// overhead.
 	ChunkSize int
-	// MaxInFlight bounds the pool's concurrent HTTP requests across all
-	// sessions sharing it, hedges included (default 4 × workers).
-	MaxInFlight int
 	// Retries is how many additional attempts a failed chunk gets, each
 	// routed to a different worker than the one that just failed (default
 	// 2). A chunk whose attempts are exhausted fails the batch; completed
@@ -63,18 +60,9 @@ type Options struct {
 	// HedgeAfter is the straggler threshold: a request outstanding this
 	// long is re-dispatched to a second worker, first reply wins. 0
 	// derives the threshold adaptively from the observed per-configuration
-	// service-time quantile (see HedgeQuantile); a negative value disables
+	// service-time quantile (see hedgeQuantile); a negative value disables
 	// hedging.
 	HedgeAfter time.Duration
-	// HedgeQuantile is the service-time quantile used when HedgeAfter is
-	// 0, in (0,1) (default 0.95). Service time is tracked per
-	// configuration — chunks range from 1 to ChunkSize configurations, so
-	// whole-request times share no scale — and a request's threshold is
-	// that quantile × its configuration count. Windows are per problem (a
-	// SLAM batch and a synthetic batch have nothing in common), and
-	// hedging stays off until that problem has observed at least
-	// hedgeMinSamples completions.
-	HedgeQuantile float64
 	// RequestTimeout is the hard per-request ceiling (default 15m). It is
 	// the backstop that keeps a wedged worker — accepts the connection,
 	// never answers — from hanging a run when hedging is still cold: the
@@ -94,7 +82,6 @@ const (
 	defaultRetryBackoffCap  = 2 * time.Second
 	defaultBreakerThreshold = 5
 	defaultProbeInterval    = time.Second
-	defaultHedgeQuantile    = 0.95
 	defaultRequestTimeout   = 15 * time.Minute
 	// maxShedWaits bounds how many 503 backpressure pauses one chunk will
 	// sit through without consuming its retry budget; past it shedding is
@@ -103,6 +90,18 @@ const (
 	maxShedWaits = 16
 	// maxShedPause caps a single honored Retry-After pause.
 	maxShedPause = 30 * time.Second
+	// maxInFlightPerWorker × workers bounds the pool's concurrent HTTP
+	// requests across all sessions sharing it, hedges included.
+	maxInFlightPerWorker = 4
+	// hedgeQuantile is the service-time quantile the adaptive hedge
+	// threshold (HedgeAfter 0) is read at. Service time is tracked per
+	// configuration — chunks range from 1 to ChunkSize configurations, so
+	// whole-request times share no scale — and a request's threshold is
+	// that quantile × its configuration count. Windows are per problem (a
+	// SLAM batch and a synthetic batch have nothing in common), and
+	// hedging stays off until that problem has observed at least
+	// hedgeMinSamples completions.
+	hedgeQuantile = 0.95
 	// hedgeMinSamples is how many completed requests the adaptive hedger
 	// needs before it trusts its latency window.
 	hedgeMinSamples = 8
@@ -209,9 +208,6 @@ func NewPool(urls []string, opts Options) (*Pool, error) {
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = defaultChunkSize
 	}
-	if opts.MaxInFlight <= 0 {
-		opts.MaxInFlight = 4 * len(urls)
-	}
 	if opts.Retries < 0 {
 		opts.Retries = 0
 	} else if opts.Retries == 0 {
@@ -232,9 +228,6 @@ func NewPool(urls []string, opts Options) (*Pool, error) {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = defaultProbeInterval
 	}
-	if opts.HedgeQuantile <= 0 || opts.HedgeQuantile >= 1 {
-		opts.HedgeQuantile = defaultHedgeQuantile
-	}
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = defaultRequestTimeout
 	}
@@ -249,7 +242,7 @@ func NewPool(urls []string, opts Options) (*Pool, error) {
 	p := &Pool{
 		opts:    opts,
 		client:  client,
-		sem:     make(chan struct{}, opts.MaxInFlight),
+		sem:     make(chan struct{}, maxInFlightPerWorker*len(urls)),
 		windows: make(map[string]*latencyWindow),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		done:    make(chan struct{}),
@@ -497,7 +490,7 @@ func (p *Pool) evalChunk(ctx context.Context, problem string, cfgs []param.Confi
 // dispatched leg has failed. It reports the workers whose requests failed
 // so the retry loop can route around them.
 //
-// Every leg holds a MaxInFlight semaphore slot for its HTTP exchange. The
+// Every leg holds an in-flight semaphore slot for its HTTP exchange. The
 // primary acquires it blocking (that wait IS the pool's backpressure);
 // a hedge leg only dispatches if a slot is free right now — blocking would
 // queue it behind the very stragglers it exists to bypass. The latency
@@ -689,7 +682,7 @@ func (p *Pool) post(ctx context.Context, w *workerState, problem string, cfgs []
 		}
 		return nil, err
 	}
-	reply, err := io.ReadAll(resp.Body)
+	reply, err := readReply(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: reading response: %w", w.url, err)
 	}
@@ -706,6 +699,18 @@ func (p *Pool) post(ctx context.Context, w *workerState, problem string, cfgs []
 		}
 	}
 	return out, nil
+}
+
+// readReply reads a peer's reply body, bounded like the request that asked
+// for it (maxEvaluateBody): the coordinator does not buffer whatever a
+// worker or a bridged endpoint chooses to send. A longer body is an error,
+// handled as any malformed reply is.
+func readReply(body io.Reader) ([]byte, error) {
+	reply, err := io.ReadAll(io.LimitReader(body, maxEvaluateBody+1))
+	if err == nil && len(reply) > maxEvaluateBody {
+		err = fmt.Errorf("reply exceeds %d bytes", maxEvaluateBody)
+	}
+	return reply, err
 }
 
 // parseRetryAfter reads a Retry-After header's delay-seconds form; 0 when
@@ -795,7 +800,7 @@ func (w *latencyWindow) quantile(q float64) time.Duration {
 
 // hedgeDelay returns the current straggler threshold for a request of
 // configs configurations of one problem: the fixed HedgeAfter when
-// configured (whatever the request's size), otherwise the HedgeQuantile of
+// configured (whatever the request's size), otherwise the hedgeQuantile of
 // that problem's observed per-configuration service times × configs. 0
 // means "do not hedge" (hedging disabled, or the adaptive window has too
 // few samples to trust); RequestTimeout still bounds the attempt either
@@ -807,5 +812,5 @@ func (p *Pool) hedgeDelay(problem string, configs int) time.Duration {
 	if p.opts.HedgeAfter < 0 {
 		return 0
 	}
-	return p.window(problem).quantile(p.opts.HedgeQuantile) * time.Duration(configs)
+	return p.window(problem).quantile(hedgeQuantile) * time.Duration(configs)
 }

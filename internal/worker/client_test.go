@@ -65,7 +65,7 @@ func TestPickSkipsAvoidedWorkers(t *testing.T) {
 }
 
 func TestHedgeDelayAdaptiveQuantile(t *testing.T) {
-	p, err := NewPool([]string{"http://a", "http://b"}, Options{HedgeQuantile: 0.9})
+	p, err := NewPool([]string{"http://a", "http://b"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,6 +79,9 @@ func decodeObjectives(body []byte) ([][]float64, error) {
 		if err := json.Unmarshal(body, &marked); err != nil {
 			return nil, err
 		}
+		if marked.Objectives == nil {
+			return nil, nil // as the plain path reads an absent or null list
+		}
 		out := make([][]float64, len(marked.Objectives))
 		for i, row := range marked.Objectives {
 			out[i] = row
