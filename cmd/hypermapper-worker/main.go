@@ -31,12 +31,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/catalog"
@@ -105,30 +101,17 @@ func main() {
 		handler = worker.WithChaos(handler, chaosOpts)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	infof("listening on %s (%d problems)", *addr, len(ws.Problems()))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case <-ctx.Done():
-		stop()
+	boot.Serve(&http.Server{Addr: *addr, Handler: handler}, func(ctx context.Context) {
 		// Fail readiness first so load balancers and coordinators stop
 		// routing new batches here, then give them a moment to notice.
 		ws.SetDraining(true)
 		infof("draining for %s before shutdown", *drainGrace)
-		time.Sleep(*drainGrace)
-	case err := <-errc:
-		fatalf("%v", err)
-	}
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		boot.Err.Printf("http shutdown: %v", err)
-	}
+		select {
+		case <-time.After(*drainGrace):
+		case <-ctx.Done():
+		}
+	})
 }
 
 func toWorkerProblem(p catalog.Problem) worker.Problem {

@@ -1,6 +1,8 @@
 // Command hypermapper runs the full multi-objective design-space
 // exploration of the paper (Algorithm 1) on one benchmark × platform and
-// reports the Pareto front.
+// reports the Pareto front. It is a front-end to experiments.RunDSE — the
+// runner behind cmd/figures — so the scatter, the summary and the CSV
+// format are the figures' own.
 //
 // Usage:
 //
@@ -16,35 +18,41 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/experiments"
 	"repro/internal/forest"
-	"repro/internal/journal"
-	"repro/internal/pareto"
-	"repro/internal/plot"
 	"repro/internal/slambench"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "hypermapper: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hypermapper", flag.ContinueOnError)
 	var (
-		benchName  = flag.String("benchmark", "kfusion", "benchmark: kfusion or elasticfusion")
-		platform   = flag.String("platform", "ODROID-XU3", "platform model")
-		scale      = flag.String("dataset", "full", "dataset scale: full or test")
-		randomN    = flag.Int("random", 120, "random bootstrap samples (rs of Algorithm 1)")
-		iterations = flag.Int("iterations", 3, "active learning iterations")
-		batch      = flag.Int("batch", 100, "max evaluations per AL iteration")
-		pool       = flag.Int("pool", 60000, "prediction pool cap")
-		trees      = flag.Int("trees", 24, "trees per objective forest")
-		seed       = flag.Int64("seed", 1, "random seed")
-		power      = flag.Bool("power", false, "add power as a third objective")
-		out        = flag.String("out", "", "directory for CSV outputs")
-		quiet      = flag.Bool("q", false, "suppress progress output")
+		benchName  = fs.String("benchmark", "kfusion", "benchmark: kfusion or elasticfusion")
+		platform   = fs.String("platform", "ODROID-XU3", "platform model")
+		scale      = fs.String("dataset", "full", "dataset scale: full or test")
+		randomN    = fs.Int("random", 120, "random bootstrap samples (rs of Algorithm 1)")
+		iterations = fs.Int("iterations", 3, "active learning iterations")
+		batch      = fs.Int("batch", 100, "max evaluations per AL iteration")
+		pool       = fs.Int("pool", 60000, "prediction pool cap")
+		trees      = fs.Int("trees", 24, "trees per objective forest")
+		seed       = fs.Int64("seed", 1, "random seed")
+		power      = fs.Bool("power", false, "add power as a third objective")
+		out        = fs.String("out", "", "directory for the samples and front CSVs")
+		quiet      = fs.Bool("q", false, "suppress progress output")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Install the interrupt handler before the (potentially slow) dataset
 	// and benchmark construction so Ctrl-C cancels cooperatively from the
@@ -52,147 +60,70 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var bench slambench.Benchmark
-	switch *benchName {
-	case "kfusion":
-		bench = slambench.NewKFusionBench(slambench.CachedDataset(*scale))
-	case "elasticfusion":
-		bench = slambench.NewElasticFusionBench(slambench.CachedDataset(*scale))
-	default:
-		fatalf("unknown benchmark %q", *benchName)
+	bench, err := slambench.ByName(*benchName, *scale)
+	if err != nil {
+		return err
 	}
 	dev, ok := device.ByName(*platform)
 	if !ok {
-		fatalf("unknown platform %q", *platform)
+		return fmt.Errorf("unknown platform %q", *platform)
 	}
-
 	objs := slambench.RuntimeAccuracy
 	if *power {
 		objs = slambench.RuntimeAccuracyPower
 	}
-
-	logf := func(format string, args ...any) {
-		if !*quiet {
-			fmt.Printf(format+"\n", args...)
-		}
-	}
-	logf("exploring %s (%d configurations) on %s", bench.Name(), bench.Space().Size(), dev)
-
-	// Ctrl-C cancels the exploration cooperatively: the engine stops at the
-	// next phase boundary and we still report the partial front.
-	res, err := core.RunContext(ctx, bench.Space(), slambench.Evaluator(bench, dev, objs), core.Options{
-		Objectives:    objs.Count(),
+	budget := core.Options{
 		RandomSamples: *randomN,
 		MaxIterations: *iterations,
 		MaxBatch:      *batch,
 		PoolCap:       *pool,
 		Forest:        forest.Options{Trees: *trees},
 		Seed:          *seed,
-		Logf:          logf,
-	})
+	}
+	if !*quiet {
+		budget.Logf = func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) }
+		budget.Logf("exploring %s (%d configurations) on %s", bench.Name(), bench.Space().Size(), dev)
+	}
+
+	// Ctrl-C cancels the exploration cooperatively: the engine stops at the
+	// next phase boundary and the partial front is still reported.
+	res, err := experiments.RunDSE(ctx, bench, dev, objs, budget)
 	// Release the signal handler: a second Ctrl-C during the reporting
 	// phase should kill the process, not be swallowed.
 	stop()
-	if errors.Is(err, context.Canceled) {
+	switch {
+	case err == nil:
+	case res != nil && errors.Is(err, context.Canceled):
 		fmt.Fprintln(os.Stderr, "hypermapper: interrupted — reporting partial results")
-	} else if err != nil {
-		fatalf("%v", err)
+	default:
+		return err
 	}
+	res.Render(stdout)
 
-	nAL := len(res.ActiveSamples())
-	fmt.Printf("\nsamples: %d (%d random + %d active learning), front: %d points, converged: %v\n",
-		len(res.Samples), len(res.Samples)-nAL, nAL, len(res.Front), res.Converged)
-	for _, it := range res.Iterations {
-		fmt.Printf("  iteration %d: predicted front %d, new samples %d, measured front %d\n",
-			it.Iteration, it.PredictedFrontSize, it.NewSamples, it.FrontSize)
+	space := bench.Space()
+	fmt.Fprintln(stdout, "\npareto front (sorted by runtime):")
+	for _, s := range core.FrontSamples(res.Run) {
+		fmt.Fprintf(stdout, "  %8.4fs/frame  ATE %.4fm   %s\n", s.Objs[0], s.Objs[1], space.FormatConfig(s.Config))
 	}
-
-	if objs == slambench.RuntimeAccuracy {
-		renderFront(bench, res)
-	}
-
-	fmt.Println("\npareto front (sorted by runtime):")
-	for _, s := range core.FrontSamples(res) {
-		fmt.Printf("  %8.4fs/frame  ATE %.4fm   %s\n",
-			s.Objs[0], s.Objs[1], bench.Space().FormatConfig(s.Config))
-	}
-	if best, ok := pareto.BestUnderConstraint(res.Front, 0, 1, slambench.AccuracyLimit); ok {
-		fmt.Printf("\nbest valid (ATE < %.2gm): %.4fs/frame (%.1f FPS)\n",
-			slambench.AccuracyLimit, best.Objs[0], 1/best.Objs[0])
-	}
-
 	// Feature importance of the final forests: which parameters drive each
 	// metric (the paper's §IV-C correlation analysis, via the model).
-	if len(res.Forests) > 0 {
-		objNames := []string{"runtime", "accuracy", "power"}
-		fmt.Println("\nparameter importance per objective (impurity decrease):")
-		names := bench.Space().Names()
-		for k, f := range res.Forests {
-			fmt.Printf("  %-9s", objNames[k])
-			imp := f.FeatureImportance()
-			for i, name := range names {
-				fmt.Printf(" %s=%.2f", name, imp[i])
+	if len(res.Run.Forests) > 0 {
+		fmt.Fprintln(stdout, "\nparameter importance per objective (impurity decrease):")
+		params := space.Names()
+		for k, f := range res.Run.Forests {
+			fmt.Fprintf(stdout, "  %-19s", objs.Names()[k])
+			for i, imp := range f.FeatureImportance() {
+				fmt.Fprintf(stdout, " %s=%.2f", params[i], imp)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 
 	if *out != "" {
-		if err := writeCSV(*out, bench, res); err != nil {
-			fatalf("writing results: %v", err)
+		if err := res.WriteCSV(*out, res.Benchmark+"_"+res.Platform); err != nil {
+			return fmt.Errorf("writing results: %w", err)
 		}
-		fmt.Printf("results written to %s\n", *out)
+		fmt.Fprintf(stdout, "results written to %s\n", *out)
 	}
-}
-
-func renderFront(bench slambench.Benchmark, res *core.Result) {
-	var rx, ry, ax, ay []float64
-	for _, s := range res.Samples {
-		if s.Objs[1] > 2*slambench.AccuracyLimit {
-			continue
-		}
-		if s.ActiveLearning {
-			ax = append(ax, s.Objs[0])
-			ay = append(ay, s.Objs[1])
-		} else {
-			rx = append(rx, s.Objs[0])
-			ry = append(ry, s.Objs[1])
-		}
-	}
-	plot.Scatter(os.Stdout, "exploration ("+bench.Name()+")", []plot.Series{
-		{Name: "random", Marker: 'r', X: rx, Y: ry},
-		{Name: "active learning", Marker: 'a', X: ax, Y: ay},
-	}, 68, 18, "runtime (s/frame)", "ATE (m)")
-}
-
-func writeCSV(dir string, bench slambench.Benchmark, res *core.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return journal.WriteFileAtomic(filepath.Join(dir, bench.Name()+"_samples.csv"), func(f io.Writer) error {
-		names := strings.Join(bench.Space().Names(), ",")
-		fmt.Fprintf(f, "index,phase,%s,objectives...\n", names)
-		for _, s := range res.Samples {
-			phase := "random"
-			if s.ActiveLearning {
-				phase = "al"
-			}
-			vals := make([]string, 0, len(s.Config)+len(s.Objs))
-			for _, v := range s.Config {
-				vals = append(vals, fmt.Sprintf("%g", v))
-			}
-			for _, v := range s.Objs {
-				vals = append(vals, fmt.Sprintf("%g", v))
-			}
-			if _, err := fmt.Fprintf(f, "%d,%s,%s\n", s.Index, phase, strings.Join(vals, ",")); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "hypermapper: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

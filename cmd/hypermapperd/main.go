@@ -18,14 +18,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/catalog"
@@ -45,8 +41,6 @@ func main() {
 			"evict a finished session this long after it reaches a terminal state (0 retains forever)")
 		maxSessions = flag.Int("max-sessions", 10000,
 			"retained-session cap; finished sessions are evicted oldest-first past it (0 = unbounded)")
-		shards = flag.Int("shards", 0,
-			"session-store shard count (0 selects the default)")
 
 		workers = flag.String("workers", "",
 			"comma-separated hypermapper-worker base URLs; when set, evaluation batches are fanned out to this fleet instead of running in-process")
@@ -91,7 +85,6 @@ func main() {
 	cfg := server.Config{
 		SessionTTL:  *sessionTTL,
 		MaxSessions: *maxSessions,
-		Shards:      *shards,
 		DataDir:     *dataDir,
 		Resume:      *resume,
 		SpecLoader:  reg.AddSpecData,
@@ -152,9 +145,6 @@ func main() {
 	}
 	mgr := server.NewManagerConfig(cfg, problems...)
 
-	srv := &http.Server{Addr: *addr, Handler: mgr.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	mode := "in-process evaluation"
 	if cfg.EvalPool != nil {
 		mode = fmt.Sprintf("%d evaluation workers", cfg.EvalPool.Size())
@@ -164,27 +154,14 @@ func main() {
 	}
 	infof("listening on %s (%d problems, %s, %s)", *addr, len(mgr.Problems()), mode, admission)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case <-ctx.Done():
-		// Release the handler so a second signal kills the process
-		// instead of being swallowed during the drain below.
-		stop()
+	boot.Serve(&http.Server{Addr: *addr, Handler: mgr.Handler()}, func(ctx context.Context) {
 		infof("shutting down")
-	case err := <-errc:
-		fatalf("%v", err)
-	}
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	// Cancel sessions first: open /events streams only close when their
-	// session reaches a terminal state, so draining HTTP before the
-	// manager would stall on any connected progress stream.
-	if err := mgr.Shutdown(shutdownCtx); err != nil {
-		boot.Err.Printf("sessions still draining: %v", err)
-	}
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		boot.Err.Printf("http shutdown: %v", err)
-	}
+		// Sessions are cancelled before the HTTP drain: open /events
+		// streams only close when their session reaches a terminal state,
+		// so draining HTTP first would stall on any connected progress
+		// stream.
+		if err := mgr.Shutdown(ctx); err != nil {
+			boot.Err.Printf("sessions still draining: %v", err)
+		}
+	})
 }

@@ -235,7 +235,6 @@ func run(cfg config, out io.Writer) (*report, error) {
 // a loopback port, serving the dataset-free synthetic problem.
 func startEmbedded(cfg config) (base string, shutdown func(), err error) {
 	mgr := server.NewManagerConfig(server.Config{
-		Shards:          64,
 		MaxSessions:     20_000,
 		SessionTTL:      time.Minute,
 		JanitorInterval: 2 * time.Second,

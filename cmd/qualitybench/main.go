@@ -31,8 +31,8 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/quality"
-	"repro/internal/spec"
 )
 
 func main() {
@@ -69,8 +69,8 @@ func main() {
 
 	strategies := []quality.Strategy{
 		{Name: "default"},
-		{Name: "acquisition", Selector: "acquisition"},
-		{Name: "feasibility+acquisition", Feasibility: true, Selector: "acquisition"},
+		{Name: "acquisition", Strategy: core.Strategy{Selector: "acquisition"}},
+		{Name: "feasibility+acquisition", Strategy: core.Strategy{Feasibility: true, Selector: "acquisition"}},
 	}
 	rep, err := quality.Sweep(context.Background(), problems, strategies, budgetVals, seedVals)
 	if err != nil {
@@ -101,25 +101,12 @@ func main() {
 // loadProblems materializes every spec in dir into a sweepable problem.
 // Shipped specs bind analytic builtin models, so the sweep stays cheap and
 // deterministic.
-func loadProblems(dir string) ([]quality.Problem, error) {
-	specs, err := spec.LoadDir(dir)
-	if err != nil {
+func loadProblems(dir string) ([]catalog.Problem, error) {
+	reg := catalog.NewRegistry(log.Printf)
+	if _, err := reg.LoadDir(dir); err != nil {
 		return nil, err
 	}
-	out := make([]quality.Problem, 0, len(specs))
-	for _, sp := range specs {
-		p, err := catalog.FromSpec(sp, log.Printf)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, quality.Problem{
-			Name:       p.Name,
-			Space:      p.Space,
-			Eval:       p.Eval,
-			Objectives: len(p.Objectives),
-		})
-	}
-	return out, nil
+	return reg.Problems(), nil
 }
 
 func writeReport(rep *quality.Report, path string) error {

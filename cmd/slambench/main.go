@@ -50,14 +50,9 @@ func main() {
 		return
 	}
 
-	var bench slambench.Benchmark
-	switch *benchName {
-	case "kfusion":
-		bench = slambench.NewKFusionBench(slambench.CachedDataset(*scale))
-	case "elasticfusion":
-		bench = slambench.NewElasticFusionBench(slambench.CachedDataset(*scale))
-	default:
-		fatalf("unknown benchmark %q (kfusion|elasticfusion)", *benchName)
+	bench, err := slambench.ByName(*benchName, *scale)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if *list {

@@ -15,23 +15,22 @@ import (
 // scale ("full", "dse", or "test"), with power as a third objective when
 // requested: every benchmark × platform pair plus Synthetic.
 func (r *Registry) RegisterBuiltins(scale string, power bool) error {
-	objs, names := slambench.RuntimeAccuracy, []string{"runtime_s_per_frame", "accuracy_ate_m"}
+	objs := slambench.RuntimeAccuracy
 	if power {
-		objs, names = slambench.RuntimeAccuracyPower, append(names, "power_w")
+		objs = slambench.RuntimeAccuracyPower
 	}
-	ds := slambench.CachedDataset(scale)
-	benches := []slambench.Benchmark{
-		slambench.NewKFusionBench(ds),
-		slambench.NewElasticFusionBench(ds),
-	}
-	for _, b := range benches {
+	for _, name := range slambench.Names {
+		b, err := slambench.ByName(name, scale)
+		if err != nil {
+			return err
+		}
 		for _, dev := range device.Platforms() {
 			err := r.Register(Problem{
 				Name:        b.Name() + "/" + dev.Name,
 				Description: fmt.Sprintf("%s on %s (%s dataset)", b.Name(), dev.Name, scale),
 				Space:       b.Space(),
 				Eval:        slambench.Evaluator(b, dev, objs),
-				Objectives:  names,
+				Objectives:  objs.Names(),
 			})
 			if err != nil {
 				return err

@@ -1,16 +1,23 @@
 package catalog
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 )
 
-// Daemon is the part of a command line and a startup that the coordinator
-// and the worker daemon share: the catalog flags, the program-prefixed
-// output, and the one way a daemon's registry is built.
+// Daemon is the part of a command line, a startup and a shutdown that the
+// coordinator and the worker daemon share: the catalog flags, the
+// program-prefixed output, the one way a daemon's registry is built, and
+// the serve-until-signalled tail.
 type Daemon struct {
 	// Info writes program-prefixed lines to stdout (-quiet silences it once
 	// Catalog has run), Err to stderr; Err.Fatalf exits with status 1.
@@ -71,4 +78,28 @@ func (d *Daemon) Catalog() *Registry {
 		os.Exit(0)
 	}
 	return reg
+}
+
+// Serve runs srv until SIGINT or SIGTERM, then calls drain — what the daemon
+// must finish or refuse before its listener may close — and shuts srv down;
+// the two share one 10 s deadline. A listener that fails is fatal.
+func (d *Daemon) Serve(srv *http.Server, drain func(ctx context.Context)) {
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	select {
+	case <-ctx.Done():
+		// Release the handler so a second signal kills the process
+		// instead of being swallowed during the drain below.
+		stop()
+	case err := <-errc:
+		d.Err.Fatalf("%v", err)
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	drain(shutdownCtx)
+	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		d.Err.Printf("http shutdown: %v", err)
+	}
 }

@@ -95,7 +95,7 @@ func RunFingerprint(space *param.Space, opts Options) string {
 		o.MaxIterations, o.MaxBatch, o.PoolCap,
 		o.Forest.Trees, o.Forest.MaxDepth, o.Forest.MinSamplesLeaf,
 		o.Forest.MaxFeatures, o.Forest.SampleRatio,
-		samplerName(o.Sampler), modelerName(o.Modeler), selectorName(o.Selector),
+		o.Sampler.Name(), o.Modeler.Name(), o.Selector.Name(),
 		o.MaxUnmeasuredFraction)
 }
 

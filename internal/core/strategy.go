@@ -47,6 +47,9 @@ type Sampler interface {
 	// rng for every random choice. On heavily constrained spaces it may
 	// return fewer than n — there may not be n feasible configurations.
 	Draw(space *param.Space, rng *rand.Rand, n int) []int64
+	// Name is the stage's stable wire name ("uniform", "prior"; "custom"
+	// for an implementation outside this package).
+	Name() string
 }
 
 // UniformSampler draws uniformly at random — Algorithm 1's sampling and
@@ -60,6 +63,9 @@ func (UniformSampler) Draw(space *param.Space, rng *rand.Rand, n int) []int64 {
 	return space.SampleIndices(rng, n)
 }
 
+// Name implements Sampler.
+func (UniformSampler) Name() string { return "uniform" }
+
 // PriorSampler draws from the per-parameter prior weights declared in the
 // problem spec (param.Parameter.Priors): levels the spec author believes
 // in are sampled proportionally more often, so the bootstrap and the
@@ -71,6 +77,9 @@ type PriorSampler struct{}
 func (PriorSampler) Draw(space *param.Space, rng *rand.Rand, n int) []int64 {
 	return space.SampleIndicesWeighted(rng, n)
 }
+
+// Name implements Sampler.
+func (PriorSampler) Name() string { return "prior" }
 
 // ---- Modeler ----
 
@@ -111,6 +120,8 @@ type Models struct {
 // Modeler fits one iteration's models from the accumulated measurements.
 type Modeler interface {
 	Fit(ctx context.Context, tr Training, o Options, iter int) (*Models, error)
+	// Name is the stage's stable wire name ("forest", "feasibility").
+	Name() string
 }
 
 // FeasibilityLabeler marks modelers that want feasibility observations
@@ -135,6 +146,9 @@ type FeasibilityLabeler interface {
 // ForestModeler fits one regression forest per objective — Algorithm 1's
 // models, and the default.
 type ForestModeler struct{}
+
+// Name implements Modeler.
+func (ForestModeler) Name() string { return "forest" }
 
 // Fit implements Modeler.
 func (ForestModeler) Fit(ctx context.Context, tr Training, o Options, iter int) (*Models, error) {
@@ -164,6 +178,9 @@ type FeasibilityModeler struct {
 	// Threshold is the candidate-filter cutoff (default 0.5).
 	Threshold float64
 }
+
+// Name implements Modeler.
+func (FeasibilityModeler) Name() string { return "feasibility" }
 
 // WantsFeasibilityLabels implements FeasibilityLabeler.
 func (FeasibilityModeler) WantsFeasibilityLabels() bool { return true }
@@ -246,12 +263,17 @@ type Selector interface {
 	// Select returns at most MaxBatch candidate IDs to evaluate, drawn
 	// from Selection.Candidates. Implementations must be deterministic.
 	Select(sel Selection) []int64
+	// Name is the stage's stable wire name ("even-thin", "acquisition").
+	Name() string
 }
 
 // EvenThinSelector is Algorithm 1's batch choice and the default: measure
 // every candidate, thinning evenly along the front when over budget —
 // byte-identical to the engine's historical thinning.
 type EvenThinSelector struct{}
+
+// Name implements Selector.
+func (EvenThinSelector) Name() string { return "even-thin" }
 
 // Select implements Selector.
 func (EvenThinSelector) Select(sel Selection) []int64 {
@@ -273,6 +295,9 @@ func (EvenThinSelector) Select(sel Selection) []int64 {
 // front order; ties break by ascending index, so selection is
 // deterministic.
 type AcquisitionSelector struct{}
+
+// Name implements Selector.
+func (AcquisitionSelector) Name() string { return "acquisition" }
 
 // Select implements Selector.
 func (AcquisitionSelector) Select(sel Selection) []int64 {
@@ -403,76 +428,68 @@ func crowdingDistances(cands []pareto.Point) []float64 {
 
 // ---- Strategy resolution (the wire names the server and tools speak) ----
 
-// NewSampler resolves a sampler by name: "" or "uniform" selects
-// UniformSampler, "prior" selects PriorSampler.
-func NewSampler(name string) (Sampler, error) {
-	switch name {
+// Strategy names a search-strategy pipeline by its stages' wire names: the
+// "strategy" block of a run request and of a quality-sweep report. The zero
+// value is the paper-faithful default on every axis — uniform sampling,
+// plain per-objective forests, even thinning — and produces byte-identical
+// results to leaving the Options stages nil.
+type Strategy struct {
+	// Sampler names the bootstrap/pool sampler: "uniform" (default) or
+	// "prior", which honors the per-parameter prior weights declared in
+	// the problem spec (priorless parameters stay uniform).
+	Sampler string `json:"sampler,omitempty"`
+	// Feasibility enables the feasibility-classifier modeler: a forest
+	// classifier trained on valid/invalid outcomes filters candidates
+	// predicted infeasible before batch selection.
+	Feasibility bool `json:"feasibility,omitempty"`
+	// Selector names the batch selector: "even-thin" (default) or
+	// "acquisition" (hypervolume-contribution / crowding ranking).
+	Selector string `json:"selector,omitempty"`
+}
+
+// Apply resolves the strategy's names and installs the three stages in o.
+// On an unknown name it returns an error and leaves o as it was.
+func (s Strategy) Apply(o *Options) error {
+	var sampler Sampler
+	switch s.Sampler {
 	case "", "uniform":
-		return UniformSampler{}, nil
+		sampler = UniformSampler{}
 	case "prior":
-		return PriorSampler{}, nil
+		sampler = PriorSampler{}
 	default:
-		return nil, fmt.Errorf(`core: unknown sampler %q (want "uniform" or "prior")`, name)
+		return fmt.Errorf(`core: unknown sampler %q (want "uniform" or "prior")`, s.Sampler)
 	}
-}
-
-// NewSelector resolves a selector by name: "" or "even-thin" selects
-// EvenThinSelector, "acquisition" selects AcquisitionSelector.
-func NewSelector(name string) (Selector, error) {
-	switch name {
+	var selector Selector
+	switch s.Selector {
 	case "", "even-thin":
-		return EvenThinSelector{}, nil
+		selector = EvenThinSelector{}
 	case "acquisition":
-		return AcquisitionSelector{}, nil
+		selector = AcquisitionSelector{}
 	default:
-		return nil, fmt.Errorf(`core: unknown selector %q (want "even-thin" or "acquisition")`, name)
+		return fmt.Errorf(`core: unknown selector %q (want "even-thin" or "acquisition")`, s.Selector)
 	}
+	o.Sampler, o.Modeler, o.Selector = sampler, ForestModeler{}, selector
+	if s.Feasibility {
+		o.Modeler = FeasibilityModeler{}
+	}
+	return nil
 }
 
-// NewModeler returns the modeler for a strategy request: the default
-// per-objective forests, with the feasibility classifier stacked on when
-// asked.
-func NewModeler(feasibility bool) Modeler {
-	if feasibility {
-		return FeasibilityModeler{}
-	}
-	return ForestModeler{}
+// Validate reports whether every stage name resolves.
+func (s Strategy) Validate() error { return s.Apply(new(Options)) }
+
+// StrategyInfo is a resolved pipeline: the wire name each stage reports
+// (Sampler.Name and friends), defaults filled in. RunStatus echoes it, and
+// RunFingerprint includes it — resume must refuse a journal recorded under
+// a different strategy, because the RNG sequences would diverge.
+type StrategyInfo struct {
+	Sampler  string `json:"sampler"`
+	Modeler  string `json:"modeler"`
+	Selector string `json:"selector"`
 }
 
-// samplerName / modelerName / selectorName give each stage a stable wire
-// name for RunFingerprint: resume must refuse a journal recorded under a
-// different strategy, because the RNG sequences would diverge. Custom
-// implementations share the name "custom" — close enough for a refusal,
-// which is the safe direction.
-func samplerName(s Sampler) string {
-	switch s.(type) {
-	case nil, UniformSampler, *UniformSampler:
-		return "uniform"
-	case PriorSampler, *PriorSampler:
-		return "prior"
-	default:
-		return "custom"
-	}
-}
-
-func modelerName(m Modeler) string {
-	switch m.(type) {
-	case nil, ForestModeler, *ForestModeler:
-		return "forest"
-	case FeasibilityModeler, *FeasibilityModeler:
-		return "feasibility"
-	default:
-		return "custom"
-	}
-}
-
-func selectorName(s Selector) string {
-	switch s.(type) {
-	case nil, EvenThinSelector, *EvenThinSelector:
-		return "even-thin"
-	case AcquisitionSelector, *AcquisitionSelector:
-		return "acquisition"
-	default:
-		return "custom"
-	}
+// StrategyInfo names the stages a run with these options executes.
+func (o Options) StrategyInfo() StrategyInfo {
+	o = o.withDefaults()
+	return StrategyInfo{Sampler: o.Sampler.Name(), Modeler: o.Modeler.Name(), Selector: o.Selector.Name()}
 }

@@ -490,27 +490,33 @@ func TestHypervolumeStatPopulated(t *testing.T) {
 }
 
 func TestStrategyResolution(t *testing.T) {
-	for _, name := range []string{"", "uniform", "prior"} {
-		if _, err := NewSampler(name); err != nil {
-			t.Fatalf("NewSampler(%q): %v", name, err)
+	for _, st := range []Strategy{
+		{}, {Sampler: "uniform", Selector: "even-thin"}, {Sampler: "prior", Feasibility: true, Selector: "acquisition"},
+	} {
+		if err := st.Validate(); err != nil {
+			t.Fatalf("%+v: %v", st, err)
 		}
 	}
-	if _, err := NewSampler("bogus"); err == nil {
-		t.Fatal("NewSampler accepted an unknown name")
-	}
-	for _, name := range []string{"", "even-thin", "acquisition"} {
-		if _, err := NewSelector(name); err != nil {
-			t.Fatalf("NewSelector(%q): %v", name, err)
+	// An unknown name is refused and leaves the options as they were.
+	for _, st := range []Strategy{{Sampler: "bogus"}, {Sampler: "prior", Selector: "bogus"}} {
+		var o Options
+		if err := st.Apply(&o); err == nil || o.Sampler != nil || o.Modeler != nil || o.Selector != nil {
+			t.Fatalf("%+v: err %v, options %+v", st, err, o.StrategyInfo())
 		}
 	}
-	if _, err := NewSelector("bogus"); err == nil {
-		t.Fatal("NewSelector accepted an unknown name")
+	// Each stage reports its own wire name; nil stages report the defaults'.
+	var o Options
+	if got, want := o.StrategyInfo(), (StrategyInfo{"uniform", "forest", "even-thin"}); got != want {
+		t.Fatalf("zero options resolve to %+v, want %+v", got, want)
 	}
-	if _, ok := NewModeler(true).(FeasibilityModeler); !ok {
-		t.Fatal("NewModeler(true) is not a FeasibilityModeler")
+	if err := (Strategy{Sampler: "prior", Feasibility: true, Selector: "acquisition"}).Apply(&o); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := NewModeler(false).(ForestModeler); !ok {
-		t.Fatal("NewModeler(false) is not a ForestModeler")
+	if got, want := o.StrategyInfo(), (StrategyInfo{"prior", "feasibility", "acquisition"}); got != want {
+		t.Fatalf("applied strategy resolves to %+v, want %+v", got, want)
+	}
+	if _, ok := o.Modeler.(FeasibilityModeler); !ok {
+		t.Fatalf("feasibility modeler is a %T", o.Modeler)
 	}
 }
 

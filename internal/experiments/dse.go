@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -16,8 +17,9 @@ import (
 // panel): the random-sampling baseline, the active-learning result, and the
 // default-configuration reference point.
 type DSEResult struct {
-	Benchmark string
-	Platform  string
+	Benchmark  string
+	Platform   string
+	Objectives slambench.Objectives
 
 	Run *core.Result
 
@@ -50,11 +52,6 @@ type DSEResult struct {
 	// (Table I: 2.07× for ElasticFusion).
 	AccuracyGainVsDefault float64
 
-	// CacheHits/CacheMisses report evaluator memo-cache traffic when the
-	// exploration ran with a shared cache (both zero otherwise).
-	CacheHits   int
-	CacheMisses int
-
 	// FitTime/EncodeTime/PredictTime/EvalTime total the engine's per-phase
 	// wall-clock over the whole exploration (bootstrap included), splitting
 	// optimizer-side compute from hardware evaluation.
@@ -64,17 +61,14 @@ type DSEResult struct {
 	EvalTime    time.Duration
 }
 
-// runDSE executes one exploration and derives the figure statistics.
-func runDSE(opts Options, bench slambench.Benchmark, dev device.Model) (*DSEResult, error) {
-	opts = opts.withDefaults()
-	space := bench.Space()
-	eval := slambench.Evaluator(bench, dev, slambench.RuntimeAccuracy)
-
-	budget := opts.dseBudget(bench.Name() == "elasticfusion")
-	budget.Cache = opts.cacheFor(bench.Name(), dev.Name)
-	if opts.BackendFor != nil {
-		budget.Backend = opts.BackendFor(bench.Name(), dev.Name)
-	}
+// RunDSE is the one implementation of a SLAM design-space exploration:
+// Algorithm 1 over bench's space on dev with the given objectives and engine
+// budget, then the expert default's measurement and the figure statistics.
+// It sets budget.Objectives and budget.OnIteration itself. When ctx is
+// cancelled mid-run it returns what the interrupted exploration did find
+// together with the context's error, so a caller can still report it.
+func RunDSE(ctx context.Context, bench slambench.Benchmark, dev device.Model, objs slambench.Objectives, budget core.Options) (*DSEResult, error) {
+	budget.Objectives = objs.Count()
 	// Collect per-phase timings over every event, bootstrap included (the
 	// bootstrap stats are streamed but not recorded in Result.Iterations).
 	var fitT, encT, predT, evalT time.Duration
@@ -84,9 +78,9 @@ func runDSE(opts Options, bench slambench.Benchmark, dev device.Model) (*DSEResu
 		predT += s.PredictTime
 		evalT += s.EvalTime
 	}
-	run, err := core.Run(space, eval, budget)
-	if err != nil {
-		return nil, err
+	run, runErr := core.RunContext(ctx, bench.Space(), slambench.Evaluator(bench, dev, objs), budget)
+	if run == nil {
+		return nil, runErr
 	}
 
 	defM, err := bench.Evaluate(bench.DefaultConfig(), dev)
@@ -97,13 +91,12 @@ func runDSE(opts Options, bench slambench.Benchmark, dev device.Model) (*DSEResu
 	res := &DSEResult{
 		Benchmark:       bench.Name(),
 		Platform:        dev.Name,
+		Objectives:      objs,
 		Run:             run,
 		DefaultMetrics:  defM,
 		DefaultRuntime:  defM.SecPerFrame,
 		DefaultAccuracy: bench.Accuracy(defM),
 		FrontSize:       len(run.Front),
-		CacheHits:       run.CacheHits,
-		CacheMisses:     run.CacheMisses,
 		FitTime:         fitT,
 		EncodeTime:      encT,
 		PredictTime:     predT,
@@ -137,37 +130,41 @@ func runDSE(opts Options, bench slambench.Benchmark, dev device.Model) (*DSEResu
 	if len(res.BestAccuracy.Objs) > 0 && res.BestAccuracy.Objs[1] > 0 {
 		res.AccuracyGainVsDefault = res.DefaultAccuracy / res.BestAccuracy.Objs[1]
 	}
-	return res, nil
+	return res, runErr
 }
 
-// writeDSE dumps the exploration samples and front to CSV.
-func writeDSE(opts Options, name string, res *DSEResult) error {
+// WriteCSV dumps the exploration to dir/name_samples.csv (every measured
+// configuration with its phase and iteration) and dir/name_front.csv (the
+// measured Pareto front), one column per objective. It is a no-op when dir
+// is empty.
+func (r *DSEResult) WriteCSV(dir, name string) error {
+	objCols := func(objs []float64) []string {
+		cols := make([]string, len(objs))
+		for i, v := range objs {
+			cols[i] = f2s(v)
+		}
+		return cols
+	}
 	var rows [][]string
-	for _, s := range res.Run.Samples {
+	for _, s := range r.Run.Samples {
 		phase := "random"
 		if s.ActiveLearning {
 			phase = "active-learning"
 		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", s.Index), phase,
-			fmt.Sprintf("%d", s.Iteration),
-			f2s(s.Objs[0]), f2s(s.Objs[1]),
-		})
+		rows = append(rows, append([]string{
+			fmt.Sprintf("%d", s.Index), phase, fmt.Sprintf("%d", s.Iteration),
+		}, objCols(s.Objs)...))
 	}
-	if err := opts.writeCSV(name+"_samples.csv",
-		[]string{"config_index", "phase", "iteration", "runtime_s_per_frame", "accuracy_ate_m"}, rows); err != nil {
+	if err := writeCSV(dir, name+"_samples.csv",
+		append([]string{"config_index", "phase", "iteration"}, r.Objectives.Names()...), rows); err != nil {
 		return err
 	}
 	rows = rows[:0]
-	space := (res.Run.Samples)[0].Config
-	_ = space
-	for _, p := range res.Run.Front {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.ID), f2s(p.Objs[0]), f2s(p.Objs[1]),
-		})
+	for _, p := range r.Run.Front {
+		rows = append(rows, append([]string{fmt.Sprintf("%d", p.ID)}, objCols(p.Objs)...))
 	}
-	return opts.writeCSV(name+"_front.csv",
-		[]string{"config_index", "runtime_s_per_frame", "accuracy_ate_m"}, rows)
+	return writeCSV(dir, name+"_front.csv",
+		append([]string{"config_index"}, r.Objectives.Names()...), rows)
 }
 
 // Render draws the Fig. 3/4-style scatter: random samples, active-learning
@@ -204,10 +201,13 @@ func (r *DSEResult) Render(w io.Writer) {
 			{Name: "pareto front", Marker: '#', X: frontX, Y: frontY},
 			{Name: "default", Marker: 'D', X: []float64{r.DefaultRuntime}, Y: []float64{r.DefaultAccuracy}},
 		}, 68, 20, "runtime (s/frame)", "ATE (m)")
+	nAL := len(r.Run.ActiveSamples())
+	fprintfIgnore(w, "samples: %d (%d random + %d active learning), converged: %v\n",
+		len(r.Run.Samples), len(r.Run.Samples)-nAL, nAL, r.Run.Converged)
 	fprintfIgnore(w, "valid configs (<%.2gm): random %d, active-learning %d; front size %d\n",
 		slambench.AccuracyLimit, r.ValidRandom, r.ValidAL, r.FrontSize)
-	if r.CacheHits+r.CacheMisses > 0 {
-		fprintfIgnore(w, "evaluation cache: %d hits, %d misses\n", r.CacheHits, r.CacheMisses)
+	if r.Run.CacheHits+r.Run.CacheMisses > 0 {
+		fprintfIgnore(w, "evaluation cache: %d hits, %d misses\n", r.Run.CacheHits, r.Run.CacheMisses)
 	}
 	if total := r.FitTime + r.EncodeTime + r.PredictTime + r.EvalTime; total > 0 {
 		fprintfIgnore(w, "time: fit %v, encode %v, predict %v, evaluate %v\n",
@@ -227,35 +227,37 @@ func (r *DSEResult) Render(w io.Writer) {
 // Fig3 runs the KFusion exploration of Figure 3 on the named platform
 // ("ODROID-XU3" for 3a, "ASUS-T200TA" for 3b).
 func Fig3(opts Options, platform string) (*DSEResult, error) {
-	opts = opts.withDefaults()
 	dev, ok := device.ByName(platform)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown platform %q", platform)
-	}
-	bench := slambench.NewKFusionBench(slambench.CachedDataset(opts.datasetScale()))
-	res, err := runDSE(opts, bench, dev)
-	if err != nil {
-		return nil, err
 	}
 	suffix := "a"
 	if platform == "ASUS-T200TA" {
 		suffix = "b"
 	}
-	if err := writeDSE(opts, "fig3"+suffix+"_kfusion_"+platform, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return opts.figDSE("fig3"+suffix, "kfusion", dev)
 }
 
 // Fig4 runs the ElasticFusion exploration of Figure 4 on the GTX 780 Ti.
 func Fig4(opts Options) (*DSEResult, error) {
-	opts = opts.withDefaults()
-	bench := slambench.NewElasticFusionBench(slambench.CachedDataset(opts.datasetScale()))
-	res, err := runDSE(opts, bench, device.GTX780Ti())
+	return opts.figDSE("fig4", "elasticfusion", device.GTX780Ti())
+}
+
+// figDSE is a figure's exploration: RunDSE at the scale's dataset and budget
+// through the shared memo-cache, written to OutDir under the figure's name.
+func (o Options) figDSE(fig, benchName string, dev device.Model) (*DSEResult, error) {
+	o = o.withDefaults()
+	bench, err := slambench.ByName(benchName, o.datasetScale())
 	if err != nil {
 		return nil, err
 	}
-	if err := writeDSE(opts, "fig4_elasticfusion_GTX-780Ti", res); err != nil {
+	budget := o.dseBudget(benchName == "elasticfusion")
+	budget.Cache = o.cacheFor(benchName, dev.Name)
+	res, err := RunDSE(context.Background(), bench, dev, slambench.RuntimeAccuracy, budget)
+	if err != nil {
+		return nil, err
+	}
+	if err := res.WriteCSV(o.OutDir, fig+"_"+benchName+"_"+dev.Name); err != nil {
 		return nil, err
 	}
 	return res, nil

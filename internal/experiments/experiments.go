@@ -48,14 +48,6 @@ type Options struct {
 	// different evaluators never mix. Re-running an exploration (e.g.
 	// Fig5 without a precomputed Fig3 result) then skips re-measurement.
 	Caches map[string]*core.EvalCache
-	// BackendFor, when non-nil, supplies a remote evaluation backend for
-	// the given benchmark × platform problem (named "bench/platform",
-	// matching the catalog) — e.g. worker.Pool.Backend over a fleet of
-	// hypermapper-worker daemons, which is exactly the paper's Fig. 5
-	// many-machines setup. Returning nil falls back to in-process
-	// evaluation for that problem; seeded results are identical either
-	// way.
-	BackendFor func(benchmark, platform string) core.Backend
 }
 
 // cacheFor returns the shared cache for one (benchmark, platform) pair,
@@ -124,23 +116,22 @@ func (o Options) dseBudget(ef bool) core.Options {
 			opts = core.Options{RandomSamples: 120, MaxIterations: 3, MaxBatch: 60, PoolCap: 60000}
 		}
 	}
-	opts.Objectives = 2
 	opts.Seed = o.Seed
 	opts.Forest = forest.Options{Trees: 24}
 	opts.Logf = o.Logf
 	return opts
 }
 
-// writeCSV writes rows to OutDir/name atomically, creating the directory
-// as needed. It is a no-op when OutDir is empty.
-func (o Options) writeCSV(name string, header []string, rows [][]string) error {
-	if o.OutDir == "" {
+// writeCSV writes rows to dir/name atomically, creating the directory as
+// needed. It is a no-op when dir is empty.
+func writeCSV(dir, name string, header []string, rows [][]string) error {
+	if dir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(o.OutDir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return journal.WriteFileAtomic(filepath.Join(o.OutDir, name), func(out io.Writer) error {
+	return journal.WriteFileAtomic(filepath.Join(dir, name), func(out io.Writer) error {
 		w := csv.NewWriter(out)
 		if err := w.Write(header); err != nil {
 			return err

@@ -2,10 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/device"
+	"repro/internal/param"
+	"repro/internal/slambench"
 )
 
 func testOpts(t *testing.T) Options {
@@ -71,6 +78,87 @@ func TestFig3TestScale(t *testing.T) {
 func TestFig3UnknownPlatform(t *testing.T) {
 	if _, err := Fig3(testOpts(t), "nope"); err == nil {
 		t.Fatal("unknown platform accepted")
+	}
+}
+
+// cancellingBench cancels a context when its n-th evaluation starts.
+type cancellingBench struct {
+	slambench.Benchmark
+	calls  atomic.Int32
+	after  int32
+	cancel context.CancelFunc
+}
+
+func (b *cancellingBench) Evaluate(cfg param.Config, dev device.Model) (slambench.Metrics, error) {
+	if b.calls.Add(1) == b.after {
+		b.cancel()
+	}
+	return b.Benchmark.Evaluate(cfg, dev)
+}
+
+// A cancelled exploration (cmd/hypermapper's Ctrl-C) still comes back as a
+// DSEResult over what it did measure, beside the context's error.
+func TestRunDSECancelledReturnsPartial(t *testing.T) {
+	kf, err := slambench.ByName("kfusion", "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	bench := &cancellingBench{Benchmark: kf, after: 6, cancel: cancel}
+	budget := Options{Scale: ScaleTest}.withDefaults().dseBudget(false)
+	budget.Workers = 2
+	res, err := RunDSE(ctx, bench, device.ODROIDXU3(), slambench.RuntimeAccuracy, budget)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil {
+		t.Fatal("no partial result")
+	}
+	if n := len(res.Run.Samples); n == 0 || n >= budget.RandomSamples {
+		t.Fatalf("partial result has %d samples of a %d-sample bootstrap", n, budget.RandomSamples)
+	}
+	if res.FrontSize == 0 || res.DefaultRuntime <= 0 {
+		t.Fatalf("partial result not summarised: front %d, default %v", res.FrontSize, res.DefaultRuntime)
+	}
+	var buf bytes.Buffer
+	res.Render(&buf)
+	if !strings.Contains(buf.String(), "samples: ") {
+		t.Fatalf("render:\n%s", buf.String())
+	}
+}
+
+// cmd/hypermapper -power: three objectives flow through the summary and
+// both CSVs.
+func TestRunDSEWithPower(t *testing.T) {
+	bench, err := slambench.ByName("kfusion", "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := Options{Scale: ScaleTest}.withDefaults().dseBudget(false)
+	res, err := RunDSE(context.Background(), bench, device.ODROIDXU3(), slambench.RuntimeAccuracyPower, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Run.Samples {
+		if len(s.Objs) != 3 {
+			t.Fatalf("sample has %d objectives", len(s.Objs))
+		}
+	}
+	if len(res.Run.Forests) != 3 {
+		t.Fatalf("%d forests", len(res.Run.Forests))
+	}
+	dir := t.TempDir()
+	if err := res.WriteCSV(dir, "power"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"power_samples.csv", "power_front.csv"} {
+		assertCSV(t, dir, name)
+		data, _ := os.ReadFile(filepath.Join(dir, name))
+		header, _, _ := strings.Cut(string(data), "\n")
+		if !strings.HasSuffix(header, "runtime_s_per_frame,accuracy_ate_m,power_w") {
+			t.Fatalf("%s header %q", name, header)
+		}
 	}
 }
 
@@ -184,8 +272,8 @@ func TestDSEBudgetScaling(t *testing.T) {
 }
 
 func TestWriteCSVNoDir(t *testing.T) {
-	o := Options{} // no OutDir: writes are no-ops
-	if err := o.writeCSV("x.csv", []string{"a"}, nil); err != nil {
+	// No output directory: writes are no-ops.
+	if err := writeCSV("", "x.csv", []string{"a"}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

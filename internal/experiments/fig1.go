@@ -71,7 +71,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 				f2s(res.RuntimeMs[i][j]), f2s(res.MaxATE[i][j])})
 		}
 	}
-	if err := opts.writeCSV("fig1_response_surface.csv",
+	if err := writeCSV(opts.OutDir, "fig1_response_surface.csv",
 		[]string{"mu_m", "icp_threshold", "frame_runtime_ms", "max_ate_m"}, rows); err != nil {
 		return nil, err
 	}

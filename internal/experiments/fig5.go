@@ -129,7 +129,7 @@ func Fig5(opts Options, dse *DSEResult) (*Fig5Result, error) {
 	for i := range res.Devices {
 		rows[i] = []string{res.Devices[i], res.SoCs[i], f2s(res.Speedups[i])}
 	}
-	if err := opts.writeCSV("fig5_crowdsourcing.csv",
+	if err := writeCSV(opts.OutDir, "fig5_crowdsourcing.csv",
 		[]string{"device", "soc", "speedup_vs_default"}, rows); err != nil {
 		return nil, err
 	}

@@ -110,7 +110,7 @@ func Table1(opts Options, dse *DSEResult) (*Table1Result, error) {
 			fmt.Sprintf("%d", r.Reloc), fmt.Sprintf("%d", r.FastOdom),
 			fmt.Sprintf("%d", r.FTFRGB)}
 	}
-	if err := opts.writeCSV("table1_elasticfusion_pareto.csv",
+	if err := writeCSV(opts.OutDir, "table1_elasticfusion_pareto.csv",
 		[]string{"label", "error_m", "runtime_s", "icp", "depth", "confidence",
 			"so3", "close_loops", "reloc", "fast_odom", "ftf_rgb"}, rows); err != nil {
 		return nil, err

@@ -143,8 +143,9 @@ type Space struct {
 }
 
 // NewSpace builds a space from the given parameters. It returns an error if
-// a parameter has no values or a duplicate name, or if the total size would
-// overflow int64.
+// a parameter has no values, a non-finite value (a Grid whose range
+// overflows computes NaN or ±Inf levels) or a duplicate name, or if the
+// total size would overflow int64.
 func NewSpace(params ...Parameter) (*Space, error) {
 	s := &Space{
 		params: append([]Parameter(nil), params...),
@@ -157,6 +158,11 @@ func NewSpace(params ...Parameter) (*Space, error) {
 		}
 		if p.Name == "" {
 			return nil, errors.New("param: parameter with empty name")
+		}
+		for _, v := range p.Values {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("param: %q has a non-finite value %v", p.Name, v)
+			}
 		}
 		if _, dup := s.byName[p.Name]; dup {
 			return nil, fmt.Errorf("param: duplicate parameter %q", p.Name)

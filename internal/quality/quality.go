@@ -22,8 +22,8 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/param"
 	"repro/internal/pareto"
 )
 
@@ -34,22 +34,9 @@ type Strategy struct {
 	// Name labels the curve in the report (e.g. "default",
 	// "feasibility+acquisition").
 	Name string `json:"name"`
-	// Sampler and Selector are core stage names ("uniform"/"prior",
-	// "even-thin"/"acquisition"); Feasibility enables the classifier
-	// modeler.
-	Sampler     string `json:"sampler,omitempty"`
-	Feasibility bool   `json:"feasibility,omitempty"`
-	Selector    string `json:"selector,omitempty"`
-}
-
-// Problem is one optimization target to sweep — typically a shipped
-// declarative spec materialized by the catalog, so the evaluator is an
-// analytic surrogate cheap enough to run hundreds of times.
-type Problem struct {
-	Name       string
-	Space      *param.Space
-	Eval       core.Evaluator
-	Objectives int
+	// Strategy is the pipeline itself, flattened into the same JSON
+	// object: core stage names, empty for the defaults.
+	core.Strategy
 }
 
 // Point is one measured curve point: the evaluation budget requested and
@@ -88,28 +75,20 @@ type Report struct {
 // budgetOptions maps an evaluation budget onto engine budgets: a third of
 // it bootstraps (≥ 10), a tenth sizes each active-learning batch (≥ 5),
 // and the iteration cap spends the remainder.
-func budgetOptions(p Problem, s Strategy, budget int, seed int64) (core.Options, error) {
+func budgetOptions(p catalog.Problem, s Strategy, budget int, seed int64) (core.Options, error) {
 	rs := max(10, budget/3)
 	batch := max(5, budget/10)
-	iters := max(1, (budget-rs+batch-1)/batch)
-	sampler, err := core.NewSampler(s.Sampler)
-	if err != nil {
-		return core.Options{}, fmt.Errorf("strategy %q: %w", s.Name, err)
-	}
-	selector, err := core.NewSelector(s.Selector)
-	if err != nil {
-		return core.Options{}, fmt.Errorf("strategy %q: %w", s.Name, err)
-	}
-	return core.Options{
-		Objectives:    p.Objectives,
+	opts := core.Options{
+		Objectives:    len(p.Objectives),
 		RandomSamples: rs,
 		MaxBatch:      batch,
-		MaxIterations: iters,
+		MaxIterations: max(1, (budget-rs+batch-1)/batch),
 		Seed:          seed,
-		Sampler:       sampler,
-		Modeler:       core.NewModeler(s.Feasibility),
-		Selector:      selector,
-	}, nil
+	}
+	if err := s.Apply(&opts); err != nil {
+		return core.Options{}, fmt.Errorf("strategy %q: %w", s.Name, err)
+	}
+	return opts, nil
 }
 
 // run is one finished exploration, held until the problem's shared
@@ -125,7 +104,7 @@ type run struct {
 // assembles the curves. Runs of one problem share a memo-cache, so
 // overlapping configurations across budgets and strategies are measured
 // once.
-func Sweep(ctx context.Context, problems []Problem, strategies []Strategy, budgets []int, seeds []int64) (*Report, error) {
+func Sweep(ctx context.Context, problems []catalog.Problem, strategies []Strategy, budgets []int, seeds []int64) (*Report, error) {
 	if len(problems) == 0 || len(strategies) == 0 || len(budgets) == 0 || len(seeds) == 0 {
 		return nil, fmt.Errorf("quality: sweep needs problems, strategies, budgets, and seeds")
 	}
@@ -169,10 +148,10 @@ func Sweep(ctx context.Context, problems []Problem, strategies []Strategy, budge
 
 // sweepProblem runs one problem's full grid and derives its shared
 // reference point from the union of every run's valid measurements.
-func sweepProblem(ctx context.Context, p Problem, strategies []Strategy, budgets []int, seeds []int64) ([]run, []float64, error) {
+func sweepProblem(ctx context.Context, p catalog.Problem, strategies []Strategy, budgets []int, seeds []int64) ([]run, []float64, error) {
 	cache := core.NewEvalCache()
-	nadir := make([]float64, p.Objectives)
-	ideal := make([]float64, p.Objectives)
+	nadir := make([]float64, len(p.Objectives))
+	ideal := make([]float64, len(p.Objectives))
 	for k := range nadir {
 		nadir[k] = math.Inf(-1)
 		ideal[k] = math.Inf(1)
@@ -203,7 +182,7 @@ func sweepProblem(ctx context.Context, p Problem, strategies []Strategy, budgets
 			}
 		}
 	}
-	ref := make([]float64, p.Objectives)
+	ref := make([]float64, len(p.Objectives))
 	for k := range ref {
 		if math.IsInf(nadir[k], -1) {
 			return nil, nil, fmt.Errorf("quality: %s: no valid measurement for objective %d", p.Name, k)

@@ -6,11 +6,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/param"
 )
 
-func sweepProblemFixture(t *testing.T) Problem {
+func sweepProblemFixture(t *testing.T) catalog.Problem {
 	t.Helper()
 	space := param.MustSpace(
 		param.Grid("a", 0, 4, 40),
@@ -20,14 +21,14 @@ func sweepProblemFixture(t *testing.T) Problem {
 		a, b := cfg[0], cfg[1]
 		return []float64{a + 0.5*math.Sin(3*b) + 1.5, b + 0.5*math.Cos(2*a) + 1.5}
 	})
-	return Problem{Name: "toy", Space: space, Eval: eval, Objectives: 2}
+	return catalog.Problem{Name: "toy", Space: space, Eval: eval, Objectives: []string{"f0", "f1"}}
 }
 
 func TestSweepShapeAndDeterminism(t *testing.T) {
-	problems := []Problem{sweepProblemFixture(t)}
+	problems := []catalog.Problem{sweepProblemFixture(t)}
 	strategies := []Strategy{
 		{Name: "default"},
-		{Name: "acquisition", Selector: "acquisition"},
+		{Name: "acquisition", Strategy: core.Strategy{Selector: "acquisition"}},
 	}
 	budgets := []int{40, 20} // deliberately unsorted
 	seeds := []int64{1, 2}

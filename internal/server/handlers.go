@@ -274,10 +274,18 @@ func (m *Manager) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON marshals before the status line goes out, so a value
+// encoding/json refuses (a NaN in a catalog entry, say) answers a 500 with
+// an error body instead of the intended status with none.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client is gone
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

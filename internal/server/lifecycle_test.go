@@ -233,7 +233,6 @@ func TestBoundedMemoryUnderChurn(t *testing.T) {
 	mgr, ts := newTestServerConfig(t, Config{
 		SessionTTL:      10 * time.Second, // long: only the cap evicts here
 		MaxSessions:     maxKeep,
-		Shards:          8,
 		JanitorInterval: 10 * time.Millisecond,
 	}, testProblem("toy", 0), testProblem("slow", 5*time.Millisecond))
 	mgr.seq.Store(999_997)
@@ -271,7 +270,7 @@ func TestBoundedMemoryUnderChurn(t *testing.T) {
 		t.Fatalf("oldest retained = %s, want the running session %s", last.ID, running.ID)
 	}
 	stats := getStats(t, ts)
-	if stats.EvictedCap == 0 || stats.Shards != 8 || stats.MaxSessions != maxKeep {
+	if stats.EvictedCap == 0 || stats.MaxSessions != maxKeep {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if stats.TotalStarted != 999_997+1+churn {
@@ -289,7 +288,7 @@ func TestRetainedSessionHeap(t *testing.T) {
 		sessions = 32
 		bound    = 16 << 10 // bytes of live heap per retained session
 	)
-	mgr := NewManager(testProblem("toy", 0))
+	mgr := NewManagerConfig(Config{}, testProblem("toy", 0))
 	defer shutdownManager(t, mgr)
 	liveHeap := func() uint64 {
 		runtime.GC()

@@ -170,8 +170,8 @@ func TestPersistShutdownResumeByteIdentical(t *testing.T) {
 	if got := getFrontBytes(t, ts2, st.ID); got != refFront {
 		t.Errorf("resumed front differs from uninterrupted reference:\n resumed: %s\n reference: %s", got, refFront)
 	}
-	if !m2.Ready() {
-		t.Error("manager not ready after resume completed")
+	if code := getReadyz(t, ts2); code != http.StatusOK {
+		t.Errorf("readyz after resume completed = %d, want 200", code)
 	}
 }
 

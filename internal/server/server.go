@@ -30,7 +30,7 @@
 //
 // The package splits along its layers: this file owns the Manager
 // (registry, session construction and launch, lifecycle policy), session.go
-// the per-session state machine, store.go the sharded session store and
+// the per-session state machine, store.go the session store and
 // eviction, persist.go the data-directory durability layer (journals,
 // crash-safe resume, the persisted record), and handlers.go the HTTP
 // surface.
@@ -61,24 +61,9 @@ import (
 // but Space is still needed locally for sampling, encoding and validation.
 type Problem = catalog.Problem
 
-// StrategyRequest selects the search-strategy pipeline for one run. The
-// zero value is the paper-faithful default on every axis — uniform
-// sampling, plain per-objective forests, even thinning — and produces
-// byte-identical results to a request with no strategy block at all.
-type StrategyRequest struct {
-	// Sampler names the bootstrap/pool sampler: "uniform" (default) or
-	// "prior", which honors the per-parameter prior weights declared in
-	// the problem spec (priorless parameters stay uniform).
-	Sampler string `json:"sampler,omitempty"`
-	// Feasibility enables the feasibility-classifier modeler: a forest
-	// classifier trained on valid/invalid outcomes filters candidates
-	// predicted infeasible before batch selection.
-	Feasibility bool `json:"feasibility,omitempty"`
-	// Selector names the batch selector: "even-thin" (default) or
-	// "acquisition", which ranks candidates by front contribution and
-	// feasibility probability instead of thinning evenly.
-	Selector string `json:"selector,omitempty"`
-}
+// StrategyRequest selects the search-strategy pipeline for one run; see
+// core.Strategy, whose JSON form it is.
+type StrategyRequest = core.Strategy
 
 // RunRequest is the POST /runs body. Zero-valued budget fields select the
 // engine defaults.
@@ -192,43 +177,16 @@ func (r RunRequest) validate() error {
 	if r.Priority < -maxRequestPriority || r.Priority > maxRequestPriority {
 		return fmt.Errorf("priority %d must be in [%d, %d]", r.Priority, -maxRequestPriority, maxRequestPriority)
 	}
-	if _, err := core.NewSampler(r.Strategy.Sampler); err != nil {
-		return err
-	}
-	if _, err := core.NewSelector(r.Strategy.Selector); err != nil {
-		return err
-	}
-	return nil
+	return r.Strategy.Validate()
 }
 
 // StrategyInfo is the resolved search-strategy pipeline echoed in
 // RunStatus: the stage names the engine actually ran with, defaults
 // filled in.
-type StrategyInfo struct {
-	Sampler  string `json:"sampler"`
-	Modeler  string `json:"modeler"`
-	Selector string `json:"selector"`
-}
-
-// resolveStrategy maps a request's strategy block to the stage names the
-// engine resolves it to (empty = default).
-func resolveStrategy(req StrategyRequest) StrategyInfo {
-	info := StrategyInfo{Sampler: req.Sampler, Modeler: "forest", Selector: req.Selector}
-	if info.Sampler == "" {
-		info.Sampler = "uniform"
-	}
-	if req.Feasibility {
-		info.Modeler = "feasibility"
-	}
-	if info.Selector == "" {
-		info.Selector = "even-thin"
-	}
-	return info
-}
+type StrategyInfo = core.StrategyInfo
 
 // Config bounds a long-lived manager's memory. The zero value retains
-// every session forever in the default shard count — the behavior small
-// deployments and tests want.
+// every session forever — the behavior small deployments and tests want.
 type Config struct {
 	// SessionTTL evicts a terminal session this long after it finishes.
 	// 0 retains terminal sessions forever. Running sessions are never
@@ -239,9 +197,6 @@ type Config struct {
 	// be transiently exceeded when more than MaxSessions runs are
 	// in flight, since running sessions are never evicted.
 	MaxSessions int
-	// Shards is the session-store shard count (< 1 selects the default,
-	// 16). More shards reduce lock contention under concurrent traffic.
-	Shards int
 	// JanitorInterval is how often TTL/cap eviction runs in the
 	// background. 0 derives it from SessionTTL (TTL/4, clamped to
 	// [100ms, 30s]); with no TTL it defaults to 30s.
@@ -317,7 +272,7 @@ type Manager struct {
 	sched      *sched.Scheduler // admits every fresh run
 	retryAfter time.Duration    // backoff hint on a queue-full rejection
 	coalesce   *sched.Group     // nil unless cfg.Sched is set
-	store      *shardedStore
+	store      *store
 	evictMu    sync.Mutex   // serializes eviction passes (janitor vs Start)
 	evictedTTL atomic.Int64 // sessions evicted by TTL expiry
 	evictedCap atomic.Int64 // sessions evicted by the MaxSessions cap
@@ -331,12 +286,6 @@ type Manager struct {
 	recovering atomic.Int64 // resumed sessions still replaying their journals
 }
 
-// NewManager returns a manager with the given problems registered and no
-// eviction: every session is retained until Shutdown.
-func NewManager(problems ...Problem) *Manager {
-	return NewManagerConfig(Config{}, problems...)
-}
-
 // NewManagerConfig returns a manager with the given lifecycle config. If
 // the config enables any eviction (TTL or cap), a janitor goroutine runs
 // until Shutdown. With DataDir set, the constructor also restores
@@ -348,7 +297,7 @@ func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 		problems: make(map[string]Problem),
 		caches:   make(map[string]*core.EvalCache),
 		cfg:      cfg,
-		store:    newShardedStore(cfg.Shards, cfg.DataDir),
+		store:    newStore(cfg.DataDir),
 		baseCtx:  ctx,
 		baseStop: stop,
 		started:  time.Now(),
@@ -421,11 +370,6 @@ func (m *Manager) isClosed() bool {
 	defer m.mu.Unlock()
 	return m.closed
 }
-
-// Ready reports whether startup recovery has finished: every resumed
-// session has either reached live measurement or gone terminal. New runs
-// are accepted either way; readiness only gates load-balancer traffic.
-func (m *Manager) Ready() bool { return m.recovering.Load() == 0 }
 
 // Problems lists the registered problems sorted by name.
 func (m *Manager) Problems() []Problem {
@@ -613,13 +557,12 @@ func (m *Manager) buildOpts(s *session) core.Options {
 		MaxUnmeasuredFraction: frac,
 		OnIteration:           func(st core.IterationStats) { s.publish(toEvent(st)) },
 	}
-	// validate() already resolved the strategy names, so the errors here
-	// are impossible; the explicit defaults are byte-identical to leaving
-	// the fields nil, and the resume path rebuilds the exact same pipeline
-	// from the persisted request.
-	opts.Sampler, _ = core.NewSampler(req.Strategy.Sampler)
-	opts.Modeler = core.NewModeler(req.Strategy.Feasibility)
-	opts.Selector, _ = core.NewSelector(req.Strategy.Selector)
+	// validate() resolved the strategy names at submit, so the error is
+	// dropped: only a hand-edited persisted request can fail here, and it
+	// leaves the stages nil — the defaults, to which the explicit default
+	// stages are byte-identical. The resume path rebuilds the exact same
+	// pipeline from the persisted request.
+	_ = req.Strategy.Apply(&opts)
 	opts.Forest.Trees = req.Trees
 	if m.cfg.EvalPool != nil {
 		// Remote evaluation: the batch backend replaces the in-process
@@ -701,11 +644,10 @@ type Stats struct {
 	// by the MaxSessions cap.
 	EvictedTTL int64 `json:"evicted_ttl"`
 	EvictedCap int64 `json:"evicted_cap"`
-	// Shards, MaxSessions, SessionTTLS, and Problems echo the daemon's
+	// MaxSessions, SessionTTLS, and Problems echo the daemon's
 	// configuration so operators can confirm what it runs with:
 	// session_ttl_s is 0 when TTL eviction is off, max_sessions 0 when
 	// unbounded.
-	Shards      int     `json:"shards"`
 	MaxSessions int     `json:"max_sessions"`
 	SessionTTLS float64 `json:"session_ttl_s"`
 	Problems    int     `json:"problems"`
@@ -752,7 +694,6 @@ func (m *Manager) Stats() Stats {
 		TotalStarted: m.seq.Load(),
 		EvictedTTL:   m.evictedTTL.Load(),
 		EvictedCap:   m.evictedCap.Load(),
-		Shards:       m.cfg.Shards,
 		MaxSessions:  m.cfg.MaxSessions,
 		SessionTTLS:  m.cfg.SessionTTL.Seconds(),
 		Problems:     len(m.Problems()),
@@ -777,9 +718,6 @@ func (m *Manager) Stats() Stats {
 		st.CacheCoalesceHits += c.CoalesceHits()
 	}
 	m.mu.Unlock()
-	if st.Shards < 1 {
-		st.Shards = defaultShards
-	}
 	for _, s := range m.store.Snapshot() {
 		st.Sessions++
 		switch state, _ := s.terminalInfo(); {

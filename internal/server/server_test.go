@@ -40,17 +40,7 @@ func testProblem(name string, delay time.Duration) Problem {
 
 func newTestServer(t *testing.T, problems ...Problem) (*Manager, *httptest.Server) {
 	t.Helper()
-	mgr := NewManager(problems...)
-	ts := httptest.NewServer(mgr.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := mgr.Shutdown(ctx); err != nil {
-			t.Errorf("manager shutdown: %v", err)
-		}
-	})
-	return mgr, ts
+	return newTestServerConfig(t, Config{}, problems...)
 }
 
 func postRun(t *testing.T, ts *httptest.Server, req RunRequest) RunStatus {
@@ -428,7 +418,7 @@ func TestRequestBudgetLimits(t *testing.T) {
 }
 
 func TestStartAfterShutdownRefused(t *testing.T) {
-	mgr := NewManager(testProblem("toy", 0))
+	mgr := NewManagerConfig(Config{}, testProblem("toy", 0))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := mgr.Shutdown(ctx); err != nil {

@@ -129,7 +129,7 @@ type RunStatus struct {
 // session is one managed exploration.
 type session struct {
 	id      string
-	seq     int64 // numeric run sequence; orders sessions and picks the store shard
+	seq     int64 // numeric run sequence; orders sessions and keys the store
 	problem Problem
 	created time.Time
 	cancel  context.CancelFunc
@@ -378,6 +378,8 @@ func (s *session) status() RunStatus {
 // liveStatus summarizes a session that has not ended from its progress
 // events. Called with s.mu held.
 func (s *session) liveStatus() RunStatus {
+	var stages core.Options
+	_ = s.req.Strategy.Apply(&stages) // as in buildOpts: unresolvable names run, and echo, the defaults
 	st := RunStatus{
 		ID:       s.id,
 		Problem:  s.problem.Name,
@@ -385,7 +387,7 @@ func (s *session) liveStatus() RunStatus {
 		Created:  s.created,
 		Tenant:   s.req.Tenant,
 		Priority: s.req.Priority,
-		Strategy: resolveStrategy(s.req.Strategy),
+		Strategy: stages.StrategyInfo(),
 		// Never nil: before the first event this must marshal as [], not
 		// null, for strict clients.
 		Iterations: append(make([]IterationEvent, 0, len(s.events)), s.events...),

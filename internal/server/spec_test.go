@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -196,6 +197,56 @@ func TestSpecRegistrationRejectsBadSpec(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s = %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// A grid whose range overflows float64 computes NaN and ±Inf levels. It used
+// to register — 201 with an empty body, encoding/json refusing the levels
+// after the status line was out — and from then on GET /problems answered
+// every client 200 with an empty body.
+func TestSpecRegistrationRefusesOverflowingGrid(t *testing.T) {
+	_, ts := newTestServerConfig(t, Config{SpecLoader: specLoader}, testProblem("toy", 0))
+	doc := `{"version":1,"name":"hostile","parameters":[{"name":"x","kind":"grid","low":-1.7e308,"high":1.7e308,"points":3}],"objectives":["f"],"evaluator":"http://127.0.0.1:1/evaluate"}`
+	resp, err := http.Post(ts.URL+"/problems", "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, "non-finite") {
+		t.Fatalf("POST = %d, body error %q (%v); want 400 naming the non-finite level", resp.StatusCode, e.Error, err)
+	}
+
+	resp, err = http.Get(ts.URL + "/problems")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var probs []struct {
+		Name string `json:"name"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&probs); err != nil {
+		t.Fatalf("GET /problems after the refusal: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || len(probs) != 1 || probs[0].Name != "toy" {
+		t.Fatalf("GET /problems = %d %+v, want the one problem registered at startup", resp.StatusCode, probs)
+	}
+}
+
+// Whatever encoding/json still refuses must reach the client as an error it
+// can read, not as the intended status with an empty body.
+func TestWriteJSONEncodeFailureIsA500WithABody(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, map[string]float64{"level": math.NaN()})
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusInternalServerError ||
+		err != nil || !strings.Contains(e.Error, "encoding response") {
+		t.Fatalf("status %d, body %q (%v); want 500 with an error naming the encoding failure", rec.Code, rec.Body.String(), err)
 	}
 }
 

@@ -10,10 +10,7 @@ import (
 	"time"
 )
 
-const (
-	runIDPrefix   = "run-"
-	defaultShards = 16
-)
+const runIDPrefix = "run-"
 
 // parseSeq extracts the numeric sequence from a "run-%06d" id. Ids the
 // manager never minted (wrong prefix, non-numeric) report ok=false.
@@ -29,63 +26,42 @@ func parseSeq(id string) (int64, bool) {
 	return seq, true
 }
 
-// shardedStore holds the manager's live and retained sessions. The manager
-// owns session lifecycle (creation, eviction policy); the store provides
-// concurrent-safe placement and lookup: N independently locked shards
-// keyed by the run sequence, so concurrent POST/GET/DELETE traffic spreads
-// across locks instead of serializing on one mutex. Run sequences are
-// assigned round-robin by the manager, so consecutive sessions land on
-// consecutive shards. Any Get can miss — sessions are evicted — and every
-// handler treats a missing id as "gone".
+// store holds the manager's live and retained sessions, keyed by the run
+// sequence under one lock: every operation holds it for a map access (or,
+// for Snapshot, one pass over the map). The manager owns session lifecycle
+// (creation, eviction policy). Any Get can miss — sessions are evicted — and
+// every handler treats a missing id as "gone".
 //
 // With a dataDir, deleting a session (explicit eviction, TTL, or cap) also
 // unlinks its on-disk run directory, so an evicted id stays 404 across
 // restarts instead of resurrecting as a zombie at the next recovery scan.
-type shardedStore struct {
-	shards  []storeShard
+type store struct {
+	mu      sync.RWMutex
+	runs    map[int64]*session
 	dataDir string
 }
 
-type storeShard struct {
-	mu   sync.RWMutex
-	runs map[int64]*session
-}
-
-// newShardedStore returns a store with n shards (n < 1 selects the
-// default) over dataDir (empty = in-memory only).
-func newShardedStore(n int, dataDir string) *shardedStore {
-	if n < 1 {
-		n = defaultShards
-	}
-	st := &shardedStore{shards: make([]storeShard, n), dataDir: dataDir}
-	for i := range st.shards {
-		st.shards[i].runs = make(map[int64]*session)
-	}
-	return st
-}
-
-func (st *shardedStore) shardFor(seq int64) *storeShard {
-	return &st.shards[int(seq%int64(len(st.shards)))]
+// newStore returns an empty store over dataDir (empty = in-memory only).
+func newStore(dataDir string) *store {
+	return &store{runs: make(map[int64]*session), dataDir: dataDir}
 }
 
 // Put places a session; the key is the session's numeric sequence.
-func (st *shardedStore) Put(s *session) {
-	sh := st.shardFor(s.seq)
-	sh.mu.Lock()
-	sh.runs[s.seq] = s
-	sh.mu.Unlock()
+func (st *store) Put(s *session) {
+	st.mu.Lock()
+	st.runs[s.seq] = s
+	st.mu.Unlock()
 }
 
 // Get returns the session with the given id, if retained.
-func (st *shardedStore) Get(id string) (*session, bool) {
+func (st *store) Get(id string) (*session, bool) {
 	seq, ok := parseSeq(id)
 	if !ok {
 		return nil, false
 	}
-	sh := st.shardFor(seq)
-	sh.mu.RLock()
-	s, ok := sh.runs[seq]
-	sh.mu.RUnlock()
+	st.mu.RLock()
+	s, ok := st.runs[seq]
+	st.mu.RUnlock()
 	if !ok || s.id != id {
 		// Only the exact minted id resolves: a non-canonical spelling of
 		// the same sequence ("run-7", "run-+7") must not reach — let alone
@@ -99,20 +75,19 @@ func (st *shardedStore) Get(id string) (*session, bool) {
 // directory is unlinked only after the in-memory delete succeeded, which
 // requires the canonical minted id — a hostile id never reaches the
 // filesystem.
-func (st *shardedStore) Delete(id string) bool {
+func (st *store) Delete(id string) bool {
 	seq, ok := parseSeq(id)
 	if !ok {
 		return false
 	}
-	sh := st.shardFor(seq)
-	sh.mu.Lock()
-	s, ok := sh.runs[seq]
+	st.mu.Lock()
+	s, ok := st.runs[seq]
 	if !ok || s.id != id {
-		sh.mu.Unlock()
+		st.mu.Unlock()
 		return false
 	}
-	delete(sh.runs, seq)
-	sh.mu.Unlock()
+	delete(st.runs, seq)
+	st.mu.Unlock()
 	if st.dataDir != "" {
 		_ = os.RemoveAll(filepath.Join(st.dataDir, "runs", id))
 	}
@@ -120,29 +95,21 @@ func (st *shardedStore) Delete(id string) bool {
 }
 
 // Snapshot returns all retained sessions in no particular order.
-func (st *shardedStore) Snapshot() []*session {
-	out := make([]*session, 0, st.Len())
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.runs {
-			out = append(out, s)
-		}
-		sh.mu.RUnlock()
+func (st *store) Snapshot() []*session {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	out := make([]*session, 0, len(st.runs))
+	for _, s := range st.runs {
+		out = append(out, s)
 	}
 	return out
 }
 
 // Len reports the number of retained sessions.
-func (st *shardedStore) Len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.runs)
-		sh.mu.RUnlock()
-	}
-	return n
+func (st *store) Len() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.runs)
 }
 
 // --- lifecycle: TTL and cap eviction ---------------------------------------

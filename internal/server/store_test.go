@@ -32,71 +32,59 @@ func TestParseSeq(t *testing.T) {
 	}
 }
 
-func TestShardedStoreBasics(t *testing.T) {
-	for _, shards := range []int{1, 4, 16, 7} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			st := newShardedStore(shards, "")
-			const n = 100
-			for i := int64(1); i <= n; i++ {
-				st.Put(storeSession(i))
-			}
-			if st.Len() != n {
-				t.Fatalf("Len = %d, want %d", st.Len(), n)
-			}
-			for i := int64(1); i <= n; i++ {
-				s, ok := st.Get(fmt.Sprintf("run-%06d", i))
-				if !ok || s.seq != i {
-					t.Fatalf("Get(run-%06d) = %v, %v", i, s, ok)
-				}
-			}
-			if _, ok := st.Get("run-000000"); ok {
-				t.Fatal("Get found a session never put")
-			}
-			if _, ok := st.Get("not-an-id"); ok {
-				t.Fatal("Get found a session under an unparsable id")
-			}
-			// Non-canonical spellings of a live sequence must not resolve:
-			// "run-7" naming another client's "run-000007" would let a
-			// guessed short id read — or Delete, i.e. cancel — it.
-			for _, alias := range []string{"run-7", "run-+7", "run-0000007"} {
-				if _, ok := st.Get(alias); ok {
-					t.Fatalf("Get(%q) resolved run-000007", alias)
-				}
-				if st.Delete(alias) {
-					t.Fatalf("Delete(%q) removed run-000007", alias)
-				}
-			}
-			if snap := st.Snapshot(); len(snap) != n {
-				t.Fatalf("Snapshot returned %d sessions", len(snap))
-			}
-			if !st.Delete("run-000042") {
-				t.Fatal("Delete missed a present session")
-			}
-			if st.Delete("run-000042") {
-				t.Fatal("Delete reported a second removal")
-			}
-			if st.Delete("not-an-id") {
-				t.Fatal("Delete accepted an unparsable id")
-			}
-			if st.Len() != n-1 {
-				t.Fatalf("Len after delete = %d", st.Len())
-			}
-		})
+func TestStoreBasics(t *testing.T) {
+	st := newStore("")
+	const n = 100
+	for i := int64(1); i <= n; i++ {
+		st.Put(storeSession(i))
 	}
-}
-
-func TestShardedStoreDefaultShardCount(t *testing.T) {
-	for _, n := range []int{0, -3} {
-		if got := len(newShardedStore(n, "").shards); got != defaultShards {
-			t.Fatalf("newShardedStore(%d) built %d shards, want %d", n, got, defaultShards)
+	if st.Len() != n {
+		t.Fatalf("Len = %d, want %d", st.Len(), n)
+	}
+	for i := int64(1); i <= n; i++ {
+		s, ok := st.Get(fmt.Sprintf("run-%06d", i))
+		if !ok || s.seq != i {
+			t.Fatalf("Get(run-%06d) = %v, %v", i, s, ok)
 		}
 	}
+	if _, ok := st.Get("run-000000"); ok {
+		t.Fatal("Get found a session never put")
+	}
+	if _, ok := st.Get("not-an-id"); ok {
+		t.Fatal("Get found a session under an unparsable id")
+	}
+	// Non-canonical spellings of a live sequence must not resolve:
+	// "run-7" naming another client's "run-000007" would let a
+	// guessed short id read — or Delete, i.e. cancel — it.
+	for _, alias := range []string{"run-7", "run-+7", "run-0000007"} {
+		if _, ok := st.Get(alias); ok {
+			t.Fatalf("Get(%q) resolved run-000007", alias)
+		}
+		if st.Delete(alias) {
+			t.Fatalf("Delete(%q) removed run-000007", alias)
+		}
+	}
+	if snap := st.Snapshot(); len(snap) != n {
+		t.Fatalf("Snapshot returned %d sessions", len(snap))
+	}
+	if !st.Delete("run-000042") {
+		t.Fatal("Delete missed a present session")
+	}
+	if st.Delete("run-000042") {
+		t.Fatal("Delete reported a second removal")
+	}
+	if st.Delete("not-an-id") {
+		t.Fatal("Delete accepted an unparsable id")
+	}
+	if st.Len() != n-1 {
+		t.Fatalf("Len after delete = %d", st.Len())
+	}
 }
 
-func TestShardedStoreConcurrent(t *testing.T) {
+func TestStoreConcurrent(t *testing.T) {
 	// Hammer all operations from many goroutines; the race detector is the
 	// real assertion here.
-	st := newShardedStore(8, "")
+	st := newStore("")
 	const (
 		workers = 16
 		perW    = 200

@@ -5,6 +5,7 @@ import (
 	"repro/internal/elasticfusion"
 	"repro/internal/param"
 	"repro/internal/sensor"
+	"repro/internal/traj"
 )
 
 // ElasticFusion parameter names (paper §III-C / Table I).
@@ -96,7 +97,7 @@ func (b *ElasticFusionBench) Evaluate(cfg param.Config, dev device.Model) (Metri
 	if err != nil {
 		return Metrics{}, fmtErr(b, err)
 	}
-	meanATE, maxATE, err := ATE(res.Trajectory, b.DS.GroundTruth)
+	ate, err := traj.ATE(res.Trajectory, b.DS.GroundTruth)
 	if err != nil {
 		return Metrics{}, fmtErr(b, err)
 	}
@@ -104,8 +105,8 @@ func (b *ElasticFusionBench) Evaluate(cfg param.Config, dev device.Model) (Metri
 	frames := float64(res.Counters.Frames)
 	spf := dev.SecondsPerFrame(work, frames)
 	return Metrics{
-		MeanATE:      meanATE,
-		MaxATE:       maxATE,
+		MeanATE:      ate.Mean,
+		MaxATE:       ate.Max,
 		SecPerFrame:  spf,
 		FPS:          1 / spf,
 		TotalSeconds: spf * NominalFrames,

@@ -5,6 +5,7 @@ import (
 	"repro/internal/kfusion"
 	"repro/internal/param"
 	"repro/internal/sensor"
+	"repro/internal/traj"
 )
 
 // KFusion parameter names (paper §III-B).
@@ -97,7 +98,7 @@ func (b *KFusionBench) Evaluate(cfg param.Config, dev device.Model) (Metrics, er
 	if err != nil {
 		return Metrics{}, fmtErr(b, err)
 	}
-	meanATE, maxATE, err := ATE(res.Trajectory, b.DS.GroundTruth)
+	ate, err := traj.ATE(res.Trajectory, b.DS.GroundTruth)
 	if err != nil {
 		return Metrics{}, fmtErr(b, err)
 	}
@@ -105,8 +106,8 @@ func (b *KFusionBench) Evaluate(cfg param.Config, dev device.Model) (Metrics, er
 	frames := float64(res.Counters.Frames)
 	spf := dev.SecondsPerFrame(work, frames)
 	return Metrics{
-		MeanATE:      meanATE,
-		MaxATE:       maxATE,
+		MeanATE:      ate.Mean,
+		MaxATE:       ate.Max,
 		SecPerFrame:  spf,
 		FPS:          1 / spf,
 		TotalSeconds: spf * NominalFrames,

@@ -7,13 +7,12 @@
 package slambench
 
 import (
-	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/geom"
 	"repro/internal/param"
 	"repro/internal/sensor"
 )
@@ -44,23 +43,6 @@ const NominalFrames = 880
 // process (640×480); counted image-kernel work is rescaled to it.
 const PaperPixels = 640 * 480
 
-// ATE computes the mean and max absolute trajectory error between an
-// estimated trajectory and ground truth (both camera-to-world; SLAMBench
-// aligns sequences at the first frame, which Run already guarantees).
-func ATE(traj, gt []geom.Pose) (mean, max float64, err error) {
-	if len(traj) != len(gt) || len(traj) == 0 {
-		return 0, 0, errors.New("slambench: trajectory/ground-truth length mismatch")
-	}
-	for i := range traj {
-		d := geom.Distance(traj[i], gt[i])
-		mean += d
-		if d > max {
-			max = d
-		}
-	}
-	return mean / float64(len(traj)), max, nil
-}
-
 // Benchmark is one SLAM application under measurement.
 type Benchmark interface {
 	// Name returns the benchmark identifier ("kfusion", "elasticfusion").
@@ -79,6 +61,22 @@ type Benchmark interface {
 	Accuracy(m Metrics) float64
 }
 
+// Names lists the benchmarks ByName builds, in catalog order.
+var Names = []string{"kfusion", "elasticfusion"}
+
+// ByName builds the named benchmark over the cached dataset of the given
+// scale (see DatasetOptions). The name is checked before the dataset is
+// rendered, so a typo fails at once.
+func ByName(name, scale string) (Benchmark, error) {
+	switch name {
+	case "kfusion":
+		return NewKFusionBench(CachedDataset(scale)), nil
+	case "elasticfusion":
+		return NewElasticFusionBench(CachedDataset(scale)), nil
+	}
+	return nil, fmt.Errorf("unknown benchmark %q (%s)", name, strings.Join(Names, "|"))
+}
+
 // Objectives enumerates evaluator outputs.
 type Objectives int
 
@@ -91,13 +89,18 @@ const (
 	RuntimeAccuracyPower
 )
 
-// Count returns the number of objective values.
-func (o Objectives) Count() int {
+// Names returns the objective names in evaluator output order — the
+// catalog's objective list and the CSV column names.
+func (o Objectives) Names() []string {
+	names := []string{"runtime_s_per_frame", "accuracy_ate_m"}
 	if o == RuntimeAccuracyPower {
-		return 3
+		names = append(names, "power_w")
 	}
-	return 2
+	return names
 }
+
+// Count returns the number of objective values.
+func (o Objectives) Count() int { return len(o.Names()) }
 
 // Evaluator adapts a benchmark+device to the optimizer. Evaluation errors
 // (degenerate configurations) are mapped to a heavily penalized objective

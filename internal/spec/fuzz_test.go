@@ -1,6 +1,7 @@
 package spec_test
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,6 +28,10 @@ func FuzzSpecParse(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// A grid whose range overflows float64: every level is NaN or ±Inf.
+	f.Add([]byte(`{"version": 1, "name": "hostile-grid",
+  "parameters": [{"name": "x", "kind": "grid", "low": -1.7e308, "high": 1.7e308, "points": 3}],
+  "objectives": ["f"], "evaluator": "http://127.0.0.1:1/evaluate"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := spec.Parse(data)
 		if err != nil {
@@ -39,6 +44,15 @@ func FuzzSpecParse(f *testing.F) {
 		if len(p.Objectives) < 1 || p.Space.Dim() < 1 || p.Space.Size() < 1 || p.Eval == nil {
 			t.Fatalf("materialized an unrunnable problem: %d objectives, %d parameters, size %d, evaluator %v",
 				len(p.Objectives), p.Space.Dim(), p.Space.Size(), p.Eval)
+		}
+		// A non-finite level cannot be listed (encoding/json refuses it)
+		// and no evaluator can be handed it.
+		for _, prm := range p.Space.Params() {
+			for _, v := range prm.Values {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("parameter %q materialized with a non-finite level %v", prm.Name, v)
+				}
+			}
 		}
 	})
 }

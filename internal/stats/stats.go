@@ -25,29 +25,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Min returns the minimum of xs. It panics on empty input by design: callers
-// in this repository always operate on non-empty evaluation sets.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs.
-func Max(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs is not modified.
 func Quantile(xs []float64, q float64) (float64, error) {

@@ -22,16 +22,6 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5, -9, 2, 6}
-	if Min(xs) != -9 {
-		t.Fatalf("Min = %v", Min(xs))
-	}
-	if Max(xs) != 6 {
-		t.Fatalf("Max = %v", Max(xs))
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{
