@@ -1,6 +1,7 @@
 // Package repro holds the top-level benchmark harness: one testing.B
 // benchmark per table and figure of the paper's evaluation (§IV), plus
-// ablation benchmarks for the design choices DESIGN.md calls out.
+// ablation benchmarks for the loop's design choices (docs/ARCHITECTURE.md,
+// "The active-learning iteration").
 //
 // The per-figure benchmarks run the experiment generators at test scale so
 // `go test -bench=.` finishes in minutes; `cmd/figures -scale quick|full`
@@ -135,7 +136,7 @@ func reportDSE(b *testing.B, res *experiments.DSEResult) {
 	b.ReportMetric(res.EvalTime.Seconds()*1e3, "eval-ms")
 }
 
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations ---
 
 // BenchmarkAblationRandomOnlyVsActiveLearning compares the hypervolume of
 // random-only exploration against the full loop at equal evaluation

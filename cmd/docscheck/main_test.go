@@ -54,6 +54,26 @@ func TestCheckTrailingPunctuationAndPossessives(t *testing.T) {
 	}
 }
 
+func TestCheckGoComments(t *testing.T) {
+	root := t.TempDir()
+	writeFile(t, root, "docs/ARCHITECTURE.md", "# Architecture")
+	// A directory argument stands for the .go files under it. Only a
+	// markdown name in a whole-line comment is a reference: not a string,
+	// not a "*.md" glob, not a non-Go file.
+	writeFile(t, root, "internal/a/good.go",
+		"// Package a; see docs/ARCHITECTURE.md.\npackage a\n\nconst glob = \"NOPE.md\" // every *.md file\n")
+	writeFile(t, root, "internal/a/notes.txt", "// see NOPE.md")
+	if problems := check(root, []string{"internal"}); len(problems) != 0 {
+		t.Fatalf("clean tree reported problems: %v", problems)
+	}
+
+	writeFile(t, root, "internal/b/bad.go", "package b\n\n\t// rationale in DESIGN.md §1\nvar x int\n")
+	problems := check(root, []string{"internal"})
+	if len(problems) != 1 || problems[0] != "internal/b/bad.go references DESIGN.md, which does not exist" {
+		t.Fatalf("problems = %q, want the one dangling DESIGN.md", problems)
+	}
+}
+
 func TestCheckMissingDocFile(t *testing.T) {
 	root := t.TempDir()
 	problems := check(root, []string{"docs/NOPE.md"})
@@ -69,8 +89,7 @@ func TestCheckAgainstThisRepository(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Skip("not running from the repository tree")
 	}
-	files := []string{"README.md", "docs/ARCHITECTURE.md", "docs/WORKER_PROTOCOL.md", "docs/SCENARIOS.md"}
-	if problems := check(root, files); len(problems) != 0 {
+	if problems := check(root, defaultArgs); len(problems) != 0 {
 		t.Fatalf("repository docs have broken references:\n%s", strings.Join(problems, "\n"))
 	}
 }

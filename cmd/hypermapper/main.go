@@ -39,7 +39,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		benchName  = fs.String("benchmark", "kfusion", "benchmark: kfusion or elasticfusion")
 		platform   = fs.String("platform", "ODROID-XU3", "platform model")
-		scale      = fs.String("dataset", "full", "dataset scale: full or test")
+		scale      = fs.String("dataset", "full", "dataset scale: full, dse, or test")
 		randomN    = fs.Int("random", 120, "random bootstrap samples (rs of Algorithm 1)")
 		iterations = fs.Int("iterations", 3, "active learning iterations")
 		batch      = fs.Int("batch", 100, "max evaluations per AL iteration")

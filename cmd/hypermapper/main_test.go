@@ -47,6 +47,7 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	for _, args := range [][]string{
 		{"-benchmark", "orbslam", "-dataset", "test"},
 		{"-platform", "abacus", "-dataset", "test"},
+		{"-dataset", "tset"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "unknown") {

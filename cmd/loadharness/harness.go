@@ -45,7 +45,6 @@ type config struct {
 	P99BoundMS       float64
 	RSSBoundMB       float64
 	RequireCoalesce  bool
-	Out              string
 	Verbose          bool
 }
 
@@ -63,8 +62,8 @@ func (c config) thinkBase() time.Duration {
 	return max(20*time.Millisecond, c.Duration/100)
 }
 
-// report is the harness outcome: the metrics that go into BENCH_load.json
-// plus the assertion failures (empty on success).
+// report is the harness outcome: the metrics of the "LOAD:" lines plus the
+// assertion failures (empty on success).
 type report struct {
 	Clients     int
 	Completed   int64
@@ -223,11 +222,6 @@ func run(cfg config, out io.Writer) (*report, error) {
 
 	rep := h.buildReport(time.Since(start))
 	h.printReport(rep)
-	if cfg.Out != "" {
-		if err := writeBench(cfg, rep); err != nil {
-			return rep, fmt.Errorf("writing %s: %w", cfg.Out, err)
-		}
-	}
 	return rep, nil
 }
 
@@ -663,58 +657,6 @@ func (h *harness) printReport(rep *report) {
 	if len(rep.Failures) == 0 {
 		fmt.Fprintf(h.out, "LOAD: PASS all assertions held\n")
 	}
-}
-
-// benchResult / benchBaseline are the BENCH_load.json artifact: named
-// results, each a map of metric name to value.
-type benchResult struct {
-	Name       string             `json:"name"`
-	Package    string             `json:"package,omitempty"`
-	Procs      int                `json:"procs,omitempty"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-type benchBaseline struct {
-	Goos    string        `json:"goos,omitempty"`
-	Goarch  string        `json:"goarch,omitempty"`
-	CPU     string        `json:"cpu,omitempty"`
-	Results []benchResult `json:"results"`
-}
-
-// writeBench writes the BENCH_load.json artifact.
-func writeBench(cfg config, rep *report) error {
-	base := benchBaseline{
-		Goos:   runtime.GOOS,
-		Goarch: runtime.GOARCH,
-		Results: []benchResult{{
-			Name:       "LoadHarness/crowd",
-			Package:    "repro/cmd/loadharness",
-			Procs:      runtime.GOMAXPROCS(0),
-			Iterations: rep.Completed,
-			Metrics: map[string]float64{
-				"clients":           float64(rep.Clients),
-				"runs/s":            float64(rep.Completed) / rep.Elapsed.Seconds(),
-				"post-p50-ms":       rep.PostP50MS,
-				"post-p99-ms":       rep.PostP99MS,
-				"admit-wait-p50-ms": rep.WaitP50MS,
-				"admit-wait-p99-ms": rep.WaitP99MS,
-				"max-queue-depth":   float64(rep.MaxQueueDepth),
-				"rejected-429":      float64(rep.Rejected429),
-				"cancelled":         float64(rep.Cancelled),
-				"peak-rss-mb":       rep.PeakRSSMB,
-				"coalesce-hits":     float64(rep.CoalesceHits),
-				"coalesce-rate":     rep.CoalesceRate,
-				"cache-hits":        float64(rep.CacheHits),
-				"cache-misses":      float64(rep.CacheMisses),
-			},
-		}},
-	}
-	data, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(cfg.Out, append(data, '\n'), 0o644)
 }
 
 // peakRSSMB reads the process's peak resident set (VmHWM) from

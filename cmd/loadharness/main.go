@@ -25,11 +25,10 @@
 //     coalesce hit rate (memo-cache singleflight plus batch-merge dedup).
 //
 // and exits non-zero (printing "LOAD: FAIL ..." lines) when any of them
-// does not hold. Results are written to -out as a BENCH_load.json artifact
-// (see benchBaseline), and a "LOAD:" summary is printed for CI job
-// summaries:
+// does not hold. The results are the "LOAD:" summary lines it prints, which
+// CI copies into the job summary:
 //
-//	go run ./cmd/loadharness -clients 100000 -duration 30s -out BENCH_load.json
+//	go run ./cmd/loadharness -clients 100000 -duration 30s
 //	go run ./cmd/loadharness -addr http://localhost:8089 -clients 20000
 package main
 
@@ -58,7 +57,6 @@ func main() {
 	flag.Float64Var(&cfg.P99BoundMS, "p99-bound", 10_000, "assertion bound on the scheduler's p99 admission wait, in ms")
 	flag.Float64Var(&cfg.RSSBoundMB, "rss-bound-mb", 2048, "assertion bound on the process's peak RSS, in MiB (0 disables)")
 	flag.BoolVar(&cfg.RequireCoalesce, "require-coalesce", true, "fail unless the coalesce hit rate is > 0")
-	flag.StringVar(&cfg.Out, "out", "BENCH_load.json", "result artifact path (empty disables)")
 	flag.BoolVar(&cfg.Verbose, "v", false, "per-phase progress output")
 	flag.Parse()
 

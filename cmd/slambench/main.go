@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -32,40 +33,50 @@ func (s *setFlags) Set(v string) error {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "slambench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("slambench", flag.ContinueOnError)
 	var (
-		benchName = flag.String("benchmark", "kfusion", "benchmark: kfusion or elasticfusion")
-		platform  = flag.String("platform", "ODROID-XU3", "platform model (see -platforms)")
-		scale     = flag.String("dataset", "full", "dataset scale: full or test")
-		list      = flag.Bool("list", false, "print the design space and exit")
-		platforms = flag.Bool("platforms", false, "print the platform models and exit")
+		benchName = fs.String("benchmark", "kfusion", "benchmark: kfusion or elasticfusion")
+		platform  = fs.String("platform", "ODROID-XU3", "platform model (see -platforms)")
+		scale     = fs.String("dataset", "full", "dataset scale: full, dse, or test")
+		list      = fs.Bool("list", false, "print the design space and exit")
+		platforms = fs.Bool("platforms", false, "print the platform models and exit")
 		sets      setFlags
 	)
-	flag.Var(&sets, "set", "override parameter, name=value (repeatable)")
-	flag.Parse()
+	fs.Var(&sets, "set", "override parameter, name=value (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *platforms {
 		for _, m := range device.Platforms() {
-			fmt.Printf("%-14s %s\n", m.Name, m.Class)
+			fmt.Fprintf(stdout, "%-14s %s\n", m.Name, m.Class)
 		}
-		return
+		return nil
 	}
 
 	bench, err := slambench.ByName(*benchName, *scale)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	if *list {
-		fmt.Printf("design space of %s (%d configurations):\n", bench.Name(), bench.Space().Size())
+		fmt.Fprintf(stdout, "design space of %s (%d configurations):\n", bench.Name(), bench.Space().Size())
 		for _, p := range bench.Space().Params() {
-			fmt.Printf("  %-22s %-12s %v\n", p.Name, p.Kind, p.Values)
+			fmt.Fprintf(stdout, "  %-22s %-12s %v\n", p.Name, p.Kind, p.Values)
 		}
-		return
+		return nil
 	}
 
 	dev, ok := device.ByName(*platform)
 	if !ok {
-		fatalf("unknown platform %q (try -platforms)", *platform)
+		return fmt.Errorf("unknown platform %q (try -platforms)", *platform)
 	}
 
 	cfg := bench.DefaultConfig()
@@ -73,33 +84,29 @@ func main() {
 	for _, kv := range sets {
 		name, val, found := strings.Cut(kv, "=")
 		if !found {
-			fatalf("bad -set %q, want name=value", kv)
+			return fmt.Errorf("bad -set %q, want name=value", kv)
 		}
 		f, err := strconv.ParseFloat(val, 64)
 		if err != nil {
-			fatalf("bad value in -set %q: %v", kv, err)
+			return fmt.Errorf("bad value in -set %q: %w", kv, err)
 		}
 		if space.IndexOfName(name) < 0 {
-			fatalf("unknown parameter %q (try -list)", name)
+			return fmt.Errorf("unknown parameter %q (try -list)", name)
 		}
 		cfg[space.IndexOfName(name)] = f
 	}
 
-	fmt.Printf("benchmark: %s on %s\nconfig: %s\n", bench.Name(), dev, space.FormatConfig(cfg))
+	fmt.Fprintf(stdout, "benchmark: %s on %s\nconfig: %s\n", bench.Name(), dev, space.FormatConfig(cfg))
 	m, err := bench.Evaluate(cfg, dev)
 	if err != nil {
-		fatalf("evaluation failed: %v", err)
+		return fmt.Errorf("evaluation failed: %w", err)
 	}
-	fmt.Printf("frames:          %d\n", m.Frames)
-	fmt.Printf("mean ATE:        %.4f m\n", m.MeanATE)
-	fmt.Printf("max ATE:         %.4f m  (accuracy limit %.2f m: valid=%v)\n",
+	fmt.Fprintf(stdout, "frames:          %d\n", m.Frames)
+	fmt.Fprintf(stdout, "mean ATE:        %.4f m\n", m.MeanATE)
+	fmt.Fprintf(stdout, "max ATE:         %.4f m  (accuracy limit %.2f m: valid=%v)\n",
 		m.MaxATE, slambench.AccuracyLimit, m.MaxATE < slambench.AccuracyLimit)
-	fmt.Printf("runtime:         %.1f ms/frame  (%.2f FPS)\n", m.SecPerFrame*1e3, m.FPS)
-	fmt.Printf("sequence total:  %.1f s over %d frames\n", m.TotalSeconds, slambench.NominalFrames)
-	fmt.Printf("modeled power:   %.2f W\n", m.PowerW)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "slambench: "+format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "runtime:         %.1f ms/frame  (%.2f FPS)\n", m.SecPerFrame*1e3, m.FPS)
+	fmt.Fprintf(stdout, "sequence total:  %.1f s over %d frames\n", m.TotalSeconds, slambench.NominalFrames)
+	fmt.Fprintf(stdout, "modeled power:   %.2f W\n", m.PowerW)
+	return nil
 }

@@ -8,63 +8,64 @@
 // a Model converts that work into modeled wall-clock time and power. The
 // coefficients are calibrated so the paper's default configurations land on
 // its headline numbers (KFusion ≈ 6 FPS on the ODROID, ElasticFusion
-// ≈ 22.2 s for the sequence on the GTX 780 Ti); see DESIGN.md §1.
+// ≈ 22.2 s for the sequence on the GTX 780 Ti); see "Simulation substrate"
+// in docs/ARCHITECTURE.md.
 package device
 
-import (
-	"fmt"
-	"slices"
+import "fmt"
+
+// Kernel names one kernel class of the two SLAM pipelines. The constants are
+// declared in alphabetical order of the kernel names, which is the order a
+// cost is summed in: float addition is not associative, so reordering them
+// moves the last bit of every modelled runtime, and with it the fronts.
+type Kernel int
+
+const (
+	KernelBilateral Kernel = iota
+	KernelFern
+	KernelFuse
+	KernelICP
+	KernelIntegrate
+	KernelLoop
+	KernelPreprocess
+	KernelPyramid
+	KernelRaycast
+	KernelRender
+	KernelResize
+	KernelRGB
+	KernelSO3
+	KernelTrack
+	numKernels
 )
 
 // Work is a per-kernel operation count vector, in paper-scale operations
 // (640×480-equivalent image kernels; full-volume sweeps for integration).
-type Work map[string]float64
+// A pipeline leaves the kernels it does not run at zero.
+type Work [numKernels]float64
 
-// Add accumulates other into w.
-func (w Work) Add(other Work) {
-	for k, v := range other {
-		w[k] += v
+// Prices is a per-kernel cost table: nanoseconds or nanojoules per operation.
+type Prices [numKernels]float64
+
+// PricesOf builds a table that prices the listed kernels as given and every
+// other kernel at def.
+func PricesOf(def float64, listed map[Kernel]float64) Prices {
+	var p Prices
+	for k := range p {
+		p[k] = def
 	}
+	for k, v := range listed {
+		p[k] = v
+	}
+	return p
 }
 
-// Scale multiplies every entry by f and returns w.
-func (w Work) Scale(f float64) Work {
-	for k := range w {
-		w[k] *= f
-	}
-	return w
-}
-
-// Total returns the sum of all entries.
-func (w Work) Total() float64 {
-	return w.sum(func(string) float64 { return 1 })
-}
-
-// sum adds ops × price(kernel) over w in sorted kernel-name order. Float
-// addition is not associative: in map iteration order one Work's sum
-// differs in its last bit from call to call, and with it the objectives of
-// one configuration between two evaluations.
-func (w Work) sum(price func(kernel string) float64) float64 {
-	kernels := make([]string, 0, len(w))
-	for k := range w {
-		kernels = append(kernels, k)
-	}
-	slices.Sort(kernels)
+// cost returns Σ ops × price over the kernels, in Kernel order.
+func (p Prices) cost(w Work) float64 {
 	t := 0.0
-	for _, k := range kernels {
-		t += w[k] * price(k)
+	for k, ops := range w {
+		t += ops * p[k]
 	}
 	return t
-}
-
-// priced returns a kernel's price from table, or def for a kernel it lacks.
-func priced(table map[string]float64, def float64) func(string) float64 {
-	return func(kernel string) float64 {
-		if p, ok := table[kernel]; ok {
-			return p
-		}
-		return def
-	}
 }
 
 // Model converts counted kernel work into modeled time and power.
@@ -74,19 +75,18 @@ type Model struct {
 	// Class is a coarse family tag used in reports ("embedded-gpu",
 	// "integrated-gpu", "discrete-gpu").
 	Class string
-	// CoeffNs maps kernel name → nanoseconds per operation. Kernels
-	// missing from the map fall back to DefaultNs.
-	CoeffNs map[string]float64
-	// DefaultNs prices unknown kernels.
+	// CoeffNs is nanoseconds per operation, per kernel.
+	CoeffNs Prices
+	// DefaultNs is the price CoeffNs gives a kernel the platform does not
+	// list; MarketDevice.RelativeSpeed compares it across devices.
 	DefaultNs float64
 	// FrameOverheadMs is fixed per-frame time (dispatch, sync, copies).
 	FrameOverheadMs float64
 	// PowerStaticW is the idle platform power.
 	PowerStaticW float64
-	// EnergyNJ maps kernel name → nanojoules per operation for the power
-	// objective (falls back to DefaultNJ).
-	EnergyNJ  map[string]float64
-	DefaultNJ float64
+	// EnergyNJ is nanojoules per operation, per kernel, for the power
+	// objective.
+	EnergyNJ Prices
 }
 
 // SecondsPerFrame converts a run's total work over frames frames into
@@ -95,8 +95,7 @@ func (m Model) SecondsPerFrame(w Work, frames float64) float64 {
 	if frames <= 0 {
 		return 0
 	}
-	ns := w.sum(priced(m.CoeffNs, m.DefaultNs))
-	return ns/1e9/frames + m.FrameOverheadMs/1e3
+	return m.CoeffNs.cost(w)/1e9/frames + m.FrameOverheadMs/1e3
 }
 
 // AveragePowerW models the average power draw while processing at the
@@ -106,40 +105,22 @@ func (m Model) AveragePowerW(w Work, frames float64) float64 {
 	if secPerFrame <= 0 || frames <= 0 {
 		return m.PowerStaticW
 	}
-	joulesPerFrame := w.sum(priced(m.EnergyNJ, m.DefaultNJ)) / 1e9 / frames
+	joulesPerFrame := m.EnergyNJ.cost(w) / 1e9 / frames
 	return m.PowerStaticW + joulesPerFrame/secPerFrame
 }
 
 // String implements fmt.Stringer.
 func (m Model) String() string { return fmt.Sprintf("%s (%s)", m.Name, m.Class) }
 
-// Kernel name constants shared with the slambench adapters.
-const (
-	KernelResize    = "resize"
-	KernelBilateral = "bilateral"
-	KernelPyramid   = "pyramid"
-	KernelTrack     = "track"
-	KernelIntegrate = "integrate"
-	KernelRaycast   = "raycast"
-
-	KernelPreprocess = "preprocess"
-	KernelSO3        = "so3"
-	KernelICP        = "icp"
-	KernelRGB        = "rgb"
-	KernelRender     = "render"
-	KernelFuse       = "fuse"
-	KernelLoop       = "loop"
-	KernelFern       = "fern"
-)
-
 // ODROIDXU3 models the Hardkernel ODROID-XU3 (Exynos 5422, Mali-T628-MP6
 // 4-core OpenCL device). Calibrated so the default KFusion configuration
 // runs at ≈ 6 FPS (§IV-B).
 func ODROIDXU3() Model {
+	const defaultNs = 3.0
 	return Model{
 		Name:  "ODROID-XU3",
 		Class: "embedded-gpu",
-		CoeffNs: map[string]float64{
+		CoeffNs: PricesOf(defaultNs, map[Kernel]float64{
 			KernelResize:    0.8,
 			KernelBilateral: 3.3,
 			KernelPyramid:   1.9,
@@ -157,17 +138,16 @@ func ODROIDXU3() Model {
 			KernelFuse:       22,
 			KernelLoop:       36,
 			KernelFern:       16,
-		},
-		DefaultNs:       3.0,
+		}),
+		DefaultNs:       defaultNs,
 		FrameOverheadMs: 6.0,
 		PowerStaticW:    0.45,
-		EnergyNJ: map[string]float64{
+		EnergyNJ: PricesOf(5.0, map[Kernel]float64{
 			KernelBilateral: 4.5,
 			KernelTrack:     11.0,
 			KernelIntegrate: 8.0,
 			KernelRaycast:   7.0,
-		},
-		DefaultNJ: 5.0,
+		}),
 	}
 }
 
@@ -175,10 +155,11 @@ func ODROIDXU3() Model {
 // Graphics via Beignet). A little faster than the ODROID on regular image
 // kernels, comparatively slower on irregular memory access.
 func ASUST200TA() Model {
+	const defaultNs = 2.4
 	return Model{
 		Name:  "ASUS-T200TA",
 		Class: "integrated-gpu",
-		CoeffNs: map[string]float64{
+		CoeffNs: PricesOf(defaultNs, map[Kernel]float64{
 			KernelResize:    0.6,
 			KernelBilateral: 1.9,
 			KernelPyramid:   1.2,
@@ -194,17 +175,16 @@ func ASUST200TA() Model {
 			KernelFuse:       19,
 			KernelLoop:       30,
 			KernelFern:       13,
-		},
-		DefaultNs:       2.4,
+		}),
+		DefaultNs:       defaultNs,
 		FrameOverheadMs: 8.0,
 		PowerStaticW:    0.9,
-		EnergyNJ: map[string]float64{
+		EnergyNJ: PricesOf(4.0, map[Kernel]float64{
 			KernelBilateral: 3.6,
 			KernelTrack:     9.0,
 			KernelIntegrate: 7.0,
 			KernelRaycast:   6.5,
-		},
-		DefaultNJ: 4.0,
+		}),
 	}
 }
 
@@ -212,10 +192,11 @@ func ASUST200TA() Model {
 // developed on. Calibrated so the default ElasticFusion configuration takes
 // ≈ 22.2 s over the nominal 880-frame sequence (Table I).
 func GTX780Ti() Model {
+	const defaultNs = 2.5
 	return Model{
 		Name:  "GTX-780Ti",
 		Class: "discrete-gpu",
-		CoeffNs: map[string]float64{
+		CoeffNs: PricesOf(defaultNs, map[Kernel]float64{
 			KernelPreprocess: 1.5,
 			KernelPyramid:    1.5,
 			KernelSO3:        2.7,
@@ -225,27 +206,26 @@ func GTX780Ti() Model {
 			KernelFuse:       2.7,
 			KernelLoop:       4.4,
 			KernelFern:       2.0,
-		},
-		DefaultNs:       2.5,
+		}),
+		DefaultNs:       defaultNs,
 		FrameOverheadMs: 2.0,
 		PowerStaticW:    35,
-		EnergyNJ:        map[string]float64{},
-		DefaultNJ:       45,
+		EnergyNJ:        PricesOf(45, nil),
 	}
 }
 
 // DesktopCPU models the 8-core Ivy Bridge host (E5-1620 v2) for
 // completeness (the paper runs ElasticFusion on the GPU).
 func DesktopCPU() Model {
+	const defaultNs = 2.0
 	return Model{
 		Name:            "IvyBridge-E5",
 		Class:           "cpu",
-		CoeffNs:         map[string]float64{},
-		DefaultNs:       2.0,
+		CoeffNs:         PricesOf(defaultNs, nil),
+		DefaultNs:       defaultNs,
 		FrameOverheadMs: 0.5,
 		PowerStaticW:    25,
-		EnergyNJ:        map[string]float64{},
-		DefaultNJ:       20,
+		EnergyNJ:        PricesOf(20, nil),
 	}
 }
 

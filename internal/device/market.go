@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // MarketDevice is one crowd-sourced phone or tablet profile of Figure 5.
@@ -71,18 +70,12 @@ func MarketDevices(n int, seed int64) []MarketDevice {
 		}
 		// Device-level overall speed variation (binning, thermals, OS).
 		overall := fam.speed * math.Exp(rng.NormFloat64()*0.22)
-		coeff := make(map[string]float64, len(base.CoeffNs))
-		// Iterate kernels in sorted order: map iteration order would make
-		// the RNG stream — and hence the population — nondeterministic.
-		kernels := make([]string, 0, len(base.CoeffNs))
-		for k := range base.CoeffNs {
-			kernels = append(kernels, k)
-		}
-		slices.Sort(kernels)
-		for _, k := range kernels {
-			// Per-kernel variation: different GPU generations have very
-			// different relative costs for regular vs irregular kernels.
-			coeff[k] = base.CoeffNs[k] * overall * math.Exp(rng.NormFloat64()*fam.spread)
+		// Per-kernel variation, drawn in Kernel order: different GPU
+		// generations have very different relative costs for regular vs
+		// irregular kernels.
+		coeff := base.CoeffNs
+		for k := range coeff {
+			coeff[k] = coeff[k] * overall * math.Exp(rng.NormFloat64()*fam.spread)
 		}
 		out = append(out, MarketDevice{
 			Model: Model{
@@ -93,7 +86,6 @@ func MarketDevices(n int, seed int64) []MarketDevice {
 				FrameOverheadMs: base.FrameOverheadMs * math.Exp(rng.NormFloat64()*0.3),
 				PowerStaticW:    0.3 + rng.Float64()*0.8,
 				EnergyNJ:        base.EnergyNJ,
-				DefaultNJ:       base.DefaultNJ,
 			},
 			SoC: fam.name,
 		})

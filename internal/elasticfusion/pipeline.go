@@ -7,10 +7,10 @@
 // (§III-C, Table I) are exposed, and per-kernel work counters feed the
 // device runtime models.
 //
-// Deviation from the original (documented in DESIGN.md): map deformation on
-// loop closure is simplified to a rigid pose correction — the paper's DSE
-// observes only trajectory error and runtime, which the simplification
-// preserves.
+// Deviation from the original (docs/ARCHITECTURE.md, "Simulation
+// substrate"): map deformation on loop closure is simplified to a rigid pose
+// correction — the paper's DSE observes only trajectory error and runtime,
+// which the simplification preserves.
 package elasticfusion
 
 import (

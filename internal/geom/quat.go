@@ -8,27 +8,6 @@ type Quat struct{ W, X, Y, Z float64 }
 // IdentityQuat returns the identity rotation.
 func IdentityQuat() Quat { return Quat{W: 1} }
 
-// QuatFromAxisAngle builds the quaternion rotating by angle (radians) about
-// the given axis (need not be normalized).
-func QuatFromAxisAngle(axis Vec3, angle float64) Quat {
-	a := axis.Normalized()
-	s, c := math.Sin(angle/2), math.Cos(angle/2)
-	return Quat{c, a.X * s, a.Y * s, a.Z * s}
-}
-
-// Mul returns the Hamilton product q·r (apply r first, then q).
-func (q Quat) Mul(r Quat) Quat {
-	return Quat{
-		q.W*r.W - q.X*r.X - q.Y*r.Y - q.Z*r.Z,
-		q.W*r.X + q.X*r.W + q.Y*r.Z - q.Z*r.Y,
-		q.W*r.Y - q.X*r.Z + q.Y*r.W + q.Z*r.X,
-		q.W*r.Z + q.X*r.Y - q.Y*r.X + q.Z*r.W,
-	}
-}
-
-// Conj returns the conjugate (inverse for unit quaternions).
-func (q Quat) Conj() Quat { return Quat{q.W, -q.X, -q.Y, -q.Z} }
-
 // Norm returns |q|.
 func (q Quat) Norm() float64 {
 	return math.Sqrt(q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z)
@@ -41,13 +20,6 @@ func (q Quat) Normalized() Quat {
 		return IdentityQuat()
 	}
 	return Quat{q.W / n, q.X / n, q.Y / n, q.Z / n}
-}
-
-// Rotate applies the rotation to vector v.
-func (q Quat) Rotate(v Vec3) Vec3 {
-	p := Quat{0, v.X, v.Y, v.Z}
-	r := q.Mul(p).Mul(q.Conj())
-	return Vec3{r.X, r.Y, r.Z}
 }
 
 // Mat returns the rotation-matrix form of q (q must be unit).
@@ -80,33 +52,4 @@ func QuatFromMat(m Mat3) Quat {
 		q = Quat{(m[3] - m[1]) / s, (m[2] + m[6]) / s, (m[5] + m[7]) / s, s / 4}
 	}
 	return q.Normalized()
-}
-
-// Slerp spherically interpolates between unit quaternions a and b for
-// t ∈ [0, 1], taking the shorter arc.
-func Slerp(a, b Quat, t float64) Quat {
-	dot := a.W*b.W + a.X*b.X + a.Y*b.Y + a.Z*b.Z
-	if dot < 0 {
-		b = Quat{-b.W, -b.X, -b.Y, -b.Z}
-		dot = -dot
-	}
-	if dot > 0.9995 {
-		// Nearly parallel: linear interpolation avoids division by ~0.
-		return Quat{
-			a.W + t*(b.W-a.W),
-			a.X + t*(b.X-a.X),
-			a.Y + t*(b.Y-a.Y),
-			a.Z + t*(b.Z-a.Z),
-		}.Normalized()
-	}
-	theta := math.Acos(dot)
-	sa := math.Sin((1 - t) * theta)
-	sb := math.Sin(t * theta)
-	s := math.Sin(theta)
-	return Quat{
-		(a.W*sa + b.W*sb) / s,
-		(a.X*sa + b.X*sb) / s,
-		(a.Y*sa + b.Y*sb) / s,
-		(a.Z*sa + b.Z*sb) / s,
-	}.Normalized()
 }

@@ -73,7 +73,8 @@ const (
 	// volumeScale divides the simulated voxel resolution: the runtime
 	// model is billed at Config.VolumeResolution but the in-memory volume
 	// uses VolumeResolution/volumeScale voxels so that thousands of DSE
-	// evaluations stay tractable (DESIGN.md §1).
+	// evaluations stay tractable (docs/ARCHITECTURE.md, "Simulation
+	// substrate").
 	volumeScale = 2
 	// volumeSize is the physical edge length in meters, sized to the
 	// living room.

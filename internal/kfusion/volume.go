@@ -137,9 +137,10 @@ func (v *Volume) Grad(p geom.Vec3) (geom.Vec3, bool) {
 
 // Integrate fuses a depth map taken from pose (camera-to-world) into the
 // volume with truncation distance mu. The implementation updates only the
-// voxels within the truncation band along each pixel ray (see DESIGN.md:
-// runtime is billed for the full res³ frustum sweep separately). It returns
-// the number of voxel updates actually performed.
+// voxels within the truncation band along each pixel ray; runtime is billed
+// for the full res³ frustum sweep separately (docs/ARCHITECTURE.md,
+// "Simulation substrate"). It returns the number of voxel updates actually
+// performed.
 func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geom.Pose, mu float64, maxWeight float32) int64 {
 	vs := v.VoxelSize()
 	step := vs * 0.5

@@ -1,7 +1,7 @@
 // Package scene provides the analytic signed-distance-field world the
 // synthetic RGB-D sensor observes: SDF primitives, a textured albedo model,
 // and the procedural living room that stands in for the ICL-NUIM living
-// room sequence (see DESIGN.md §1 for the substitution rationale).
+// room sequence (see "Simulation substrate" in docs/ARCHITECTURE.md).
 package scene
 
 import (

@@ -3,7 +3,7 @@
 // through the procedural living room, with a Kinect-style noise model
 // (quadratic-in-depth Gaussian noise, disparity quantization, grazing-angle
 // dropout). It is the stand-in for the ICL-NUIM living room trajectory 2
-// sequence (see DESIGN.md §1).
+// sequence (see "Simulation substrate" in docs/ARCHITECTURE.md).
 package sensor
 
 import (
@@ -259,11 +259,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

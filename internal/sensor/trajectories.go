@@ -16,7 +16,7 @@ import (
 func LivingRoomTrajectory0(n int) []geom.Pose {
 	poses := make([]geom.Pose, n)
 	for i := range poses {
-		t := float64(i) / float64(maxInt(n-1, 1))
+		t := float64(i) / float64(max(n-1, 1))
 		pos := geom.V3(
 			-1.2+2.4*smoothstep(t),
 			1.3+0.05*math.Sin(2*math.Pi*t),
@@ -33,7 +33,7 @@ func LivingRoomTrajectory0(n int) []geom.Pose {
 func LivingRoomTrajectory1(n int) []geom.Pose {
 	poses := make([]geom.Pose, n)
 	for i := range poses {
-		t := float64(i) / float64(maxInt(n-1, 1))
+		t := float64(i) / float64(max(n-1, 1))
 		pos := geom.V3(
 			1.6-1.1*smoothstep(t),
 			1.35-0.15*t,
@@ -51,7 +51,7 @@ func LivingRoomTrajectory1(n int) []geom.Pose {
 func LivingRoomTrajectory3(n int) []geom.Pose {
 	poses := make([]geom.Pose, n)
 	for i := range poses {
-		t := float64(i) / float64(maxInt(n-1, 1))
+		t := float64(i) / float64(max(n-1, 1))
 		u := 2 * math.Pi * t * 0.55
 		pos := geom.V3(
 			1.1*math.Sin(u),
@@ -89,11 +89,4 @@ func smoothstep(t float64) float64 {
 		return 1
 	}
 	return t * t * (3 - 2*t)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,6 @@ import (
 	"repro/internal/elasticfusion"
 	"repro/internal/param"
 	"repro/internal/sensor"
-	"repro/internal/traj"
 )
 
 // ElasticFusion parameter names (paper §III-C / Table I).
@@ -97,23 +96,7 @@ func (b *ElasticFusionBench) Evaluate(cfg param.Config, dev device.Model) (Metri
 	if err != nil {
 		return Metrics{}, fmtErr(b, err)
 	}
-	ate, err := traj.ATE(res.Trajectory, b.DS.GroundTruth)
-	if err != nil {
-		return Metrics{}, fmtErr(b, err)
-	}
-	work := efWork(res.Counters, pixelScale(b.DS))
-	frames := float64(res.Counters.Frames)
-	spf := dev.SecondsPerFrame(work, frames)
-	return Metrics{
-		MeanATE:      ate.Mean,
-		MaxATE:       ate.Max,
-		SecPerFrame:  spf,
-		FPS:          1 / spf,
-		TotalSeconds: spf * NominalFrames,
-		PowerW:       dev.AveragePowerW(work, frames),
-		Work:         work,
-		Frames:       int(res.Counters.Frames),
-	}, nil
+	return measure(b, res.Trajectory, b.DS.GroundTruth, efWork(res.Counters, pixelScale(b.DS)), res.Counters.Frames, dev)
 }
 
 // efWork converts pipeline counters to paper-scale work. Surfel counts are

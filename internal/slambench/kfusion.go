@@ -5,7 +5,6 @@ import (
 	"repro/internal/kfusion"
 	"repro/internal/param"
 	"repro/internal/sensor"
-	"repro/internal/traj"
 )
 
 // KFusion parameter names (paper §III-B).
@@ -98,23 +97,7 @@ func (b *KFusionBench) Evaluate(cfg param.Config, dev device.Model) (Metrics, er
 	if err != nil {
 		return Metrics{}, fmtErr(b, err)
 	}
-	ate, err := traj.ATE(res.Trajectory, b.DS.GroundTruth)
-	if err != nil {
-		return Metrics{}, fmtErr(b, err)
-	}
-	work := kfusionWork(res.Counters, pixelScale(b.DS))
-	frames := float64(res.Counters.Frames)
-	spf := dev.SecondsPerFrame(work, frames)
-	return Metrics{
-		MeanATE:      ate.Mean,
-		MaxATE:       ate.Max,
-		SecPerFrame:  spf,
-		FPS:          1 / spf,
-		TotalSeconds: spf * NominalFrames,
-		PowerW:       dev.AveragePowerW(work, frames),
-		Work:         work,
-		Frames:       int(res.Counters.Frames),
-	}, nil
+	return measure(b, res.Trajectory, b.DS.GroundTruth, kfusionWork(res.Counters, pixelScale(b.DS)), res.Counters.Frames, dev)
 }
 
 // kfusionWork converts pipeline counters to paper-scale work: image kernels

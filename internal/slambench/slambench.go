@@ -8,13 +8,16 @@ package slambench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/geom"
 	"repro/internal/param"
 	"repro/internal/sensor"
+	"repro/internal/traj"
 )
 
 // Metrics are the performance measurements of one run (paper §I: accuracy
@@ -64,10 +67,16 @@ type Benchmark interface {
 // Names lists the benchmarks ByName builds, in catalog order.
 var Names = []string{"kfusion", "elasticfusion"}
 
+// scales lists the dataset scales ByName accepts (see DatasetOptions).
+var scales = []string{"full", "dse", "test"}
+
 // ByName builds the named benchmark over the cached dataset of the given
-// scale (see DatasetOptions). The name is checked before the dataset is
-// rendered, so a typo fails at once.
+// scale. Name and scale are both checked before the dataset is rendered, so
+// a typo in either fails at once instead of after the full render.
 func ByName(name, scale string) (Benchmark, error) {
+	if !slices.Contains(scales, scale) {
+		return nil, fmt.Errorf("unknown dataset scale %q (%s)", scale, strings.Join(scales, "|"))
+	}
 	switch name {
 	case "kfusion":
 		return NewKFusionBench(CachedDataset(scale)), nil
@@ -134,6 +143,9 @@ func Evaluator(b Benchmark, dev device.Model, obj Objectives) core.Evaluator {
 //     §III-A); modeled runtime is unaffected because image-kernel work is
 //     rescaled to paper pixels.
 //   - "test": 80×60, 30 frames, for unit tests.
+//
+// Any other name reads as "full"; ByName is where a user's -dataset value is
+// checked.
 func DatasetOptions(scale string) sensor.Options {
 	switch scale {
 	case "test":
@@ -182,6 +194,27 @@ func CachedDataset(scale string) *sensor.Dataset {
 // dataset resolution to paper-scale (640×480) work.
 func pixelScale(ds *sensor.Dataset) float64 {
 	return PaperPixels / float64(ds.Intrinsics.W*ds.Intrinsics.H)
+}
+
+// measure is the one procedure behind every number the benchmarks report:
+// score the estimated trajectory against the ground truth (ATE) and price
+// the pipeline's counted work over frames frames on dev.
+func measure(b Benchmark, est, truth []geom.Pose, work device.Work, frames int64, dev device.Model) (Metrics, error) {
+	ate, err := traj.ATE(est, truth)
+	if err != nil {
+		return Metrics{}, fmtErr(b, err)
+	}
+	spf := dev.SecondsPerFrame(work, float64(frames))
+	return Metrics{
+		MeanATE:      ate.Mean,
+		MaxATE:       ate.Max,
+		SecPerFrame:  spf,
+		FPS:          1 / spf,
+		TotalSeconds: spf * NominalFrames,
+		PowerW:       dev.AveragePowerW(work, float64(frames)),
+		Work:         work,
+		Frames:       int(frames),
+	}, nil
 }
 
 func fmtErr(b Benchmark, err error) error {

@@ -2,6 +2,7 @@ package slambench
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -20,29 +21,51 @@ func testEF(t testing.TB) *ElasticFusionBench {
 	return NewElasticFusionBench(CachedDataset("test"))
 }
 
-// The benchmarks score trajectories with traj.ATE. Its mean and max feed
-// every objective vector, so they are pinned to the bit against the values
-// the package's own ATE loop produced before it was replaced: a change in
-// summation order would move fronts on workloads that have no golden digest
-// (kfusion_odroid).
+// The benchmarks score trajectories with traj.ATE and price counted work on a
+// device.Model. The ATE mean and max and the modelled seconds and watts feed
+// every objective vector, so they are pinned to the bit — for the default
+// configuration on every platform — against the values recorded before the
+// package's own ATE loop was replaced and before device.Work became an
+// array: a change in summation order would move fronts on workloads that
+// have no golden digest (kfusion_odroid).
 func TestATE(t *testing.T) {
+	type modelled struct{ sec, watts uint64 }
 	for _, tc := range []struct {
 		bench     Benchmark
-		dev       device.Model
 		mean, max uint64
+		platforms [4]modelled // in device.Platforms() order
 	}{
-		{testKF(t), device.ODROIDXU3(), 0x3f8c38cf5f55b952, 0x3f9a5eba2bba7caa},
-		{testEF(t), device.GTX780Ti(), 0x3fa249dceefd0776, 0x3fb15767d8f14f7f},
+		{testKF(t), 0x3f8c38cf5f55b952, 0x3f9a5eba2bba7caa, [4]modelled{
+			{0x3fc65b0481266356, 0x3ffa82c7446ed063},
+			{0x3fc054a56fa2e781, 0x4002c0302c638da3},
+			{0x3fb3be9f73b468e4, 0x404a67d0aaef4286},
+			{0x3faf840a3463135d, 0x4041759a4885ff03},
+		}},
+		{testEF(t), 0x3fa249dceefd0776, 0x3fb15767d8f14f7f, [4]modelled{
+			{0x3fc23a18b4ea9e68, 0x3fe6984b0e1ad14c},
+			{0x3fbf7255a770e73e, 0x3ff2332d3a174c7d},
+			{0x3f95e9f54da404ee, 0x40492b0b35113952},
+			{0x3f8ee5c746ed044a, 0x404155941b70486e},
+		}},
 	} {
-		m, err := tc.bench.Evaluate(tc.bench.DefaultConfig(), tc.dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := math.Float64bits(m.MeanATE); got != tc.mean {
-			t.Errorf("%s mean ATE = %v (%#x), want bits %#x", tc.bench.Name(), m.MeanATE, got, tc.mean)
-		}
-		if got := math.Float64bits(m.MaxATE); got != tc.max {
-			t.Errorf("%s max ATE = %v (%#x), want bits %#x", tc.bench.Name(), m.MaxATE, got, tc.max)
+		for i, dev := range device.Platforms() {
+			m, err := tc.bench.Evaluate(tc.bench.DefaultConfig(), dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := math.Float64bits(m.MeanATE); got != tc.mean {
+				t.Errorf("%s mean ATE = %v (%#x), want bits %#x", tc.bench.Name(), m.MeanATE, got, tc.mean)
+			}
+			if got := math.Float64bits(m.MaxATE); got != tc.max {
+				t.Errorf("%s max ATE = %v (%#x), want bits %#x", tc.bench.Name(), m.MaxATE, got, tc.max)
+			}
+			want := tc.platforms[i]
+			if got := math.Float64bits(m.SecPerFrame); got != want.sec {
+				t.Errorf("%s on %s: SecPerFrame = %v (%#x), want bits %#x", tc.bench.Name(), dev.Name, m.SecPerFrame, got, want.sec)
+			}
+			if got := math.Float64bits(m.PowerW); got != want.watts {
+				t.Errorf("%s on %s: PowerW = %v (%#x), want bits %#x", tc.bench.Name(), dev.Name, m.PowerW, got, want.watts)
+			}
 		}
 	}
 }
@@ -56,6 +79,10 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("orbslam", "test"); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+	// An unknown scale must not read as the full dataset.
+	if _, err := ByName("kfusion", "tset"); err == nil || !strings.Contains(err.Error(), "full|dse|test") {
+		t.Fatalf("unknown dataset scale: err = %v, want one naming full|dse|test", err)
 	}
 }
 
