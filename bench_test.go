@@ -11,7 +11,6 @@
 package repro
 
 import (
-	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -245,5 +244,3 @@ func BenchmarkAblationPoolCap(b *testing.B) {
 		})
 	}
 }
-
-var _ io.Writer // reserved for future rendering hooks

@@ -96,7 +96,12 @@ func runDemo(dir string) {
 	ds := slambench.CachedDataset("test")
 	cfg := kfusion.DefaultConfig()
 	cfg.VolumeResolution = 128
-	res, err := kfusion.Run(ds, cfg)
+	p, err := kfusion.Prepare(ds, cfg.ComputeRatio)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ate: %v\n", err)
+		os.Exit(1)
+	}
+	res, err := kfusion.Run(p, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ate: %v\n", err)
 		os.Exit(1)

@@ -34,12 +34,12 @@ type icpLevel struct {
 // values trade accuracy for speed). The returned ops counts point
 // operations for the runtime model.
 func trackICP(
-	levels []icpLevel,
+	levels *[3]icpLevel,
 	modelVertex, modelNormal *imgproc.VecMap,
 	refIntr imgproc.Intrinsics,
 	refPose geom.Pose,
 	initial geom.Pose,
-	iterations []int,
+	iterations [3]int,
 	threshold float64,
 ) (geom.Pose, int64, error) {
 	pose := initial

@@ -30,6 +30,15 @@ func testConfig() Config {
 	}
 }
 
+// run prepares ds at cfg's compute ratio and runs cfg on it.
+func run(ds *sensor.Dataset, cfg Config) (*Result, error) {
+	p, err := Prepare(ds, cfg.ComputeRatio)
+	if err != nil {
+		return nil, err
+	}
+	return Run(p, cfg)
+}
+
 func maxATE(traj, gt []geom.Pose) float64 {
 	worst := 0.0
 	for i := range traj {
@@ -141,7 +150,7 @@ func TestInterpUnobservedInvalid(t *testing.T) {
 }
 
 func TestRunEndToEndTracksWell(t *testing.T) {
-	res, err := Run(testDataset, testConfig())
+	res, err := run(testDataset, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +173,7 @@ func TestRunEndToEndTracksWell(t *testing.T) {
 func TestFullSweepBilling(t *testing.T) {
 	cfg := testConfig()
 	cfg.IntegrationRate = 2
-	res, err := Run(testDataset, cfg)
+	res, err := run(testDataset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +190,7 @@ func TestFullSweepBilling(t *testing.T) {
 func TestTrackingRateSkipsTracking(t *testing.T) {
 	cfg := testConfig()
 	cfg.TrackingRate = 5
-	res, err := Run(testDataset, cfg)
+	res, err := run(testDataset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +207,11 @@ func TestLargerICPThresholdIsFasterAndWorse(t *testing.T) {
 	sloppy := testConfig()
 	sloppy.ICPThreshold = 1e-1 // stops after the first iteration per level
 
-	rp, err := Run(testDataset, precise)
+	rp, err := run(testDataset, precise)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Run(testDataset, sloppy)
+	rs, err := run(testDataset, sloppy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +231,11 @@ func TestComputeRatioReducesWork(t *testing.T) {
 	quarter := testConfig()
 	quarter.ComputeRatio = 2
 
-	rf, err := Run(testDataset, full)
+	rf, err := run(testDataset, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rq, err := Run(testDataset, quarter)
+	rq, err := run(testDataset, quarter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +254,11 @@ func TestMuAffectsIntegrationWork(t *testing.T) {
 	wide := testConfig()
 	wide.Mu = 0.4
 
-	rn, err := Run(testDataset, narrow)
+	rn, err := run(testDataset, narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := Run(testDataset, wide)
+	rw, err := run(testDataset, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,24 +269,33 @@ func TestMuAffectsIntegrationWork(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := Run(nil, testConfig()); err == nil {
+	if _, err := run(nil, testConfig()); err == nil {
 		t.Fatal("nil dataset accepted")
 	}
 	bad := testConfig()
 	bad.Mu = -1
-	if _, err := Run(testDataset, bad); err == nil {
+	if _, err := run(testDataset, bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	tooSmall := testConfig()
 	tooSmall.ComputeRatio = 64
-	if _, err := Run(testDataset, tooSmall); err == nil {
+	if _, err := run(testDataset, tooSmall); err == nil {
 		t.Fatal("degenerate compute ratio accepted")
+	}
+	p, err := Prepare(testDataset, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := testConfig()
+	other.ComputeRatio = 2
+	if _, err := Run(p, other); err == nil {
+		t.Fatal("input prepared at another compute ratio accepted")
 	}
 }
 
 func TestVolumeScaleReducesMemoryNotBilling(t *testing.T) {
 	cfg := testConfig()
-	res, err := Run(testDataset, cfg)
+	res, err := run(testDataset, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +310,11 @@ func TestVolumeScaleReducesMemoryNotBilling(t *testing.T) {
 }
 
 func TestDeterministicRun(t *testing.T) {
-	a, err := Run(testDataset, testConfig())
+	a, err := run(testDataset, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(testDataset, testConfig())
+	b, err := run(testDataset, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,12 +328,69 @@ func TestDeterministicRun(t *testing.T) {
 	}
 }
 
-func BenchmarkPipelineFrame(b *testing.B) {
+// BenchmarkRun times one measurement of testConfig on testDataset — Run on
+// input prepared once, as KFusionBench shares it — and, as further
+// sub-benchmarks, the kernels over every frame: the preprocessing that one
+// compute ratio shares, and integration, raycasting and tracking at the
+// ground-truth poses.
+func BenchmarkRun(b *testing.B) {
 	cfg := testConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(testDataset, cfg); err != nil {
-			b.Fatal(err)
-		}
+	p, err := Prepare(testDataset, cfg.ComputeRatio)
+	if err != nil {
+		b.Fatal(err)
 	}
+	gt := testDataset.GroundTruth
+	newVolume := func() *Volume { return NewVolume(cfg.VolumeResolution/volumeScale, volumeSize, geom.V3(0, 1.3, 0)) }
+	full := newVolume()
+	for i, f := range p.frames {
+		full.Integrate(f.depth, p.intr, gt[i], cfg.Mu, maxWeight)
+	}
+	type model struct{ vertex, normal *imgproc.VecMap }
+	models := make([]model, len(p.frames))
+	for i := range models {
+		models[i].vertex, models[i].normal, _ = full.Raycast(p.intr, gt[i], cfg.Mu, 0.3, 5.0)
+	}
+
+	b.Run("run", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := Run(p, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("prepare", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := Prepare(testDataset, cfg.ComputeRatio); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("integrate", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			vol := newVolume()
+			for i, f := range p.frames {
+				vol.Integrate(f.depth, p.intr, gt[i], cfg.Mu, maxWeight)
+			}
+		}
+	})
+	b.Run("raycast", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			for i := range p.frames {
+				full.Raycast(p.intr, gt[i], cfg.Mu, 0.3, 5.0)
+			}
+		}
+	})
+	b.Run("track", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			for i := 1; i < len(p.frames); i++ {
+				m := models[i-1]
+				trackICP(&p.frames[i].levels, m.vertex, m.normal, p.intr, gt[i-1], gt[i-1], cfg.PyramidIters, cfg.ICPThreshold)
+			}
+		}
+	})
 }

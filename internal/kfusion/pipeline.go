@@ -108,13 +108,74 @@ type Result struct {
 	Counters   Counters
 }
 
-// Run executes the full pipeline over the dataset.
-func Run(ds *sensor.Dataset, cfg Config) (*Result, error) {
+// Prepared is a dataset preprocessed at one compute ratio: every frame's
+// filtered depth and its three-level vertex / normal pyramid, and the
+// preprocessing work counted on the way. Nothing else in Config reaches
+// preprocessing, so every configuration at that ratio can share one Prepared;
+// Run only reads it.
+type Prepared struct {
+	ds     *sensor.Dataset
+	ratio  int
+	intr   imgproc.Intrinsics // at the compute ratio
+	frames []preparedFrame
+
+	resizeOps, bilateralOps, pyramidOps int64
+}
+
+type preparedFrame struct {
+	depth  *imgproc.Map // filtered, at the compute ratio: what is integrated
+	levels [3]icpLevel  // fine to coarse: what is tracked
+}
+
+// Prepare runs KFusion's preprocessing over every frame of ds at the given
+// compute ratio: block-average resize, bilateral filter, two half-sampled
+// pyramid levels, and each level's vertex and normal maps.
+func Prepare(ds *sensor.Dataset, ratio int) (*Prepared, error) {
+	if ds == nil || ds.NumFrames() == 0 {
+		return nil, errors.New("kfusion: empty dataset")
+	}
+	if ratio < 1 {
+		return nil, errors.New("kfusion: compute ratio must be ≥ 1")
+	}
+	intr := ds.Intrinsics.Scaled(ratio)
+	if intr.W < 4 || intr.H < 4 {
+		return nil, fmt.Errorf("kfusion: compute ratio %d leaves a %dx%d image", ratio, intr.W, intr.H)
+	}
+	levelIntr := [3]imgproc.Intrinsics{intr, intr.Halved(), intr.Halved().Halved()}
+	p := &Prepared{ds: ds, ratio: ratio, intr: intr, frames: make([]preparedFrame, ds.NumFrames())}
+	for i := range p.frames {
+		// --- Resize + bilateral filter ---
+		scaled, rops := imgproc.BlockAverage(ds.Frames[i].Depth, ratio)
+		p.resizeOps += rops
+		filtered, bops := imgproc.BilateralFilter(scaled, 2, 1.5, 0.1)
+		p.bilateralOps += bops
+
+		// --- Pyramid construction + vertex/normal maps ---
+		f := &p.frames[i]
+		f.depth = filtered
+		depths := [3]*imgproc.Map{filtered, nil, nil}
+		for l := 1; l < 3; l++ {
+			d, pops := imgproc.HalfSampleDepth(depths[l-1], 0.05)
+			depths[l] = d
+			p.pyramidOps += pops
+		}
+		for l := 0; l < 3; l++ {
+			v := imgproc.DepthToVertex(depths[l], levelIntr[l])
+			f.levels[l] = icpLevel{vertex: v, normal: imgproc.VertexToNormal(v)}
+			p.pyramidOps += int64(depths[l].W * depths[l].H * 2)
+		}
+	}
+	return p, nil
+}
+
+// Run executes tracking, integration and raycasting over p's frames; p must
+// have been prepared at cfg.ComputeRatio.
+func Run(p *Prepared, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if ds == nil || ds.NumFrames() == 0 {
-		return nil, errors.New("kfusion: empty dataset")
+	if cfg.ComputeRatio != p.ratio {
+		return nil, fmt.Errorf("kfusion: compute ratio %d run on input prepared at ratio %d", cfg.ComputeRatio, p.ratio)
 	}
 
 	simRes := cfg.VolumeResolution / volumeScale
@@ -123,51 +184,25 @@ func Run(ds *sensor.Dataset, cfg Config) (*Result, error) {
 	}
 	vol := NewVolume(simRes, volumeSize, geom.V3(0, 1.3, 0)) // centered on the room
 
-	res := &Result{Trajectory: make([]geom.Pose, ds.NumFrames())}
+	res := &Result{Trajectory: make([]geom.Pose, len(p.frames))}
 	c := &res.Counters
+	c.ResizeOps, c.BilateralOps, c.PyramidOps = p.resizeOps, p.bilateralOps, p.pyramidOps
 
-	intr := ds.Intrinsics.Scaled(cfg.ComputeRatio)
-	if intr.W < 4 || intr.H < 4 {
-		return nil, fmt.Errorf("kfusion: compute ratio %d leaves a %dx%d image", cfg.ComputeRatio, intr.W, intr.H)
-	}
-	levelIntr := [3]imgproc.Intrinsics{intr, intr.Halved(), intr.Halved().Halved()}
-
-	pose := ds.GroundTruth[0] // SLAMBench initializes from the dataset origin
+	pose := p.ds.GroundTruth[0] // SLAMBench initializes from the dataset origin
 	var modelVertex, modelNormal *imgproc.VecMap
 	var modelPose geom.Pose
 
 	fullSweep := int64(cfg.VolumeResolution) * int64(cfg.VolumeResolution) * int64(cfg.VolumeResolution)
 
-	for i := 0; i < ds.NumFrames(); i++ {
+	for i := range p.frames {
+		f := &p.frames[i]
 		c.Frames++
-
-		// --- Preprocessing: resize + bilateral filter ---
-		scaled, rops := imgproc.BlockAverage(ds.Frames[i].Depth, cfg.ComputeRatio)
-		c.ResizeOps += rops
-		filtered, bops := imgproc.BilateralFilter(scaled, 2, 1.5, 0.1)
-		c.BilateralOps += bops
-
-		// --- Pyramid construction + vertex/normal maps ---
-		levels := make([]icpLevel, 3)
-		depths := [3]*imgproc.Map{filtered, nil, nil}
-		for l := 1; l < 3; l++ {
-			d, pops := imgproc.HalfSampleDepth(depths[l-1], 0.05)
-			depths[l] = d
-			c.PyramidOps += pops
-		}
-		for l := 0; l < 3; l++ {
-			v := imgproc.DepthToVertex(depths[l], levelIntr[l])
-			n := imgproc.VertexToNormal(v)
-			c.PyramidOps += int64(depths[l].W * depths[l].H * 2)
-			levels[l] = icpLevel{vertex: v, normal: n}
-		}
 
 		// --- Tracking ---
 		if i > 0 && modelVertex != nil && (i%cfg.TrackingRate == 0) {
-			iters := []int{cfg.PyramidIters[0], cfg.PyramidIters[1], cfg.PyramidIters[2]}
 			newPose, tops, err := trackICP(
-				levels, modelVertex, modelNormal, intr, modelPose,
-				pose, iters, cfg.ICPThreshold,
+				&f.levels, modelVertex, modelNormal, p.intr, modelPose,
+				pose, cfg.PyramidIters, cfg.ICPThreshold,
 			)
 			c.TrackOps += tops
 			if err != nil {
@@ -182,13 +217,13 @@ func Run(ds *sensor.Dataset, cfg Config) (*Result, error) {
 
 		// --- Integration ---
 		if i == 0 || i%cfg.IntegrationRate == 0 {
-			c.IntegrateActual += vol.Integrate(filtered, intr, pose, cfg.Mu, maxWeight)
+			c.IntegrateActual += vol.Integrate(f.depth, p.intr, pose, cfg.Mu, maxWeight)
 			c.IntegrateFullSweep += fullSweep
 			c.IntegratedFrames++
 		}
 
 		// --- Raycasting: the model reference for the next frame ---
-		mv, mn, steps := vol.Raycast(intr, pose, cfg.Mu, 0.3, 5.0)
+		mv, mn, steps := vol.Raycast(p.intr, pose, cfg.Mu, 0.3, 5.0)
 		c.RaycastSteps += steps
 		modelVertex, modelNormal, modelPose = mv, mn, pose
 	}

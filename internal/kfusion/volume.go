@@ -7,48 +7,63 @@ import (
 	"repro/internal/imgproc"
 )
 
+// brickShift sets the occupancy granularity: one flag per 4³-voxel brick.
+const brickShift = 2
+
 // Volume is the truncated signed distance function (TSDF) voxel grid at the
 // heart of KinectFusion. TSDF values are normalized to [-1, 1] (distance to
 // the nearest surface divided by the truncation distance µ); weights count
-// fused observations.
+// fused observations, and weight 0 means unobserved. A brick's occupancy
+// flag is set once any voxel of the brick or of its +1 halo (the next voxel
+// along each axis) is observed, so an interpolation cell whose base brick is
+// unoccupied has no observed corner.
 type Volume struct {
-	Res    int       // voxels per side
-	Size   float64   // edge length in meters
-	Origin geom.Vec3 // world position of the (0,0,0) voxel corner
-	tsdf   []float32
-	weight []float32
+	Res      int       // voxels per side
+	Size     float64   // edge length in meters
+	Origin   geom.Vec3 // world position of the (0,0,0) voxel corner
+	voxel    float64   // Size / Res
+	inv      float64   // 1 / voxel
+	tsdf     []float32
+	weight   []float32
+	bricks   int    // bricks per side
+	occupied []bool // per brick, (z, y, x) order
 }
 
 // NewVolume allocates a res³ volume of the given physical size centered at
-// center.
+// center, every voxel unobserved.
 func NewVolume(res int, size float64, center geom.Vec3) *Volume {
 	n := res * res * res
-	v := &Volume{
-		Res:    res,
-		Size:   size,
-		Origin: center.Sub(geom.V3(size/2, size/2, size/2)),
-		tsdf:   make([]float32, n),
-		weight: make([]float32, n),
+	bricks := (res + 1<<brickShift - 1) >> brickShift
+	voxel := size / float64(res)
+	return &Volume{
+		Res:      res,
+		Size:     size,
+		Origin:   center.Sub(geom.V3(size/2, size/2, size/2)),
+		voxel:    voxel,
+		inv:      1 / voxel,
+		tsdf:     make([]float32, n),
+		weight:   make([]float32, n),
+		bricks:   bricks,
+		occupied: make([]bool, bricks*bricks*bricks),
 	}
-	for i := range v.tsdf {
-		v.tsdf[i] = 1 // truncated "far" everywhere until observed
-	}
-	return v
 }
 
 // VoxelSize returns the edge length of one voxel in meters.
-func (v *Volume) VoxelSize() float64 { return v.Size / float64(v.Res) }
+func (v *Volume) VoxelSize() float64 { return v.voxel }
 
 // index returns the flat index of voxel (x, y, z); callers bound-check.
 func (v *Volume) index(x, y, z int) int { return (z*v.Res+y)*v.Res + x }
 
-// At returns the TSDF value and weight of voxel (x, y, z), with (1, 0) for
-// out-of-grid coordinates.
+// At returns the TSDF value and weight of voxel (x, y, z), with (1, 0) —
+// truncated "far", unobserved — for unobserved and out-of-grid voxels.
 func (v *Volume) At(x, y, z int) (float32, float32) {
 	if x < 0 || y < 0 || z < 0 || x >= v.Res || y >= v.Res || z >= v.Res {
 		return 1, 0
 	}
 	i := v.index(x, y, z)
+	if v.weight[i] == 0 {
+		return 1, 0
+	}
 	return v.tsdf[i], v.weight[i]
 }
 
@@ -58,56 +73,88 @@ func (v *Volume) setBlend(x, y, z int, val float32, maxWeight float32) {
 	if x < 0 || y < 0 || z < 0 || x >= v.Res || y >= v.Res || z >= v.Res {
 		return
 	}
-	i := v.index(x, y, z)
+	v.blend(v.index(x, y, z), x, y, z, val, maxWeight)
+}
+
+// blend is setBlend on the in-grid voxel (x, y, z) at flat index i. An
+// unobserved voxel holds TSDF 0, so its first blend stores val exactly as it
+// would over the "far" value 1: (t·0 + val)/1 == val for any finite t.
+func (v *Volume) blend(i, x, y, z int, val float32, maxWeight float32) {
 	w := v.weight[i]
 	v.tsdf[i] = (v.tsdf[i]*w + val) / (w + 1)
 	if w < maxWeight {
+		if w == 0 {
+			v.occupy(x, y, z)
+		}
 		v.weight[i] = w + 1
+	}
+}
+
+// occupy flags the bricks whose cells can read voxel (x, y, z): its own,
+// and across each brick face below it the neighbour whose halo it is.
+func (v *Volume) occupy(x, y, z int) {
+	for bz := max(z-1, 0) >> brickShift; bz <= z>>brickShift; bz++ {
+		for by := max(y-1, 0) >> brickShift; by <= y>>brickShift; by++ {
+			for bx := max(x-1, 0) >> brickShift; bx <= x>>brickShift; bx++ {
+				v.occupied[(bz*v.bricks+by)*v.bricks+bx] = true
+			}
+		}
 	}
 }
 
 // voxelOf returns the voxel coordinates containing world point p.
 func (v *Volume) voxelOf(p geom.Vec3) (int, int, int) {
-	inv := 1 / v.VoxelSize()
 	q := p.Sub(v.Origin)
-	return int(math.Floor(q.X * inv)), int(math.Floor(q.Y * inv)), int(math.Floor(q.Z * inv))
+	return int(math.Floor(q.X * v.inv)), int(math.Floor(q.Y * v.inv)), int(math.Floor(q.Z * v.inv))
 }
 
 // Interp returns the trilinearly interpolated TSDF at world point p; ok is
-// false when any contributing voxel is unobserved or out of grid.
+// false when less than 0.7 of the interpolation mass is observed.
 func (v *Volume) Interp(p geom.Vec3) (float64, bool) {
-	inv := 1 / v.VoxelSize()
-	q := p.Sub(v.Origin).Scale(inv).Sub(geom.V3(0.5, 0.5, 0.5))
+	q := p.Sub(v.Origin).Scale(v.inv).Sub(geom.V3(0.5, 0.5, 0.5))
 	x0 := int(math.Floor(q.X))
 	y0 := int(math.Floor(q.Y))
 	z0 := int(math.Floor(q.Z))
 	fx := q.X - float64(x0)
 	fy := q.Y - float64(y0)
 	fz := q.Z - float64(z0)
+	wx := [2]float64{1 - fx, fx}
+	wy := [2]float64{1 - fy, fy}
+	wz := [2]float64{1 - fz, fz}
 
 	var acc, mass float64
-	for dz := 0; dz < 2; dz++ {
-		wz := fz
-		if dz == 0 {
-			wz = 1 - fz
+	if r := v.Res; x0 >= 0 && y0 >= 0 && z0 >= 0 && x0 < r-1 && y0 < r-1 && z0 < r-1 {
+		// The whole cell is in the grid and within its base brick and that
+		// brick's halo: an unoccupied brick means no corner is observed.
+		if !v.occupied[((z0>>brickShift)*v.bricks+(y0>>brickShift))*v.bricks+(x0>>brickShift)] {
+			return 1, false
 		}
-		for dy := 0; dy < 2; dy++ {
-			wy := fy
-			if dy == 0 {
-				wy = 1 - fy
+		i := v.index(x0, y0, z0)
+		for dz := 0; dz < 2; dz++ {
+			for dy := 0; dy < 2; dy++ {
+				row := i + (dz*r+dy)*r
+				for dx := 0; dx < 2; dx++ {
+					if v.weight[row+dx] == 0 {
+						continue
+					}
+					wi := wx[dx] * wy[dy] * wz[dz]
+					acc += wi * float64(v.tsdf[row+dx])
+					mass += wi
+				}
 			}
-			for dx := 0; dx < 2; dx++ {
-				wx := fx
-				if dx == 0 {
-					wx = 1 - fx
+		}
+	} else {
+		for dz := 0; dz < 2; dz++ {
+			for dy := 0; dy < 2; dy++ {
+				for dx := 0; dx < 2; dx++ {
+					t, w := v.At(x0+dx, y0+dy, z0+dz)
+					if w == 0 {
+						continue
+					}
+					wi := wx[dx] * wy[dy] * wz[dz]
+					acc += wi * float64(t)
+					mass += wi
 				}
-				t, w := v.At(x0+dx, y0+dy, z0+dz)
-				if w == 0 {
-					continue
-				}
-				wi := wx * wy * wz
-				acc += wi * float64(t)
-				mass += wi
 			}
 		}
 	}
@@ -122,7 +169,7 @@ func (v *Volume) Interp(p geom.Vec3) (float64, bool) {
 // Grad returns the TSDF gradient at world point p (unnormalized surface
 // normal direction); ok is false near unobserved space.
 func (v *Volume) Grad(p geom.Vec3) (geom.Vec3, bool) {
-	h := v.VoxelSize()
+	h := v.voxel
 	xp, okA := v.Interp(p.Add(geom.V3(h, 0, 0)))
 	xm, okB := v.Interp(p.Sub(geom.V3(h, 0, 0)))
 	yp, okC := v.Interp(p.Add(geom.V3(0, h, 0)))
@@ -142,13 +189,26 @@ func (v *Volume) Grad(p geom.Vec3) (geom.Vec3, bool) {
 // "Simulation substrate"). It returns the number of voxel updates actually
 // performed.
 func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geom.Pose, mu float64, maxWeight float32) int64 {
-	vs := v.VoxelSize()
+	vs := v.voxel
 	step := vs * 0.5
 	band := mu + vs
 	camPos := pose.Translation()
 	rotT := pose.R.Transpose() // world → camera rotation
 	minF := math.Min(intr.Fx, intr.Fy)
 	var updates int64
+
+	// A voxel center's camera depth is the third row of
+	// rotT·(center − camPos): one term per axis, tabulated here exactly as
+	// Mat3.MulVec evaluates it, so a voxel's depth is ax[x] + ay[y] + az[z].
+	r := v.Res
+	tab := make([]float64, 3*r)
+	ax, ay, az := tab[:r], tab[r:2*r], tab[2*r:]
+	for i := range r {
+		c := (float64(i) + 0.5) * vs
+		ax[i] = rotT[6] * (v.Origin.X + c - camPos.X)
+		ay[i] = rotT[7] * (v.Origin.Y + c - camPos.Y)
+		az[i] = rotT[8] * (v.Origin.Z + c - camPos.Z)
+	}
 
 	for py := 0; py < depth.H; py++ {
 		for px := 0; px < depth.W; px++ {
@@ -187,22 +247,15 @@ func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geo
 					updates++
 					continue
 				}
-				for dz := -splat; dz <= splat; dz++ {
-					for dy := -splat; dy <= splat; dy++ {
-						for dx := -splat; dx <= splat; dx++ {
-							x, y, zz := cx+dx, cy+dy, cz+dz
-							if x < 0 || y < 0 || zz < 0 || x >= v.Res || y >= v.Res || zz >= v.Res {
-								continue
-							}
-							// Correct projective SDF for the neighbor: its
-							// own camera depth against this pixel's depth.
-							center := v.Origin.Add(geom.V3(
-								(float64(x)+0.5)*vs,
-								(float64(y)+0.5)*vs,
-								(float64(zz)+0.5)*vs,
-							))
-							zc := rotT.MulVec(center.Sub(camPos)).Z
-							sdf := d - zc
+				// The neighborhood, clipped to the grid; each neighbor's SDF is
+				// its own camera depth against this pixel's depth.
+				xlo, xhi := max(cx-splat, 0), min(cx+splat, r-1)
+				ylo, yhi := max(cy-splat, 0), min(cy+splat, r-1)
+				for zz := max(cz-splat, 0); zz <= min(cz+splat, r-1); zz++ {
+					for y := ylo; y <= yhi; y++ {
+						row := (zz*r + y) * r
+						for x := xlo; x <= xhi; x++ {
+							sdf := d - (ax[x] + ay[y] + az[zz])
 							if sdf < -mu {
 								continue
 							}
@@ -210,7 +263,7 @@ func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geo
 							if val > 1 {
 								val = 1
 							}
-							v.setBlend(x, y, zz, float32(val), maxWeight)
+							v.blend(row+x, x, y, zz, float32(val), maxWeight)
 							updates++
 						}
 					}
@@ -228,8 +281,8 @@ func (v *Volume) Raycast(intr imgproc.Intrinsics, pose geom.Pose, mu, near, far 
 	vertex := imgproc.NewVecMap(intr.W, intr.H)
 	normal := imgproc.NewVecMap(intr.W, intr.H)
 	camPos := pose.Translation()
-	largeStep := math.Max(mu*0.75, v.VoxelSize())
-	fineStep := v.VoxelSize() * 0.5
+	largeStep := math.Max(mu*0.75, v.voxel)
+	fineStep := v.voxel * 0.5
 	var steps int64
 
 	for py := 0; py < intr.H; py++ {

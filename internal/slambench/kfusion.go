@@ -1,6 +1,9 @@
 package slambench
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/device"
 	"repro/internal/kfusion"
 	"repro/internal/param"
@@ -20,13 +23,16 @@ const (
 	KFPyramidL2 = "pyramid-l2"
 )
 
+// kfRatios are the space's compute-size ratios.
+var kfRatios = [...]float64{1, 2, 4, 8}
+
 // KFusionSpace builds the paper's KFusion algorithmic design space: exactly
 // 1,800,000 configurations (§III-B).
 func KFusionSpace() *param.Space {
 	return param.MustSpace(
 		param.Levels(KFVolume, 64, 128, 256),
 		param.Grid(KFMu, 0.025, 0.5, 8),
-		param.Levels(KFRatio, 1, 2, 4, 8),
+		param.Levels(KFRatio, kfRatios[:]...),
 		param.Levels(KFTrackRate, 1, 2, 3, 4, 5),
 		param.Levels(KFIntegRate, 1, 2, 3, 4, 5),
 		param.LogGrid(KFICPThresh, 1e-6, 1e-1, 6),
@@ -40,6 +46,13 @@ func KFusionSpace() *param.Space {
 type KFusionBench struct {
 	DS    *sensor.Dataset
 	space *param.Space
+	// prepared shares the dataset's preprocessing across configurations,
+	// one kfusion.Prepare per compute ratio of the space, built on first use.
+	prepared [len(kfRatios)]struct {
+		once sync.Once
+		p    *kfusion.Prepared
+		err  error
+	}
 }
 
 // NewKFusionBench builds the benchmark over the given dataset.
@@ -93,10 +106,36 @@ func (b *KFusionBench) ToConfig(cfg param.Config) kfusion.Config {
 
 // Evaluate implements Benchmark.
 func (b *KFusionBench) Evaluate(cfg param.Config, dev device.Model) (Metrics, error) {
-	res, err := kfusion.Run(b.DS, b.ToConfig(cfg))
+	res, err := b.run(b.ToConfig(cfg))
 	if err != nil {
 		return Metrics{}, fmtErr(b, err)
 	}
+	return b.metrics(res, dev)
+}
+
+// run executes the pipeline on the benchmark's dataset.
+func (b *KFusionBench) run(cfg kfusion.Config) (*kfusion.Result, error) {
+	p, err := b.prepare(cfg.ComputeRatio)
+	if err != nil {
+		return nil, err
+	}
+	return kfusion.Run(p, cfg)
+}
+
+// prepare returns the dataset preprocessed at the given compute ratio, built
+// once per ratio of the space; a ratio off the space's grid is not shared.
+func (b *KFusionBench) prepare(ratio int) (*kfusion.Prepared, error) {
+	i := slices.Index(kfRatios[:], float64(ratio))
+	if i < 0 {
+		return kfusion.Prepare(b.DS, ratio)
+	}
+	m := &b.prepared[i]
+	m.once.Do(func() { m.p, m.err = kfusion.Prepare(b.DS, ratio) })
+	return m.p, m.err
+}
+
+// metrics scores a run and prices its counted work on dev.
+func (b *KFusionBench) metrics(res *kfusion.Result, dev device.Model) (Metrics, error) {
 	return measure(b, res.Trajectory, b.DS.GroundTruth, kfusionWork(res.Counters, pixelScale(b.DS)), res.Counters.Frames, dev)
 }
 

@@ -1,8 +1,13 @@
 package slambench
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -66,6 +71,92 @@ func TestATE(t *testing.T) {
 			if got := math.Float64bits(m.PowerW); got != want.watts {
 				t.Errorf("%s on %s: PowerW = %v (%#x), want bits %#x", tc.bench.Name(), dev.Name, m.PowerW, got, want.watts)
 			}
+		}
+	}
+}
+
+// kfusionMix is kfusion_odroid's regime: the "test" scene cut to 60×45 over
+// 10 frames, and 48 configurations drawn the way an exploration draws them.
+var kfusionMix = sync.OnceValues(func() (*KFusionBench, []param.Config) {
+	o := DatasetOptions("test")
+	o.Width, o.Height, o.Frames = 60, 45, 10
+	b := NewKFusionBench(sensor.Generate(o))
+	var cfgs []param.Config
+	for _, idx := range b.Space().SampleIndices(rand.New(rand.NewSource(7)), 48) {
+		cfgs = append(cfgs, b.Space().AtIndex(idx))
+	}
+	return b, cfgs
+})
+
+// TestKFusionMixDigest pins, to the bit, everything a KFusion measurement
+// feeds the search — every pose of the trajectory, every kfusion.Counters
+// field and the objective values on the ODROID-XU3 — over kfusionMix. The
+// digest was recorded before the evaluator was optimised (zero-initialised
+// volume, brick occupancy, table-driven integration, shared preprocessing);
+// a kernel change that moves any bit fails here.
+func TestKFusionMixDigest(t *testing.T) {
+	const want = "bceeb6be022c2493e82e048cbddc17d97fa651767f6f0921c2708d99dfccd2ef"
+	b, cfgs := kfusionMix()
+	s := b.Space()
+	dev := device.ODROIDXU3()
+	ratios, vols := map[float64]bool{}, map[float64]bool{}
+	h := sha256.New()
+	put := func(v any) {
+		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, cfg := range cfgs {
+		ratios[s.Get(cfg, KFRatio)] = true
+		vols[s.Get(cfg, KFVolume)] = true
+		res, err := b.run(b.ToConfig(cfg))
+		if err != nil {
+			t.Fatalf("draw %d: %v", i, err)
+		}
+		m, err := b.metrics(res, dev)
+		if err != nil {
+			t.Fatalf("draw %d: %v", i, err)
+		}
+		put(res.Trajectory)
+		put(res.Counters)
+		put([3]float64{m.SecPerFrame, m.MaxATE, m.PowerW})
+	}
+	// Every compute ratio (so splat 0, 1 and 2 all run) and every volume
+	// resolution must be in the draw, or the digest guards less than it says.
+	if len(ratios) != 4 || len(vols) != 3 {
+		t.Fatalf("draw covers ratios %v and resolutions %v, want all 4 and all 3", ratios, vols)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("mix digest = %s, want %s", got, want)
+	}
+}
+
+// TestKFusionEvaluateConcurrent: measurements running at once on a fresh
+// benchmark share its per-ratio preprocessing and equal the same
+// measurements run one at a time.
+func TestKFusionEvaluateConcurrent(t *testing.T) {
+	seq, cfgs := kfusionMix()
+	cfgs = cfgs[:6]
+	conc := NewKFusionBench(seq.DS)
+	dev := device.ODROIDXU3()
+	got := make([]Metrics, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = conc.Evaluate(cfg, dev)
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		want, err := seq.Evaluate(cfg, dev)
+		if err != nil || errs[i] != nil {
+			t.Fatalf("draw %d: %v / %v", i, err, errs[i])
+		}
+		if got[i] != want {
+			t.Fatalf("draw %d: concurrent %+v, sequential %+v", i, got[i], want)
 		}
 	}
 }
@@ -305,19 +396,39 @@ func TestSmallDSEOnKFusion(t *testing.T) {
 
 var sinkMetrics Metrics
 
+// BenchmarkKFusionEvaluate times one measurement of the default
+// configuration at volume 128 on the test dataset ("default"), and one pass
+// over kfusionMix's 48 draws ("mix"; ms/measurement is its mean).
 func BenchmarkKFusionEvaluate(b *testing.B) {
-	bench := testKF(b)
 	dev := device.ODROIDXU3()
-	cfg := bench.Space().With(bench.DefaultConfig(), KFVolume, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := bench.Evaluate(cfg, dev)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("default", func(b *testing.B) {
+		bench := testKF(b)
+		cfg := bench.Space().With(bench.DefaultConfig(), KFVolume, 128)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m, err := bench.Evaluate(cfg, dev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkMetrics = m
 		}
-		sinkMetrics = m
-	}
+	})
+	b.Run("mix", func(b *testing.B) {
+		bench, cfgs := kfusionMix()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, cfg := range cfgs {
+				m, err := bench.Evaluate(cfg, dev)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkMetrics = m
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*len(cfgs)), "ms/measurement")
+	})
 }
 
 func BenchmarkEFEvaluate(b *testing.B) {
@@ -333,5 +444,3 @@ func BenchmarkEFEvaluate(b *testing.B) {
 		sinkMetrics = m
 	}
 }
-
-var _ param.Config // keep param import if assertions change
