@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -307,6 +308,55 @@ func TestSchedHTTP429RetryAfter(t *testing.T) {
 	waitTerminal(t, ts, st1.ID)
 	waitTerminal(t, ts, st4.ID)
 	shutdownManager(t, m)
+}
+
+// TestCoalescingKeepsEachProblemsEvaluator: two problems over one design
+// space (as the kfusion/<platform> builtins are), one run on each, on a
+// daemon with a scheduler config and so with cross-run coalescing. Each run
+// must be measured by its own problem's evaluator.
+func TestCoalescingKeepsEachProblemsEvaluator(t *testing.T) {
+	space := param.MustSpace(param.Grid("a", 0, 4, 40), param.Grid("b", 0, 4, 40))
+	var calls [2]atomic.Int64
+	problem := func(name string, k int, offset float64) Problem {
+		eval := core.EvaluatorFunc(func(cfg param.Config) []float64 {
+			calls[k].Add(1)
+			return []float64{cfg[0] + offset, cfg[1] + offset}
+		})
+		return Problem{Name: name, Space: space, Eval: eval, Objectives: []string{"f0", "f1"}}
+	}
+	m := NewManagerConfig(Config{Sched: &sched.Config{}}, problem("pa", 0, 1), problem("pb", 1, 1001))
+	defer shutdownManager(t, m)
+
+	ids := map[string]string{}
+	for _, name := range []string{"pa", "pb"} {
+		req := schedReq
+		req.Problem = name
+		st, err := m.Start(req)
+		if err != nil {
+			t.Fatalf("run on %s: %v", name, err)
+		}
+		ids[name] = st.ID
+	}
+	for name, id := range ids {
+		if st := waitManagerTerminal(t, m, id); st.State != StateDone {
+			t.Fatalf("run on %s ended %s: %s", name, st.State, st.Error)
+		}
+	}
+	if a, b := calls[0].Load(), calls[1].Load(); a == 0 || b == 0 {
+		t.Fatalf("evaluator calls: pa %d, pb %d; each problem's run must reach its own evaluator", a, b)
+	}
+	s, _ := m.Get(ids["pb"])
+	s.mu.Lock()
+	front := s.record.Front
+	s.mu.Unlock()
+	if front == nil || len(front.Points) == 0 {
+		t.Fatal("pb's run has no front")
+	}
+	for _, pt := range front.Points {
+		if pt.Objs[0] < 1000 {
+			t.Fatalf("pb's front holds %v, measured by pa's evaluator", pt.Objs)
+		}
+	}
 }
 
 // TestSchedQueuedRunDispatchesAndCompletes: the plain happy path — a
