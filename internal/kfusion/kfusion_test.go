@@ -1,7 +1,10 @@
 package kfusion
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -80,12 +83,12 @@ func TestVolumeBasics(t *testing.T) {
 	if tv, w = v.At(-1, 0, 0); tv != 1 || w != 0 {
 		t.Fatal("out-of-grid must read as far/unobserved")
 	}
-	v.setBlend(2, 3, 4, -0.5, 10)
+	v.setBlend(2, 3, 4, -0.5)
 	tv, w = v.At(2, 3, 4)
 	if tv != -0.5 || w != 1 {
 		t.Fatalf("after blend: (%v, %v)", tv, w)
 	}
-	v.setBlend(2, 3, 4, 0.5, 10)
+	v.setBlend(2, 3, 4, 0.5)
 	tv, _ = v.At(2, 3, 4)
 	if math.Abs(float64(tv)) > 1e-6 {
 		t.Fatalf("weighted mean = %v, want 0", tv)
@@ -94,11 +97,11 @@ func TestVolumeBasics(t *testing.T) {
 
 func TestVolumeWeightCap(t *testing.T) {
 	v := NewVolume(8, 1, geom.Vec3{})
-	for i := 0; i < 20; i++ {
-		v.setBlend(1, 1, 1, 0, 5)
+	for i := 0; i < 3*maxWeight; i++ {
+		v.setBlend(1, 1, 1, 0)
 	}
-	if _, w := v.At(1, 1, 1); w != 5 {
-		t.Fatalf("weight = %v, want cap 5", w)
+	if _, w := v.At(1, 1, 1); w != maxWeight {
+		t.Fatalf("weight = %v, want cap %d", w, maxWeight)
 	}
 }
 
@@ -112,14 +115,15 @@ func TestIntegrateRaycastRecoversPlane(t *testing.T) {
 	}
 	pose := geom.IdentityPose() // camera at origin looking down +z
 	vol := NewVolume(64, 3.2, geom.V3(0, 0, 1.6))
-	updates := vol.Integrate(depth, intr, pose, 0.1, 100)
+	updates := vol.Integrate(depth, intr, pose, 0.1)
 	if updates == 0 {
 		t.Fatal("integration did nothing")
 	}
-	vtx, nrm, steps := vol.Raycast(intr, pose, 0.1, 0.3, 3.0)
-	if steps == 0 {
+	model := vol.Raycast(intr, pose, 0.1, 0.3, 3.0)
+	if model.Steps == 0 {
 		t.Fatal("raycast did nothing")
 	}
+	vtx, nrm := model.Maps()
 	hits := 0
 	for y := 8; y < 22; y++ {
 		for x := 10; x < 30; x++ {
@@ -328,11 +332,102 @@ func TestDeterministicRun(t *testing.T) {
 	}
 }
 
+// runEager is Run without reuse: every frame raycasts and builds the model
+// maps at once, and tracking reads the previous frame's maps.
+func runEager(p *Prepared, cfg Config) *Result {
+	vol := NewVolume(max(cfg.VolumeResolution/volumeScale, 16), volumeSize, geom.V3(0, 1.3, 0))
+	res := &Result{Trajectory: make([]geom.Pose, len(p.frames))}
+	c := &res.Counters
+	c.ResizeOps, c.BilateralOps, c.PyramidOps = p.resizeOps, p.bilateralOps, p.pyramidOps
+	pose := p.ds.GroundTruth[0]
+	var modelVertex, modelNormal *imgproc.VecMap
+	var modelPose geom.Pose
+	fullSweep := int64(cfg.VolumeResolution) * int64(cfg.VolumeResolution) * int64(cfg.VolumeResolution)
+	for i := range p.frames {
+		f := &p.frames[i]
+		c.Frames++
+		if i > 0 && modelVertex != nil && i%cfg.TrackingRate == 0 {
+			newPose, tops, err := trackICP(&f.levels, modelVertex, modelNormal, p.intr, modelPose, pose, cfg.PyramidIters, cfg.ICPThreshold)
+			c.TrackOps += tops
+			if err != nil {
+				c.TrackingFailures++
+			} else {
+				pose = newPose
+				c.TrackedFrames++
+			}
+		}
+		res.Trajectory[i] = pose
+		if i == 0 || i%cfg.IntegrationRate == 0 {
+			c.IntegrateActual += vol.Integrate(f.depth, p.intr, pose, cfg.Mu)
+			c.IntegrateFullSweep += fullSweep
+			c.IntegratedFrames++
+		}
+		model := vol.Raycast(p.intr, pose, cfg.Mu, 0.3, 5.0)
+		c.RaycastSteps += model.Steps
+		modelVertex, modelNormal = model.Maps()
+		modelPose = pose
+	}
+	return res
+}
+
+// TestRunMatchesEagerReference: Run keeps a raycast while neither the volume
+// nor the pose changed and builds a model's maps only when a frame tracks
+// against it; it equals runEager to the bit, trajectory and counters, at
+// every pair of tracking and integration rates from 1 to 5, and when every
+// tracking attempt fails (no ICP iterations), so that a raycast is also kept
+// after a failed attempt.
+func TestRunMatchesEagerReference(t *testing.T) {
+	base := testConfig()
+	base.VolumeResolution = 64
+	var cfgs []Config
+	for tr := 1; tr <= 5; tr++ {
+		for ir := 1; ir <= 5; ir++ {
+			cfg := base
+			cfg.TrackingRate, cfg.IntegrationRate = tr, ir
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	lost := base
+	lost.IntegrationRate = 3
+	lost.PyramidIters = [3]int{0, 0, 0}
+	cfgs = append(cfgs, lost)
+
+	p, err := Prepare(testDataset, base.ComputeRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, cfg := range cfgs {
+		got, err := Run(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runEager(p, cfg)
+		if got.Counters != want.Counters {
+			t.Fatalf("rates %d/%d, iterations %v: counters %+v, eager %+v",
+				cfg.TrackingRate, cfg.IntegrationRate, cfg.PyramidIters, got.Counters, want.Counters)
+		}
+		if !bytes.Equal(bits(got.Trajectory), bits(want.Trajectory)) {
+			t.Fatalf("rates %d/%d, iterations %v: trajectory differs from eager",
+				cfg.TrackingRate, cfg.IntegrationRate, cfg.PyramidIters)
+		}
+	}
+	if c := runEager(p, lost).Counters; c.TrackedFrames != 0 || c.TrackingFailures != c.Frames-1 {
+		t.Fatalf("no-iteration case tracked: %+v", c)
+	}
+}
+
 // BenchmarkRun times one measurement of testConfig on testDataset — Run on
 // input prepared once, as KFusionBench shares it — and, as further
 // sub-benchmarks, the kernels over every frame: the preprocessing that one
-// compute ratio shares, and integration, raycasting and tracking at the
-// ground-truth poses.
+// compute ratio shares, integration, the raycast's march, the model maps
+// built from its crossings, and tracking, all at the ground-truth poses.
 func BenchmarkRun(b *testing.B) {
 	cfg := testConfig()
 	p, err := Prepare(testDataset, cfg.ComputeRatio)
@@ -343,12 +438,11 @@ func BenchmarkRun(b *testing.B) {
 	newVolume := func() *Volume { return NewVolume(cfg.VolumeResolution/volumeScale, volumeSize, geom.V3(0, 1.3, 0)) }
 	full := newVolume()
 	for i, f := range p.frames {
-		full.Integrate(f.depth, p.intr, gt[i], cfg.Mu, maxWeight)
+		full.Integrate(f.depth, p.intr, gt[i], cfg.Mu)
 	}
-	type model struct{ vertex, normal *imgproc.VecMap }
-	models := make([]model, len(p.frames))
+	models := make([]*Model, len(p.frames))
 	for i := range models {
-		models[i].vertex, models[i].normal, _ = full.Raycast(p.intr, gt[i], cfg.Mu, 0.3, 5.0)
+		models[i] = full.Raycast(p.intr, gt[i], cfg.Mu, 0.3, 5.0)
 	}
 
 	b.Run("run", func(b *testing.B) {
@@ -372,7 +466,7 @@ func BenchmarkRun(b *testing.B) {
 		for range b.N {
 			vol := newVolume()
 			for i, f := range p.frames {
-				vol.Integrate(f.depth, p.intr, gt[i], cfg.Mu, maxWeight)
+				vol.Integrate(f.depth, p.intr, gt[i], cfg.Mu)
 			}
 		}
 	})
@@ -384,12 +478,27 @@ func BenchmarkRun(b *testing.B) {
 			}
 		}
 	})
-	b.Run("track", func(b *testing.B) {
+	b.Run("maps", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
+			for _, m := range models {
+				// Maps completes the model in place: time it on a copy of the
+				// crossings.
+				fresh := Model{vol: m.vol, vertex: &imgproc.VecMap{W: m.vertex.W, H: m.vertex.H, Pix: slices.Clone(m.vertex.Pix)}}
+				fresh.Maps()
+			}
+		}
+	})
+	b.Run("track", func(b *testing.B) {
+		for _, m := range models {
+			m.Maps()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
 			for i := 1; i < len(p.frames); i++ {
-				m := models[i-1]
-				trackICP(&p.frames[i].levels, m.vertex, m.normal, p.intr, gt[i-1], gt[i-1], cfg.PyramidIters, cfg.ICPThreshold)
+				vertex, normal := models[i-1].Maps()
+				trackICP(&p.frames[i].levels, vertex, normal, p.intr, gt[i-1], gt[i-1], cfg.PyramidIters, cfg.ICPThreshold)
 			}
 		}
 	})

@@ -79,7 +79,7 @@ const (
 	// volumeSize is the physical edge length in meters, sized to the
 	// living room.
 	volumeSize = 5.4
-	// maxWeight caps the TSDF running average.
+	// maxWeight caps the TSDF running average; a voxel's weight is one byte.
 	maxWeight = 100
 )
 
@@ -189,8 +189,7 @@ func Run(p *Prepared, cfg Config) (*Result, error) {
 	c.ResizeOps, c.BilateralOps, c.PyramidOps = p.resizeOps, p.bilateralOps, p.pyramidOps
 
 	pose := p.ds.GroundTruth[0] // SLAMBench initializes from the dataset origin
-	var modelVertex, modelNormal *imgproc.VecMap
-	var modelPose geom.Pose
+	var model *Model            // the raycast of the current (volume, pose)
 
 	fullSweep := int64(cfg.VolumeResolution) * int64(cfg.VolumeResolution) * int64(cfg.VolumeResolution)
 
@@ -198,10 +197,12 @@ func Run(p *Prepared, cfg Config) (*Result, error) {
 		f := &p.frames[i]
 		c.Frames++
 
-		// --- Tracking ---
-		if i > 0 && modelVertex != nil && (i%cfg.TrackingRate == 0) {
+		// --- Tracking: against the model cast from the current pose ---
+		moved := false
+		if i > 0 && i%cfg.TrackingRate == 0 {
+			modelVertex, modelNormal := model.Maps()
 			newPose, tops, err := trackICP(
-				&f.levels, modelVertex, modelNormal, p.intr, modelPose,
+				&f.levels, modelVertex, modelNormal, p.intr, pose,
 				pose, cfg.PyramidIters, cfg.ICPThreshold,
 			)
 			c.TrackOps += tops
@@ -210,22 +211,28 @@ func Run(p *Prepared, cfg Config) (*Result, error) {
 				// Keep the previous pose (constant-position model).
 			} else {
 				pose = newPose
+				moved = true
 				c.TrackedFrames++
 			}
 		}
 		res.Trajectory[i] = pose
 
 		// --- Integration ---
-		if i == 0 || i%cfg.IntegrationRate == 0 {
-			c.IntegrateActual += vol.Integrate(f.depth, p.intr, pose, cfg.Mu, maxWeight)
+		integrated := i == 0 || i%cfg.IntegrationRate == 0
+		if integrated {
+			c.IntegrateActual += vol.Integrate(f.depth, p.intr, pose, cfg.Mu)
 			c.IntegrateFullSweep += fullSweep
 			c.IntegratedFrames++
 		}
 
 		// --- Raycasting: the model reference for the next frame ---
-		mv, mn, steps := vol.Raycast(p.intr, pose, cfg.Mu, 0.3, 5.0)
-		c.RaycastSteps += steps
-		modelVertex, modelNormal, modelPose = mv, mn, pose
+		// A raycast reads only the volume and the pose; when neither changed
+		// it would equal the previous one bit for bit, so that one is kept.
+		// Either way the device runs it, so its steps are billed every frame.
+		if moved || integrated {
+			model = vol.Raycast(p.intr, pose, cfg.Mu, 0.3, 5.0)
+		}
+		c.RaycastSteps += model.Steps
 	}
 	return res, nil
 }

@@ -13,10 +13,10 @@ const brickShift = 2
 // Volume is the truncated signed distance function (TSDF) voxel grid at the
 // heart of KinectFusion. TSDF values are normalized to [-1, 1] (distance to
 // the nearest surface divided by the truncation distance µ); weights count
-// fused observations, and weight 0 means unobserved. A brick's occupancy
-// flag is set once any voxel of the brick or of its +1 halo (the next voxel
-// along each axis) is observed, so an interpolation cell whose base brick is
-// unoccupied has no observed corner.
+// fused observations up to maxWeight, one byte each, and weight 0 means
+// unobserved. A brick's occupancy flag is set once any voxel of the brick or
+// of its +1 halo (the next voxel along each axis) is observed, so an
+// interpolation cell whose base brick is unoccupied has no observed corner.
 type Volume struct {
 	Res      int       // voxels per side
 	Size     float64   // edge length in meters
@@ -24,7 +24,7 @@ type Volume struct {
 	voxel    float64   // Size / Res
 	inv      float64   // 1 / voxel
 	tsdf     []float32
-	weight   []float32
+	weight   []uint8
 	bricks   int    // bricks per side
 	occupied []bool // per brick, (z, y, x) order
 }
@@ -42,7 +42,7 @@ func NewVolume(res int, size float64, center geom.Vec3) *Volume {
 		voxel:    voxel,
 		inv:      1 / voxel,
 		tsdf:     make([]float32, n),
-		weight:   make([]float32, n),
+		weight:   make([]uint8, n),
 		bricks:   bricks,
 		occupied: make([]bool, bricks*bricks*bricks),
 	}
@@ -64,24 +64,26 @@ func (v *Volume) At(x, y, z int) (float32, float32) {
 	if v.weight[i] == 0 {
 		return 1, 0
 	}
-	return v.tsdf[i], v.weight[i]
+	return v.tsdf[i], float32(v.weight[i])
 }
 
 // setBlend fuses a new normalized TSDF observation into voxel (x, y, z)
 // with the running weighted average, capping the weight at maxWeight.
-func (v *Volume) setBlend(x, y, z int, val float32, maxWeight float32) {
+func (v *Volume) setBlend(x, y, z int, val float32) {
 	if x < 0 || y < 0 || z < 0 || x >= v.Res || y >= v.Res || z >= v.Res {
 		return
 	}
-	v.blend(v.index(x, y, z), x, y, z, val, maxWeight)
+	v.blend(v.index(x, y, z), x, y, z, val)
 }
 
 // blend is setBlend on the in-grid voxel (x, y, z) at flat index i. An
 // unobserved voxel holds TSDF 0, so its first blend stores val exactly as it
-// would over the "far" value 1: (t·0 + val)/1 == val for any finite t.
-func (v *Volume) blend(i, x, y, z int, val float32, maxWeight float32) {
+// would over the "far" value 1: (t·0 + val)/1 == val for any finite t. A
+// byte weight converts to float32 exactly.
+func (v *Volume) blend(i, x, y, z int, val float32) {
 	w := v.weight[i]
-	v.tsdf[i] = (v.tsdf[i]*w + val) / (w + 1)
+	fw := float32(w)
+	v.tsdf[i] = (v.tsdf[i]*fw + val) / (fw + 1)
 	if w < maxWeight {
 		if w == 0 {
 			v.occupy(x, y, z)
@@ -144,6 +146,11 @@ func (v *Volume) Interp(p geom.Vec3) (float64, bool) {
 			}
 		}
 	} else {
+		// A cell based outside [-1, Res) along some axis has no corner in the
+		// grid: all eight would read (1, 0), an observed mass of 0.
+		if x0 < -1 || y0 < -1 || z0 < -1 || x0 >= r || y0 >= r || z0 >= r {
+			return 1, false
+		}
 		for dz := 0; dz < 2; dz++ {
 			for dy := 0; dy < 2; dy++ {
 				for dx := 0; dx < 2; dx++ {
@@ -188,7 +195,7 @@ func (v *Volume) Grad(p geom.Vec3) (geom.Vec3, bool) {
 // for the full res³ frustum sweep separately (docs/ARCHITECTURE.md,
 // "Simulation substrate"). It returns the number of voxel updates actually
 // performed.
-func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geom.Pose, mu float64, maxWeight float32) int64 {
+func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geom.Pose, mu float64) int64 {
 	vs := v.voxel
 	step := vs * 0.5
 	band := mu + vs
@@ -243,7 +250,7 @@ func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geo
 					if val > 1 {
 						val = 1
 					}
-					v.setBlend(cx, cy, cz, float32(val), maxWeight)
+					v.setBlend(cx, cy, cz, float32(val))
 					updates++
 					continue
 				}
@@ -263,7 +270,7 @@ func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geo
 							if val > 1 {
 								val = 1
 							}
-							v.blend(row+x, x, y, zz, float32(val), maxWeight)
+							v.blend(row+x, x, y, zz, float32(val))
 							updates++
 						}
 					}
@@ -274,12 +281,21 @@ func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geo
 	return updates
 }
 
-// Raycast renders vertex and normal maps (world coordinates) of the zero
-// crossing of the TSDF as seen from pose, for the next frame's ICP
-// reference. It returns the maps and the number of marching steps taken.
-func (v *Volume) Raycast(intr imgproc.Intrinsics, pose geom.Pose, mu, near, far float64) (*imgproc.VecMap, *imgproc.VecMap, int64) {
-	vertex := imgproc.NewVecMap(intr.W, intr.H)
-	normal := imgproc.NewVecMap(intr.W, intr.H)
+// Model is one raycast of the volume from a pose, the reference the next
+// tracked frame aligns to: the marching steps it took and the zero crossing
+// each pixel's ray found. Its vertex and normal maps are completed from the
+// crossings when Maps first reads them.
+type Model struct {
+	Steps  int64 // marching steps, what the runtime model bills
+	vol    *Volume
+	vertex *imgproc.VecMap // the crossings (world coordinates); after Maps, those with a normal
+	normal *imgproc.VecMap // nil until Maps
+}
+
+// Raycast marches one ray per pixel of intr from pose through the volume to
+// the first zero crossing of the TSDF, for the next frame's ICP reference.
+func (v *Volume) Raycast(intr imgproc.Intrinsics, pose geom.Pose, mu, near, far float64) *Model {
+	m := &Model{vol: v, vertex: imgproc.NewVecMap(intr.W, intr.H)}
 	camPos := pose.Translation()
 	largeStep := math.Max(mu*0.75, v.voxel)
 	fineStep := v.voxel * 0.5
@@ -299,14 +315,7 @@ func (v *Volume) Raycast(intr imgproc.Intrinsics, pose geom.Pose, mu, near, far 
 				if ok && prevOK && prevVal > 0 && val <= 0 {
 					// Zero crossing: interpolate the exact depth.
 					tHit := prevT + (t-prevT)*prevVal/(prevVal-val)
-					hit := camPos.Add(dirWorld.Scale(tHit))
-					if g, gok := v.Grad(hit); gok {
-						n := g.Normalized()
-						if n != (geom.Vec3{}) {
-							vertex.Set(px, py, hit)
-							normal.Set(px, py, n)
-						}
-					}
+					m.vertex.Set(px, py, camPos.Add(dirWorld.Scale(tHit)))
 					break
 				}
 				prevVal, prevOK, prevT = val, ok, t
@@ -319,5 +328,32 @@ func (v *Volume) Raycast(intr imgproc.Intrinsics, pose geom.Pose, mu, near, far 
 			}
 		}
 	}
-	return vertex, normal, steps
+	m.Steps = steps
+	return m
+}
+
+// Maps returns the model's vertex and normal maps (world coordinates): each
+// crossing whose TSDF gradient is defined and nonzero, with its normalized
+// gradient. The first call computes the normals, and drops the crossings
+// without one, from the volume as it is then, so the volume must not have
+// changed since the raycast; Run reads a model only before the next
+// integration, which is followed by a fresh raycast.
+func (m *Model) Maps() (vertex, normal *imgproc.VecMap) {
+	if m.normal == nil {
+		m.normal = imgproc.NewVecMap(m.vertex.W, m.vertex.H)
+		for i, p := range m.vertex.Pix {
+			if p == (geom.Vec3{}) {
+				continue
+			}
+			n := geom.Vec3{}
+			if g, ok := m.vol.Grad(p); ok {
+				n = g.Normalized()
+			}
+			if n == (geom.Vec3{}) {
+				m.vertex.Pix[i] = geom.Vec3{}
+			}
+			m.normal.Pix[i] = n
+		}
+	}
+	return m.vertex, m.normal
 }

@@ -29,7 +29,7 @@ func TestTSDFBoundedProperty(t *testing.T) {
 				R: geom.ExpSO3(geom.V3(rng.NormFloat64()*0.1, rng.NormFloat64()*0.1, rng.NormFloat64()*0.1)),
 				T: geom.V3(rng.NormFloat64()*0.2, rng.NormFloat64()*0.2, rng.NormFloat64()*0.2),
 			}
-			vol.Integrate(depth, intr, pose, 0.05+rng.Float64()*0.4, 20)
+			vol.Integrate(depth, intr, pose, 0.05+rng.Float64()*0.4)
 		}
 		for x := 0; x < vol.Res; x++ {
 			for y := 0; y < vol.Res; y++ {
@@ -38,7 +38,7 @@ func TestTSDFBoundedProperty(t *testing.T) {
 					if tv < -1-1e-6 || tv > 1+1e-6 {
 						return false
 					}
-					if w < 0 || w > 20 {
+					if w < 0 || w > maxWeight {
 						return false
 					}
 				}
@@ -60,7 +60,7 @@ func TestInterpWithinVoxelBounds(t *testing.T) {
 	for x := 0; x < 8; x++ {
 		for y := 0; y < 8; y++ {
 			for z := 0; z < 8; z++ {
-				vol.setBlend(x, y, z, float32(rng.Float64()*2-1), 10)
+				vol.setBlend(x, y, z, float32(rng.Float64()*2-1))
 			}
 		}
 	}
@@ -133,14 +133,14 @@ func TestInterpMatchesCornerReference(t *testing.T) {
 			R: geom.ExpSO3(geom.V3(rng.NormFloat64()*0.1, rng.NormFloat64()*0.1, rng.NormFloat64()*0.1)),
 			T: geom.V3(rng.NormFloat64()*0.2, rng.NormFloat64()*0.2, rng.NormFloat64()*0.2),
 		}
-		vol.Integrate(depth, intr, pose, 0.05+rng.Float64()*0.4, 20)
+		vol.Integrate(depth, intr, pose, 0.05+rng.Float64()*0.4)
 	}
 	// Observe two faces outright so cells across the edge have mass.
 	last := vol.Res - 1
 	for a := 0; a < vol.Res; a++ {
 		for b := 0; b < vol.Res; b++ {
-			vol.setBlend(0, a, b, float32(rng.Float64()*2-1), 20)
-			vol.setBlend(a, b, last, float32(rng.Float64()*2-1), 20)
+			vol.setBlend(0, a, b, float32(rng.Float64()*2-1))
+			vol.setBlend(a, b, last, float32(rng.Float64()*2-1))
 		}
 	}
 	var count [2][2]int // [inside][ok]

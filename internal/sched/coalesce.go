@@ -31,9 +31,9 @@ const defaultCoalesceMaxConfigs = 4096
 // incoming configuration is resolved to its design-space index, which is
 // the deduplication key. A configuration that does not belong to the space
 // fails the call — batches from runs over different spaces must go through
-// different Coalescers (Group hands them out keyed by the space
-// fingerprint, so results can never mix across spaces whose configs happen
-// to look alike).
+// different Coalescers (Group hands them out keyed by problem and space
+// fingerprint, so results can never mix across problems, or across spaces
+// whose configs happen to look alike).
 //
 // Merging is time-bounded: the first batch to arrive opens a merge window
 // (Window); batches arriving within it join the merge, and the combined
@@ -209,12 +209,13 @@ func (c *Coalescer) Stats() CoalesceStats {
 	return c.stats
 }
 
-// Group hands out one Coalescer per space fingerprint. The fingerprint —
-// not the problem name — is the key: replacing a problem with a different
-// space under the same name yields a fresh coalescer, and two spaces whose
-// configurations happen to encode alike still merge separately. This is
-// the same isolation rule the engine's memo-cache applies to its
-// singleflight namespaces.
+// Group hands out one Coalescer per problem: its name together with its
+// space fingerprint, the unit within which the daemon's memo-caches share
+// measurements (one cache per problem name, namespaced by fingerprint). Two
+// problems over one space — the same benchmark on two platforms — have
+// different evaluators and never merge; replacing a problem with a different
+// space under the same name yields a fresh coalescer; and two spaces whose
+// configurations happen to encode alike still merge separately.
 type Group struct {
 	window time.Duration
 
@@ -231,11 +232,11 @@ func NewGroup(window time.Duration) *Group {
 	return &Group{window: window, m: make(map[string]*Coalescer)}
 }
 
-// For returns the coalescer for the given space and objective count over
-// inner, creating it on first use. Callers must pass the same inner
-// backend for equal fingerprints; the first registration wins.
-func (g *Group) For(space *param.Space, objectives int, inner core.Backend) *Coalescer {
-	key := core.SpaceFingerprint(space, objectives)
+// For returns the named problem's coalescer for the given space and
+// objective count over inner, creating it on first use. Callers pass the
+// same inner backend for a problem until they Drop it.
+func (g *Group) For(problem string, space *param.Space, objectives int, inner core.Backend) *Coalescer {
+	key := groupKey(problem, space, objectives)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	c, ok := g.m[key]
@@ -246,14 +247,19 @@ func (g *Group) For(space *param.Space, objectives int, inner core.Backend) *Coa
 	return c
 }
 
-// Drop removes the coalescer for a space, if present — called when a
-// problem is re-registered with a new evaluator, mirroring the memo-cache
-// reset.
-func (g *Group) Drop(space *param.Space, objectives int) {
-	key := core.SpaceFingerprint(space, objectives)
+// Drop removes the named problem's coalescer for a space, if present —
+// called when the problem is re-registered with a new evaluator, mirroring
+// the memo-cache reset. Other problems over the same space keep theirs.
+func (g *Group) Drop(problem string, space *param.Space, objectives int) {
+	key := groupKey(problem, space, objectives)
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
+}
+
+// groupKey is a Group's map key: the problem name, then the fingerprint.
+func groupKey(problem string, space *param.Space, objectives int) string {
+	return problem + "\x00" + core.SpaceFingerprint(space, objectives)
 }
 
 // Stats aggregates every member coalescer's counters.

@@ -186,9 +186,10 @@ func TestCoalescerMemberCancellation(t *testing.T) {
 }
 
 // TestGroupIsolationByFingerprint is the S2 regression: runs over different
-// spaces (or the same space with a different objective count) must never
-// share a coalescer, even when their configurations are byte-identical — so
-// results cannot mix across runs whose configs happen to look alike.
+// spaces (or the same space with a different objective count), or over
+// different problems sharing one space, must never share a coalescer, even
+// when their configurations are byte-identical — so results cannot mix
+// across runs whose configs happen to look alike.
 func TestGroupIsolationByFingerprint(t *testing.T) {
 	// Two spaces whose configurations encode identically: same dimension,
 	// same grid values — only the parameter names differ.
@@ -204,15 +205,18 @@ func TestGroupIsolationByFingerprint(t *testing.T) {
 	g := NewGroup(-1) // merging disabled: calls resolve synchronously
 	b1 := &fakeBackend{tag: 1000}
 	b2 := &fakeBackend{tag: 2000}
-	c1 := g.For(s1, 2, b1)
-	c2 := g.For(s2, 2, b2)
+	c1 := g.For("p", s1, 2, b1)
+	c2 := g.For("p", s2, 2, b2)
 	if c1 == c2 {
 		t.Fatal("different spaces shared a coalescer")
 	}
-	if g.For(s1, 2, b2) != c1 {
-		t.Fatal("same fingerprint did not reuse its coalescer (first registration wins)")
+	if g.For("p", s1, 2, b1) != c1 {
+		t.Fatal("same problem did not reuse its coalescer")
 	}
-	if g.For(s1, 1, b1) == c1 {
+	if g.For("q", s1, 2, b2) == c1 {
+		t.Fatal("another problem over the same fingerprint shared a coalescer")
+	}
+	if g.For("p", s1, 1, b1) == c1 {
 		t.Fatal("different objective count shared a coalescer")
 	}
 
@@ -238,11 +242,15 @@ func TestGroupIsolationByFingerprint(t *testing.T) {
 		t.Fatalf("aggregated stats missing traffic: %+v", agg)
 	}
 
-	// Drop forgets the fingerprint: re-registration yields a fresh
-	// coalescer bound to the new backend.
-	g.Drop(s1, 2)
-	if g.For(s1, 2, b2) == c1 {
+	// Drop forgets the problem's coalescer: re-registration yields a fresh
+	// one bound to the new backend, and the sibling problem keeps its own.
+	cq := g.For("q", s1, 2, b2)
+	g.Drop("p", s1, 2)
+	if g.For("p", s1, 2, b2) == c1 {
 		t.Fatal("Drop did not remove the coalescer")
+	}
+	if g.For("q", s1, 2, b2) != cq {
+		t.Fatal("Drop removed another problem's coalescer over the same space")
 	}
 }
 
@@ -259,7 +267,7 @@ func TestGroupMatchesCacheFingerprint(t *testing.T) {
 		t.Fatal("structurally identical spaces fingerprint differently")
 	}
 	g := NewGroup(-1)
-	if g.For(s1, 2, &fakeBackend{}) != g.For(s2, 2, &fakeBackend{}) {
+	if g.For("p", s1, 2, &fakeBackend{}) != g.For("p", s2, 2, &fakeBackend{}) {
 		t.Fatal("structurally identical spaces got distinct coalescers")
 	}
 }

@@ -347,7 +347,7 @@ func (m *Manager) Register(p Problem) {
 		// old evaluator's backend, so in-flight merges must not be joined by
 		// runs over the new one.
 		if old, ok := m.problems[p.Name]; ok {
-			m.coalesce.Drop(old.Space, len(old.Objectives))
+			m.coalesce.Drop(old.Name, old.Space, len(old.Objectives))
 		}
 	}
 	m.problems[p.Name] = p
@@ -573,7 +573,7 @@ func (m *Manager) buildOpts(s *session) core.Options {
 	}
 	if m.coalesce != nil {
 		// Daemons given a scheduler config merge concurrent runs' evaluation
-		// batches onto one shared backend per space (cross-run coalescing).
+		// batches onto one shared backend per problem (cross-run coalescing).
 		// The shared local backend runs with the default worker bound
 		// (GOMAXPROCS) since a merged batch serves many runs' Workers
 		// settings at once.
@@ -581,7 +581,7 @@ func (m *Manager) buildOpts(s *session) core.Options {
 		if inner == nil {
 			inner = &core.LocalBackend{Eval: p.Eval}
 		}
-		opts.Backend = m.coalesce.For(p.Space, len(p.Objectives), inner)
+		opts.Backend = m.coalesce.For(p.Name, p.Space, len(p.Objectives), inner)
 	}
 	return opts
 }

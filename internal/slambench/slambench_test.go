@@ -100,6 +100,7 @@ func TestKFusionMixDigest(t *testing.T) {
 	s := b.Space()
 	dev := device.ODROIDXU3()
 	ratios, vols := map[float64]bool{}, map[float64]bool{}
+	idleFrames, trackEvery := 0, 0 // frames that neither track nor integrate; draws tracking every frame
 	h := sha256.New()
 	put := func(v any) {
 		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
@@ -109,7 +110,16 @@ func TestKFusionMixDigest(t *testing.T) {
 	for i, cfg := range cfgs {
 		ratios[s.Get(cfg, KFRatio)] = true
 		vols[s.Get(cfg, KFVolume)] = true
-		res, err := b.run(b.ToConfig(cfg))
+		kc := b.ToConfig(cfg)
+		for f := 1; f < b.DS.NumFrames(); f++ {
+			if f%kc.TrackingRate != 0 && f%kc.IntegrationRate != 0 {
+				idleFrames++
+			}
+		}
+		if kc.TrackingRate == 1 {
+			trackEvery++
+		}
+		res, err := b.run(kc)
 		if err != nil {
 			t.Fatalf("draw %d: %v", i, err)
 		}
@@ -125,6 +135,11 @@ func TestKFusionMixDigest(t *testing.T) {
 	// resolution must be in the draw, or the digest guards less than it says.
 	if len(ratios) != 4 || len(vols) != 3 {
 		t.Fatalf("draw covers ratios %v and resolutions %v, want all 4 and all 3", ratios, vols)
+	}
+	// A frame that neither tracks nor integrates keeps the previous raycast,
+	// and a draw tracking every frame builds model maps at every frame.
+	if idleFrames == 0 || trackEvery == 0 {
+		t.Fatalf("draw has %d frames without tracking or integration and %d configurations with tracking rate 1, want both > 0", idleFrames, trackEvery)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("mix digest = %s, want %s", got, want)
