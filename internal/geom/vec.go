@@ -53,10 +53,5 @@ func (a Vec3) Abs() Vec3 {
 	return Vec3{math.Abs(a.X), math.Abs(a.Y), math.Abs(a.Z)}
 }
 
-// MaxComponent returns the largest component of a.
-func (a Vec3) MaxComponent() float64 {
-	return math.Max(a.X, math.Max(a.Y, a.Z))
-}
-
 // Lerp returns a + t*(b-a).
 func Lerp(a, b Vec3, t float64) Vec3 { return a.Add(b.Sub(a).Scale(t)) }

@@ -19,6 +19,10 @@ type Object interface {
 	// Albedo returns the surface reflectance at p (only meaningful for
 	// points on or near the surface).
 	Albedo(p geom.Vec3) float64
+	// Bound returns a sphere that contains the object. Dist is never below
+	// the distance to that sphere, |p−center| − radius, which is what lets
+	// the scene skip the object.
+	Bound() (center geom.Vec3, radius float64)
 }
 
 // Sphere is a solid ball.
@@ -34,6 +38,9 @@ func (s Sphere) Dist(p geom.Vec3) float64 { return p.Sub(s.Center).Norm() - s.Ra
 // Albedo implements Object.
 func (s Sphere) Albedo(geom.Vec3) float64 { return s.Shade }
 
+// Bound implements Object.
+func (s Sphere) Bound() (geom.Vec3, float64) { return s.Center, s.Radius }
+
 // Box is an axis-aligned solid box with optional corner rounding.
 type Box struct {
 	Center geom.Vec3
@@ -48,10 +55,13 @@ type Box struct {
 // Dist implements Object.
 func (b Box) Dist(p geom.Vec3) float64 {
 	q := p.Sub(b.Center).Abs().Sub(b.Half)
-	outside := geom.V3(math.Max(q.X, 0), math.Max(q.Y, 0), math.Max(q.Z, 0)).Norm()
-	inside := math.Min(q.MaxComponent(), 0)
+	outside := geom.V3(max(q.X, 0), max(q.Y, 0), max(q.Z, 0)).Norm()
+	inside := min(max(q.X, q.Y, q.Z), 0)
 	return outside + inside - b.Round
 }
+
+// Bound implements Object (and Checker's through embedding).
+func (b Box) Bound() (geom.Vec3, float64) { return b.Center, b.Half.Norm() + b.Round }
 
 // Albedo implements Object.
 func (b Box) Albedo(p geom.Vec3) float64 {
@@ -75,13 +85,14 @@ func (c CylinderY) Dist(p geom.Vec3) float64 {
 	q := p.Sub(c.Center)
 	dXZ := math.Hypot(q.X, q.Z) - c.Radius
 	dY := math.Abs(q.Y) - c.Half
-	outX := math.Max(dXZ, 0)
-	outY := math.Max(dY, 0)
-	return math.Min(math.Max(dXZ, dY), 0) + math.Hypot(outX, outY)
+	return min(max(dXZ, dY), 0) + math.Hypot(max(dXZ, 0), max(dY, 0))
 }
 
 // Albedo implements Object.
 func (c CylinderY) Albedo(geom.Vec3) float64 { return c.Shade }
+
+// Bound implements Object.
+func (c CylinderY) Bound() (geom.Vec3, float64) { return c.Center, math.Hypot(c.Radius, c.Half) }
 
 // Checker is a box with a checkerboard albedo (floors and rugs).
 type Checker struct {
@@ -110,37 +121,71 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Scene is a union of objects.
+// Scene is a union of objects. Build it with New: the bounding spheres are
+// computed there, once, so a scene is read-only and safe to share between
+// goroutines.
 type Scene struct {
-	Objects []Object
-	// Bounds is an axis-aligned bounding box of the whole scene used by
-	// renderers to bound ray marching.
-	BoundsMin, BoundsMax geom.Vec3
+	items []item
+}
+
+// item is one object with its bounding sphere; reach is the sphere's radius
+// plus cullMargin.
+type item struct {
+	obj    Object
+	center geom.Vec3
+	reach  float64
+}
+
+// cullMargin pads every bounding sphere by a micron, far above the rounding
+// error of a distance at room scale (≈1e-15 m), so an object is only skipped
+// when its computed distance is strictly above the running minimum.
+const cullMargin = 1e-6
+
+// New builds a scene over objs, in order: where two objects are equally
+// near, the first one's albedo wins.
+func New(objs ...Object) *Scene {
+	s := &Scene{items: make([]item, len(objs))}
+	for i, o := range objs {
+		c, r := o.Bound()
+		s.items[i] = item{obj: o, center: c, reach: r + cullMargin}
+	}
+	return s
+}
+
+// nearest returns the smallest object distance at p and the index of the
+// first object that attains it (-1 for an empty scene). An object whose
+// bounding sphere is farther than the running minimum d is skipped without
+// evaluating it: its distance is at least |p−center| − radius > d, so it
+// could not have won.
+func (s *Scene) nearest(p geom.Vec3) (float64, int) {
+	d, near := math.Inf(1), -1
+	for i := range s.items {
+		it := &s.items[i]
+		v := p.Sub(it.center)
+		if e := d + it.reach; v.Dot(v) > e*e {
+			continue
+		}
+		if od := it.obj.Dist(p); od < d {
+			d, near = od, i
+		}
+	}
+	return d, near
 }
 
 // Dist returns the signed distance to the nearest object surface.
 func (s *Scene) Dist(p geom.Vec3) float64 {
-	d := math.Inf(1)
-	for _, o := range s.Objects {
-		if od := o.Dist(p); od < d {
-			d = od
-		}
-	}
+	d, _ := s.nearest(p)
 	return d
 }
 
 // DistAlbedo returns the distance to the nearest surface and the albedo of
-// the nearest object.
+// the nearest object (0.5 in an empty scene).
 func (s *Scene) DistAlbedo(p geom.Vec3) (float64, float64) {
-	d := math.Inf(1)
-	a := 0.5
-	for _, o := range s.Objects {
-		if od := o.Dist(p); od < d {
-			d = od
-			a = o.Albedo(p)
-		}
+	d, near := s.nearest(p)
+	if near < 0 {
+		return d, 0.5
 	}
-	return d, a
+	return d, s.items[near].obj.Albedo(p)
 }
 
 // Normal estimates the outward surface normal at p via central differences
@@ -164,11 +209,8 @@ func LivingRoom() *Scene {
 		roomH = 2.6 // height      (y ∈ [0, 2.6])
 		wall  = 0.1
 	)
-	s := &Scene{
-		BoundsMin: geom.V3(-roomX-wall, -wall, -roomZ-wall),
-		BoundsMax: geom.V3(roomX+wall, roomH+wall, roomZ+wall),
-	}
-	add := func(o Object) { s.Objects = append(s.Objects, o) }
+	var objs []Object
+	add := func(o Object) { objs = append(objs, o) }
 
 	// Shell: floor (checkered), ceiling, four striped walls.
 	add(Checker{
@@ -245,5 +287,5 @@ func LivingRoom() *Scene {
 	add(Sphere{Center: geom.V3(-1.7, 0.55, -1.6), Radius: 0.22, Shade: 0.45})
 	add(Box{Center: geom.V3(1.5, 0.16, 1.2), Half: geom.V3(0.25, 0.16, 0.2), Round: 0.02, Shade: 0.5, Stripes: 16})
 
-	return s
+	return New(objs...)
 }

@@ -85,10 +85,10 @@ func TestStripedAlbedoVaries(t *testing.T) {
 }
 
 func TestSceneDistIsMinOfObjects(t *testing.T) {
-	s := &Scene{Objects: []Object{
+	s := New(
 		Sphere{Center: geom.V3(0, 0, 0), Radius: 1, Shade: 0.2},
 		Sphere{Center: geom.V3(5, 0, 0), Radius: 1, Shade: 0.9},
-	}}
+	)
 	p := geom.V3(3, 0, 0)
 	want := math.Min(p.Norm()-1, p.Sub(geom.V3(5, 0, 0)).Norm()-1)
 	if d := s.Dist(p); math.Abs(d-want) > 1e-12 {
@@ -101,7 +101,7 @@ func TestSceneDistIsMinOfObjects(t *testing.T) {
 }
 
 func TestSceneNormalSphere(t *testing.T) {
-	s := &Scene{Objects: []Object{Sphere{Radius: 1, Shade: 0.5}}}
+	s := New(Sphere{Radius: 1, Shade: 0.5})
 	n := s.Normal(geom.V3(1, 0, 0))
 	if n.Sub(geom.V3(1, 0, 0)).Norm() > 1e-3 {
 		t.Fatalf("sphere normal = %v", n)
@@ -171,12 +171,86 @@ func TestLivingRoomEnclosed(t *testing.T) {
 	}
 }
 
-func TestLivingRoomBounds(t *testing.T) {
+// plainDistAlbedo is the scene union without culling: every object, in
+// order, the first at the minimum winning.
+func plainDistAlbedo(objs []Object, p geom.Vec3) (float64, float64) {
+	d, a := math.Inf(1), 0.5
+	for _, o := range objs {
+		if od := o.Dist(p); od < d {
+			d, a = od, o.Albedo(p)
+		}
+	}
+	return d, a
+}
+
+// plainNormal is Scene.Normal over plainDistAlbedo.
+func plainNormal(objs []Object, p geom.Vec3) geom.Vec3 {
+	const h = 1e-4
+	dist := func(q geom.Vec3) float64 { d, _ := plainDistAlbedo(objs, q); return d }
+	dx := dist(p.Add(geom.V3(h, 0, 0))) - dist(p.Sub(geom.V3(h, 0, 0)))
+	dy := dist(p.Add(geom.V3(0, h, 0))) - dist(p.Sub(geom.V3(0, h, 0)))
+	dz := dist(p.Add(geom.V3(0, 0, h))) - dist(p.Sub(geom.V3(0, 0, h)))
+	return geom.V3(dx, dy, dz).Normalized()
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkMatchesPlainLoop asserts that the culled Dist, DistAlbedo and Normal
+// of s equal the plain loop over objs, bit for bit, at p.
+func checkMatchesPlainLoop(t *testing.T, s *Scene, objs []Object, p geom.Vec3) {
+	t.Helper()
+	wantD, wantA := plainDistAlbedo(objs, p)
+	d, a := s.DistAlbedo(p)
+	if !sameBits(d, wantD) || !sameBits(a, wantA) || !sameBits(s.Dist(p), wantD) {
+		t.Fatalf("at %v: culled (%v, %v), Dist %v; plain loop (%v, %v)", p, d, a, s.Dist(p), wantD, wantA)
+	}
+	n, want := s.Normal(p), plainNormal(objs, p)
+	if !sameBits(n.X, want.X) || !sameBits(n.Y, want.Y) || !sameBits(n.Z, want.Z) {
+		t.Fatalf("at %v: culled normal %v, plain loop %v", p, n, want)
+	}
+}
+
+// Property: bounding-sphere culling never changes a bit. Points fill the
+// room and its walls, and cluster around every object, inside and out.
+func TestNearestMatchesPlainLoop(t *testing.T) {
 	room := LivingRoom()
-	if room.BoundsMin.X >= room.BoundsMax.X ||
-		room.BoundsMin.Y >= room.BoundsMax.Y ||
-		room.BoundsMin.Z >= room.BoundsMax.Z {
-		t.Fatal("degenerate bounds")
+	objs := make([]Object, len(room.items))
+	for i, it := range room.items {
+		objs[i] = it.obj
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 6000; i++ {
+		p := geom.V3(rng.Float64()*6-3, rng.Float64()*3.4-0.4, rng.Float64()*5-2.5)
+		checkMatchesPlainLoop(t, room, objs, p)
+	}
+	inside := 0
+	for _, o := range objs {
+		c, r := o.Bound()
+		for i := 0; i < 120; i++ {
+			dir := geom.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Normalized()
+			p := c.Add(dir.Scale(r * 1.5 * rng.Float64()))
+			if o.Dist(p) < 0 {
+				inside++
+			}
+			checkMatchesPlainLoop(t, room, objs, p)
+		}
+	}
+	if inside < 1000 {
+		t.Fatalf("only %d points inside objects", inside)
+	}
+
+	// Two identical spheres: the first one's albedo wins, inside and out.
+	twins := []Object{
+		Sphere{Center: geom.V3(0.3, 1, 0), Radius: 0.4, Shade: 0.2},
+		Sphere{Center: geom.V3(0.3, 1, 0), Radius: 0.4, Shade: 0.9},
+	}
+	s := New(twins...)
+	for i := 0; i < 200; i++ {
+		p := geom.V3(rng.Float64()*2-0.7, rng.Float64()*2, rng.Float64()*2-1)
+		checkMatchesPlainLoop(t, s, twins, p)
+		if _, a := s.DistAlbedo(p); a != 0.2 {
+			t.Fatalf("at %v: albedo %v, want the first sphere's 0.2", p, a)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ type NoiseModel struct {
 	// DropoutGrazing is the dropout probability at fully grazing incidence;
 	// dropout scales with (1 − |n·v|).
 	DropoutGrazing float64
-	// MaxRange invalidates returns beyond this distance (meters).
+	// MaxRange invalidates returns beyond this distance (meters); 0 selects 8.
 	MaxRange float64
 	// Seed drives the per-dataset noise stream.
 	Seed int64
@@ -153,6 +153,9 @@ func Generate(opts Options) *Dataset {
 	if opts.Name == "" {
 		opts.Name = "synthetic-living-room-traj2"
 	}
+	if opts.Noise.MaxRange <= 0 {
+		opts.Noise.MaxRange = 8
+	}
 
 	intr := imgproc.StandardIntrinsics(opts.Width, opts.Height)
 	gt := opts.Trajectory(opts.Frames)
@@ -163,64 +166,60 @@ func Generate(opts Options) *Dataset {
 		GroundTruth: gt,
 		Scene:       opts.Scene,
 	}
-	for i := 0; i < opts.Frames; i++ {
-		// Per-frame deterministic noise stream (independent of render
-		// parallelism: noise RNG is applied row-wise with row seeds).
-		ds.Frames[i] = renderFrame(opts.Scene, intr, gt[i], opts.Noise, opts.Noise.Seed+int64(i)*7919)
+	for i := range ds.Frames {
+		ds.Frames[i] = Frame{Depth: imgproc.NewMap(intr.W, intr.H), Intensity: imgproc.NewMap(intr.W, intr.H)}
 	}
+	// One dynamic schedule over every (frame, row): rows cost very different
+	// amounts (a row of far wall against a row of furniture), so per-frame
+	// halves would leave a worker idle. Each row draws its noise from its own
+	// seeded stream, so the bits do not depend on the schedule.
+	par.ForWorkers(opts.Frames*intr.H, par.MaxWorkers(), func(r int) {
+		i, y := r/intr.H, r%intr.H
+		renderRow(ds.Frames[i], y, opts.Scene, intr, gt[i], opts.Noise, opts.Noise.Seed+int64(i)*7919)
+	})
 	return ds
 }
 
-// renderFrame sphere-traces one depth+intensity frame and applies the noise
-// model.
-func renderFrame(sc *scene.Scene, intr imgproc.Intrinsics, pose geom.Pose, nm NoiseModel, seed int64) Frame {
-	depth := imgproc.NewMap(intr.W, intr.H)
-	intensity := imgproc.NewMap(intr.W, intr.H)
-	maxRange := nm.MaxRange
-	if maxRange <= 0 {
-		maxRange = 8
-	}
+// renderRow sphere-traces row y of frame f (seeded per frame by seed) and
+// applies the noise model.
+func renderRow(f Frame, y int, sc *scene.Scene, intr imgproc.Intrinsics, pose geom.Pose, nm NoiseModel, seed int64) {
+	rng := rand.New(rand.NewSource(seed + int64(y)*104729))
+	for x := 0; x < intr.W; x++ {
+		dirCam := intr.Unproject(x, y)
+		invZ := 1 / dirCam.Norm() // cos of the ray-to-axis angle
+		dirWorld := pose.Rotate(dirCam).Normalized()
 
-	par.ForChunked(intr.H, func(loY, hiY int) {
-		for y := loY; y < hiY; y++ {
-			rng := rand.New(rand.NewSource(seed + int64(y)*104729))
-			for x := 0; x < intr.W; x++ {
-				dirCam := intr.Unproject(x, y)
-				invZ := 1 / dirCam.Norm() // cos of the ray-to-axis angle
-				dirWorld := pose.Rotate(dirCam).Normalized()
-
-				hit, z, albedo, normal := trace(sc, pose.T, dirWorld, maxRange/invZ)
-				if !hit {
-					continue
-				}
-				// Convert ray length to projective depth (camera z).
-				zDepth := z * invZ
-				// Shading: headlight diffuse plus ambient.
-				view := dirWorld.Scale(-1)
-				diffuse := math.Max(normal.Dot(view), 0)
-				intensity.Set(x, y, float32(clamp01(albedo*(0.25+0.75*diffuse))))
-
-				// Noise model.
-				zn := applyNoise(zDepth, normal, view, nm, rng)
-				if zn <= 0 || zn > maxRange {
-					continue
-				}
-				depth.Set(x, y, float32(zn))
-			}
+		hit, z, albedo, normal := trace(sc, pose.T, dirWorld, nm.MaxRange/invZ)
+		if !hit {
+			continue
 		}
-	})
-	return Frame{Depth: depth, Intensity: intensity}
+		// Convert ray length to projective depth (camera z).
+		zDepth := z * invZ
+		// Shading: headlight diffuse plus ambient.
+		view := dirWorld.Scale(-1)
+		diffuse := math.Max(normal.Dot(view), 0)
+		f.Intensity.Set(x, y, float32(clamp01(albedo*(0.25+0.75*diffuse))))
+
+		// Noise model.
+		zn := applyNoise(zDepth, normal, view, nm, rng)
+		if zn <= 0 || zn > nm.MaxRange {
+			continue
+		}
+		f.Depth.Set(x, y, float32(zn))
+	}
 }
 
 // trace sphere-traces from origin along dir and returns the hit state, ray
-// length, surface albedo and normal.
+// length, surface albedo and normal. The march reads distances only; the
+// albedo is looked up once, at the hit.
 func trace(sc *scene.Scene, origin, dir geom.Vec3, tMax float64) (bool, float64, float64, geom.Vec3) {
 	const eps = 1.5e-3
 	t := 0.15
 	for step := 0; step < 192 && t < tMax; step++ {
 		p := origin.Add(dir.Scale(t))
-		d, albedo := sc.DistAlbedo(p)
+		d := sc.Dist(p)
 		if d < eps {
+			_, albedo := sc.DistAlbedo(p)
 			return true, t, albedo, sc.Normal(p)
 		}
 		// Conservative advance: SDF unions are exact here, full step is safe.

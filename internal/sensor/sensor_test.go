@@ -1,7 +1,11 @@
 package sensor
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -201,6 +205,78 @@ func TestDefaultOptions(t *testing.T) {
 	}
 	if ds.Name == "" {
 		t.Fatal("default name empty")
+	}
+}
+
+// testScale is slambench's "test" dataset (which this package cannot import):
+// 80×60, 30 frames of the 100-frame sweep, noise amplified 2×.
+func testScale() Options {
+	return Options{
+		Width: 80, Height: 60, Frames: 30,
+		Noise:      KinectNoise(2),
+		Trajectory: TrajectorySlice(LivingRoomTrajectory2, 100),
+	}
+}
+
+// cutScale is the performance ledger's KFusion cut of the test scale:
+// 60×45 over 10 frames.
+func cutScale() Options {
+	o := testScale()
+	o.Width, o.Height, o.Frames = 60, 45, 10
+	return o
+}
+
+// datasetDigest hashes every depth and intensity bit of every frame.
+func datasetDigest(t testing.TB, ds *Dataset) string {
+	h := sha256.New()
+	for _, f := range ds.Frames {
+		for _, m := range [][]float32{f.Depth.Pix, f.Intensity.Pix} {
+			if err := binary.Write(h, binary.LittleEndian, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDatasetDigest pins the rendered bits of the test scale and of the
+// ledger's cut, so a faster renderer must render the same dataset.
+func TestDatasetDigest(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"cut", cutScale(), "3239643d2e2958c71bbd3549ac91366d207775dbc69396143681f6ac24b725ba"},
+		{"test", testScale(), "e89cc44abbcb7eeb4ff24e900079aa17b6dc532c6c2087c28fed8c7ab93645f8"},
+	} {
+		if got := datasetDigest(t, Generate(c.opts)); got != c.want {
+			t.Errorf("%s digest = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestGenerateIndependentOfWorkers renders the cut on one and on four
+// threads: the schedule must not reach the bits.
+func TestGenerateIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one := datasetDigest(t, Generate(cutScale()))
+	runtime.GOMAXPROCS(4)
+	if four := datasetDigest(t, Generate(cutScale())); four != one {
+		t.Fatalf("digest at GOMAXPROCS 4 = %s, at 1 = %s", four, one)
+	}
+}
+
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"cut", cutScale()}, {"test", testScale()}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = Generate(c.opts)
+			}
+		})
 	}
 }
 

@@ -303,10 +303,10 @@ func TestCalibrationKFusionODROID(t *testing.T) {
 	// §IV-B: the default KFusion configuration runs at ≈ 6 FPS on the
 	// ODROID-XU3. The "test" dataset is smaller but work is rescaled to
 	// paper pixels, so the modeled FPS must stay in the band.
-	b := NewKFusionBench(CachedDataset("full"))
 	if testing.Short() {
 		t.Skip("full dataset evaluation in -short mode")
 	}
+	b := NewKFusionBench(CachedDataset("full"))
 	m, err := b.Evaluate(b.DefaultConfig(), device.ODROIDXU3())
 	if err != nil {
 		t.Fatal(err)
