@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -102,6 +103,49 @@ func TestVolumeWeightCap(t *testing.T) {
 	}
 	if _, w := v.At(1, 1, 1); w != maxWeight {
 		t.Fatalf("weight = %v, want cap %d", w, maxWeight)
+	}
+}
+
+// reset clears the whole volume back to NewVolume's state.
+func (v *Volume) reset() {
+	clear(v.tsdf)
+	clear(v.weight)
+	clear(v.occupied)
+}
+
+// TestVolumeResetMatchesNew: a volume integrated at every compute ratio (so
+// every splat width runs) and at several resolutions reads, after reset,
+// exactly as a volume NewVolume just allocated — every TSDF value, weight and
+// occupancy flag — so a measurement on a reused volume starts where a fresh
+// one would.
+func TestVolumeResetMatchesNew(t *testing.T) {
+	center := geom.V3(0, 1.3, 0)
+	for _, ratio := range []int{1, 2, 4, 8} {
+		p, err := Prepare(testDataset, ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []int{16, 32, 64} {
+			vol := NewVolume(res, volumeSize, center)
+			var updates int64
+			for i := 0; i < len(p.frames); i += 4 {
+				updates += vol.Integrate(p.frames[i].depth, p.intr, testDataset.GroundTruth[i], 0.12)
+			}
+			if updates == 0 || !slices.Contains(vol.occupied, true) {
+				t.Fatalf("ratio %d, res %d: integration observed nothing", ratio, res)
+			}
+			vol.reset()
+			fresh := NewVolume(res, volumeSize, center)
+			if i := slices.IndexFunc(vol.tsdf, func(x float32) bool { return math.Float32bits(x) != 0 }); i >= 0 {
+				t.Fatalf("ratio %d, res %d: tsdf[%d] = %v after reset", ratio, res, i, vol.tsdf[i])
+			}
+			if !slices.Equal(vol.weight, fresh.weight) || !slices.Equal(vol.occupied, fresh.occupied) {
+				t.Fatalf("ratio %d, res %d: weights or occupancy differ from NewVolume after reset", ratio, res)
+			}
+			if !reflect.DeepEqual(vol, fresh) {
+				t.Fatalf("ratio %d, res %d: volume differs from NewVolume after reset", ratio, res)
+			}
+		}
 	}
 }
 

@@ -146,12 +146,48 @@ func TestKFusionMixDigest(t *testing.T) {
 	}
 }
 
-// TestKFusionEvaluateConcurrent: measurements running at once on a fresh
-// benchmark share its per-ratio preprocessing and equal the same
-// measurements run one at a time.
+// TestKFusionMixOrderIndependent: a measurement does not depend on which
+// measurements ran before it. kfusionMix's draws, evaluated in reverse order
+// on a fresh benchmark, equal the same draws evaluated in forward order.
+func TestKFusionMixOrderIndependent(t *testing.T) {
+	fwd, cfgs := kfusionMix()
+	dev := device.ODROIDXU3()
+	want := make([]Metrics, len(cfgs))
+	for i, cfg := range cfgs {
+		m, err := fwd.Evaluate(cfg, dev)
+		if err != nil {
+			t.Fatalf("draw %d: %v", i, err)
+		}
+		want[i] = m
+	}
+	rev := NewKFusionBench(fwd.DS)
+	for i := len(cfgs) - 1; i >= 0; i-- {
+		got, err := rev.Evaluate(cfgs[i], dev)
+		if err != nil {
+			t.Fatalf("draw %d: %v", i, err)
+		}
+		if got != want[i] {
+			t.Fatalf("draw %d: reverse order %+v, forward order %+v", i, got, want[i])
+		}
+	}
+}
+
+// TestKFusionEvaluateConcurrent: twelve measurements running at once on a
+// fresh benchmark, four at each volume resolution, share its per-ratio
+// preprocessing and equal the same measurements run one at a time.
 func TestKFusionEvaluateConcurrent(t *testing.T) {
-	seq, cfgs := kfusionMix()
-	cfgs = cfgs[:6]
+	seq, mix := kfusionMix()
+	perVol := map[float64]int{}
+	var cfgs []param.Config
+	for _, cfg := range mix {
+		if v := seq.Space().Get(cfg, KFVolume); perVol[v] < 4 {
+			perVol[v]++
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	if len(cfgs) != 12 {
+		t.Fatalf("draw has %v configurations per volume resolution, want 4 of each", perVol)
+	}
 	conc := NewKFusionBench(seq.DS)
 	dev := device.ODROIDXU3()
 	got := make([]Metrics, len(cfgs))
