@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -106,13 +107,6 @@ func TestVolumeWeightCap(t *testing.T) {
 	}
 }
 
-// reset clears the whole volume back to NewVolume's state.
-func (v *Volume) reset() {
-	clear(v.tsdf)
-	clear(v.weight)
-	clear(v.occupied)
-}
-
 // TestVolumeResetMatchesNew: a volume integrated at every compute ratio (so
 // every splat width runs) and at several resolutions reads, after reset,
 // exactly as a volume NewVolume just allocated — every TSDF value, weight and
@@ -146,6 +140,42 @@ func TestVolumeResetMatchesNew(t *testing.T) {
 				t.Fatalf("ratio %d, res %d: volume differs from NewVolume after reset", ratio, res)
 			}
 		}
+	}
+}
+
+// TestVolumeFreeList: volumes in use at once are distinct and come back
+// reset, and the free list holds no more volumes of a resolution than were
+// in use at the same time.
+func TestVolumeFreeList(t *testing.T) {
+	const workers, rounds, res = 8, 200, 17 // a resolution Run never uses
+	var inUse sync.Map
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				v := takeVolume(res)
+				if _, dup := inUse.LoadOrStore(v, true); dup {
+					t.Error("one volume handed out twice at once")
+					return
+				}
+				if _, w := v.At(1, 2, 3); w != 0 {
+					t.Error("volume taken from the free list was not reset")
+					return
+				}
+				v.setBlend(1, 2, 3, 0.5)
+				inUse.Delete(v)
+				giveVolume(v)
+			}
+		}()
+	}
+	wg.Wait()
+	volumesMu.Lock()
+	n := len(volumes[res])
+	volumesMu.Unlock()
+	if n < 1 || n > workers {
+		t.Fatalf("free list holds %d volumes after %d workers", n, workers)
 	}
 }
 
@@ -470,11 +500,19 @@ func TestRunMatchesEagerReference(t *testing.T) {
 // BenchmarkRun times one measurement of testConfig on testDataset — Run on
 // input prepared once, as KFusionBench shares it — and, as further
 // sub-benchmarks, the kernels over every frame: the preprocessing that one
-// compute ratio shares, integration, the raycast's march, the model maps
-// built from its crossings, and tracking, all at the ground-truth poses.
+// compute ratio shares, integration at ratio 1 (one voxel per ray step) and
+// at ratio 4 (a splatted neighbourhood per step, the loop that draws at the
+// larger ratios spend their integration in), the reset that readies a
+// ratio-4 volume for reuse, the
+// raycast's march, the model maps built from its crossings, and tracking,
+// all at the ground-truth poses.
 func BenchmarkRun(b *testing.B) {
 	cfg := testConfig()
 	p, err := Prepare(testDataset, cfg.ComputeRatio)
+	if err != nil {
+		b.Fatal(err)
+	}
+	splat, err := Prepare(testDataset, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -512,6 +550,28 @@ func BenchmarkRun(b *testing.B) {
 			for i, f := range p.frames {
 				vol.Integrate(f.depth, p.intr, gt[i], cfg.Mu)
 			}
+		}
+	})
+	b.Run("integrate_splat", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			vol := newVolume()
+			for i, f := range splat.frames {
+				vol.Integrate(f.depth, splat.intr, gt[i], cfg.Mu)
+			}
+		}
+	})
+	b.Run("reset", func(b *testing.B) {
+		vol := newVolume()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			b.StopTimer()
+			for i, f := range splat.frames {
+				vol.Integrate(f.depth, splat.intr, gt[i], cfg.Mu)
+			}
+			b.StartTimer()
+			vol.reset()
 		}
 	})
 	b.Run("raycast", func(b *testing.B) {

@@ -9,6 +9,7 @@ package kfusion
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/imgproc"
@@ -111,8 +112,10 @@ type Result struct {
 // Prepared is a dataset preprocessed at one compute ratio: every frame's
 // filtered depth and its three-level vertex / normal pyramid, and the
 // preprocessing work counted on the way. Nothing else in Config reaches
-// preprocessing, so every configuration at that ratio can share one Prepared;
-// Run only reads it.
+// preprocessing, so every configuration at that ratio can share one Prepared.
+// Run never writes to it, so any number of Runs may read one at once; the
+// volume a Run fuses into is not part of it but comes from a free list that
+// every ratio shares.
 type Prepared struct {
 	ds     *sensor.Dataset
 	ratio  int
@@ -182,7 +185,8 @@ func Run(p *Prepared, cfg Config) (*Result, error) {
 	if simRes < 16 {
 		simRes = 16
 	}
-	vol := NewVolume(simRes, volumeSize, geom.V3(0, 1.3, 0)) // centered on the room
+	vol := takeVolume(simRes)
+	defer giveVolume(vol) // after the last Model.Maps, which reads the volume
 
 	res := &Result{Trajectory: make([]geom.Pose, len(p.frames))}
 	c := &res.Counters
@@ -235,4 +239,34 @@ func Run(p *Prepared, cfg Config) (*Result, error) {
 		c.RaycastSteps += model.Steps
 	}
 	return res, nil
+}
+
+// volumes is Run's free list: reset volumes over the room, a stack per
+// resolution, shared by every compute ratio. A volume is created only when
+// every one of its resolution is in use, so the list never holds more
+// volumes of a resolution than Runs used at the same time.
+var (
+	volumesMu sync.Mutex
+	volumes   = map[int][]*Volume{}
+)
+
+// takeVolume returns a res³ volume centered on the room, every voxel
+// unobserved: one from the free list, or a new one.
+func takeVolume(res int) *Volume {
+	volumesMu.Lock()
+	defer volumesMu.Unlock()
+	free := volumes[res]
+	if n := len(free); n > 0 {
+		volumes[res] = free[:n-1]
+		return free[n-1]
+	}
+	return NewVolume(res, volumeSize, geom.V3(0, 1.3, 0))
+}
+
+// giveVolume resets v and puts it back on the free list.
+func giveVolume(v *Volume) {
+	v.reset()
+	volumesMu.Lock()
+	volumes[v.Res] = append(volumes[v.Res], v)
+	volumesMu.Unlock()
 }

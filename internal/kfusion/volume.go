@@ -7,8 +7,8 @@ import (
 	"repro/internal/imgproc"
 )
 
-// brickShift sets the occupancy granularity: one flag per 4³-voxel brick.
-const brickShift = 2
+// brickShift sets the occupancy granularity: one flag per 2³-voxel brick.
+const brickShift = 1
 
 // Volume is the truncated signed distance function (TSDF) voxel grid at the
 // heart of KinectFusion. TSDF values are normalized to [-1, 1] (distance to
@@ -30,7 +30,8 @@ type Volume struct {
 }
 
 // NewVolume allocates a res³ volume of the given physical size centered at
-// center, every voxel unobserved.
+// center, every voxel unobserved: zeroed TSDF values, weights and occupancy
+// flags, the state reset returns a used volume to.
 func NewVolume(res int, size float64, center geom.Vec3) *Volume {
 	n := res * res * res
 	bricks := (res + 1<<brickShift - 1) >> brickShift
@@ -73,23 +74,24 @@ func (v *Volume) setBlend(x, y, z int, val float32) {
 	if x < 0 || y < 0 || z < 0 || x >= v.Res || y >= v.Res || z >= v.Res {
 		return
 	}
-	v.blend(v.index(x, y, z), x, y, z, val)
+	if v.blend(v.index(x, y, z), val) {
+		v.occupy(x, y, z)
+	}
 }
 
-// blend is setBlend on the in-grid voxel (x, y, z) at flat index i. An
-// unobserved voxel holds TSDF 0, so its first blend stores val exactly as it
-// would over the "far" value 1: (t·0 + val)/1 == val for any finite t. A
+// blend is setBlend on the in-grid voxel at flat index i, and reports
+// whether the voxel was unobserved, so that the caller occupies its bricks.
+// An unobserved voxel holds TSDF 0, so its first blend stores val exactly as
+// it would over the "far" value 1: (t·0 + val)/1 == val for any finite t. A
 // byte weight converts to float32 exactly.
-func (v *Volume) blend(i, x, y, z int, val float32) {
+func (v *Volume) blend(i int, val float32) (first bool) {
 	w := v.weight[i]
 	fw := float32(w)
-	v.tsdf[i] = (v.tsdf[i]*fw + val) / (fw + 1)
+	v.tsdf[i] = (float32(v.tsdf[i]*fw) + val) / (fw + 1)
 	if w < maxWeight {
-		if w == 0 {
-			v.occupy(x, y, z)
-		}
 		v.weight[i] = w + 1
 	}
+	return w == 0
 }
 
 // occupy flags the bricks whose cells can read voxel (x, y, z): its own,
@@ -102,6 +104,40 @@ func (v *Volume) occupy(x, y, z int) {
 			}
 		}
 	}
+}
+
+// reset returns v to the state NewVolume leaves it in. Only a blend makes a
+// voxel's TSDF value or weight nonzero, and a voxel's first blend flags its
+// own brick, so zeroing the voxels of the flagged bricks (each run of
+// flagged bricks along x one row at a time) clears every voxel written since.
+func (v *Volume) reset() {
+	const side = 1 << brickShift
+	r, nb := v.Res, v.bricks
+	for bz := range nb {
+		for by := range nb {
+			flags := v.occupied[(bz*nb+by)*nb:][:nb]
+			for bx := 0; bx < nb; {
+				if !flags[bx] {
+					bx++
+					continue
+				}
+				end := bx + 1
+				for end < nb && flags[end] {
+					end++
+				}
+				x0, x1 := bx*side, min(end*side, r)
+				for z := bz * side; z < min(bz*side+side, r); z++ {
+					for y := by * side; y < min(by*side+side, r); y++ {
+						row := (z*r + y) * r
+						clear(v.tsdf[row+x0 : row+x1])
+						clear(v.weight[row+x0 : row+x1])
+					}
+				}
+				bx = end
+			}
+		}
+	}
+	clear(v.occupied)
 }
 
 // voxelOf returns the voxel coordinates containing world point p.
@@ -124,6 +160,10 @@ func (v *Volume) Interp(p geom.Vec3) (float64, bool) {
 	wy := [2]float64{1 - fy, fy}
 	wz := [2]float64{1 - fz, fz}
 
+	// Each product is rounded by an explicit conversion before it is summed,
+	// so that no GOARCH fuses the two into one multiply-add (the Go spec
+	// allows that otherwise) and the bits are the same everywhere; blend and
+	// Integrate's tables do the same.
 	var acc, mass float64
 	if r := v.Res; x0 >= 0 && y0 >= 0 && z0 >= 0 && x0 < r-1 && y0 < r-1 && z0 < r-1 {
 		// The whole cell is in the grid and within its base brick and that
@@ -139,8 +179,8 @@ func (v *Volume) Interp(p geom.Vec3) (float64, bool) {
 					if v.weight[row+dx] == 0 {
 						continue
 					}
-					wi := wx[dx] * wy[dy] * wz[dz]
-					acc += wi * float64(v.tsdf[row+dx])
+					wi := float64(wx[dx] * wy[dy] * wz[dz])
+					acc += float64(wi * float64(v.tsdf[row+dx]))
 					mass += wi
 				}
 			}
@@ -158,8 +198,8 @@ func (v *Volume) Interp(p geom.Vec3) (float64, bool) {
 					if w == 0 {
 						continue
 					}
-					wi := wx[dx] * wy[dy] * wz[dz]
-					acc += wi * float64(t)
+					wi := float64(wx[dx] * wy[dy] * wz[dz])
+					acc += float64(wi * float64(t))
 					mass += wi
 				}
 			}
@@ -197,7 +237,7 @@ func (v *Volume) Grad(p geom.Vec3) (geom.Vec3, bool) {
 // performed.
 func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geom.Pose, mu float64) int64 {
 	vs := v.voxel
-	step := vs * 0.5
+	step := float64(vs * 0.5)
 	band := mu + vs
 	camPos := pose.Translation()
 	rotT := pose.R.Transpose() // world → camera rotation
@@ -211,7 +251,7 @@ func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geo
 	tab := make([]float64, 3*r)
 	ax, ay, az := tab[:r], tab[r:2*r], tab[2*r:]
 	for i := range r {
-		c := (float64(i) + 0.5) * vs
+		c := float64((float64(i) + 0.5) * vs)
 		ax[i] = rotT[6] * (v.Origin.X + c - camPos.X)
 		ay[i] = rotT[7] * (v.Origin.Y + c - camPos.Y)
 		az[i] = rotT[8] * (v.Origin.Z + c - camPos.Z)
@@ -270,7 +310,9 @@ func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geo
 							if val > 1 {
 								val = 1
 							}
-							v.blend(row+x, x, y, zz, float32(val))
+							if v.blend(row+x, float32(val)) {
+								v.occupy(x, y, zz)
+							}
 							updates++
 						}
 					}
@@ -298,7 +340,7 @@ func (v *Volume) Raycast(intr imgproc.Intrinsics, pose geom.Pose, mu, near, far 
 	m := &Model{vol: v, vertex: imgproc.NewVecMap(intr.W, intr.H)}
 	camPos := pose.Translation()
 	largeStep := math.Max(mu*0.75, v.voxel)
-	fineStep := v.voxel * 0.5
+	fineStep := float64(v.voxel * 0.5)
 	var steps int64
 
 	for py := 0; py < intr.H; py++ {
