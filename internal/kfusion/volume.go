@@ -237,7 +237,7 @@ func (v *Volume) Grad(p geom.Vec3) (geom.Vec3, bool) {
 // performed.
 func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geom.Pose, mu float64) int64 {
 	vs := v.voxel
-	step := float64(vs * 0.5)
+	step := float64(vs * 0.5) // rounded before it is added, as in Interp
 	band := mu + vs
 	camPos := pose.Translation()
 	rotT := pose.R.Transpose() // world → camera rotation
@@ -246,7 +246,8 @@ func (v *Volume) Integrate(depth *imgproc.Map, intr imgproc.Intrinsics, pose geo
 
 	// A voxel center's camera depth is the third row of
 	// rotT·(center − camPos): one term per axis, tabulated here exactly as
-	// Mat3.MulVec evaluates it, so a voxel's depth is ax[x] + ay[y] + az[z].
+	// Mat3.MulVec evaluates it, so a voxel's depth is ax[x] + ay[y] + az[z];
+	// the voxel-center offset c is rounded before it is added, as in Interp.
 	r := v.Res
 	tab := make([]float64, 3*r)
 	ax, ay, az := tab[:r], tab[r:2*r], tab[2*r:]
@@ -340,7 +341,7 @@ func (v *Volume) Raycast(intr imgproc.Intrinsics, pose geom.Pose, mu, near, far 
 	m := &Model{vol: v, vertex: imgproc.NewVecMap(intr.W, intr.H)}
 	camPos := pose.Translation()
 	largeStep := math.Max(mu*0.75, v.voxel)
-	fineStep := float64(v.voxel * 0.5)
+	fineStep := float64(v.voxel * 0.5) // rounded before it is added, as in Interp
 	var steps int64
 
 	for py := 0; py < intr.H; py++ {
