@@ -201,11 +201,12 @@ func testConfigs(t testing.TB, n int) []param.Config {
 // TestBatchReachesEveryHealthyWorker is the planner seen from the wire: a
 // 16-configuration batch — half a default ChunkSize, one request to one
 // worker under the old fixed stride — reaches all three workers, and with
-// one breaker open only the two that can take it.
+// one breaker open only the two that can take it, one chunk each, wherever
+// the round-robin cursor stands.
 func TestBatchReachesEveryHealthyWorker(t *testing.T) {
 	cfgs := testConfigs(t, 16)
 	eval := testEval()
-	run := func(t *testing.T, trip []int) map[string][]int {
+	run := func(t *testing.T, trip []int, cursor int64) map[string][]int {
 		fleet, urls := newMemFleet(t, 3)
 		fleet.recordSizes = true
 		pool, err := NewPool(urls, Options{
@@ -219,6 +220,7 @@ func TestBatchReachesEveryHealthyWorker(t *testing.T) {
 		}
 		defer pool.Close()
 		tripAll(pool, trip...)
+		pool.cursor.Store(cursor)
 		out, err := pool.Backend("test", 2).EvaluateBatch(context.Background(), cfgs)
 		if err != nil {
 			t.Fatal(err)
@@ -235,7 +237,7 @@ func TestBatchReachesEveryHealthyWorker(t *testing.T) {
 	}
 
 	t.Run("all healthy", func(t *testing.T) {
-		got := run(t, nil)
+		got := run(t, nil, 0)
 		total := 0
 		for _, host := range []string{"w0", "w1", "w2"} {
 			if len(got[host]) != 1 || got[host][0] < 5 || got[host][0] > 6 {
@@ -248,13 +250,20 @@ func TestBatchReachesEveryHealthyWorker(t *testing.T) {
 		}
 	})
 	t.Run("one breaker open", func(t *testing.T) {
-		got := run(t, []int{2})
-		if len(got["w2"]) != 0 {
-			t.Fatalf("tripped worker w2 was sent %v", got["w2"])
-		}
-		for _, host := range []string{"w0", "w1"} {
-			if !slices.Equal(got[host], []int{8}) {
-				t.Fatalf("worker %s was sent %v, want one request of 8 (all: %v)", host, got[host], got)
+		// Every tripped worker at every cursor phase: a round-robin that
+		// skipped the tripped worker handed its successor both chunks.
+		for tripped := range 3 {
+			for cursor := range int64(3) {
+				got := run(t, []int{tripped}, cursor)
+				down := fmt.Sprintf("w%d", tripped)
+				if len(got[down]) != 0 {
+					t.Fatalf("cursor %d: tripped worker %s was sent %v", cursor, down, got[down])
+				}
+				for _, host := range []string{"w0", "w1", "w2"} {
+					if host != down && !slices.Equal(got[host], []int{8}) {
+						t.Fatalf("%s tripped, cursor %d: worker %s was sent %v, want one request of 8 (all: %v)", down, cursor, host, got[host], got)
+					}
+				}
 			}
 		}
 	})
@@ -263,7 +272,7 @@ func TestBatchReachesEveryHealthyWorker(t *testing.T) {
 		// each is pick's business: the first success closes a breaker, and the
 		// chunks still unplaced then prefer that worker.
 		var sent []int
-		for _, sizes := range run(t, []int{0, 1, 2}) {
+		for _, sizes := range run(t, []int{0, 1, 2}, 0) {
 			sent = append(sent, sizes...)
 		}
 		slices.Sort(sent)
