@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -148,15 +147,20 @@ type workerState struct {
 	trips    atomic.Int64
 
 	brkMu   sync.Mutex
-	brk     BreakerState
+	brk     breakerState
 	consec  int    // consecutive failures while closed
 	lastErr string // most recent failure; cleared on close
 }
 
-// Pool is a fleet of worker daemons plus the dispatch policy (sharding,
-// bounded in-flight requests, retries, hedged straggler re-dispatch). One
-// Pool is shared by every session of a coordinator daemon; Backend binds
-// it to a problem name, yielding the core.Backend a run plugs in.
+// Pool is a fleet of worker daemons plus the dispatch that spreads
+// batches over it, in three stages: placement picks a worker from one
+// candidate set (breaker.go), an attempt is one POST whose reply is
+// classified into an outcome that also drives the accounting (post and
+// account, below), and the policy decides from a chunk's outcomes when to
+// wait, hedge, retry or give up (policy.go). evalChunk and attemptHedged
+// carry the policy out, with bounded in-flight requests. One Pool is
+// shared by every session of a coordinator daemon; Backend binds it to a
+// problem name, yielding the core.Backend a run plugs in.
 //
 // Pools are safe for concurrent use.
 type Pool struct {
@@ -164,7 +168,7 @@ type Pool struct {
 	opts    Options
 	client  *http.Client
 	sem     chan struct{} // bounds in-flight HTTP requests
-	cursor  atomic.Int64  // round-robin worker pick
+	cursor  atomic.Int64  // round-robin position over the candidate set (pick)
 
 	winMu   sync.Mutex
 	windows map[string]*latencyWindow // per-problem service times
@@ -183,20 +187,6 @@ type Pool struct {
 	probing   bool          // health-probe loop running (breaker.go)
 	done      chan struct{} // closed by Close; stops the probe loop
 	closeOnce sync.Once
-}
-
-// latencyWindow is one problem's sliding window of service times per
-// configuration (a request's service time ÷ the configurations it
-// carried), feeding the adaptive hedge threshold. The unit is what lets a
-// 4-configuration chunk and a 32-configuration chunk share one window.
-// Windows are per problem because pooling them would be meaningless: a
-// coordinator runs millisecond synthetic batches next to minutes-long SLAM
-// batches, and a quantile over the mixture would hedge every legitimately
-// slow batch immediately.
-type latencyWindow struct {
-	mu  sync.Mutex
-	lat []time.Duration // ring buffer
-	n   int             // total completions recorded
 }
 
 // NewPool builds a pool over the given worker base URLs (e.g.
@@ -274,15 +264,17 @@ func (p *Pool) Backend(problem string, objectives int) core.Backend {
 func (p *Pool) Stats() []WorkerStats {
 	out := make([]WorkerStats, len(p.workers))
 	for i, w := range p.workers {
-		state, trips, lastErr := p.breakerStats(i)
+		w.brkMu.Lock()
+		brk, lastErr := w.brk, w.lastErr
+		w.brkMu.Unlock()
 		out[i] = WorkerStats{
 			URL:       w.url,
 			Requests:  w.requests.Load(),
 			Failures:  w.failures.Load(),
 			Hedges:    w.hedges.Load(),
 			InFlight:  w.inflight.Load(),
-			Breaker:   state,
-			Trips:     trips,
+			Breaker:   breakerNames[brk],
+			Trips:     w.trips.Load(),
 			LastError: lastErr,
 		}
 	}
@@ -308,7 +300,7 @@ type remoteBackend struct {
 }
 
 // EvaluateBatch implements core.Backend: the batch is cut into even chunks
-// across the healthy fleet (planChunks), each chunk is dispatched to a
+// over the candidate set (planChunks), each chunk is dispatched to a
 // worker (with retries on other workers and hedged re-dispatch of
 // stragglers), and results land at fixed offsets of the output — so
 // however the batch is cut and however completion order shuffles, the
@@ -332,7 +324,7 @@ func (b *remoteBackend) EvaluateBatch(ctx context.Context, cfgs []param.Config) 
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
-	bounds := planChunks(n, p.healthy(), p.opts.ChunkSize)
+	bounds := planChunks(n, len(p.candidates(nil)), p.opts.ChunkSize)
 	for i := 1; i < len(bounds); i++ {
 		lo, hi := bounds[i-1], bounds[i]
 		wg.Add(1)
@@ -386,109 +378,31 @@ func planChunks(n, workers, chunkSize int) []int {
 	return bounds
 }
 
-// permanentError marks worker replies retrying cannot fix — 4xx protocol
-// rejections like an unknown problem name or an inadmissible
-// configuration. Every worker of a consistent fleet would answer the same,
-// so the dispatch fails fast instead of burning its retry budget.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// backpressureError marks a 503 from a load-shedding worker (server.go's
-// shed limit): the worker is healthy but saturated, so the reply is
-// honored as backpressure — wait out the advertised Retry-After and
-// re-attempt without charging the retry budget, the failure counters, or
-// the circuit breaker.
-type backpressureError struct {
-	url   string
-	after time.Duration // advertised Retry-After; 0 when absent
-}
-
-func (e *backpressureError) Error() string {
-	return fmt.Sprintf("worker %s: 503: shedding load (retry after %v)", e.url, e.after)
-}
-
-// retryDelay returns the pause before retry attempt (1-based): full
-// jitter over an exponentially growing base capped at RetryBackoffCap,
-// i.e. uniform in [0, min(cap, RetryBackoff·2^(attempt−1))]. Randomizing
-// the whole interval (not just a fringe) is what breaks the thundering
-// herd of many chunks failing on the same worker at the same instant.
-func (p *Pool) retryDelay(attempt int) time.Duration {
-	base := p.opts.RetryBackoffCap
-	if shift := attempt - 1; shift >= 0 && shift < 20 {
-		if b := p.opts.RetryBackoff << shift; b < base {
-			base = b
-		}
-	}
-	p.rngMu.Lock()
-	defer p.rngMu.Unlock()
-	return time.Duration(p.rng.Int63n(int64(base) + 1))
-}
-
-// evalChunk runs one chunk to completion: up to 1+Retries hedged attempts,
-// each avoiding every worker that already failed this chunk (primaries and
-// hedge legs alike) while an untried one remains — so a healthy worker is
-// always reached before the budget can exhaust on known-bad ones. Each
-// retry waits a jittered exponential backoff (retryDelay). Permanent
-// (4xx) rejections are not retried; 503 load-shed replies are waited out
-// without consuming the retry budget (up to maxShedWaits pauses).
+// evalChunk runs one chunk to completion, carrying out what the policy
+// (chunk.settle) decides after each attempt: finish, give up, or pause and
+// attempt again. The pause is the only sleep in dispatch.
 func (p *Pool) evalChunk(ctx context.Context, problem string, cfgs []param.Config) ([][]float64, error) {
-	var lastErr error
-	failed := make(map[int]bool) // workers that failed this chunk
-	var delay time.Duration
-	shedWaits := 0
-	for attempt := 0; attempt <= p.opts.Retries; attempt++ {
-		if delay > 0 {
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+	c := &chunk{size: len(cfgs), retries: p.opts.Retries, workers: len(p.workers),
+		backoff: p.retryDelay, failed: make(map[int]bool)}
+	for {
+		objs, pause, err := p.attemptHedged(ctx, c, problem, cfgs)
+		if objs != nil || err != nil {
+			return objs, err
 		}
-		if len(failed) >= len(p.workers) {
-			// Every worker failed once already; transient outages may have
-			// passed, so open the full fleet back up.
-			clear(failed)
-		}
-		objs, attemptFailed, err := p.attemptHedged(ctx, failed, problem, cfgs)
-		if err == nil {
-			return objs, nil
-		}
-		if ctx.Err() != nil {
+		select {
+		case <-time.After(pause):
+		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			return nil, fmt.Errorf("worker: chunk of %d configs rejected: %w", len(cfgs), err)
-		}
-		for _, w := range attemptFailed {
-			failed[w] = true
-		}
-		var bp *backpressureError
-		if errors.As(err, &bp) && shedWaits < maxShedWaits {
-			// Load shedding is backpressure, not failure: honor the
-			// advertised pause (at least one base backoff, jittered) and
-			// re-attempt — against another worker first, since this one is
-			// in the failed set for the chunk — without spending a retry.
-			shedWaits++
-			attempt--
-			delay = min(max(bp.after, p.retryDelay(1)), maxShedPause)
-			continue
-		}
-		lastErr = err
-		delay = p.retryDelay(attempt + 1)
 	}
-	return nil, fmt.Errorf("worker: chunk of %d configs failed after %d attempts: %w",
-		len(cfgs), p.opts.Retries+1, lastErr)
 }
 
-// attemptHedged runs one attempt: a request to a primary worker picked
-// outside the avoid set and, if it is still outstanding past the hedge
-// threshold, a second request to another worker. The first successful
-// reply wins and cancels the loser; the attempt fails only when every
-// dispatched leg has failed. It reports the workers whose requests failed
-// so the retry loop can route around them.
+// attemptHedged runs one attempt: a request to a primary worker placed
+// outside the chunk's failed set and, if it is still outstanding past the
+// hedge threshold, a second request to another worker (chunk.hedgeAvoid).
+// Each leg's outcome goes to the policy; the attempt ends with the
+// objectives of the first leg to succeed, the error the chunk gives up
+// with, or neither and the pause before the next attempt.
 //
 // Every leg holds an in-flight semaphore slot for its HTTP exchange. The
 // primary acquires it blocking (that wait IS the pool's backpressure);
@@ -499,11 +413,11 @@ func (p *Pool) evalChunk(ctx context.Context, problem string, cfgs []param.Confi
 // never inflate the adaptive hedge threshold — and the hedge timer is
 // armed at that per-configuration quantile × len(cfgs), so a small chunk
 // is not judged against a large one's time (see hedgeDelay).
-func (p *Pool) attemptHedged(ctx context.Context, avoid map[int]bool, problem string, cfgs []param.Config) ([][]float64, []int, error) {
+func (p *Pool) attemptHedged(ctx context.Context, c *chunk, problem string, cfgs []param.Config) ([][]float64, time.Duration, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel() // reels in the losing leg
 
-	replies := make(chan hedgeReply, 2)
+	replies := make(chan outcome, 2)
 	// launch dispatches one leg; it reports false when no slot/context was
 	// available (hedge skipped, or ctx done during the primary's wait).
 	launch := func(worker int, hedge bool) bool {
@@ -528,92 +442,53 @@ func (p *Pool) attemptHedged(ctx context.Context, avoid map[int]bool, problem st
 		go func() {
 			defer func() { <-p.sem }()
 			start := time.Now()
-			objs, err := p.post(cctx, w, problem, cfgs)
-			switch {
-			case err == nil:
-				// Counts for the breaker whether this leg wins or loses:
-				// the worker completed real service either way.
-				p.recordSuccess(worker)
-			case cctx.Err() == nil:
-				var bp *backpressureError
-				if !errors.As(err, &bp) {
-					// Backpressure is a healthy worker protecting itself;
-					// everything else is a failure, for the counters and
-					// the breaker alike (permanent 4xx rejections are kept
-					// out of the breaker by recordFailure's caller below).
-					w.failures.Add(1)
-					var perm *permanentError
-					if !errors.As(err, &perm) {
-						p.recordFailure(worker, err)
-					}
-				}
-			}
-			replies <- hedgeReply{objs, err, worker, time.Since(start) / time.Duration(len(cfgs))}
+			o := p.post(cctx, w, problem, cfgs)
+			o.worker, o.perConfig = worker, time.Since(start)/time.Duration(len(cfgs))
+			p.account(worker, o)
+			replies <- o
 		}()
 		return true
 	}
 
-	primary := p.pick(avoid)
+	primary := p.pick(c.failed)
 	if !launch(primary, false) {
-		return nil, nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 	outstanding := 1
-	var attemptFailed []int
 	var hedgeTimer <-chan time.Time
-	if d := p.hedgeDelay(problem, len(cfgs)); d > 0 && len(p.workers) > 1 {
+	if d := p.hedgeDelay(problem, len(cfgs)); d > 0 {
 		hedgeTimer = time.After(d)
 	}
-	var lastErr error
 	for {
 		select {
-		case r := <-replies:
+		case o := <-replies:
 			outstanding--
-			if r.err == nil {
-				p.window(problem).record(r.perConfig)
+			if o.kind == cancelled {
+				return nil, 0, ctx.Err()
+			}
+			switch v, pause, err := c.settle(o, outstanding); v {
+			case finish:
+				p.window(problem).record(o.perConfig)
 				if outstanding > 0 {
 					p.drainLosers(problem, replies, outstanding)
 				}
-				return r.objs, attemptFailed, nil
-			}
-			attemptFailed = append(attemptFailed, r.worker)
-			var perm *permanentError
-			if errors.As(r.err, &perm) {
-				// A protocol rejection is definitive for the whole fleet;
-				// do not wait for (or spend) a hedge leg on it. The
-				// still-outstanding leg (if any) is cancelled by the
-				// deferred cancel and drains through the buffered channel.
-				return nil, attemptFailed, r.err
-			}
-			lastErr = r.err
-			if outstanding == 0 {
-				return nil, attemptFailed, lastErr
+				return o.objs, 0, nil
+			case retry:
+				return nil, pause, nil
+			case giveUp:
+				// A leg still out is cancelled by the deferred cancel and
+				// drains through the buffered channel.
+				return nil, 0, err
 			}
 		case <-hedgeTimer:
 			hedgeTimer = nil
-			hedgeAvoid := map[int]bool{primary: true}
-			for w := range avoid {
-				hedgeAvoid[w] = true
-			}
-			if len(hedgeAvoid) >= len(p.workers) {
-				hedgeAvoid = map[int]bool{primary: true}
-			}
-			if second := p.pick(hedgeAvoid); second != primary && launch(second, true) {
+			if second := p.pick(c.hedgeAvoid(primary)); second != primary && launch(second, true) {
 				outstanding++
 			}
 		case <-ctx.Done():
-			return nil, attemptFailed, ctx.Err()
+			return nil, 0, ctx.Err()
 		}
 	}
-}
-
-// hedgeReply is one leg's outcome in a hedged attempt.
-type hedgeReply struct {
-	objs   [][]float64
-	err    error
-	worker int
-	// perConfig is the leg's service time ÷ the chunk's configurations,
-	// the unit latencyWindow keeps.
-	perConfig time.Duration
 }
 
 // drainLosers collects the outstanding legs of a decided hedged attempt
@@ -624,81 +499,166 @@ type hedgeReply struct {
 // worker's hedge losses count as completions in the health snapshot
 // instead of vanishing from it. Cancelled or failed losers were already
 // accounted for by the launch goroutine.
-func (p *Pool) drainLosers(problem string, replies <-chan hedgeReply, outstanding int) {
+func (p *Pool) drainLosers(problem string, replies <-chan outcome, outstanding int) {
 	go func() {
 		for i := 0; i < outstanding; i++ {
-			if r := <-replies; r.err == nil {
-				p.window(problem).record(r.perConfig)
+			if o := <-replies; o.kind == succeeded {
+				p.window(problem).record(o.perConfig)
 			}
 		}
 	}()
 }
 
-// post sends one evaluation request and decodes the reply. The caller
+// outcomeKind classifies one request's reply; it is all the policy and the
+// breaker learn of the exchange.
+type outcomeKind int
+
+const (
+	succeeded outcomeKind = iota
+	// rejected is a 4xx: a protocol rejection (unknown problem, bad
+	// configuration) every worker of a consistent fleet would repeat.
+	rejected
+	// shed is a 503 from a healthy worker shedding load, with its
+	// Retry-After.
+	shed
+	// failed is anything else: connection error, timeout, 5xx, malformed
+	// reply.
+	failed
+	// cancelled is a leg nobody waits for any more: its attempt was
+	// decided by the other leg, or the caller gave up.
+	cancelled
+)
+
+// outcome is one leg of an attempt, classified.
+type outcome struct {
+	kind  outcomeKind
+	objs  [][]float64   // succeeded: one objective vector per configuration
+	err   error         // every kind but succeeded
+	after time.Duration // shed: the advertised Retry-After; 0 when absent
+	// worker and perConfig (service time ÷ the chunk's configurations, the
+	// unit latencyWindow keeps) are filled in by the leg that sent it.
+	worker    int
+	perConfig time.Duration
+}
+
+// account updates worker i's failure counter and breaker from one leg's
+// outcome (requests and hedges are counted when a leg is sent). A success
+// closes the breaker, whichever leg it was — a hedge loser's, or traffic
+// that reached an open worker because the whole fleet was tripped: a real
+// success is better evidence of health than any probe. A rejection counts
+// as a failure but says nothing about the worker's health; a transient
+// failure also records the error and, at BreakerThreshold consecutive
+// ones, trips the breaker. Shed and cancelled legs change nothing: the one
+// is a healthy worker protecting itself, the other a request nobody waits
+// for any more.
+func (p *Pool) account(i int, o outcome) {
+	w := p.workers[i]
+	if o.kind == rejected || o.kind == failed {
+		w.failures.Add(1)
+	}
+	w.brkMu.Lock()
+	switch o.kind {
+	case succeeded:
+		w.consec = 0
+		if w.brk != breakerClosed {
+			w.brk = breakerClosed
+			w.lastErr = ""
+		}
+	case failed:
+		w.lastErr = o.err.Error()
+		switch {
+		case p.opts.BreakerThreshold <= 0: // breakers disabled
+		case w.brk == breakerClosed:
+			if w.consec++; w.consec >= p.opts.BreakerThreshold {
+				w.brk = breakerOpen
+				w.trips.Add(1)
+			}
+		case w.brk == breakerHalfOpen:
+			// Live traffic failed while a probe was deciding: back to open
+			// without counting a fresh trip.
+			w.brk = breakerOpen
+		}
+	}
+	tripped := w.brk != breakerClosed
+	w.brkMu.Unlock()
+	if o.kind == failed && tripped {
+		p.ensureProbing()
+	}
+}
+
+// post sends one evaluation request and classifies the reply. The caller
 // (attemptHedged's launch) holds the in-flight semaphore slot for the
 // duration of the exchange; RequestTimeout caps it so a wedged worker
-// fails the attempt instead of hanging it.
-func (p *Pool) post(ctx context.Context, w *workerState, problem string, cfgs []param.Config) ([][]float64, error) {
+// fails the attempt instead of hanging it. ctx is the attempt's: once it
+// is done, whatever went wrong is reported as cancelled.
+func (p *Pool) post(ctx context.Context, w *workerState, problem string, cfgs []param.Config) (o outcome) {
+	w.inflight.Add(1)
+	defer func() {
+		w.inflight.Add(-1)
+		if o.kind != succeeded && ctx.Err() != nil {
+			o.kind = cancelled
+		}
+	}()
+	rctx := ctx
 	if t := p.opts.RequestTimeout; t > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
+		rctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	w.inflight.Add(1)
-	defer w.inflight.Add(-1)
-
+	fail := func(err error) outcome {
+		return outcome{kind: failed, err: fmt.Errorf("worker %s: %w", w.url, err)}
+	}
 	body, err := json.Marshal(EvaluateRequest{Problem: problem, Configs: cfgs})
 	if err != nil {
-		return nil, err
+		return outcome{kind: failed, err: err}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/evaluate", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, w.url+"/evaluate", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return outcome{kind: failed, err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("worker %s: %w", w.url, err)
+		return fail(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			// A load-shedding worker (or a drain-mode proxy in front of
-			// one): backpressure, not an outage. Honored by evalChunk
-			// without charging retries, failures, or the breaker.
-			return nil, &backpressureError{url: w.url, after: parseRetryAfter(resp.Header.Get("Retry-After"))}
-		}
+	switch code := resp.StatusCode; {
+	case code == http.StatusServiceUnavailable:
+		// A load-shedding worker (or a drain-mode proxy in front of one):
+		// backpressure, not an outage.
+		after := parseRetryAfter(resp.Header.Get("Retry-After"))
+		return outcome{kind: shed, after: after, err: fmt.Errorf("worker %s: 503: shedding load (retry after %v)", w.url, after)}
+	case code != http.StatusOK:
 		var e ErrorResponse
 		msg := resp.Status
 		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e) == nil && e.Error != "" {
 			msg = e.Error
 		}
-		err := fmt.Errorf("worker %s: %d: %s", w.url, resp.StatusCode, msg)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			// 4xx is a protocol rejection (unknown problem, bad config),
-			// not a worker outage: no other worker of a consistent fleet
-			// would answer differently, so mark it non-retryable.
-			return nil, &permanentError{err: err}
+		o := fail(fmt.Errorf("%d: %s", code, msg))
+		if code >= 400 && code < 500 {
+			// A protocol rejection (unknown problem, bad config), not a
+			// worker outage: no other worker would answer differently.
+			o.kind = rejected
 		}
-		return nil, err
+		return o
 	}
 	reply, err := readReply(resp.Body)
 	if err != nil {
-		return nil, fmt.Errorf("worker %s: reading response: %w", w.url, err)
+		return fail(fmt.Errorf("reading response: %w", err))
 	}
 	out, err := decodeObjectives(reply)
 	if err != nil {
-		return nil, fmt.Errorf("worker %s: decoding response: %w", w.url, err)
+		return fail(fmt.Errorf("decoding response: %w", err))
 	}
 	if len(out) != len(cfgs) {
-		return nil, fmt.Errorf("worker %s: %d objective vectors for %d configs", w.url, len(out), len(cfgs))
+		return fail(fmt.Errorf("%d objective vectors for %d configs", len(out), len(cfgs)))
 	}
 	for i, objs := range out {
 		if objs == nil {
-			return nil, fmt.Errorf("worker %s: nil objectives at position %d", w.url, i)
+			return fail(fmt.Errorf("nil objectives at position %d", i))
 		}
 	}
-	return out, nil
+	return outcome{kind: succeeded, objs: out}
 }
 
 // readReply reads a peer's reply body, bounded like the request that asked
@@ -725,92 +685,4 @@ func parseRetryAfter(v string) time.Duration {
 		return 0
 	}
 	return time.Duration(secs) * time.Second
-}
-
-// pick returns the next worker index round-robin, preferring workers that
-// are neither in the avoid set nor tripped by their circuit breaker.
-// Tripped workers supersede the per-chunk avoid set — they are skipped
-// before a chunk ever fails on them — but only while an alternative
-// exists: with every candidate tripped, pick degrades to avoid-only
-// round-robin (an all-open fleet must keep receiving traffic, since a
-// success is what readmits a worker fastest), and with everything
-// avoided too it degrades to plain round-robin rather than spinning.
-func (p *Pool) pick(avoid map[int]bool) int {
-	n := len(p.workers)
-	start := int(p.cursor.Add(1)-1) % n
-	if start < 0 {
-		start += n // cursor wrap: Add is modular int64 arithmetic
-	}
-	for i := 0; i < n; i++ {
-		if w := (start + i) % n; !avoid[w] && !p.tripped(w) {
-			return w
-		}
-	}
-	for i := 0; i < n; i++ {
-		if w := (start + i) % n; !avoid[w] {
-			return w
-		}
-	}
-	return start
-}
-
-// window returns the named problem's latency window, creating it on first
-// use.
-func (p *Pool) window(problem string) *latencyWindow {
-	p.winMu.Lock()
-	defer p.winMu.Unlock()
-	w, ok := p.windows[problem]
-	if !ok {
-		w = &latencyWindow{lat: make([]time.Duration, 0, latencyWindowSize)}
-		p.windows[problem] = w
-	}
-	return w
-}
-
-// record appends one request's per-configuration service time to the
-// sliding window.
-func (w *latencyWindow) record(d time.Duration) {
-	w.mu.Lock()
-	if len(w.lat) < latencyWindowSize {
-		w.lat = append(w.lat, d)
-	} else {
-		w.lat[w.n%latencyWindowSize] = d
-	}
-	w.n++
-	w.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the windowed per-configuration
-// service times, or 0 when fewer than hedgeMinSamples completions have
-// been recorded.
-func (w *latencyWindow) quantile(q float64) time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n < hedgeMinSamples {
-		return 0
-	}
-	window := append([]time.Duration(nil), w.lat...)
-	slices.Sort(window)
-	i := int(q * float64(len(window)))
-	if i >= len(window) {
-		i = len(window) - 1
-	}
-	return window[i]
-}
-
-// hedgeDelay returns the current straggler threshold for a request of
-// configs configurations of one problem: the fixed HedgeAfter when
-// configured (whatever the request's size), otherwise the hedgeQuantile of
-// that problem's observed per-configuration service times × configs. 0
-// means "do not hedge" (hedging disabled, or the adaptive window has too
-// few samples to trust); RequestTimeout still bounds the attempt either
-// way.
-func (p *Pool) hedgeDelay(problem string, configs int) time.Duration {
-	if p.opts.HedgeAfter > 0 {
-		return p.opts.HedgeAfter
-	}
-	if p.opts.HedgeAfter < 0 {
-		return 0
-	}
-	return p.window(problem).quantile(hedgeQuantile) * time.Duration(configs)
 }

@@ -52,7 +52,7 @@ func TestPlanChunksTable(t *testing.T) {
 func tripAll(p *Pool, workers ...int) {
 	for _, w := range workers {
 		for range p.opts.BreakerThreshold {
-			p.recordFailure(w, errors.New("injected"))
+			p.account(w, outcome{kind: failed, err: errors.New("injected")})
 		}
 	}
 }
@@ -82,8 +82,8 @@ func TestPlanChunksProperties(t *testing.T) {
 			if healthy == 0 {
 				healthy = workers // an all-tripped fleet plans as if all were healthy
 			}
-			if got := p.healthy(); got != healthy {
-				t.Fatalf("%d workers, tripped mask %b: healthy() = %d, want %d", workers, tripped, got, healthy)
+			if got := len(p.candidates(nil)); got != healthy {
+				t.Fatalf("%d workers, tripped mask %b: len(candidates(nil)) = %d, want %d", workers, tripped, got, healthy)
 			}
 			p.Close()
 			for _, chunkSize := range []int{1, 4, 32, 64} {

@@ -36,19 +36,19 @@ func TestBreakerTripsAtThresholdAndSuccessReadmits(t *testing.T) {
 	}
 	defer p.Close()
 	boom := errors.New("boom")
-	p.recordFailure(0, boom)
-	p.recordFailure(0, boom)
+	p.account(0, outcome{kind: failed, err: boom})
+	p.account(0, outcome{kind: failed, err: boom})
 	if p.tripped(0) {
 		t.Fatal("tripped below the threshold")
 	}
 	// A success in between resets the consecutive count.
-	p.recordSuccess(0)
-	p.recordFailure(0, boom)
-	p.recordFailure(0, boom)
+	p.account(0, outcome{kind: succeeded})
+	p.account(0, outcome{kind: failed, err: boom})
+	p.account(0, outcome{kind: failed, err: boom})
 	if p.tripped(0) {
 		t.Fatal("tripped despite an interleaved success")
 	}
-	p.recordFailure(0, boom)
+	p.account(0, outcome{kind: failed, err: boom})
 	if !p.tripped(0) {
 		t.Fatal("not tripped at the threshold")
 	}
@@ -60,7 +60,7 @@ func TestBreakerTripsAtThresholdAndSuccessReadmits(t *testing.T) {
 		t.Fatalf("untouched worker stats = %+v", st[1])
 	}
 	// A stray success on a tripped worker readmits it immediately.
-	p.recordSuccess(0)
+	p.account(0, outcome{kind: succeeded})
 	st = p.Stats()
 	if st[0].Breaker != "closed" || st[0].LastError != "" {
 		t.Fatalf("post-readmission stats = %+v", st[0])
@@ -77,7 +77,7 @@ func TestBreakerDisabledByNegativeThreshold(t *testing.T) {
 	}
 	defer p.Close()
 	for i := 0; i < 50; i++ {
-		p.recordFailure(0, errors.New("boom"))
+		p.account(0, outcome{kind: failed, err: errors.New("boom")})
 	}
 	if p.tripped(0) {
 		t.Fatal("disabled breaker tripped")
@@ -93,7 +93,7 @@ func TestPickSkipsTrippedWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	p.recordFailure(1, errors.New("down"))
+	p.account(1, outcome{kind: failed, err: errors.New("down")})
 	for i := 0; i < 20; i++ {
 		if got := p.pick(nil); got == 1 {
 			t.Fatal("pick returned a tripped worker")
@@ -107,8 +107,8 @@ func TestPickSkipsTrippedWorkers(t *testing.T) {
 	}
 	// An all-tripped fleet keeps receiving traffic (a success is what
 	// readmits a worker fastest).
-	p.recordFailure(0, errors.New("down"))
-	p.recordFailure(2, errors.New("down"))
+	p.account(0, outcome{kind: failed, err: errors.New("down")})
+	p.account(2, outcome{kind: failed, err: errors.New("down")})
 	seen := map[int]bool{}
 	for i := 0; i < 20; i++ {
 		seen[p.pick(nil)] = true
@@ -133,7 +133,7 @@ func TestBreakerProbeReadmitsWhenHealthzRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	p.recordFailure(0, errors.New("connection refused"))
+	p.account(0, outcome{kind: failed, err: errors.New("connection refused")})
 	if !p.tripped(0) {
 		t.Fatal("not tripped")
 	}
@@ -199,9 +199,9 @@ func TestHedgeLoserServiceTimeRecordedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	replies := make(chan hedgeReply, 2)
-	replies <- hedgeReply{perConfig: 5 * time.Millisecond}                // successful loser
-	replies <- hedgeReply{err: errors.New("context canceled"), worker: 1} // cancelled loser
+	replies := make(chan outcome, 2)
+	replies <- outcome{kind: succeeded, perConfig: 5 * time.Millisecond}                // successful loser
+	replies <- outcome{kind: cancelled, err: errors.New("context canceled"), worker: 1} // cancelled loser
 	p.drainLosers("prob", replies, 2)
 	w := p.window("prob")
 	waitFor(t, 2*time.Second, func() bool {
