@@ -464,6 +464,8 @@ func (p *Pool) attemptHedged(ctx context.Context, c *chunk, problem string, cfgs
 		case o := <-replies:
 			outstanding--
 			if o.kind == cancelled {
+				// Only the caller can have cancelled cctx while this loop
+				// runs: the deferred cancel has not fired yet.
 				return nil, 0, ctx.Err()
 			}
 			switch v, pause, err := c.settle(o, outstanding); v {
