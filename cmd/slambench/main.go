@@ -9,6 +9,15 @@
 //
 // Without -set flags the expert default configuration runs. -list prints
 // the design space of the chosen benchmark.
+//
+// Two subcommands cover the rest of the SLAMBench workflow:
+//
+//	slambench ate -est estimated.txt -ref groundtruth.txt [-maxdt 0.02] [-delta 30]
+//	slambench ate -demo DIR
+//	slambench render -trajectory lr-kt2 -frames 5 -out previews/
+//
+// ate scores a trajectory against ground truth; render writes previews of
+// the synthetic dataset. Both are described in ate.go and render.go.
 package main
 
 import (
@@ -40,6 +49,14 @@ func main() {
 }
 
 func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "ate":
+			return runATE(args[1:], stdout)
+		case "render":
+			return runRender(args[1:], stdout)
+		}
+	}
 	fs := flag.NewFlagSet("slambench", flag.ContinueOnError)
 	var (
 		benchName = fs.String("benchmark", "kfusion", "benchmark: kfusion or elasticfusion")

@@ -1,9 +1,3 @@
-// Command render writes depth and intensity previews of the synthetic
-// dataset as PGM images, for visual inspection of the simulated sensor.
-//
-// Usage:
-//
-//	render -trajectory lr-kt2 -frames 5 -out previews/
 package main
 
 import (
@@ -18,21 +12,28 @@ import (
 	"repro/internal/sensor"
 )
 
-func main() {
+// runRender writes depth and intensity previews of the synthetic dataset
+// as PGM images, for visual inspection of the simulated sensor.
+func runRender(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("slambench render", flag.ContinueOnError)
 	var (
-		traj   = flag.String("trajectory", "lr-kt2", "sequence: lr-kt0, lr-kt1, lr-kt2, lr-kt3")
-		frames = flag.Int("frames", 3, "number of frames to render")
-		width  = flag.Int("width", 320, "image width")
-		height = flag.Int("height", 240, "image height")
-		noise  = flag.Float64("noise", 1, "Kinect noise amplification (0 = clean)")
-		out    = flag.String("out", "previews", "output directory")
+		traj   = fs.String("trajectory", "lr-kt2", "sequence: lr-kt0, lr-kt1, lr-kt2, lr-kt3")
+		frames = fs.Int("frames", 3, "number of frames to render")
+		width  = fs.Int("width", 320, "image width")
+		height = fs.Int("height", 240, "image height")
+		noise  = fs.Float64("noise", 1, "Kinect noise amplification (0 = clean)")
+		out    = fs.String("out", "previews", "output directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	gen, ok := sensor.Trajectories()[*traj]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "render: unknown trajectory %q\n", *traj)
-		os.Exit(1)
+		return fmt.Errorf("unknown trajectory %q", *traj)
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
 	}
 	nm := sensor.KinectNoise(*noise)
 	if *noise == 0 {
@@ -45,23 +46,18 @@ func main() {
 		Name:       *traj,
 	})
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "render: %v\n", err)
-		os.Exit(1)
-	}
 	for i, f := range ds.Frames {
 		dp := filepath.Join(*out, fmt.Sprintf("%s_%03d_depth.pgm", *traj, i))
 		ip := filepath.Join(*out, fmt.Sprintf("%s_%03d_intensity.pgm", *traj, i))
 		if err := writePGM(dp, f.Depth, 4.5); err != nil {
-			fmt.Fprintf(os.Stderr, "render: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		if err := writePGM(ip, f.Intensity, 1.0); err != nil {
-			fmt.Fprintf(os.Stderr, "render: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("frame %d -> %s, %s\n", i, dp, ip)
+		fmt.Fprintf(stdout, "frame %d -> %s, %s\n", i, dp, ip)
 	}
+	return nil
 }
 
 // writePGM encodes a float map as an 8-bit binary PGM, scaling [0, max] to

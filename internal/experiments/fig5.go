@@ -84,12 +84,15 @@ func Fig5(opts Options, dse *DSEResult) (*Fig5Result, error) {
 		res.SoCs = append(res.SoCs, d.SoC)
 		res.Speedups = append(res.Speedups, sDef/sBest)
 	}
-	// Sort ascending by speedup (the paper's bar chart ordering).
+	// Sort ascending by speedup (the paper's bar chart ordering), ties in
+	// device order, so the order is total and no sort algorithm moves it.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(res.Speedups[a], res.Speedups[b]) })
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(res.Speedups[a], res.Speedups[b]), cmp.Compare(a, b))
+	})
 	res.Devices = permuteS(res.Devices, idx)
 	res.SoCs = permuteS(res.SoCs, idx)
 	res.Speedups = permuteF(res.Speedups, idx)

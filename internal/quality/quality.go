@@ -2,9 +2,9 @@
 // budgets over analytic problems and reports the hypervolume each search
 // strategy reaches at each budget. The resulting curves are the
 // optimization-quality counterpart of the performance benchmarks — CI runs
-// them (cmd/qualitybench) to publish BENCH_quality.json and to fail when a
-// change makes the default strategy reach less hypervolume for the same
-// evaluation budget.
+// them (`figures quality`, in cmd/figures) to publish BENCH_quality.json and
+// to fail when a change makes the default strategy reach less hypervolume
+// for the same evaluation budget.
 //
 // Comparability is the whole design: every run of one problem is scored
 // against a single shared reference point, the per-objective nadir of the
