@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,6 +58,38 @@ func TestSeededRunsAreByteIdentical(t *testing.T) {
 			} else if fp != first {
 				t.Fatalf("poolCap=%d: run %d differs from run 0 with identical seed", poolCap, trial)
 			}
+		}
+	}
+}
+
+func TestPredictionPoolAppendsUndrawnEvaluated(t *testing.T) {
+	// A subsampled pool is the draw, in draw order, then every evaluated
+	// index the draw missed, ascending; the rng is consumed by the draw alone.
+	space := benchSpace(t)
+	for _, n := range []int{0, 1, 700, 4799} {
+		draw := space.SampleIndices(rand.New(rand.NewSource(5)), n)
+		evaluated := map[int64]int{4799: 0, 3: 1, 0: 2, 1200: 3}
+		for i, idx := range draw {
+			if i%3 == 0 {
+				evaluated[idx] = i
+			}
+		}
+		want := slices.Clone(draw)
+		var extra []int64
+		for idx := range evaluated {
+			if !slices.Contains(draw, idx) {
+				extra = append(extra, idx)
+			}
+		}
+		slices.Sort(extra)
+		want = append(want, extra...)
+
+		rng := rand.New(rand.NewSource(5))
+		got := predictionPool(space, rng, UniformSampler{}, n, evaluated)
+		ref := rand.New(rand.NewSource(5))
+		space.SampleIndices(ref, n)
+		if !slices.Equal(got, want) || rng.Int63() != ref.Int63() {
+			t.Fatalf("n=%d: pool of %d differs from draw+sorted extras (%d)", n, len(got), len(want))
 		}
 	}
 }
