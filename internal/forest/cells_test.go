@@ -155,6 +155,82 @@ func TestPredictCellsMatchesFlatAndGrid(t *testing.T) {
 	}
 }
 
+// truncate returns t cut to its first `leaves` leaves in breadth-first
+// order: starting from the root alone, frontier nodes are expanded level by
+// level, each expansion adding one leaf, until the count is reached. The
+// result is compact (every node reachable) and keeps the fitted thresholds
+// and node means. t must have at least `leaves` leaves.
+func truncate(t *tree, leaves int) *tree {
+	keep := map[int32]bool{} // nodes kept as internal
+	n := 1
+	for frontier := []int32{0}; len(frontier) > 0 && n < leaves; {
+		var next []int32
+		for _, j := range frontier {
+			if t.feature[j] < 0 || n >= leaves {
+				continue
+			}
+			keep[j] = true
+			n++
+			next = append(next, t.left[j], t.right[j])
+		}
+		frontier = next
+	}
+	out := &tree{}
+	var copyNode func(j int32) int32
+	copyNode = func(j int32) int32 {
+		k := int32(len(out.feature))
+		out.feature = append(out.feature, -1)
+		out.thresh = append(out.thresh, 0)
+		out.left = append(out.left, -1)
+		out.right = append(out.right, -1)
+		out.value = append(out.value, t.value[j])
+		if keep[j] {
+			out.feature[k], out.thresh[k] = t.feature[j], t.thresh[j]
+			out.left[k] = copyNode(t.left[j])
+			out.right[k] = copyNode(t.right[j])
+		}
+		return k
+	}
+	copyNode(0)
+	return out
+}
+
+// leafCount is the number of leaves of t.
+func leafCount(t *tree) int {
+	n := 0
+	for _, ft := range t.feature {
+		if ft < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPredictCellsWordBoundaries predicts with fitted forests cut so that
+// the widest tree has exactly 64k or 64k+1 leaves: the last leaf of a word
+// and the first of the next. The other trees are cut narrower by varying
+// amounts, so trees of one forest end in different words.
+func TestPredictCellsWordBoundaries(t *testing.T) {
+	levels := [][]float64{shuffled(0, 9, 60, 1), shuffled(0, 9, 50, 2), {2, 0, 1}, linLevels(0, 1, 7)}
+	deep := fitOnGrid(t, levels, 2000, Options{Trees: 6, MinSamplesLeaf: 1, MaxFeatures: 4, Seed: 3})
+	for _, widest := range []int{1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 320, 321} {
+		t.Run(fmt.Sprintf("widest-%d", widest), func(t *testing.T) {
+			f := &Forest{nFeatures: deep.nFeatures}
+			for i, tr := range deep.trees {
+				f.trees = append(f.trees, truncate(tr, min(leafCount(tr), max(1, widest-37*i))))
+			}
+			most := 0
+			for _, tr := range f.trees {
+				most = max(most, leafCount(tr))
+			}
+			if most != widest {
+				t.Fatalf("widest tree has %d leaves, want %d", most, widest)
+			}
+			checkCells(t, f, levels)
+		})
+	}
+}
+
 // randomForest builds trees by hand rather than by fitting, so thresholds
 // land where fitted midpoints rarely do: exactly on a level (the `<=` edge),
 // outside the level range, on ±Inf and on NaN.
@@ -286,9 +362,12 @@ func drawCells(g *Grid, n int) []int64 {
 	return cells
 }
 
-// drawnPools are the subsampled pools of the two service workloads: a
-// PoolCap-5000 draw of the dbms space after the bootstrap (n = 100) and
-// after four rounds (n = 260), and KFusion's 60 000-cell draw.
+// drawnPools are the subsampled pools of the service workloads and of the
+// paper-scale exploration: a PoolCap-5000 draw of the dbms space after the
+// bootstrap (n = 100) and after four rounds (n = 260); KFusion's 60 000-cell
+// draw after a 48-sample bootstrap and two 16-sample rounds (n = 48, 80), at
+// n = 300, and at the paper's budget (n = 3000), whose trees are wide enough
+// that PredictCells walks them.
 var drawnPools = []struct {
 	name   string
 	levels func() [][]float64
@@ -297,7 +376,10 @@ var drawnPools = []struct {
 }{
 	{"dbms/n=100", dbmsGrid, 100, 5000},
 	{"dbms/n=260", dbmsGrid, 260, 5000},
+	{"kfusion/n=48", kfusionGrid, 48, 60_000},
+	{"kfusion/n=80", kfusionGrid, 80, 60_000},
 	{"kfusion/n=300", kfusionGrid, 300, 60_000},
+	{"kfusion/n=3000", kfusionGrid, 3000, 60_000},
 }
 
 // BenchmarkPredictCells and BenchmarkPredictFlatDrawn predict the same
