@@ -49,8 +49,25 @@ func cellLists(rng *rand.Rand, cells int) map[string][]int64 {
 	return lists
 }
 
+// cellKernels are the ways a test predicts drawn cells: PredictCells,
+// which picks its kernel by leafWords, and each of its two kernels forced,
+// whatever the forest's width.
+var cellKernels = []struct {
+	name    string
+	predict func(f *Forest, g *Grid, cells []int64, out []float64, workers int)
+}{
+	{"PredictCells", (*Forest).PredictCells},
+	{"masks", func(f *Forest, g *Grid, cells []int64, out []float64, workers int) {
+		f.predictCells(g, cells, out, workers, f.leafWords(), true)
+	}},
+	{"walk", func(f *Forest, g *Grid, cells []int64, out []float64, workers int) {
+		f.predictCells(g, cells, out, workers, f.leafWords(), false)
+	}},
+}
+
 // checkCells asserts the three pool kernels agree to the bit on every cell
-// list, at every worker count.
+// list, at every worker count, with the drawn-cell kernel both by leaf
+// bitmasks and by the rank walk.
 func checkCells(t *testing.T, f *Forest, levels [][]float64) {
 	t.Helper()
 	g, err := NewGrid(levels)
@@ -63,21 +80,23 @@ func checkCells(t *testing.T, f *Forest, levels [][]float64) {
 	for name, cells := range cellLists(rand.New(rand.NewSource(int64(g.Cells()))), g.Cells()) {
 		want := make([]float64, len(cells))
 		f.PredictFlatRange(cellRows(levels, cells), dim, 0, len(cells), want)
-		for _, workers := range []int{0, 1, 2, 3, 4} {
-			got := make([]float64, len(cells)+2)
-			for i := range got {
-				got[i] = math.NaN() // stale output must not leak into the sum
-			}
-			f.PredictCells(g, cells, got, workers)
-			for i, c := range cells {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(got[i]) != math.Float64bits(grid[c]) {
-					t.Fatalf("%s workers=%d position %d cell %d: cells %v (%#x), flat %v (%#x), grid %v (%#x)", name, workers, i, c,
-						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), grid[c], math.Float64bits(grid[c]))
+		for _, k := range cellKernels {
+			for _, workers := range []int{0, 1, 2, 3, 4} {
+				got := make([]float64, len(cells)+2)
+				for i := range got {
+					got[i] = math.NaN() // stale output must not leak into the sum
 				}
-			}
-			for _, v := range got[len(cells):] {
-				if !math.IsNaN(v) {
-					t.Fatalf("%s workers=%d wrote past the cell list", name, workers)
+				k.predict(f, g, cells, got, workers)
+				for i, c := range cells {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(got[i]) != math.Float64bits(grid[c]) {
+						t.Fatalf("%s %s workers=%d position %d cell %d: cells %v (%#x), flat %v (%#x), grid %v (%#x)", k.name, name, workers, i, c,
+							got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), grid[c], math.Float64bits(grid[c]))
+					}
+				}
+				for _, v := range got[len(cells):] {
+					if !math.IsNaN(v) {
+						t.Fatalf("%s %s workers=%d wrote past the cell list", k.name, name, workers)
+					}
 				}
 			}
 		}
@@ -208,7 +227,8 @@ func leafCount(t *tree) int {
 
 // TestPredictCellsWordBoundaries predicts with fitted forests cut so that
 // the widest tree has exactly 64k or 64k+1 leaves: the last leaf of a word
-// and the first of the next. The other trees are cut narrower by varying
+// and the first of the next, up to and past cellsMaskWords, past which
+// PredictCells must walk. The other trees are cut narrower by varying
 // amounts, so trees of one forest end in different words.
 func TestPredictCellsWordBoundaries(t *testing.T) {
 	levels := [][]float64{shuffled(0, 9, 60, 1), shuffled(0, 9, 50, 2), {2, 0, 1}, linLevels(0, 1, 7)}
@@ -225,6 +245,9 @@ func TestPredictCellsWordBoundaries(t *testing.T) {
 			}
 			if most != widest {
 				t.Fatalf("widest tree has %d leaves, want %d", most, widest)
+			}
+			if masks := f.leafWords() <= cellsMaskWords; masks != (widest <= 64*cellsMaskWords) {
+				t.Fatalf("%d leaves, %d words: PredictCells scores by masks = %v", widest, f.leafWords(), masks)
 			}
 			checkCells(t, f, levels)
 		})
@@ -318,23 +341,25 @@ func TestPredictCellsValidation(t *testing.T) {
 }
 
 func TestPredictCellsAllocatesNothingPerCell(t *testing.T) {
-	// What a call allocates depends on the forest (the packed nodes) and the
-	// worker count (one fixed-size scratch each) — never on how many cells
-	// it predicts.
+	// What a call allocates depends on the forest (the packed nodes or
+	// masks) and the worker count (fixed-size scratch each) — never on how
+	// many cells it predicts.
 	levels := dbmsGrid()
 	f := fitOnGrid(t, levels, 260, Options{Trees: 16, Seed: 1})
 	g, err := NewGrid(levels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := func(n int) float64 {
-		cells := drawCells(g, n)
-		out := make([]float64, n)
-		return testing.AllocsPerRun(10, func() { f.PredictCells(g, cells, out, 1) })
-	}
-	few, many := allocs(100), allocs(50_000)
-	if few != many || few > 8 {
-		t.Fatalf("PredictCells allocated %v times for 100 cells and %v for 50 000; want the same small count", few, many)
+	for _, k := range cellKernels {
+		allocs := func(n int) float64 {
+			cells := drawCells(g, n)
+			out := make([]float64, n)
+			return testing.AllocsPerRun(10, func() { k.predict(f, g, cells, out, 1) })
+		}
+		few, many := allocs(100), allocs(50_000)
+		if few != many || few > 8 {
+			t.Fatalf("%s allocated %v times for 100 cells and %v for 50 000; want the same small count", k.name, few, many)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/par"
@@ -306,17 +307,33 @@ func (f *Forest) packCells(g *Grid) (nodes []cellNode, value []float64, roots []
 // out[i]: the pool kernel for a design space too large to sweep whole, whose
 // pool is a fresh draw of cells every round. Cells may repeat and come in any
 // order. No row is ever encoded: a cell index decodes to one sorted-level
-// rank per feature, and every node test becomes a comparison of ranks
-// (packCells), which has the same outcome as the float test on that level's
-// encoded value — NaN levels sort last and go right, as they do there.
+// rank per feature, and every node test becomes a comparison of ranks, which
+// has the same outcome as the float test on that level's encoded value — NaN
+// levels sort last and go right, as they do there.
 //
-// Rows descend cellsWidth at a time and pick the next node with a select
-// (child[rank > cut]) instead of a branch: on randomly drawn rows the
-// branch of PredictFlatRange is mispredicted at most levels, and that, not
-// the work, is what its walk costs. Every row still starts at 0, receives
-// tree 0..T-1's leaf value in that order and is divided once, so the result
-// is bit-identical to PredictFlatRange over the encoded rows of the same
-// cells, and to PredictGrid's out[cells[i]].
+// Two kernels score a row, chosen by the widest tree's leaf count in 64-bit
+// words (leafWords):
+//
+//   - up to cellsMaskWords words, leaf bitmasks (packMasks, scoreMasks; the
+//     QuickScorer scheme of Lucchese et al., SIGIR 2015). Each tree's leaves
+//     are numbered left to right. A node on feature ft whose test sends rank
+//     r right rules out every leaf of its left subtree, so mask (t, ft, r)
+//     keeps exactly the leaves that survive all of tree t's nodes on ft for
+//     rank r. A row's leaf in tree t is the lowest set bit of the AND of its
+//     d masks. Why: the exit leaf e survives, since a node that removes e's
+//     range would be on e's path and send the row left there; and any leaf l
+//     left of e is removed, by the deepest common ancestor of l and e, which
+//     has l on its left, e on its right, and so sent the row right;
+//   - wider, the rank walk (packCells, descend): rows descend cellsWidth at
+//     a time and pick the next node with a select (child[rank > cut])
+//     instead of a branch, since on randomly drawn rows the branch of
+//     PredictFlatRange is mispredicted at most levels, and that, not the
+//     work, is what its walk costs.
+//
+// Either way every row starts at 0, receives tree 0..T-1's leaf value in
+// that order and is divided once, so the result is bit-identical to
+// PredictFlatRange over the encoded rows of the same cells, and to
+// PredictGrid's out[cells[i]].
 //
 // Up to workers goroutines share the rows (0 = GOMAXPROCS). It panics if g
 // and the forest disagree on the feature count, out is shorter than cells,
@@ -336,9 +353,50 @@ func (f *Forest) PredictCells(g *Grid, cells []int64, out []float64, workers int
 			panic(fmt.Sprintf("forest: PredictCells cell %d at position %d outside a grid of %d cells", c, i, g.cells))
 		}
 	}
+	words := f.leafWords()
+	f.predictCells(g, cells, out, workers, words, words <= cellsMaskWords)
+}
+
+// cellsMaskWords is the widest tree, in 64-bit words of leaves, that
+// PredictCells still scores by leaf bitmasks. A row's mask work grows with
+// the word count and a walk's only with the depth, so the walk wins past
+// it. Measured with BenchmarkPredictCells on forced kernels (16 trees, 7-
+// and 9-feature grids, two cores of a 2.1 GHz Xeon): masks are 1.8× faster
+// at 1 word, ≈ 1.4× at 2 and 3, even at 4, and 1.3× slower at 5; the
+// paper-scale KFusion budget (n = 3000, about 12 words) is 2.5× slower.
+const cellsMaskWords = 4
+
+// leafWords returns the leaf count of the forest's widest tree in 64-bit
+// words.
+func (f *Forest) leafWords() int {
+	most := 0
+	for _, t := range f.trees {
+		leaves := 0
+		for _, ft := range t.feature {
+			if ft < 0 {
+				leaves++
+			}
+		}
+		most = max(most, leaves)
+	}
+	return (most + 63) / 64
+}
+
+// predictCells is PredictCells past its checks, with the kernel named:
+// masks scores by leaf bitmasks of the given word count, else the forest
+// is walked.
+func (f *Forest) predictCells(g *Grid, cells []int64, out []float64, workers, words int, masks bool) {
+	nt := float64(len(f.trees))
+	if masks {
+		m := f.packMasks(g, words)
+		par.ForChunkedWorkers(len(cells), workers, func(lo, hi int) {
+			m.score(cells[lo:hi], out[lo:hi], nt)
+		})
+		return
+	}
+	d := g.Dim()
 	nodes, value, roots := f.packCells(g)
 	rows := max(cellsWidth, cellsBlock/d&^(cellsWidth-1))
-	nt := float64(len(f.trees))
 	par.ForChunkedWorkers(len(cells), workers, func(lo, hi int) {
 		ranks := make([]int32, rows*d)
 		sum := make([]float64, rows)
@@ -358,6 +416,181 @@ func (f *Forest) PredictCells(g *Grid, cells []int64, out []float64, workers int
 			}
 		}
 	})
+}
+
+// leafMasks is a forest laid out for scoring by leaf bitmasks over one grid.
+// A mask is a run of lanes, tree t's leaves in lanes [t·words, (t+1)·words),
+// bit i for its i-th leaf from the left; runs are padded with all-ones lanes
+// to whole blocks of maskLanes. The features are cut into groups of adjacent
+// ones (maskGroupCells), and a group's table holds one mask per combination
+// of its levels — the AND of its features' masks — so a row reads one
+// mixed-radix digit and one mask per group rather than per feature.
+type leafMasks struct {
+	words  int
+	trees  int
+	run    int       // lanes per mask: trees×words rounded up to maskLanes
+	size   []int     // size[gi]: level combinations of group gi, its digit's radix
+	slot   []int     // slot[gi]: the mask of group gi's digit 0
+	masks  []uint64  // (Σ size) masks
+	leaves []float64 // leaves[64·lane + bit]: the value of the leaf of that bit
+	built  int       // leaves numbered so far in the tree being packed
+}
+
+const (
+	// maskLanes is how many mask words a row ANDs across its groups at once,
+	// in registers (andLanes).
+	maskLanes = 4
+	// maskGroupCells caps the level combinations of a feature group (a
+	// single feature with more levels is a group of its own), which bounds
+	// the tables at maskGroupCells masks per group: the KFusion and dbms
+	// grids, 9 and 7 features, become 3 groups each.
+	maskGroupCells = 256
+	// maskStackGroups and maskStackLanes are the group and lane counts up to
+	// which a worker keeps its row's mask offsets and ANDed masks on the
+	// goroutine stack (the lanes of 32 trees of 4 words).
+	maskStackGroups = 16
+	maskStackLanes  = 128
+)
+
+// packMasks lays the forest out for leafMasks.score over g. words must be at
+// least leafWords().
+func (f *Forest) packMasks(g *Grid, words int) *leafMasks {
+	d, nt := len(g.vals), len(f.trees)
+	m := &leafMasks{words: words, trees: nt, run: (nt*words + maskLanes - 1) &^ (maskLanes - 1)}
+
+	// Each feature's masks by sorted rank: tree t's leaves that none of its
+	// nodes on that feature rules out for that rank.
+	ints := make([]int, 4*d)
+	fslot := ints[:d:d]
+	lead := ints[d : d : 2*d] // lead[gi]: group gi's first feature
+	m.size, m.slot = ints[2*d:2*d:3*d], ints[3*d:3*d:4*d]
+	ranks := 0
+	for ft, v := range g.vals {
+		fslot[ft] = ranks
+		ranks += len(v)
+	}
+	feat := make([]uint64, ranks*m.run)
+	for i := range feat {
+		feat[i] = ^uint64(0)
+	}
+	m.leaves = make([]float64, 64*nt*words)
+	for ti, t := range f.trees {
+		m.built = 0
+		m.number(g, feat, fslot, t, ti, 0)
+	}
+
+	// Adjacent features grouped while their level combinations stay under
+	// maskGroupCells; group gi spans features [lead[gi], lead[gi+1]).
+	for ft, v := range g.vals {
+		if gi := len(m.size) - 1; gi >= 0 && m.size[gi]*len(v) <= maskGroupCells {
+			m.size[gi] *= len(v)
+			continue
+		}
+		lead = append(lead, ft)
+		m.size = append(m.size, len(v))
+	}
+	total := 0
+	for _, size := range m.size {
+		m.slot = append(m.slot, total)
+		total += size
+	}
+	m.masks = make([]uint64, total*m.run)
+	for gi, size := range m.size {
+		hi := d
+		if gi+1 < len(lead) {
+			hi = lead[gi+1]
+		}
+		for v := 0; v < size; v++ {
+			dst := m.masks[(m.slot[gi]+v)*m.run:][:m.run]
+			for i := range dst {
+				dst[i] = ^uint64(0)
+			}
+			rem := v
+			for ft := hi - 1; ft >= lead[gi]; ft-- {
+				rk := g.rank[ft]
+				src := feat[(fslot[ft]+int(rk[rem%len(rk)]))*m.run:][:m.run]
+				rem /= len(rk)
+				for i := range dst {
+					dst[i] &= src[i]
+				}
+			}
+		}
+	}
+	return m
+}
+
+// number numbers the leaves of tree t's subtree at j left to right, from
+// m.built on, stores their values in m.leaves, and clears each node's left-subtree leaves from the feature masks
+// (feat, by fslot[feature] + sorted rank) of the ranks its test sends right:
+// those above the node's cut.
+func (m *leafMasks) number(g *Grid, feat []uint64, fslot []int, t *tree, ti int, j int32) {
+	ft := t.feature[j]
+	if ft < 0 {
+		m.leaves[ti*m.words<<6+m.built] = t.value[j]
+		m.built++
+		return
+	}
+	lo := m.built
+	m.number(g, feat, fslot, t, ti, t.left[j])
+	hi := m.built
+	m.number(g, feat, fslot, t, ti, t.right[j])
+	n := len(g.vals[ft])
+	for r := g.passing(int(ft), 0, n, t.thresh[j]); r < n; r++ {
+		mask := feat[(fslot[ft]+r)*m.run+ti*m.words:][:m.words]
+		for b := lo; b < hi; b++ {
+			mask[b>>6] &^= 1 << (b & 63)
+		}
+	}
+}
+
+// score writes to out[i] the prediction for cell cells[i]: the sum, over
+// trees in order, of the leaf values the cell exits at, divided by nt.
+func (m *leafMasks) score(cells []int64, out []float64, nt float64) {
+	var offStack [maskStackGroups]int
+	var accStack [maskStackLanes]uint64
+	offs, acc := offStack[:], accStack[:]
+	if len(m.size) > len(offs) {
+		offs = make([]int, len(m.size))
+	}
+	if m.run > len(acc) {
+		acc = make([]uint64, m.run)
+	}
+	offs, acc = offs[:len(m.size)], acc[:m.run]
+	for i, c := range cells {
+		rem := uint64(c)
+		for gi := len(offs) - 1; gi >= 0; gi-- {
+			n := uint64(m.size[gi])
+			offs[gi] = (m.slot[gi] + int(rem%n)) * m.run
+			rem /= n
+		}
+		andMasks(acc, m.masks, offs)
+		s := 0.0
+		for t := 0; t < m.trees; t++ {
+			w := t * m.words
+			for acc[w] == 0 {
+				w++
+			}
+			s += m.leaves[w<<6+bits.TrailingZeros64(acc[w])]
+		}
+		out[i] = s / nt
+	}
+}
+
+// andMasks writes to acc the AND of the masks at offs, maskLanes lanes at a
+// time. It is a function of its own so that its accumulators are allocated
+// registers: inlined into score's loop they were kept on the stack.
+//
+//go:noinline
+func andMasks(acc, masks []uint64, offs []int) {
+	for k := 0; k+maskLanes <= len(acc); k += maskLanes {
+		a0, a1, a2, a3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+		for _, o := range offs {
+			w := masks[o+k : o+k+maskLanes : o+k+maskLanes]
+			a0, a1, a2, a3 = a0&w[0], a1&w[1], a2&w[2], a3&w[3]
+		}
+		a := acc[k : k+maskLanes : k+maskLanes]
+		a[0], a[1], a[2], a[3] = a0, a1, a2, a3
+	}
 }
 
 // decodeRanks writes, for each cell, the sorted-level rank of every feature
