@@ -978,16 +978,16 @@ func predictionPool(space *param.Space, rng *rand.Rand, sampler Sampler, poolCap
 		return space.FeasibleIndices()
 	}
 	pool := sampler.Draw(space, rng, poolCap)
-	seen := make(map[int64]struct{}, len(pool))
+	seen := param.NewIndexSet(len(pool))
 	for _, idx := range pool {
-		seen[idx] = struct{}{}
+		seen.Add(idx)
 	}
 	// Append the evaluated indices in sorted order: ranging over the map
 	// directly would make pool order — and therefore tie-breaking in the
 	// predicted front — vary across runs with an identical seed.
 	extra := make([]int64, 0, len(evaluated))
 	for idx := range evaluated {
-		if _, dup := seen[idx]; !dup {
+		if !seen.Has(idx) {
 			extra = append(extra, idx)
 		}
 	}

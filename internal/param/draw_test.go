@@ -95,3 +95,39 @@ func TestSeededDrawsUnchanged(t *testing.T) {
 		})
 	}
 }
+
+func TestIndexSet(t *testing.T) {
+	// Grows far past its size hint, and agrees with a map on every index.
+	rng := rand.New(rand.NewSource(4))
+	s := NewIndexSet(1)
+	ref := map[int64]bool{}
+	for i := 0; i < 20_000; i++ {
+		idx := rng.Int63n(30_000)
+		if i%7 == 0 {
+			idx = int64(i) << 40 // far apart, same low bits
+		}
+		if got, want := s.Add(idx), !ref[idx]; got != want {
+			t.Fatalf("Add(%d) = %v, want %v", idx, got, want)
+		}
+		ref[idx] = true
+	}
+	for idx := int64(0); idx < 30_000; idx++ {
+		if s.Has(idx) != ref[idx] {
+			t.Fatalf("Has(%d) = %v, want %v", idx, s.Has(idx), ref[idx])
+		}
+	}
+	if s.Has(1<<62) || !s.Has(7<<40) {
+		t.Fatal("Has disagrees on far indices")
+	}
+}
+
+// BenchmarkSampleIndicesKFusion is kfusion_odroid's pool draw: 60 000
+// distinct indices of the 1.8 M-point KFusion space.
+func BenchmarkSampleIndicesKFusion(b *testing.B) {
+	s := kfusionSpace()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = s.SampleIndices(rng, 60_000)
+	}
+}

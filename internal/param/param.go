@@ -376,15 +376,12 @@ func (s *Space) SampleIndices(rng *rand.Rand, n int) []int64 {
 	}
 	// Rejection sampling: n is always far below the pool size in practice
 	// (thousands of samples from 10⁵-10⁶-point spaces).
-	seen := make(map[int64]struct{}, n)
+	seen := NewIndexSet(n)
 	out := make([]int64, 0, n)
 	for len(out) < n {
-		idx := rng.Int63n(s.size)
-		if _, dup := seen[idx]; dup {
-			continue
+		if idx := rng.Int63n(s.size); seen.Add(idx) {
+			out = append(out, idx)
 		}
-		seen[idx] = struct{}{}
-		out = append(out, idx)
 	}
 	return out
 }
@@ -404,20 +401,17 @@ func (s *Space) sampleConstrained(rng *rand.Rand, n int) []int64 {
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		return all
 	}
-	seen := make(map[int64]struct{}, n)
+	seen := NewIndexSet(n)
 	out := make([]int64, 0, n)
 	// ~64 draws per requested sample handles feasible fractions down to a
 	// few percent; below that the enumeration fallback is cheaper than
 	// spinning on rejections.
 	for attempts := 64*n + 1024; attempts > 0 && len(out) < n; attempts-- {
 		idx := rng.Int63n(s.size)
-		if _, dup := seen[idx]; dup {
+		if seen.Has(idx) || !feasible(idx) {
 			continue
 		}
-		if !feasible(idx) {
-			continue
-		}
-		seen[idx] = struct{}{}
+		seen.Add(idx)
 		out = append(out, idx)
 	}
 	if len(out) < n {
@@ -426,10 +420,7 @@ func (s *Space) sampleConstrained(rng *rand.Rand, n int) []int64 {
 		// fewer feasible configurations exist).
 		rest := make([]int64, 0, n-len(out))
 		for idx := int64(0); idx < s.size; idx++ {
-			if _, dup := seen[idx]; dup {
-				continue
-			}
-			if feasible(idx) {
+			if !seen.Has(idx) && feasible(idx) {
 				rest = append(rest, idx)
 			}
 		}

@@ -55,19 +55,16 @@ func (s *Space) SampleIndicesWeighted(rng *rand.Rand, n int) []int64 {
 		s.AtIndexInto(idx, cfg)
 		return s.Feasible(cfg)
 	}
-	seen := make(map[int64]struct{}, n)
+	seen := NewIndexSet(n)
 	out := make([]int64, 0, n)
 	// Same attempt budget as the constrained uniform sampler: ~64 draws per
 	// requested sample before the dense fallback takes over.
 	for attempts := 64*n + 1024; attempts > 0 && len(out) < n; attempts-- {
 		idx := s.drawWeighted(rng, cums, totals)
-		if _, dup := seen[idx]; dup {
+		if seen.Has(idx) || !feasible(idx) {
 			continue
 		}
-		if !feasible(idx) {
-			continue
-		}
-		seen[idx] = struct{}{}
+		seen.Add(idx)
 		out = append(out, idx)
 	}
 	if len(out) < n {
@@ -77,7 +74,7 @@ func (s *Space) SampleIndicesWeighted(rng *rand.Rand, n int) []int64 {
 		}
 		var rest []cand
 		for idx := int64(0); idx < s.size; idx++ {
-			if _, dup := seen[idx]; dup {
+			if seen.Has(idx) {
 				continue
 			}
 			w := s.indexWeight(idx)
