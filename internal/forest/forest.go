@@ -343,7 +343,7 @@ func Refit(c *Columns, y []float64, opts Options) (*Forest, error) {
 	for s := 0; s < n; s++ {
 		if oobCnt[s] > 0 {
 			e := y[s] - oobSum[s]/float64(oobCnt[s])
-			sse += e * e
+			sse += float64(e * e) // rounded before it is added: never fused
 			cnt++
 		}
 	}

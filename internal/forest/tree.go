@@ -177,7 +177,7 @@ func (b *treeBuilder) buildNode(lo, hi, depth int) int32 {
 	for _, row := range b.nodeRows(0, lo, hi) {
 		v := b.y[row]
 		sum += v
-		sum2 += v * v
+		sum2 += float64(v * v) // rounded before it is added: never fused
 	}
 	mean := sum / float64(n)
 	sse := sum2 - sum*sum/float64(n) // total squared error around the mean
