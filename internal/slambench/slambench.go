@@ -8,6 +8,7 @@ package slambench
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -111,19 +112,20 @@ func (o Objectives) Names() []string {
 // Count returns the number of objective values.
 func (o Objectives) Count() int { return len(o.Names()) }
 
-// Evaluator adapts a benchmark+device to the optimizer. Evaluation errors
-// (degenerate configurations) are mapped to a heavily penalized objective
-// vector rather than aborting the exploration, mirroring how broken
-// configurations show up on real hardware (timeouts/garbage output).
+// Evaluator adapts a benchmark+device to the optimizer. A configuration the
+// pipeline cannot run (Evaluate's error: a degenerate image size, say) is
+// reported as NaN objectives, the invalid-configuration value core keeps
+// apart in Result.Invalid, rather than as a made-up measurement or an error
+// that would abort the exploration.
 func Evaluator(b Benchmark, dev device.Model, obj Objectives) core.Evaluator {
 	return core.EvaluatorFunc(func(cfg param.Config) []float64 {
 		m, err := b.Evaluate(cfg, dev)
 		if err != nil {
-			bad := []float64{10, 10}
-			if obj == RuntimeAccuracyPower {
-				bad = append(bad, 1000)
+			invalid := make([]float64, obj.Count())
+			for i := range invalid {
+				invalid[i] = math.NaN()
 			}
-			return bad
+			return invalid
 		}
 		out := []float64{m.SecPerFrame, b.Accuracy(m)}
 		if obj == RuntimeAccuracyPower {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -389,19 +390,41 @@ func TestEvaluatorAdapterObjectives(t *testing.T) {
 }
 
 func TestEvaluatorPenalizesBrokenConfigs(t *testing.T) {
-	// Ratio 8 on a 24×18 dataset leaves a 3×2 image — Run errors, and the
-	// evaluator must return a penalty vector, not crash.
+	// Ratio 8 on a 24×18 dataset leaves a 3×2 image, so Run errors. The
+	// evaluator must report NaN objectives, which an exploration books as
+	// an invalid configuration, and not a made-up measurement.
 	tiny := sensor.Generate(sensor.Options{
 		Width: 24, Height: 18, Frames: 3,
 		Noise:      sensor.KinectNoise(1),
 		Trajectory: sensor.TrajectorySlice(sensor.LivingRoomTrajectory2, 100),
 	})
 	b := NewKFusionBench(tiny)
-	ev := Evaluator(b, device.ODROIDXU3(), RuntimeAccuracy)
-	bad := b.Space().With(b.DefaultConfig(), KFRatio, 8)
-	objs := ev.Evaluate(bad)
-	if objs[0] < 5 || objs[1] < 5 {
-		t.Fatalf("broken config not penalized: %v", objs)
+	for _, obj := range []Objectives{RuntimeAccuracy, RuntimeAccuracyPower} {
+		objs := Evaluator(b, device.ODROIDXU3(), obj).Evaluate(b.Space().With(b.DefaultConfig(), KFRatio, 8))
+		if len(objs) != obj.Count() || slices.ContainsFunc(objs, func(v float64) bool { return !math.IsNaN(v) }) {
+			t.Fatalf("objectives %v for a broken configuration, want %d NaNs", objs, obj.Count())
+		}
+	}
+
+	space := b.Space()
+	res, err := core.Run(space, Evaluator(b, device.ODROIDXU3(), RuntimeAccuracy), core.Options{
+		Objectives: 2, RandomSamples: 16, MaxIterations: 1, MaxBatch: 4, PoolCap: 2000, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Invalid) == 0 {
+		t.Fatal("no broken configuration drawn; the run tests nothing")
+	}
+	for _, s := range res.Invalid {
+		if space.Get(s.Config, KFRatio) != 8 || !math.IsNaN(s.Objs[0]) || !math.IsNaN(s.Objs[1]) {
+			t.Fatalf("invalid sample %v with objectives %v", space.FormatConfig(s.Config), s.Objs)
+		}
+	}
+	for _, s := range res.Samples {
+		if space.Get(s.Config, KFRatio) == 8 {
+			t.Fatalf("broken configuration %v booked as a measurement %v", space.FormatConfig(s.Config), s.Objs)
+		}
 	}
 }
 
