@@ -398,13 +398,25 @@ var drawnPools = []struct {
 	levels func() [][]float64
 	n      int // training rows
 	cells  int
+	walks  bool // the forest is too wide for leaf bitmasks
 }{
-	{"dbms/n=100", dbmsGrid, 100, 5000},
-	{"dbms/n=260", dbmsGrid, 260, 5000},
-	{"kfusion/n=48", kfusionGrid, 48, 60_000},
-	{"kfusion/n=80", kfusionGrid, 80, 60_000},
-	{"kfusion/n=300", kfusionGrid, 300, 60_000},
-	{"kfusion/n=3000", kfusionGrid, 3000, 60_000},
+	{"dbms/n=100", dbmsGrid, 100, 5000, false},
+	{"dbms/n=260", dbmsGrid, 260, 5000, false},
+	{"kfusion/n=48", kfusionGrid, 48, 60_000, false},
+	{"kfusion/n=80", kfusionGrid, 80, 60_000, false},
+	{"kfusion/n=300", kfusionGrid, 300, 60_000, false},
+	{"kfusion/n=3000", kfusionGrid, 3000, 60_000, true},
+}
+
+func TestDrawnPoolKernels(t *testing.T) {
+	// The service workloads' forests are scored by leaf bitmasks; the
+	// paper-scale one is walked.
+	for _, p := range drawnPools {
+		f := fitOnGrid(t, p.levels(), p.n, Options{Trees: 16, Seed: 1})
+		if walks := f.leafWords() > cellsMaskWords; walks != p.walks {
+			t.Errorf("%s: widest tree spans %d words; PredictCells walks = %v, want %v", p.name, f.leafWords(), walks, p.walks)
+		}
+	}
 }
 
 // BenchmarkPredictCells and BenchmarkPredictFlatDrawn predict the same
@@ -427,6 +439,7 @@ func BenchmarkPredictCells(b *testing.B) {
 				f.PredictCells(g, cells, out, 0)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cells)*16), "ns/row-tree")
+			b.ReportMetric(float64(f.leafWords()), "leaf-words")
 		})
 	}
 }

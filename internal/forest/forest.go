@@ -13,8 +13,8 @@
 // input chunks respectively, with all per-tree scratch pooled across trees,
 // objectives, and active-learning refits. Prediction pools are cells of the
 // design grid (Grid) and never encoded: the whole grid is predicted by
-// box-fill (PredictGrid), a drawn subset by a branch-free walk on level
-// ranks (PredictCells).
+// box-fill (PredictGrid), a drawn subset by leaf bitmasks or, for wide
+// trees, a branch-free walk on level ranks (PredictCells).
 package forest
 
 import (

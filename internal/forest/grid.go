@@ -306,29 +306,31 @@ func (f *Forest) packCells(g *Grid) (nodes []cellNode, value []float64, roots []
 // PredictCells writes the forest's prediction for grid cell cells[i] into
 // out[i]: the pool kernel for a design space too large to sweep whole, whose
 // pool is a fresh draw of cells every round. Cells may repeat and come in any
-// order. No row is ever encoded: a cell index decodes to one sorted-level
-// rank per feature, and every node test becomes a comparison of ranks, which
-// has the same outcome as the float test on that level's encoded value — NaN
-// levels sort last and go right, as they do there.
+// order. No row is ever encoded: a node test `x[ft] <= thresh` is restated on
+// the sorted levels of ft, whose ranks above the node's cut go right, which
+// is the float test's outcome on every level — NaN levels sort last and go
+// right, as they do there.
 //
-// Two kernels score a row, chosen by the widest tree's leaf count in 64-bit
-// words (leafWords):
+// Two kernels score a cell, chosen by the forest alone: by the leaf count of
+// its widest tree, in 64-bit words (leafWords).
 //
-//   - up to cellsMaskWords words, leaf bitmasks (packMasks, scoreMasks; the
-//     QuickScorer scheme of Lucchese et al., SIGIR 2015). Each tree's leaves
-//     are numbered left to right. A node on feature ft whose test sends rank
-//     r right rules out every leaf of its left subtree, so mask (t, ft, r)
-//     keeps exactly the leaves that survive all of tree t's nodes on ft for
-//     rank r. A row's leaf in tree t is the lowest set bit of the AND of its
-//     d masks. Why: the exit leaf e survives, since a node that removes e's
-//     range would be on e's path and send the row left there; and any leaf l
-//     left of e is removed, by the deepest common ancestor of l and e, which
-//     has l on its left, e on its right, and so sent the row right;
-//   - wider, the rank walk (packCells, descend): rows descend cellsWidth at
-//     a time and pick the next node with a select (child[rank > cut])
-//     instead of a branch, since on randomly drawn rows the branch of
-//     PredictFlatRange is mispredicted at most levels, and that, not the
-//     work, is what its walk costs.
+//   - Up to cellsMaskWords words, leaf bitmasks (packMasks, leafMasks.score;
+//     the QuickScorer scheme of Lucchese et al., SIGIR 2015). Each tree's
+//     leaves are numbered left to right. A node whose test sends a rank
+//     right rules out every leaf of its left subtree, so the mask of (tree,
+//     feature, rank) keeps the leaves that no node of that tree on that
+//     feature rules out. A cell's leaf in a tree is the lowest set bit of the
+//     AND of its features' masks. Proof sketch, for the exit leaf e: e
+//     survives, because a node that rules e out has e in its left subtree,
+//     so it lies on e's path, where the cell went left; and every leaf l left
+//     of e is ruled out, by the deepest common ancestor of l and e, which has
+//     l on its left and e on its right, so the cell went right there.
+//   - Wider, the rank walk (packCells, descend): a cell index decodes to one
+//     sorted-level rank per feature, and rows descend cellsWidth at a time,
+//     picking the next node with a select (child[rank > cut]) instead of a
+//     branch: on randomly drawn rows the branch of PredictFlatRange is
+//     mispredicted at most levels, and that, not the work, is what its walk
+//     costs.
 //
 // Either way every row starts at 0, receives tree 0..T-1's leaf value in
 // that order and is divided once, so the result is bit-identical to
@@ -359,12 +361,13 @@ func (f *Forest) PredictCells(g *Grid, cells []int64, out []float64, workers int
 
 // cellsMaskWords is the widest tree, in 64-bit words of leaves, that
 // PredictCells still scores by leaf bitmasks. A row's mask work grows with
-// the word count and a walk's only with the depth, so the walk wins past
-// it. Measured with BenchmarkPredictCells on forced kernels (16 trees, 7-
-// and 9-feature grids, two cores of a 2.1 GHz Xeon): masks are 1.8× faster
-// at 1 word, ≈ 1.4× at 2 and 3, even at 4, and 1.3× slower at 5; the
-// paper-scale KFusion budget (n = 3000, about 12 words) is 2.5× slower.
-const cellsMaskWords = 4
+// the word count and a walk's only with the depth, so past some width the
+// walk wins. Measured on one core of a 2-vCPU Xeon VM, 16-tree forests on
+// the dbms and KFusion grids cut to a given width, medians of six (walk
+// time over mask time): 3.1 and 2.5 at 1 word, 1.7–1.9 at 2, 1.5–1.9 at 3,
+// 1.3–1.5 at 4, 1.2 at 5, 1.1–1.3 at 6, 0.8–0.9 at 8 and 0.7–0.8 at 12.
+// The paper-scale KFusion budget (n = 3000) grows trees of 12–17 words.
+const cellsMaskWords = 5
 
 // leafWords returns the leaf count of the forest's widest tree in 64-bit
 // words.
@@ -438,7 +441,7 @@ type leafMasks struct {
 
 const (
 	// maskLanes is how many mask words a row ANDs across its groups at once,
-	// in registers (andLanes).
+	// in registers (andMasks).
 	maskLanes = 4
 	// maskGroupCells caps the level combinations of a feature group (a
 	// single feature with more levels is a group of its own), which bounds
@@ -520,9 +523,9 @@ func (f *Forest) packMasks(g *Grid, words int) *leafMasks {
 }
 
 // number numbers the leaves of tree t's subtree at j left to right, from
-// m.built on, stores their values in m.leaves, and clears each node's left-subtree leaves from the feature masks
-// (feat, by fslot[feature] + sorted rank) of the ranks its test sends right:
-// those above the node's cut.
+// m.built on, and stores their values in m.leaves. Each node clears its left
+// subtree's leaves from the feature masks (feat, at fslot[feature] + sorted
+// rank) of the ranks its test sends right: those above its cut.
 func (m *leafMasks) number(g *Grid, feat []uint64, fslot []int, t *tree, ti int, j int32) {
 	ft := t.feature[j]
 	if ft < 0 {
