@@ -31,12 +31,18 @@ import (
 // Each shape has its own prediction kernel, chosen in predict: all cells are
 // swept by box-fill (forest.PredictGrid: every tree walked once, each leaf
 // adding its value to the whole box of cells that reaches it), drawn cells
-// are walked row by row on level ranks (forest.PredictCells). Both give every
-// pool point the sum of tree 0..T-1's leaf values in that order and one final
-// division, and both decide every node test as the float comparison on the
-// encoded level would, so they are bit-identical to each other and to
-// Forest.Predict on the encoded configuration, and a seeded run does not
-// depend on which one ran.
+// are scored one by one (forest.PredictCells). PredictCells in turn picks its
+// kernel from the forest's widest tree, not from anything here: while every
+// tree has at most forest's cellsMaskWords words of leaves, a cell's exit
+// leaf in a tree is the lowest set bit of an AND of per-feature leaf masks
+// (every leaf left of the exit leaf is ruled out by a node that sent the cell
+// right, and no node rules out the exit leaf itself); wider forests, as at
+// the paper's sample budgets, are walked eight rows at a time on level ranks.
+// Every kernel gives every pool point the sum of tree 0..T-1's leaf values
+// in that order and one final division, and decides every node test as the
+// float comparison on the encoded level would, so all are bit-identical to
+// each other and to Forest.Predict on the encoded configuration, and a
+// seeded run does not depend on which one ran.
 //
 // The state is bound to one run (one space, one objective count) and is not
 // safe for concurrent use; RunContext drives it from a single goroutine.
