@@ -58,10 +58,10 @@ var cellKernels = []struct {
 }{
 	{"PredictCells", (*Forest).PredictCells},
 	{"masks", func(f *Forest, g *Grid, cells []int64, out []float64, workers int) {
-		f.predictCells(g, cells, out, workers, f.leafWords(), true)
+		f.predictCells(g, cells, out, workers, true)
 	}},
 	{"walk", func(f *Forest, g *Grid, cells []int64, out []float64, workers int) {
-		f.predictCells(g, cells, out, workers, f.leafWords(), false)
+		f.predictCells(g, cells, out, workers, false)
 	}},
 }
 

@@ -355,8 +355,7 @@ func (f *Forest) PredictCells(g *Grid, cells []int64, out []float64, workers int
 			panic(fmt.Sprintf("forest: PredictCells cell %d at position %d outside a grid of %d cells", c, i, g.cells))
 		}
 	}
-	words := f.leafWords()
-	f.predictCells(g, cells, out, workers, words, words <= cellsMaskWords)
+	f.predictCells(g, cells, out, workers, f.leafWords() <= cellsMaskWords)
 }
 
 // cellsMaskWords is the widest tree, in 64-bit words of leaves, that
@@ -386,12 +385,11 @@ func (f *Forest) leafWords() int {
 }
 
 // predictCells is PredictCells past its checks, with the kernel named:
-// masks scores by leaf bitmasks of the given word count, else the forest
-// is walked.
-func (f *Forest) predictCells(g *Grid, cells []int64, out []float64, workers, words int, masks bool) {
+// masks scores by leaf bitmasks, else the forest is walked.
+func (f *Forest) predictCells(g *Grid, cells []int64, out []float64, workers int, masks bool) {
 	nt := float64(len(f.trees))
 	if masks {
-		m := f.packMasks(g, words)
+		m := f.packMasks(g)
 		par.ForChunkedWorkers(len(cells), workers, func(lo, hi int) {
 			m.score(cells[lo:hi], out[lo:hi], nt)
 		})
@@ -436,7 +434,6 @@ type leafMasks struct {
 	slot   []int     // slot[gi]: the mask of group gi's digit 0
 	masks  []uint64  // (Σ size) masks
 	leaves []float64 // leaves[64·lane + bit]: the value of the leaf of that bit
-	built  int       // leaves numbered so far in the tree being packed
 }
 
 const (
@@ -448,17 +445,15 @@ const (
 	// the tables at maskGroupCells masks per group: the KFusion and dbms
 	// grids, 9 and 7 features, become 3 groups each.
 	maskGroupCells = 256
-	// maskStackGroups and maskStackLanes are the group and lane counts up to
-	// which a worker keeps its row's mask offsets and ANDed masks on the
-	// goroutine stack (the lanes of 32 trees of 4 words).
-	maskStackGroups = 16
-	maskStackLanes  = 128
+	// maskStackLanes is the lane count up to which a worker keeps a row's
+	// ANDed masks on the goroutine stack (32 trees of 4 words); its group
+	// offsets stay there up to gridStackDim groups.
+	maskStackLanes = 128
 )
 
-// packMasks lays the forest out for leafMasks.score over g. words must be at
-// least leafWords().
-func (f *Forest) packMasks(g *Grid, words int) *leafMasks {
-	d, nt := len(g.vals), len(f.trees)
+// packMasks lays the forest out for leafMasks.score over g.
+func (f *Forest) packMasks(g *Grid) *leafMasks {
+	d, nt, words := len(g.vals), len(f.trees), f.leafWords()
 	m := &leafMasks{words: words, trees: nt, run: (nt*words + maskLanes - 1) &^ (maskLanes - 1)}
 
 	// Each feature's masks by sorted rank: tree t's leaves that none of its
@@ -478,8 +473,7 @@ func (f *Forest) packMasks(g *Grid, words int) *leafMasks {
 	}
 	m.leaves = make([]float64, 64*nt*words)
 	for ti, t := range f.trees {
-		m.built = 0
-		m.number(g, feat, fslot, t, ti, 0)
+		m.number(g, feat, fslot, t, ti, 0, 0)
 	}
 
 	// Adjacent features grouped while their level combinations stay under
@@ -523,20 +517,18 @@ func (f *Forest) packMasks(g *Grid, words int) *leafMasks {
 }
 
 // number numbers the leaves of tree t's subtree at j left to right, from
-// m.built on, and stores their values in m.leaves. Each node clears its left
-// subtree's leaves from the feature masks (feat, at fslot[feature] + sorted
-// rank) of the ranks its test sends right: those above its cut.
-func (m *leafMasks) number(g *Grid, feat []uint64, fslot []int, t *tree, ti int, j int32) {
+// leaf lo on, stores their values in m.leaves, and returns the next number.
+// Each node clears its left subtree's leaves from the feature masks (feat,
+// at fslot[feature] + sorted rank) of the ranks its test sends right: those
+// above its cut.
+func (m *leafMasks) number(g *Grid, feat []uint64, fslot []int, t *tree, ti int, j int32, lo int) int {
 	ft := t.feature[j]
 	if ft < 0 {
-		m.leaves[ti*m.words<<6+m.built] = t.value[j]
-		m.built++
-		return
+		m.leaves[ti*m.words<<6+lo] = t.value[j]
+		return lo + 1
 	}
-	lo := m.built
-	m.number(g, feat, fslot, t, ti, t.left[j])
-	hi := m.built
-	m.number(g, feat, fslot, t, ti, t.right[j])
+	hi := m.number(g, feat, fslot, t, ti, t.left[j], lo)
+	next := m.number(g, feat, fslot, t, ti, t.right[j], hi)
 	n := len(g.vals[ft])
 	for r := g.passing(int(ft), 0, n, t.thresh[j]); r < n; r++ {
 		mask := feat[(fslot[ft]+r)*m.run+ti*m.words:][:m.words]
@@ -544,12 +536,13 @@ func (m *leafMasks) number(g *Grid, feat []uint64, fslot []int, t *tree, ti int,
 			mask[b>>6] &^= 1 << (b & 63)
 		}
 	}
+	return next
 }
 
 // score writes to out[i] the prediction for cell cells[i]: the sum, over
 // trees in order, of the leaf values the cell exits at, divided by nt.
 func (m *leafMasks) score(cells []int64, out []float64, nt float64) {
-	var offStack [maskStackGroups]int
+	var offStack [gridStackDim]int
 	var accStack [maskStackLanes]uint64
 	offs, acc := offStack[:], accStack[:]
 	if len(m.size) > len(offs) {
