@@ -28,13 +28,12 @@ func gridRows(levels [][]float64) (flat []float64, cells int) {
 	return flat, cells
 }
 
-// fitOnGrid trains a forest on n random cells of the grid with a target that
-// depends on every feature, so the trees split on all of them.
-func fitOnGrid(t testing.TB, levels [][]float64, n int, opts Options) *Forest {
-	t.Helper()
-	rng := rand.New(rand.NewSource(opts.Seed + 99))
-	x := make([][]float64, n)
-	y := make([]float64, n)
+// gridSamples draws n random cells of the grid with a target that depends
+// on every feature, so the trees split on all of them.
+func gridSamples(levels [][]float64, n int, seed int64) (x [][]float64, y []float64) {
+	rng := rand.New(rand.NewSource(seed + 99))
+	x = make([][]float64, n)
+	y = make([]float64, n)
 	for i := range x {
 		row := make([]float64, len(levels))
 		for f, lv := range levels {
@@ -44,6 +43,13 @@ func fitOnGrid(t testing.TB, levels [][]float64, n int, opts Options) *Forest {
 		x[i] = row
 		y[i] += rng.NormFloat64() * 0.01
 	}
+	return x, y
+}
+
+// fitOnGrid trains a forest on gridSamples(levels, n, opts.Seed).
+func fitOnGrid(t testing.TB, levels [][]float64, n int, opts Options) *Forest {
+	t.Helper()
+	x, y := gridSamples(levels, n, opts.Seed)
 	f, err := Fit(x, y, opts)
 	if err != nil {
 		t.Fatal(err)

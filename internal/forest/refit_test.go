@@ -276,8 +276,37 @@ func TestOOBUndefinedIsNaN(t *testing.T) {
 // BenchmarkForestFit compares the presorted fast path against the retained
 // re-sorting reference builder at active-learning-representative shapes:
 // training sets the size X_out reaches across iterations, paper-scale
-// dimensionality, a 32-tree ensemble.
+// dimensionality, a 32-tree ensemble. The grid and dbms rows refit the
+// engine's own forests on one worker from a prebuilt Columns, as every
+// active-learning round does: 32 trees on the inproc_pool192k grid after the
+// bootstrap (n = 1000) and near the end of a run (n = 2800), and 16 trees on
+// the dbms space after four rounds of durable_fleet3_tenants (n = 260).
 func BenchmarkForestFit(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		levels [][]float64
+		n      int
+		trees  int
+	}{
+		{"grid/n=1000", alGrid(), 1000, 32},
+		{"grid/n=2800", alGrid(), 2800, 32},
+		{"dbms/n=260", dbmsGrid(), 260, 16},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			x, y := gridSamples(c.levels, c.n, 1)
+			cols, err := ColumnsFromRows(x)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Refit(cols, y, Options{Trees: c.trees, Seed: int64(i), Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, shape := range []struct{ n, d int }{{50, 12}, {200, 12}, {500, 12}} {
 		rng := rand.New(rand.NewSource(int64(shape.n)))
 		x, y := makeTieHeavy(rng, shape.n, shape.d)
