@@ -97,7 +97,7 @@ type fitScratch struct {
 	lists    []int32 // fast path: d presorted per-feature lists, flattened
 	refSeg   []int32 // reference path: per-call sort buffer
 	tmp      []int32 // stable-partition spill
-	goesLeft []bool
+	goesLeft []uint8
 	featBuf  []int
 
 	feature []int32
@@ -117,7 +117,7 @@ func (sc *fitScratch) ensure(n, d, bagSize int, reference bool) {
 	}
 	sc.tmp = sc.tmp[:bagSize]
 	if cap(sc.goesLeft) < n {
-		sc.goesLeft = make([]bool, n)
+		sc.goesLeft = make([]uint8, n)
 	}
 	sc.goesLeft = sc.goesLeft[:n]
 	if reference {
@@ -130,12 +130,19 @@ func (sc *fitScratch) ensure(n, d, bagSize int, reference bool) {
 			sc.cnt = make([]int32, n) // zeroed by make; kept zeroed after use
 		}
 		sc.cnt = sc.cnt[:n]
-		if cap(sc.lists) < d*bagSize {
-			sc.lists = make([]int32, d*bagSize)
+		// bagCopies entries of slack: the bag filter stores that many
+		// copies of a row past the last list's end.
+		if cap(sc.lists) < d*bagSize+bagCopies {
+			sc.lists = make([]int32, d*bagSize+bagCopies)
 		}
-		sc.lists = sc.lists[:d*bagSize]
+		sc.lists = sc.lists[:d*bagSize+bagCopies]
 	}
 }
+
+// bagCopies is how many copies of each row the bag filter stores
+// unconditionally; a row drawn more often than that (a Poisson(1) count
+// exceeds 4 with probability 0.4 %) takes a short loop.
+const bagCopies = 4
 
 var scratchPool = sync.Pool{New: func() any { return new(fitScratch) }}
 
@@ -272,18 +279,28 @@ func Refit(c *Columns, y []float64, opts Options) (*Forest, error) {
 			if !o.Reference {
 				// Filter the matrix's global per-feature orders down to the
 				// bag (with multiplicity): each list stays sorted by
-				// (value, row), duplicates adjacent.
+				// (value, row), duplicates adjacent. A multiplicity is
+				// Poisson(1)-distributed, so a loop over it mispredicts;
+				// instead bagCopies copies are stored and the cursor
+				// advances by the multiplicity, which overwrites the
+				// surplus. Copies past the list's end land in the next
+				// list, written afterwards, or in the slack after the last.
 				for _, s := range sc.order {
 					sc.cnt[s]++
 				}
 				for fi := 0; fi < d; fi++ {
-					dst := sc.lists[fi*bootSize : (fi+1)*bootSize]
+					dst := sc.lists[fi*bootSize:]
 					pos := 0
 					for _, row := range c.sort[fi] {
-						for k := int32(0); k < sc.cnt[row]; k++ {
-							dst[pos] = row
-							pos++
+						m := int(sc.cnt[row])
+						copies := dst[pos : pos+bagCopies]
+						for k := range copies {
+							copies[k] = row
 						}
+						for k := bagCopies; k < m; k++ { // P(m > 4) ≈ 0.4 %
+							dst[pos+k] = row
+						}
+						pos += m
 					}
 				}
 				for _, s := range sc.order {

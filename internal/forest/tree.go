@@ -89,7 +89,7 @@ type treeBuilder struct {
 	order  []int32
 	refSeg []int32
 
-	goesLeft []bool  // per-row split side, written then read at each split
+	goesLeft []uint8 // per-row split side (1 = left), written then read at each split
 	tmp      []int32 // stable-partition spill buffer
 
 	featBuf []int // candidate feature scratch
@@ -199,12 +199,12 @@ func (b *treeBuilder) buildNode(lo, hi, depth int) int32 {
 	col := b.cols.vals[feat]
 	nl := 0
 	for _, row := range b.nodeRows(feat, lo, hi) {
-		if left := col[row] <= thresh; left {
-			b.goesLeft[row] = true
-			nl++
-		} else {
-			b.goesLeft[row] = false
+		left := uint8(0)
+		if col[row] <= thresh {
+			left = 1
 		}
+		b.goesLeft[row] = left
+		nl += int(left)
 	}
 	mid := lo + nl
 	if mid == lo || mid == hi {
@@ -232,16 +232,19 @@ func (b *treeBuilder) buildNode(lo, hi, depth int) int32 {
 
 // stablePartition moves seg entries whose row is marked goesLeft to the
 // front, preserving relative order on both sides. tmp must hold len(seg).
-func stablePartition(seg []int32, goesLeft []bool, tmp []int32) {
+//
+// A row's side is as hard to guess as a coin flip, so the loop does not
+// branch on it: each row is stored to both sides and only its own side's
+// cursor advances. Writing seg in place is safe because the left cursor
+// never passes the entry being read.
+func stablePartition(seg []int32, goesLeft []uint8, tmp []int32) {
 	w, k := 0, 0
 	for _, row := range seg {
-		if goesLeft[row] {
-			seg[w] = row
-			w++
-		} else {
-			tmp[k] = row
-			k++
-		}
+		l := int(goesLeft[row])
+		seg[w] = row
+		tmp[k] = row
+		w += l
+		k += 1 - l
 	}
 	copy(seg[w:], tmp[:k])
 }
