@@ -548,7 +548,8 @@ func (r *run) iterate(iter int) error {
 		}
 		stats.EncodeTime = time.Since(encStart)
 		predStart := time.Now()
-		predicted = pareto.FrontInPlace(r.st.predict(forests, o.Workers))
+		r.st.predict(forests, o.Workers)
+		predicted = r.st.front()
 		stats.PredictTime = time.Since(predStart)
 	} else {
 		predicted, stats.EncodeTime, stats.PredictTime = legacyPredict(r.space, r.rng, o, r.evaluated, forests)

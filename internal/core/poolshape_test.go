@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/param"
+	"repro/internal/pareto"
 )
 
 // awkwardSpace is enumerable and shaped to trip a grid sweep: a Boolean
@@ -91,9 +92,9 @@ func TestGridPoolMatchesLegacyPath(t *testing.T) {
 func TestPoolShapesPredictIdentically(t *testing.T) {
 	// The same forests swept over the same space through both pool shapes —
 	// all cells of the grid (PoolCap ≥ Size) and a drawn-cells list that
-	// happens to hold every index — must give every configuration
-	// bit-identical objectives, and both must equal Forest.Predict on the
-	// encoded configuration.
+	// happens to hold every feasible index — must give every feasible
+	// configuration bit-identical prediction columns, and both must equal
+	// Forest.Predict on the encoded configuration.
 	for _, constrain := range []bool{false, true} {
 		t.Run(fmt.Sprintf("constrained=%v", constrain), func(t *testing.T) {
 			space := awkwardSpace()
@@ -129,7 +130,7 @@ func TestPoolShapesPredictIdentically(t *testing.T) {
 			if !constrain && gridSt.poolIdx != nil {
 				t.Fatal("an unconstrained enumerable space needs no index list")
 			}
-			gridPoints := gridSt.predict(forests, 3)
+			gridSt.predict(forests, 3)
 
 			// A subsampled state of the same space: it holds the same grid
 			// and a list of cells — this round's draw plus the evaluated
@@ -146,28 +147,143 @@ func TestPoolShapesPredictIdentically(t *testing.T) {
 				t.Fatalf("drawn pool holds %d cells, want %d draws plus up to %d evaluated", n, o.PoolCap, len(evaluated))
 			}
 			// Predict every feasible index through it, in order.
-			drawnSt.poolIdx = space.FeasibleIndices()
-			drawnPoints := drawnSt.predict(forests, 2)
+			feasible := space.FeasibleIndices()
+			drawnSt.poolIdx = feasible
+			drawnSt.predict(forests, 2)
 
-			if len(gridPoints) != len(drawnPoints) || len(gridPoints) != len(space.FeasibleIndices()) {
-				t.Fatalf("pool sizes: all cells %d, drawn cells %d, feasible %d",
-					len(gridPoints), len(drawnPoints), len(space.FeasibleIndices()))
+			// The grid's columns hold every cell, the drawn pool's one row
+			// per listed index.
+			for j := range forests {
+				if g, d := len(gridSt.pred[j]), len(drawnSt.pred[j]); g != gridSt.grid.Cells() || d != len(feasible) {
+					t.Fatalf("objective %d: all-cells column %d rows, drawn column %d, want %d and %d",
+						j, g, d, gridSt.grid.Cells(), len(feasible))
+				}
 			}
 			row := make([]float64, space.Dim())
-			for i, gp := range gridPoints {
-				dp := drawnPoints[i]
-				if gp.ID != dp.ID {
-					t.Fatalf("point %d: all-cells ID %d, drawn-cells ID %d", i, gp.ID, dp.ID)
-				}
-				space.Encode(space.AtIndex(gp.ID), row)
+			for i, id := range feasible {
+				space.Encode(space.AtIndex(id), row)
 				for j, f := range forests {
 					want := math.Float64bits(f.Predict(row))
-					if math.Float64bits(gp.Objs[j]) != want || math.Float64bits(dp.Objs[j]) != want {
+					g, d := gridSt.pred[j][id], drawnSt.pred[j][i]
+					if math.Float64bits(g) != want || math.Float64bits(d) != want {
 						t.Fatalf("index %d objective %d: all cells %v, drawn cells %v, Predict %v",
-							gp.ID, j, gp.Objs[j], dp.Objs[j], f.Predict(row))
+							id, j, g, d, f.Predict(row))
 					}
 				}
 			}
 		})
+	}
+}
+
+// frontSpace is enumerable and large enough (12 800 cells) that every pool
+// shape over it reaches pareto's prefilter.
+func frontSpace() *param.Space {
+	return param.MustSpace(
+		param.Grid("a", 0, 4, 40),
+		param.Grid("b", 0, 4, 40),
+		param.Levels("c", 0, 0.25, 0.5, 0.75, 1, 1.25, 1.5, 1.75),
+	)
+}
+
+// frontEval is a trade-off in two objectives and, with k = 3, a third that
+// favours the middle of the space.
+func frontEval(k int) EvaluatorFunc {
+	return func(cfg param.Config) []float64 {
+		a, b, c := cfg[0], cfg[1], cfg[2]
+		objs := []float64{a + 0.5*b + c, (4-a)*(4-a) + (4 - b) + 0.3*math.Sin(9*c)}
+		if k == 3 {
+			objs = append(objs, (a-2)*(a-2)+(b-2)*(b-2)-c)
+		}
+		return objs
+	}
+}
+
+func TestPoolFrontMatchesMaterialisedPool(t *testing.T) {
+	// The predicted front read from the prediction columns must equal
+	// FrontInPlace over every pool point materialised — IDs, objective bits
+	// and order — on all three pool shapes, with two and three objectives.
+	for _, k := range []int{2, 3} {
+		for _, shape := range []struct {
+			name      string
+			constrain bool
+			poolCap   int
+		}{
+			{"all-cells", false, 0},
+			{"constrained", true, 0},
+			{"drawn", false, 5000},
+		} {
+			t.Run(fmt.Sprintf("k=%d/%s", k, shape.name), func(t *testing.T) {
+				space := frontSpace()
+				if shape.constrain {
+					space.SetConstraint(func(cfg param.Config) bool { return cfg[0]+cfg[1] > 1 && cfg[2] != 0.5 })
+				}
+				o := Options{Objectives: k, PoolCap: shape.poolCap, Seed: 3}.withDefaults()
+				st := newPoolState(space, o)
+				eval := frontEval(k)
+				rng := rand.New(rand.NewSource(2))
+				evaluated := make(map[int64]int)
+				for i, idx := range space.SampleIndices(rng, 300) {
+					cfg := space.AtIndex(idx)
+					if err := st.addSample(Sample{Index: idx, Config: cfg, Objs: eval(cfg)}); err != nil {
+						t.Fatal(err)
+					}
+					evaluated[idx] = i
+				}
+				cols, err := st.columns()
+				if err != nil {
+					t.Fatal(err)
+				}
+				forests, _, _, err := fitForests(t.Context(), cols, st.ys, o, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.pool(rng, evaluated); err != nil {
+					t.Fatal(err)
+				}
+				st.predict(forests, 2)
+				got := st.front()
+
+				// Every pool point, materialised.
+				var all []pareto.Point
+				add := func(id int64, row int) {
+					objs := make([]float64, k)
+					for j := range objs {
+						objs[j] = st.pred[j][row]
+					}
+					all = append(all, pareto.Point{ID: id, Objs: objs})
+				}
+				switch {
+				case !st.enumerable:
+					for i, id := range st.poolIdx {
+						add(id, i)
+					}
+				case st.poolIdx != nil:
+					for _, id := range st.poolIdx {
+						add(id, int(id))
+					}
+				default:
+					for id := range st.pred[0] {
+						add(int64(id), id)
+					}
+				}
+				if len(all) < 4096 || (k == 2 && len(st.keep) == len(all)) {
+					t.Fatalf("%d candidates of %d pool points: the prefilter did not run", len(st.keep), len(all))
+				}
+				want := pareto.FrontInPlace(all)
+				if len(got) != len(want) || len(want) == 0 {
+					t.Fatalf("front of %d points, materialised pool's %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID {
+						t.Fatalf("front point %d: ID %d, materialised pool's %d", i, got[i].ID, want[i].ID)
+					}
+					for j := range want[i].Objs {
+						if math.Float64bits(got[i].Objs[j]) != math.Float64bits(want[i].Objs[j]) {
+							t.Fatalf("front point %d objective %d: %v, materialised pool's %v", i, j, got[i].Objs[j], want[i].Objs[j])
+						}
+					}
+				}
+			})
+		}
 	}
 }

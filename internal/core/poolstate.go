@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/forest"
-	"repro/internal/par"
 	"repro/internal/param"
 	"repro/internal/pareto"
 )
@@ -79,8 +78,9 @@ type poolState struct {
 
 	// Prediction scratch, grown on demand and reused.
 	pred   [][]float64    // per-objective prediction columns (one entry per grid cell or drawn cell)
-	objs   []float64      // point-major objective backing (pool size × k)
-	points []pareto.Point // pool points handed to the front filter
+	keep   []int          // pool positions that may be on the predicted front
+	objs   []float64      // point-major objective backing (len(keep) × k)
+	points []pareto.Point // the candidates handed to the front filter
 }
 
 func newPoolState(space *param.Space, o Options) *poolState {
@@ -168,31 +168,45 @@ func spaceGrid(space *param.Space) (*forest.Grid, error) {
 	return forest.NewGrid(levels)
 }
 
-// predict sweeps every objective's forest over the pool and transposes the
-// per-objective columns into the point-major backing array, so no per-point
-// Objs slice is allocated. This is the one place the pool-prediction kernel
-// is chosen: an enumerable space is swept whole by PredictGrid and the pool's
-// cells read out of it; a subsampled one predicts exactly its drawn cells
-// with PredictCells. The returned points (and any front filtered from them)
-// alias reusable buffers that are overwritten by the next call.
-func (st *poolState) predict(forests []*forest.Forest, workers int) []pareto.Point {
-	// n pool points, read from `rows` predictions: drawn cells are predicted
-	// one row each; the whole grid predicts every cell, all of which are pool
-	// points unless a constraint keeps only those listed in poolIdx.
-	n := len(st.poolIdx)
-	rows := n
+// predict sweeps every objective's forest over the pool into the
+// per-objective prediction columns st.pred. This is the one place the
+// pool-prediction kernel is chosen: an enumerable space is swept whole by
+// PredictGrid, so column row r is design-space index r; a subsampled one
+// predicts exactly its drawn cells with PredictCells, so row i is pool
+// point i.
+func (st *poolState) predict(forests []*forest.Forest, workers int) {
+	rows := len(st.poolIdx)
 	if st.enumerable {
 		rows = st.grid.Cells()
-		if st.poolIdx == nil {
-			n = rows
-		}
 	}
-	for j := range st.pred {
+	for j, f := range forests {
 		if cap(st.pred[j]) < rows {
 			st.pred[j] = make([]float64, rows)
 		}
 		st.pred[j] = st.pred[j][:rows]
+		if st.enumerable {
+			f.PredictGrid(st.grid, st.pred[j], workers)
+		} else {
+			f.PredictCells(st.grid, st.poolIdx, st.pred[j], workers)
+		}
 	}
+}
+
+// front returns the predicted Pareto front of the pool, read from the
+// prediction columns. Only the points pareto.ColumnCandidates keeps become
+// pareto.Points — a few thousand of a 192 000-cell grid — and they go
+// through the same sort and sweep as a whole materialised pool would, so the
+// front is identical. The returned points alias reusable buffers that the
+// next call overwrites.
+func (st *poolState) front() []pareto.Point {
+	// Pool point i is column row i, or — on an enumerable constrained space,
+	// read out of the whole grid — the row of its design-space index.
+	var rows []int64
+	if st.enumerable {
+		rows = st.poolIdx
+	}
+	st.keep = pareto.ColumnCandidates(st.keep[:0], st.pred, rows)
+	n := len(st.keep)
 	if cap(st.objs) < n*st.k {
 		st.objs = make([]float64, n*st.k)
 	}
@@ -201,31 +215,19 @@ func (st *poolState) predict(forests []*forest.Forest, workers int) []pareto.Poi
 		st.points = make([]pareto.Point, n)
 	}
 	st.points = st.points[:n]
-
-	for j, f := range forests {
-		if st.enumerable {
-			f.PredictGrid(st.grid, st.pred[j], workers)
-		} else {
-			f.PredictCells(st.grid, st.poolIdx, st.pred[j], workers)
+	for c, i := range st.keep {
+		id, row := int64(i), i
+		if st.poolIdx != nil {
+			id = st.poolIdx[i]
+			if st.enumerable {
+				row = int(id)
+			}
 		}
+		objs := st.objs[c*st.k : (c+1)*st.k : (c+1)*st.k]
+		for j := range objs {
+			objs[j] = st.pred[j][row]
+		}
+		st.points[c] = pareto.Point{ID: id, Objs: objs}
 	}
-	// Point i is prediction row i, or — read out of the whole grid — the
-	// cell of its design-space index.
-	par.ForChunkedWorkers(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			id, row := int64(i), i
-			if st.poolIdx != nil {
-				id = st.poolIdx[i]
-				if st.enumerable {
-					row = int(id)
-				}
-			}
-			objs := st.objs[i*st.k : (i+1)*st.k : (i+1)*st.k]
-			for j := 0; j < st.k; j++ {
-				objs[j] = st.pred[j][row]
-			}
-			st.points[i] = pareto.Point{ID: id, Objs: objs}
-		}
-	})
-	return st.points
+	return pareto.FrontInPlace(st.points)
 }

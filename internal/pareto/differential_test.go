@@ -245,6 +245,76 @@ func TestHypervolume2DMatchesBruteForce(t *testing.T) {
 	}
 }
 
+func TestColumnCandidatesKeepTheFront(t *testing.T) {
+	// FrontInPlace over the candidates ColumnCandidates keeps must be Front
+	// over the whole pool — every input shape, NaN and exact duplicates
+	// included, both sides of prefilterMin, with and without a row list
+	// (then the pool's points sit at scattered rows of longer columns, the
+	// other rows holding values that would dominate everything).
+	for _, in := range frontInputs {
+		for _, k := range []int{2, 3} {
+			sizes := []int{0, 1, 17, prefilterMin - 1, prefilterMin, prefilterMin + 1, 10 * prefilterMin}
+			if k == 3 {
+				sizes = []int{0, 1, 40, 400}
+			}
+			for _, n := range sizes {
+				if in.allFront && n > prefilterMin+1 {
+					continue
+				}
+				for _, scattered := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/k=%d/n=%d/scattered=%v", in.name, k, n, scattered), func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(n) + 4))
+						points := in.gen(rng, n, k)
+						want := Front(points)
+
+						var rows []int64
+						length := n
+						if scattered {
+							length = 2*n + 3
+							rows = []int64{}
+							for _, r := range rng.Perm(length)[:n] {
+								rows = append(rows, int64(r))
+							}
+						}
+						cols := make([][]float64, k)
+						for j := range cols {
+							cols[j] = make([]float64, length)
+							for r := range cols[j] {
+								cols[j][r] = math.Inf(-1)
+							}
+							for i, p := range points {
+								r := i
+								if scattered {
+									r = int(rows[i])
+								}
+								cols[j][r] = p.Objs[j]
+							}
+						}
+						keep := ColumnCandidates(nil, cols, rows)
+						if !slices.IsSorted(keep) {
+							t.Fatal("candidates are not in pool order")
+						}
+						cands := make([]Point, len(keep))
+						for c, i := range keep {
+							if slices.ContainsFunc(points[i].Objs, math.IsNaN) {
+								t.Fatalf("candidate %d has a NaN objective", i)
+							}
+							cands[c] = points[i]
+						}
+						if in.name == "uniform" && k == 2 && n > prefilterMin && len(keep) > n/2 {
+							t.Errorf("%d candidates of %d points: the prefilter barely ran", len(keep), n)
+						}
+						if got := FrontInPlace(cands); !samePoints(got, want) {
+							t.Fatalf("front of %d candidates: %d points, Front %d\n got  %v\n want %v",
+								len(keep), len(got), len(want), head(got), head(want))
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 func TestFrontSkipsNaNPoints(t *testing.T) {
 	// ROADMAP's probe: among five points two carry a NaN objective. Under
 	// the old comparator NaN sorted as "equal to everything", the sweep met
@@ -301,21 +371,31 @@ func TestPrefilterAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkFrontInPlace filters prediction-pool-shaped inputs: points in
-// design-space order over an a×b×c grid carrying a smooth two-objective
-// trade-off, at a subsampled pool's size (5 000), KFusion's (60 000) and the
-// largest enumerable pool's (192 000).
+// poolColumns is a prediction pool's two objective columns in design-space
+// order over an a×b×c grid carrying a smooth two-objective trade-off.
+func poolColumns(n int) [][]float64 {
+	cols := [][]float64{make([]float64, n), make([]float64, n)}
+	side := int(math.Cbrt(float64(n))) + 1
+	for i := 0; i < n; i++ {
+		a := float64(i/(side*side)) / float64(side) * 4
+		bb := float64(i/side%side) / float64(side) * 4
+		c := float64(i%side) / float64(side)
+		cols[0][i] = a + 0.5*bb + c
+		cols[1][i] = (4-a)*(4-a) + (4 - bb) + 0.3*math.Sin(9*c)
+	}
+	return cols
+}
+
+// BenchmarkFrontInPlace filters prediction-pool-shaped inputs at a
+// subsampled pool's size (5 000), KFusion's (60 000) and the largest
+// enumerable pool's (192 000).
 func BenchmarkFrontInPlace(b *testing.B) {
 	for _, n := range []int{5_000, 60_000, 192_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cols := poolColumns(n)
 			objs := make([]float64, 2*n)
-			side := int(math.Cbrt(float64(n))) + 1
 			for i := 0; i < n; i++ {
-				a := float64(i/(side*side)) / float64(side) * 4
-				bb := float64(i/side%side) / float64(side) * 4
-				c := float64(i%side) / float64(side)
-				objs[2*i] = a + 0.5*bb + c
-				objs[2*i+1] = (4-a)*(4-a) + (4 - bb) + 0.3*math.Sin(9*c)
+				objs[2*i], objs[2*i+1] = cols[0][i], cols[1][i]
 			}
 			pts := make([]Point, n)
 			b.ReportAllocs()
@@ -332,4 +412,46 @@ func BenchmarkFrontInPlace(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPoolFront takes the front of the 192 000-point inproc_pool192k
+// pool from its prediction columns, both ways the engine has: "points"
+// materialises every point (a point-major copy of its objectives and a
+// Point) and filters them all; "columns" filters the columns, materialises
+// only the candidates and filters those.
+func BenchmarkPoolFront(b *testing.B) {
+	const n = 192_000
+	cols := poolColumns(n)
+	objs := make([]float64, 2*n)
+	pts := make([]Point, n)
+	b.Run("points", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range pts {
+				o := objs[2*j : 2*j+2 : 2*j+2]
+				o[0], o[1] = cols[0][j], cols[1][j]
+				pts[j] = Point{ID: int64(j), Objs: o}
+			}
+			if len(FrontInPlace(pts)) == 0 {
+				b.Fatal("empty front")
+			}
+		}
+	})
+	var keep []int
+	b.Run("columns", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keep = ColumnCandidates(keep[:0], cols, nil)
+			cand := pts[:len(keep)]
+			for c, j := range keep {
+				o := objs[2*c : 2*c+2 : 2*c+2]
+				o[0], o[1] = cols[0][j], cols[1][j]
+				cand[c] = Point{ID: int64(j), Objs: o}
+			}
+			if len(FrontInPlace(cand)) == 0 {
+				b.Fatal("empty front")
+			}
+		}
+		b.ReportMetric(float64(len(keep)), "candidates")
+	})
 }

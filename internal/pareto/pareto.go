@@ -91,8 +91,8 @@ func front2D(points []Point) []Point {
 }
 
 const (
-	// prefilterMin is the input size from which front2DInPlace discards
-	// dominated points before sorting; below it the plain sort is as fast.
+	// prefilterMin is the input size from which the fronts discard dominated
+	// points before sorting; below it the plain sort is as fast.
 	prefilterMin = 4096
 	// prefilterSample bounds the strided sample whose front does the
 	// discarding.
@@ -138,49 +138,92 @@ func front2DInPlace(points []Point) []Point {
 	return sweep2D(nil, points)
 }
 
-// prefilter2D moves behind the others, and cuts off, every point strictly
-// dominated by the front of an evenly strided sample of points — a
-// staircase ascending in obj0 and strictly descending in obj1. A removed
-// point is dominated by a sample point, hence (dominance is transitive) by a
-// member of the true front, so the front of what remains is the front of
-// points. Points that merely equal a staircase step stay, so which of
-// several equal vectors wins (the lowest ID) is still decided by the sort.
-func prefilter2D(points []Point) []Point {
-	var buf [prefilterSample]Point
-	stride := (len(points) + prefilterSample - 1) / prefilterSample
-	sample := buf[:0]
-	for i := 0; i < len(points); i += stride {
-		sample = append(sample, points[i])
-	}
-	slices.SortFunc(sample, compare2D)
-	stair := sweep2D(sample[:0], sample)
+// staircase is the one prefilter of both fronts, Front's and
+// ColumnCandidates': the front of an evenly strided sample of a pool's
+// NaN-free 2-objective points, steps ascending in obj0 and strictly
+// descending in obj1. A point a step strictly dominates is dominated by a
+// sample point, hence (dominance is transitive) by a member of the pool's
+// front, so dropping it leaves that front unchanged. A point that merely
+// equals a step stays, so which of several equal vectors wins (the lowest ID)
+// is still decided by the sort.
+type staircase struct {
+	step [prefilterSample][2]float64
+	n    int // step[:n] is in use
+	// last is the step that condemned the previous point. Pool neighbours
+	// have similar objectives, so it is tried first; on the prediction pools
+	// it condemns about 95 % of points without a search. Until a search
+	// succeeds it is NaN, which condemns nothing.
+	last [2]float64
+}
 
-	// Any step that strictly dominates p condemns it. Pool neighbours have
-	// similar objectives, so the step that condemned the previous point is
-	// tried first; only when it fails is the decisive one searched for: of
-	// the steps no worse than p in obj0, the last has the lowest obj1.
-	kept, hint := 0, 0
+// add puts a sample point on the staircase; build must follow the last add.
+func (s *staircase) add(p0, p1 float64) {
+	s.step[s.n] = [2]float64{p0, p1}
+	s.n++
+}
+
+// build sorts the sample and keeps its front. With no sample the staircase
+// has no step and condemns nothing.
+func (s *staircase) build() {
+	sample := s.step[:s.n]
+	slices.SortFunc(sample, func(a, b [2]float64) int {
+		if a[0] != b[0] {
+			return cmp.Compare(a[0], b[0])
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	s.last = [2]float64{math.NaN(), math.NaN()}
+	s.n = 0
+	for _, p := range sample {
+		if s.n == 0 || p[1] < s.step[s.n-1][1] {
+			s.step[s.n] = p
+			s.n++
+		}
+	}
+}
+
+// dominates reports whether a step strictly dominates the NaN-free point
+// (p0, p1). The first test is deliberately small enough to inline: strictly
+// better in obj0 and no worse in obj1 is strict dominance, and the cases it
+// misses, ties in obj0 included, go to search.
+func (s *staircase) dominates(p0, p1 float64) bool {
+	return s.last[0] < p0 && s.last[1] <= p1 || s.search(p0, p1)
+}
+
+// search decides dominance by the decisive step: of the steps no worse than
+// (p0, p1) in obj0, the last has the lowest obj1.
+func (s *staircase) search(p0, p1 float64) bool {
+	lo, hi := 0, s.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.step[mid][0] <= p0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo > 0 {
+		if st := s.step[lo-1]; st[1] < p1 || (st[1] == p1 && st[0] < p0) {
+			s.last = st
+			return true
+		}
+	}
+	return false
+}
+
+// prefilter2D moves behind the others, and cuts off, every NaN-free point a
+// staircase over points strictly dominates.
+func prefilter2D(points []Point) []Point {
+	var stair staircase
+	stride := (len(points) + prefilterSample - 1) / prefilterSample
+	for i := 0; i < len(points); i += stride {
+		stair.add(points[i].Objs[0], points[i].Objs[1])
+	}
+	stair.build()
+	kept := 0
 	for i, p := range points {
-		p0, p1 := p.Objs[0], p.Objs[1]
-		s := stair[hint].Objs
-		if s[0] <= p0 && s[1] <= p1 && (s[0] < p0 || s[1] < p1) {
+		if stair.dominates(p.Objs[0], p.Objs[1]) {
 			continue
-		}
-		lo, hi := 0, len(stair)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if stair[mid].Objs[0] <= p0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo > 0 {
-			s = stair[lo-1].Objs
-			if s[1] < p1 || (s[1] == p1 && s[0] < p0) {
-				hint = lo - 1
-				continue
-			}
 		}
 		if i != kept {
 			points[kept], points[i] = points[i], points[kept]
@@ -188,6 +231,61 @@ func prefilter2D(points []Point) []Point {
 		kept++
 	}
 	return points[:kept]
+}
+
+// ColumnCandidates appends to dst, in ascending order, the positions of a
+// pool's points that can be on its front. The pool is stored
+// objective-major, as a forest predicts it: point i's objective j is
+// cols[j][rows[i]], or cols[j][i] when rows is nil. A point with a NaN
+// objective is left out, and so, from prefilterMin points on, is every
+// 2-objective point the staircase over the pool strictly dominates. So
+// FrontInPlace over the candidates alone returns what it returns over the
+// whole pool: no dropped point is a member, and with k > 2 objectives, where
+// no point is dropped for dominance, the candidates keep the pool order that
+// decides which of several equal vectors wins.
+func ColumnCandidates(dst []int, cols [][]float64, rows []int64) []int {
+	if len(cols) == 0 {
+		return dst
+	}
+	n := len(rows)
+	if rows == nil {
+		n = len(cols[0])
+	}
+	row := func(i int) int {
+		if rows == nil {
+			return i
+		}
+		return int(rows[i])
+	}
+	if len(cols) != 2 {
+		for i := 0; i < n; i++ {
+			r := row(i)
+			if !slices.ContainsFunc(cols, func(c []float64) bool { return math.IsNaN(c[r]) }) {
+				dst = append(dst, i)
+			}
+		}
+		return dst
+	}
+	c0, c1 := cols[0], cols[1]
+	var stair staircase
+	if n >= prefilterMin {
+		stride := (n + prefilterSample - 1) / prefilterSample
+		for i := 0; i < n; i += stride {
+			if p0, p1 := c0[row(i)], c1[row(i)]; !math.IsNaN(p0) && !math.IsNaN(p1) {
+				stair.add(p0, p1)
+			}
+		}
+	}
+	stair.build()
+	for i := 0; i < n; i++ {
+		r := row(i)
+		p0, p1 := c0[r], c1[r]
+		if math.IsNaN(p0) || math.IsNaN(p1) || stair.dominates(p0, p1) {
+			continue
+		}
+		dst = append(dst, i)
+	}
+	return dst
 }
 
 func frontKD(points []Point) []Point {
@@ -249,7 +347,7 @@ func Hypervolume2D(front []Point, ref [2]float64) float64 {
 		w := prevX - x
 		h := ref[1] - y
 		if w > 0 && h > 0 {
-			hv += w * h
+			hv += float64(w * h) // rounded before it is added: never fused
 		}
 		if x < prevX {
 			prevX = x
