@@ -662,7 +662,7 @@ func (r *run) hypervolume(front []pareto.Point) float64 {
 		if math.IsInf(r.nadir[k], -1) {
 			return math.NaN()
 		}
-		ref[k] = r.nadir[k] + 0.1*(r.nadir[k]-r.ideal[k])
+		ref[k] = r.nadir[k] + float64(0.1*(r.nadir[k]-r.ideal[k])) // rounded before it is added: never fused
 	}
 	return pareto.Hypervolume(front, ref)
 }

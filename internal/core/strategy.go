@@ -361,8 +361,9 @@ func hvContributions2D(cands []pareto.Point) []float64 {
 		max1 = math.Max(max1, p.Objs[1])
 		min1 = math.Min(min1, p.Objs[1])
 	}
-	ref0 := max0 + 0.1*(max0-min0)
-	ref1 := max1 + 0.1*(max1-min1)
+	// Each pad is rounded before it is added: never fused.
+	ref0 := max0 + float64(0.1*(max0-min0))
+	ref1 := max1 + float64(0.1*(max1-min1))
 	if ref0 == max0 {
 		ref0 = max0 + 1 // degenerate range: any positive pad works
 	}

@@ -84,7 +84,7 @@ func hvRec(pts []Point, ref []float64) float64 {
 			next = sorted[i+1].Objs[k-1]
 		}
 		if thickness := next - p.Objs[k-1]; thickness > 0 {
-			hv += thickness * hvRec(proj, ref[:k-1])
+			hv += float64(thickness * hvRec(proj, ref[:k-1])) // rounded before it is added: never fused
 		}
 	}
 	return hv
