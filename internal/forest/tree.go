@@ -213,12 +213,15 @@ func (b *treeBuilder) buildNode(lo, hi, depth int) int32 {
 
 	// Stable partition: relative order within each side is preserved, so the
 	// fast path's per-feature lists remain sorted by (value, row) in both
-	// children.
+	// children. The split feature's own list needs none: sorted by the value
+	// the predicate tests, its left rows are already its first nl entries.
 	if b.reference {
 		stablePartition(b.order[lo:hi], b.goesLeft, b.tmp)
 	} else {
 		for f := 0; f < b.cols.dim; f++ {
-			stablePartition(b.lists[f*b.bagSize+lo:f*b.bagSize+hi], b.goesLeft, b.tmp)
+			if f != feat {
+				stablePartition(b.lists[f*b.bagSize+lo:f*b.bagSize+hi], b.goesLeft, b.tmp)
+			}
 		}
 	}
 
