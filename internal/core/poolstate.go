@@ -23,9 +23,15 @@ import (
 //     the evaluated indices) and nothing else;
 //   - the training matrix: samples are encoded when they are measured and
 //     appended, instead of re-encoding all of X_out before every forest fit;
-//   - the prediction scratch: per-objective output columns, the point slice
-//     and its objective backing array are reused across iterations, so a
-//     steady-state round performs no pool-sized allocations.
+//   - the prediction scratch: per-objective output columns, and the
+//     candidate positions, points and objective backing of the predicted
+//     front, are reused across iterations, so a steady-state round performs
+//     no pool-sized allocations.
+//
+// The predicted front is read from the prediction columns themselves
+// (front): pareto's staircase prefilter runs on the columns, and only the
+// pool points it cannot rule out become pareto.Points — a few thousand of a
+// 192 000-cell grid, which is never materialised point by point.
 //
 // Each shape has its own prediction kernel, chosen in predict: all cells are
 // swept by box-fill (forest.PredictGrid: every tree walked once, each leaf
