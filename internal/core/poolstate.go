@@ -200,10 +200,9 @@ func (st *poolState) predict(forests []*forest.Forest, workers int) {
 
 // front returns the predicted Pareto front of the pool, read from the
 // prediction columns. Only the points pareto.ColumnCandidates keeps become
-// pareto.Points — a few thousand of a 192 000-cell grid — and they go
-// through the same sort and sweep as a whole materialised pool would, so the
-// front is identical. The returned points alias reusable buffers that the
-// next call overwrites.
+// pareto.Points, and they go through the same sort and sweep as a whole
+// materialised pool would, so the front is identical. The returned points
+// alias reusable buffers that the next call overwrites.
 func (st *poolState) front() []pareto.Point {
 	// Pool point i is column row i, or — on an enumerable constrained space,
 	// read out of the whole grid — the row of its design-space index.

@@ -297,7 +297,7 @@ func Refit(c *Columns, y []float64, opts Options) (*Forest, error) {
 						for k := range copies {
 							copies[k] = row
 						}
-						for k := bagCopies; k < m; k++ { // P(m > 4) ≈ 0.4 %
+						for k := bagCopies; k < m; k++ {
 							dst[pos+k] = row
 						}
 						pos += m
