@@ -240,7 +240,7 @@ func prefilter2D(points []Point) []Point {
 // objective is left out, and so, from prefilterMin points on, is every
 // 2-objective point the staircase over the pool strictly dominates. So
 // FrontInPlace over the candidates alone returns what it returns over the
-// whole pool: no dropped point is a member, and with k > 2 objectives, where
+// whole pool: no dropped point is a member, and with k ≠ 2 objectives, where
 // no point is dropped for dominance, the candidates keep the pool order that
 // decides which of several equal vectors wins.
 func ColumnCandidates(dst []int, cols [][]float64, rows []int64) []int {
