@@ -37,6 +37,22 @@ func kfusionSpace() *Space {
 	)
 }
 
+// dbmsSpace is the dbms_knobs spec's space built by hand: 75 600 points,
+// about half of them feasible under its two constraints.
+func dbmsSpace() *Space {
+	s := MustSpace(
+		LogGrid("buffer-pool-mb", 64, 16384, 9),
+		LogGrid("wal-buffer-mb", 16, 1024, 7),
+		Levels("max-connections", 50, 100, 200, 400, 800),
+		Grid("checkpoint-interval-s", 30, 300, 10),
+		Bool("compression"),
+		Bool("async-commit"),
+		Levels("worker-threads", 1, 2, 4, 8, 16, 32),
+	)
+	s.SetConstraint(func(c Config) bool { return c[1] <= c[0] && (c[5] != 1 || c[3] <= 150) })
+	return s
+}
+
 // TestSeededDrawsUnchanged pins every sampler's seeded output and rng
 // consumption: a seeded run's pools and bootstrap are these draws, so a
 // change to how the samplers track what they drew must not move one bit.
@@ -78,6 +94,7 @@ func TestSeededDrawsUnchanged(t *testing.T) {
 		}, "f4017380ac0b07eb"},
 		{"uniform/whole-space", func(r *rand.Rand) []int64 { return MustSpace(Grid("a", 0, 9, 10)).SampleIndices(r, 10) }, "6a1950788e4b45c1"},
 		{"constrained/rejection", func(r *rand.Rand) []int64 { return primes().SampleIndices(r, 5000) }, "701d9935ae40acf3"},
+		{"constrained/dbms-5000", func(r *rand.Rand) []int64 { return dbmsSpace().SampleIndices(r, 5000) }, "fe19b57cd016f6bd"},
 		{"constrained/dense-fallback", func(r *rand.Rand) []int64 { return tight().SampleIndices(r, 30) }, "2f951b1d236265ad"},
 		{"constrained/fallback-short", func(r *rand.Rand) []int64 { return tight().SampleIndices(r, 50) }, "4e965e540c86030d"},
 		{"constrained/whole-space", func(r *rand.Rand) []int64 { return tight().SampleIndices(r, 20_000) }, "2af411fac2423182"},
