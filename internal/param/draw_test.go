@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -114,27 +116,101 @@ func TestSeededDrawsUnchanged(t *testing.T) {
 }
 
 func TestIndexSet(t *testing.T) {
-	// Grows far past its size hint, and agrees with a map on every index.
-	rng := rand.New(rand.NewSource(4))
-	s := NewIndexSet(1)
-	ref := map[int64]bool{}
-	for i := 0; i < 20_000; i++ {
-		idx := rng.Int63n(30_000)
-		if i%7 == 0 {
-			idx = int64(i) << 40 // far apart, same low bits
-		}
-		if got, want := s.Add(idx), !ref[idx]; got != want {
-			t.Fatalf("Add(%d) = %v, want %v", idx, got, want)
-		}
-		ref[idx] = true
+	// Both forms agree with a map on every Add, re-adds included, on every
+	// Has and on the count. The table grows far past its size hint, and
+	// takes indices far apart with the same low bits.
+	for _, tc := range []struct {
+		name  string
+		n     int
+		bound int64
+		dense bool
+	}{
+		{"bitmap", 1000, 30_000, true},
+		{"table", 1, 1 << 62, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(4))
+			s := NewIndexSet(tc.n, tc.bound)
+			if got := s.bits != nil; got != tc.dense {
+				t.Fatalf("bitmap = %v, want %v", got, tc.dense)
+			}
+			ref := map[int64]bool{}
+			for i := 0; i < 20_000; i++ {
+				idx := rng.Int63n(30_000)
+				if !tc.dense && i%7 == 0 {
+					idx = int64(i) << 40
+				}
+				if got, want := s.Add(idx), !ref[idx]; got != want {
+					t.Fatalf("Add(%d) = %v, want %v", idx, got, want)
+				}
+				ref[idx] = true
+			}
+			if s.Len() != len(ref) {
+				t.Fatalf("Len() = %d, want %d", s.Len(), len(ref))
+			}
+			for idx := int64(0); idx < 30_000; idx++ {
+				if s.Has(idx) != ref[idx] {
+					t.Fatalf("Has(%d) = %v, want %v", idx, s.Has(idx), ref[idx])
+				}
+			}
+			if !tc.dense && (s.Has(1<<61) || !s.Has(7<<40)) {
+				t.Fatal("Has disagrees on far indices")
+			}
+		})
 	}
-	for idx := int64(0); idx < 30_000; idx++ {
-		if s.Has(idx) != ref[idx] {
-			t.Fatalf("Has(%d) = %v, want %v", idx, s.Has(idx), ref[idx])
+	// The form follows the bound: a bitmap exactly while its words are no
+	// more than the table's slots (5 000 of dbms's 75 600 and 60 000 of
+	// KFusion's 1.8 M are bitmaps).
+	for _, tc := range []struct {
+		n     int
+		bound int64
+		dense bool
+	}{
+		{5000, 75_600, true},
+		{60_000, 1_800_000, true},
+		{5000, 16384 * 64, true},
+		{5000, 16384*64 + 1, false},
+		{1, 256 * 64, false},
+		{0, 8 * 64, true},
+	} {
+		if got := NewIndexSet(tc.n, tc.bound).bits != nil; got != tc.dense {
+			t.Errorf("NewIndexSet(%d, %d): bitmap = %v, want %v", tc.n, tc.bound, got, tc.dense)
 		}
 	}
-	if s.Has(1<<62) || !s.Has(7<<40) {
-		t.Fatal("Has disagrees on far indices")
+}
+
+// TestConcurrentDrawsShareVerdicts has goroutines draw from one constrained
+// space while its verdict memo fills: each draw must equal the same seed's
+// draw on a fresh space, whatever the other goroutines have written.
+func TestConcurrentDrawsShareVerdicts(t *testing.T) {
+	shared := dbmsSpace()
+	const goroutines, rounds = 4, 6
+	got := make([][][]int64, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got[g] = append(got[g], shared.SampleIndices(rand.New(rand.NewSource(int64(g*rounds+r))), 5000))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for r, draw := range got[g] {
+			want := dbmsSpace().SampleIndices(rand.New(rand.NewSource(int64(g*rounds+r))), 5000)
+			if !slices.Equal(draw, want) {
+				t.Fatalf("goroutine %d round %d: the shared space drew another pool", g, r)
+			}
+		}
+	}
+	if shared.memo.Load() == nil {
+		t.Fatal("a bitmap draw left no verdict memo")
+	}
+	shared.SetConstraint(shared.constraint)
+	if shared.memo.Load() != nil {
+		t.Fatal("SetConstraint kept the old verdicts")
 	}
 }
 
@@ -146,5 +222,17 @@ func BenchmarkSampleIndicesKFusion(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = s.SampleIndices(rng, 60_000)
+	}
+}
+
+// BenchmarkSampleIndicesDBMS is durable_fleet3_tenants' pool draw: 5 000
+// distinct feasible indices of the 75 600-point constrained dbms_knobs
+// space, drawn again and again from one Space, as runs on one problem do.
+func BenchmarkSampleIndicesDBMS(b *testing.B) {
+	s := dbmsSpace()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = s.SampleIndices(rng, 5000)
 	}
 }

@@ -2,29 +2,45 @@ package param
 
 import "math/bits"
 
-// IndexSet is a set of configuration indices: an open-addressing hash table
-// with linear probing, sized from the expected count, so its memory is O(n)
-// whatever the size of the space. The samplers use one to reject repeated
-// draws, where a Go map's inserts cost several times the draw itself.
+// IndexSet is a set of configuration indices below a bound. The samplers use
+// one to reject repeated draws, where a Go map's inserts cost several times
+// the draw itself. It takes one of two forms, whichever is smaller: a bitmap
+// over [0, bound), one bit per index, or an open-addressing hash table with
+// linear probing, sized from the expected count, so its memory is O(n)
+// whatever the bound. A draw of thousands from a 10⁵-10⁶-point space is a
+// bitmap: a bit test where the table hashes and probes.
 type IndexSet struct {
-	slots []int64 // index+1, or 0 for an empty slot
-	shift uint    // 64 - log2(len(slots))
+	bits  []uint64 // the bitmap, or nil for a table
+	slots []int64  // the table: index+1, or 0 for an empty slot
+	shift uint     // 64 - log2(len(slots))
 	n     int
 }
 
-// NewIndexSet returns an empty set with room for n indices before it grows.
-func NewIndexSet(n int) *IndexSet {
+// NewIndexSet returns an empty set for indices in [0, bound) with room for n
+// of them before it grows. It is a bitmap when the bitmap's ⌈bound/64⌉
+// words are no more than the table's slots would be.
+func NewIndexSet(n int, bound int64) *IndexSet {
 	s := &IndexSet{}
-	s.alloc(max(n, 4))
+	n = max(n, 4)
+	if words := (bound + 63) / 64; words <= int64(tableSlots(n)) {
+		s.bits = make([]uint64, words)
+		return s
+	}
+	s.alloc(n)
 	return s
 }
 
-// alloc makes the table for n indices: the smallest power of two at least
-// twice n, so probe runs stay short.
+// Len returns the number of indices in the set.
+func (s *IndexSet) Len() int { return s.n }
+
+// tableSlots is the table size for n indices: the smallest power of two at
+// least twice n, so probe runs stay short.
+func tableSlots(n int) int { return 1 << bits.Len(uint(2*n-1)) }
+
 func (s *IndexSet) alloc(n int) {
-	b := bits.Len(uint(2*n - 1))
-	s.slots = make([]int64, 1<<b)
-	s.shift = uint(64 - b)
+	size := tableSlots(n)
+	s.slots = make([]int64, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
 // slot returns the position of idx in the table, or of the empty slot where
@@ -39,11 +55,25 @@ func (s *IndexSet) slot(idx int64) int {
 }
 
 // Has reports whether idx is in the set.
-func (s *IndexSet) Has(idx int64) bool { return s.slots[s.slot(idx)] != 0 }
+func (s *IndexSet) Has(idx int64) bool {
+	if s.bits != nil {
+		return s.bits[idx>>6]&(1<<(idx&63)) != 0
+	}
+	return s.slots[s.slot(idx)] != 0
+}
 
-// Add puts idx, a non-negative index, in the set and reports whether it was
-// absent.
+// Add puts idx, an index in [0, bound), in the set and reports whether it
+// was absent.
 func (s *IndexSet) Add(idx int64) bool {
+	if s.bits != nil {
+		w, b := &s.bits[idx>>6], uint64(1)<<(idx&63)
+		if *w&b != 0 {
+			return false
+		}
+		*w |= b
+		s.n++
+		return true
+	}
 	i := s.slot(idx)
 	if s.slots[i] != 0 {
 		return false

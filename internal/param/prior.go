@@ -55,7 +55,7 @@ func (s *Space) SampleIndicesWeighted(rng *rand.Rand, n int) []int64 {
 		s.AtIndexInto(idx, cfg)
 		return s.Feasible(cfg)
 	}
-	seen := NewIndexSet(n)
+	seen := NewIndexSet(n, s.size)
 	out := make([]int64, 0, n)
 	// Same attempt budget as the constrained uniform sampler: ~64 draws per
 	// requested sample before the dense fallback takes over.
