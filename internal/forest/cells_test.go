@@ -351,10 +351,17 @@ func TestPredictCellsAllocatesNothingPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range cellKernels {
+		// The least of ten single-call counts, not their mean: under the
+		// race detector sync.Pool drops a quarter of its Puts, so a call may
+		// allocate the pooled mask tables afresh, whatever its cell count.
 		allocs := func(n int) float64 {
 			cells := drawCells(g, n)
 			out := make([]float64, n)
-			return testing.AllocsPerRun(10, func() { k.predict(f, g, cells, out, 1) })
+			least := math.Inf(1)
+			for range 10 {
+				least = min(least, testing.AllocsPerRun(1, func() { k.predict(f, g, cells, out, 1) }))
+			}
+			return least
 		}
 		few, many := allocs(100), allocs(50_000)
 		if few != many || few > 8 {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/par"
 )
@@ -393,6 +394,7 @@ func (f *Forest) predictCells(g *Grid, cells []int64, out []float64, workers int
 		par.ForChunkedWorkers(len(cells), workers, func(lo, hi int) {
 			m.score(cells[lo:hi], out[lo:hi], nt)
 		})
+		maskPool.Put(m)
 		return
 	}
 	d := g.Dim()
@@ -425,7 +427,10 @@ func (f *Forest) predictCells(g *Grid, cells []int64, out []float64, workers int
 // to whole blocks of maskLanes. The features are cut into groups of adjacent
 // ones (maskGroupCells), and a group's table holds one mask per combination
 // of its levels — the AND of its features' masks — so a row reads one
-// mixed-radix digit and one mask per group rather than per feature.
+// mixed-radix digit and one mask per group rather than per feature. Layouts
+// are pooled (maskPool) with their buffers, so a round's scoring reuses the
+// last round's tables instead of allocating them again; the leaves entries
+// past a tree's last leaf keep stale values, which no score reads.
 type leafMasks struct {
 	words  int
 	trees  int
@@ -434,6 +439,20 @@ type leafMasks struct {
 	slot   []int     // slot[gi]: the mask of group gi's digit 0
 	masks  []uint64  // (Σ size) masks
 	leaves []float64 // leaves[64·lane + bit]: the value of the leaf of that bit
+
+	ints []int    // backing of size, slot and packMasks' per-feature scratch
+	feat []uint64 // packMasks' per-feature masks
+}
+
+var maskPool = sync.Pool{New: func() any { return new(leafMasks) }}
+
+// sized returns s with length n, reallocated only when its capacity is
+// short; the contents are whatever s held.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 const (
@@ -451,14 +470,17 @@ const (
 	maskStackLanes = 128
 )
 
-// packMasks lays the forest out for leafMasks.score over g.
+// packMasks lays the forest out for leafMasks.score over g, in a layout
+// from maskPool that the caller puts back when it has scored.
 func (f *Forest) packMasks(g *Grid) *leafMasks {
 	d, nt, words := len(g.vals), len(f.trees), f.leafWords()
-	m := &leafMasks{words: words, trees: nt, run: (nt*words + maskLanes - 1) &^ (maskLanes - 1)}
+	m := maskPool.Get().(*leafMasks)
+	m.words, m.trees, m.run = words, nt, (nt*words+maskLanes-1)&^(maskLanes-1)
 
 	// Each feature's masks by sorted rank: tree t's leaves that none of its
 	// nodes on that feature rules out for that rank.
-	ints := make([]int, 4*d)
+	m.ints = sized(m.ints, 4*d)
+	ints := m.ints
 	fslot := ints[:d:d]
 	lead := ints[d : d : 2*d] // lead[gi]: group gi's first feature
 	m.size, m.slot = ints[2*d:2*d:3*d], ints[3*d:3*d:4*d]
@@ -467,11 +489,12 @@ func (f *Forest) packMasks(g *Grid) *leafMasks {
 		fslot[ft] = ranks
 		ranks += len(v)
 	}
-	feat := make([]uint64, ranks*m.run)
+	m.feat = sized(m.feat, ranks*m.run)
+	feat := m.feat
 	for i := range feat {
 		feat[i] = ^uint64(0)
 	}
-	m.leaves = make([]float64, 64*nt*words)
+	m.leaves = sized(m.leaves, 64*nt*words)
 	for ti, t := range f.trees {
 		m.number(g, feat, fslot, t, ti, 0, 0)
 	}
@@ -491,7 +514,7 @@ func (f *Forest) packMasks(g *Grid) *leafMasks {
 		m.slot = append(m.slot, total)
 		total += size
 	}
-	m.masks = make([]uint64, total*m.run)
+	m.masks = sized(m.masks, total*m.run)
 	for gi, size := range m.size {
 		hi := d
 		if gi+1 < len(lead) {
