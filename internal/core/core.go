@@ -979,7 +979,7 @@ func predictionPool(space *param.Space, rng *rand.Rand, sampler Sampler, poolCap
 		return space.FeasibleIndices()
 	}
 	pool := sampler.Draw(space, rng, poolCap)
-	seen := param.NewIndexSet(len(pool))
+	seen := param.NewIndexSet(len(pool), space.Size())
 	for _, idx := range pool {
 		seen.Add(idx)
 	}

@@ -26,7 +26,10 @@ import (
 //   - the prediction scratch: per-objective output columns, and the
 //     candidate positions, points and objective backing of the predicted
 //     front, are reused across iterations, so a steady-state round performs
-//     no pool-sized allocations.
+//     no pool-sized allocations. Drawn-pool columns are sized once per run,
+//     for PoolCap draws plus the run's whole sample budget of evaluated
+//     indices, so they do not regrow as the evaluated suffix does;
+//     whole-grid columns are sized exactly, with no headroom.
 //
 // The predicted front is read from the prediction columns themselves
 // (front): pareto's staircase prefilter runs on the columns, and only the
@@ -59,6 +62,7 @@ type poolState struct {
 
 	poolCap    int
 	enumerable bool // the whole space fits under poolCap
+	predCap    int  // a drawn pool's column capacity: poolCap plus the sample budget
 
 	grid *forest.Grid // the whole space, built once
 
@@ -90,7 +94,7 @@ type poolState struct {
 }
 
 func newPoolState(space *param.Space, o Options) *poolState {
-	return &poolState{
+	st := &poolState{
 		space:      space,
 		dim:        space.Dim(),
 		k:          o.Objectives,
@@ -100,6 +104,10 @@ func newPoolState(space *param.Space, o Options) *poolState {
 		ys:         make([][]float64, o.Objectives),
 		pred:       make([][]float64, o.Objectives),
 	}
+	if !st.enumerable {
+		st.predCap = o.PoolCap + o.RandomSamples + o.MaxIterations*o.MaxBatch
+	}
+	return st
 }
 
 // addSample encodes the measured configuration once and appends it to the
@@ -187,7 +195,7 @@ func (st *poolState) predict(forests []*forest.Forest, workers int) {
 	}
 	for j, f := range forests {
 		if cap(st.pred[j]) < rows {
-			st.pred[j] = make([]float64, rows)
+			st.pred[j] = make([]float64, rows, max(rows, st.predCap))
 		}
 		st.pred[j] = st.pred[j][:rows]
 		if st.enumerable {
