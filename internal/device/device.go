@@ -63,7 +63,7 @@ func PricesOf(def float64, listed map[Kernel]float64) Prices {
 func (p Prices) cost(w Work) float64 {
 	t := 0.0
 	for k, ops := range w {
-		t += ops * p[k]
+		t += float64(ops * p[k]) // rounded before it is added: never fused
 	}
 	return t
 }

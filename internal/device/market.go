@@ -84,7 +84,7 @@ func MarketDevices(n int, seed int64) []MarketDevice {
 				CoeffNs:         coeff,
 				DefaultNs:       base.DefaultNs * overall,
 				FrameOverheadMs: base.FrameOverheadMs * math.Exp(rng.NormFloat64()*0.3),
-				PowerStaticW:    0.3 + rng.Float64()*0.8,
+				PowerStaticW:    0.3 + float64(rng.Float64()*0.8), // rounded before it is added: never fused
 				EnergyNJ:        base.EnergyNJ,
 			},
 			SoC: fam.name,

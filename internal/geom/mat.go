@@ -16,9 +16,9 @@ func (m Mat3) At(r, c int) float64 { return m[3*r+c] }
 // MulVec returns m · v.
 func (m Mat3) MulVec(v Vec3) Vec3 {
 	return Vec3{
-		m[0]*v.X + m[1]*v.Y + m[2]*v.Z,
-		m[3]*v.X + m[4]*v.Y + m[5]*v.Z,
-		m[6]*v.X + m[7]*v.Y + m[8]*v.Z,
+		float64(m[0]*v.X) + float64(m[1]*v.Y) + float64(m[2]*v.Z),
+		float64(m[3]*v.X) + float64(m[4]*v.Y) + float64(m[5]*v.Z),
+		float64(m[6]*v.X) + float64(m[7]*v.Y) + float64(m[8]*v.Z),
 	}
 }
 
@@ -29,7 +29,7 @@ func (m Mat3) Mul(n Mat3) Mat3 {
 		for c := 0; c < 3; c++ {
 			s := 0.0
 			for k := 0; k < 3; k++ {
-				s += m[3*r+k] * n[3*k+c]
+				s += float64(m[3*r+k] * n[3*k+c])
 			}
 			out[3*r+c] = s
 		}
@@ -66,9 +66,9 @@ func (m Mat3) AddMat(n Mat3) Mat3 {
 
 // Det returns the determinant of m.
 func (m Mat3) Det() float64 {
-	return m[0]*(m[4]*m[8]-m[5]*m[7]) -
-		m[1]*(m[3]*m[8]-m[5]*m[6]) +
-		m[2]*(m[3]*m[7]-m[4]*m[6])
+	return float64(m[0]*(float64(m[4]*m[8])-float64(m[5]*m[7]))) -
+		float64(m[1]*(float64(m[3]*m[8])-float64(m[5]*m[6]))) +
+		float64(m[2]*(float64(m[3]*m[7])-float64(m[4]*m[6])))
 }
 
 // Trace returns the trace of m.

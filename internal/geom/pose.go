@@ -80,9 +80,9 @@ func invert3(m Mat3) Mat3 {
 		panic("geom: singular 3×3 matrix")
 	}
 	inv := Mat3{
-		m[4]*m[8] - m[5]*m[7], m[2]*m[7] - m[1]*m[8], m[1]*m[5] - m[2]*m[4],
-		m[5]*m[6] - m[3]*m[8], m[0]*m[8] - m[2]*m[6], m[2]*m[3] - m[0]*m[5],
-		m[3]*m[7] - m[4]*m[6], m[1]*m[6] - m[0]*m[7], m[0]*m[4] - m[1]*m[3],
+		float64(m[4]*m[8]) - float64(m[5]*m[7]), float64(m[2]*m[7]) - float64(m[1]*m[8]), float64(m[1]*m[5]) - float64(m[2]*m[4]),
+		float64(m[5]*m[6]) - float64(m[3]*m[8]), float64(m[0]*m[8]) - float64(m[2]*m[6]), float64(m[2]*m[3]) - float64(m[0]*m[5]),
+		float64(m[3]*m[7]) - float64(m[4]*m[6]), float64(m[1]*m[6]) - float64(m[0]*m[7]), float64(m[0]*m[4]) - float64(m[1]*m[3]),
 	}
 	return inv.Scale(1 / det)
 }

@@ -10,7 +10,7 @@ func IdentityQuat() Quat { return Quat{W: 1} }
 
 // Norm returns |q|.
 func (q Quat) Norm() float64 {
-	return math.Sqrt(q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z)
+	return math.Sqrt(float64(q.W*q.W) + float64(q.X*q.X) + float64(q.Y*q.Y) + float64(q.Z*q.Z))
 }
 
 // Normalized returns q/|q| (identity if |q| ≈ 0).
@@ -26,9 +26,9 @@ func (q Quat) Normalized() Quat {
 func (q Quat) Mat() Mat3 {
 	w, x, y, z := q.W, q.X, q.Y, q.Z
 	return Mat3{
-		1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y),
-		2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x),
-		2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y),
+		1 - float64(2*(float64(y*y)+float64(z*z))), 2 * (float64(x*y) - float64(w*z)), 2 * (float64(x*z) + float64(w*y)),
+		2 * (float64(x*y) + float64(w*z)), 1 - float64(2*(float64(x*x)+float64(z*z))), 2 * (float64(y*z) - float64(w*x)),
+		2 * (float64(x*z) - float64(w*y)), 2 * (float64(y*z) + float64(w*x)), 1 - float64(2*(float64(x*x)+float64(y*y))),
 	}
 }
 

@@ -24,7 +24,7 @@ func Solve6(a *[36]float64, b *[6]float64) ([6]float64, error) {
 			maxDiag = d
 		}
 	}
-	damp := 1e-9 * maxDiag
+	damp := float64(1e-9 * maxDiag) // rounded: it is added to the diagonal below, never fused
 	if damp == 0 {
 		return [6]float64{}, ErrSingular
 	}
@@ -36,7 +36,7 @@ func Solve6(a *[36]float64, b *[6]float64) ([6]float64, error) {
 				sum += damp
 			}
 			for k := 0; k < j; k++ {
-				sum -= l[i*n+k] * l[j*n+k]
+				sum -= float64(l[i*n+k] * l[j*n+k])
 			}
 			if i == j {
 				if sum <= 0 {
@@ -54,7 +54,7 @@ func Solve6(a *[36]float64, b *[6]float64) ([6]float64, error) {
 	for i := 0; i < n; i++ {
 		sum := b[i]
 		for k := 0; k < i; k++ {
-			sum -= l[i*n+k] * y[k]
+			sum -= float64(l[i*n+k] * y[k])
 		}
 		y[i] = sum / l[i*n+i]
 	}
@@ -63,7 +63,7 @@ func Solve6(a *[36]float64, b *[6]float64) ([6]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		sum := y[i]
 		for k := i + 1; k < n; k++ {
-			sum -= l[k*n+i] * x[k]
+			sum -= float64(l[k*n+i] * x[k])
 		}
 		x[i] = sum / l[i*n+i]
 	}
@@ -104,16 +104,16 @@ func Solve3(a *[9]float64, b *[3]float64) ([3]float64, error) {
 		for r := col + 1; r < 3; r++ {
 			f := m[r*3+col] * inv
 			for c := col; c < 3; c++ {
-				m[r*3+c] -= f * m[col*3+c]
+				m[r*3+c] -= float64(f * m[col*3+c])
 			}
-			rhs[r] -= f * rhs[col]
+			rhs[r] -= float64(f * rhs[col])
 		}
 	}
 	var x [3]float64
 	for i := 2; i >= 0; i-- {
 		sum := rhs[i]
 		for c := i + 1; c < 3; c++ {
-			sum -= m[i*3+c] * x[c]
+			sum -= float64(m[i*3+c] * x[c])
 		}
 		x[i] = sum / m[i*3+i]
 	}

@@ -12,24 +12,29 @@ type Vec3 struct{ X, Y, Z float64 }
 // V3 is shorthand for Vec3{x, y, z}.
 func V3(x, y, z float64) Vec3 { return Vec3{x, y, z} }
 
-// Add returns a + b.
-func (a Vec3) Add(b Vec3) Vec3 { return Vec3{a.X + b.X, a.Y + b.Y, a.Z + b.Z} }
+// Add returns a + b. Both operands are rounded first, so a product inlined
+// into either is never fused with the sum.
+func (a Vec3) Add(b Vec3) Vec3 {
+	return Vec3{float64(a.X) + float64(b.X), float64(a.Y) + float64(b.Y), float64(a.Z) + float64(b.Z)}
+}
 
-// Sub returns a - b.
-func (a Vec3) Sub(b Vec3) Vec3 { return Vec3{a.X - b.X, a.Y - b.Y, a.Z - b.Z} }
+// Sub returns a - b, its operands rounded first like Add's.
+func (a Vec3) Sub(b Vec3) Vec3 {
+	return Vec3{float64(a.X) - float64(b.X), float64(a.Y) - float64(b.Y), float64(a.Z) - float64(b.Z)}
+}
 
 // Scale returns s * a.
 func (a Vec3) Scale(s float64) Vec3 { return Vec3{a.X * s, a.Y * s, a.Z * s} }
 
 // Dot returns the dot product a · b.
-func (a Vec3) Dot(b Vec3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
+func (a Vec3) Dot(b Vec3) float64 { return float64(a.X*b.X) + float64(a.Y*b.Y) + float64(a.Z*b.Z) }
 
 // Cross returns the cross product a × b.
 func (a Vec3) Cross(b Vec3) Vec3 {
 	return Vec3{
-		a.Y*b.Z - a.Z*b.Y,
-		a.Z*b.X - a.X*b.Z,
-		a.X*b.Y - a.Y*b.X,
+		float64(a.Y*b.Z) - float64(a.Z*b.Y),
+		float64(a.Z*b.X) - float64(a.X*b.Z),
+		float64(a.X*b.Y) - float64(a.Y*b.X),
 	}
 }
 
