@@ -145,8 +145,8 @@ func TestIndexSet(t *testing.T) {
 				}
 				ref[idx] = true
 			}
-			if s.Len() != len(ref) {
-				t.Fatalf("Len() = %d, want %d", s.Len(), len(ref))
+			if s.n != len(ref) {
+				t.Fatalf("count %d, want %d", s.n, len(ref))
 			}
 			for idx := int64(0); idx < 30_000; idx++ {
 				if s.Has(idx) != ref[idx] {

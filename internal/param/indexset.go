@@ -30,9 +30,6 @@ func NewIndexSet(n int, bound int64) *IndexSet {
 	return s
 }
 
-// Len returns the number of indices in the set.
-func (s *IndexSet) Len() int { return s.n }
-
 // tableSlots is the table size for n indices: the smallest power of two at
 // least twice n, so probe runs stay short.
 func tableSlots(n int) int { return 1 << bits.Len(uint(2*n-1)) }
