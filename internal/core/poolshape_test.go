@@ -181,6 +181,55 @@ func TestPoolShapesPredictIdentically(t *testing.T) {
 // splits on it: each cell with twin = 1 predicts exactly like its twin = 0
 // cell, and the predicted front holds exact duplicates, which the
 // k-objective filter resolves by pool order.
+func TestDrawnPoolColumnsStayNearThePool(t *testing.T) {
+	// A drawn pool's prediction columns grow with the pool — this round's
+	// draws plus the evaluated indices — and never with the run's sample
+	// budget, which a service request may set to millions of points it
+	// will not reach. The budgets here are hypermapperd's request ceilings.
+	space := frontSpace()
+	o := Options{Objectives: 2, PoolCap: 500, RandomSamples: 1_000_000,
+		MaxIterations: 1000, MaxBatch: 1_000_000, Seed: 3}.withDefaults()
+	st := newPoolState(space, o)
+	eval := frontEval(2)
+	rng := rand.New(rand.NewSource(4))
+	order := space.SampleIndices(rng, 1000)
+	evaluated := make(map[int64]int)
+	for i, idx := range order[:200] {
+		cfg := space.AtIndex(idx)
+		if err := st.addSample(Sample{Index: idx, Config: cfg, Objs: eval(cfg)}); err != nil {
+			t.Fatal(err)
+		}
+		evaluated[idx] = i
+	}
+	cols, err := st.columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forests, _, _, err := fitForests(t.Context(), cols, st.ys, o, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		for i, idx := range order[200*(round+1) : 200*(round+2)] {
+			evaluated[idx] = 200*(round+1) + i
+		}
+		if err := st.pool(rng, evaluated); err != nil {
+			t.Fatal(err)
+		}
+		if st.enumerable {
+			t.Fatal("the pool must be drawn")
+		}
+		st.predict(forests, 2)
+		rows := len(st.poolIdx)
+		for j, col := range st.pred {
+			if len(col) != rows || cap(col) > 2*rows {
+				t.Fatalf("round %d objective %d: column of %d rows and capacity %d for a pool of %d",
+					round, j, len(col), cap(col), rows)
+			}
+		}
+	}
+}
+
 func frontSpace() *param.Space {
 	return param.MustSpace(
 		param.Grid("a", 0, 4, 30),

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/forest"
 	"repro/internal/param"
@@ -26,10 +27,9 @@ import (
 //   - the prediction scratch: per-objective output columns, and the
 //     candidate positions, points and objective backing of the predicted
 //     front, are reused across iterations, so a steady-state round performs
-//     no pool-sized allocations. Drawn-pool columns are sized once per run,
-//     for PoolCap draws plus the run's whole sample budget of evaluated
-//     indices, so they do not regrow as the evaluated suffix does;
-//     whole-grid columns are sized exactly, with no headroom.
+//     no pool-sized allocations. The columns grow as append does, so a
+//     drawn pool's columns do not regrow every round as its evaluated
+//     suffix does; whole-grid columns are sized exactly, with no headroom.
 //
 // The predicted front is read from the prediction columns themselves
 // (front): pareto's staircase prefilter runs on the columns, and only the
@@ -62,7 +62,6 @@ type poolState struct {
 
 	poolCap    int
 	enumerable bool // the whole space fits under poolCap
-	predCap    int  // a drawn pool's column capacity: poolCap plus the sample budget
 
 	grid *forest.Grid // the whole space, built once
 
@@ -94,7 +93,7 @@ type poolState struct {
 }
 
 func newPoolState(space *param.Space, o Options) *poolState {
-	st := &poolState{
+	return &poolState{
 		space:      space,
 		dim:        space.Dim(),
 		k:          o.Objectives,
@@ -104,10 +103,6 @@ func newPoolState(space *param.Space, o Options) *poolState {
 		ys:         make([][]float64, o.Objectives),
 		pred:       make([][]float64, o.Objectives),
 	}
-	if !st.enumerable {
-		st.predCap = o.PoolCap + o.RandomSamples + o.MaxIterations*o.MaxBatch
-	}
-	return st
 }
 
 // addSample encodes the measured configuration once and appends it to the
@@ -194,10 +189,7 @@ func (st *poolState) predict(forests []*forest.Forest, workers int) {
 		rows = st.grid.Cells()
 	}
 	for j, f := range forests {
-		if cap(st.pred[j]) < rows {
-			st.pred[j] = make([]float64, rows, max(rows, st.predCap))
-		}
-		st.pred[j] = st.pred[j][:rows]
+		st.pred[j] = slices.Grow(st.pred[j][:0], rows)[:rows]
 		if st.enumerable {
 			f.PredictGrid(st.grid, st.pred[j], workers)
 		} else {
