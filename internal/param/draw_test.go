@@ -179,10 +179,10 @@ func TestIndexSet(t *testing.T) {
 	}
 }
 
-// TestConcurrentDrawsShareVerdicts has goroutines draw from one constrained
-// space while its verdict memo fills: each draw must equal the same seed's
-// draw on a fresh space, whatever the other goroutines have written.
-func TestConcurrentDrawsShareVerdicts(t *testing.T) {
+// TestConcurrentDrawsFromOneSpace has goroutines draw from one constrained
+// space at once, as concurrent runs on one problem do: each draw must equal
+// the same seed's draw on a fresh space.
+func TestConcurrentDrawsFromOneSpace(t *testing.T) {
 	shared := dbmsSpace()
 	const goroutines, rounds = 4, 6
 	got := make([][][]int64, goroutines)
@@ -204,13 +204,6 @@ func TestConcurrentDrawsShareVerdicts(t *testing.T) {
 				t.Fatalf("goroutine %d round %d: the shared space drew another pool", g, r)
 			}
 		}
-	}
-	if shared.memo.Load() == nil {
-		t.Fatal("a bitmap draw left no verdict memo")
-	}
-	shared.SetConstraint(shared.constraint)
-	if shared.memo.Load() != nil {
-		t.Fatal("SetConstraint kept the old verdicts")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 )
 
 // Kind classifies a parameter for encoding and reporting purposes.
@@ -141,10 +140,6 @@ type Space struct {
 	// rejects them. Size() still reports the unconstrained product — the
 	// index space is unchanged, only which indices are admissible.
 	constraint Predicate
-
-	// memo caches the constraint's verdicts for the uniform draws
-	// (verdicts): nil until a draw needs it, and again after SetConstraint.
-	memo atomic.Pointer[[]atomic.Uint64]
 }
 
 // NewSpace builds a space from the given parameters. It returns an error if
@@ -209,10 +204,7 @@ func MustSpace(params ...Parameter) *Space {
 // SetConstraint installs a feasibility predicate. It must be called while
 // the space is still being set up, before it is shared across goroutines;
 // passing nil removes the constraint.
-func (s *Space) SetConstraint(pred Predicate) {
-	s.constraint = pred
-	s.memo.Store(nil)
-}
+func (s *Space) SetConstraint(pred Predicate) { s.constraint = pred }
 
 // Constrained reports whether the space carries a feasibility constraint.
 func (s *Space) Constrained() bool { return s.constraint != nil }
@@ -398,27 +390,25 @@ func (s *Space) SampleIndices(rng *rand.Rand, n int) []int64 {
 // sampling first (cheap while the feasible fraction is healthy), then a
 // full feasible enumeration when the space is mostly infeasible — so the
 // draw terminates and stays uniform no matter how tight the constraint is.
-// A draw whose seen-set is a bitmap reads and fills the space's verdict
-// memo, so an index decoded and tested by any earlier draw is a bit test.
 func (s *Space) sampleConstrained(rng *rand.Rand, n int) []int64 {
+	cfg := make(Config, len(s.params))
+	feasible := func(idx int64) bool {
+		s.AtIndexInto(idx, cfg)
+		return s.constraint(cfg)
+	}
 	if int64(n) >= s.size {
 		all := s.FeasibleIndices()
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		return all
 	}
-	cfg := make(Config, len(s.params))
 	seen := NewIndexSet(n, s.size)
-	var memo []atomic.Uint64
-	if seen.bits != nil {
-		memo = s.verdicts()
-	}
 	out := make([]int64, 0, n)
 	// ~64 draws per requested sample handles feasible fractions down to a
 	// few percent; below that the enumeration fallback is cheaper than
 	// spinning on rejections.
 	for attempts := 64*n + 1024; attempts > 0 && len(out) < n; attempts-- {
 		idx := rng.Int63n(s.size)
-		if seen.Has(idx) || !s.feasibleAt(idx, cfg, memo) {
+		if seen.Has(idx) || !feasible(idx) {
 			continue
 		}
 		seen.Add(idx)
@@ -430,7 +420,7 @@ func (s *Space) sampleConstrained(rng *rand.Rand, n int) []int64 {
 		// fewer feasible configurations exist).
 		rest := make([]int64, 0, n-len(out))
 		for idx := int64(0); idx < s.size; idx++ {
-			if !seen.Has(idx) && s.feasibleAt(idx, cfg, memo) {
+			if !seen.Has(idx) && feasible(idx) {
 				rest = append(rest, idx)
 			}
 		}
@@ -441,45 +431,6 @@ func (s *Space) sampleConstrained(rng *rand.Rand, n int) []int64 {
 		out = append(out, rest...)
 	}
 	return out
-}
-
-// verdicts returns the space's constraint memo, making it on first use: two
-// bits per index, bit 2i of word w for index 32w+i — the constraint's
-// verdict on it is known — and bit 2i+1 — that verdict is feasible. It is
-// filled lazily, by the draws, and never enumerated up front: a single draw
-// from a space far larger than itself would pay for every cell. Concurrent
-// draws fill it with atomic ORs, each writing both bits at once.
-func (s *Space) verdicts() []atomic.Uint64 {
-	if m := s.memo.Load(); m != nil {
-		return *m
-	}
-	m := make([]atomic.Uint64, (s.size+31)/32)
-	if s.memo.CompareAndSwap(nil, &m) {
-		return m
-	}
-	return *s.memo.Load()
-}
-
-// feasibleAt reports whether index idx satisfies the constraint, decoding
-// it into cfg and testing the predicate only when memo (the space's verdict
-// memo, or nil) does not know yet.
-func (s *Space) feasibleAt(idx int64, cfg Config, memo []atomic.Uint64) bool {
-	if memo == nil {
-		s.AtIndexInto(idx, cfg)
-		return s.constraint(cfg)
-	}
-	w, shift := &memo[idx>>5], uint(idx&31)*2
-	if v := w.Load() >> shift; v&1 != 0 {
-		return v&2 != 0
-	}
-	s.AtIndexInto(idx, cfg)
-	ok := s.constraint(cfg)
-	v := uint64(1)
-	if ok {
-		v = 3
-	}
-	w.Or(v << shift)
-	return ok
 }
 
 // Encode writes the feature vector of cfg into dst (length Dim()): the raw
