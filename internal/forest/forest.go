@@ -150,7 +150,7 @@ func (sc *fitScratch) ensure(n, d, bagSize int, reference bool) {
 // exceeds 4 with probability 0.4 %) takes a short loop.
 const bagCopies = 4
 
-var scratchPool = sync.Pool{New: func() any { return new(fitScratch) }}
+var scratchPool = sync.Pool{New: func() any { return &fitScratch{rng: rand.New(rand.NewSource(0))} }}
 
 // fitBuffers is the per-fit aggregation state: per-tree out-of-bag
 // predictions, bag-membership bitsets, and importance rows, kept as three
@@ -245,13 +245,8 @@ func Refit(c *Columns, y []float64, opts Options) (*Forest, error) {
 		func() *fitScratch { return scratchPool.Get().(*fitScratch) },
 		func(sc *fitScratch) { scratchPool.Put(sc) },
 		func(sc *fitScratch, ti int) {
-			seed := o.Seed + int64(ti)*1_000_003 + 17
-			if sc.rng == nil {
-				sc.rng = rand.New(rand.NewSource(seed))
-			} else {
-				sc.rng.Seed(seed)
-			}
 			rng := sc.rng
+			rng.Seed(o.Seed + int64(ti)*1_000_003 + 17)
 			sc.ensure(n, d, bootSize, o.Reference)
 
 			bag := fb.bags[ti*bagWords : (ti+1)*bagWords]
