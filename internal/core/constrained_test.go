@@ -49,33 +49,6 @@ func TestConstrainedRunNeverEvaluatesInfeasible(t *testing.T) {
 	}
 }
 
-func TestConstrainedLegacyIncrementalEquivalence(t *testing.T) {
-	for _, poolCap := range []int{0, 200} {
-		space := constrainedSpace(t)
-		opts := Options{
-			Objectives:    2,
-			RandomSamples: 40,
-			MaxIterations: 3,
-			MaxBatch:      30,
-			PoolCap:       poolCap,
-			Seed:          31,
-		}
-		incremental, err := Run(space, benchEval(space), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy := opts
-		legacy.legacyState = true
-		reference, err := Run(space, benchEval(space), legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fingerprintRun(incremental) != fingerprintRun(reference) {
-			t.Fatalf("poolCap=%d: incremental path diverged from legacy on a constrained space", poolCap)
-		}
-	}
-}
-
 func TestConstrainedRunDeterministicAcrossWorkers(t *testing.T) {
 	space := constrainedSpace(t)
 	opts := Options{Objectives: 2, RandomSamples: 30, MaxIterations: 2, Seed: 17}

@@ -142,14 +142,6 @@ type Options struct {
 	Sampler  Sampler
 	Modeler  Modeler
 	Selector Selector
-
-	// legacyState forces the pre-incremental per-iteration path: re-encode
-	// the training matrix before every fit, rebuild and re-encode the whole
-	// prediction pool every round, and predict each objective in its own
-	// batch pass. It is the reference implementation the regression tests
-	// and benchmarks compare the incremental poolState path against; both
-	// paths are byte-identical on the same seed.
-	legacyState bool
 }
 
 // withDefaults fills every optional field so a zero-valued Options (apart
@@ -395,7 +387,7 @@ type run struct {
 	// res.Samples, or to -1 for an invalid measurement (measured, never
 	// trained on, never measured again).
 	evaluated map[int64]int
-	st        *poolState // incremental state; nil on the legacy reference path
+	st        *poolState // the pool, training matrix and prediction scratch kept across rounds
 
 	// Feasibility labels, collected only when the modeler asks for them
 	// (labeler != nil): the default strategy must not encode extra rows or
@@ -438,13 +430,6 @@ func newRun(ctx context.Context, space *param.Space, eval Evaluator, opts Option
 	if o.Backend == nil {
 		o.Backend = &LocalBackend{Eval: eval, Workers: o.Workers}
 	}
-	if o.legacyState {
-		// The reference path re-sorts every node segment during tree
-		// training, exactly like the pre-presorted engine; forests stay
-		// byte-identical to the fast builder, so the equivalence tests can
-		// compare whole runs.
-		o.Forest.Reference = true
-	}
 	r := &run{
 		ctx:       ctx,
 		space:     space,
@@ -455,13 +440,11 @@ func newRun(ctx context.Context, space *param.Space, eval Evaluator, opts Option
 		nadir:     make([]float64, o.Objectives),
 		ideal:     make([]float64, o.Objectives),
 		skips:     maps.Clone(o.ReplaySkips),
+		st:        newPoolState(space, o),
 	}
 	for k := range r.nadir {
 		r.nadir[k] = math.Inf(-1)
 		r.ideal[k] = math.Inf(1)
-	}
-	if !o.legacyState {
-		r.st = newPoolState(space, o)
 	}
 	if l, ok := o.Modeler.(FeasibilityLabeler); ok && l.WantsFeasibilityLabels() {
 		r.labeler = l
@@ -536,24 +519,17 @@ func (r *run) iterate(iter int) error {
 	r.res.Forests = forests
 
 	// Predict every objective over the pool and filter the predicted
-	// front P. The incremental path keeps the grid across rounds (all of
-	// its cells are the pool when the space is enumerable, else a
-	// re-drawn list of them); the legacy path rebuilds everything per
-	// round.
-	var predicted []pareto.Point
-	if r.st != nil {
-		encStart := time.Now()
-		if err := r.st.pool(r.rng, r.evaluated); err != nil {
-			return r.fail(err)
-		}
-		stats.EncodeTime = time.Since(encStart)
-		predStart := time.Now()
-		r.st.predict(forests, o.Workers)
-		predicted = r.st.front()
-		stats.PredictTime = time.Since(predStart)
-	} else {
-		predicted, stats.EncodeTime, stats.PredictTime = legacyPredict(r.space, r.rng, o, r.evaluated, forests)
+	// front P. The grid is kept across rounds: all of its cells are the
+	// pool when the space is enumerable, else a re-drawn list of them.
+	encStart := time.Now()
+	if err := r.st.pool(r.rng, r.evaluated); err != nil {
+		return r.fail(err)
 	}
+	stats.EncodeTime = time.Since(encStart)
+	predStart := time.Now()
+	r.st.predict(forests, o.Workers)
+	predicted := r.st.front()
+	stats.PredictTime = time.Since(predStart)
 	stats.PredictedFrontSize = len(predicted)
 
 	// P − X_out: predicted-front candidates not yet measured, run
@@ -593,28 +569,15 @@ func (r *run) iterate(iter int) error {
 	return nil
 }
 
-// fit trains the round's models on everything measured so far.
+// fit trains the round's models on everything measured so far: the fresh
+// batch is appended to the shared presorted matrix and every model is fit
+// from it.
 func (r *run) fit(iter int) (*Models, error) {
-	tr := Training{FeasX: r.feasX, FeasY: r.feasY}
-	var err error
-	if r.st != nil {
-		// Warm path: append the fresh batch to the shared presorted
-		// matrix and fit from it.
-		tr.Ys = r.st.ys
-		tr.Cols, err = r.st.columns()
-	} else {
-		// Legacy reference path: re-encode the training matrix and
-		// rebuild the column transpose from scratch, every iteration.
-		var x [][]float64
-		x, tr.Ys, err = trainingMatrix(r.space, r.res.Samples, r.o.Objectives)
-		if err == nil {
-			tr.Cols, err = forest.ColumnsFromRows(x)
-		}
-	}
+	cols, err := r.st.columns()
 	if err != nil {
 		return nil, err
 	}
-	return r.o.Modeler.Fit(r.ctx, tr, r.o, iter)
+	return r.o.Modeler.Fit(r.ctx, Training{Cols: cols, Ys: r.st.ys, FeasX: r.feasX, FeasY: r.feasY}, r.o, iter)
 }
 
 // measure is the one way configurations become samples, in either phase:
@@ -697,12 +660,8 @@ func (r *run) ingest(batch []Sample) error {
 			r.evaluated[s.Index] = -1
 			continue
 		}
-		if r.st != nil {
-			// The incremental path encodes the sample into the append-only
-			// training matrix as it arrives.
-			if err := r.st.addSample(s); err != nil {
-				return err
-			}
+		if err := r.st.addSample(s); err != nil {
+			return err
 		}
 		r.res.Samples = append(r.res.Samples, s)
 		r.evaluated[s.Index] = len(r.res.Samples) - 1
@@ -712,44 +671,6 @@ func (r *run) ingest(batch []Sample) error {
 		}
 	}
 	return nil
-}
-
-// legacyPredict is the pre-incremental prediction step, kept as the
-// reference the regression tests and BenchmarkALIteration compare against:
-// rebuild the pool, decode and encode every pool configuration, run one
-// batch prediction per objective, and transpose into per-point objective
-// vectors.
-func legacyPredict(space *param.Space, rng *rand.Rand, o Options, evaluated map[int64]int, forests []*forest.Forest) (predicted []pareto.Point, encodeTime, predictTime time.Duration) {
-	dim := space.Dim()
-	encStart := time.Now()
-	poolIdx := predictionPool(space, rng, o.Sampler, o.PoolCap, evaluated)
-	feats := make([][]float64, len(poolIdx))
-	flat := make([]float64, len(poolIdx)*dim)
-	cfg := make(param.Config, dim)
-	for i, idx := range poolIdx {
-		row := flat[i*dim : (i+1)*dim]
-		space.AtIndexInto(idx, cfg)
-		space.Encode(cfg, row)
-		feats[i] = row
-	}
-	encodeTime = time.Since(encStart)
-
-	predStart := time.Now()
-	preds := make([][]float64, o.Objectives)
-	for k, f := range forests {
-		preds[k] = f.PredictBatch(feats)
-	}
-	points := make([]pareto.Point, len(poolIdx))
-	for i, idx := range poolIdx {
-		objs := make([]float64, o.Objectives)
-		for k := range preds {
-			objs[k] = preds[k][i]
-		}
-		points[i] = pareto.Point{ID: idx, Objs: objs}
-	}
-	predicted = pareto.Front(points)
-	predictTime = time.Since(predStart)
-	return predicted, encodeTime, predictTime
 }
 
 // predictFeasibility encodes each candidate and asks the classifier for its
@@ -897,29 +818,6 @@ func (r *run) evaluate(idxs []int64, iter int) ([]Sample, batchOutcome, error) {
 	return out, bo, err
 }
 
-// trainingMatrix encodes every sample from scratch — the legacy reference
-// path; the incremental path keeps the matrix append-only in poolState.
-func trainingMatrix(space *param.Space, samples []Sample, objectives int) (x, ys [][]float64, err error) {
-	dim := space.Dim()
-	x = make([][]float64, len(samples))
-	ys = make([][]float64, objectives)
-	for k := range ys {
-		ys[k] = make([]float64, len(samples))
-	}
-	for i, s := range samples {
-		if len(s.Objs) != objectives {
-			return nil, nil, fmt.Errorf("core: evaluator returned %d objectives, want %d", len(s.Objs), objectives)
-		}
-		row := make([]float64, dim)
-		space.Encode(s.Config, row)
-		x[i] = row
-		for k := 0; k < objectives; k++ {
-			ys[k][i] = s.Objs[k]
-		}
-	}
-	return x, ys, nil
-}
-
 // fitForests trains one regressor per objective over the shared presorted
 // column matrix with per-objective target columns ys. The per-objective
 // fits are independent, only read cols, and run in parallel, with the
@@ -969,15 +867,11 @@ func fitForests(ctx context.Context, cols *forest.Columns, ys [][]float64, o Opt
 	return forests, oob, oobN, nil
 }
 
-// predictionPool returns the pool X of Algorithm 1: every feasible index
-// when the space fits under cap, otherwise up to cap fresh indices drawn by
-// the run's sampler (fewer on a tightly constrained space) plus every
-// evaluated index (so the predicted front can stabilize onto measured points
-// and the loop can converge).
+// predictionPool draws the pool X of Algorithm 1 on a space larger than
+// cap: up to cap fresh indices drawn by the run's sampler (fewer on a
+// tightly constrained space) plus every evaluated index (so the predicted
+// front can stabilize onto measured points and the loop can converge).
 func predictionPool(space *param.Space, rng *rand.Rand, sampler Sampler, poolCap int, evaluated map[int64]int) []int64 {
-	if space.Size() <= int64(poolCap) {
-		return space.FeasibleIndices()
-	}
 	pool := sampler.Draw(space, rng, poolCap)
 	seen := param.NewIndexSet(len(pool), space.Size())
 	for _, idx := range pool {

@@ -33,9 +33,10 @@ var threeObj = EvaluatorFunc(func(cfg param.Config) []float64 {
 // objectives, the non-default strategy stages, constrained spaces, and an
 // awkward grid (Boolean first, log-scaled, out-of-order and one-level
 // parameters) whose runs must not depend on the worker count. The digests
-// were recorded when the engine still kept its pre-incremental reference
-// loop (re-encoded training matrix, re-sorting tree builder, row-by-row
-// Forest.Predict over a re-encoded pool) and both paths gave each one.
+// were recorded when the engine still kept a second, pre-incremental loop
+// (training matrix re-encoded every round, re-sorting tree builder,
+// row-by-row Forest.Predict over a re-encoded pool), and both loops gave
+// each one.
 func TestRunDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were recorded on amd64")
@@ -91,21 +92,18 @@ func TestRunDigests(t *testing.T) {
 			"4a676258bda5ee9f09cecd38aa21f0df0ab5eb9eafad35d66e098aac38c42790"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			for _, legacy := range []bool{false, true} {
-				for _, workers := range c.workers {
-					opts := c.opts
-					opts.Workers = workers
-					opts.legacyState = legacy
-					res, err := Run(c.space, c.eval, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(res.Samples) <= opts.RandomSamples {
-						t.Fatal("the run never left the bootstrap; the pool was not exercised")
-					}
-					if got := runDigest(res); got != c.want {
-						t.Errorf("legacy=%v workers=%d: digest %s, want %s", legacy, workers, got, c.want)
-					}
+			for _, workers := range c.workers {
+				opts := c.opts
+				opts.Workers = workers
+				res, err := Run(c.space, c.eval, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Samples) <= opts.RandomSamples {
+					t.Fatal("the run never left the bootstrap; the pool was not exercised")
+				}
+				if got := runDigest(res); got != c.want {
+					t.Errorf("workers=%d: digest %s, want %s", workers, got, c.want)
 				}
 			}
 		})

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/forest"
 	"repro/internal/param"
 )
 
@@ -91,79 +90,6 @@ func TestPredictionPoolAppendsUndrawnEvaluated(t *testing.T) {
 		if !slices.Equal(got, want) || rng.Int63() != ref.Int63() {
 			t.Fatalf("n=%d: pool of %d differs from draw+sorted extras (%d)", n, len(got), len(want))
 		}
-	}
-}
-
-func TestIncrementalMatchesLegacyPath(t *testing.T) {
-	// The incremental poolState path (pool encoded once, append-only
-	// training matrix, fused flat-matrix prediction) must be byte-identical
-	// to the pre-optimization engine — same sample order, same fronts —
-	// on both the enumerable- and subsampled-pool paths, and for more than
-	// two objectives (which exercises frontKD instead of the 2-D sweep).
-	space := benchSpace(t)
-	threeObj := EvaluatorFunc(func(cfg param.Config) []float64 {
-		a, b, c := cfg[0], cfg[1], cfg[2]
-		return []float64{a + 1, b + 1, c + a*b*0.1}
-	})
-	cases := []struct {
-		name       string
-		objectives int
-		eval       Evaluator
-		poolCap    int
-		sampler    Sampler
-		modeler    Modeler
-		selector   Selector
-	}{
-		{"2obj-enumerable", 2, benchEval(space), 0, nil, nil, nil},
-		{"2obj-subsampled", 2, benchEval(space), 100, nil, nil, nil},
-		{"3obj-subsampled", 3, threeObj, 400, nil, nil, nil},
-		// The non-default pipeline stages must agree across the two engine
-		// paths too: the pipeline sits above the pool/training
-		// representation, so strategy choice and path choice are orthogonal.
-		{"2obj-enumerable-strategy", 2, benchEval(space), 0,
-			PriorSampler{}, FeasibilityModeler{Probes: 64}, AcquisitionSelector{}},
-		{"2obj-subsampled-strategy", 2, benchEval(space), 100,
-			PriorSampler{}, FeasibilityModeler{Probes: 64}, AcquisitionSelector{}},
-		{"3obj-subsampled-strategy", 3, threeObj, 400,
-			UniformSampler{}, FeasibilityModeler{Probes: 64}, AcquisitionSelector{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{
-				Objectives:    tc.objectives,
-				RandomSamples: 40,
-				MaxIterations: 3,
-				MaxBatch:      30,
-				PoolCap:       tc.poolCap,
-				Seed:          23,
-				Sampler:       tc.sampler,
-				Modeler:       tc.modeler,
-				Selector:      tc.selector,
-			}
-			incremental, err := Run(space, tc.eval, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy := opts
-			legacy.legacyState = true
-			reference, err := Run(space, tc.eval, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fingerprintRun(incremental) != fingerprintRun(reference) {
-				t.Fatal("incremental path diverged from the legacy reference path with an identical seed")
-			}
-			if len(incremental.Iterations) != len(reference.Iterations) {
-				t.Fatalf("iteration counts differ: %d vs %d",
-					len(incremental.Iterations), len(reference.Iterations))
-			}
-			for i := range incremental.Iterations {
-				a, b := incremental.Iterations[i], reference.Iterations[i]
-				if a.PredictedFrontSize != b.PredictedFrontSize || a.NewSamples != b.NewSamples {
-					t.Fatalf("iteration %d stats diverged: %+v vs %+v", i, a, b)
-				}
-			}
-		})
 	}
 }
 
@@ -566,9 +492,8 @@ func TestThinGuards(t *testing.T) {
 
 // BenchmarkALIteration measures the active-learning loop on an enumerable
 // pool near the default PoolCap: a 192 000-point space swept exhaustively
-// every iteration, the regime the incremental exploration state targets.
-// The "legacy" sub-benchmark runs the retained pre-optimization reference
-// path, so one bench run shows the speedup and alloc reduction directly.
+// every iteration, the regime the exploration state kept across rounds
+// targets.
 func BenchmarkALIteration(b *testing.B) {
 	space := param.MustSpace(
 		param.Grid("a", 0, 4, 80),
@@ -579,48 +504,33 @@ func BenchmarkALIteration(b *testing.B) {
 		a, bb := cfg[0], cfg[1]
 		return []float64{a + 0.5*bb + cfg[2], bb + 0.25*a}
 	})
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{
-		{"incremental", false},
-		{"legacy", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var fit time.Duration
-			for i := 0; i < b.N; i++ {
-				opts := Options{
-					Objectives:    2,
-					RandomSamples: 100,
-					MaxIterations: 2,
-					MaxBatch:      30,
-					Seed:          int64(i + 1),
-				}
-				opts.legacyState = mode.legacy
-				res, err := Run(space, eval, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, it := range res.Iterations {
-					fit += it.FitTime
-				}
-			}
-			// Per-run forest-fitting wall clock, so the bench logs track the
-			// fit path (warm-started presorted refits vs the legacy rebuild)
-			// alongside the whole-iteration timing.
-			b.ReportMetric(fit.Seconds()*1e3/float64(b.N), "fit-ms")
+	b.ReportAllocs()
+	var fit time.Duration
+	for i := 0; i < b.N; i++ {
+		res, err := Run(space, eval, Options{
+			Objectives:    2,
+			RandomSamples: 100,
+			MaxIterations: 2,
+			MaxBatch:      30,
+			Seed:          int64(i + 1),
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, it := range res.Iterations {
+			fit += it.FitTime
+		}
 	}
+	// Per-run forest-fitting wall clock, so the bench logs track the
+	// warm-started presorted refits alongside the whole-iteration timing.
+	b.ReportMetric(fit.Seconds()*1e3/float64(b.N), "fit-ms")
 }
 
 // BenchmarkALIterationFit isolates fitForests across a growing
 // active-learning run — the exact call pattern of the engine's fit phase:
 // bootstrap-sized training set, then one refit per objective per iteration
-// as measured batches append. The incremental mode reuses one shared
-// presorted Columns (the poolState seam); the legacy mode re-encodes and
-// rebuilds the matrix every iteration and trains with the retained
-// re-sorting reference builder, like the pre-presorted engine did.
+// as measured batches append to one shared presorted Columns (the poolState
+// seam).
 func BenchmarkALIterationFit(b *testing.B) {
 	space := param.MustSpace(
 		param.Grid("a", 0, 4, 40),
@@ -639,58 +549,30 @@ func BenchmarkALIterationFit(b *testing.B) {
 	}
 	ctx := context.Background()
 
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{
-		{"incremental", false},
-		{"legacy", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				o := Options{Objectives: objectives, Seed: int64(i + 1)}.withDefaults()
-				o.legacyState = mode.legacy
-				o.Forest.Reference = mode.legacy
-				st := newPoolState(space, o)
-				n := 0
-				for iter := 1; iter <= iters; iter++ {
-					grow := batch
-					if iter == 1 {
-						grow = bootstrap
-					}
-					for _, s := range samples[n : n+grow] {
-						if err := st.addSample(s); err != nil {
-							b.Fatal(err)
-						}
-					}
-					n += grow
-					var err error
-					if mode.legacy {
-						// Re-encode and re-transpose everything, like
-						// trainingMatrix + ColumnsFromRows per iteration.
-						var x, ys [][]float64
-						x, ys, err = trainingMatrix(space, samples[:n], objectives)
-						if err == nil {
-							var cols *forest.Columns
-							cols, err = forest.ColumnsFromRows(x)
-							if err == nil {
-								_, _, _, err = fitForests(ctx, cols, ys, o, iter)
-							}
-						}
-					} else {
-						var cols *forest.Columns
-						cols, err = st.columns()
-						if err == nil {
-							_, _, _, err = fitForests(ctx, cols, st.ys, o, iter)
-						}
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		o := Options{Objectives: objectives, Seed: int64(i + 1)}.withDefaults()
+		st := newPoolState(space, o)
+		n := 0
+		for iter := 1; iter <= iters; iter++ {
+			grow := batch
+			if iter == 1 {
+				grow = bootstrap
+			}
+			for _, s := range samples[n : n+grow] {
+				if err := st.addSample(s); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
+			n += grow
+			cols, err := st.columns()
+			if err == nil {
+				_, _, _, err = fitForests(ctx, cols, st.ys, o, iter)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -31,64 +31,6 @@ func awkwardEval(cfg param.Config) []float64 {
 	}
 }
 
-func TestGridPoolMatchesLegacyPath(t *testing.T) {
-	// Whole seeded runs — predicted through the grid kernel when the space
-	// fits under PoolCap, through the drawn-cells kernel when it does not —
-	// must equal the legacy reference (row-by-row Forest.Predict over a
-	// re-encoded pool) byte for byte, whatever the worker count.
-	constrained := awkwardSpace()
-	constrained.SetConstraint(func(cfg param.Config) bool {
-		return !(cfg[0] == 1 && cfg[1] > 3) && cfg[3] != 4
-	})
-	for _, tc := range []struct {
-		name    string
-		space   *param.Space
-		poolCap int // 0: the default, far above the space's 672 configurations
-	}{
-		{"boolean-first", awkwardSpace(), 0},
-		{"boolean-first-constrained", constrained, 0},
-		{"boolean-first-drawn", awkwardSpace(), 150},
-		{"boolean-first-constrained-drawn", constrained, 150},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{
-				Objectives:    2,
-				RandomSamples: 40,
-				MaxIterations: 3,
-				MaxBatch:      20,
-				PoolCap:       tc.poolCap,
-				Seed:          11,
-			}
-			legacy := opts
-			legacy.legacyState = true
-			reference, err := Run(tc.space, EvaluatorFunc(awkwardEval), legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := fingerprintRun(reference)
-			if len(reference.Samples) <= opts.RandomSamples {
-				t.Fatal("reference run never left the bootstrap; the pool was not exercised")
-			}
-			for _, workers := range []int{1, 2, 3, 4} {
-				opts.Workers = workers
-				res, err := Run(tc.space, EvaluatorFunc(awkwardEval), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fingerprintRun(res) != want {
-					t.Fatalf("workers=%d: run diverged from the legacy reference", workers)
-				}
-				for i, it := range res.Iterations {
-					if ref := reference.Iterations[i]; it.PredictedFrontSize != ref.PredictedFrontSize {
-						t.Fatalf("workers=%d iteration %d: predicted front %d, reference %d",
-							workers, i, it.PredictedFrontSize, ref.PredictedFrontSize)
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestPoolShapesPredictIdentically(t *testing.T) {
 	// The same forests swept over the same space through both pool shapes —
 	// all cells of the grid (PoolCap ≥ Size) and a drawn-cells list that

@@ -137,8 +137,8 @@ func (st *poolState) columns() (*forest.Columns, error) {
 // pool prepares this iteration's prediction pool X. The grid (and, on an
 // enumerable constrained space, the feasible-index list) is built exactly
 // once; a subsampled space draws poolCap fresh indices plus the evaluated
-// ones every round, consuming the rng exactly like the legacy path, so
-// seeded runs stay byte-identical across engine versions.
+// ones every round. The draws are part of a seeded run, so they must not
+// move across engine versions: TestRunDigests pins them.
 func (st *poolState) pool(rng *rand.Rand, evaluated map[int64]int) error {
 	if st.grid == nil {
 		grid, err := spaceGrid(st.space)

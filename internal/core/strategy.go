@@ -87,7 +87,7 @@ func (PriorSampler) Name() string { return "prior" }
 type Training struct {
 	// Cols is the presorted column-major training matrix: one row per
 	// valid measured sample, in evaluation order (warm-started across
-	// iterations on the incremental path).
+	// iterations).
 	Cols *forest.Columns
 	// Ys holds the per-objective target columns, aligned with Cols rows.
 	Ys [][]float64

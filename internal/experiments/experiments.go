@@ -109,12 +109,8 @@ func (o Options) dseBudget(ef bool) core.Options {
 		} else {
 			opts = core.Options{RandomSamples: 3000, MaxIterations: 6, MaxBatch: 300, PoolCap: 400000}
 		}
-	default: // quick
-		if ef {
-			opts = core.Options{RandomSamples: 120, MaxIterations: 3, MaxBatch: 60, PoolCap: 60000}
-		} else {
-			opts = core.Options{RandomSamples: 120, MaxIterations: 3, MaxBatch: 60, PoolCap: 60000}
-		}
+	default: // quick: one budget for both pipelines
+		opts = core.Options{RandomSamples: 120, MaxIterations: 3, MaxBatch: 60, PoolCap: 60000}
 	}
 	opts.Seed = o.Seed
 	opts.Forest = forest.Options{Trees: 24}

@@ -8,7 +8,7 @@ import (
 )
 
 // cellRows encodes the listed cells as a flat row-major matrix — the rows
-// PredictFlatRange must see for PredictCells' out[i] to mean cells[i].
+// predictFlatRange must see for PredictCells' out[i] to mean cells[i].
 func cellRows(levels [][]float64, cells []int64) []float64 {
 	dim := len(levels)
 	flat := make([]float64, len(cells)*dim)
@@ -79,7 +79,7 @@ func checkCells(t *testing.T, f *Forest, levels [][]float64) {
 	f.PredictGrid(g, grid, 2)
 	for name, cells := range cellLists(rand.New(rand.NewSource(int64(g.Cells()))), g.Cells()) {
 		want := make([]float64, len(cells))
-		f.PredictFlatRange(cellRows(levels, cells), dim, 0, len(cells), want)
+		f.predictFlatRange(cellRows(levels, cells), dim, 0, len(cells), want)
 		for _, k := range cellKernels {
 			for _, workers := range []int{0, 1, 2, 3, 4} {
 				got := make([]float64, len(cells)+2)

@@ -115,9 +115,9 @@ func (c *Columns) AppendRows(rows [][]float64) error {
 
 // cmpValRow is THE ordering of this package: rows compared by
 // (column value, row index), a strict total order. Every sorted structure —
-// the global per-feature orders, batch merges, and the reference builder's
-// per-node sorts — must use it, and only it, or the byte-identical
-// equivalence between the presorted and reference builders breaks.
+// the global per-feature orders and batch merges — must use it, and only
+// it: the tree builder's split scans and node statistics run in this order,
+// and TestFitDigest pins the trees they give.
 func cmpValRow(col []float64, a, b int32) int {
 	va, vb := col[a], col[b]
 	if va != vb {

@@ -45,8 +45,9 @@ func fitDigest(f *Forest) string {
 // cap, and a small tie-heavy fit; then on continuous and tie-heavy matrices
 // from degenerate (n = 1, 2) to active-learning sizes under four option
 // variants: defaults, a depth cap, a subsampled bag with a leaf-size floor,
-// and mtry = d. The digests were recorded when the package still kept its
-// re-sorting reference builder, and both builders gave each one.
+// and mtry = d. The digests were recorded when the package still kept a
+// re-sorting builder beside the presorted one, and both gave each one; the
+// "reference" row is the shape that builder was once pinned on.
 func TestFitDigest(t *testing.T) {
 	tieHeavy := func(n, d int, seed int64) ([][]float64, []float64) {
 		return makeTieHeavy(rand.New(rand.NewSource(seed)), n, d)
@@ -59,15 +60,12 @@ func TestFitDigest(t *testing.T) {
 	}
 	check := func(t *testing.T, x [][]float64, y []float64, opts Options, want string) {
 		t.Helper()
-		for _, reference := range []bool{false, true} {
-			opts.Reference = reference
-			f, err := Fit(x, y, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fitDigest(f); got != want {
-				t.Errorf("reference=%v: digest = %s, want %s", reference, got, want)
-			}
+		f, err := Fit(x, y, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fitDigest(f); got != want {
+			t.Errorf("digest = %s, want %s", got, want)
 		}
 	}
 	for _, c := range []struct {

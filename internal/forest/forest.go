@@ -47,12 +47,6 @@ type Options struct {
 	Seed int64
 	// Workers bounds fitting/prediction parallelism; 0 = GOMAXPROCS.
 	Workers int
-	// Reference selects the legacy re-sorting tree builder (sort the node
-	// segment per candidate feature per node) instead of the presorted
-	// column-major fast path. Both produce byte-identical forests for the
-	// same seed; the reference is retained as the equivalence baseline for
-	// regression tests and as the benchmark comparison point.
-	Reference bool
 }
 
 func (o Options) withDefaults(d int) Options {
@@ -98,10 +92,9 @@ type fitScratch struct {
 	// would, without a fresh 4.9 KB source per tree.
 	rng *rand.Rand
 
-	order    []int32 // bag draw (and the reference builder's node segment)
+	order    []int32 // bag draw
 	cnt      []int32 // per-row bag multiplicity, zeroed again after each tree
-	lists    []int32 // fast path: d presorted per-feature lists, flattened
-	refSeg   []int32 // reference path: per-call sort buffer
+	lists    []int32 // d presorted per-feature lists, flattened
 	tmp      []int32 // stable-partition spill
 	goesLeft []uint8
 	featBuf  []int
@@ -113,7 +106,7 @@ type fitScratch struct {
 	value   []float64
 }
 
-func (sc *fitScratch) ensure(n, d, bagSize int, reference bool) {
+func (sc *fitScratch) ensure(n, d, bagSize int) {
 	if cap(sc.order) < bagSize {
 		sc.order = make([]int32, bagSize)
 	}
@@ -126,23 +119,16 @@ func (sc *fitScratch) ensure(n, d, bagSize int, reference bool) {
 		sc.goesLeft = make([]uint8, n)
 	}
 	sc.goesLeft = sc.goesLeft[:n]
-	if reference {
-		if cap(sc.refSeg) < bagSize {
-			sc.refSeg = make([]int32, bagSize)
-		}
-		sc.refSeg = sc.refSeg[:bagSize]
-	} else {
-		if cap(sc.cnt) < n {
-			sc.cnt = make([]int32, n) // zeroed by make; kept zeroed after use
-		}
-		sc.cnt = sc.cnt[:n]
-		// bagCopies entries of slack: the bag filter stores that many
-		// copies of a row past the last list's end.
-		if cap(sc.lists) < d*bagSize+bagCopies {
-			sc.lists = make([]int32, d*bagSize+bagCopies)
-		}
-		sc.lists = sc.lists[:d*bagSize+bagCopies]
+	if cap(sc.cnt) < n {
+		sc.cnt = make([]int32, n) // zeroed by make; kept zeroed after use
 	}
+	sc.cnt = sc.cnt[:n]
+	// bagCopies entries of slack: the bag filter stores that many copies of
+	// a row past the last list's end.
+	if cap(sc.lists) < d*bagSize+bagCopies {
+		sc.lists = make([]int32, d*bagSize+bagCopies)
+	}
+	sc.lists = sc.lists[:d*bagSize+bagCopies]
 }
 
 // bagCopies is how many copies of each row the bag filter stores
@@ -191,7 +177,7 @@ var bufPool = sync.Pool{New: func() any { return new(fitBuffers) }}
 
 // Fit trains a forest on rows x (one feature vector per sample) and targets
 // y. It returns an error on empty or inconsistent input. One-shot callers
-// get the presorted fast path too; the active-learning loop instead keeps a
+// transpose and argsort x here; the active-learning loop instead keeps a
 // shared Columns and calls Refit so the transpose and argsort amortize
 // across iterations and objectives.
 func Fit(x [][]float64, y []float64, opts Options) (*Forest, error) {
@@ -247,7 +233,7 @@ func Refit(c *Columns, y []float64, opts Options) (*Forest, error) {
 		func(sc *fitScratch, ti int) {
 			rng := sc.rng
 			rng.Seed(o.Seed + int64(ti)*1_000_003 + 17)
-			sc.ensure(n, d, bootSize, o.Reference)
+			sc.ensure(n, d, bootSize)
 
 			bag := fb.bags[ti*bagWords : (ti+1)*bagWords]
 			for i := range bag {
@@ -268,12 +254,9 @@ func Refit(c *Columns, y []float64, opts Options) (*Forest, error) {
 				y:          y,
 				opts:       o,
 				rng:        rng,
-				reference:  o.Reference,
 				bagSize:    bootSize,
 				importance: imp,
 				lists:      sc.lists,
-				order:      sc.order,
-				refSeg:     sc.refSeg,
 				goesLeft:   sc.goesLeft,
 				tmp:        sc.tmp,
 				featBuf:    sc.featBuf,
@@ -283,36 +266,33 @@ func Refit(c *Columns, y []float64, opts Options) (*Forest, error) {
 				right:      sc.right,
 				value:      sc.value,
 			}
-			if !o.Reference {
-				// Filter the matrix's global per-feature orders down to the
-				// bag (with multiplicity): each list stays sorted by
-				// (value, row), duplicates adjacent. A multiplicity is
-				// Poisson(1)-distributed, so a loop over it mispredicts;
-				// instead bagCopies copies are stored and the cursor
-				// advances by the multiplicity, which overwrites the
-				// surplus. Copies past the list's end land in the next
-				// list, written afterwards, or in the slack after the last.
-				for _, s := range sc.order {
-					sc.cnt[s]++
-				}
-				for fi := 0; fi < d; fi++ {
-					dst := sc.lists[fi*bootSize:]
-					pos := 0
-					for _, row := range c.sort[fi] {
-						m := int(sc.cnt[row])
-						copies := dst[pos : pos+bagCopies]
-						for k := range copies {
-							copies[k] = row
-						}
-						for k := bagCopies; k < m; k++ {
-							dst[pos+k] = row
-						}
-						pos += m
+			// Filter the matrix's global per-feature orders down to the bag
+			// (with multiplicity): each list stays sorted by (value, row),
+			// duplicates adjacent. A multiplicity is Poisson(1)-distributed,
+			// so a loop over it mispredicts; instead bagCopies copies are
+			// stored and the cursor advances by the multiplicity, which
+			// overwrites the surplus. Copies past the list's end land in the
+			// next list, written afterwards, or in the slack after the last.
+			for _, s := range sc.order {
+				sc.cnt[s]++
+			}
+			for fi := 0; fi < d; fi++ {
+				dst := sc.lists[fi*bootSize:]
+				pos := 0
+				for _, row := range c.sort[fi] {
+					m := int(sc.cnt[row])
+					copies := dst[pos : pos+bagCopies]
+					for k := range copies {
+						copies[k] = row
 					}
+					for k := bagCopies; k < m; k++ {
+						dst[pos+k] = row
+					}
+					pos += m
 				}
-				for _, s := range sc.order {
-					sc.cnt[s] = 0 // restore the all-zero invariant
-				}
+			}
+			for _, s := range sc.order {
+				sc.cnt[s] = 0 // restore the all-zero invariant
 			}
 			f.trees[ti] = b.grow()
 			// Hand the (possibly grown) scratch buffers back for the
@@ -410,8 +390,8 @@ func (f *Forest) Predict(x []float64) float64 {
 }
 
 // PredictBatch predicts rows in parallel and returns predictions in input
-// order. Used by the active-learning loop to sweep the whole configuration
-// pool.
+// order. Classifier.PredictProbs scores its rows with it; the engine's pools
+// are grid cells and go through PredictGrid or PredictCells.
 func (f *Forest) PredictBatch(x [][]float64) []float64 {
 	out := make([]float64, len(x))
 	par.ForChunked(len(x), func(lo, hi int) {
@@ -442,17 +422,15 @@ func (f *Forest) PredictFlat(flat []float64, dim int, out []float64) {
 		panic(fmt.Sprintf("forest: PredictFlat out length %d for %d rows", len(out), n))
 	}
 	par.ForChunked(n, func(lo, hi int) {
-		f.PredictFlatRange(flat, dim, lo, hi, out)
+		f.predictFlatRange(flat, dim, lo, hi, out)
 	})
 }
 
-// PredictFlatRange is the serial building block of PredictFlat: it fills
-// out[lo:hi] with predictions for rows [lo, hi) of the flat matrix. Callers
-// that fuse several forests into one parallel sweep (one chunk pass filling
-// every objective) invoke it directly from their own worker loop. dim must
-// equal the fitted feature count and out must have length ≥ hi; neither is re-validated
-// here.
-func (f *Forest) PredictFlatRange(flat []float64, dim, lo, hi int, out []float64) {
+// predictFlatRange is the serial building block of PredictFlat: it fills
+// out[lo:hi] with predictions for rows [lo, hi) of the flat matrix. dim must
+// equal the fitted feature count and out must have length ≥ hi; neither is
+// re-validated here.
+func (f *Forest) predictFlatRange(flat []float64, dim, lo, hi int, out []float64) {
 	for i := lo; i < hi; i++ {
 		out[i] = 0
 	}

@@ -199,10 +199,10 @@ func TestPredictFlatMatchesPredictBatch(t *testing.T) {
 	}
 	// The serial range building block must agree on partial sweeps too.
 	partial := make([]float64, len(x))
-	f.PredictFlatRange(flat, dim, 10, 40, partial)
+	f.predictFlatRange(flat, dim, 10, 40, partial)
 	for i := 10; i < 40; i++ {
 		if partial[i] != batch[i] {
-			t.Fatalf("PredictFlatRange[%d] = %v, want %v", i, partial[i], batch[i])
+			t.Fatalf("predictFlatRange[%d] = %v, want %v", i, partial[i], batch[i])
 		}
 	}
 }

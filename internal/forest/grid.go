@@ -329,13 +329,13 @@ func (f *Forest) packCells(g *Grid) (nodes []cellNode, value []float64, roots []
 //   - Wider, the rank walk (packCells, descend): a cell index decodes to one
 //     sorted-level rank per feature, and rows descend cellsWidth at a time,
 //     picking the next node with a select (child[rank > cut]) instead of a
-//     branch: on randomly drawn rows the branch of PredictFlatRange is
+//     branch: on randomly drawn rows the branch of predictFlatRange is
 //     mispredicted at most levels, and that, not the work, is what its walk
 //     costs.
 //
 // Either way every row starts at 0, receives tree 0..T-1's leaf value in
 // that order and is divided once, so the result is bit-identical to
-// PredictFlatRange over the encoded rows of the same cells, and to
+// PredictFlat over the encoded rows of the same cells, and to
 // PredictGrid's out[cells[i]].
 //
 // Up to workers goroutines share the rows (0 = GOMAXPROCS). It panics if g

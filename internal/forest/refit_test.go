@@ -12,7 +12,7 @@ import (
 // every feature takes a handful of discrete levels (volume resolution,
 // pyramid iterations, ...), so sorted columns are dominated by runs of
 // equal values — the regime where tie handling in split search and
-// partitioning must agree exactly between builder strategies.
+// partitioning decides the most.
 func makeTieHeavy(rng *rand.Rand, n, d int) ([][]float64, []float64) {
 	levels := []float64{64, 128, 256, 512}
 	x := make([][]float64, n)
@@ -44,76 +44,25 @@ func makeContinuous(rng *rand.Rand, n, d int) ([][]float64, []float64) {
 
 // forestsIdentical compares two fitted forests bit for bit: every tree's
 // flat arrays, the importance vector, and the OOB estimate (NaN == NaN).
-func forestsIdentical(t *testing.T, fast, ref *Forest) {
+func forestsIdentical(t *testing.T, a, b *Forest) {
 	t.Helper()
-	if len(fast.trees) != len(ref.trees) {
-		t.Fatalf("tree counts differ: %d vs %d", len(fast.trees), len(ref.trees))
+	if len(a.trees) != len(b.trees) {
+		t.Fatalf("tree counts differ: %d vs %d", len(a.trees), len(b.trees))
 	}
-	for i := range fast.trees {
-		if !reflect.DeepEqual(fast.trees[i], ref.trees[i]) {
-			t.Fatalf("tree %d differs between presorted and reference builders", i)
+	for i := range a.trees {
+		if !reflect.DeepEqual(a.trees[i], b.trees[i]) {
+			t.Fatalf("tree %d differs", i)
 		}
 	}
-	if !reflect.DeepEqual(fast.importance, ref.importance) {
-		t.Fatalf("importance differs: %v vs %v", fast.importance, ref.importance)
+	if !reflect.DeepEqual(a.importance, b.importance) {
+		t.Fatalf("importance differs: %v vs %v", a.importance, b.importance)
 	}
-	fe, re := fast.OOBError(), ref.OOBError()
-	if fe != re && !(math.IsNaN(fe) && math.IsNaN(re)) {
-		t.Fatalf("OOB error differs: %v vs %v", fe, re)
+	ae, be := a.OOBError(), b.OOBError()
+	if ae != be && !(math.IsNaN(ae) && math.IsNaN(be)) {
+		t.Fatalf("OOB error differs: %v vs %v", ae, be)
 	}
-	if fast.OOBSamples() != ref.OOBSamples() {
-		t.Fatalf("OOB samples differ: %d vs %d", fast.OOBSamples(), ref.OOBSamples())
-	}
-}
-
-// TestFitMatchesLegacyPath locks the presorted column-major fast path to
-// the retained legacy re-sorting builder: same seed, byte-identical
-// forests, across continuous and tie-heavy integer feature distributions,
-// training sizes from degenerate to AL-representative, subsampled bags,
-// depth caps, and full-mtry settings.
-func TestFitMatchesLegacyPath(t *testing.T) {
-	type dataset struct {
-		name string
-		make func(*rand.Rand, int, int) ([][]float64, []float64)
-	}
-	datasets := []dataset{
-		{"continuous", makeContinuous},
-		{"tie-heavy", makeTieHeavy},
-	}
-	optVariants := []Options{
-		{Trees: 16, Seed: 1},
-		{Trees: 8, Seed: 2, MaxDepth: 3},
-		{Trees: 8, Seed: 3, SampleRatio: 0.6, MinSamplesLeaf: 4},
-		{Trees: 8, Seed: 4, MaxFeatures: 9}, // mtry = d: every feature scanned
-	}
-	for _, ds := range datasets {
-		for _, n := range []int{1, 2, 7, 50, 300} {
-			for vi, base := range optVariants {
-				t.Run(fmt.Sprintf("%s/n=%d/v%d", ds.name, n, vi), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(n)*100 + int64(vi)))
-					x, y := ds.make(rng, n, 9)
-					fast, err := Fit(x, y, base)
-					if err != nil {
-						t.Fatal(err)
-					}
-					legacy := base
-					legacy.Reference = true
-					ref, err := Fit(x, y, legacy)
-					if err != nil {
-						t.Fatal(err)
-					}
-					forestsIdentical(t, fast, ref)
-					// And through the prediction path, for good measure.
-					probe := make([]float64, 9)
-					for i := range probe {
-						probe[i] = rng.Float64() * 4
-					}
-					if fast.Predict(probe) != ref.Predict(probe) {
-						t.Fatal("predictions diverged despite identical trees")
-					}
-				})
-			}
-		}
+	if a.OOBSamples() != b.OOBSamples() {
+		t.Fatalf("OOB samples differ: %d vs %d", a.OOBSamples(), b.OOBSamples())
 	}
 }
 
@@ -205,8 +154,8 @@ func assertSortedByValRow(t *testing.T, col []float64, order []int32) {
 	}
 }
 
-// TestPresortedListsStaySorted is the structural property behind the whole
-// fast path: at every node the builder visits, every feature's index-list
+// TestPresortedListsStaySorted is the structural property behind the tree
+// builder: at every node the builder visits, every feature's index-list
 // segment must still be ordered by (value, row) — i.e. stable partitioning
 // preserved the presorted invariant through arbitrarily deep recursions.
 // Tie-heavy data makes the partitions maximally degenerate.
@@ -273,8 +222,7 @@ func TestOOBUndefinedIsNaN(t *testing.T) {
 	}
 }
 
-// BenchmarkForestFit compares the presorted fast path against the retained
-// re-sorting reference builder at active-learning-representative shapes:
+// BenchmarkForestFit fits at active-learning-representative shapes:
 // training sets the size X_out reaches across iterations, paper-scale
 // dimensionality, a 32-tree ensemble. The grid and dbms rows refit the
 // engine's own forests on one worker from a prebuilt Columns, as every
@@ -310,22 +258,13 @@ func BenchmarkForestFit(b *testing.B) {
 	for _, shape := range []struct{ n, d int }{{50, 12}, {200, 12}, {500, 12}} {
 		rng := rand.New(rand.NewSource(int64(shape.n)))
 		x, y := makeTieHeavy(rng, shape.n, shape.d)
-		for _, mode := range []struct {
-			name      string
-			reference bool
-		}{
-			{"presorted", false},
-			{"reference", true},
-		} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, shape.n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					opts := Options{Trees: 32, Seed: int64(i), Reference: mode.reference}
-					if _, err := Fit(x, y, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("tie-heavy/n=%d", shape.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Fit(x, y, Options{Trees: 32, Seed: int64(i)}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

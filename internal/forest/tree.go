@@ -3,7 +3,6 @@ package forest
 import (
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // tree is a CART regression tree stored in flat arrays (structure-of-arrays
@@ -51,43 +50,27 @@ func (t *tree) predictCols(c *Columns, s int) float64 {
 var debugCheckSorted func(b *treeBuilder, lo, hi int)
 
 // treeBuilder grows one tree over a bootstrap sample of a Columns matrix.
+// It keeps per-feature index lists over the bag, each ordered by
+// (value, row), built once per tree from the matrix's global orders and kept
+// sorted through splits by stable partitioning — so every split search is a
+// pure O(mtry·n) prefix scan with zero sorting.
 //
-// Two interchangeable strategies produce byte-identical trees:
-//
-//   - the presorted fast path (reference == false): per-feature index lists
-//     over the bag, each ordered by (value, row), built once per tree from
-//     the matrix's global orders and kept sorted through splits by stable
-//     partitioning — so every split search is a pure O(mtry·n) prefix scan
-//     with zero sorting;
-//   - the reference path (reference == true): the legacy re-sorting builder,
-//     which sorts the node segment by (value, row) for every candidate
-//     feature at every node, exactly the O(nodes·mtry·n log n) pattern the
-//     fast path eliminates. It is retained as the equivalence baseline for
-//     tests and benchmarks.
-//
-// Byte-identical means identical: both paths visit candidate features in the
-// same shuffled order and scan each candidate's rows in the same
-// (value, row) total order, so every floating-point accumulation happens in
-// the same sequence and every split decision, threshold, leaf mean, and
-// importance increment matches bit for bit.
+// Every floating-point accumulation runs in a fixed order: candidate
+// features in the rng's shuffled order, each candidate's rows in the
+// (value, row) total order. A seeded fit is therefore one exact tree, which
+// TestFitDigest pins bit for bit.
 type treeBuilder struct {
-	cols      *Columns
-	y         []float64
-	opts      Options
-	rng       *rand.Rand
-	reference bool
+	cols *Columns
+	y    []float64
+	opts Options
+	rng  *rand.Rand
 
 	bagSize    int
 	importance []float64 // impurity-decrease accumulator per feature (d)
 
-	// Fast path: lists[f*bagSize+i] is the i-th bag entry of feature f's
-	// sorted list; node [lo,hi) owns lists[f*bagSize+lo : f*bagSize+hi).
+	// lists[f*bagSize+i] is the i-th bag entry of feature f's sorted list;
+	// node [lo,hi) owns lists[f*bagSize+lo : f*bagSize+hi).
 	lists []int32
-
-	// Reference path: the node segment (bag entries, order irrelevant —
-	// every use re-sorts a copy into refSeg).
-	order  []int32
-	refSeg []int32
 
 	goesLeft []uint8 // per-row split side (1 = left), written then read at each split
 	tmp      []int32 // stable-partition spill buffer
@@ -148,31 +131,22 @@ func (b *treeBuilder) addNode() int32 {
 }
 
 // nodeRows returns the node's bag entries ordered by (value of feature f,
-// row). The fast path reads its presorted list segment for free; the
-// reference path copies the segment and sorts it — the per-node, per-feature
-// O(n log n) the presorted layout exists to avoid.
+// row): its segment of feature f's presorted list.
 func (b *treeBuilder) nodeRows(f, lo, hi int) []int32 {
-	if !b.reference {
-		return b.lists[f*b.bagSize+lo : f*b.bagSize+hi]
-	}
-	seg := b.refSeg[:hi-lo]
-	copy(seg, b.order[lo:hi])
-	col := b.cols.vals[f]
-	slices.SortFunc(seg, func(a, bb int32) int { return cmpValRow(col, a, bb) })
-	return seg
+	return b.lists[f*b.bagSize+lo : f*b.bagSize+hi]
 }
 
 // buildNode grows the subtree over bag entries [lo, hi) and returns its
 // node index.
 func (b *treeBuilder) buildNode(lo, hi, depth int) int32 {
-	if debugCheckSorted != nil && !b.reference {
+	if debugCheckSorted != nil {
 		debugCheckSorted(b, lo, hi)
 	}
 	node := b.addNode()
 	n := hi - lo
 
-	// Node statistics, accumulated in the canonical (feature-0 value, row)
-	// order so both builder strategies round identically.
+	// Node statistics, accumulated in (feature-0 value, row) order: the
+	// order TestFitDigest's trees were recorded in.
 	sum, sum2 := 0.0, 0.0
 	for _, row := range b.nodeRows(0, lo, hi) {
 		v := b.y[row]
@@ -212,16 +186,12 @@ func (b *treeBuilder) buildNode(lo, hi, depth int) int32 {
 	}
 
 	// Stable partition: relative order within each side is preserved, so the
-	// fast path's per-feature lists remain sorted by (value, row) in both
-	// children. The split feature's own list needs none: sorted by the value
-	// the predicate tests, its left rows are already its first nl entries.
-	if b.reference {
-		stablePartition(b.order[lo:hi], b.goesLeft, b.tmp)
-	} else {
-		for f := 0; f < b.cols.dim; f++ {
-			if f != feat {
-				stablePartition(b.lists[f*b.bagSize+lo:f*b.bagSize+hi], b.goesLeft, b.tmp)
-			}
+	// per-feature lists remain sorted by (value, row) in both children. The
+	// split feature's own list needs none: sorted by the value the predicate
+	// tests, its left rows are already its first nl entries.
+	for f := 0; f < b.cols.dim; f++ {
+		if f != feat {
+			stablePartition(b.nodeRows(f, lo, hi), b.goesLeft, b.tmp)
 		}
 	}
 

@@ -187,7 +187,7 @@ func sweepProblem(ctx context.Context, p catalog.Problem, strategies []Strategy,
 		if math.IsInf(nadir[k], -1) {
 			return nil, nil, fmt.Errorf("quality: %s: no valid measurement for objective %d", p.Name, k)
 		}
-		ref[k] = nadir[k] + 0.1*(nadir[k]-ideal[k])
+		ref[k] = nadir[k] + float64(0.1*(nadir[k]-ideal[k])) // rounded before it is added: never fused
 	}
 	return runs, ref, nil
 }

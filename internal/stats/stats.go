@@ -42,8 +42,8 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	frac := float64(pos) - float64(lo) // pos rounded before lo is subtracted: never fused
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac), nil
 }
 
 // Median returns the 0.5-quantile of xs.
@@ -63,9 +63,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy) // each product rounded before it is added: never fused
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, nil
@@ -109,7 +109,7 @@ func Ranks(xs []float64) []float64 {
 			j++
 		}
 		// Average rank for the tie group [i, j].
-		avg := (float64(i) + float64(j)) / 2.0
+		avg := float64((float64(i) + float64(j)) / 2.0) // rounded before the + 1: never fused
 		for k := i; k <= j; k++ {
 			ranks[idx[k]] = avg + 1
 		}

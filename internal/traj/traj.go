@@ -131,7 +131,7 @@ func ATE(est, ref []geom.Pose) (ATEStats, error) {
 		d := geom.Distance(est[i], ref[i])
 		errs[i] = d
 		st.Mean += d
-		sum2 += d * d
+		sum2 += float64(d * d) // rounded before it is added: never fused
 		if d > st.Max {
 			st.Max = d
 		}
@@ -169,7 +169,7 @@ func RPE(est, ref []geom.Pose, delta int) (RPEStats, error) {
 		tErr := err.T.Norm()
 		rErr := geom.LogSO3(err.R).Norm()
 		st.TransMean += tErr
-		sum2 += tErr * tErr
+		sum2 += float64(tErr * tErr) // rounded before it is added: never fused
 		st.RotMeanDeg += rErr * 180 / math.Pi
 		st.Pairs++
 	}
