@@ -138,7 +138,7 @@ func (st *poolState) columns() (*forest.Columns, error) {
 // enumerable constrained space, the feasible-index list) is built exactly
 // once; a subsampled space draws poolCap fresh indices plus the evaluated
 // ones every round. The draws are part of a seeded run, so they must not
-// move across engine versions: TestRunDigests pins them.
+// move across engine versions: the run digests in digest_test.go pin them.
 func (st *poolState) pool(rng *rand.Rand, evaluated map[int64]int) error {
 	if st.grid == nil {
 		grid, err := spaceGrid(st.space)

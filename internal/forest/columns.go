@@ -117,7 +117,7 @@ func (c *Columns) AppendRows(rows [][]float64) error {
 // (column value, row index), a strict total order. Every sorted structure —
 // the global per-feature orders and batch merges — must use it, and only
 // it: the tree builder's split scans and node statistics run in this order,
-// and TestFitDigest pins the trees they give.
+// and TestFitDigest and TestFitMatchesLegacyPath pin the trees they give.
 func cmpValRow(col []float64, a, b int32) int {
 	va, vb := col[a], col[b]
 	if va != vb {

@@ -42,12 +42,10 @@ func fitDigest(f *Forest) string {
 // shapes the engine fits: the inproc_pool192k grid at the start and the end
 // of its active-learning run, the dbms space with mtry 2, a tie-heavy
 // 12-feature matrix, a subsampled bag with a leaf-size floor and a depth
-// cap, and a small tie-heavy fit; then on continuous and tie-heavy matrices
-// from degenerate (n = 1, 2) to active-learning sizes under four option
-// variants: defaults, a depth cap, a subsampled bag with a leaf-size floor,
-// and mtry = d. The digests were recorded when the package still kept a
-// re-sorting builder beside the presorted one, and both gave each one; the
-// "reference" row is the shape that builder was once pinned on.
+// cap, and a small tie-heavy fit. The digests were recorded when the package
+// still kept a re-sorting builder beside the presorted one, and both gave
+// each one; the "reference" row is the shape that builder was once pinned
+// on.
 func TestFitDigest(t *testing.T) {
 	tieHeavy := func(n, d int, seed int64) ([][]float64, []float64) {
 		return makeTieHeavy(rand.New(rand.NewSource(seed)), n, d)
@@ -57,16 +55,6 @@ func TestFitDigest(t *testing.T) {
 	}
 	grid := func(levels [][]float64) func(n, d int, seed int64) ([][]float64, []float64) {
 		return func(n, _ int, seed int64) ([][]float64, []float64) { return gridSamples(levels, n, seed) }
-	}
-	check := func(t *testing.T, x [][]float64, y []float64, opts Options, want string) {
-		t.Helper()
-		f, err := Fit(x, y, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fitDigest(f); got != want {
-			t.Errorf("digest = %s, want %s", got, want)
-		}
 	}
 	for _, c := range []struct {
 		name string
@@ -90,10 +78,28 @@ func TestFitDigest(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			x, y := c.data(c.n, c.d, c.opts.Seed)
-			check(t, x, y, c.opts, c.want)
+			checkFitDigest(t, x, y, c.opts, c.want)
 		})
 	}
+}
 
+func checkFitDigest(t *testing.T, x [][]float64, y []float64, opts Options, want string) {
+	t.Helper()
+	f, err := Fit(x, y, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fitDigest(f); got != want {
+		t.Errorf("digest = %s, want %s", got, want)
+	}
+}
+
+// TestFitMatchesLegacyPath pins the presorted builder to the digests of the
+// re-sorting builder it replaced, recorded while both were kept and gave
+// each one: continuous and tie-heavy matrices from degenerate (n = 1, 2) to
+// active-learning sizes under four option variants: defaults, a depth cap,
+// a subsampled bag with a leaf-size floor, and mtry = d.
+func TestFitMatchesLegacyPath(t *testing.T) {
 	variants := []Options{
 		{Trees: 16, Seed: 1},
 		{Trees: 8, Seed: 2, MaxDepth: 3},
@@ -154,7 +160,7 @@ func TestFitDigest(t *testing.T) {
 				name := fmt.Sprintf("%s/n=%d/v%d", ds.name, n, vi)
 				t.Run(name, func(t *testing.T) {
 					x, y := ds.make(rand.New(rand.NewSource(int64(n)*100+int64(vi))), n, 9)
-					check(t, x, y, opts, want[name])
+					checkFitDigest(t, x, y, opts, want[name])
 				})
 			}
 		}

@@ -58,7 +58,7 @@ var debugCheckSorted func(b *treeBuilder, lo, hi int)
 // Every floating-point accumulation runs in a fixed order: candidate
 // features in the rng's shuffled order, each candidate's rows in the
 // (value, row) total order. A seeded fit is therefore one exact tree, which
-// TestFitDigest pins bit for bit.
+// TestFitDigest and TestFitMatchesLegacyPath pin bit for bit.
 type treeBuilder struct {
 	cols *Columns
 	y    []float64
