@@ -60,10 +60,12 @@ func NewEvalCache() *EvalCache {
 	return &EvalCache{spaces: make(map[string]*spaceCache)}
 }
 
-// spaceFingerprint identifies a design space by its parameter names and
+// SpaceFingerprint identifies a design space by its parameter names and
 // grids, so a cache cannot serve index-keyed results across unrelated
-// spaces.
-func spaceFingerprint(space *param.Space, objectives int) string {
+// spaces, and callers that persist index-keyed measurements (the disk
+// spill, the evaluation journal) only ever decode a stored index against
+// the space it was measured in.
+func SpaceFingerprint(space *param.Space, objectives int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "objs=%d;size=%d", objectives, space.Size())
 	for _, p := range space.Params() {
@@ -72,30 +74,23 @@ func spaceFingerprint(space *param.Space, objectives int) string {
 	return b.String()
 }
 
-// SpaceFingerprint exposes the cache's space identity key: callers that
-// persist index-keyed measurements (the disk spill, the evaluation
-// journal) use it to guarantee a stored index is only ever decoded against
-// the space it was measured in.
-func SpaceFingerprint(space *param.Space, objectives int) string {
-	return spaceFingerprint(space, objectives)
-}
-
 // RunFingerprint identifies a run's deterministic identity: the space
 // grid and objective count plus the seed, every budget that shapes the
-// sample sequence, and the search strategy (a non-default sampler, modeler,
-// or selector consumes the RNG differently, so strategies are never
+// sample sequence, and the search strategy's names (a non-default sampler,
+// modeler, or selector consumes the RNG differently, so strategies are never
 // replay-compatible with each other). Two runs with equal fingerprints draw
 // identical bootstraps, pools, and forests, which is what makes journal
 // replay byte-identical — and why resume refuses a journal whose
 // fingerprint differs from the relaunched run's.
 func RunFingerprint(space *param.Space, opts Options) string {
 	o := opts.withDefaults()
+	info := o.Strategy.Info()
 	return fmt.Sprintf("%s;seed=%d;rs=%d;iters=%d;batch=%d;pool=%d;trees=%d;depth=%d;leaf=%d;mtry=%d;ratio=%g;sampler=%s;modeler=%s;selector=%s;maxunmeas=%g",
-		spaceFingerprint(space, o.Objectives), o.Seed, o.RandomSamples,
+		SpaceFingerprint(space, o.Objectives), o.Seed, o.RandomSamples,
 		o.MaxIterations, o.MaxBatch, o.PoolCap,
 		o.Forest.Trees, o.Forest.MaxDepth, o.Forest.MinSamplesLeaf,
 		o.Forest.MaxFeatures, o.Forest.SampleRatio,
-		o.Sampler.Name(), o.Modeler.Name(), o.Selector.Name(),
+		info.Sampler, info.Modeler, info.Selector,
 		o.MaxUnmeasuredFraction)
 }
 

@@ -131,17 +131,16 @@ type Options struct {
 	// resumed run degrades byte-identically; the fraction participates in
 	// RunFingerprint for the same reason.
 	MaxUnmeasuredFraction float64
+	// Strategy names the run's search strategy (see strategy.go); the zero
+	// value is the paper's. A strategy that does not Validate is refused.
+	// Non-default strategies change the run's random sequence, so runs are
+	// only comparable (and journals only replayable) across equal
+	// strategies; RunFingerprint captures this.
+	Strategy Strategy
 
-	// Sampler, Modeler, and Selector plug the three stages of the
-	// search-strategy pipeline (see strategy.go). Nil selects the
-	// paper-faithful defaults — UniformSampler, ForestModeler,
-	// EvenThinSelector — which are byte-identical on the same seed to the
-	// engine before the pipeline existed. Non-default stages change the
-	// run's random sequence, so runs are only comparable (and journals only
-	// replayable) across equal strategies; RunFingerprint captures this.
-	Sampler  Sampler
-	Modeler  Modeler
-	Selector Selector
+	// probes is how many constraint observations the feasibility strategy
+	// draws after the bootstrap (0: feasibilityProbes).
+	probes int
 }
 
 // withDefaults fills every optional field so a zero-valued Options (apart
@@ -170,14 +169,8 @@ func (o Options) withDefaults() Options {
 	} else if o.MaxUnmeasuredFraction > 1 {
 		o.MaxUnmeasuredFraction = 1
 	}
-	if o.Sampler == nil {
-		o.Sampler = UniformSampler{}
-	}
-	if o.Modeler == nil {
-		o.Modeler = ForestModeler{}
-	}
-	if o.Selector == nil {
-		o.Selector = EvenThinSelector{}
+	if o.probes <= 0 {
+		o.probes = feasibilityProbes
 	}
 	return o
 }
@@ -269,8 +262,8 @@ type Result struct {
 	// — configurations that violate a constraint only the real system knows
 	// about, or whose measurement broke. Under every strategy they are kept
 	// out of Samples, training matrices, hypervolume bounds and fronts, and
-	// are not measured again; a feasibility-aware strategy (Options.Modeler
-	// implementing FeasibilityLabeler) also feeds them to its classifier.
+	// are not measured again; the feasibility strategy
+	// (Strategy.Feasibility) also feeds them to its classifier.
 	Invalid []Sample
 	// RandomFront is the measured Pareto front using only the random
 	// bootstrap samples (the red curve of Figs. 3–4).
@@ -358,6 +351,9 @@ func RunContext(ctx context.Context, space *param.Space, eval Evaluator, opts Op
 	if opts.Objectives < 1 {
 		return nil, errors.New("core: Objectives must be ≥ 1")
 	}
+	if err := opts.Strategy.Validate(); err != nil {
+		return nil, err
+	}
 	r := newRun(ctx, space, eval, opts)
 	err := r.bootstrap()
 	for iter := 1; err == nil && !r.res.Converged && iter <= r.o.MaxIterations; iter++ {
@@ -389,12 +385,10 @@ type run struct {
 	evaluated map[int64]int
 	st        *poolState // the pool, training matrix and prediction scratch kept across rounds
 
-	// Feasibility labels, collected only when the modeler asks for them
-	// (labeler != nil): the default strategy must not encode extra rows or
-	// draw extra RNG values.
-	labeler FeasibilityLabeler
-	feasX   [][]float64
-	feasY   []float64
+	// Feasibility labels, collected only under Strategy.Feasibility: the
+	// default strategy must not encode extra rows or draw extra RNG values.
+	feasX [][]float64
+	feasY []float64
 
 	// Running per-objective bounds over valid measurements, feeding the
 	// per-phase hypervolume stat: reference = nadir + 10% of the range.
@@ -446,11 +440,8 @@ func newRun(ctx context.Context, space *param.Space, eval Evaluator, opts Option
 		r.nadir[k] = math.Inf(-1)
 		r.ideal[k] = math.Inf(1)
 	}
-	if l, ok := o.Modeler.(FeasibilityLabeler); ok && l.WantsFeasibilityLabels() {
-		r.labeler = l
-	}
 	if o.Cache != nil {
-		r.fetch = o.Cache.view(spaceFingerprint(space, o.Objectives), o.Objectives, space.Size(), o.Backend).fetchBatch
+		r.fetch = o.Cache.view(SpaceFingerprint(space, o.Objectives), o.Objectives, space.Size(), o.Backend).fetchBatch
 	} else {
 		r.fetch = func(ctx context.Context, _ []int64, cfgs []param.Config) ([][]float64, batchOutcome, error) {
 			objs, err := o.Backend.EvaluateBatch(ctx, cfgs)
@@ -467,7 +458,7 @@ func (r *run) bootstrap() error {
 	if int64(n) > r.space.Size() {
 		n = int(r.space.Size())
 	}
-	draw := r.o.Sampler.Draw(r.space, r.rng, n)
+	draw := r.o.Strategy.draw(r.space, r.rng, n)
 	r.o.logf("random sampling: evaluating %d configurations", len(draw))
 	var stats IterationStats
 	err := r.measure(draw, &stats)
@@ -480,13 +471,13 @@ func (r *run) bootstrap() error {
 		// to train on, and every later fit would fail obscurely.
 		return fmt.Errorf("core: bootstrap batch fully unmeasured (%d configurations); cannot train", stats.Unmeasured)
 	}
-	if r.labeler != nil {
+	if r.o.Strategy.Feasibility {
 		// Probe the space's declared constraint predicate: uniform index
 		// draws labeled feasible/infeasible without touching the evaluator.
 		// They give the classifier a view of the infeasible region that
 		// measured samples alone (drawn feasible by construction) cannot.
 		cfg := make(param.Config, r.space.Dim())
-		for i := r.labeler.FeasibilityProbes(); i > 0; i-- {
+		for i := r.o.probes; i > 0; i-- {
 			r.space.AtIndexInto(r.rng.Int63n(r.space.Size()), cfg)
 			r.addLabel(cfg, r.space.Feasible(cfg))
 		}
@@ -506,7 +497,7 @@ func (r *run) iterate(iter int) error {
 	o := r.o
 	stats := IterationStats{Iteration: iter}
 	fitStart := time.Now()
-	models, err := r.fit(iter)
+	forests, cls, err := r.fit(iter)
 	stats.FitTime = time.Since(fitStart)
 	if err != nil {
 		if cerr := r.ctx.Err(); cerr != nil {
@@ -514,8 +505,10 @@ func (r *run) iterate(iter int) error {
 		}
 		return r.fail(err)
 	}
-	stats.OOBError, stats.OOBSamples = models.OOBError, models.OOBSamples
-	forests := models.Objectives
+	for _, f := range forests {
+		stats.OOBError = append(stats.OOBError, f.OOBError())
+		stats.OOBSamples = append(stats.OOBSamples, f.OOBSamples())
+	}
 	r.res.Forests = forests
 
 	// Predict every objective over the pool and filter the predicted
@@ -533,8 +526,8 @@ func (r *run) iterate(iter int) error {
 	stats.PredictedFrontSize = len(predicted)
 
 	// P − X_out: predicted-front candidates not yet measured, run
-	// through the feasibility filter (when a classifier was fit) and
-	// handed to the selector to pick this round's batch.
+	// through the feasibility filter (when a classifier was fit) before
+	// the strategy picks this round's batch from them.
 	cands := make([]pareto.Point, 0, len(predicted))
 	for _, p := range predicted {
 		if _, done := r.evaluated[p.ID]; !done {
@@ -542,21 +535,13 @@ func (r *run) iterate(iter int) error {
 		}
 	}
 	var feasProbs []float64
-	if models.Feasibility != nil && len(cands) > 0 {
+	if cls != nil && len(cands) > 0 {
 		selStart := time.Now()
-		feasProbs = predictFeasibility(r.space, models.Feasibility, cands)
-		cands, feasProbs = filterFeasible(cands, feasProbs, r.labeler.FeasibilityThreshold())
+		feasProbs = predictFeasibility(r.space, cls, cands)
+		cands, feasProbs = filterFeasible(cands, feasProbs, feasibilityThreshold)
 		stats.PredictTime += time.Since(selStart)
 	}
-	todo := o.Selector.Select(Selection{
-		Space:       r.space,
-		Candidates:  cands,
-		Feasibility: feasProbs,
-		MaxBatch:    o.MaxBatch,
-	})
-	if len(todo) > o.MaxBatch {
-		todo = todo[:o.MaxBatch] // clamp custom selectors to the contract
-	}
+	todo := o.Strategy.selectBatch(cands, feasProbs, o.MaxBatch)
 	o.logf("iteration %d: predicted front %d, new configurations %d",
 		iter, len(predicted), len(todo))
 
@@ -570,14 +555,25 @@ func (r *run) iterate(iter int) error {
 }
 
 // fit trains the round's models on everything measured so far: the fresh
-// batch is appended to the shared presorted matrix and every model is fit
-// from it.
-func (r *run) fit(iter int) (*Models, error) {
+// batch is appended to the shared presorted matrix and one forest per
+// objective is fit from it, then — under the feasibility strategy, once
+// both classes have been observed (a one-class training set would yield a
+// constant classifier that filters nothing but still costs a fit) — the
+// feasibility classifier on the labels.
+func (r *run) fit(iter int) ([]*forest.Forest, *forest.Classifier, error) {
 	cols, err := r.st.columns()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return r.o.Modeler.Fit(r.ctx, Training{Cols: cols, Ys: r.st.ys, FeasX: r.feasX, FeasY: r.feasY}, r.o, iter)
+	forests, err := fitForests(r.ctx, cols, r.st.ys, r.o, iter)
+	if err != nil || !slices.Contains(r.feasY, 0) || !slices.Contains(r.feasY, 1) {
+		return forests, nil, err
+	}
+	fo := r.o.Forest
+	fo.Workers = r.o.Workers
+	fo.Seed = r.o.Seed + feasibilitySeedOffset + int64(iter)*104_729
+	cls, err := forest.FitClassifier(r.feasX, r.feasY, fo)
+	return forests, cls, err
 }
 
 // measure is the one way configurations become samples, in either phase:
@@ -652,7 +648,7 @@ func (r *run) addLabel(cfg param.Config, valid bool) {
 func (r *run) ingest(batch []Sample) error {
 	for _, s := range batch {
 		invalid := slices.ContainsFunc(s.Objs, func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
-		if r.labeler != nil {
+		if r.o.Strategy.Feasibility {
 			r.addLabel(s.Config, !invalid)
 		}
 		if invalid {
@@ -823,10 +819,8 @@ func (r *run) evaluate(idxs []int64, iter int) ([]Sample, batchOutcome, error) {
 // fits are independent, only read cols, and run in parallel, with the
 // worker budget split between them so the tree-level parallelism inside
 // each forest.Refit does not oversubscribe the machine by a factor of
-// Objectives. Cancellation is checked before each fit starts. Alongside the
-// forests it returns each one's OOB error and the sample count behind it
-// (0 ⇒ the error is NaN/undefined, not perfect).
-func fitForests(ctx context.Context, cols *forest.Columns, ys [][]float64, o Options, iter int) ([]*forest.Forest, []float64, []int, error) {
+// Objectives. Cancellation is checked before each fit starts.
+func fitForests(ctx context.Context, cols *forest.Columns, ys [][]float64, o Options, iter int) ([]*forest.Forest, error) {
 	// Forest.Workers (or, unset, the run's Workers) bounds the TOTAL
 	// tree-fitting parallelism; divide it across the concurrent
 	// per-objective fits.
@@ -839,8 +833,6 @@ func fitForests(ctx context.Context, cols *forest.Columns, ys [][]float64, o Opt
 		innerWorkers = 1
 	}
 	forests := make([]*forest.Forest, o.Objectives)
-	oob := make([]float64, o.Objectives)
-	oobN := make([]int, o.Objectives)
 	errs := make([]error, o.Objectives)
 	par.ForWorkers(o.Objectives, o.Workers, func(k int) {
 		if err := ctx.Err(); err != nil {
@@ -856,23 +848,21 @@ func fitForests(ctx context.Context, cols *forest.Columns, ys [][]float64, o Opt
 			return
 		}
 		forests[k] = f
-		oob[k] = f.OOBError()
-		oobN[k] = f.OOBSamples()
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
-	return forests, oob, oobN, nil
+	return forests, nil
 }
 
 // predictionPool draws the pool X of Algorithm 1 on a space larger than
-// cap: up to cap fresh indices drawn by the run's sampler (fewer on a
+// cap: up to cap fresh indices drawn by the run's strategy (fewer on a
 // tightly constrained space) plus every evaluated index (so the predicted
 // front can stabilize onto measured points and the loop can converge).
-func predictionPool(space *param.Space, rng *rand.Rand, sampler Sampler, poolCap int, evaluated map[int64]int) []int64 {
-	pool := sampler.Draw(space, rng, poolCap)
+func predictionPool(space *param.Space, rng *rand.Rand, s Strategy, poolCap int, evaluated map[int64]int) []int64 {
+	pool := s.draw(space, rng, poolCap)
 	seen := param.NewIndexSet(len(pool), space.Size())
 	for _, idx := range pool {
 		seen.Add(idx)

@@ -43,6 +43,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(space, benchEval(space), Options{}); err == nil {
 		t.Fatal("expected error for missing Objectives")
 	}
+	for _, st := range []Strategy{{Sampler: "bogus"}, {Selector: "bogus"}} {
+		if res, err := Run(space, benchEval(space), Options{Objectives: 2, Strategy: st}); err == nil || res != nil {
+			t.Fatalf("strategy %+v: result %v, err %v; want no result and an error", st, res, err)
+		}
+	}
 }
 
 func TestObjectiveCountMismatch(t *testing.T) {

@@ -205,7 +205,7 @@ func TestEvaluatePath(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			cache := NewEvalCache()
-			fp := spaceFingerprint(space, 2)
+			fp := SpaceFingerprint(space, 2)
 			seed := &LocalBackend{Eval: EvaluatorFunc(func(param.Config) []float64 { return cached.Objs })}
 			if _, _, err := cache.view(fp, 2, space.Size(), seed).fetchBatch(ctx, []int64{hit}, []param.Config{cfg(hit)}); err != nil {
 				t.Fatal(err)

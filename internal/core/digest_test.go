@@ -75,11 +75,12 @@ func digestRun(objectives, poolCap int, seed int64) Options {
 // TestIncrementalMatchesLegacyPath pins whole seeded runs over benchSpace to
 // the legacy loop's digests, on the enumerable and drawn pools, with two and
 // three objectives (frontKD instead of the 2-D sweep), and with the
-// non-default strategy stages.
+// non-default strategies.
 func TestIncrementalMatchesLegacyPath(t *testing.T) {
 	bench := benchSpace(t)
-	strategy := func(o Options, s Sampler) Options {
-		o.Sampler, o.Modeler, o.Selector = s, FeasibilityModeler{Probes: 64}, AcquisitionSelector{}
+	strategy := func(o Options, sampler string) Options {
+		o.Strategy = Strategy{Sampler: sampler, Feasibility: true, Selector: "acquisition"}
+		o.probes = 64
 		return o
 	}
 	checkRunDigests(t, []runShape{
@@ -89,13 +90,13 @@ func TestIncrementalMatchesLegacyPath(t *testing.T) {
 			"f6957fb4b06a76a853393e9c111aa29a44a2c59907cb2c167bb8ac244b7d92b9"},
 		{"3obj-subsampled", bench, threeObj, digestRun(3, 400, 23), []int{0},
 			"c2ebf6fed3697d55cd588f726784f4fad33112133f0d40fb548a360d15bc81d2"},
-		// On an unconstrained whole-grid pool the strategy stages pick the
-		// batches the default ones pick: the same digest as the first row.
-		{"2obj-enumerable-strategy", bench, benchEval(bench), strategy(digestRun(2, 0, 23), PriorSampler{}), []int{0},
+		// On an unconstrained whole-grid pool the non-default strategy picks
+		// the batches the default one picks: the same digest as the first row.
+		{"2obj-enumerable-strategy", bench, benchEval(bench), strategy(digestRun(2, 0, 23), "prior"), []int{0},
 			"f440b2fb66870f2ad255f196255e07fff3488c9ca2506b9122537314592d09f6"},
-		{"2obj-subsampled-strategy", bench, benchEval(bench), strategy(digestRun(2, 100, 23), PriorSampler{}), []int{0},
+		{"2obj-subsampled-strategy", bench, benchEval(bench), strategy(digestRun(2, 100, 23), "prior"), []int{0},
 			"1d80af1ea0d8d947a782e8e65ad4d93f2f8c1e59ebb2f5f0296b2b59231b508d"},
-		{"3obj-subsampled-strategy", bench, threeObj, strategy(digestRun(3, 400, 23), UniformSampler{}), []int{0},
+		{"3obj-subsampled-strategy", bench, threeObj, strategy(digestRun(3, 400, 23), "uniform"), []int{0},
 			"a27baa3fb819991d179f611386c892288a00e235c53406f38a0892df9c44d459"},
 	})
 }

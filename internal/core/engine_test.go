@@ -84,7 +84,7 @@ func TestPredictionPoolAppendsUndrawnEvaluated(t *testing.T) {
 		want = append(want, extra...)
 
 		rng := rand.New(rand.NewSource(5))
-		got := predictionPool(space, rng, UniformSampler{}, n, evaluated)
+		got := predictionPool(space, rng, Strategy{}, n, evaluated)
 		ref := rand.New(rand.NewSource(5))
 		space.SampleIndices(ref, n)
 		if !slices.Equal(got, want) || rng.Int63() != ref.Int63() {
@@ -567,7 +567,7 @@ func BenchmarkALIterationFit(b *testing.B) {
 			n += grow
 			cols, err := st.columns()
 			if err == nil {
-				_, _, _, err = fitForests(ctx, cols, st.ys, o, iter)
+				_, err = fitForests(ctx, cols, st.ys, o, iter)
 			}
 			if err != nil {
 				b.Fatal(err)

@@ -58,7 +58,7 @@ func TestPoolShapesPredictIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			forests, _, _, err := fitForests(t.Context(), cols, gridSt.ys, o, 1)
+			forests, err := fitForests(t.Context(), cols, gridSt.ys, o, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestDrawnPoolColumnsStayNearThePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forests, _, _, err := fitForests(t.Context(), cols, st.ys, o, 1)
+	forests, err := fitForests(t.Context(), cols, st.ys, o, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestPoolFrontMatchesMaterialisedPool(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				forests, _, _, err := fitForests(t.Context(), cols, st.ys, o, 1)
+				forests, err := fitForests(t.Context(), cols, st.ys, o, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -55,10 +55,10 @@ import (
 // The state is bound to one run (one space, one objective count) and is not
 // safe for concurrent use; RunContext drives it from a single goroutine.
 type poolState struct {
-	space   *param.Space
-	dim     int
-	k       int // objective count
-	sampler Sampler
+	space    *param.Space
+	dim      int
+	k        int // objective count
+	strategy Strategy
 
 	poolCap    int
 	enumerable bool // the whole space fits under poolCap
@@ -97,7 +97,7 @@ func newPoolState(space *param.Space, o Options) *poolState {
 		space:      space,
 		dim:        space.Dim(),
 		k:          o.Objectives,
-		sampler:    o.Sampler,
+		strategy:   o.Strategy,
 		poolCap:    o.PoolCap,
 		enumerable: space.Size() <= int64(o.PoolCap),
 		ys:         make([][]float64, o.Objectives),
@@ -155,7 +155,7 @@ func (st *poolState) pool(rng *rand.Rand, evaluated map[int64]int) error {
 		}
 	}
 	if !st.enumerable {
-		st.poolIdx = predictionPool(st.space, rng, st.sampler, st.poolCap, evaluated)
+		st.poolIdx = predictionPool(st.space, rng, st.strategy, st.poolCap, evaluated)
 	}
 	return nil
 }

@@ -13,11 +13,10 @@ import (
 	"repro/internal/pareto"
 )
 
-// TestDefaultStrategyByteIdentical locks the refactor's core promise: a run
-// with explicitly wired default stages is byte-identical to a run with nil
-// strategy fields — the pipeline seams add no RNG draws and change no
-// ordering. PriorSampler on a space without declared priors degrades to the
-// uniform draw, so it is byte-identical too.
+// TestDefaultStrategyByteIdentical: a run naming the default strategy
+// explicitly is byte-identical to a run with the zero Strategy. The prior
+// sampler on a space without declared priors degrades to the uniform draw,
+// so it is byte-identical too.
 func TestDefaultStrategyByteIdentical(t *testing.T) {
 	space := benchSpace(t)
 	opts := Options{
@@ -32,29 +31,27 @@ func TestDefaultStrategyByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	explicit := opts
-	explicit.Sampler = UniformSampler{}
-	explicit.Modeler = ForestModeler{}
-	explicit.Selector = EvenThinSelector{}
-	wired, err := Run(space, benchEval(space), explicit)
+	explicit.Strategy = Strategy{Sampler: "uniform", Selector: "even-thin"}
+	named, err := Run(space, benchEval(space), explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprintRun(base) != fingerprintRun(wired) {
-		t.Fatal("explicit default stages diverged from nil strategy fields")
+	if fingerprintRun(base) != fingerprintRun(named) {
+		t.Fatal("the explicitly named default strategy diverged from the zero Strategy")
 	}
 
 	priorless := opts
-	priorless.Sampler = PriorSampler{}
+	priorless.Strategy = Strategy{Sampler: "prior"}
 	viaPriors, err := Run(space, benchEval(space), priorless)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fingerprintRun(base) != fingerprintRun(viaPriors) {
-		t.Fatal("PriorSampler on a priorless space diverged from the uniform draw")
+		t.Fatal("the prior sampler on a priorless space diverged from the uniform draw")
 	}
 }
 
-// TestPriorSamplerConcentratesBootstrap checks the prior-guided stage end to
+// TestPriorSamplerConcentratesBootstrap checks the prior sampler end to
 // end: with priors pinning parameter "c" to level 1, every bootstrap draw
 // lands there, and the run still completes normally.
 func TestPriorSamplerConcentratesBootstrap(t *testing.T) {
@@ -75,7 +72,7 @@ func TestPriorSamplerConcentratesBootstrap(t *testing.T) {
 		MaxIterations: 1,
 		MaxBatch:      20,
 		Seed:          7,
-		Sampler:       PriorSampler{},
+		Strategy:      Strategy{Sampler: "prior"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +96,7 @@ func nanBelt(inner Evaluator) Evaluator {
 	})
 }
 
-// TestFeasibilityStrategySegregatesInvalid runs the feasibility modeler
+// TestFeasibilityStrategySegregatesInvalid runs the feasibility strategy
 // against an evaluator with a hidden infeasible belt: NaN measurements must
 // land in Result.Invalid (never in Samples or the fronts), and the run must
 // still converge on the valid region.
@@ -111,7 +108,8 @@ func TestFeasibilityStrategySegregatesInvalid(t *testing.T) {
 		MaxIterations: 3,
 		MaxBatch:      40,
 		Seed:          11,
-		Modeler:       FeasibilityModeler{Probes: 64},
+		Strategy:      Strategy{Feasibility: true},
+		probes:        64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,9 +178,9 @@ func TestNonFiniteObjectivesAreInvalidUnderEveryStrategy(t *testing.T) {
 		{"+Inf", hostileBelt(benchEval(space), math.Inf(1), 0)},
 		{"-Inf", hostileBelt(benchEval(space), math.Inf(-1), 0, 1)}, // would dominate everything
 	} {
-		for _, modeler := range []Modeler{nil, FeasibilityModeler{Probes: 64}} {
+		for _, feasibility := range []bool{false, true} {
 			for _, poolCap := range []int{0, 200} { // all cells and drawn cells
-				t.Run(fmt.Sprintf("%s/feasibility=%v/poolcap=%d", tc.name, modeler != nil, poolCap), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/feasibility=%v/poolcap=%d", tc.name, feasibility, poolCap), func(t *testing.T) {
 					res, err := Run(space, tc.eval, Options{
 						Objectives:    2,
 						RandomSamples: 60,
@@ -190,7 +188,8 @@ func TestNonFiniteObjectivesAreInvalidUnderEveryStrategy(t *testing.T) {
 						MaxBatch:      20,
 						PoolCap:       poolCap,
 						Seed:          11,
-						Modeler:       modeler,
+						Strategy:      Strategy{Feasibility: feasibility},
+						probes:        64,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -277,20 +276,19 @@ func TestAllFiniteRunUnchangedByIngestContract(t *testing.T) {
 }
 
 // TestSelectorsNeverEmitInfeasible is the constrained-run regression test of
-// the pipeline: on a space with a declared predicate, no selector — old or
+// the strategies: on a space with a declared predicate, no selector — old or
 // new, with or without the feasibility classifier, on enumerable and
 // subsampled pools — may ever hand an infeasible configuration to the
 // evaluator.
 func TestSelectorsNeverEmitInfeasible(t *testing.T) {
 	cases := []struct {
 		name     string
-		selector Selector
-		modeler  Modeler
+		strategy Strategy
 	}{
-		{"even-thin", EvenThinSelector{}, nil},
-		{"acquisition", AcquisitionSelector{}, nil},
-		{"even-thin-feasibility", EvenThinSelector{}, FeasibilityModeler{Probes: 64}},
-		{"acquisition-feasibility", AcquisitionSelector{}, FeasibilityModeler{Probes: 64}},
+		{"even-thin", Strategy{Selector: "even-thin"}},
+		{"acquisition", Strategy{Selector: "acquisition"}},
+		{"even-thin-feasibility", Strategy{Selector: "even-thin", Feasibility: true}},
+		{"acquisition-feasibility", Strategy{Selector: "acquisition", Feasibility: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,8 +309,8 @@ func TestSelectorsNeverEmitInfeasible(t *testing.T) {
 					MaxBatch:      30,
 					PoolCap:       poolCap,
 					Seed:          9,
-					Selector:      tc.selector,
-					Modeler:       tc.modeler,
+					Strategy:      tc.strategy,
+					probes:        64,
 					Workers:       1, // serialize so `checked` needs no lock
 				})
 				if err != nil {
@@ -341,7 +339,7 @@ func frontCands() []pareto.Point {
 }
 
 func TestAcquisitionSelectorUnderBudgetTakesAll(t *testing.T) {
-	got := AcquisitionSelector{}.Select(Selection{Candidates: frontCands(), MaxBatch: 5})
+	got := acquire(frontCands(), nil, 5)
 	want := []int64{10, 11, 12, 13, 14}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Select = %v, want all of %v", got, want)
@@ -349,7 +347,7 @@ func TestAcquisitionSelectorUnderBudgetTakesAll(t *testing.T) {
 }
 
 func TestAcquisitionSelectorRanksByContribution(t *testing.T) {
-	got := AcquisitionSelector{}.Select(Selection{Candidates: frontCands(), MaxBatch: 3})
+	got := acquire(frontCands(), nil, 3)
 	if len(got) != 3 {
 		t.Fatalf("Select returned %d ids, want 3", len(got))
 	}
@@ -362,7 +360,7 @@ func TestAcquisitionSelectorRanksByContribution(t *testing.T) {
 		t.Fatalf("Select = %v is not in front order", got)
 	}
 	// Determinism: same input, same output.
-	again := AcquisitionSelector{}.Select(Selection{Candidates: frontCands(), MaxBatch: 3})
+	again := acquire(frontCands(), nil, 3)
 	if !slices.Equal(got, again) {
 		t.Fatalf("Select is not deterministic: %v vs %v", got, again)
 	}
@@ -372,11 +370,7 @@ func TestAcquisitionSelectorFeasibilityDownweights(t *testing.T) {
 	// Candidate 14 owns the largest corner area but is predicted almost
 	// surely infeasible — the feasibility weight must push it out.
 	feas := []float64{1, 1, 0.9, 1, 0}
-	got := AcquisitionSelector{}.Select(Selection{
-		Candidates:  frontCands(),
-		Feasibility: feas,
-		MaxBatch:    3,
-	})
+	got := acquire(frontCands(), feas, 3)
 	if slices.Contains(got, 14) {
 		t.Fatalf("Select = %v kept a zero-feasibility candidate over viable ones", got)
 	}
@@ -389,7 +383,7 @@ func TestAcquisitionSelectorCrowdingForThreeObjectives(t *testing.T) {
 		selPoint(3, 5, 5, 0),
 		selPoint(4, 2.5, 2.5, 4.9), // interior: finite crowding distance
 	}
-	got := AcquisitionSelector{}.Select(Selection{Candidates: cands, MaxBatch: 3})
+	got := acquire(cands, nil, 3)
 	want := []int64{1, 2, 3} // the boundary points score +Inf per objective
 	if !slices.Equal(got, want) {
 		t.Fatalf("Select = %v, want the boundary candidates %v", got, want)
@@ -398,12 +392,12 @@ func TestAcquisitionSelectorCrowdingForThreeObjectives(t *testing.T) {
 
 func TestEvenThinSelectorMatchesThin(t *testing.T) {
 	cands := frontCands()
-	got := EvenThinSelector{}.Select(Selection{Candidates: cands, MaxBatch: 2})
+	got := Strategy{}.selectBatch(cands, nil, 2)
 	want := thin(pareto.IDs(cands), 2)
 	if !slices.Equal(got, want) {
 		t.Fatalf("Select = %v, want thin's %v", got, want)
 	}
-	all := EvenThinSelector{}.Select(Selection{Candidates: cands, MaxBatch: 10})
+	all := Strategy{}.selectBatch(cands, nil, 10)
 	if !slices.Equal(all, pareto.IDs(cands)) {
 		t.Fatalf("under budget Select = %v, want every candidate", all)
 	}
@@ -490,62 +484,62 @@ func TestHypervolumeStatPopulated(t *testing.T) {
 }
 
 func TestStrategyResolution(t *testing.T) {
-	for _, st := range []Strategy{
-		{}, {Sampler: "uniform", Selector: "even-thin"}, {Sampler: "prior", Feasibility: true, Selector: "acquisition"},
+	for _, tc := range []struct {
+		st   Strategy
+		want StrategyInfo
+	}{
+		{Strategy{}, StrategyInfo{"uniform", "forest", "even-thin"}},
+		{Strategy{Sampler: "uniform", Selector: "even-thin"}, StrategyInfo{"uniform", "forest", "even-thin"}},
+		{Strategy{Sampler: "prior"}, StrategyInfo{"prior", "forest", "even-thin"}},
+		{Strategy{Feasibility: true}, StrategyInfo{"uniform", "feasibility", "even-thin"}},
+		{Strategy{Sampler: "prior", Feasibility: true, Selector: "acquisition"}, StrategyInfo{"prior", "feasibility", "acquisition"}},
 	} {
-		if err := st.Validate(); err != nil {
-			t.Fatalf("%+v: %v", st, err)
+		if err := tc.st.Validate(); err != nil {
+			t.Fatalf("%+v: %v", tc.st, err)
+		}
+		if got := tc.st.Info(); got != tc.want {
+			t.Fatalf("%+v resolves to %+v, want %+v", tc.st, got, tc.want)
 		}
 	}
-	// An unknown name is refused and leaves the options as they were.
-	for _, st := range []Strategy{{Sampler: "bogus"}, {Sampler: "prior", Selector: "bogus"}} {
-		var o Options
-		if err := st.Apply(&o); err == nil || o.Sampler != nil || o.Modeler != nil || o.Selector != nil {
-			t.Fatalf("%+v: err %v, options %+v", st, err, o.StrategyInfo())
+	// An invalid strategy is refused, and resolves to the default names.
+	for _, st := range []Strategy{{Sampler: "bogus"}, {Sampler: "prior", Feasibility: true, Selector: "bogus"}} {
+		if err := st.Validate(); err == nil {
+			t.Fatalf("%+v validated", st)
 		}
-	}
-	// Each stage reports its own wire name; nil stages report the defaults'.
-	var o Options
-	if got, want := o.StrategyInfo(), (StrategyInfo{"uniform", "forest", "even-thin"}); got != want {
-		t.Fatalf("zero options resolve to %+v, want %+v", got, want)
-	}
-	if err := (Strategy{Sampler: "prior", Feasibility: true, Selector: "acquisition"}).Apply(&o); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := o.StrategyInfo(), (StrategyInfo{"prior", "feasibility", "acquisition"}); got != want {
-		t.Fatalf("applied strategy resolves to %+v, want %+v", got, want)
-	}
-	if _, ok := o.Modeler.(FeasibilityModeler); !ok {
-		t.Fatalf("feasibility modeler is a %T", o.Modeler)
+		if got, want := st.Info(), (Strategy{}).Info(); got != want {
+			t.Fatalf("%+v resolves to %+v, want the defaults %+v", st, got, want)
+		}
 	}
 }
 
 // TestRunFingerprintEncodesStrategy: fingerprints gate journal resume, and
-// strategies are never replay-compatible — so the default fingerprint must
-// match an explicitly wired default, and differ from every non-default
-// stage.
+// strategies are never replay-compatible — so every strategy's names appear
+// in the fingerprint literally, exactly as journals already on disk record
+// them, and the explicitly named default matches the zero Strategy.
 func TestRunFingerprintEncodesStrategy(t *testing.T) {
 	space := benchSpace(t)
-	base := Options{Objectives: 2, Seed: 1}
-	def := RunFingerprint(space, base)
-	if !strings.Contains(def, "sampler=uniform;modeler=forest;selector=even-thin") {
-		t.Fatalf("default fingerprint missing strategy identity: %s", def)
-	}
-	explicit := base
-	explicit.Sampler = UniformSampler{}
-	explicit.Modeler = ForestModeler{}
-	explicit.Selector = EvenThinSelector{}
-	if RunFingerprint(space, explicit) != def {
-		t.Fatal("explicit defaults changed the fingerprint")
-	}
-	variants := []Options{
-		{Objectives: 2, Seed: 1, Sampler: PriorSampler{}},
-		{Objectives: 2, Seed: 1, Modeler: FeasibilityModeler{}},
-		{Objectives: 2, Seed: 1, Selector: AcquisitionSelector{}},
-	}
-	for i, v := range variants {
-		if RunFingerprint(space, v) == def {
-			t.Fatalf("variant %d has the default fingerprint", i)
+	seen := make(map[string]bool)
+	for _, sampler := range []string{"uniform", "prior"} {
+		for _, feasibility := range []bool{false, true} {
+			for _, selector := range []string{"even-thin", "acquisition"} {
+				st := Strategy{Sampler: sampler, Feasibility: feasibility, Selector: selector}
+				modeler := "forest"
+				if feasibility {
+					modeler = "feasibility"
+				}
+				fp := RunFingerprint(space, Options{Objectives: 2, Seed: 1, Strategy: st})
+				want := fmt.Sprintf(";sampler=%s;modeler=%s;selector=%s;", sampler, modeler, selector)
+				if !strings.Contains(fp, want) {
+					t.Fatalf("%+v: fingerprint %s lacks %s", st, fp, want)
+				}
+				seen[fp] = true
+			}
 		}
+	}
+	if len(seen) != 8 {
+		t.Fatalf("8 strategies gave %d distinct fingerprints", len(seen))
+	}
+	if !seen[RunFingerprint(space, Options{Objectives: 2, Seed: 1})] {
+		t.Fatal("the zero Strategy's fingerprint matches no named strategy's")
 	}
 }

@@ -27,15 +27,15 @@ import (
 	"repro/internal/pareto"
 )
 
-// Strategy names one search-strategy pipeline to sweep. Empty stage names
-// select the engine defaults, so the zero value (with a Name) is the
-// paper-faithful baseline pipeline.
+// Strategy names one search strategy to sweep. Empty names select the
+// engine defaults, so the zero value (with a Name) is the paper-faithful
+// baseline.
 type Strategy struct {
 	// Name labels the curve in the report (e.g. "default",
 	// "feasibility+acquisition").
 	Name string `json:"name"`
-	// Strategy is the pipeline itself, flattened into the same JSON
-	// object: core stage names, empty for the defaults.
+	// Strategy is the strategy itself, flattened into the same JSON
+	// object: core's names, empty for the defaults.
 	core.Strategy
 }
 
@@ -75,20 +75,17 @@ type Report struct {
 // budgetOptions maps an evaluation budget onto engine budgets: a third of
 // it bootstraps (≥ 10), a tenth sizes each active-learning batch (≥ 5),
 // and the iteration cap spends the remainder.
-func budgetOptions(p catalog.Problem, s Strategy, budget int, seed int64) (core.Options, error) {
+func budgetOptions(p catalog.Problem, s Strategy, budget int, seed int64) core.Options {
 	rs := max(10, budget/3)
 	batch := max(5, budget/10)
-	opts := core.Options{
+	return core.Options{
 		Objectives:    len(p.Objectives),
 		RandomSamples: rs,
 		MaxBatch:      batch,
 		MaxIterations: max(1, (budget-rs+batch-1)/batch),
 		Seed:          seed,
+		Strategy:      s.Strategy,
 	}
-	if err := s.Apply(&opts); err != nil {
-		return core.Options{}, fmt.Errorf("strategy %q: %w", s.Name, err)
-	}
-	return opts, nil
 }
 
 // run is one finished exploration, held until the problem's shared
@@ -160,10 +157,7 @@ func sweepProblem(ctx context.Context, p catalog.Problem, strategies []Strategy,
 	for si, s := range strategies {
 		for _, b := range budgets {
 			for _, seed := range seeds {
-				opts, err := budgetOptions(p, s, b, seed)
-				if err != nil {
-					return nil, nil, err
-				}
+				opts := budgetOptions(p, s, b, seed)
 				opts.Cache = cache
 				res, err := core.RunContext(ctx, p.Space, p.Eval, opts)
 				if err != nil {

@@ -63,13 +63,13 @@ func (b Box) Dist(p geom.Vec3) float64 {
 // Bound implements Object (and Checker's through embedding).
 func (b Box) Bound() (geom.Vec3, float64) { return b.Center, b.Half.Norm() + b.Round }
 
-// Albedo implements Object.
+// Albedo implements Object; each product is rounded before it is added.
 func (b Box) Albedo(p geom.Vec3) float64 {
 	if b.Stripes <= 0 {
 		return b.Shade
 	}
-	s := math.Sin(p.X*b.Stripes) + math.Sin(p.Z*b.Stripes+p.Y*b.Stripes*0.7)
-	return clamp01(b.Shade + 0.09*s)
+	s := math.Sin(p.X*b.Stripes) + math.Sin(float64(p.Z*b.Stripes)+float64(p.Y*b.Stripes*0.7))
+	return clamp01(b.Shade + float64(0.09*s))
 }
 
 // CylinderY is a vertical capped cylinder.

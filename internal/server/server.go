@@ -180,9 +180,8 @@ func (r RunRequest) validate() error {
 	return r.Strategy.Validate()
 }
 
-// StrategyInfo is the resolved search-strategy pipeline echoed in
-// RunStatus: the stage names the engine actually ran with, defaults
-// filled in.
+// StrategyInfo is the resolved search strategy echoed in RunStatus: the
+// names the engine actually ran with, defaults filled in.
 type StrategyInfo = core.StrategyInfo
 
 // Config bounds a long-lived manager's memory. The zero value retains
@@ -557,12 +556,13 @@ func (m *Manager) buildOpts(s *session) core.Options {
 		MaxUnmeasuredFraction: frac,
 		OnIteration:           func(st core.IterationStats) { s.publish(toEvent(st)) },
 	}
-	// validate() resolved the strategy names at submit, so the error is
-	// dropped: only a hand-edited persisted request can fail here, and it
-	// leaves the stages nil — the defaults, to which the explicit default
-	// stages are byte-identical. The resume path rebuilds the exact same
-	// pipeline from the persisted request.
-	_ = req.Strategy.Apply(&opts)
+	// validate() checked the strategy names at submit, so only a
+	// hand-edited persisted request can fail here; it runs the default
+	// strategy, as liveStatus echoes. The resume path rebuilds the exact
+	// same strategy from the persisted request.
+	if req.Strategy.Validate() == nil {
+		opts.Strategy = req.Strategy
+	}
 	opts.Forest.Trees = req.Trees
 	if m.cfg.EvalPool != nil {
 		// Remote evaluation: the batch backend replaces the in-process

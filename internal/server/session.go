@@ -378,8 +378,6 @@ func (s *session) status() RunStatus {
 // liveStatus summarizes a session that has not ended from its progress
 // events. Called with s.mu held.
 func (s *session) liveStatus() RunStatus {
-	var stages core.Options
-	_ = s.req.Strategy.Apply(&stages) // as in buildOpts: unresolvable names run, and echo, the defaults
 	st := RunStatus{
 		ID:       s.id,
 		Problem:  s.problem.Name,
@@ -387,7 +385,7 @@ func (s *session) liveStatus() RunStatus {
 		Created:  s.created,
 		Tenant:   s.req.Tenant,
 		Priority: s.req.Priority,
-		Strategy: stages.StrategyInfo(),
+		Strategy: s.req.Strategy.Info(), // as in buildOpts: unresolvable names run, and echo, the defaults
 		// Never nil: before the first event this must marshal as [], not
 		// null, for strict clients.
 		Iterations: append(make([]IterationEvent, 0, len(s.events)), s.events...),

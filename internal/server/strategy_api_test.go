@@ -110,3 +110,21 @@ func TestEventStreamCarriesHypervolume(t *testing.T) {
 		}
 	}
 }
+
+// TestStrategyUnknownNameInPersistedRequestRunsDefault: validate() refuses
+// unknown names at submit, so only a hand-edited persisted request carries
+// one. A restarted daemon runs it, and echoes it, as the default strategy
+// instead of failing the run.
+func TestStrategyUnknownNameInPersistedRequestRunsDefault(t *testing.T) {
+	m, _ := newTestServer(t, testProblem("toy", 0))
+	s := &session{
+		problem: testProblem("toy", 0),
+		req:     RunRequest{Problem: "toy", Strategy: StrategyRequest{Sampler: "sobol", Feasibility: true}},
+	}
+	if got := m.buildOpts(s).Strategy; got != (StrategyRequest{}) {
+		t.Fatalf("engine strategy = %+v, want the default", got)
+	}
+	if got, want := s.liveStatus().Strategy, (StrategyRequest{}).Info(); got != want {
+		t.Fatalf("echoed strategy = %+v, want the defaults %+v", got, want)
+	}
+}

@@ -146,7 +146,7 @@ func TestNaNRunMatchesLocalOverFleet(t *testing.T) {
 	bridge.logf = t.Logf
 
 	opts := runOpts(31)
-	opts.Modeler = core.FeasibilityModeler{Probes: 64}
+	opts.Strategy = core.Strategy{Feasibility: true}
 	for name, eval := range map[string]core.Evaluator{
 		"go evaluator": nanBelt(testEval()),
 		"http bridge":  bridge,
