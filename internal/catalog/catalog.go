@@ -53,20 +53,27 @@ func NewRegistry(logf func(format string, args ...any)) *Registry {
 	return &Registry{problems: make(map[string]Problem), logf: logf}
 }
 
+// Validate reports whether the problem is complete enough to back
+// sessions: a name, a space, an evaluator and at least one objective.
+func (p Problem) Validate() error {
+	switch {
+	case p.Name == "":
+		return fmt.Errorf("catalog: problem with an empty name")
+	case p.Space == nil:
+		return fmt.Errorf("catalog: problem %q has no space", p.Name)
+	case p.Eval == nil:
+		return fmt.Errorf("catalog: problem %q has no evaluator", p.Name)
+	case len(p.Objectives) == 0:
+		return fmt.Errorf("catalog: problem %q has no objectives", p.Name)
+	}
+	return nil
+}
+
 // Register validates and adds a problem, replacing any existing problem of
 // the same name (later wins, so a spec file can override a builtin).
 func (r *Registry) Register(p Problem) error {
-	if p.Name == "" {
-		return fmt.Errorf("catalog: problem with an empty name")
-	}
-	if p.Space == nil {
-		return fmt.Errorf("catalog: problem %q has no space", p.Name)
-	}
-	if p.Eval == nil {
-		return fmt.Errorf("catalog: problem %q has no evaluator", p.Name)
-	}
-	if len(p.Objectives) == 0 {
-		return fmt.Errorf("catalog: problem %q has no objectives", p.Name)
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -85,8 +85,8 @@ func StandardIntrinsics(w, h int) Intrinsics {
 	return Intrinsics{
 		W: w, H: h,
 		Fx: f, Fy: f,
-		Cx: float64(w)/2 - 0.5,
-		Cy: float64(h)/2 - 0.5,
+		Cx: float64(float64(w)/2) - 0.5,
+		Cy: float64(float64(h)/2) - 0.5,
 	}
 }
 
@@ -99,8 +99,8 @@ func (k Intrinsics) Scaled(r int) Intrinsics {
 	return Intrinsics{
 		W: k.W / r, H: k.H / r,
 		Fx: k.Fx / fr, Fy: k.Fy / fr,
-		Cx: (k.Cx+0.5)/fr - 0.5,
-		Cy: (k.Cy+0.5)/fr - 0.5,
+		Cx: float64((k.Cx+0.5)/fr) - 0.5,
+		Cy: float64((k.Cy+0.5)/fr) - 0.5,
 	}
 }
 
@@ -123,8 +123,8 @@ func (k Intrinsics) Project(p geom.Vec3) (x, y int, ok bool) {
 	if p.Z <= 1e-9 {
 		return 0, 0, false
 	}
-	u := p.X/p.Z*k.Fx + k.Cx
-	v := p.Y/p.Z*k.Fy + k.Cy
+	u := float64(p.X/p.Z*k.Fx) + k.Cx
+	v := float64(p.Y/p.Z*k.Fy) + k.Cy
 	x = int(math.Round(u))
 	y = int(math.Round(v))
 	return x, y, x >= 0 && x < k.W && y >= 0 && y < k.H
@@ -248,8 +248,8 @@ func BilateralFilter(src *Map, radius int, sigmaSpace, sigmaRange float64) (*Map
 						continue
 					}
 					diff := float64(v - center)
-					w := spatial[(dy+radius)*size+(dx+radius)] * math.Exp(-diff*diff*inv2r2)
-					sum += w * float64(v)
+					w := float64(spatial[(dy+radius)*size+(dx+radius)] * math.Exp(-diff*diff*inv2r2))
+					sum += float64(w * float64(v))
 					wsum += w
 				}
 			}
@@ -365,7 +365,7 @@ func SampleBilinear(src *Map, u, v float64) (float32, bool) {
 	}
 	fx := float32(u - float64(x0))
 	fy := float32(v - float64(y0))
-	top := src.At(x0, y0)*(1-fx) + src.At(x1, y0)*fx
-	bot := src.At(x0, y1)*(1-fx) + src.At(x1, y1)*fx
-	return top*(1-fy) + bot*fy, true
+	top := float32(src.At(x0, y0)*(1-fx)) + float32(src.At(x1, y0)*fx)
+	bot := float32(src.At(x0, y1)*(1-fx)) + float32(src.At(x1, y1)*fx)
+	return float32(top*(1-fy)) + float32(bot*fy), true
 }

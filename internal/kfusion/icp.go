@@ -92,9 +92,9 @@ func trackICP(
 					jw := vWorld.Cross(mN)
 					j := [6]float64{jv.X, jv.Y, jv.Z, jw.X, jw.Y, jw.Z}
 					for a := 0; a < 6; a++ {
-						b[a] -= j[a] * r
+						b[a] -= float64(j[a] * r)
 						for c := a; c < 6; c++ {
-							h[a*6+c] += j[a] * j[c]
+							h[a*6+c] += float64(j[a] * j[c])
 						}
 					}
 				}

@@ -27,13 +27,14 @@ const defaultCoalesceMaxConfigs = 4096
 // while every run still receives its results position-matched and
 // byte-identical to an unmerged evaluation.
 //
-// A Coalescer is bound to exactly one (space, objectives) pair: every
+// A Coalescer is bound to exactly one space and one inner backend: every
 // incoming configuration is resolved to its design-space index, which is
 // the deduplication key. A configuration that does not belong to the space
-// fails the call — batches from runs over different spaces must go through
-// different Coalescers (Group hands them out keyed by problem and space
-// fingerprint, so results can never mix across problems, or across spaces
-// whose configs happen to look alike).
+// fails the call. The daemon builds one Coalescer per registered problem,
+// together with the problem's memo-cache, and replaces both when the
+// problem is re-registered, so results never mix across problems (two
+// platforms over one space), across spaces whose configs happen to look
+// alike, or across a problem's old and new evaluator.
 //
 // Merging is time-bounded: the first batch to arrive opens a merge window
 // (Window); batches arriving within it join the merge, and the combined
@@ -53,7 +54,7 @@ type Coalescer struct {
 	stats CoalesceStats
 }
 
-// CoalesceStats counts a Coalescer's (or a Group's aggregated) traffic.
+// CoalesceStats counts a Coalescer's traffic.
 type CoalesceStats struct {
 	// Calls counts EvaluateBatch calls accepted; Flushes counts combined
 	// backend dispatches. Flushes ≤ Calls, and the gap is the merging win.
@@ -207,73 +208,4 @@ func (c *Coalescer) Stats() CoalesceStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Group hands out one Coalescer per problem: its name together with its
-// space fingerprint, the unit within which the daemon's memo-caches share
-// measurements (one cache per problem name, namespaced by fingerprint). Two
-// problems over one space — the same benchmark on two platforms — have
-// different evaluators and never merge; replacing a problem with a different
-// space under the same name yields a fresh coalescer; and two spaces whose
-// configurations happen to encode alike still merge separately.
-type Group struct {
-	window time.Duration
-
-	mu sync.Mutex
-	m  map[string]*Coalescer
-}
-
-// NewGroup returns a group whose coalescers merge within window
-// (0 selects DefaultCoalesceWindow, negative disables merging).
-func NewGroup(window time.Duration) *Group {
-	if window == 0 {
-		window = DefaultCoalesceWindow
-	}
-	return &Group{window: window, m: make(map[string]*Coalescer)}
-}
-
-// For returns the named problem's coalescer for the given space and
-// objective count over inner, creating it on first use. Callers pass the
-// same inner backend for a problem until they Drop it.
-func (g *Group) For(problem string, space *param.Space, objectives int, inner core.Backend) *Coalescer {
-	key := groupKey(problem, space, objectives)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c, ok := g.m[key]
-	if !ok {
-		c = NewCoalescer(space, inner, g.window)
-		g.m[key] = c
-	}
-	return c
-}
-
-// Drop removes the named problem's coalescer for a space, if present —
-// called when the problem is re-registered with a new evaluator, mirroring
-// the memo-cache reset. Other problems over the same space keep theirs.
-func (g *Group) Drop(problem string, space *param.Space, objectives int) {
-	key := groupKey(problem, space, objectives)
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-}
-
-// groupKey is a Group's map key: the problem name, then the fingerprint.
-func groupKey(problem string, space *param.Space, objectives int) string {
-	return problem + "\x00" + core.SpaceFingerprint(space, objectives)
-}
-
-// Stats aggregates every member coalescer's counters.
-func (g *Group) Stats() CoalesceStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var agg CoalesceStats
-	for _, c := range g.m {
-		st := c.Stats()
-		agg.Calls += st.Calls
-		agg.Flushes += st.Flushes
-		agg.MergedCalls += st.MergedCalls
-		agg.Configs += st.Configs
-		agg.Deduped += st.Deduped
-	}
-	return agg
 }

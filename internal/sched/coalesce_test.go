@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/param"
 )
 
@@ -185,43 +184,22 @@ func TestCoalescerMemberCancellation(t *testing.T) {
 	}
 }
 
-// TestGroupIsolationByFingerprint is the S2 regression: runs over different
-// spaces (or the same space with a different objective count), or over
-// different problems sharing one space, must never share a coalescer, even
-// when their configurations are byte-identical — so results cannot mix
-// across runs whose configs happen to look alike.
-func TestGroupIsolationByFingerprint(t *testing.T) {
-	// Two spaces whose configurations encode identically: same dimension,
-	// same grid values — only the parameter names differ.
-	s1, err := param.NewSpace(param.Grid("x", 0, 3, 4), param.Levels("z", 1, 2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCoalescerLookAlikeConfigsKeepTheirBackend is the S2 regression at the
+// coalescer: two coalescers over spaces whose configurations encode
+// identically, each over its own backend (as the daemon builds one per
+// registered problem), must answer a byte-identical configuration from
+// their own backend — results cannot mix across runs whose configs happen
+// to look alike.
+func TestCoalescerLookAlikeConfigsKeepTheirBackend(t *testing.T) {
+	// Same dimension, same grid values — only the parameter names differ.
+	s1 := coalesceSpace(t)
 	s2, err := param.NewSpace(param.Grid("other", 0, 3, 4), param.Levels("w", 1, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c1 := NewCoalescer(s1, &fakeBackend{tag: 1000}, -1) // merging disabled: calls resolve synchronously
+	c2 := NewCoalescer(s2, &fakeBackend{tag: 2000}, -1)
 
-	g := NewGroup(-1) // merging disabled: calls resolve synchronously
-	b1 := &fakeBackend{tag: 1000}
-	b2 := &fakeBackend{tag: 2000}
-	c1 := g.For("p", s1, 2, b1)
-	c2 := g.For("p", s2, 2, b2)
-	if c1 == c2 {
-		t.Fatal("different spaces shared a coalescer")
-	}
-	if g.For("p", s1, 2, b1) != c1 {
-		t.Fatal("same problem did not reuse its coalescer")
-	}
-	if g.For("q", s1, 2, b2) == c1 {
-		t.Fatal("another problem over the same fingerprint shared a coalescer")
-	}
-	if g.For("p", s1, 1, b1) == c1 {
-		t.Fatal("different objective count shared a coalescer")
-	}
-
-	// Byte-identical configs through each run's own coalescer come back
-	// from that run's backend — the tags cannot cross.
 	cfg := s1.AtIndex(0)
 	r1, err := c1.EvaluateBatch(context.Background(), []param.Config{cfg})
 	if err != nil {
@@ -236,38 +214,5 @@ func TestGroupIsolationByFingerprint(t *testing.T) {
 	}
 	if r2[0][0] < 2000 {
 		t.Fatalf("run 2 result %v did not come from backend 2", r2[0])
-	}
-
-	if agg := g.Stats(); agg.Calls < 2 {
-		t.Fatalf("aggregated stats missing traffic: %+v", agg)
-	}
-
-	// Drop forgets the problem's coalescer: re-registration yields a fresh
-	// one bound to the new backend, and the sibling problem keeps its own.
-	cq := g.For("q", s1, 2, b2)
-	g.Drop("p", s1, 2)
-	if g.For("p", s1, 2, b2) == c1 {
-		t.Fatal("Drop did not remove the coalescer")
-	}
-	if g.For("q", s1, 2, b2) != cq {
-		t.Fatal("Drop removed another problem's coalescer over the same space")
-	}
-}
-
-// TestGroupMatchesCacheFingerprint pins that Group and the engine
-// memo-cache key by the same fingerprint function, so the coalescer's
-// isolation boundary is exactly the cache's singleflight namespace.
-func TestGroupMatchesCacheFingerprint(t *testing.T) {
-	s1 := coalesceSpace(t)
-	s2, err := param.NewSpace(param.Grid("x", 0, 3, 4), param.Levels("z", 1, 2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core.SpaceFingerprint(s1, 2) != core.SpaceFingerprint(s2, 2) {
-		t.Fatal("structurally identical spaces fingerprint differently")
-	}
-	g := NewGroup(-1)
-	if g.For("p", s1, 2, &fakeBackend{}) != g.For("p", s2, 2, &fakeBackend{}) {
-		t.Fatal("structurally identical spaces got distinct coalescers")
 	}
 }

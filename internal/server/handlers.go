@@ -69,23 +69,6 @@ func toProbJSON(p Problem) probJSON {
 	}
 }
 
-// validateProblem guards runtime registration: Manager.Register trusts its
-// caller, but a spec loader's output crosses a network boundary and must
-// be complete before it can back sessions.
-func validateProblem(p Problem) error {
-	switch {
-	case p.Name == "":
-		return errors.New("problem with an empty name")
-	case p.Space == nil:
-		return fmt.Errorf("problem %q has no space", p.Name)
-	case p.Eval == nil:
-		return fmt.Errorf("problem %q has no evaluator", p.Name)
-	case len(p.Objectives) == 0:
-		return fmt.Errorf("problem %q has no objectives", p.Name)
-	}
-	return nil
-}
-
 // Handler returns the REST API for the manager.
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -119,7 +102,9 @@ func (m *Manager) Handler() http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := validateProblem(p); err != nil {
+		// Manager.Register trusts its caller, but a spec loader's output
+		// crosses a network boundary and must be complete first.
+		if err := p.Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}

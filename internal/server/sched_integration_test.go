@@ -345,17 +345,83 @@ func TestCoalescingKeepsEachProblemsEvaluator(t *testing.T) {
 	if a, b := calls[0].Load(), calls[1].Load(); a == 0 || b == 0 {
 		t.Fatalf("evaluator calls: pa %d, pb %d; each problem's run must reach its own evaluator", a, b)
 	}
-	s, _ := m.Get(ids["pb"])
+	if lo := frontMin(t, m, ids["pb"]); lo < 1000 {
+		t.Fatalf("pb's front holds %v, measured by pa's evaluator", lo)
+	}
+}
+
+// frontMin returns the smallest first objective on a finished run's front.
+func frontMin(t *testing.T, m *Manager, id string) float64 {
+	t.Helper()
+	s, _ := m.Get(id)
 	s.mu.Lock()
 	front := s.record.Front
 	s.mu.Unlock()
 	if front == nil || len(front.Points) == 0 {
-		t.Fatal("pb's run has no front")
+		t.Fatalf("run %s has no front", id)
 	}
+	lo := front.Points[0].Objs[0]
 	for _, pt := range front.Points {
-		if pt.Objs[0] < 1000 {
-			t.Fatalf("pb's front holds %v, measured by pa's evaluator", pt.Objs)
-		}
+		lo = min(lo, pt.Objs[0])
+	}
+	return lo
+}
+
+// TestRegisterWhileQueuedKeepsEachRunsEvaluator: a run queued on problem p
+// when Register replaces p (same space, an evaluator that adds 1000) is
+// measured by the evaluator it was submitted against, and the next run of
+// p by the replacement's — a queued run must not bind the replacement's
+// coalescer to the old evaluator.
+func TestRegisterWhileQueuedKeepsEachRunsEvaluator(t *testing.T) {
+	gate := make(chan struct{})
+	space := param.MustSpace(param.Grid("a", 0, 4, 40), param.Grid("b", 0, 4, 40))
+	var calls [2]atomic.Int64
+	problem := func(k int, offset float64) Problem {
+		eval := core.EvaluatorFunc(func(cfg param.Config) []float64 {
+			calls[k].Add(1)
+			return []float64{cfg[0] + offset, cfg[1] + offset}
+		})
+		return Problem{Name: "p", Space: space, Eval: eval, Objectives: []string{"f0", "f1"}}
+	}
+	m := NewManagerConfig(Config{Sched: &sched.Config{MaxRunning: 1}}, gatedProblem("gate", gate), problem(0, 1))
+	defer shutdownManager(t, m)
+
+	blocker := schedReq
+	blocker.Problem = "gate"
+	stGate, err := m.Start(blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := schedReq
+	req.Problem = "p"
+	queued, err := m.Start(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if queued.State != StateQueued {
+		t.Fatalf("run on p is %s, want queued behind the gated run", queued.State)
+	}
+	m.Register(problem(1, 1001))
+	close(gate)
+	waitManagerTerminal(t, m, stGate.ID)
+	if st := waitManagerTerminal(t, m, queued.ID); st.State != StateDone {
+		t.Fatalf("queued run ended %s: %s", st.State, st.Error)
+	}
+	if lo := frontMin(t, m, queued.ID); lo >= 1000 {
+		t.Fatalf("queued run's front holds %v, measured by the replacement's evaluator", lo)
+	}
+	next, err := m.Start(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitManagerTerminal(t, m, next.ID); st.State != StateDone {
+		t.Fatalf("run after Register ended %s: %s", st.State, st.Error)
+	}
+	if lo := frontMin(t, m, next.ID); lo < 1000 {
+		t.Fatalf("run after Register has front %v, measured by the replaced evaluator", lo)
+	}
+	if old, repl := calls[0].Load(), calls[1].Load(); old == 0 || repl == 0 {
+		t.Fatalf("evaluator calls: replaced %d, replacement %d; each run must reach its own", old, repl)
 	}
 }
 

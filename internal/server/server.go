@@ -37,6 +37,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -236,10 +237,11 @@ type Config struct {
 	// while its tenant is at quota or the fleet is saturated, or is rejected
 	// with 429 + Retry-After when the tenant's queue is full. Nil bounds
 	// nothing, so every accepted run starts immediately. A non-nil config
-	// also enables cross-run evaluation-batch coalescing onto the shared
-	// backend (see sched.Coalescer); with a nil EvalPool, coalesced batches
-	// evaluate in-process bounded by GOMAXPROCS rather than by each run's
-	// Workers field.
+	// also gives every registered problem one sched.Coalescer, built by
+	// Register with the problem's memo-cache and replaced with them, which
+	// merges its concurrent runs' evaluation batches; with a nil EvalPool,
+	// coalesced batches evaluate in-process bounded by GOMAXPROCS rather
+	// than by each run's Workers field.
 	//
 	// Two caveats: resumed runs (Resume) relaunch without admission so
 	// recovery can never deadlock behind queued work, and NoCache runs still
@@ -262,15 +264,14 @@ func (c Config) janitorInterval() time.Duration {
 // Manager owns the problem registry, the session store, and the lifecycle
 // policy that keeps a long-lived daemon's memory bounded.
 type Manager struct {
-	mu       sync.Mutex // guards problems, caches, closed
-	problems map[string]Problem
-	caches   map[string]*core.EvalCache // shared per problem
-	closed   bool                       // Shutdown has begun; no new sessions
+	mu     sync.Mutex         // guards served, closed
+	served map[string]*served // registered problems by name
+	closed bool               // Shutdown has begun; no new sessions
 
 	cfg        Config
 	sched      *sched.Scheduler // admits every fresh run
 	retryAfter time.Duration    // backoff hint on a queue-full rejection
-	coalesce   *sched.Group     // nil unless cfg.Sched is set
+	window     time.Duration    // the coalescers' merge window (cfg.Sched set)
 	store      *store
 	evictMu    sync.Mutex   // serializes eviction passes (janitor vs Start)
 	evictedTTL atomic.Int64 // sessions evicted by TTL expiry
@@ -293,8 +294,7 @@ type Manager struct {
 func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
-		problems: make(map[string]Problem),
-		caches:   make(map[string]*core.EvalCache),
+		served:   make(map[string]*served),
 		cfg:      cfg,
 		store:    newStore(cfg.DataDir),
 		baseCtx:  ctx,
@@ -304,7 +304,7 @@ func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 	var sc sched.Config // no limits: every submission is admitted in Submit
 	if cfg.Sched != nil {
 		sc = *cfg.Sched
-		m.coalesce = sched.NewGroup(sc.CoalesceWindow)
+		m.window = cmp.Or(sc.CoalesceWindow, sched.DefaultCoalesceWindow)
 	}
 	m.sched = sched.New(sc)
 	m.retryAfter = sc.RetryAfterHint()
@@ -329,38 +329,54 @@ func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 	return m
 }
 
+// served is one registered problem as the daemon serves it: the problem,
+// the memo-cache its runs share, and the backend they measure through. All
+// three are built together by Register and replaced together when the
+// problem is re-registered, so a session that captured a record measures
+// with that record's evaluator and memoizes into that record's cache, even
+// if it was still queued when the replacement arrived.
+type served struct {
+	Problem
+	cache *core.EvalCache
+	// backend is the problem's sched.Coalescer when the daemon has a
+	// scheduler config (over the fleet's backend, or over Eval in-process),
+	// the fleet's backend otherwise, and nil — evaluate through Eval — with
+	// neither.
+	backend core.Backend
+}
+
 // Register adds or replaces a problem. Replacing always resets the
-// problem's memo-cache, including its on-disk spill: the space fingerprint
-// cannot detect an evaluator change, and serving the old evaluator's
-// measurements to the new one would silently corrupt results.
+// problem's memo-cache, including its on-disk spill, and its coalescer:
+// the space fingerprint cannot detect an evaluator change, and serving the
+// old evaluator's measurements to the new one would silently corrupt
+// results.
 func (m *Manager) Register(p Problem) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old := m.caches[p.Name]; old != nil {
-		if err := old.RemoveSpill(); err != nil {
+	if old := m.served[p.Name]; old != nil {
+		// Before the new cache opens the same spill directory.
+		if err := old.cache.RemoveSpill(); err != nil {
 			m.logf("problem %q: removing stale cache spill: %v", p.Name, err)
 		}
 	}
-	if m.coalesce != nil {
-		// Mirror the cache reset: the replaced problem's coalescer wraps the
-		// old evaluator's backend, so in-flight merges must not be joined by
-		// runs over the new one.
-		if old, ok := m.problems[p.Name]; ok {
-			m.coalesce.Drop(old.Name, old.Space, len(old.Objectives))
+	r := &served{Problem: p, cache: core.NewEvalCache()}
+	if m.cfg.DataDir != "" {
+		r.cache = core.NewEvalCacheDir(filepath.Join(m.cfg.DataDir, "cache", cacheDirName(p.Name)))
+	}
+	if m.cfg.EvalPool != nil {
+		// The objective count pins the fleet to this daemon's catalog.
+		r.backend = m.cfg.EvalPool.Backend(p.Name, len(p.Objectives))
+	}
+	if m.cfg.Sched != nil {
+		// A merged batch serves many runs' Workers settings at once, so an
+		// in-process inner backend runs at the default bound (GOMAXPROCS).
+		inner := r.backend
+		if inner == nil {
+			inner = &core.LocalBackend{Eval: p.Eval}
 		}
+		r.backend = sched.NewCoalescer(p.Space, inner, m.window)
 	}
-	m.problems[p.Name] = p
-	m.caches[p.Name] = m.newCache(p.Name)
-}
-
-// newCache builds a problem's memo-cache: disk-spilled under the data
-// directory when the manager is persistent, memory-only otherwise. Called
-// under m.mu.
-func (m *Manager) newCache(problem string) *core.EvalCache {
-	if m.cfg.DataDir == "" {
-		return core.NewEvalCache()
-	}
-	return core.NewEvalCacheDir(filepath.Join(m.cfg.DataDir, "cache", cacheDirName(problem)))
+	m.served[p.Name] = r
 }
 
 // isClosed reports whether Shutdown has begun.
@@ -374,20 +390,12 @@ func (m *Manager) isClosed() bool {
 func (m *Manager) Problems() []Problem {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Problem, 0, len(m.problems))
-	for _, p := range m.problems {
-		out = append(out, p)
+	out := make([]Problem, 0, len(m.served))
+	for _, r := range m.served {
+		out = append(out, r.Problem)
 	}
 	slices.SortFunc(out, func(a, b Problem) int { return strings.Compare(a.Name, b.Name) })
 	return out
-}
-
-// Cache returns the shared memo-cache for a problem.
-func (m *Manager) Cache(problem string) (*core.EvalCache, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.caches[problem]
-	return c, ok
 }
 
 // Start submits one exploration session for admission and returns its
@@ -405,7 +413,7 @@ func (m *Manager) Start(req RunRequest) (RunStatus, error) {
 		m.mu.Unlock()
 		return RunStatus{}, ErrShuttingDown
 	}
-	if _, ok := m.problems[req.Problem]; !ok {
+	if _, ok := m.served[req.Problem]; !ok {
 		m.mu.Unlock()
 		return RunStatus{}, fmt.Errorf("%w: %q", ErrUnknownProblem, req.Problem)
 	}
@@ -447,10 +455,11 @@ func (m *Manager) Start(req RunRequest) (RunStatus, error) {
 
 // newSession is the one way a session is built — for a fresh submission, a
 // run being resumed, and a finished run restored from disk alike: identity
-// and request from meta, a run context under the manager's, and the problem
-// and its memo-cache resolved here, once. A problem that is not registered
-// (possible only when restoring) leaves the session with the bare name, and
-// a nil Space for the resume path to refuse.
+// and request from meta, a run context under the manager's, and the
+// problem's record — problem, memo-cache and backend — resolved here, once.
+// A problem that is not registered (possible only when restoring) leaves
+// the session with the bare name, and a nil Space for the resume path to
+// refuse.
 func (m *Manager) newSession(meta runMeta, state State) *session {
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	s := &session{
@@ -465,10 +474,10 @@ func (m *Manager) newSession(meta runMeta, state State) *session {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if p, ok := m.problems[meta.Problem]; ok {
-		s.problem = p
+	if r, ok := m.served[meta.Problem]; ok {
+		s.problem, s.backend = r.Problem, r.backend
 		if !meta.Request.NoCache {
-			s.cache = m.caches[meta.Problem]
+			s.cache = r.cache
 		}
 	}
 	return s
@@ -553,6 +562,7 @@ func (m *Manager) buildOpts(s *session) core.Options {
 		Seed:                  req.Seed,
 		Workers:               req.Workers,
 		Cache:                 s.cache,
+		Backend:               s.backend,
 		MaxUnmeasuredFraction: frac,
 		OnIteration:           func(st core.IterationStats) { s.publish(toEvent(st)) },
 	}
@@ -564,25 +574,6 @@ func (m *Manager) buildOpts(s *session) core.Options {
 		opts.Strategy = req.Strategy
 	}
 	opts.Forest.Trees = req.Trees
-	if m.cfg.EvalPool != nil {
-		// Remote evaluation: the batch backend replaces the in-process
-		// evaluator. The memo-cache sits in front of the backend inside
-		// the engine, so remote results memoize exactly like local ones;
-		// the objective count pins the fleet to this daemon's catalog.
-		opts.Backend = m.cfg.EvalPool.Backend(p.Name, len(p.Objectives))
-	}
-	if m.coalesce != nil {
-		// Daemons given a scheduler config merge concurrent runs' evaluation
-		// batches onto one shared backend per problem (cross-run coalescing).
-		// The shared local backend runs with the default worker bound
-		// (GOMAXPROCS) since a merged batch serves many runs' Workers
-		// settings at once.
-		inner := opts.Backend
-		if inner == nil {
-			inner = &core.LocalBackend{Eval: p.Eval}
-		}
-		opts.Backend = m.coalesce.For(p.Name, p.Space, len(p.Objectives), inner)
-	}
 	return opts
 }
 
@@ -696,7 +687,6 @@ func (m *Manager) Stats() Stats {
 		EvictedCap:   m.evictedCap.Load(),
 		MaxSessions:  m.cfg.MaxSessions,
 		SessionTTLS:  m.cfg.SessionTTL.Seconds(),
-		Problems:     len(m.Problems()),
 		Persistent:   m.cfg.DataDir != "",
 		Recovering:   m.recovering.Load(),
 	}
@@ -706,18 +696,28 @@ func (m *Manager) Stats() Stats {
 	}
 	ss := m.sched.Stats()
 	st.Sched = &ss
-	if m.coalesce != nil {
-		cs := m.coalesce.Stats()
-		st.Coalesce = &cs
-	}
+	var cs sched.CoalesceStats
 	m.mu.Lock()
-	for _, c := range m.caches {
+	st.Problems = len(m.served)
+	for _, r := range m.served {
+		c := r.cache
 		st.CacheSpillErrors += c.SpillErrors()
 		st.CacheHits += c.Hits()
 		st.CacheMisses += c.Misses()
 		st.CacheCoalesceHits += c.CoalesceHits()
+		if co, ok := r.backend.(*sched.Coalescer); ok {
+			rs := co.Stats()
+			cs.Calls += rs.Calls
+			cs.Flushes += rs.Flushes
+			cs.MergedCalls += rs.MergedCalls
+			cs.Configs += rs.Configs
+			cs.Deduped += rs.Deduped
+		}
 	}
 	m.mu.Unlock()
+	if m.cfg.Sched != nil {
+		st.Coalesce = &cs
+	}
 	for _, s := range m.store.Snapshot() {
 		st.Sessions++
 		switch state, _ := s.terminalInfo(); {
@@ -770,7 +770,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 func (m *Manager) closeCaches() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, c := range m.caches {
-		_ = c.Close()
+	for _, r := range m.served {
+		_ = r.cache.Close()
 	}
 }

@@ -231,11 +231,7 @@ func TestEightConcurrentSessionsEndToEnd(t *testing.T) {
 	// All eight sessions ran over the same problem: the shared memo-cache
 	// must have absorbed the overlap between seeds (different seeds still
 	// revisit configurations in a 1600-point space).
-	cache, ok := mgr.Cache("toy")
-	if !ok {
-		t.Fatal("no cache for problem")
-	}
-	if cache.Hits() == 0 {
+	if mgr.Stats().CacheHits == 0 {
 		t.Fatal("shared cache saw no hits across 8 sessions")
 	}
 }
@@ -435,8 +431,7 @@ func TestRegisterReplacementResetsCache(t *testing.T) {
 	mgr, ts := newTestServer(t, testProblem("toy", 0))
 	req := RunRequest{Problem: "toy", Seed: 2, RandomSamples: 20, MaxIterations: 1}
 	waitTerminal(t, ts, postRun(t, ts, req).ID)
-	cache, _ := mgr.Cache("toy")
-	if cache.Len() == 0 {
+	if mgr.Stats().CacheMisses == 0 {
 		t.Fatal("first session populated nothing")
 	}
 	mgr.Register(testProblem("toy", 0)) // same space, possibly new evaluator

@@ -137,15 +137,17 @@ type session struct {
 	// req is the originating run request, persisted in meta.json so a
 	// restarted daemon can rebuild identical engine options for resume.
 	req RunRequest
-	// runCtx is the run's context (a child of the manager's base context)
-	// and cache the memo-cache resolved at submission; both are fixed
-	// before the session becomes visible. ticket is the scheduler admission
-	// handle, which Cancel uses to withdraw a still-queued run — nil on
-	// resumed and restored sessions, which skip admission. It is written
-	// once before store.Put publishes the session, so readers see it safely.
-	runCtx context.Context
-	cache  *core.EvalCache
-	ticket *sched.Ticket
+	// runCtx is the run's context (a child of the manager's base context);
+	// cache and backend are the problem record's memo-cache and backend,
+	// resolved at submission. All are fixed before the session becomes
+	// visible. ticket is the scheduler admission handle, which Cancel uses
+	// to withdraw a still-queued run — nil on resumed and restored
+	// sessions, which skip admission. It is written once before store.Put
+	// publishes the session, so readers see it safely.
+	runCtx  context.Context
+	cache   *core.EvalCache
+	backend core.Backend
+	ticket  *sched.Ticket
 	// jw is the run's evaluation journal; nil when the manager has no data
 	// directory, and for sessions restored already-terminal.
 	jw *journal.Writer

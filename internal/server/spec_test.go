@@ -200,6 +200,32 @@ func TestSpecRegistrationRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// A loader's output that catalog.Problem.Validate refuses — here one with
+// no evaluator — answers 400 naming what is missing and is not registered.
+func TestSpecRegistrationRefusesIncompleteProblem(t *testing.T) {
+	loader := func([]byte) (Problem, error) {
+		p := testProblem("partial", 0)
+		p.Eval = nil
+		return p, nil
+	}
+	m, ts := newTestServerConfig(t, Config{SpecLoader: loader})
+	resp, err := http.Post(ts.URL+"/problems", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, "no evaluator") {
+		t.Fatalf("POST = %d, body error %q (%v); want 400 naming the missing evaluator", resp.StatusCode, e.Error, err)
+	}
+	if n := len(m.Problems()); n != 0 {
+		t.Fatalf("%d problems registered after a refused POST", n)
+	}
+}
+
 // A grid whose range overflows float64 computes NaN and ±Inf levels. It used
 // to register — 201 with an empty body, encoding/json refusing the levels
 // after the status line was out — and from then on GET /problems answered

@@ -240,7 +240,7 @@ func (e *ExecEvaluator) Close() error {
 const maxExecReply = bufio.MaxScanTokenSize
 
 // httpBridgeTimeout is the per-request ceiling of the HTTP bridge — the
-// same backstop role RequestTimeout plays for worker requests: an
+// same backstop role requestTimeout plays for worker requests: an
 // endpoint that accepts the connection and never answers fails the
 // configuration instead of hanging the run.
 const httpBridgeTimeout = 15 * time.Minute

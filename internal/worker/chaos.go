@@ -31,14 +31,14 @@ type ChaosOptions struct {
 	// Garbage is the probability of answering 200 with a body that is not
 	// JSON — a corrupted or truncated reply.
 	Garbage float64
-	// CrashAfter, when positive, kills the process (Exit(3)) as evaluate
+	// CrashAfter, when positive, kills the process (exit code 3) as evaluate
 	// request CrashAfter+1 arrives — a deterministic mid-run worker death.
 	CrashAfter int64
 	// Seed seeds the fault schedule.
 	Seed int64
-	// Exit is the crash hook; nil selects os.Exit. Tests inject a
+	// exit is the crash hook; nil selects os.Exit. Tests inject a
 	// recorder here.
-	Exit func(code int)
+	exit func(code int)
 }
 
 // Enabled reports whether any fault is configured.
@@ -56,7 +56,7 @@ func WithChaos(next http.Handler, o ChaosOptions) http.Handler {
 	if !o.Enabled() {
 		return next
 	}
-	exit := o.Exit
+	exit := o.exit
 	if exit == nil {
 		exit = os.Exit
 	}
@@ -103,7 +103,7 @@ func (c *chaos) draw() (drop, err500, garbage bool, stall time.Duration) {
 func (c *chaos) serve(next http.Handler, w http.ResponseWriter, r *http.Request) {
 	if n := c.served.Add(1); c.o.CrashAfter > 0 && n > c.o.CrashAfter {
 		c.exit(3)
-		return // reachable only through an injected Exit hook
+		return // reachable only through an injected exit hook
 	}
 	drop, err500, garbage, stall := c.draw()
 	if stall > 0 {

@@ -96,7 +96,7 @@ func TestChaosFaultsOnlyHitEvaluate(t *testing.T) {
 
 func TestChaosCrashAfter(t *testing.T) {
 	var exited atomic.Int64
-	srv := chaosServer(t, ChaosOptions{CrashAfter: 2, Exit: func(code int) { exited.Store(int64(code)) }})
+	srv := chaosServer(t, ChaosOptions{CrashAfter: 2, exit: func(code int) { exited.Store(int64(code)) }})
 	for i := 0; i < 2; i++ {
 		resp, err := evaluateOnce(t, srv.URL)
 		if err != nil {

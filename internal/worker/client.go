@@ -37,12 +37,15 @@ type Options struct {
 	Retries int
 	// RetryBackoff is the base of the retry backoff (default 50ms): the
 	// pause before retry k is drawn uniformly from [0, RetryBackoff·2^(k−1)]
-	// capped at RetryBackoffCap — capped exponential backoff with full
-	// jitter, so simultaneous chunk failures (one sick worker fails many
-	// chunks at once) decorrelate instead of re-striking in lockstep.
+	// capped at 2s — capped exponential backoff with full jitter, so
+	// simultaneous chunk failures (one sick worker fails many chunks at
+	// once) decorrelate instead of re-striking in lockstep. The jitter
+	// source is seeded with 0: it exists to decorrelate a pool's own
+	// concurrent chunks, which draw from one shared sequence either way.
 	RetryBackoff time.Duration
-	// RetryBackoffCap caps the grown backoff interval (default 2s).
-	RetryBackoffCap time.Duration
+	// retryBackoffCap caps the grown backoff interval (default 2s; tests
+	// shorten it).
+	retryBackoffCap time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// worker's circuit breaker (default 5; negative disables breakers).
 	// A tripped worker is excluded from primary and hedge dispatch and
@@ -51,26 +54,21 @@ type Options struct {
 	BreakerThreshold int
 	// ProbeInterval is the tripped-worker health-probe period (default 1s).
 	ProbeInterval time.Duration
-	// Seed seeds the pool's jitter rng; pools with equal seeds draw the
-	// same backoff schedule. The default (0) is fixed, not time-derived —
-	// jitter exists to decorrelate a pool's own concurrent chunks, which
-	// draw from one shared sequence either way.
-	Seed int64
 	// HedgeAfter is the straggler threshold: a request outstanding this
 	// long is re-dispatched to a second worker, first reply wins. 0
 	// derives the threshold adaptively from the observed per-configuration
 	// service-time quantile (see hedgeQuantile); a negative value disables
 	// hedging.
 	HedgeAfter time.Duration
-	// RequestTimeout is the hard per-request ceiling (default 15m). It is
-	// the backstop that keeps a wedged worker — accepts the connection,
-	// never answers — from hanging a run when hedging is still cold: the
-	// attempt fails and the retry loop moves to another worker. Set it
-	// above your slowest legitimate batch; negative disables it.
-	RequestTimeout time.Duration
+	// requestTimeout is the hard per-request ceiling (default 15m; tests
+	// shorten it, negative disables it). It is the backstop that keeps a
+	// wedged worker — accepts the connection, never answers — from hanging
+	// a run when hedging is still cold: the attempt fails and the retry
+	// loop moves to another worker.
+	requestTimeout time.Duration
 	// Client is the HTTP client for worker requests; nil selects a
 	// default client (DefaultTransport dial timeouts, no overall timeout —
-	// the per-request ceiling comes from RequestTimeout).
+	// the per-request ceiling comes from requestTimeout).
 	Client *http.Client
 }
 
@@ -206,11 +204,11 @@ func NewPool(urls []string, opts Options) (*Pool, error) {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = defaultRetryBackoff
 	}
-	if opts.RetryBackoffCap <= 0 {
-		opts.RetryBackoffCap = defaultRetryBackoffCap
+	if opts.retryBackoffCap <= 0 {
+		opts.retryBackoffCap = defaultRetryBackoffCap
 	}
-	if opts.RetryBackoffCap < opts.RetryBackoff {
-		opts.RetryBackoffCap = opts.RetryBackoff
+	if opts.retryBackoffCap < opts.RetryBackoff {
+		opts.retryBackoffCap = opts.RetryBackoff
 	}
 	if opts.BreakerThreshold == 0 {
 		opts.BreakerThreshold = defaultBreakerThreshold
@@ -218,14 +216,14 @@ func NewPool(urls []string, opts Options) (*Pool, error) {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = defaultProbeInterval
 	}
-	if opts.RequestTimeout == 0 {
-		opts.RequestTimeout = defaultRequestTimeout
+	if opts.requestTimeout == 0 {
+		opts.requestTimeout = defaultRequestTimeout
 	}
 	client := opts.Client
 	if client == nil {
 		// No client-level timeout: a SLAM evaluation batch can
 		// legitimately run for minutes, and the per-request ceiling is
-		// already applied via RequestTimeout in post. DefaultTransport
+		// already applied via requestTimeout in post. DefaultTransport
 		// supplies the dial timeout for unreachable hosts.
 		client = &http.Client{}
 	}
@@ -234,7 +232,7 @@ func NewPool(urls []string, opts Options) (*Pool, error) {
 		client:  client,
 		sem:     make(chan struct{}, maxInFlightPerWorker*len(urls)),
 		windows: make(map[string]*latencyWindow),
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		rng:     rand.New(rand.NewSource(0)),
 		done:    make(chan struct{}),
 	}
 	for _, u := range urls {
@@ -590,7 +588,7 @@ func (p *Pool) account(i int, o outcome) {
 
 // post sends one evaluation request and classifies the reply. The caller
 // (attemptHedged's launch) holds the in-flight semaphore slot for the
-// duration of the exchange; RequestTimeout caps it so a wedged worker
+// duration of the exchange; requestTimeout caps it so a wedged worker
 // fails the attempt instead of hanging it. ctx is the attempt's: once it
 // is done, whatever went wrong is reported as cancelled.
 func (p *Pool) post(ctx context.Context, w *workerState, problem string, cfgs []param.Config) (o outcome) {
@@ -602,7 +600,7 @@ func (p *Pool) post(ctx context.Context, w *workerState, problem string, cfgs []
 		}
 	}()
 	rctx := ctx
-	if t := p.opts.RequestTimeout; t > 0 {
+	if t := p.opts.requestTimeout; t > 0 {
 		var cancel context.CancelFunc
 		rctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()

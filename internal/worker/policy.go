@@ -87,12 +87,12 @@ func (c *chunk) hedgeAvoid(primary int) map[int]bool {
 }
 
 // retryDelay returns the pause before retry attempt (1-based): full
-// jitter over an exponentially growing base capped at RetryBackoffCap,
+// jitter over an exponentially growing base capped at retryBackoffCap,
 // i.e. uniform in [0, min(cap, RetryBackoff·2^(attempt−1))]. Randomizing
 // the whole interval (not just a fringe) is what breaks the thundering
 // herd of many chunks failing on the same worker at the same instant.
 func (p *Pool) retryDelay(attempt int) time.Duration {
-	base := p.opts.RetryBackoffCap
+	base := p.opts.retryBackoffCap
 	if shift := attempt - 1; shift >= 0 && shift < 20 {
 		if b := p.opts.RetryBackoff << shift; b < base {
 			base = b
@@ -163,7 +163,7 @@ func (w *latencyWindow) quantile(q float64) time.Duration {
 // that problem's observed per-configuration service times × configs. 0
 // means "do not hedge" (hedging disabled, a one-worker fleet with nowhere
 // to hedge to, or an adaptive window with too few samples to trust);
-// RequestTimeout still bounds the attempt either way.
+// requestTimeout still bounds the attempt either way.
 func (p *Pool) hedgeDelay(problem string, configs int) time.Duration {
 	switch {
 	case p.opts.HedgeAfter < 0 || len(p.workers) < 2:

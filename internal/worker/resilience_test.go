@@ -151,7 +151,7 @@ func TestBreakerProbeReadmitsWhenHealthzRecovers(t *testing.T) {
 }
 
 func TestRetryDelayJitterBoundsAndDeterminism(t *testing.T) {
-	opts := Options{RetryBackoff: 10 * time.Millisecond, RetryBackoffCap: 80 * time.Millisecond}
+	opts := Options{RetryBackoff: 10 * time.Millisecond, retryBackoffCap: 80 * time.Millisecond}
 	p, err := NewPool([]string{"http://a"}, opts)
 	if err != nil {
 		t.Fatal(err)

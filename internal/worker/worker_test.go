@@ -383,7 +383,7 @@ func TestUnknownProblemFailsFastWithoutRetries(t *testing.T) {
 
 func TestRequestTimeoutUnwedgesWorker(t *testing.T) {
 	// A wedged worker — accepts the request, never answers — must not
-	// hang the batch while hedging is still cold: RequestTimeout fails
+	// hang the batch while hedging is still cold: requestTimeout fails
 	// the attempt and the retry lands on the healthy worker.
 	wedged := newWorker(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -399,7 +399,7 @@ func TestRequestTimeoutUnwedgesWorker(t *testing.T) {
 		ChunkSize:      64,
 		Retries:        2,
 		RetryBackoff:   time.Millisecond,
-		RequestTimeout: 50 * time.Millisecond,
+		requestTimeout: 50 * time.Millisecond,
 		HedgeAfter:     -1, // force the timeout path, not the hedge path
 	})
 	if err != nil {
@@ -444,7 +444,7 @@ func TestRetriesReachHealthyWorkerPastDeadAndWedged(t *testing.T) {
 		ChunkSize:      64,
 		Retries:        2, // exactly enough attempts for dead → wedged → healthy
 		RetryBackoff:   time.Millisecond,
-		RequestTimeout: 100 * time.Millisecond,
+		requestTimeout: 100 * time.Millisecond,
 		HedgeAfter:     -1, // isolate the retry routing from hedging
 	})
 	if err != nil {
