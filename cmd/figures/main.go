@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -76,10 +75,6 @@ func run(args []string, stdout io.Writer) error {
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, "  "+format+"\n", args...)
 		},
-		// Share evaluation memo-caches across the generators, so e.g.
-		// running figure 5 without figure 3a does not re-measure the
-		// ODROID exploration from scratch.
-		Caches: map[string]*core.EvalCache{},
 	}
 
 	type renderer interface{ Render(io.Writer) }

@@ -81,8 +81,11 @@ func run(args []string, stdout io.Writer) error {
 		Seed:          *seed,
 	}
 	if !*quiet {
-		budget.Logf = func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) }
-		budget.Logf("exploring %s (%d configurations) on %s", bench.Name(), bench.Space().Size(), dev)
+		fmt.Fprintf(stdout, "exploring %s (%d configurations) on %s\n", bench.Name(), bench.Space().Size(), dev)
+		budget.OnIteration = func(s core.IterationStats) {
+			fmt.Fprintf(stdout, "iteration %d: predicted front %d, new samples %d, front size %d\n",
+				s.Iteration, s.PredictedFrontSize, s.NewSamples, s.FrontSize)
+		}
 	}
 
 	// Ctrl-C cancels the exploration cooperatively: the engine stops at the

@@ -18,6 +18,7 @@ func TestRunWritesSummaryAndCSVs(t *testing.T) {
 	}
 	for _, want := range []string{
 		"kfusion on ODROID-XU3",
+		"iteration 1: predicted front ",
 		"samples: 16 (12 random + 4 active learning), converged: false",
 		"pareto front (sorted by runtime):",
 		"parameter importance per objective",
@@ -40,6 +41,16 @@ func TestRunWritesSummaryAndCSVs(t *testing.T) {
 		if lines[0] != header || len(lines) < 2 {
 			t.Errorf("%s: header %q with %d rows, want %q and data", name, lines[0], len(lines)-1, header)
 		}
+	}
+
+	// -q silences the per-phase progress lines, not the summary.
+	out.Reset()
+	if err := run([]string{"-dataset", "test", "-random", "12", "-iterations", "1",
+		"-batch", "4", "-pool", "500", "-q"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "iteration ") || !strings.Contains(out.String(), "pareto front") {
+		t.Errorf("-q output has progress lines or lacks the summary:\n%s", out.String())
 	}
 }
 

@@ -229,9 +229,8 @@ func run(cfg config, out io.Writer) (*report, error) {
 // a loopback port, serving the dataset-free synthetic problem.
 func startEmbedded(cfg config) (base string, shutdown func(), err error) {
 	mgr := server.NewManagerConfig(server.Config{
-		MaxSessions:     20_000,
-		SessionTTL:      time.Minute,
-		JanitorInterval: 2 * time.Second,
+		MaxSessions: 20_000,
+		SessionTTL:  time.Minute,
 		Sched: &sched.Config{
 			MaxRunning: cfg.MaxRunning,
 			Quota: sched.TenantQuota{

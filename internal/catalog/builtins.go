@@ -51,8 +51,8 @@ func Synthetic() Problem {
 	eval := core.EvaluatorFunc(func(cfg param.Config) []float64 {
 		a, b, c := cfg[0], cfg[1], cfg[2]
 		return []float64{
-			a + 0.5*math.Sin(3*b) + 0.05*c + 1.5,
-			b + 0.5*math.Cos(2*a) + 1.5,
+			a + float64(0.5*math.Sin(3*b)) + float64(0.05*c) + 1.5,
+			b + float64(0.5*math.Cos(2*a)) + 1.5,
 		}
 	})
 	return Problem{
@@ -72,7 +72,10 @@ type ModelCtor func(space *param.Space, objectives []string) (core.Evaluator, er
 // models are the builtin evaluator models a spec can bind with
 // "builtin:<name>". They are deterministic analytic surrogates — cost
 // models, not measurements — so spec-defined catalogs run (and reproduce
-// byte-identically) anywhere.
+// byte-identically) anywhere: here and in Synthetic, every product that is
+// added to or subtracted from is rounded first (float64(x*y) + z), and the
+// Go spec forbids fusing across the conversion, so every architecture
+// computes the same bits.
 var models = map[string]ModelCtor{
 	"compiler-model":    compilerModel,
 	"dbms-model":        dbmsModel,
@@ -128,17 +131,17 @@ func compilerModel(space *param.Space, objectives []string) (core.Evaluator, err
 	}
 	return core.EvaluatorFunc(func(cfg param.Config) []float64 {
 		opt := cfg[idx[0]]
-		unroll := cfg[idx[1]] * cfg[idx[2]]
+		unroll := float64(cfg[idx[1]] * cfg[idx[2]])
 		vec := cfg[idx[3]]
 		inl := math.Log2(cfg[idx[4]])
 		cgu := cfg[idx[5]]
 		lto := cfg[idx[6]]
 		runtime := 10.0 * math.Exp(-0.45*opt) *
-			(1 - 0.06*math.Min(unroll, 4) + 0.01*math.Max(unroll-4, 0)) *
-			(1 - 0.18*vec) * (1 - 0.02*(inl-4)) * (1 - 0.08*lto) *
-			(1 + 0.015*cgu)
-		size := 180 * (1 + 0.10*opt) * (1 + 0.03*unroll) * (1 + 0.05*vec) *
-			(1 + 0.04*(inl-4)) * (1 - 0.10*lto)
+			(1 - float64(0.06*math.Min(unroll, 4)) + float64(0.01*math.Max(unroll-4, 0))) *
+			(1 - float64(0.18*vec)) * (1 - float64(0.02*(inl-4))) * (1 - float64(0.08*lto)) *
+			(1 + float64(0.015*cgu))
+		size := 180 * (1 + float64(0.10*opt)) * (1 + float64(0.03*unroll)) * (1 + float64(0.05*vec)) *
+			(1 + float64(0.04*(inl-4))) * (1 - float64(0.10*lto))
 		return []float64{runtime, size}
 	}), nil
 }
@@ -168,9 +171,9 @@ func dbmsModel(space *param.Space, objectives []string) (core.Evaluator, error) 
 		// latency for durability and space; threads help until contention.
 		miss := 40 / math.Log2(pool)
 		latency := 2.0 + miss + 80/wal + 300/ckpt +
-			1.5*compress - 2.5*async +
-			0.004*conns + 12/threads + 0.12*threads
-		memory := pool + wal + 0.6*conns + 14*threads + (1-0.3*compress)*256
+			float64(1.5*compress) - float64(2.5*async) +
+			float64(0.004*conns) + 12/threads + float64(0.12*threads)
+		memory := pool + wal + float64(0.6*conns) + float64(14*threads) + float64((1-float64(0.3*compress))*256)
 		return []float64{latency, memory}
 	}), nil
 }
@@ -190,8 +193,8 @@ func constrainedModel(space *param.Space, objectives []string) (core.Evaluator, 
 	return core.EvaluatorFunc(func(cfg param.Config) []float64 {
 		x0, x1, x2, x3 := cfg[idx[0]], cfg[idx[1]], cfg[idx[2]], cfg[idx[3]]
 		gate := cfg[idx[4]]
-		sphere := (x0-1)*(x0-1) + (x1-2)*(x1-2) + (x2-3)*(x2-3) + (x3-4)*(x3-4)
-		spread := 16 - (x3-x0)*(x3-x0) + 0.5*gate
+		sphere := float64((x0-1)*(x0-1)) + float64((x1-2)*(x1-2)) + float64((x2-3)*(x2-3)) + float64((x3-4)*(x3-4))
+		spread := 16 - float64((x3-x0)*(x3-x0)) + float64(0.5*gate)
 		return []float64{sphere, spread}
 	}), nil
 }

@@ -85,11 +85,11 @@ func SpaceFingerprint(space *param.Space, objectives int) string {
 func RunFingerprint(space *param.Space, opts Options) string {
 	o := opts.withDefaults()
 	info := o.Strategy.Info()
-	return fmt.Sprintf("%s;seed=%d;rs=%d;iters=%d;batch=%d;pool=%d;trees=%d;depth=%d;leaf=%d;mtry=%d;ratio=%g;sampler=%s;modeler=%s;selector=%s;maxunmeas=%g",
+	// The forest's tree-shape settings are fixed at their defaults; the
+	// literal zeros keep the bytes of journals that recorded them.
+	return fmt.Sprintf("%s;seed=%d;rs=%d;iters=%d;batch=%d;pool=%d;trees=%d;depth=0;leaf=0;mtry=0;ratio=0;sampler=%s;modeler=%s;selector=%s;maxunmeas=%g",
 		SpaceFingerprint(space, o.Objectives), o.Seed, o.RandomSamples,
-		o.MaxIterations, o.MaxBatch, o.PoolCap,
-		o.Forest.Trees, o.Forest.MaxDepth, o.Forest.MinSamplesLeaf,
-		o.Forest.MaxFeatures, o.Forest.SampleRatio,
+		o.MaxIterations, o.MaxBatch, o.PoolCap, o.Forest.Trees,
 		info.Sampler, info.Modeler, info.Selector,
 		o.MaxUnmeasuredFraction)
 }

@@ -67,14 +67,13 @@ type Options struct {
 	// space); larger spaces are re-subsampled to PoolCap points each
 	// iteration (default 200000).
 	PoolCap int
-	// Forest configures the per-objective regressors.
+	// Forest configures the per-objective regressors. Only Trees is read:
+	// the engine sets each fit's Seed and Workers itself.
 	Forest forest.Options
 	// Seed drives every random choice (sampling, pools, forests).
 	Seed int64
 	// Workers bounds concurrent evaluator calls; 0 = GOMAXPROCS.
 	Workers int
-	// Logf, when non-nil, receives one progress line per phase.
-	Logf func(format string, args ...any)
 	// Cache, when non-nil, memoizes evaluator results across runs over the
 	// same (space, evaluator) pair; see EvalCache. Hit/miss counts are
 	// surfaced in IterationStats and Result. The cache sits in front of
@@ -173,12 +172,6 @@ func (o Options) withDefaults() Options {
 		o.probes = feasibilityProbes
 	}
 	return o
-}
-
-func (o Options) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
 }
 
 // BatchRecorder receives each evaluation batch as it completes, in the
@@ -363,9 +356,6 @@ func RunContext(ctx context.Context, space *param.Space, eval Evaluator, opts Op
 		return nil, err
 	}
 	r.res.Front = measuredFront(r.res.Samples)
-	if err == nil {
-		r.o.logf("done: %d samples, final front size %d", len(r.res.Samples), len(r.res.Front))
-	}
 	return r.res, err
 }
 
@@ -459,7 +449,6 @@ func (r *run) bootstrap() error {
 		n = int(r.space.Size())
 	}
 	draw := r.o.Strategy.draw(r.space, r.rng, n)
-	r.o.logf("random sampling: evaluating %d configurations", len(draw))
 	var stats IterationStats
 	err := r.measure(draw, &stats)
 	r.res.RandomFront = measuredFront(r.res.Samples)
@@ -482,7 +471,6 @@ func (r *run) bootstrap() error {
 			r.addLabel(cfg, r.space.Feasible(cfg))
 		}
 	}
-	r.o.logf("random sampling: front size %d", len(r.res.RandomFront))
 	r.publish(stats, r.res.RandomFront)
 	return nil
 }
@@ -542,9 +530,6 @@ func (r *run) iterate(iter int) error {
 		stats.PredictTime += time.Since(selStart)
 	}
 	todo := o.Strategy.selectBatch(cands, feasProbs, o.MaxBatch)
-	o.logf("iteration %d: predicted front %d, new configurations %d",
-		iter, len(predicted), len(todo))
-
 	if len(todo) == 0 {
 		r.res.Converged = true
 	} else if err := r.measure(todo, &stats); err != nil {
@@ -805,8 +790,6 @@ func (r *run) evaluate(idxs []int64, iter int) ([]Sample, batchOutcome, error) {
 		}
 	}
 	if degraded {
-		o.logf("batch degraded: %d of %d configurations unmeasured (tolerating ≤ %.3g)",
-			bo.unmeasured, len(idxs), o.MaxUnmeasuredFraction)
 		err = nil
 	} else if err == nil && len(liveSkipped) > 0 {
 		err = fmt.Errorf("core: backend returned %d results for a %d-configuration batch", len(out), len(idxs))
@@ -821,14 +804,9 @@ func (r *run) evaluate(idxs []int64, iter int) ([]Sample, batchOutcome, error) {
 // each forest.Refit does not oversubscribe the machine by a factor of
 // Objectives. Cancellation is checked before each fit starts.
 func fitForests(ctx context.Context, cols *forest.Columns, ys [][]float64, o Options, iter int) ([]*forest.Forest, error) {
-	// Forest.Workers (or, unset, the run's Workers) bounds the TOTAL
-	// tree-fitting parallelism; divide it across the concurrent
-	// per-objective fits.
-	totalFitWorkers := o.Forest.Workers
-	if totalFitWorkers <= 0 {
-		totalFitWorkers = o.Workers
-	}
-	innerWorkers := (totalFitWorkers + o.Objectives - 1) / o.Objectives
+	// The run's Workers bounds the TOTAL tree-fitting parallelism; divide
+	// it across the concurrent per-objective fits.
+	innerWorkers := (o.Workers + o.Objectives - 1) / o.Objectives
 	if innerWorkers < 1 {
 		innerWorkers = 1
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/forest"
 	"repro/internal/journal"
 	"repro/internal/param"
 )
@@ -360,6 +361,27 @@ func TestFingerprintCoversUnmeasuredFraction(t *testing.T) {
 	c.MaxUnmeasuredFraction = 0.25
 	if RunFingerprint(space, b) != RunFingerprint(space, c) {
 		t.Fatal("equal options produced different fingerprints")
+	}
+
+	// The bytes journals already hold, recorded when the forest's tree-shape
+	// settings were still exported: resume compares them verbatim.
+	small, err := param.NewSpace(param.Levels("z", 1, 2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{}, "objs=0;size=3;z=[1 2 4];seed=0;rs=200;iters=6;batch=300;pool=200000;trees=0;depth=0;leaf=0;mtry=0;ratio=0;sampler=uniform;modeler=forest;selector=even-thin;maxunmeas=0"},
+		{Options{Objectives: 2, RandomSamples: 30, MaxIterations: 3, MaxBatch: 15, PoolCap: 400,
+			Forest: forest.Options{Trees: 16}, Seed: 7, MaxUnmeasuredFraction: 0.25,
+			Strategy: Strategy{Sampler: "prior", Feasibility: true, Selector: "acquisition"}},
+			"objs=2;size=3;z=[1 2 4];seed=7;rs=30;iters=3;batch=15;pool=400;trees=16;depth=0;leaf=0;mtry=0;ratio=0;sampler=prior;modeler=feasibility;selector=acquisition;maxunmeas=0.25"},
+	} {
+		if got := RunFingerprint(small, tc.opts); got != tc.want {
+			t.Errorf("RunFingerprint = %q, want %q", got, tc.want)
+		}
 	}
 }
 

@@ -124,7 +124,7 @@ func (c *EvalCache) spill(s *spaceCache, recs []journal.SampleRecord) {
 	for i := range recs {
 		vs[i] = &recs[i]
 	}
-	if err := af.AppendAll(vs...); err != nil {
+	if err := af.Append(vs...); err != nil {
 		c.spillErrors.Add(1)
 		c.mu.Lock()
 		if s.spill == af {

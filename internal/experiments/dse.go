@@ -64,7 +64,8 @@ type DSEResult struct {
 // RunDSE is the one implementation of a SLAM design-space exploration:
 // Algorithm 1 over bench's space on dev with the given objectives and engine
 // budget, then the expert default's measurement and the figure statistics.
-// It sets budget.Objectives and budget.OnIteration itself. When ctx is
+// It sets budget.Objectives itself and passes each event on to
+// budget.OnIteration, if set, after adding its timings up. When ctx is
 // cancelled mid-run it returns what the interrupted exploration did find
 // together with the context's error, so a caller can still report it.
 func RunDSE(ctx context.Context, bench slambench.Benchmark, dev device.Model, objs slambench.Objectives, budget core.Options) (*DSEResult, error) {
@@ -72,11 +73,15 @@ func RunDSE(ctx context.Context, bench slambench.Benchmark, dev device.Model, ob
 	// Collect per-phase timings over every event, bootstrap included (the
 	// bootstrap stats are streamed but not recorded in Result.Iterations).
 	var fitT, encT, predT, evalT time.Duration
+	next := budget.OnIteration
 	budget.OnIteration = func(s core.IterationStats) {
 		fitT += s.FitTime
 		encT += s.EncodeTime
 		predT += s.PredictTime
 		evalT += s.EvalTime
+		if next != nil {
+			next(s)
+		}
 	}
 	run, runErr := core.RunContext(ctx, bench.Space(), slambench.Evaluator(bench, dev, objs), budget)
 	if run == nil {
@@ -243,8 +248,9 @@ func Fig4(opts Options) (*DSEResult, error) {
 	return opts.figDSE("fig4", "elasticfusion", device.GTX780Ti())
 }
 
-// figDSE is a figure's exploration: RunDSE at the scale's dataset and budget
-// through the shared memo-cache, written to OutDir under the figure's name.
+// figDSE is a figure's exploration: RunDSE at the scale's dataset and budget,
+// with one progress line per phase, written to OutDir under the figure's
+// name.
 func (o Options) figDSE(fig, benchName string, dev device.Model) (*DSEResult, error) {
 	o = o.withDefaults()
 	bench, err := slambench.ByName(benchName, o.datasetScale())
@@ -252,7 +258,10 @@ func (o Options) figDSE(fig, benchName string, dev device.Model) (*DSEResult, er
 		return nil, err
 	}
 	budget := o.dseBudget(benchName == "elasticfusion")
-	budget.Cache = o.cacheFor(benchName, dev.Name)
+	budget.OnIteration = func(s core.IterationStats) {
+		o.logf("iteration %d: predicted front %d, new samples %d, front size %d",
+			s.Iteration, s.PredictedFrontSize, s.NewSamples, s.FrontSize)
+	}
 	res, err := RunDSE(context.Background(), bench, dev, slambench.RuntimeAccuracy, budget)
 	if err != nil {
 		return nil, err

@@ -43,26 +43,6 @@ type Options struct {
 	Seed int64
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
-	// Caches, when non-nil, shares evaluation memo-caches across the
-	// generators of one process, keyed per (benchmark, platform) pair so
-	// different evaluators never mix. Re-running an exploration (e.g.
-	// Fig5 without a precomputed Fig3 result) then skips re-measurement.
-	Caches map[string]*core.EvalCache
-}
-
-// cacheFor returns the shared cache for one (benchmark, platform) pair,
-// or nil when cache sharing is disabled.
-func (o Options) cacheFor(bench, platform string) *core.EvalCache {
-	if o.Caches == nil {
-		return nil
-	}
-	key := bench + "/" + platform
-	c, ok := o.Caches[key]
-	if !ok {
-		c = core.NewEvalCache()
-		o.Caches[key] = c
-	}
-	return c
 }
 
 func (o Options) withDefaults() Options {
@@ -114,7 +94,6 @@ func (o Options) dseBudget(ef bool) core.Options {
 	}
 	opts.Seed = o.Seed
 	opts.Forest = forest.Options{Trees: 24}
-	opts.Logf = o.Logf
 	return opts
 }
 

@@ -141,11 +141,11 @@ func TestPredictCellsMatchesFlatAndGrid(t *testing.T) {
 		{"duplicate-levels", [][]float64{{2, 1, 2, 1}, {1, 1, 3}}, Options{Trees: 6}},
 		{"nan-and-inf-levels", [][]float64{{math.NaN(), 1, math.Inf(-1), 2, math.Inf(1)}, linLevels(0, 1, 4)}, Options{Trees: 6}},
 		{"300-levels", [][]float64{{2, 0, 1}, shuffled(0, 7, 300, 5)}, Options{Trees: 8}},
-		{"17-features", wide(gridStackDim + 1), Options{Trees: 6, MaxFeatures: 6}},
-		{"300-features", wide(300), Options{Trees: 6, MaxFeatures: 150}},
-		{"stumps", [][]float64{linLevels(0, 4, 10), {2, 1, 3}}, Options{Trees: 8, MaxDepth: 1}},
-		{"single-leaf", [][]float64{linLevels(0, 4, 10), {2, 1, 3}}, Options{Trees: 3, MinSamplesLeaf: 1 << 20}},
-		{"deep", [][]float64{shuffled(0, 9, 40, 1), shuffled(0, 9, 40, 2), boolean}, Options{Trees: 16, MinSamplesLeaf: 1}},
+		{"17-features", wide(gridStackDim + 1), Options{Trees: 6, maxFeatures: 6}},
+		{"300-features", wide(300), Options{Trees: 6, maxFeatures: 150}},
+		{"stumps", [][]float64{linLevels(0, 4, 10), {2, 1, 3}}, Options{Trees: 8, maxDepth: 1}},
+		{"single-leaf", [][]float64{linLevels(0, 4, 10), {2, 1, 3}}, Options{Trees: 3, minSamplesLeaf: 1 << 20}},
+		{"deep", [][]float64{shuffled(0, 9, 40, 1), shuffled(0, 9, 40, 2), boolean}, Options{Trees: 16, minSamplesLeaf: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,7 +232,7 @@ func leafCount(t *tree) int {
 // amounts, so trees of one forest end in different words.
 func TestPredictCellsWordBoundaries(t *testing.T) {
 	levels := [][]float64{shuffled(0, 9, 60, 1), shuffled(0, 9, 50, 2), {2, 0, 1}, linLevels(0, 1, 7)}
-	deep := fitOnGrid(t, levels, 2000, Options{Trees: 6, MinSamplesLeaf: 1, MaxFeatures: 4, Seed: 3})
+	deep := fitOnGrid(t, levels, 2000, Options{Trees: 6, minSamplesLeaf: 1, maxFeatures: 4, Seed: 3})
 	for _, widest := range []int{1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 320, 321} {
 		t.Run(fmt.Sprintf("widest-%d", widest), func(t *testing.T) {
 			f := &Forest{nFeatures: deep.nFeatures}

@@ -67,11 +67,11 @@ func TestFitDigest(t *testing.T) {
 			"a8f27d6d03a101828b6453238325c979ed9d7772c7533e7d8b3951bb8216952a"},
 		{"grid/n=2800", grid(alGrid()), 2800, 3, Options{Trees: 32, Seed: 1},
 			"cfc296e1fae3a8da254bcf483bdeb63f4b72fbfd00ea379393ec7afe4d8268b9"},
-		{"dbms/n=260/mtry=2", grid(dbmsGrid()), 260, 7, Options{Trees: 16, MaxFeatures: 2, Seed: 7},
+		{"dbms/n=260/mtry=2", grid(dbmsGrid()), 260, 7, Options{Trees: 16, maxFeatures: 2, Seed: 7},
 			"6f832740ce3f1b242ab1314ffcaf4aba57506b08d4a348c2e0cfab1bcc07f949"},
 		{"tie-heavy/d=12", tieHeavy, 400, 12, Options{Trees: 16, Seed: 3},
 			"af29959aec63281b3a454c5e78aeaf878cb2ef9f8ca354647cc3e9ee648ed3a9"},
-		{"ratio/minleaf/depth", continuous, 300, 9, Options{Trees: 8, SampleRatio: 0.6, MinSamplesLeaf: 5, MaxDepth: 4, Seed: 4},
+		{"ratio/minleaf/depth", continuous, 300, 9, Options{Trees: 8, sampleRatio: 0.6, minSamplesLeaf: 5, maxDepth: 4, Seed: 4},
 			"406ee59f02c7f95db00485352262bfdc918c37e87b34a889c961385a7e129774"},
 		{"reference", tieHeavy, 300, 9, Options{Trees: 8, Seed: 5},
 			"31a4755021d14d85c84a2086563acfb4a89ca1503da7b6fcb851ea87e25069aa"},
@@ -102,9 +102,9 @@ func checkFitDigest(t *testing.T, x [][]float64, y []float64, opts Options, want
 func TestFitMatchesLegacyPath(t *testing.T) {
 	variants := []Options{
 		{Trees: 16, Seed: 1},
-		{Trees: 8, Seed: 2, MaxDepth: 3},
-		{Trees: 8, Seed: 3, SampleRatio: 0.6, MinSamplesLeaf: 4},
-		{Trees: 8, Seed: 4, MaxFeatures: 9}, // mtry = d: every feature scanned
+		{Trees: 8, Seed: 2, maxDepth: 3},
+		{Trees: 8, Seed: 3, sampleRatio: 0.6, minSamplesLeaf: 4},
+		{Trees: 8, Seed: 4, maxFeatures: 9}, // mtry = d: every feature scanned
 	}
 	want := map[string]string{
 		"continuous/n=1/v0":   "89ccca5a7ddf575122b07d931948dc2b50d31db4b2c90287e6e90b3ed40c1157",

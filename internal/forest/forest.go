@@ -28,42 +28,45 @@ import (
 )
 
 // Options configures forest training. The zero value selects the defaults
-// documented on each field.
+// documented on each field. The tree-shape fields are unexported: every
+// caller trains with their defaults, and only this package's tests set them
+// to shape trees.
 type Options struct {
 	// Trees is the number of trees in the ensemble (default 32).
 	Trees int
-	// MaxDepth caps tree depth; 0 means unbounded.
-	MaxDepth int
-	// MinSamplesLeaf is the minimum samples in a leaf (default 2).
-	MinSamplesLeaf int
-	// MaxFeatures is the number of features considered per split;
-	// 0 selects max(1, d/3), the standard regression-forest heuristic.
-	MaxFeatures int
-	// SampleRatio is the bootstrap sample size as a fraction of the
-	// training set (default 1.0, drawn with replacement).
-	SampleRatio float64
 	// Seed makes training deterministic. Trees are seeded independently
 	// from it, so results do not depend on scheduling.
 	Seed int64
 	// Workers bounds fitting/prediction parallelism; 0 = GOMAXPROCS.
 	Workers int
+
+	// maxDepth caps tree depth; 0 means unbounded.
+	maxDepth int
+	// minSamplesLeaf is the minimum samples in a leaf (default 2).
+	minSamplesLeaf int
+	// maxFeatures is the number of features considered per split;
+	// 0 selects max(1, d/3), the standard regression-forest heuristic.
+	maxFeatures int
+	// sampleRatio is the bootstrap sample size as a fraction of the
+	// training set (default 1.0, drawn with replacement).
+	sampleRatio float64
 }
 
 func (o Options) withDefaults(d int) Options {
 	if o.Trees <= 0 {
 		o.Trees = 32
 	}
-	if o.MinSamplesLeaf <= 0 {
-		o.MinSamplesLeaf = 2
+	if o.minSamplesLeaf <= 0 {
+		o.minSamplesLeaf = 2
 	}
-	if o.MaxFeatures <= 0 {
-		o.MaxFeatures = d / 3
-		if o.MaxFeatures < 1 {
-			o.MaxFeatures = 1
+	if o.maxFeatures <= 0 {
+		o.maxFeatures = d / 3
+		if o.maxFeatures < 1 {
+			o.maxFeatures = 1
 		}
 	}
-	if o.SampleRatio <= 0 || o.SampleRatio > 1 {
-		o.SampleRatio = 1
+	if o.sampleRatio <= 0 || o.sampleRatio > 1 {
+		o.sampleRatio = 1
 	}
 	if o.Workers <= 0 {
 		o.Workers = par.MaxWorkers()
@@ -218,7 +221,7 @@ func Refit(c *Columns, y []float64, opts Options) (*Forest, error) {
 		importance: make([]float64, d),
 	}
 
-	bootSize := int(float64(n) * o.SampleRatio)
+	bootSize := int(float64(n) * o.sampleRatio)
 	if bootSize < 1 {
 		bootSize = 1
 	}

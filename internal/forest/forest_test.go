@@ -255,7 +255,7 @@ func TestOOBErrorReasonable(t *testing.T) {
 func TestFeatureImportanceIdentifiesSignal(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	x, y := makeRegression(rng, 500) // features 0,1 carry signal; 2 is noise
-	f, err := Fit(x, y, Options{Trees: 32, Seed: 15, MaxFeatures: 3})
+	f, err := Fit(x, y, Options{Trees: 32, Seed: 15, maxFeatures: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestFeatureImportanceIdentifiesSignal(t *testing.T) {
 func TestMaxDepthLimitsTreeSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	x, y := makeRegression(rng, 300)
-	shallow, err := Fit(x, y, Options{Trees: 4, Seed: 17, MaxDepth: 2})
+	shallow, err := Fit(x, y, Options{Trees: 4, Seed: 17, maxDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestMaxDepthLimitsTreeSize(t *testing.T) {
 func TestMinSamplesLeafRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	x, y := makeRegression(rng, 200)
-	f, err := Fit(x, y, Options{Trees: 4, Seed: 19, MinSamplesLeaf: 50})
+	f, err := Fit(x, y, Options{Trees: 4, Seed: 19, minSamplesLeaf: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +301,12 @@ func TestMinSamplesLeafRespected(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	o := Options{}.withDefaults(9)
-	if o.Trees != 32 || o.MinSamplesLeaf != 2 || o.MaxFeatures != 3 || o.SampleRatio != 1 {
+	if o.Trees != 32 || o.minSamplesLeaf != 2 || o.maxFeatures != 3 || o.sampleRatio != 1 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	o = Options{}.withDefaults(2)
-	if o.MaxFeatures != 1 {
-		t.Fatalf("MaxFeatures floor = %d", o.MaxFeatures)
+	if o.maxFeatures != 1 {
+		t.Fatalf("maxFeatures floor = %d", o.maxFeatures)
 	}
 }
 

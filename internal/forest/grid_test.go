@@ -99,8 +99,8 @@ func TestPredictGridMatchesPredictFlat(t *testing.T) {
 		{"single-feature", [][]float64{{5, 1, 3, 2, 4}}, Options{Trees: 5}},
 		{"nan-and-inf-levels", [][]float64{{math.NaN(), 1, math.Inf(-1), 2, math.Inf(1)}, linLevels(0, 1, 4)}, Options{Trees: 6}},
 		{"wide", wide, Options{Trees: 4}},
-		{"stumps", [][]float64{linLevels(0, 4, 10), {2, 1, 3}}, Options{Trees: 8, MaxDepth: 1}},
-		{"single-leaf", [][]float64{linLevels(0, 4, 10), {2, 1, 3}}, Options{Trees: 3, MinSamplesLeaf: 1 << 20}},
+		{"stumps", [][]float64{linLevels(0, 4, 10), {2, 1, 3}}, Options{Trees: 8, maxDepth: 1}},
+		{"single-leaf", [][]float64{linLevels(0, 4, 10), {2, 1, 3}}, Options{Trees: 3, minSamplesLeaf: 1 << 20}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,7 +159,7 @@ func TestPredictGridRandomShapes(t *testing.T) {
 				levels[f][l] = float64(rng.Intn(9)) // small range ⇒ ties
 			}
 		}
-		f := fitOnGrid(t, levels, 20+rng.Intn(80), Options{Trees: 1 + rng.Intn(6), Seed: int64(trial), MaxDepth: rng.Intn(5)})
+		f := fitOnGrid(t, levels, 20+rng.Intn(80), Options{Trees: 1 + rng.Intn(6), Seed: int64(trial), maxDepth: rng.Intn(5)})
 		flat, cells := gridRows(levels)
 		want := make([]float64, cells)
 		f.PredictFlat(flat, dim, want)

@@ -157,8 +157,8 @@ func (b *treeBuilder) buildNode(lo, hi, depth int) int32 {
 	sse := sum2 - sum*sum/float64(n) // total squared error around the mean
 	b.value[node] = mean
 
-	if n < 2*b.opts.MinSamplesLeaf || sse <= 1e-12 ||
-		(b.opts.MaxDepth > 0 && depth >= b.opts.MaxDepth) {
+	if n < 2*b.opts.minSamplesLeaf || sse <= 1e-12 ||
+		(b.opts.maxDepth > 0 && depth >= b.opts.maxDepth) {
 		return node
 	}
 
@@ -230,7 +230,7 @@ func stablePartition(seg []int32, goesLeft []uint8, tmp []int32) {
 func (b *treeBuilder) bestSplit(lo, hi int, sum float64) (feat int, thresh float64, gain float64) {
 	n := hi - lo
 	d := b.cols.dim
-	mtry := b.opts.MaxFeatures
+	mtry := b.opts.maxFeatures
 	if mtry <= 0 || mtry > d {
 		mtry = d
 	}
@@ -245,7 +245,7 @@ func (b *treeBuilder) bestSplit(lo, hi int, sum float64) (feat int, thresh float
 
 	feat = -1
 	bestScore := math.Inf(-1)
-	minLeaf := b.opts.MinSamplesLeaf
+	minLeaf := b.opts.minSamplesLeaf
 
 	for _, f := range candidates {
 		seg := b.nodeRows(f, lo, hi)

@@ -116,9 +116,10 @@ type record struct {
 }
 
 // AppendFile is a concurrency-safe fsync'd JSON-lines appender: each
-// Append marshals one value, writes it as a single line, and syncs the
-// file before returning, so a crash at any instant leaves at most one
-// torn trailing line.
+// Append writes its values as one JSON line each, in a single write call,
+// and syncs the file before returning, so concurrent appenders never
+// interleave records and a crash at any instant leaves at most one torn
+// trailing line.
 type AppendFile struct {
 	mu sync.Mutex
 	f  *os.File
@@ -133,37 +134,10 @@ func OpenAppend(path string) (*AppendFile, error) {
 	return &AppendFile{f: f}, nil
 }
 
-// Append durably writes v as one JSON line.
-func (a *AppendFile) Append(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return a.AppendRaw(data)
-}
-
-// AppendRaw durably writes one pre-marshaled JSON line (without the
-// trailing newline, which AppendRaw adds). The line is written with a
-// single write call so concurrent appenders never interleave records.
-func (a *AppendFile) AppendRaw(line []byte) error {
-	buf := make([]byte, 0, len(line)+1)
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.f == nil {
-		return os.ErrClosed
-	}
-	if _, err := a.f.Write(buf); err != nil {
-		return err
-	}
-	return a.f.Sync()
-}
-
-// AppendAll durably writes each value as its own JSON line, with one
-// write call and one sync for the whole group — the batch form callers
-// use when a single evaluation batch produces many records.
-func (a *AppendFile) AppendAll(vs ...any) error {
+// Append durably writes each value as its own JSON line, with one write
+// call and one sync for the whole group — so a single evaluation batch's
+// many records cost one fsync.
+func (a *AppendFile) Append(vs ...any) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf) // Encode appends the newline per value
 	for _, v := range vs {

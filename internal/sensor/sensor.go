@@ -74,9 +74,7 @@ type Options struct {
 	Noise         NoiseModel
 	// Trajectory selects the camera path; nil uses LivingRoomTrajectory2.
 	Trajectory func(n int) []geom.Pose
-	// Scene selects the world; nil uses scene.LivingRoom.
-	Scene *scene.Scene
-	Name  string
+	Name       string
 }
 
 // LivingRoomTrajectory2 returns n camera-to-world poses of a smooth orbit
@@ -133,7 +131,8 @@ func LookAt(eye, target, up geom.Vec3) geom.Pose {
 	return geom.Pose{R: r, T: eye}
 }
 
-// Generate renders the dataset described by opts.
+// Generate renders the dataset described by opts in the scene.LivingRoom
+// world.
 func Generate(opts Options) *Dataset {
 	if opts.Width <= 0 {
 		opts.Width = 160
@@ -143,9 +142,6 @@ func Generate(opts Options) *Dataset {
 	}
 	if opts.Frames <= 0 {
 		opts.Frames = 100
-	}
-	if opts.Scene == nil {
-		opts.Scene = scene.LivingRoom()
 	}
 	if opts.Trajectory == nil {
 		opts.Trajectory = LivingRoomTrajectory2
@@ -164,7 +160,7 @@ func Generate(opts Options) *Dataset {
 		Intrinsics:  intr,
 		Frames:      make([]Frame, opts.Frames),
 		GroundTruth: gt,
-		Scene:       opts.Scene,
+		Scene:       scene.LivingRoom(),
 	}
 	for i := range ds.Frames {
 		ds.Frames[i] = Frame{Depth: imgproc.NewMap(intr.W, intr.H), Intensity: imgproc.NewMap(intr.W, intr.H)}
@@ -175,7 +171,7 @@ func Generate(opts Options) *Dataset {
 	// seeded stream, so the bits do not depend on the schedule.
 	par.ForWorkers(opts.Frames*intr.H, par.MaxWorkers(), func(r int) {
 		i, y := r/intr.H, r%intr.H
-		renderRow(ds.Frames[i], y, opts.Scene, intr, gt[i], opts.Noise, opts.Noise.Seed+int64(i)*7919)
+		renderRow(ds.Frames[i], y, ds.Scene, intr, gt[i], opts.Noise, opts.Noise.Seed+int64(i)*7919)
 	})
 	return ds
 }

@@ -93,7 +93,7 @@ func TestStatusesOrderPastMillionSequence(t *testing.T) {
 func TestTTLEvictsTerminalSessions(t *testing.T) {
 	mgr, ts := newTestServerConfig(t, Config{
 		SessionTTL:      200 * time.Millisecond,
-		JanitorInterval: 10 * time.Millisecond,
+		janitorInterval: 10 * time.Millisecond,
 	}, testProblem("toy", 0))
 
 	st := postRun(t, ts, RunRequest{Problem: "toy", Seed: 1, RandomSamples: 10, MaxIterations: 1})
@@ -175,7 +175,7 @@ func TestRunningSessionsNeverEvicted(t *testing.T) {
 	mgr, ts := newTestServerConfig(t, Config{
 		SessionTTL:      20 * time.Millisecond,
 		MaxSessions:     1,
-		JanitorInterval: 10 * time.Millisecond,
+		janitorInterval: 10 * time.Millisecond,
 	}, testProblem("toy", 0), testProblem("slow", 5*time.Millisecond))
 
 	running := postRun(t, ts, RunRequest{
@@ -233,7 +233,7 @@ func TestBoundedMemoryUnderChurn(t *testing.T) {
 	mgr, ts := newTestServerConfig(t, Config{
 		SessionTTL:      10 * time.Second, // long: only the cap evicts here
 		MaxSessions:     maxKeep,
-		JanitorInterval: 10 * time.Millisecond,
+		janitorInterval: 10 * time.Millisecond,
 	}, testProblem("toy", 0), testProblem("slow", 5*time.Millisecond))
 	mgr.seq.Store(999_997)
 

@@ -180,7 +180,7 @@ func TestPersistShutdownResumeByteIdentical(t *testing.T) {
 // recovery scan.
 func TestPersistEvictionUnlinksAndSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, MaxSessions: 1, JanitorInterval: time.Hour}
+	cfg := Config{DataDir: dir, MaxSessions: 1, janitorInterval: time.Hour}
 
 	m1 := NewManagerConfig(cfg, testProblem("toy", 0))
 	ts1 := httptest.NewServer(m1.Handler())
@@ -297,7 +297,7 @@ func TestPersistRestoreSkipsMismatchedMeta(t *testing.T) {
 	}
 
 	var logged []string
-	cfg := Config{DataDir: dir, MaxSessions: 1, JanitorInterval: time.Hour,
+	cfg := Config{DataDir: dir, MaxSessions: 1, janitorInterval: time.Hour,
 		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }}
 	m := NewManagerConfig(cfg, testProblem("toy", 0))
 	defer shutdownManager(t, m)

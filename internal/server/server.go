@@ -197,10 +197,6 @@ type Config struct {
 	// be transiently exceeded when more than MaxSessions runs are
 	// in flight, since running sessions are never evicted.
 	MaxSessions int
-	// JanitorInterval is how often TTL/cap eviction runs in the
-	// background. 0 derives it from SessionTTL (TTL/4, clamped to
-	// [100ms, 30s]); with no TTL it defaults to 30s.
-	JanitorInterval time.Duration
 	// MaxUnmeasuredFraction is the default per-run degradation tolerance
 	// (RunRequest field of the same name) applied when a request leaves it
 	// 0. Keep it 0 to run the whole daemon strictly fail-fast.
@@ -248,11 +244,17 @@ type Config struct {
 	// go through batch coalescing (merging dedups within a dispatch, not
 	// across time, so fresh measurements stay fresh).
 	Sched *sched.Config
+
+	// janitorInterval, set only by tests, overrides how often TTL/cap
+	// eviction runs in the background.
+	janitorInterval time.Duration
 }
 
-func (c Config) janitorInterval() time.Duration {
-	if c.JanitorInterval > 0 {
-		return c.JanitorInterval
+// janitorPeriod is how often TTL/cap eviction runs in the background:
+// SessionTTL/4 clamped to [100ms, 30s], or 30s with no TTL.
+func (c Config) janitorPeriod() time.Duration {
+	if c.janitorInterval > 0 {
+		return c.janitorInterval
 	}
 	iv := 30 * time.Second
 	if c.SessionTTL > 0 {
@@ -317,7 +319,7 @@ func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 	}
 	if cfg.SessionTTL > 0 || cfg.MaxSessions > 0 {
 		m.wg.Add(1)
-		go m.janitor(cfg.janitorInterval())
+		go m.janitor(cfg.janitorPeriod())
 	}
 	switch {
 	case len(interrupted) == 0:

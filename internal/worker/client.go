@@ -251,8 +251,7 @@ func NewPool(urls []string, opts Options) (*Pool, error) {
 // objective-vector length the caller expects; responses carrying a
 // different length are rejected as permanent protocol errors (a
 // coordinator/worker configuration mismatch, e.g. -power on one side
-// only) before they can reach the engine or the shared memo-cache. 0
-// skips the check.
+// only) before they can reach the engine or the shared memo-cache.
 func (p *Pool) Backend(problem string, objectives int) core.Backend {
 	return &remoteBackend{pool: p, problem: problem, objectives: objectives}
 }
@@ -294,7 +293,7 @@ func (p *Pool) BatchStats() (batches, configs int64) {
 type remoteBackend struct {
 	pool       *Pool
 	problem    string
-	objectives int // expected objective-vector length; 0 = unchecked
+	objectives int // expected objective-vector length
 }
 
 // EvaluateBatch implements core.Backend: the batch is cut into even chunks
@@ -329,7 +328,7 @@ func (b *remoteBackend) EvaluateBatch(ctx context.Context, cfgs []param.Config) 
 		go func(lo, hi int) {
 			defer wg.Done()
 			objs, err := p.evalChunk(ctx, b.problem, cfgs[lo:hi])
-			if err == nil && b.objectives > 0 {
+			if err == nil {
 				for i, ob := range objs {
 					if len(ob) != b.objectives {
 						// A count mismatch means coordinator and workers
