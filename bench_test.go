@@ -33,7 +33,20 @@ func BenchmarkFig1ResponseSurface(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.IsNonTrivial() {
+		// Fig. 1's point: runtime varies by more than 5 % along some µ row
+		// and some threshold column.
+		rows, cols := 1.0, 1.0
+		for _, row := range res.RuntimeMs {
+			for j, v := range row {
+				for k := range row {
+					rows = max(rows, v/row[k])
+				}
+				for k := range res.RuntimeMs {
+					cols = max(cols, v/res.RuntimeMs[k][j])
+				}
+			}
+		}
+		if rows <= 1.05 || cols <= 1.05 {
 			b.Fatal("flat response surface")
 		}
 	}

@@ -6,6 +6,14 @@
 // docs/ARCHITECTURE.md points at — or citing a document nobody wrote —
 // breaks the build until the reference is fixed.
 //
+// It also keeps the internal/ surface to what programs use: it type-checks
+// the non-test files of every module under the root (the benchmark module
+// included) and fails on an exported name declared in an internal/ package
+// that no non-test file uses — a function, type, constant, variable,
+// method or field only tests need. A method whose receiver implements an
+// interface holding it counts as used. The allowed map in surface.go lists
+// the names that stay anyway, each with its reason.
+//
 // Usage:
 //
 //	docscheck [-root .] README.md docs/ARCHITECTURE.md cmd internal
@@ -106,11 +114,16 @@ func main() {
 		args = defaultArgs
 	}
 	problems := check(*root, args)
+	surface, err := surfaceProblems(*root, allowed)
+	if err != nil {
+		surface = []string{err.Error()}
+	}
+	problems = append(problems, surface...)
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, "docscheck: "+p)
 	}
 	if len(problems) > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d files and directories clean\n", len(args))
+	fmt.Printf("docscheck: %d files and directories clean, no test-only exports\n", len(args))
 }

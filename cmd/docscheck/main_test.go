@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -91,5 +92,34 @@ func TestCheckAgainstThisRepository(t *testing.T) {
 	}
 	if problems := check(root, defaultArgs); len(problems) != 0 {
 		t.Fatalf("repository docs have broken references:\n%s", strings.Join(problems, "\n"))
+	}
+}
+
+func TestSurfaceFlagsTestOnlyExports(t *testing.T) {
+	// The fixture module declares three names without a non-test caller: a
+	// function only its _test.go file calls, a method that satisfies a
+	// function-local interface, and an allow-listed function.
+	root := filepath.Join("testdata", "surface")
+	problems, err := surfaceProblems(root, map[string]string{"lib.Allowed": "kept on purpose"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "internal/lib/lib.go:7: lib.TestOnly is exported but no non-test file uses it; delete or unexport it"
+	if len(problems) != 1 || problems[0] != want {
+		t.Fatalf("problems = %q, want only %q", problems, want)
+	}
+
+	// An allow-list entry must name something still declared and unused.
+	problems, err = surfaceProblems(root, map[string]string{"lib.Allowed": "", "lib.Used": "", "lib.Gone": ""})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2 := []string{
+		"internal/lib/lib.go:7: lib.TestOnly is exported but no non-test file uses it; delete or unexport it",
+		"lib.Gone is allow-listed but not declared; drop it from the allow-list",
+		"lib.Used is allow-listed but has a user; drop it from the allow-list",
+	}
+	if !slices.Equal(problems, want2) {
+		t.Fatalf("problems = %q, want %q", problems, want2)
 	}
 }

@@ -31,8 +31,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"time"
 
 	"repro/internal/catalog"
@@ -40,36 +44,52 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "hypermapper-worker: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("hypermapper-worker", flag.ContinueOnError)
 	var (
-		boot  = catalog.NewDaemon("hypermapper-worker", flag.CommandLine)
-		addr  = flag.String("addr", ":9090", "listen address")
-		evals = flag.Int("eval-workers", 0,
+		boot  = catalog.NewDaemon("hypermapper-worker", fs, stdout)
+		addr  = fs.String("addr", ":9090", "listen address")
+		evals = fs.Int("eval-workers", 0,
 			"concurrent evaluations per request batch (0 = GOMAXPROCS)")
 
-		shedAfter = flag.Int("shed-after", 0,
+		shedAfter = fs.Int("shed-after", 0,
 			"shed /evaluate requests with 503 + Retry-After once this many are in flight (0 = never shed)")
-		drainGrace = flag.Duration("drain-grace", 2*time.Second,
+		drainGrace = fs.Duration("drain-grace", 2*time.Second,
 			"on shutdown, fail GET /readyz for this long before closing the listener")
 
-		chaosDrop = flag.Float64("chaos-drop", 0,
+		chaosDrop = fs.Float64("chaos-drop", 0,
 			"probability of dropping an /evaluate connection mid-request")
-		chaosDelay = flag.Float64("chaos-delay", 0,
+		chaosDelay = fs.Float64("chaos-delay", 0,
 			"probability of stalling an /evaluate request")
-		chaosDelayMax = flag.Duration("chaos-delay-max", 100*time.Millisecond,
+		chaosDelayMax = fs.Duration("chaos-delay-max", 100*time.Millisecond,
 			"upper bound of an injected stall")
-		chaos500 = flag.Float64("chaos-500", 0,
+		chaos500 = fs.Float64("chaos-500", 0,
 			"probability of answering /evaluate with an injected 500")
-		chaosGarbage = flag.Float64("chaos-garbage", 0,
+		chaosGarbage = fs.Float64("chaos-garbage", 0,
 			"probability of answering /evaluate with a 200 and a non-JSON body")
-		chaosCrashAfter = flag.Int64("chaos-crash-after", 0,
+		chaosCrashAfter = fs.Int64("chaos-crash-after", 0,
 			"exit(3) on the Nth+1 /evaluate request (0 = never crash)")
-		chaosSeed = flag.Int64("chaos-seed", 1,
+		chaosSeed = fs.Int64("chaos-seed", 1,
 			"seed for the chaos fault schedule")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage is printed
+		}
+		return err
+	}
 
-	infof, fatalf := boot.Info.Printf, boot.Err.Fatalf
-	reg := boot.Catalog() // under -validate, prints the catalog and exits
+	infof := boot.Info.Printf
+	reg, err := boot.Catalog()
+	if err != nil || reg == nil {
+		return err // nil registry: -validate printed the catalog
+	}
 
 	ws := worker.NewServer(*evals)
 	ws.SetSpecLoader(func(data []byte) (worker.Problem, error) {
@@ -78,7 +98,7 @@ func main() {
 	})
 	for _, p := range reg.Problems() {
 		if err := ws.Register(toWorkerProblem(p)); err != nil {
-			fatalf("registering %s: %v", p.Name, err)
+			return fmt.Errorf("registering %s: %w", p.Name, err)
 		}
 	}
 
@@ -102,7 +122,7 @@ func main() {
 	}
 
 	infof("listening on %s (%d problems)", *addr, len(ws.Problems()))
-	boot.Serve(&http.Server{Addr: *addr, Handler: handler}, func(ctx context.Context) {
+	return boot.Serve(&http.Server{Addr: *addr, Handler: handler}, func(ctx context.Context) {
 		// Fail readiness first so load balancers and coordinators stop
 		// routing new batches here, then give them a moment to notice.
 		ws.SetDraining(true)

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -34,7 +35,7 @@ import (
 
 func main() {
 	var (
-		boot = catalog.NewDaemon("hypermapperd", flag.CommandLine)
+		boot = catalog.NewDaemon("hypermapperd", flag.CommandLine, os.Stdout)
 		addr = flag.String("addr", ":8089", "listen address")
 
 		sessionTTL = flag.Duration("session-ttl", time.Hour,
@@ -80,7 +81,13 @@ func main() {
 	flag.Parse()
 
 	infof, fatalf := boot.Info.Printf, boot.Err.Fatalf
-	reg := boot.Catalog() // under -validate, prints the catalog and exits
+	reg, err := boot.Catalog()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if reg == nil {
+		return // -validate printed the catalog
+	}
 
 	cfg := server.Config{
 		SessionTTL:  *sessionTTL,
@@ -154,7 +161,7 @@ func main() {
 	}
 	infof("listening on %s (%d problems, %s, %s)", *addr, len(mgr.Problems()), mode, admission)
 
-	boot.Serve(&http.Server{Addr: *addr, Handler: mgr.Handler()}, func(ctx context.Context) {
+	err = boot.Serve(&http.Server{Addr: *addr, Handler: mgr.Handler()}, func(ctx context.Context) {
 		infof("shutting down")
 		// Sessions are cancelled before the HTTP drain: open /events
 		// streams only close when their session reaches a terminal state,
@@ -164,4 +171,7 @@ func main() {
 			boot.Err.Printf("sessions still draining: %v", err)
 		}
 	})
+	if err != nil {
+		fatalf("%v", err)
+	}
 }

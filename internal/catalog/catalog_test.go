@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -95,7 +96,7 @@ func TestShippedSpecsRoundTripByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m1, err := s.Marshal()
+		m1, err := json.MarshalIndent(s, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestShippedSpecsRoundTripByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: re-parsing marshaled spec: %v", path, err)
 		}
-		m2, err := s2.Marshal()
+		m2, err := json.MarshalIndent(s2, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,18 +23,20 @@ type Daemon struct {
 	// Catalog has run), Err to stderr; Err.Fatalf exits with status 1.
 	Info, Err *log.Logger
 
+	stdout                 io.Writer
 	scale, problems        *string
 	power, validate, quiet *bool
 }
 
-// NewDaemon declares the shared flags on fs for the program called name.
-// Call Catalog once fs has been parsed.
-func NewDaemon(name string, fs *flag.FlagSet) *Daemon {
+// NewDaemon declares the shared flags on fs for the program called name,
+// whose standard output is stdout. Call Catalog once fs has been parsed.
+func NewDaemon(name string, fs *flag.FlagSet, stdout io.Writer) *Daemon {
 	return &Daemon{
-		Info:  log.New(os.Stdout, name+": ", 0),
-		Err:   log.New(os.Stderr, name+": ", 0),
-		scale: fs.String("dataset", "dse", "dataset scale: full, dse, or test"),
-		power: fs.Bool("power", false, "add power as a third objective"),
+		Info:   log.New(stdout, name+": ", 0),
+		Err:    log.New(os.Stderr, name+": ", 0),
+		stdout: stdout,
+		scale:  fs.String("dataset", "dse", "dataset scale: full, dse, or test"),
+		power:  fs.Bool("power", false, "add power as a third objective"),
 		problems: fs.String("problems", "",
 			"directory of declarative problem specs (*.json, docs/SCENARIOS.md) to load at startup"),
 		validate: fs.Bool("validate", false,
@@ -48,9 +50,9 @@ func NewDaemon(name string, fs *flag.FlagSet) *Daemon {
 // -dataset scale, then every spec of the -problems directory. Bridge
 // evaluators (exec: / http: spec bindings) report measurement failures
 // through Err; -quiet and -validate silence them. Under -validate it
-// prints the catalog and exits 0 instead of returning. A catalog that
-// cannot be built is fatal.
-func (d *Daemon) Catalog() *Registry {
+// prints the catalog to stdout and returns a nil registry: the daemon is
+// done and exits 0.
+func (d *Daemon) Catalog() (*Registry, error) {
 	var bridgeLogf func(format string, args ...any)
 	if *d.quiet {
 		d.Info.SetOutput(io.Discard)
@@ -59,31 +61,32 @@ func (d *Daemon) Catalog() *Registry {
 	}
 	reg := NewRegistry(bridgeLogf)
 	if err := reg.RegisterBuiltins(*d.scale, *d.power); err != nil {
-		d.Err.Fatalf("registering builtin problems: %v", err)
+		return nil, fmt.Errorf("registering builtin problems: %w", err)
 	}
 	if *d.problems != "" {
 		n, err := reg.LoadDir(*d.problems)
 		if err != nil {
-			d.Err.Fatalf("loading problem specs: %v", err)
+			return nil, fmt.Errorf("loading problem specs: %w", err)
 		}
 		d.Info.Printf("loaded %d problem specs from %s", n, *d.problems)
 	}
 	if *d.validate {
 		problems := reg.Problems()
 		for _, p := range problems {
-			fmt.Printf("  %-28s %d params, %d objectives, size %d\n",
+			fmt.Fprintf(d.stdout, "  %-28s %d params, %d objectives, size %d\n",
 				p.Name, p.Space.Dim(), len(p.Objectives), p.Space.Size())
 		}
-		fmt.Printf("%scatalog valid (%d problems)\n", d.Err.Prefix(), len(problems))
-		os.Exit(0)
+		fmt.Fprintf(d.stdout, "%scatalog valid (%d problems)\n", d.Err.Prefix(), len(problems))
+		return nil, nil
 	}
-	return reg
+	return reg, nil
 }
 
 // Serve runs srv until SIGINT or SIGTERM, then calls drain — what the daemon
 // must finish or refuse before its listener may close — and shuts srv down;
-// the two share one 10 s deadline. A listener that fails is fatal.
-func (d *Daemon) Serve(srv *http.Server, drain func(ctx context.Context)) {
+// the two share one 10 s deadline. It returns the error of a listener that
+// fails.
+func (d *Daemon) Serve(srv *http.Server, drain func(ctx context.Context)) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -94,7 +97,7 @@ func (d *Daemon) Serve(srv *http.Server, drain func(ctx context.Context)) {
 		// instead of being swallowed during the drain below.
 		stop()
 	case err := <-errc:
-		d.Err.Fatalf("%v", err)
+		return err
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -102,4 +105,5 @@ func (d *Daemon) Serve(srv *http.Server, drain func(ctx context.Context)) {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		d.Err.Printf("http shutdown: %v", err)
 	}
+	return nil
 }

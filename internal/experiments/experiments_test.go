@@ -40,7 +40,7 @@ func TestFig1TestScale(t *testing.T) {
 		}
 	}
 	// Fig. 1's whole point: the surface varies in both axes.
-	if !res.IsNonTrivial() {
+	if !nonTrivial(res) {
 		t.Fatal("response surface is flat — µ and icp-threshold have no effect")
 	}
 	var buf bytes.Buffer
@@ -49,6 +49,24 @@ func TestFig1TestScale(t *testing.T) {
 		t.Fatal("render missing title")
 	}
 	assertCSV(t, opts.OutDir, "fig1_response_surface.csv")
+}
+
+// nonTrivial reports whether the surface varies by more than 5 % along
+// both axes: some µ row and some threshold column span a max/min ratio
+// above 1.05 (runtimes are positive).
+func nonTrivial(r *Fig1Result) bool {
+	rows, cols := 1.0, 1.0
+	for i := range r.MuValues {
+		for j := range r.ICPValues {
+			for k := range r.ICPValues {
+				rows = max(rows, r.RuntimeMs[i][j]/r.RuntimeMs[i][k])
+			}
+			for k := range r.MuValues {
+				cols = max(cols, r.RuntimeMs[i][j]/r.RuntimeMs[k][j])
+			}
+		}
+	}
+	return rows > 1.05 && cols > 1.05
 }
 
 func TestFig3TestScale(t *testing.T) {

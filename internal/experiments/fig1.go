@@ -95,51 +95,6 @@ func (r *Fig1Result) Render(w io.Writer) {
 	}
 }
 
-// IsNonTrivial reports whether the surface shows real runtime variation in
-// both axes (the property Fig. 1 illustrates).
-func (r *Fig1Result) IsNonTrivial() bool {
-	return r.rangeOverRows() > 1.05 && r.rangeOverCols() > 1.05
-}
-
-func (r *Fig1Result) rangeOverRows() float64 {
-	worst := 1.0
-	for _, row := range r.RuntimeMs {
-		lo, hi := row[0], row[0]
-		for _, v := range row {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if lo > 0 && hi/lo > worst {
-			worst = hi / lo
-		}
-	}
-	return worst
-}
-
-func (r *Fig1Result) rangeOverCols() float64 {
-	worst := 1.0
-	for j := range r.ICPValues {
-		lo, hi := r.RuntimeMs[0][j], r.RuntimeMs[0][j]
-		for i := range r.MuValues {
-			v := r.RuntimeMs[i][j]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if lo > 0 && hi/lo > worst {
-			worst = hi / lo
-		}
-	}
-	return worst
-}
-
 func linspace(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {

@@ -10,9 +10,6 @@ func Identity3() Mat3 {
 	return Mat3{1, 0, 0, 0, 1, 0, 0, 0, 1}
 }
 
-// At returns the element at row r, column c.
-func (m Mat3) At(r, c int) float64 { return m[3*r+c] }
-
 // MulVec returns m · v.
 func (m Mat3) MulVec(v Vec3) Vec3 {
 	return Vec3{

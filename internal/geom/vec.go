@@ -50,9 +50,6 @@ func (a Vec3) Normalized() Vec3 {
 	return a.Scale(1 / n)
 }
 
-// Mul returns the component-wise product of a and b.
-func (a Vec3) Mul(b Vec3) Vec3 { return Vec3{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
-
 // Abs returns the component-wise absolute value of a.
 func (a Vec3) Abs() Vec3 {
 	return Vec3{math.Abs(a.X), math.Abs(a.Y), math.Abs(a.Z)}

@@ -38,12 +38,6 @@ func (m *Map) Clone() *Map {
 	return out
 }
 
-// Valid reports whether (x, y) is inside the image and holds a valid
-// (non-zero) sample.
-func (m *Map) Valid(x, y int) bool {
-	return x >= 0 && x < m.W && y >= 0 && y < m.H && m.Pix[y*m.W+x] > 0
-}
-
 // VecMap is a three-channel image of 3-D vectors (vertex or normal maps).
 // The zero vector marks invalid entries.
 type VecMap struct {

@@ -22,9 +22,6 @@ func TestMapBasics(t *testing.T) {
 	if m.At(2, 1) != 5 {
 		t.Fatal("Set/At broken")
 	}
-	if !m.Valid(2, 1) || m.Valid(0, 0) || m.Valid(-1, 0) || m.Valid(4, 0) {
-		t.Fatal("Valid broken")
-	}
 	c := m.Clone()
 	c.Set(2, 1, 9)
 	if m.At(2, 1) != 5 {

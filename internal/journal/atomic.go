@@ -12,7 +12,8 @@ import (
 // the complete new content — never a half-written artifact. The write
 // callback streams the content (CSV encoders, JSON encoders, raw bytes all
 // fit); any callback or sync error aborts the write and removes the temp
-// file, leaving path untouched.
+// file, leaving path untouched. The file is created 0644, as the journal's
+// own files are.
 func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
@@ -25,6 +26,10 @@ func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
+	// os.CreateTemp makes the file 0600.
+	if err = tmp.Chmod(0o644); err != nil {
+		return err
+	}
 	if err = write(tmp); err != nil {
 		return err
 	}

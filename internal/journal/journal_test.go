@@ -282,6 +282,11 @@ func TestWriteFileAtomic(t *testing.T) {
 	if got, _ := os.ReadFile(path); string(got) != "v1" {
 		t.Errorf("content = %q", got)
 	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Mode().Perm() != 0o644 {
+		t.Errorf("mode = %v, want -rw-r--r--", fi.Mode())
+	}
 
 	// A failing writer must leave the previous content and no temp files.
 	boom := errors.New("boom")

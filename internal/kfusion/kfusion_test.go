@@ -75,8 +75,8 @@ func TestConfigValidate(t *testing.T) {
 
 func TestVolumeBasics(t *testing.T) {
 	v := NewVolume(16, 1.6, geom.V3(0, 0, 0))
-	if math.Abs(v.VoxelSize()-0.1) > 1e-12 {
-		t.Fatalf("voxel size = %v", v.VoxelSize())
+	if math.Abs(v.voxel-0.1) > 1e-12 {
+		t.Fatalf("voxel size = %v", v.voxel)
 	}
 	tv, w := v.At(0, 0, 0)
 	if tv != 1 || w != 0 {

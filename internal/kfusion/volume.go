@@ -49,9 +49,6 @@ func NewVolume(res int, size float64, center geom.Vec3) *Volume {
 	}
 }
 
-// VoxelSize returns the edge length of one voxel in meters.
-func (v *Volume) VoxelSize() float64 { return v.voxel }
-
 // index returns the flat index of voxel (x, y, z); callers bound-check.
 func (v *Volume) index(x, y, z int) int { return (z*v.Res+y)*v.Res + x }
 

@@ -83,7 +83,7 @@ func TestInterpWithinVoxelBounds(t *testing.T) {
 // corners in (dz, dy, dx) order, unobserved and out-of-grid corners skipped.
 // It reports whether the cell lies wholly inside the grid.
 func interpReference(v *Volume, p geom.Vec3) (val float64, ok, inside bool) {
-	inv := 1 / v.VoxelSize()
+	inv := 1 / v.voxel
 	q := p.Sub(v.Origin).Scale(inv).Sub(geom.V3(0.5, 0.5, 0.5))
 	x0, y0, z0 := int(math.Floor(q.X)), int(math.Floor(q.Y)), int(math.Floor(q.Z))
 	f := [3]float64{q.X - float64(x0), q.Y - float64(y0), q.Z - float64(z0)}

@@ -68,9 +68,6 @@ type Parameter struct {
 	Priors []float64
 }
 
-// Levels returns the number of admissible values.
-func (p Parameter) Levels() int { return len(p.Values) }
-
 // Bool returns a Boolean parameter named name with values {0, 1}.
 func Bool(name string) Parameter {
 	return Parameter{Name: name, Kind: Boolean, Values: []float64{0, 1}}

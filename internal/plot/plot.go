@@ -50,8 +50,8 @@ func Scatter(w io.Writer, title string, series []Series, width, height int, xlab
 		ymax = ymin + 1
 	}
 	// 5% margins.
-	xm := (xmax - xmin) * 0.05
-	ym := (ymax - ymin) * 0.05
+	xm := float64((xmax - xmin) * 0.05) // rounded before it is added: never fused
+	ym := float64((ymax - ymin) * 0.05)
 	xmin, xmax = xmin-xm, xmax+xm
 	ymin, ymax = ymin-ym, ymax+ym
 
@@ -107,9 +107,10 @@ func Histogram(w io.Writer, title string, lo, hi float64, counts []int, width in
 	}
 	step := (hi - lo) / float64(len(counts))
 	for i, c := range counts {
+		// Each bin edge's product is rounded before it is added: never fused.
 		n := c * width / max
 		fmt.Fprintf(w, "  [%6.2f, %6.2f) %4d |%s\n",
-			lo+float64(i)*step, lo+float64(i+1)*step, c, strings.Repeat("#", n))
+			lo+float64(float64(i)*step), lo+float64(float64(i+1)*step), c, strings.Repeat("#", n))
 	}
 }
 

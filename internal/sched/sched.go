@@ -115,9 +115,6 @@ type Ticket struct {
 	state ticketState
 }
 
-// Tenant returns the ticket's tenant id.
-func (t *Ticket) Tenant() string { return t.tenant }
-
 // Cancel withdraws a still-queued ticket. It reports true when the ticket
 // was dequeued before dispatch — the caller owns the cleanup (the start
 // callback will never run). False means the ticket already dispatched (or

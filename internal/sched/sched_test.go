@@ -113,7 +113,7 @@ func TestFairShareDispatch(t *testing.T) {
 	third := c.started[2]
 	c.mu.Unlock()
 	if third != b1 {
-		t.Fatalf("freed slot went to tenant %q, want b (zero running beats earlier enqueue)", third.Tenant())
+		t.Fatalf("freed slot went to tenant %q, want b (zero running beats earlier enqueue)", third.tenant)
 	}
 	s.Done(a2)
 	waitFor(t, func() bool { return c.startedCount() == 4 })

@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -351,11 +352,11 @@ type served struct {
 // problem's memo-cache, including its on-disk spill, and its coalescer:
 // the space fingerprint cannot detect an evaluator change, and serving the
 // old evaluator's measurements to the new one would silently corrupt
-// results.
+// results. It also stops the old evaluator's program, if it runs one.
 func (m *Manager) Register(p Problem) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if old := m.served[p.Name]; old != nil {
+	old := m.served[p.Name]
+	if old != nil {
 		// Before the new cache opens the same spill directory.
 		if err := old.cache.RemoveSpill(); err != nil {
 			m.logf("problem %q: removing stale cache spill: %v", p.Name, err)
@@ -379,6 +380,18 @@ func (m *Manager) Register(p Problem) {
 		r.backend = sched.NewCoalescer(p.Space, inner, m.window)
 	}
 	m.served[p.Name] = r
+	m.mu.Unlock()
+	if old != nil {
+		closeEval(old.Eval) // unlocked: Close waits for an evaluation in flight
+	}
+}
+
+// closeEval stops ev's program when it runs one (the exec bridge, an
+// io.Closer); a later Evaluate starts the program again.
+func closeEval(ev core.Evaluator) {
+	if c, ok := ev.(io.Closer); ok {
+		_ = c.Close() // the exec bridge's Close always returns nil
+	}
 }
 
 // isClosed reports whether Shutdown has begun.
@@ -533,12 +546,22 @@ func (m *Manager) end(s *session, t *sched.Ticket, err error) {
 
 // release gives back what a session holds, exactly once per session: its
 // scheduler slot (t is nil when it never got one — never dispatched, or
-// resumed without admission), its context, and its waitgroup slot.
+// resumed without admission), its context, its waitgroup slot, and — when
+// its problem was re-registered meanwhile — the replaced evaluator's
+// program, which the session may have restarted after Register stopped it.
 func (m *Manager) release(s *session, t *sched.Ticket) {
 	if t != nil {
 		m.sched.Done(t)
 	}
 	s.cancel()
+	if _, ok := s.problem.Eval.(io.Closer); ok {
+		m.mu.Lock()
+		r := m.served[s.problem.Name]
+		m.mu.Unlock()
+		if r == nil || r.Eval != s.problem.Eval { // the exec bridge's pointers compare
+			closeEval(s.problem.Eval)
+		}
+	}
 	m.wg.Done()
 }
 
@@ -760,19 +783,20 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		m.closeCaches()
+		m.closeServed()
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// closeCaches releases every problem cache's spill files; called once all
-// run goroutines have drained.
-func (m *Manager) closeCaches() {
+// closeServed releases every problem cache's spill files and stops every
+// evaluator program; called once all run goroutines have drained.
+func (m *Manager) closeServed() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, r := range m.served {
 		_ = r.cache.Close()
+		closeEval(r.Eval)
 	}
 }

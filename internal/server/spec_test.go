@@ -2,16 +2,23 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/param"
 	"repro/internal/worker"
 )
 
@@ -21,16 +28,24 @@ func TestHelperSpecObjective(t *testing.T) {
 	if os.Getenv("SPEC_BRIDGE_HELPER") == "" {
 		return
 	}
+	if path := os.Getenv("SPEC_BRIDGE_PIDS"); path != "" {
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			os.Exit(2)
+		}
+		fmt.Fprintln(f, os.Getpid())
+		f.Close()
+	}
 	in := bufio.NewScanner(os.Stdin)
 	out := json.NewEncoder(os.Stdout)
 	for in.Scan() {
 		var req worker.ExecRequest
 		if err := json.Unmarshal(in.Bytes(), &req); err != nil {
-			out.Encode(worker.ExecResponse{Error: err.Error()})
+			out.Encode(map[string]string{"error": err.Error()})
 			continue
 		}
 		x, y := req.Config["x"], req.Config["y"]
-		out.Encode(worker.ExecResponse{Objectives: []float64{
+		out.Encode(map[string][]float64{"objectives": {
 			(x-3)*(x-3) + (y-1)*(y-1),
 			x + 0.8*y,
 		}})
@@ -156,6 +171,83 @@ func TestSpecProblemEndToEndByteIdentical(t *testing.T) {
 	_, ts3 := newTestServerConfig(t, Config{EvalPool: pool}, coordProb)
 	if front3 := getFrontJSON(t, ts3, runToDone(t, ts3, req)); front3 != front {
 		t.Fatalf("distributed front differs from local:\n%s\nvs\n%s", front3, front)
+	}
+}
+
+func TestReregisteredSpecStopsItsProgram(t *testing.T) {
+	// Re-registering an exec-bound spec replaces its evaluator; the old
+	// one's program must stop then, not when the daemon exits. A session
+	// that captured the old evaluator and restarted its program stops it
+	// again when released, and Shutdown stops the current one.
+	doc := specDoc(t)
+	pids := filepath.Join(t.TempDir(), "pids")
+	t.Setenv("SPEC_BRIDGE_PIDS", pids)
+	mgr, ts := newTestServerConfig(t, Config{SpecLoader: specLoader})
+	// measure evaluates one configuration with ev, starting its program if
+	// none runs, and returns the pid of the n-th program started.
+	measure := func(ev core.Evaluator, n int) int {
+		t.Helper()
+		if objs := ev.Evaluate(param.Config{3, 1}); len(objs) != 2 || objs[0] != 0 {
+			t.Fatalf("objectives = %v", objs)
+		}
+		data, err := os.ReadFile(pids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Fields(string(data))
+		if len(lines) != n {
+			t.Fatalf("%d programs started, want %d", len(lines), n)
+		}
+		pid, err := strconv.Atoi(lines[n-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pid
+	}
+	register := func() core.Evaluator {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/problems", "application/json", strings.NewReader(string(doc)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("POST /problems = %d", resp.StatusCode)
+		}
+		return mgr.Problems()[0].Eval
+	}
+	running := func(pid int) bool {
+		p, err := os.FindProcess(pid)
+		return err == nil && p.Signal(syscall.Signal(0)) == nil
+	}
+
+	first := measure(register(), 1)
+	s := mgr.newSession(runMeta{ID: "run-1", Problem: "spec-e2e"}, StateQueued)
+	second := measure(register(), 2)
+	if running(first) {
+		t.Fatalf("the replaced spec's program (pid %d) still runs", first)
+	}
+	if !running(second) {
+		t.Fatalf("the registered spec's program (pid %d) is not running", second)
+	}
+
+	restarted := measure(s.problem.Eval, 3)
+	mgr.wg.Add(1) // release gives back the slot Start would have taken
+	mgr.release(s, nil)
+	if running(restarted) {
+		t.Fatalf("the replaced program a session restarted (pid %d) still runs after its release", restarted)
+	}
+	if !running(second) {
+		t.Fatalf("releasing a session stopped the registered spec's program (pid %d)", second)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := mgr.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if running(second) {
+		t.Fatalf("the program (pid %d) still runs after Shutdown", second)
 	}
 }
 

@@ -145,18 +145,6 @@ func LoadDir(dir string) ([]*Spec, error) {
 	return out, nil
 }
 
-// Marshal renders the spec as indented JSON with a trailing newline.
-// Parsing the output yields an identical spec, and marshaling that spec
-// reproduces the bytes — the round-trip stability the shipped catalogs are
-// tested against.
-func (s *Spec) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("spec: marshaling: %w", err)
-	}
-	return append(b, '\n'), nil
-}
-
 // Validate checks the whole document: version, parameter definitions,
 // constraint expressions (parsed and name-resolved), objectives, and the
 // evaluator binding. It builds the space to do so, which catches every

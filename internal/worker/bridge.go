@@ -47,26 +47,10 @@ type ExecRequest struct {
 	Config BridgeConfig `json:"config"`
 }
 
-// ExecResponse is one JSON line the subprocess answers with: the objective
-// vector, or an error explaining why this configuration could not be
-// measured. A null objective is read as NaN, the "invalid configuration"
-// marker (core.Result.Invalid).
-type ExecResponse struct {
-	Objectives []float64 `json:"objectives,omitempty"`
-	Error      string    `json:"error,omitempty"`
-}
-
 // HTTPRequest is the POST body of the HTTP evaluator bridge: a batch of
 // named configurations.
 type HTTPRequest struct {
 	Configs []BridgeConfig `json:"configs"`
-}
-
-// HTTPResponse is the HTTP bridge success body: one objective vector per
-// configuration, positionally matched. A null objective is read as NaN,
-// the "invalid configuration" marker (core.Result.Invalid).
-type HTTPResponse struct {
-	Objectives [][]float64 `json:"objectives"`
 }
 
 // ExecEvaluator runs a user program as the objective function. The
@@ -310,7 +294,7 @@ func (e *HTTPEvaluator) evaluate(cfg param.Config) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}
-	out, err := decodeObjectives(reply) // HTTPResponse's shape; null → NaN
+	out, err := decodeObjectives(reply) // {"objectives":[[…],…]}; null → NaN
 	if err != nil {
 		return nil, fmt.Errorf("decoding response: %w", err)
 	}

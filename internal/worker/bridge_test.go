@@ -29,25 +29,25 @@ func TestHelperObjective(t *testing.T) {
 	for in.Scan() {
 		var req ExecRequest
 		if err := json.Unmarshal(in.Bytes(), &req); err != nil {
-			out.Encode(ExecResponse{Error: err.Error()})
+			out.Encode(map[string]string{"error": err.Error()})
 			continue
 		}
 		switch mode {
 		case "sum":
-			out.Encode(ExecResponse{Objectives: []float64{
+			out.Encode(map[string][]float64{"objectives": {
 				req.Config["a"] + req.Config["b"],
 				req.Config["a"] * req.Config["b"],
 			}})
 		case "error":
-			out.Encode(ExecResponse{Error: "cannot measure this one"})
+			out.Encode(map[string]string{"error": "cannot measure this one"})
 		case "short":
-			out.Encode(ExecResponse{Objectives: []float64{1}})
+			out.Encode(map[string][]float64{"objectives": {1}})
 		case "die-after-first":
 			if served > 0 {
 				os.Exit(1)
 			}
 			served++
-			out.Encode(ExecResponse{Objectives: []float64{
+			out.Encode(map[string][]float64{"objectives": {
 				req.Config["a"] + req.Config["b"], 0,
 			}})
 		case "garbage":
@@ -62,7 +62,7 @@ func TestHelperObjective(t *testing.T) {
 			if math.IsNaN(objs[0]) {
 				fmt.Printf("{\"objectives\":[null,%g]}\n", objs[1])
 			} else {
-				out.Encode(ExecResponse{Objectives: objs})
+				out.Encode(map[string][]float64{"objectives": objs})
 			}
 		}
 	}
@@ -241,8 +241,8 @@ func TestHTTPEvaluator(t *testing.T) {
 			return
 		}
 		c := req.Configs[0]
-		json.NewEncoder(w).Encode(HTTPResponse{
-			Objectives: [][]float64{{c["a"] - c["b"], c["a"] + c["b"]}},
+		json.NewEncoder(w).Encode(map[string][][]float64{
+			"objectives": [][]float64{{c["a"] - c["b"], c["a"] + c["b"]}},
 		})
 	}))
 	defer srv.Close()
@@ -264,7 +264,7 @@ func TestHTTPEvaluatorFailures(t *testing.T) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 		},
 		"wrong shape": func(w http.ResponseWriter, r *http.Request) {
-			json.NewEncoder(w).Encode(HTTPResponse{Objectives: [][]float64{{1}}})
+			json.NewEncoder(w).Encode(map[string][][]float64{"objectives": [][]float64{{1}}})
 		},
 		"not json": func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, "hello")

@@ -103,7 +103,8 @@ func (s *Server) SetSpecLoader(fn func(data []byte) (Problem, error)) {
 	s.specLoader = fn
 }
 
-// Register adds or replaces a problem by name.
+// Register adds or replaces a problem by name. Replacing stops the old
+// evaluator's program, if it runs one (the exec bridge, an io.Closer).
 func (s *Server) Register(p Problem) error {
 	if p.Name == "" {
 		return errors.New("worker: problem with empty name")
@@ -112,8 +113,12 @@ func (s *Server) Register(p Problem) error {
 		return fmt.Errorf("worker: problem %q needs a space and an evaluator", p.Name)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	old := s.problems[p.Name]
 	s.problems[p.Name] = p
+	s.mu.Unlock()
+	if c, ok := old.Eval.(io.Closer); ok {
+		_ = c.Close() // the exec bridge's Close always returns nil
+	}
 	return nil
 }
 
