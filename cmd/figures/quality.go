@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -69,11 +70,11 @@ func runQuality(args []string, stdout io.Writer) error {
 	}
 	// Shipped specs bind analytic builtin models, so the sweep stays cheap
 	// and deterministic.
-	reg := catalog.NewRegistry(log.Printf)
-	if _, err := reg.LoadDir(*specsDir); err != nil {
+	problems, err := catalog.LoadDir(*specsDir, log.Printf)
+	if err != nil {
 		return err
 	}
-	if _, ok := reg.Get(*gate); *gate != "" && !ok {
+	if *gate != "" && !slices.ContainsFunc(problems, func(p catalog.Problem) bool { return p.Name == *gate }) {
 		return fmt.Errorf("-gate: no problem %q in %s", *gate, *specsDir)
 	}
 	var base *quality.Report
@@ -89,7 +90,7 @@ func runQuality(args []string, stdout io.Writer) error {
 		{Name: "acquisition", Strategy: core.Strategy{Selector: "acquisition"}},
 		{Name: "feasibility+acquisition", Strategy: core.Strategy{Feasibility: true, Selector: "acquisition"}},
 	}
-	rep, err := quality.Sweep(context.Background(), reg.Problems(), strategies, budgetVals, seedVals)
+	rep, err := quality.Sweep(context.Background(), problems, strategies, budgetVals, seedVals)
 	if err != nil {
 		return err
 	}

@@ -86,17 +86,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	infof := boot.Info.Printf
-	reg, err := boot.Catalog()
-	if err != nil || reg == nil {
-		return err // nil registry: -validate printed the catalog
+	problems, loadSpec, err := boot.Catalog()
+	if err != nil || problems == nil {
+		return err // nil list: -validate printed the catalog
 	}
 
 	ws := worker.NewServer(*evals)
 	ws.SetSpecLoader(func(data []byte) (worker.Problem, error) {
-		p, err := reg.AddSpecData(data)
+		p, err := loadSpec(data)
 		return toWorkerProblem(p), err
 	})
-	for _, p := range reg.Problems() {
+	for _, p := range problems {
 		if err := ws.Register(toWorkerProblem(p)); err != nil {
 			return fmt.Errorf("registering %s: %w", p.Name, err)
 		}

@@ -81,11 +81,11 @@ func main() {
 	flag.Parse()
 
 	infof, fatalf := boot.Info.Printf, boot.Err.Fatalf
-	reg, err := boot.Catalog()
+	problems, loadSpec, err := boot.Catalog()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if reg == nil {
+	if problems == nil {
 		return // -validate printed the catalog
 	}
 
@@ -94,7 +94,7 @@ func main() {
 		MaxSessions: *maxSessions,
 		DataDir:     *dataDir,
 		Resume:      *resume,
-		SpecLoader:  reg.AddSpecData,
+		SpecLoader:  loadSpec,
 		Logf:        infof,
 
 		MaxUnmeasuredFraction: *maxUnmeasured,
@@ -138,7 +138,6 @@ func main() {
 		cfg.EvalPool = pool
 	}
 
-	problems := reg.Problems()
 	if *evalDelay > 0 {
 		// The builtin lookup problems answer in microseconds, far too fast
 		// for a kill/restart harness to land a signal mid-run.

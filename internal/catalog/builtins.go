@@ -11,33 +11,31 @@ import (
 	"repro/internal/slambench"
 )
 
-// RegisterBuiltins registers the standard problem set for the given dataset
-// scale ("full", "dse", or "test"), with power as a third objective when
+// builtins returns the standard problem set for the given dataset scale
+// ("full", "dse", or "test"), with power as a third objective when
 // requested: every benchmark × platform pair plus Synthetic.
-func (r *Registry) RegisterBuiltins(scale string, power bool) error {
+func builtins(scale string, power bool) ([]Problem, error) {
 	objs := slambench.RuntimeAccuracy
 	if power {
 		objs = slambench.RuntimeAccuracyPower
 	}
+	var out []Problem
 	for _, name := range slambench.Names {
 		b, err := slambench.ByName(name, scale)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, dev := range device.Platforms() {
-			err := r.Register(Problem{
+			out = append(out, Problem{
 				Name:        b.Name() + "/" + dev.Name,
 				Description: fmt.Sprintf("%s on %s (%s dataset)", b.Name(), dev.Name, scale),
 				Space:       b.Space(),
 				Eval:        slambench.Evaluator(b, dev, objs),
 				Objectives:  objs.Names(),
 			})
-			if err != nil {
-				return err
-			}
 		}
 	}
-	return r.Register(Synthetic())
+	return append(out, Synthetic()), nil
 }
 
 // Synthetic is a dataset-free two-objective toy space, useful for

@@ -1,19 +1,19 @@
-// Package catalog is the problem registry shared by the coordinator daemon
-// (cmd/hypermapperd) and the worker daemon (cmd/hypermapper-worker):
-// builtin problems register into it at startup and declarative spec files
-// (internal/spec) load into it, either from a -problems directory or at
-// runtime via POST /problems. Both daemons build their catalog through one
-// bootstrap (Daemon) and register runtime specs through one loader
-// (Registry.AddSpecData), because the worker protocol identifies
-// evaluators by name only: a coordinator and its workers agree on problem
-// names, spaces and evaluator semantics only if both sides build them
-// identically.
+// Package catalog builds the problems the coordinator daemon
+// (cmd/hypermapperd) and the worker daemon (cmd/hypermapper-worker) serve:
+// the builtin problems and declarative spec files (internal/spec), either
+// from a -problems directory at startup or at runtime via POST /problems.
+// Both daemons build their startup list and their runtime spec loader
+// through one bootstrap (Daemon.Catalog), because the worker protocol
+// identifies evaluators by name only: a coordinator and its workers agree
+// on problem names, spaces and evaluator semantics only if both sides build
+// them identically. What a daemon serves after startup is its own registry's
+// business (server.Manager, worker.Server), not this package's.
 package catalog
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/param"
@@ -37,22 +37,6 @@ type Problem struct {
 	Objectives []string
 }
 
-// Registry is a named problem collection with deterministic iteration
-// order. The zero value is not usable; call NewRegistry.
-type Registry struct {
-	mu       sync.Mutex
-	problems map[string]Problem
-	logf     func(format string, args ...any)
-}
-
-// NewRegistry returns an empty registry. logf receives the failure log of
-// every bridge evaluator the registry materializes (AddSpecData, LoadDir);
-// nil silences them, which is what a daemon's -quiet and -validate modes
-// want instead of bridge chatter on the process-global logger.
-func NewRegistry(logf func(format string, args ...any)) *Registry {
-	return &Registry{problems: make(map[string]Problem), logf: logf}
-}
-
 // Validate reports whether the problem is complete enough to back
 // sessions: a name, a space, an evaluator and at least one objective.
 func (p Problem) Validate() error {
@@ -69,34 +53,21 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// Register validates and adds a problem, replacing any existing problem of
-// the same name (later wins, so a spec file can override a builtin).
-func (r *Registry) Register(p Problem) error {
-	if err := p.Validate(); err != nil {
-		return err
+// byName returns problems as a catalog: one problem per name, the later
+// of two with the same name (so a spec file can override a builtin), sorted
+// by name, each one valid.
+func byName(problems []Problem) ([]Problem, error) {
+	last := make(map[string]Problem, len(problems))
+	for _, p := range problems {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+		last[p.Name] = p
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.problems[p.Name] = p
-	return nil
-}
-
-// Get returns the named problem.
-func (r *Registry) Get(name string) (Problem, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.problems[name]
-	return p, ok
-}
-
-// Problems returns every registered problem, sorted by name.
-func (r *Registry) Problems() []Problem {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Problem, 0, len(r.problems))
-	for _, p := range r.problems {
+	out := make([]Problem, 0, len(last))
+	for _, p := range last {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	slices.SortFunc(out, func(a, b Problem) int { return strings.Compare(a.Name, b.Name) })
+	return out, nil
 }

@@ -11,77 +11,81 @@ import (
 	"repro/internal/spec"
 )
 
+// TestRegistryBasics: a catalog holds valid problems only, one per name
+// (later wins, so a spec can override a builtin), sorted by name.
 func TestRegistryBasics(t *testing.T) {
-	r := NewRegistry(nil)
-	if err := r.Register(Synthetic()); err != nil {
-		t.Fatal(err)
+	if _, err := byName([]Problem{Synthetic(), {Name: ""}}); err == nil {
+		t.Fatal("cataloged a nameless problem")
 	}
-	if err := r.Register(Problem{Name: ""}); err == nil {
-		t.Fatal("registered a nameless problem")
+	if _, err := byName([]Problem{{Name: "x"}}); err == nil {
+		t.Fatal("cataloged a problem without a space")
 	}
-	if err := r.Register(Problem{Name: "x"}); err == nil {
-		t.Fatal("registered a problem without a space")
-	}
-	p, ok := r.Get("synthetic")
-	if !ok || p.Name != "synthetic" {
-		t.Fatalf("Get = %+v, %v", p, ok)
-	}
-
-	// Later registration wins — a spec can override a builtin.
 	override := Synthetic()
 	override.Description = "replaced"
-	if err := r.Register(override); err != nil {
+	other := Synthetic()
+	other.Name = "another"
+	got, err := byName([]Problem{Synthetic(), override, other})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := r.Get("synthetic"); p.Description != "replaced" {
-		t.Fatal("re-registration did not replace")
+	if len(got) != 2 || got[0].Name != "another" || got[1].Name != "synthetic" {
+		t.Fatalf("catalog = %v, want [another synthetic]", names(got))
 	}
-	if len(r.Problems()) != 1 {
-		t.Fatalf("%d problems registered, want 1", len(r.Problems()))
+	if got[1].Description != "replaced" {
+		t.Fatal("a later problem of the same name did not replace the earlier one")
 	}
 }
 
-func TestRegisterBuiltins(t *testing.T) {
-	r := NewRegistry(nil)
-	if err := r.RegisterBuiltins("test", false); err != nil {
-		t.Fatal(err)
+func names(problems []Problem) []string {
+	out := make([]string, len(problems))
+	for i, p := range problems {
+		out[i] = p.Name
 	}
-	names := make([]string, 0, len(r.Problems()))
-	for _, p := range r.Problems() {
-		names = append(names, p.Name)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Problems() not sorted: %v", names)
+	return out
+}
+
+// get returns the named problem of a catalog.
+func get(t *testing.T, problems []Problem, name string) Problem {
+	t.Helper()
+	for _, p := range problems {
+		if p.Name == name {
+			return p
 		}
 	}
-	if _, ok := r.Get("synthetic"); !ok {
-		t.Fatalf("builtins missing synthetic: %v", names)
+	t.Fatalf("no problem %q in %v", name, names(problems))
+	return Problem{}
+}
+
+func TestRegisterBuiltins(t *testing.T) {
+	all, err := builtins("test", false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := r.Get("kfusion/ODROID-XU3"); !ok {
-		t.Fatalf("builtins missing kfusion/ODROID-XU3: %v", names)
+	problems, err := byName(all)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(problems) != len(all) {
+		t.Fatalf("builtins repeat a name: %v", names(all))
+	}
+	get(t, problems, "synthetic")
+	get(t, problems, "kfusion/ODROID-XU3")
 }
 
 // specsDir points at the shipped catalogs relative to this package.
 func specsDir() string { return filepath.Join("..", "..", "specs") }
 
 func TestShippedSpecsLoadAndRegister(t *testing.T) {
-	r := NewRegistry(nil)
-	n, err := r.LoadDir(specsDir())
+	problems, err := LoadDir(specsDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("loaded %d shipped specs, want 3", n)
+	if got := names(problems); strings.Join(got, " ") != "compiler-flags constrained-synthetic dbms-knobs" {
+		t.Fatalf("loaded %v, want the three shipped specs sorted by name", got)
 	}
-	for _, name := range []string{"compiler-flags", "dbms-knobs", "constrained-synthetic"} {
-		p, ok := r.Get(name)
-		if !ok {
-			t.Fatalf("shipped spec %q did not register", name)
-		}
+	for _, p := range problems {
 		if p.Eval == nil || p.Space == nil || len(p.Objectives) != 2 {
-			t.Fatalf("%q materialized incompletely: %+v", name, p)
+			t.Fatalf("%q materialized incompletely: %+v", p.Name, p)
 		}
 	}
 }
@@ -141,12 +145,12 @@ func TestConstrainedSyntheticSamplingStaysFeasible(t *testing.T) {
 }
 
 func TestBuiltinModelsProduceFiniteObjectives(t *testing.T) {
-	r := NewRegistry(nil)
-	if _, err := r.LoadDir(specsDir()); err != nil {
+	problems, err := LoadDir(specsDir(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	for _, p := range r.Problems() {
+	for _, p := range problems {
 		for _, idx := range p.Space.SampleIndices(rng, 50) {
 			objs := p.Eval.Evaluate(p.Space.AtIndex(idx))
 			if len(objs) != len(p.Objectives) {
@@ -162,11 +166,11 @@ func TestBuiltinModelsProduceFiniteObjectives(t *testing.T) {
 }
 
 func TestBuiltinModelsAreDeterministic(t *testing.T) {
-	r := NewRegistry(nil)
-	if _, err := r.LoadDir(specsDir()); err != nil {
+	problems, err := LoadDir(specsDir(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := r.Get("dbms-knobs")
+	p := get(t, problems, "dbms-knobs")
 	cfg := p.Space.AtIndex(12345)
 	a, b := p.Eval.Evaluate(cfg), p.Eval.Evaluate(cfg)
 	for j := range a {

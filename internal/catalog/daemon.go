@@ -16,7 +16,7 @@ import (
 
 // Daemon is the part of a command line, a startup and a shutdown that the
 // coordinator and the worker daemon share: the catalog flags, the
-// program-prefixed output, the one way a daemon's registry is built, and
+// program-prefixed output, the one way a daemon's catalog is built, and
 // the serve-until-signalled tail.
 type Daemon struct {
 	// Info writes program-prefixed lines to stdout (-quiet silences it once
@@ -46,40 +46,44 @@ func NewDaemon(name string, fs *flag.FlagSet, stdout io.Writer) *Daemon {
 	}
 }
 
-// Catalog builds the daemon's registry: the builtin problems of the
-// -dataset scale, then every spec of the -problems directory. Bridge
-// evaluators (exec: / http: spec bindings) report measurement failures
-// through Err; -quiet and -validate silence them. Under -validate it
-// prints the catalog to stdout and returns a nil registry: the daemon is
-// done and exits 0.
-func (d *Daemon) Catalog() (*Registry, error) {
+// Catalog builds what the daemon serves at startup — the builtin problems
+// of the -dataset scale, then every spec of the -problems directory, as one
+// catalog (a later name replaces an earlier one) — and the spec loader it
+// hands to POST /problems. Bridge evaluators (exec: / http: spec bindings)
+// report measurement failures through Err; -quiet and -validate silence
+// them. Under -validate it prints the catalog to stdout and returns a nil
+// list: the daemon is done and exits 0.
+func (d *Daemon) Catalog() ([]Problem, func(data []byte) (Problem, error), error) {
 	var bridgeLogf func(format string, args ...any)
 	if *d.quiet {
 		d.Info.SetOutput(io.Discard)
 	} else if !*d.validate {
 		bridgeLogf = d.Err.Printf
 	}
-	reg := NewRegistry(bridgeLogf)
-	if err := reg.RegisterBuiltins(*d.scale, *d.power); err != nil {
-		return nil, fmt.Errorf("registering builtin problems: %w", err)
+	problems, err := builtins(*d.scale, *d.power)
+	if err != nil {
+		return nil, nil, fmt.Errorf("registering builtin problems: %w", err)
 	}
 	if *d.problems != "" {
-		n, err := reg.LoadDir(*d.problems)
+		specs, err := fromDir(*d.problems, bridgeLogf)
 		if err != nil {
-			return nil, fmt.Errorf("loading problem specs: %w", err)
+			return nil, nil, fmt.Errorf("loading problem specs: %w", err)
 		}
-		d.Info.Printf("loaded %d problem specs from %s", n, *d.problems)
+		d.Info.Printf("loaded %d problem specs from %s", len(specs), *d.problems)
+		problems = append(problems, specs...)
+	}
+	if problems, err = byName(problems); err != nil {
+		return nil, nil, err
 	}
 	if *d.validate {
-		problems := reg.Problems()
 		for _, p := range problems {
 			fmt.Fprintf(d.stdout, "  %-28s %d params, %d objectives, size %d\n",
 				p.Name, p.Space.Dim(), len(p.Objectives), p.Space.Size())
 		}
 		fmt.Fprintf(d.stdout, "%scatalog valid (%d problems)\n", d.Err.Prefix(), len(problems))
-		return nil, nil
+		return nil, nil, nil
 	}
-	return reg, nil
+	return problems, func(data []byte) (Problem, error) { return fromSpecData(data, bridgeLogf) }, nil
 }
 
 // Serve runs srv until SIGINT or SIGTERM, then calls drain — what the daemon

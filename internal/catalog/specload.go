@@ -63,48 +63,46 @@ func FromSpec(sp *spec.Spec, logf func(format string, args ...any)) (Problem, er
 }
 
 // FromSpecData parses raw spec JSON and materializes it, with bridge
-// failures on the process-global logger — the registry-free form for
-// tools that run one problem.
+// failures on the process-global logger — the catalog-free form for tools
+// that run one problem.
 func FromSpecData(data []byte) (Problem, error) {
+	return fromSpecData(data, log.Printf)
+}
+
+// fromSpecData parses raw spec JSON and materializes it with bridge
+// failures on logf. Bound to a daemon's bridge logger it is the runtime
+// loader both daemons hand to POST /problems (server.Config.SpecLoader,
+// worker.Server.SetSpecLoader).
+func fromSpecData(data []byte, logf func(format string, args ...any)) (Problem, error) {
 	sp, err := spec.Parse(data)
 	if err != nil {
 		return Problem{}, err
 	}
-	return FromSpec(sp, log.Printf)
+	return FromSpec(sp, logf)
 }
 
-// AddSpecData parses, materializes and registers raw spec JSON with the
-// registry's bridge logger, and returns the problem it registered. It is
-// the runtime loader both daemons hand to their POST /problems endpoint
-// (server.Config.SpecLoader, worker.Server.SetSpecLoader), so the registry
-// a daemon was started from also knows what it serves now.
-func (r *Registry) AddSpecData(data []byte) (Problem, error) {
-	sp, err := spec.Parse(data)
+// LoadDir materializes every *.json spec in dir with bridge failures on
+// logf and returns them as a catalog: sorted by name, the later file (by
+// name) winning a name collision.
+func LoadDir(dir string, logf func(format string, args ...any)) ([]Problem, error) {
+	problems, err := fromDir(dir, logf)
 	if err != nil {
-		return Problem{}, err
+		return nil, err
 	}
-	return r.addSpec(sp)
+	return byName(problems)
 }
 
-func (r *Registry) addSpec(sp *spec.Spec) (Problem, error) {
-	p, err := FromSpec(sp, r.logf)
-	if err != nil {
-		return Problem{}, err
-	}
-	return p, r.Register(p)
-}
-
-// LoadDir registers every *.json spec in dir (sorted by name; later files
-// win name collisions) and reports how many were loaded.
-func (r *Registry) LoadDir(dir string) (int, error) {
+// fromDir materializes every *.json spec in dir, in file-name order.
+func fromDir(dir string, logf func(format string, args ...any)) ([]Problem, error) {
 	specs, err := spec.LoadDir(dir)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	for _, sp := range specs {
-		if _, err := r.addSpec(sp); err != nil {
-			return 0, err
+	out := make([]Problem, len(specs))
+	for i, sp := range specs {
+		if out[i], err = FromSpec(sp, logf); err != nil {
+			return nil, err
 		}
 	}
-	return len(specs), nil
+	return out, nil
 }

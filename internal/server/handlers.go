@@ -128,7 +128,7 @@ func (m *Manager) Handler() http.Handler {
 	// Readiness: 503 while resumed sessions are still replaying their
 	// journals, so load balancers hold traffic until recovery completes.
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if n := m.recovering.Load(); n > 0 {
+		if n := m.Stats().Recovering; n > 0 {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"ready":      false,
 				"recovering": n,

@@ -160,8 +160,9 @@ func (s *session) RecordBatch(b journal.Batch) error {
 // restoreDataDir scans <data-dir>/runs after a restart: terminal runs are
 // restored as read-only sessions (their status and front keep serving, and
 // TTL/cap eviction keeps applying to them), interrupted runs are returned
-// for the resume pass, and the sequence counter is advanced past
-// everything on disk so newly minted ids never collide with old ones.
+// for the resume pass, and the sequence counter is advanced past every
+// run directory on disk, restored or skipped, so newly minted ids never
+// collide with old ones.
 func (m *Manager) restoreDataDir() []runMeta {
 	root := filepath.Join(m.cfg.DataDir, "runs")
 	entries, err := os.ReadDir(root)
@@ -179,6 +180,9 @@ func (m *Manager) restoreDataDir() []runMeta {
 		if !e.IsDir() || !ok {
 			continue
 		}
+		// Past skipped directories too: a new run minted under a skipped
+		// id would truncate that run's journal beside its old result.json.
+		maxSeq = max(maxSeq, seq)
 		dir := filepath.Join(root, id)
 		var meta runMeta
 		if err := journal.ReadJSON(filepath.Join(dir, "meta.json"), &meta); err != nil {
@@ -191,7 +195,6 @@ func (m *Manager) restoreDataDir() []runMeta {
 			m.logf("run %s: meta.json names %s (seq %d), skipping", id, meta.ID, meta.Seq)
 			continue
 		}
-		maxSeq = max(maxSeq, seq)
 		var rec storedResult
 		err := journal.ReadJSON(filepath.Join(dir, "result.json"), &rec)
 		if err == nil && !rec.Status.State.Terminal() {
@@ -228,10 +231,11 @@ func (m *Manager) restoreTerminal(meta runMeta, rec *storedResult) {
 }
 
 // restoreFailed places a run back in the store as failed, without touching
-// its directory — a later restart under a fixed configuration can still
-// resume it.
+// its directory, which eviction leaves too — a later restart under a fixed
+// configuration can still resume it.
 func (m *Manager) restoreFailed(meta runMeta, err error) {
 	s := m.newSession(meta, StateRecovering)
+	s.keepDir = true
 	s.finish(nil, err)
 	s.cancel()
 	m.store.Put(s)
@@ -251,12 +255,10 @@ func (m *Manager) failInterrupted(metas []runMeta) {
 // GET /readyz stays not-ready until each one has either reached live
 // measurement or gone terminal. Resume failures (missing problem,
 // fingerprint mismatch, unrecoverable journal) mark the session failed in
-// memory but leave its directory untouched.
+// memory but leave its directory untouched, through eviction too.
 func (m *Manager) resumeInterrupted(metas []runMeta) {
-	m.recovering.Add(int64(len(metas)))
 	for _, meta := range metas {
 		s := m.newSession(meta, StateRecovering)
-		s.recoverDone = func() { m.recovering.Add(-1) }
 		m.store.Put(s)
 		m.wg.Add(1)
 		go m.resumeRun(s)
@@ -270,6 +272,7 @@ func (m *Manager) resumeRun(s *session) {
 	defer m.release(s, nil)
 	fail := func(err error) {
 		m.logf("resume %s: %v", s.id, err)
+		s.keepDir = true
 		s.finish(nil, err)
 	}
 	if s.problem.Space == nil {

@@ -361,22 +361,10 @@ func TestPersistUserCancelStaysCancelled(t *testing.T) {
 // directories intact so a later Resume restart still can.
 func TestPersistInterruptedWithoutResume(t *testing.T) {
 	dir := t.TempDir()
-
-	m1 := NewManagerConfig(Config{DataDir: dir}, testProblem("toy", 3*time.Millisecond))
-	ts1 := httptest.NewServer(m1.Handler())
-	st := postRun(t, ts1, persistReq)
-	deadline := time.Now().Add(30 * time.Second)
-	for getStatus(t, ts1, st.ID).Samples < persistReq.RandomSamples {
-		if time.Now().After(deadline) {
-			t.Fatal("bootstrap never journaled")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ts1.Close()
-	shutdownManager(t, m1)
+	id := interruptRun(t, dir)
 
 	m2 := NewManagerConfig(Config{DataDir: dir}, testProblem("toy", 0))
-	s, ok := m2.Get(st.ID)
+	s, ok := m2.Get(id)
 	if !ok {
 		t.Fatal("interrupted run gone after restart")
 	}
@@ -385,15 +373,106 @@ func TestPersistInterruptedWithoutResume(t *testing.T) {
 		t.Fatalf("status = %s (%q), want failed with -resume hint", got.State, got.Error)
 	}
 	shutdownManager(t, m2)
-	if _, err := os.Stat(filepath.Join(dir, "runs", st.ID, "journal.jsonl")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "runs", id, "journal.jsonl")); err != nil {
 		t.Fatalf("journal deleted by no-resume restart: %v", err)
 	}
 
 	// Third start, with Resume: the run completes after all.
 	m3 := NewManagerConfig(Config{DataDir: dir, Resume: true}, testProblem("toy", 0))
 	defer shutdownManager(t, m3)
-	if final := waitManagerTerminal(t, m3, st.ID); final.State != StateDone {
+	if final := waitManagerTerminal(t, m3, id); final.State != StateDone {
 		t.Fatalf("resumed run: %s (%s)", final.State, final.Error)
+	}
+}
+
+// interruptRun leaves in dir what a daemon stopped after a run's bootstrap
+// batch leaves: the run's directory without a result. It returns the id.
+func interruptRun(t *testing.T, dir string) string {
+	t.Helper()
+	m := NewManagerConfig(Config{DataDir: dir}, testProblem("toy", 3*time.Millisecond))
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	st := postRun(t, ts, persistReq)
+	deadline := time.Now().Add(30 * time.Second)
+	for getStatus(t, ts, st.ID).Samples < persistReq.RandomSamples {
+		if time.Now().After(deadline) {
+			t.Fatal("bootstrap never journaled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	shutdownManager(t, m)
+	return st.ID
+}
+
+// A run restored failed so that a later -resume restart can continue it —
+// interrupted under a daemon started without Resume, or refused by a resume
+// that cannot run it yet — keeps its directory when TTL eviction drops it.
+func TestPersistEvictionKeepsInterruptedRun(t *testing.T) {
+	dir := t.TempDir()
+	id := interruptRun(t, dir)
+	journalPath := filepath.Join(dir, "runs", id, "journal.jsonl")
+	evictAfterRestart := func(cfg Config, p Problem) {
+		t.Helper()
+		cfg.DataDir, cfg.SessionTTL, cfg.janitorInterval = dir, 50*time.Millisecond, 10*time.Millisecond
+		m := NewManagerConfig(cfg, p)
+		defer shutdownManager(t, m)
+		if final := waitManagerTerminal(t, m, id); final.State != StateFailed {
+			t.Fatalf("restored as %s (%q), want failed", final.State, final.Error)
+		}
+		for deadline := time.Now().Add(30 * time.Second); m.Stats().EvictedTTL != 1; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the failed run was never evicted")
+			}
+		}
+		if _, err := os.Stat(journalPath); err != nil {
+			t.Fatalf("evicting the failed run deleted its journal: %v", err)
+		}
+	}
+	evictAfterRestart(Config{}, testProblem("toy", 0))
+	evictAfterRestart(Config{Resume: true}, testProblem("other", 0)) // no "toy" to resume it with
+
+	m := NewManagerConfig(Config{DataDir: dir, Resume: true}, testProblem("toy", 0))
+	defer shutdownManager(t, m)
+	if final := waitManagerTerminal(t, m, id); final.State != StateDone {
+		t.Fatalf("resumed run: %s (%s)", final.State, final.Error)
+	}
+}
+
+// A run directory the restore scan skips still holds its id: the next run
+// is minted past it, and the skipped directory stays as it was.
+func TestPersistNewRunSkipsUnreadableRunDir(t *testing.T) {
+	dir := t.TempDir()
+	skipped := filepath.Join(dir, "runs", "run-000001")
+	if err := os.MkdirAll(skipped, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{"meta.json": "{not json", "result.json": `{"status":{"state":"done"}}`}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(skipped, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewManagerConfig(Config{DataDir: dir}, testProblem("toy", 0))
+	defer shutdownManager(t, m)
+	st, err := m.Start(persistReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "run-000002" {
+		t.Fatalf("first new run is %s, want run-000002", st.ID)
+	}
+	waitManagerTerminal(t, m, st.ID)
+	entries, err := os.ReadDir(skipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(files) {
+		t.Fatalf("the skipped directory holds %d files, want %d", len(entries), len(files))
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(skipped, name)); err != nil || string(got) != want {
+			t.Fatalf("%s of the skipped run = %q (%v), want %q", name, got, err, want)
+		}
 	}
 }
 
@@ -402,22 +481,9 @@ func TestPersistInterruptedWithoutResume(t *testing.T) {
 // replaying mismatched measurements.
 func TestPersistResumeFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, Resume: true}
+	id := interruptRun(t, dir)
 
-	m1 := NewManagerConfig(cfg, testProblem("toy", 3*time.Millisecond))
-	ts1 := httptest.NewServer(m1.Handler())
-	st := postRun(t, ts1, persistReq)
-	deadline := time.Now().Add(30 * time.Second)
-	for getStatus(t, ts1, st.ID).Samples < persistReq.RandomSamples {
-		if time.Now().After(deadline) {
-			t.Fatal("bootstrap never journaled")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ts1.Close()
-	shutdownManager(t, m1)
-
-	metaPath := filepath.Join(dir, "runs", st.ID, "meta.json")
+	metaPath := filepath.Join(dir, "runs", id, "meta.json")
 	var meta runMeta
 	if err := journal.ReadJSON(metaPath, &meta); err != nil {
 		t.Fatal(err)
@@ -427,9 +493,9 @@ func TestPersistResumeFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := NewManagerConfig(cfg, testProblem("toy", 0))
+	m2 := NewManagerConfig(Config{DataDir: dir, Resume: true}, testProblem("toy", 0))
 	defer shutdownManager(t, m2)
-	final := waitManagerTerminal(t, m2, st.ID)
+	final := waitManagerTerminal(t, m2, id)
 	if final.State != StateFailed || !strings.Contains(final.Error, "fingerprint") {
 		t.Fatalf("status = %s (%q), want failed with fingerprint refusal", final.State, final.Error)
 	}

@@ -285,8 +285,7 @@ type Manager struct {
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 
-	started    time.Time
-	recovering atomic.Int64 // resumed sessions still replaying their journals
+	started time.Time
 }
 
 // NewManagerConfig returns a manager with the given lifecycle config. If
@@ -386,8 +385,9 @@ func (m *Manager) Register(p Problem) {
 	}
 }
 
-// closeEval stops ev's program when it runs one (the exec bridge, an
-// io.Closer); a later Evaluate starts the program again.
+// closeEval retires ev when it is an exec bridge (an io.Closer): its
+// program stops now, and runs again only while a session that captured ev
+// is evaluating with it.
 func closeEval(ev core.Evaluator) {
 	if c, ok := ev.(io.Closer); ok {
 		_ = c.Close() // the exec bridge's Close always returns nil
@@ -546,22 +546,12 @@ func (m *Manager) end(s *session, t *sched.Ticket, err error) {
 
 // release gives back what a session holds, exactly once per session: its
 // scheduler slot (t is nil when it never got one — never dispatched, or
-// resumed without admission), its context, its waitgroup slot, and — when
-// its problem was re-registered meanwhile — the replaced evaluator's
-// program, which the session may have restarted after Register stopped it.
+// resumed without admission), its context and its waitgroup slot.
 func (m *Manager) release(s *session, t *sched.Ticket) {
 	if t != nil {
 		m.sched.Done(t)
 	}
 	s.cancel()
-	if _, ok := s.problem.Eval.(io.Closer); ok {
-		m.mu.Lock()
-		r := m.served[s.problem.Name]
-		m.mu.Unlock()
-		if r == nil || r.Eval != s.problem.Eval { // the exec bridge's pointers compare
-			closeEval(s.problem.Eval)
-		}
-	}
 	m.wg.Done()
 }
 
@@ -672,12 +662,12 @@ type Stats struct {
 	// state and trips); absent when the daemon evaluates in-process.
 	Workers []worker.WorkerStats `json:"workers,omitempty"`
 	// Persistent reports whether a data directory backs this daemon;
-	// Recovering counts resumed sessions still replaying their journals
-	// (GET /readyz turns ready once it reaches 0), and CacheSpillErrors
-	// totals degraded-to-memory spill failures across the problem
-	// memo-caches.
+	// Recovering counts retained sessions still replaying their journals
+	// (state "recovering", also counted in Running; GET /readyz turns ready
+	// once it reaches 0), and CacheSpillErrors totals degraded-to-memory
+	// spill failures across the problem memo-caches.
 	Persistent       bool  `json:"persistent"`
-	Recovering       int64 `json:"recovering"`
+	Recovering       int   `json:"recovering"`
 	CacheSpillErrors int64 `json:"cache_spill_errors"`
 	// Queued counts retained sessions waiting for scheduler admission.
 	Queued int `json:"queued"`
@@ -713,7 +703,6 @@ func (m *Manager) Stats() Stats {
 		MaxSessions:  m.cfg.MaxSessions,
 		SessionTTLS:  m.cfg.SessionTTL.Seconds(),
 		Persistent:   m.cfg.DataDir != "",
-		Recovering:   m.recovering.Load(),
 	}
 	if m.cfg.EvalPool != nil {
 		st.Workers = m.cfg.EvalPool.Stats()
@@ -752,6 +741,9 @@ func (m *Manager) Stats() Stats {
 			st.Terminal++
 		default:
 			st.Running++
+			if state == StateRecovering {
+				st.Recovering++
+			}
 		}
 	}
 	return st

@@ -154,11 +154,11 @@ type session struct {
 	// journaled counts evaluations durably recorded in the journal,
 	// including replayed history on resume; checkpoints persist it.
 	journaled atomic.Int64
-	// recoverDone fires exactly once when the session leaves
-	// StateRecovering (first live measurement, or terminal); the manager
-	// uses it to drive the /readyz recovering counter.
-	recoverDone func()
-	recoverOnce sync.Once
+	// keepDir marks a session that ended failed without a record on disk,
+	// whose run directory a later restart must find as it was: evicting it
+	// drops it from memory only. Set before the session turns terminal, and
+	// eviction reads it only after.
+	keepDir bool
 
 	mu     sync.Mutex
 	state  State
@@ -263,7 +263,6 @@ func (s *session) settle(rec *storedResult) {
 	s.events = rec.Status.Iterations
 	s.wakeLocked()
 	s.mu.Unlock()
-	s.recoverExit()
 }
 
 // setRunning flips a queued session to running at dispatch; a no-op once
@@ -285,14 +284,6 @@ func (s *session) leaveRecovering() {
 		s.state = StateRunning
 	}
 	s.mu.Unlock()
-	s.recoverExit()
-}
-
-// recoverExit fires the one-shot leave-recovering hook, if any.
-func (s *session) recoverExit() {
-	if s.recoverDone != nil {
-		s.recoverOnce.Do(s.recoverDone)
-	}
 }
 
 // checkpoint journals a clean-shutdown marker; the run stays resumable.

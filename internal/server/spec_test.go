@@ -177,8 +177,9 @@ func TestSpecProblemEndToEndByteIdentical(t *testing.T) {
 func TestReregisteredSpecStopsItsProgram(t *testing.T) {
 	// Re-registering an exec-bound spec replaces its evaluator; the old
 	// one's program must stop then, not when the daemon exits. A session
-	// that captured the old evaluator and restarted its program stops it
-	// again when released, and Shutdown stops the current one.
+	// that captured the old evaluator and restarted its program finds it
+	// stopped again by the time it is released (the retired bridge stops
+	// it after the evaluation), and Shutdown stops the current one.
 	doc := specDoc(t)
 	pids := filepath.Join(t.TempDir(), "pids")
 	t.Setenv("SPEC_BRIDGE_PIDS", pids)

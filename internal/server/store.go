@@ -34,7 +34,8 @@ func parseSeq(id string) (int64, bool) {
 //
 // With a dataDir, deleting a session (explicit eviction, TTL, or cap) also
 // unlinks its on-disk run directory, so an evicted id stays 404 across
-// restarts instead of resurrecting as a zombie at the next recovery scan.
+// restarts instead of resurrecting as a zombie at the next recovery scan —
+// unless the session keeps its directory for a later resume (keepDir).
 type store struct {
 	mu      sync.RWMutex
 	runs    map[int64]*session
@@ -88,7 +89,7 @@ func (st *store) Delete(id string) bool {
 	}
 	delete(st.runs, seq)
 	st.mu.Unlock()
-	if st.dataDir != "" {
+	if st.dataDir != "" && !s.keepDir {
 		_ = os.RemoveAll(filepath.Join(st.dataDir, "runs", id))
 	}
 	return true

@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/nanjson"
@@ -63,16 +64,24 @@ type HTTPRequest struct {
 // Evaluations are serialized — the protocol is one request in flight at a
 // time — so a parallel batch drains through the subprocess sequentially.
 // For throughput, scale out: every worker daemon runs its own subprocess.
+//
+// The bridge alone decides whether its program runs: Close retires it, and
+// from then on the program runs only while evaluations are queued on the
+// bridge — ones from a batch or session that captured a replaced problem.
 type ExecEvaluator struct {
 	argv       []string
 	names      []string
 	objectives int
 
-	mu   sync.Mutex
-	cmd  *exec.Cmd
-	in   io.WriteCloser
-	out  *bufio.Reader
-	logf func(format string, args ...any)
+	// queued counts the evaluations waiting for or holding mu.
+	queued atomic.Int64
+
+	mu      sync.Mutex
+	cmd     *exec.Cmd
+	in      io.WriteCloser
+	out     *bufio.Reader
+	logf    func(format string, args ...any)
+	retired bool // set by Close
 }
 
 // NewExecEvaluator builds an exec bridge over the given command line for a
@@ -116,10 +125,17 @@ func bridgeConfig(names []string, cfg param.Config) BridgeConfig {
 }
 
 // Evaluate implements core.Evaluator. It returns nil when the subprocess
-// cannot produce a valid objective vector even after one restart.
+// cannot produce a valid objective vector even after one restart. On a
+// retired bridge the last queued evaluation stops the program it started.
 func (e *ExecEvaluator) Evaluate(cfg param.Config) []float64 {
+	e.queued.Add(1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer func() {
+		if e.queued.Add(-1) == 0 && e.retired {
+			e.stopLocked()
+		}
+	}()
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		objs, appErr, err := e.roundTrip(cfg)
@@ -209,11 +225,14 @@ func (e *ExecEvaluator) stopLocked() {
 	e.cmd, e.in, e.out = nil, nil, nil
 }
 
-// Close terminates the subprocess, if one is running. The evaluator is
-// reusable afterwards — the next Evaluate starts a fresh subprocess.
+// Close retires the bridge: it terminates the subprocess, if one is
+// running, once an evaluation in flight returns. A later Evaluate still
+// measures, starting a fresh subprocess that stops again when no other
+// evaluation is queued on the bridge.
 func (e *ExecEvaluator) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.retired = true
 	e.stopLocked()
 	return nil
 }

@@ -8,9 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/param"
 )
@@ -23,6 +27,14 @@ func TestHelperObjective(t *testing.T) {
 	if mode == "" {
 		return // normal test run, not a subprocess
 	}
+	if path := os.Getenv("BRIDGE_HELPER_PIDS"); path != "" {
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			os.Exit(2)
+		}
+		fmt.Fprintln(f, os.Getpid())
+		f.Close()
+	}
 	in := bufio.NewScanner(os.Stdin)
 	out := json.NewEncoder(os.Stdout)
 	served := 0
@@ -33,6 +45,9 @@ func TestHelperObjective(t *testing.T) {
 			continue
 		}
 		switch mode {
+		case "slow-sum":
+			time.Sleep(100 * time.Millisecond)
+			fallthrough
 		case "sum":
 			out.Encode(map[string][]float64{"objectives": {
 				req.Config["a"] + req.Config["b"],
@@ -354,5 +369,75 @@ func TestWorkerSpecRegistration(t *testing.T) {
 	resp.Body.Close()
 	if len(out.Objectives) != 1 || len(out.Objectives[0]) != 2 {
 		t.Fatalf("evaluate after registration = %+v", out)
+	}
+}
+
+// TestReregistrationStopsProgramOfBatchInFlight: a batch that captured an
+// exec-bound problem keeps measuring across a re-registration of that
+// problem, restarting the replaced program Register stopped; the program
+// must be stopped again by the time the batch is answered.
+func TestReregistrationStopsProgramOfBatchInFlight(t *testing.T) {
+	pids := filepath.Join(t.TempDir(), "pids")
+	t.Setenv("BRIDGE_HELPER_PIDS", pids)
+	problem := func() Problem {
+		return Problem{Name: "bridged", Space: bridgeSpace(t), Eval: helperEvaluator(t, "slow-sum", 2), Objectives: 2}
+	}
+	s := NewServer(1)
+	if err := s.Register(problem()); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+
+	configs := make([]param.Config, 6)
+	for i := range configs {
+		configs[i] = param.Config{float64(i % 5), 1}
+	}
+	body, _ := json.Marshal(EvaluateRequest{Problem: "bridged", Configs: configs})
+	replied := make(chan EvaluateResponse, 1)
+	go func() {
+		var out EvaluateResponse
+		if resp, err := http.Post(srv.URL+"/evaluate", "application/json", strings.NewReader(string(body))); err == nil {
+			json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+		}
+		replied <- out
+	}()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if data, _ := os.ReadFile(pids); len(data) > 0 {
+			break // the batch is measuring
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the batch never started the program")
+		}
+	}
+	if err := s.Register(problem()); err != nil {
+		t.Fatal(err)
+	}
+	out := <-replied
+	if len(out.Objectives) != len(configs) {
+		t.Fatalf("batch answered %d of %d configurations", len(out.Objectives), len(configs))
+	}
+	for i, objs := range out.Objectives {
+		if len(objs) != 2 || objs[0] != configs[i][0]+configs[i][1] {
+			t.Fatalf("configuration %d measured %v", i, objs)
+		}
+	}
+	data, err := os.ReadFile(pids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(data))
+	if len(lines) < 2 {
+		t.Fatalf("the replaced program was not restarted by the batch (pids %v); the test shows nothing", lines)
+	}
+	for _, line := range lines {
+		pid, err := strconv.Atoi(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := os.FindProcess(pid); err == nil && p.Signal(syscall.Signal(0)) == nil {
+			t.Errorf("the replaced problem's program (pid %d) still runs after the batch was answered", pid)
+		}
 	}
 }

@@ -103,8 +103,9 @@ func (s *Server) SetSpecLoader(fn func(data []byte) (Problem, error)) {
 	s.specLoader = fn
 }
 
-// Register adds or replaces a problem by name. Replacing stops the old
-// evaluator's program, if it runs one (the exec bridge, an io.Closer).
+// Register adds or replaces a problem by name. Replacing retires the old
+// evaluator if it is an exec bridge (an io.Closer): its program stops, and
+// a batch in flight that still evaluates with it stops it again when done.
 func (s *Server) Register(p Problem) error {
 	if p.Name == "" {
 		return errors.New("worker: problem with empty name")
