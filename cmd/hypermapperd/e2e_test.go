@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,8 +23,8 @@ import (
 // graceful checkpoint, no flushing, exactly what a power loss or OOM kill
 // looks like — restarts it with -resume, and asserts the resumed run
 // finishes with a Pareto front byte-identical to an uninterrupted
-// reference run of the same seed, with the journal recording the same
-// evaluation sequence.
+// reference run of the same seed, with the same round statistics and the
+// journal recording the same evaluation sequence.
 
 // e2eReq is the seeded run both daemons execute.
 var e2eReq = map[string]any{
@@ -221,10 +222,30 @@ func journalIndices(t *testing.T, dataDir, id string) []int64 {
 	return out
 }
 
+// untimedIterations renders a run's GET /runs/{id} iterations without the
+// per-phase wall-clock timings, which no two runs share, and without the
+// memo-cache counts: a configuration a resumed run replays from its journal
+// is neither a cache hit nor a miss, and one the killed daemon measured but
+// never journaled is a hit on its spill.
+func untimedIterations(t *testing.T, st server.RunStatus) string {
+	t.Helper()
+	its := slices.Clone(st.Iterations)
+	for i := range its {
+		its[i].FitMS, its[i].EncodeMS, its[i].PredictMS, its[i].EvalMS = 0, 0, 0, 0
+		its[i].CacheHits, its[i].CacheMisses = 0, 0
+	}
+	data, err := json.Marshal(its)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 // TestKillResumeByteIdentical is the acceptance test of the durability
 // layer: SIGKILL the daemon at a randomized evaluation count, restart with
 // -resume, and the run must complete byte-identical to an uninterrupted
-// reference — same front JSON, same journaled evaluation sequence.
+// reference — same front JSON, same round statistics, same journaled
+// evaluation sequence.
 func TestKillResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemon processes")
@@ -235,7 +256,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	refDir := t.TempDir()
 	ref := startDaemon(t, bin, "-data-dir", refDir)
 	refSt := ref.postRun(t, e2eReq)
-	ref.waitDone(t, refSt.ID)
+	refIters := untimedIterations(t, ref.waitDone(t, refSt.ID))
 	refFront := ref.front(t, refSt.ID)
 	ref.stop(t)
 	refIdx := journalIndices(t, refDir, refSt.ID)
@@ -278,6 +299,9 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	if final.Samples != len(refIdx) {
 		t.Errorf("resumed run measured %d samples, reference %d", final.Samples, len(refIdx))
 	}
+	if got := untimedIterations(t, final); got != refIters {
+		t.Errorf("resumed iterations differ from the reference's\nresumed:   %s\nreference: %s", got, refIters)
+	}
 	gotIdx := journalIndices(t, dataDir, st.ID)
 	if len(gotIdx) != len(refIdx) {
 		t.Fatalf("journal has %d samples, reference %d", len(gotIdx), len(refIdx))
@@ -311,7 +335,7 @@ func TestGracefulShutdownResume(t *testing.T) {
 	refDir := t.TempDir()
 	ref := startDaemon(t, bin, "-data-dir", refDir)
 	refSt := ref.postRun(t, e2eReq)
-	ref.waitDone(t, refSt.ID)
+	refIters := untimedIterations(t, ref.waitDone(t, refSt.ID))
 	refFront := ref.front(t, refSt.ID)
 	ref.stop(t)
 
@@ -340,9 +364,12 @@ func TestGracefulShutdownResume(t *testing.T) {
 
 	revived := startDaemon(t, bin, "-data-dir", dataDir, "-resume")
 	revived.waitReady(t)
-	revived.waitDone(t, st.ID)
+	final := revived.waitDone(t, st.ID)
 	if got := revived.front(t, st.ID); got != refFront {
 		t.Errorf("front after graceful-shutdown resume differs\nresumed:   %s\nreference: %s", got, refFront)
+	}
+	if got := untimedIterations(t, final); got != refIters {
+		t.Errorf("iterations after graceful-shutdown resume differ\nresumed:   %s\nreference: %s", got, refIters)
 	}
 	revived.stop(t)
 }

@@ -35,12 +35,20 @@ type Backend interface {
 // LocalBackend is the default in-process Backend: it evaluates a batch by
 // calling Eval for each configuration, bounded to Workers concurrent calls
 // (the engine passes its own Workers budget when it wraps a bare
-// Evaluator). The Evaluator must be safe for concurrent use.
+// Evaluator). The Evaluator must be safe for concurrent use. An Evaluator
+// that is a batchHolder is held for each batch's whole length.
 type LocalBackend struct {
 	// Eval measures one configuration; required.
 	Eval Evaluator
 	// Workers bounds concurrent Eval calls; ≤ 0 selects GOMAXPROCS.
 	Workers int
+}
+
+// batchHolder is an Evaluator that keeps what it measures with — an exec
+// bridge's program — up from Hold until the returned release, so a batch
+// evaluated one configuration at a time does not restart it between them.
+type batchHolder interface {
+	Hold() (release func())
 }
 
 // EvaluateBatch implements Backend. Cancellation is checked before each
@@ -56,6 +64,10 @@ func (b *LocalBackend) EvaluateBatch(ctx context.Context, cfgs []param.Config) (
 	workers := b.Workers
 	if workers <= 0 {
 		workers = par.MaxWorkers()
+	}
+	if h, ok := b.Eval.(batchHolder); ok {
+		release := h.Hold()
+		defer release()
 	}
 	out := make([][]float64, len(cfgs))
 	par.ForWorkers(len(cfgs), workers, func(i int) {

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -103,19 +102,26 @@ type Options struct {
 	// design-space index before the cache and backend are consulted — the
 	// resume half of the journal: replaying a crashed run's journal through
 	// a run with identical space, seed, and budgets reconstructs its exact
-	// exploration state (same RNG draws, same forest fits, same pools)
-	// without re-measuring anything, and continues live at the first
-	// unjournaled configuration. Entries are objective vectors of length
-	// Objectives; the map is only read.
+	// exploration state (same RNG draws, same samples, same fronts) without
+	// re-measuring anything, and continues live at the first unjournaled
+	// configuration. On its own it recomputes every round's fit, pool and
+	// selection; ReplayBatches lets the run skip that work. Entries are
+	// objective vectors of length Objectives; the map is only read.
 	Replay map[int64][]float64
-	// ReplaySkips complements Replay with the degraded-batch history: a
-	// map from design-space index to how many batches of the journaled run
-	// skipped that index unmeasured (journal Batch.Unmeasured entries).
-	// During replay a pending skip is consumed before Replay is consulted,
-	// so a resumed run reproduces the original's degraded batches exactly
-	// — an index skipped in one iteration and measured in a later one
-	// replays in that same order. The map is copied, never mutated.
-	ReplaySkips map[int64]int
+	// ReplayBatches complements Replay with the journal's batch records, in
+	// order (journal.Recovered.Batches); the slice is only read. The run
+	// derives two things from them. First, the degraded-batch history: how
+	// many batches skipped each index unmeasured (Batch.Unmeasured). During
+	// replay a pending skip is consumed before Replay is consulted, so a
+	// resumed run reproduces the original's degraded batches exactly — an
+	// index skipped in one round and measured in a later one replays in
+	// that same order. Second, the rounds it fast-forwards: a round the
+	// journal holds whole (see run.journaledRound) is taken as journaled —
+	// its batch is measured through replay without a forest fit, pool
+	// prediction or selection, and its statistics are the journaled
+	// Batch.Round. Every other round, one split across records by a crash
+	// mid-batch or journaled without a Round, is recomputed.
+	ReplayBatches []journal.Batch
 	// MaxUnmeasuredFraction bounds graceful degradation. When a batch
 	// comes back partially unmeasured — the evaluation backend exhausted
 	// its retries on some chunk, or returned fewer results than asked —
@@ -236,7 +242,9 @@ type IterationStats struct {
 	// cell indices, next to nothing on an enumerable space — no pool row is
 	// encoded on either), pool prediction (including the predicted-front
 	// filter), and hardware evaluation of the new batch.
-	// The bootstrap event carries only EvalTime. They make the
+	// The bootstrap event carries only EvalTime, and a round a resumed run
+	// fast-forwards (Options.ReplayBatches) a PredictTime of 0 and a FitTime
+	// only when it is the last, whose forests are fit once. They make the
 	// optimizer-side cost observable end to end (they stream out over the
 	// server's /events NDJSON feed).
 	FitTime     time.Duration
@@ -385,8 +393,10 @@ type run struct {
 	nadir, ideal []float64
 
 	// skips holds a resumed run's pending journaled skips, consumed as its
-	// batches replay. A copy: Options.ReplaySkips stays read-only.
-	skips map[int64]int
+	// batches replay; journaled holds, per round, the one journal record
+	// that may fast-forward it. Both come from Options.ReplayBatches.
+	skips     map[int64]int
+	journaled map[int]*journal.Batch
 	// fetch measures the configurations of a batch that replay does not
 	// answer, position-matched, with the memo-cache's hit and miss counts.
 	// It is resolved once, when the run starts: the space-bound view of
@@ -423,9 +433,9 @@ func newRun(ctx context.Context, space *param.Space, eval Evaluator, opts Option
 		evaluated: make(map[int64]int),
 		nadir:     make([]float64, o.Objectives),
 		ideal:     make([]float64, o.Objectives),
-		skips:     maps.Clone(o.ReplaySkips),
 		st:        newPoolState(space, o),
 	}
+	r.skips, r.journaled = replayPlan(o.ReplayBatches)
 	for k := range r.nadir {
 		r.nadir[k] = math.Inf(-1)
 		r.ideal[k] = math.Inf(1)
@@ -481,6 +491,9 @@ func (r *run) bootstrap() error {
 func (r *run) iterate(iter int) error {
 	if err := r.ctx.Err(); err != nil {
 		return err
+	}
+	if todo, rd := r.journaledRound(iter); todo != nil {
+		return r.fastForward(iter, todo, rd)
 	}
 	o := r.o
 	stats := IterationStats{Iteration: iter}
@@ -539,6 +552,108 @@ func (r *run) iterate(iter int) error {
 	return nil
 }
 
+// replayPlan derives from a journal's batch records, in order, the pending
+// skip count of every index a batch left unmeasured, and for each
+// active-learning round recorded by exactly one record carrying a Round,
+// that record. A round with two records — a batch cut by a crash, whose
+// remainder the resumed run measured into a second — has lost the order of
+// its selection, so it is left out.
+func replayPlan(batches []journal.Batch) (map[int64]int, map[int]*journal.Batch) {
+	skips := make(map[int64]int)
+	rounds := make(map[int]*journal.Batch)
+	records := make(map[int]int)
+	for i := range batches {
+		b := &batches[i]
+		for _, idx := range b.Unmeasured {
+			skips[idx]++
+		}
+		if b.Iteration > 0 {
+			records[b.Iteration]++
+			rounds[b.Iteration] = b
+		}
+	}
+	for iter, b := range rounds {
+		if records[iter] != 1 || b.Round == nil {
+			delete(rounds, iter)
+		}
+	}
+	return skips, rounds
+}
+
+// journaledRound returns round iter's batch, and what its model work
+// decided, when the journal holds the round whole: its one record carries a
+// Round with an OOB statistic per objective, the record's samples and
+// unmeasured indices together number what the round selected (at least one:
+// a round that selects nothing converges, and journals nothing), and none
+// of them has been measured yet. The batch is the samples in order, then the
+// unmeasured indices. It returns nil when the round must be recomputed.
+func (r *run) journaledRound(iter int) ([]int64, *journal.Round) {
+	b := r.journaled[iter]
+	if b == nil {
+		return nil, nil
+	}
+	rd := b.Round
+	if rd.Selected < 1 || len(b.Samples)+len(b.Unmeasured) != rd.Selected ||
+		len(rd.OOBError) != r.o.Objectives || len(rd.OOBSamples) != r.o.Objectives {
+		return nil, nil
+	}
+	todo := make([]int64, 0, rd.Selected)
+	for _, s := range b.Samples {
+		todo = append(todo, s.Index)
+	}
+	todo = append(todo, b.Unmeasured...)
+	seen := make(map[int64]bool, len(todo))
+	for _, idx := range todo {
+		if _, done := r.evaluated[idx]; done || seen[idx] || idx < 0 || idx >= r.space.Size() {
+			return nil, nil
+		}
+		seen[idx] = true
+	}
+	return todo, rd
+}
+
+// fastForward is round iter taken as journaled. The subsampled pool is
+// still drawn, since its draw is what advances r.rng, but no forest is fit,
+// no pool predicted and no batch selected: the round measures todo, which
+// replay and the pending skips answer, and publishes rd's statistics. Ingest
+// order is the batch's sample order, so X_out, the training matrix and the
+// fronts come out as in the original round; the presorted columns take the
+// skipped rounds' rows at the next fit. Fits are seeded by iteration, so
+// that fit is the original's too. The last round fits its forests once, for
+// Result.Forests.
+func (r *run) fastForward(iter int, todo []int64, rd *journal.Round) error {
+	stats := IterationStats{
+		Iteration:          iter,
+		PredictedFrontSize: rd.PredictedFrontSize,
+		OOBError:           slices.Clone(rd.OOBError),
+		OOBSamples:         slices.Clone(rd.OOBSamples),
+	}
+	if iter == r.o.MaxIterations {
+		fitStart := time.Now()
+		cols, err := r.st.columns()
+		if err == nil {
+			r.res.Forests, err = fitForests(r.ctx, cols, r.st.ys, r.o, iter)
+		}
+		stats.FitTime = time.Since(fitStart)
+		if err != nil {
+			if cerr := r.ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return r.fail(err)
+		}
+	}
+	if !r.st.enumerable {
+		encStart := time.Now()
+		r.o.Strategy.draw(r.space, r.rng, r.o.PoolCap)
+		stats.EncodeTime = time.Since(encStart)
+	}
+	if err := r.measure(todo, &stats); err != nil {
+		return err
+	}
+	r.publish(stats, measuredFront(r.res.Samples))
+	return nil
+}
+
 // fit trains the round's models on everything measured so far: the fresh
 // batch is appended to the shared presorted matrix and one forest per
 // objective is fit from it, then — under the feasibility strategy, once
@@ -564,10 +679,20 @@ func (r *run) fit(iter int) ([]*forest.Forest, *forest.Classifier, error) {
 // measure is the one way configurations become samples, in either phase:
 // evaluate idxs, ingest what came back — on an error too, measurements are
 // too expensive to discard — and account for the batch in the phase's
-// statistics and the result's totals.
+// statistics and the result's totals. An active-learning round's journal
+// record carries what its model work decided, read from stats.
 func (r *run) measure(idxs []int64, stats *IterationStats) error {
+	var round *journal.Round
+	if stats.Iteration > 0 {
+		round = &journal.Round{
+			Selected:           len(idxs),
+			PredictedFrontSize: stats.PredictedFrontSize,
+			OOBError:           stats.OOBError,
+			OOBSamples:         stats.OOBSamples,
+		}
+	}
 	start := time.Now()
-	batch, bo, err := r.evaluate(idxs, stats.Iteration)
+	batch, bo, err := r.evaluate(idxs, stats.Iteration, round)
 	stats.EvalTime = time.Since(start)
 	stats.NewSamples = len(batch)
 	stats.CacheHits, stats.CacheMisses, stats.Unmeasured = bo.hits, bo.misses, bo.unmeasured
@@ -708,7 +833,8 @@ type batchOutcome struct {
 // the journaled objectives, then run.fetch — the memo-cache, and the
 // Backend in one call for what is left. What fetch answered — and only
 // that, so a resumed run never re-journals what it replayed — is recorded
-// to Options.Journal before returning.
+// to Options.Journal before returning, with round, the model side of an
+// active-learning round (nil on the bootstrap).
 //
 // A batch that comes back partially unmeasured normally fails the run;
 // with MaxUnmeasuredFraction > 0 and the unmeasured share within it the
@@ -721,7 +847,7 @@ type batchOutcome struct {
 // batch must not throw finished ones away); completed measurements are
 // still journaled on the way out, without skip entries, so resume
 // re-measures the interrupted tail instead of skipping it.
-func (r *run) evaluate(idxs []int64, iter int) ([]Sample, batchOutcome, error) {
+func (r *run) evaluate(idxs []int64, iter int, round *journal.Round) ([]Sample, batchOutcome, error) {
 	var bo batchOutcome
 	if err := r.ctx.Err(); err != nil {
 		return nil, bo, err
@@ -760,7 +886,7 @@ func (r *run) evaluate(idxs []int64, iter int) ([]Sample, batchOutcome, error) {
 		}
 	}
 	out := make([]Sample, 0, len(idxs))
-	rec := journal.Batch{Iteration: iter, Active: iter > 0}
+	rec := journal.Batch{Iteration: iter, Active: iter > 0, Round: round}
 	var liveSkipped []int64 // live positions without a measurement, batch order
 	for i, ob := range objs {
 		if ob == nil {

@@ -234,11 +234,11 @@ func TestEvaluatePath(t *testing.T) {
 			rec := &memRecorder{}
 			r := newRun(ctx, space, nil, Options{
 				Objectives: 2, MaxUnmeasuredFraction: tc.fraction, Journal: rec, Cache: cache,
-				Backend:     b,
-				Replay:      map[int64][]float64{replayA: replayed[0].Objs, replayB: replayed[1].Objs},
-				ReplaySkips: map[int64]int{skip: 1},
+				Backend:       b,
+				Replay:        map[int64][]float64{replayA: replayed[0].Objs, replayB: replayed[1].Objs},
+				ReplayBatches: []journal.Batch{{Iteration: 1, Active: true, Unmeasured: []int64{skip}}},
 			})
-			out, bo, err := r.evaluate(idxs, 2)
+			out, bo, err := r.evaluate(idxs, 2, nil)
 			<-otherDone
 
 			if tc.wantErr == "" && err != nil {
@@ -277,7 +277,7 @@ func TestEvaluatePath(t *testing.T) {
 			Objectives: 2, MaxUnmeasuredFraction: 1, Journal: rec,
 			Backend: &dropBackend{fn: degradeEval, drop: func(param.Config) bool { return true }},
 		})
-		out, bo, err := r.evaluate(idxs, 2)
+		out, bo, err := r.evaluate(idxs, 2, nil)
 		if err != nil || len(out) != 0 || bo != (batchOutcome{unmeasured: len(idxs)}) {
 			t.Fatalf("fully lost batch: %d samples, outcome %+v, err %v", len(out), bo, err)
 		}
@@ -299,7 +299,7 @@ func TestFullyUnmeasuredBootstrapFails(t *testing.T) {
 	}
 }
 
-// Resuming a degraded run from its journal (Replay + ReplaySkips) must be
+// Resuming a degraded run from its journal (Replay + ReplayBatches) must be
 // byte-identical — same samples, same front, same skip history — without
 // a single backend call.
 func TestDegradedResumeByteIdentical(t *testing.T) {
@@ -321,7 +321,7 @@ func TestDegradedResumeByteIdentical(t *testing.T) {
 	rec := &memRecorder{}
 	opts := degradeOpts(rec, 0.9, dead)
 	opts.Replay = replay
-	opts.ReplaySkips = ref.skips()
+	opts.ReplayBatches = ref.batches
 	res, err := Run(space, nil, opts)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)

@@ -48,20 +48,6 @@ func (r *memRecorder) samples() []journal.SampleRecord {
 	return out
 }
 
-// skips flattens the recorded unmeasured history into the ReplaySkips map
-// shape, mirroring journal.Recovered.Skips.
-func (r *memRecorder) skips() map[int64]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := make(map[int64]int)
-	for _, b := range r.batches {
-		for _, idx := range b.Unmeasured {
-			m[idx]++
-		}
-	}
-	return m
-}
-
 func resumeSpace(t *testing.T) *param.Space {
 	t.Helper()
 	space, err := param.NewSpace(

@@ -102,7 +102,7 @@ func TestGoldenJournal(t *testing.T) {
 // every returned batch can be appended again, and the file then recovers
 // with nothing left to truncate and every batch read back.
 func FuzzRecover(f *testing.F) {
-	for _, name := range []string{"golden.jsonl", "golden_torn.jsonl"} {
+	for _, name := range []string{"golden.jsonl", "golden_torn.jsonl", "golden_rounds.jsonl"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -137,4 +137,71 @@ func FuzzRecover(f *testing.F) {
 				again.TruncatedBytes, len(again.Batches), 2*len(rec.Batches))
 		}
 	})
+}
+
+// goldenRoundsRecovered is what testdata/golden_rounds.jsonl must recover
+// to: a run journaled with each active-learning round's model decisions — a
+// round whose first OOB estimate is undefined (null), a degraded round that
+// selected four configurations and measured two, and a round cut short by a
+// shutdown, whose record holds fewer samples than it selected.
+func goldenRoundsRecovered() *Recovered {
+	stamp := time.Date(2024, 3, 9, 12, 0, 0, 0, time.UTC)
+	return &Recovered{
+		Header: Header{Version: 1, RunID: "run-000043", Problem: "synthetic", Fingerprint: "objs=2;size=64;seed=9", Seed: 9, Created: stamp},
+		Batches: []Batch{
+			{Iteration: 0, Samples: []SampleRecord{
+				{Index: 3, Objs: []float64{0.25, 41.5}},
+				{Index: 60, Objs: []float64{1e-09, 1.0 / 3}},
+			}},
+			{Iteration: 1, Active: true, Samples: []SampleRecord{
+				{Index: 17, Objs: []float64{1.5, 12}},
+			}, Round: &Round{Selected: 1, PredictedFrontSize: 6, OOBError: []float64{math.NaN(), 0.125}, OOBSamples: []int{0, 2}}},
+			{Iteration: 2, Active: true, Samples: []SampleRecord{
+				{Index: 21, Objs: []float64{math.NaN(), 7}},
+				{Index: 22, Objs: []float64{0, -2.5e+21}},
+			}, Unmeasured: []int64{5, 44}, Round: &Round{Selected: 4, PredictedFrontSize: 9, OOBError: []float64{0.5, 1e-12}, OOBSamples: []int{3, 3}}},
+			{Iteration: 3, Active: true, Samples: []SampleRecord{
+				{Index: 30, Objs: []float64{2, 2}},
+			}, Round: &Round{Selected: 3, PredictedFrontSize: 3, OOBError: []float64{0.75, 0.25}, OOBSamples: []int{4, 5}}},
+		},
+		Checkpoints: []Checkpoint{{Reason: "shutdown", Samples: 6, Time: stamp.Add(90 * time.Second)}},
+	}
+}
+
+// The round object is part of the on-disk format: the committed journal
+// recovers to the fixed value, NaN OOB errors included, and the writer
+// produces it byte for byte.
+func TestGoldenRoundsJournal(t *testing.T) {
+	want := goldenRoundsRecovered()
+	rec, err := Recover(copyGolden(t, "golden_rounds.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(rec)
+	if wantJSON, _ := json.Marshal(want); !bytes.Equal(got, wantJSON) {
+		t.Errorf("golden_rounds.jsonl recovered to\n%s\nwant\n%s", got, wantJSON)
+	}
+	if r := rec.Batches[1].Round; r == nil || !math.IsNaN(r.OOBError[0]) {
+		t.Errorf("round 1 recovered as %+v, want a NaN first OOB error", r)
+	}
+
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	w, err := Create(path, want.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range want.Batches {
+		if err := w.Batch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Checkpoint(want.Checkpoints[0]); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	written, _ := os.ReadFile(path)
+	golden, _ := os.ReadFile(filepath.Join("testdata", "golden_rounds.jsonl"))
+	if !bytes.Equal(written, golden) {
+		t.Errorf("the writer produced\n%s\nwant testdata/golden_rounds.jsonl\n%s", written, golden)
+	}
 }

@@ -87,6 +87,23 @@ type Batch struct {
 	// Unmeasured lists design-space indices this batch skipped without a
 	// measurement, in batch order.
 	Unmeasured []int64 `json:"unmeasured,omitempty"`
+	// Round, on an active-learning batch, is what the round's model work
+	// decided, so a resumed run can take the round as journaled instead of
+	// refitting and re-predicting to pick the same batch. Absent on the
+	// bootstrap and in journals written before it existed; a reader that
+	// ignores it resumes by recomputing the round.
+	Round *Round `json:"round,omitempty"`
+}
+
+// Round is the model side of one active-learning round: how many
+// configurations it selected (len of the batch it asked for, measured or
+// not), the predicted front's size, and the per-objective out-of-bag
+// statistics of the forests it fit.
+type Round struct {
+	Selected           int            `json:"selected"`
+	PredictedFrontSize int            `json:"predicted_front_size"`
+	OOBError           nanjson.Vector `json:"oob_error"`
+	OOBSamples         []int          `json:"oob_samples"`
 }
 
 // Checkpoint marks an orderly event mid-run — today, a graceful daemon
@@ -287,24 +304,6 @@ func (r *Recovered) Replay() map[int64][]float64 {
 	for _, b := range r.Batches {
 		for _, s := range b.Samples {
 			m[s.Index] = s.Objs
-		}
-	}
-	return m
-}
-
-// Skips flattens the journal's degraded-batch history into the index →
-// skip-count map the engine's resume path consumes (Options.ReplaySkips).
-// Counts, not a set: an index skipped in one batch can be measured — or
-// skipped again — in a later one, and resume must consume the skips in
-// the same order. Nil when no batch degraded.
-func (r *Recovered) Skips() map[int64]int {
-	var m map[int64]int
-	for _, b := range r.Batches {
-		for _, idx := range b.Unmeasured {
-			if m == nil {
-				m = make(map[int64]int)
-			}
-			m[idx]++
 		}
 	}
 	return m

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -330,9 +331,9 @@ func TestWriteJSONAtomicRoundTrip(t *testing.T) {
 	}
 }
 
-// Unmeasured indices round-trip through the journal, and Skips counts
-// repeat skips of the same index across batches.
-func TestUnmeasuredRoundTripAndSkips(t *testing.T) {
+// Unmeasured indices round-trip through the journal, batch by batch and in
+// order, repeat skips of the same index across batches included.
+func TestUnmeasuredRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	w, err := Create(path, testHeader())
 	if err != nil {
@@ -360,33 +361,8 @@ func TestUnmeasuredRoundTripAndSkips(t *testing.T) {
 		t.Fatalf("recovered %d batches, want 3", len(rec.Batches))
 	}
 	for i, b := range rec.Batches {
-		if len(b.Unmeasured) != len(batches[i].Unmeasured) {
+		if !slices.Equal(b.Unmeasured, batches[i].Unmeasured) {
 			t.Fatalf("batch %d unmeasured = %v, want %v", i, b.Unmeasured, batches[i].Unmeasured)
 		}
-	}
-	skips := rec.Skips()
-	if skips[7] != 2 || skips[9] != 1 || len(skips) != 2 {
-		t.Fatalf("Skips() = %v, want {7:2 9:1}", skips)
-	}
-}
-
-// A journal with no unmeasured entries yields a nil skip map, so resume
-// paths can pass it straight through without allocation.
-func TestSkipsNilWhenNoneRecorded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	w, err := Create(path, testHeader())
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	writeBatches(t, w, 2)
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	rec, err := Recover(path)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if rec.Skips() != nil {
-		t.Fatalf("Skips() = %v, want nil", rec.Skips())
 	}
 }

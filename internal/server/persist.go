@@ -27,9 +27,12 @@ import (
 // is the single source of truth: a directory with meta and journal but no
 // result is by definition an interrupted run, which -resume replays.
 // Resume works by relaunching the deterministic engine with the journaled
-// measurements pre-loaded (core.Options.Replay) — every random draw, pool,
-// and forest fit is recomputed identically, only the evaluator calls are
-// skipped, so a resumed run is byte-identical to an uninterrupted one.
+// measurements and batch records pre-loaded (core.Options.Replay and
+// ReplayBatches): every round the journal holds whole is fast-forwarded —
+// its journaled batch measured from the journal, with no forest fit, pool
+// prediction or selection — and only an incomplete or unrecorded round is
+// recomputed. No evaluator call is repeated, so a resumed run is
+// byte-identical to an uninterrupted one.
 
 // runMeta is meta.json: enough to rebuild the session and its engine
 // options after a restart.
@@ -310,7 +313,7 @@ func (m *Manager) resumeRun(s *session) {
 	s.jw = jw
 	s.journaled.Store(int64(rec.Samples()))
 	opts.Replay = rec.Replay()
-	opts.ReplaySkips = rec.Skips()
+	opts.ReplayBatches = rec.Batches
 	m.run(s, opts)
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -703,5 +704,124 @@ func TestPersistNaNObjectiveResumes(t *testing.T) {
 	}
 	if got := getFrontBytes(t, ts2, st.ID); got != front {
 		t.Errorf("resumed front differs from the uninterrupted one:\n resumed: %s\n original: %s", got, front)
+	}
+}
+
+// untimedStatus renders what a client reads of a run apart from its
+// identity and the per-phase timings of its rounds.
+func untimedStatus(t *testing.T, st RunStatus) string {
+	t.Helper()
+	st.ID, st.Created = "", time.Time{}
+	st.Iterations = slices.Clone(st.Iterations)
+	for i := range st.Iterations {
+		ev := &st.Iterations[i]
+		ev.FitMS, ev.EncodeMS, ev.PredictMS, ev.EvalMS = 0, 0, 0, 0
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// A journal whose batch records carry no round object — as every journal
+// written before the object existed — resumes by recomputing every round,
+// to the front and status of an uninterrupted run; the same journal with
+// its round objects fast-forwards its whole rounds to the same bytes. The
+// journal is a real interrupted one: a shutdown after the first round.
+func TestPersistResumeWithoutRoundsRecomputes(t *testing.T) {
+	req := persistReq
+	req.Workers = 1
+	req.NoCache = true // a replayed configuration is neither a cache hit nor a miss
+	_, tsRef := newTestServer(t, testProblem("toy", 0))
+	refSt := postRun(t, tsRef, req)
+	want := waitTerminal(t, tsRef, refSt.ID)
+	if want.State != StateDone {
+		t.Fatalf("reference run: %s (%s)", want.State, want.Error)
+	}
+	wantFront := getFrontBytes(t, tsRef, refSt.ID)
+
+	src := t.TempDir()
+	m := NewManagerConfig(Config{DataDir: src}, testProblem("toy", 10*time.Millisecond))
+	ts := httptest.NewServer(m.Handler())
+	st := postRun(t, ts, req)
+	deadline := time.Now().Add(30 * time.Second)
+	for getStatus(t, ts, st.ID).Samples < req.RandomSamples+req.MaxBatch {
+		if time.Now().After(deadline) {
+			t.Fatal("the first round never journaled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ts.Close()
+	shutdownManager(t, m)
+	runDir := filepath.Join(src, "runs", st.ID)
+	if _, err := os.Stat(filepath.Join(runDir, "result.json")); !os.IsNotExist(err) {
+		t.Fatalf("the run finished before the shutdown (err=%v); the journal is not an interrupted one", err)
+	}
+	meta, err := os.ReadFile(filepath.Join(runDir, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := os.ReadFile(filepath.Join(runDir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, strip := range []bool{false, true} {
+		var out []byte
+		rounds := 0
+		for _, line := range strings.Split(strings.TrimSpace(string(lines)), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if b, ok := rec["batch"].(map[string]any); ok && b["round"] != nil {
+				rounds++
+				if strip {
+					delete(b, "round")
+				}
+			}
+			data, _ := json.Marshal(rec)
+			out = append(append(out, data...), '\n')
+		}
+		if rounds == 0 {
+			t.Fatal("the journal carries no round object")
+		}
+		dir := t.TempDir()
+		copyDir := filepath.Join(dir, "runs", st.ID)
+		if err := os.MkdirAll(copyDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(copyDir, "meta.json"), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(copyDir, "journal.jsonl"), out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		m2 := NewManagerConfig(Config{DataDir: dir, Resume: true}, testProblem("toy", 0))
+		ts2 := httptest.NewServer(m2.Handler())
+		got := waitTerminal(t, ts2, st.ID)
+		gotFront := getFrontBytes(t, ts2, st.ID)
+		ts2.Close()
+		shutdownManager(t, m2)
+		if gotFront != wantFront {
+			t.Errorf("strip=%v: resumed front differs:\n resumed: %s\n reference: %s", strip, gotFront, wantFront)
+		}
+		if g, w := untimedStatus(t, got), untimedStatus(t, want); g != w {
+			t.Errorf("strip=%v: resumed status\n%s\nwant\n%s", strip, g, w)
+		}
+		forwarded := 0
+		for _, ev := range got.Iterations {
+			if ev.Iteration > 0 && ev.PredictMS == 0 {
+				forwarded++
+			}
+		}
+		if strip && forwarded != 0 {
+			t.Errorf("without round objects %d rounds were fast-forwarded, want every round recomputed", forwarded)
+		}
+		if !strip && forwarded == 0 {
+			t.Error("with round objects no journaled round was fast-forwarded")
+		}
 	}
 }

@@ -527,7 +527,7 @@ func (m *Manager) dispatch(s *session, t *sched.Ticket) {
 
 // run is the one engine call in this package: fresh and dequeued sessions
 // reach it from dispatch, resumed ones from resumeRun with their journal
-// pre-loaded in opts.Replay / opts.ReplaySkips. Either way a session that
+// pre-loaded in opts.Replay / opts.ReplayBatches. Either way a session that
 // has a journal open records every batch to it.
 func (m *Manager) run(s *session, opts core.Options) {
 	if s.jw != nil {

@@ -67,13 +67,15 @@ type HTTPRequest struct {
 //
 // The bridge alone decides whether its program runs: Close retires it, and
 // from then on the program runs only while evaluations are queued on the
-// bridge — ones from a batch or session that captured a replaced problem.
+// bridge or a batch holds it (Hold) — ones from a batch or session that
+// captured a replaced problem.
 type ExecEvaluator struct {
 	argv       []string
 	names      []string
 	objectives int
 
-	// queued counts the evaluations waiting for or holding mu.
+	// queued counts the evaluations waiting for or holding mu, plus the
+	// batches holding the program.
 	queued atomic.Int64
 
 	mu      sync.Mutex
@@ -126,7 +128,8 @@ func bridgeConfig(names []string, cfg param.Config) BridgeConfig {
 
 // Evaluate implements core.Evaluator. It returns nil when the subprocess
 // cannot produce a valid objective vector even after one restart. On a
-// retired bridge the last queued evaluation stops the program it started.
+// retired bridge the last queued evaluation stops the program it started,
+// unless a batch still holds it.
 func (e *ExecEvaluator) Evaluate(cfg param.Config) []float64 {
 	e.queued.Add(1)
 	e.mu.Lock()
@@ -153,6 +156,25 @@ func (e *ExecEvaluator) Evaluate(cfg param.Config) []float64 {
 	}
 	e.logf("worker: exec bridge %s: %v", e.argv[0], lastErr)
 	return nil
+}
+
+// Hold keeps a retired bridge's program running until release is called.
+// A batch's evaluator loop (core.LocalBackend, the worker's /evaluate)
+// holds the bridge for the batch's whole length, so a batch measured one
+// configuration at a time starts a retired program once, not once per
+// configuration; release stops it when nothing else is queued.
+func (e *ExecEvaluator) Hold() (release func()) {
+	e.queued.Add(1)
+	return func() {
+		if e.queued.Add(-1) != 0 {
+			return
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.retired && e.queued.Load() == 0 {
+			e.stopLocked()
+		}
+	}
 }
 
 // roundTrip performs one request/response exchange, starting the

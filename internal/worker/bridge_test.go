@@ -2,6 +2,7 @@ package worker
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/param"
 )
 
@@ -374,8 +376,10 @@ func TestWorkerSpecRegistration(t *testing.T) {
 
 // TestReregistrationStopsProgramOfBatchInFlight: a batch that captured an
 // exec-bound problem keeps measuring across a re-registration of that
-// problem, restarting the replaced program Register stopped; the program
-// must be stopped again by the time the batch is answered.
+// problem, restarting the replaced program Register stopped once and
+// holding it for the rest of the batch, though the worker measures one
+// configuration at a time; the program must be stopped again by the time
+// the batch is answered.
 func TestReregistrationStopsProgramOfBatchInFlight(t *testing.T) {
 	pids := filepath.Join(t.TempDir(), "pids")
 	t.Setenv("BRIDGE_HELPER_PIDS", pids)
@@ -389,36 +393,75 @@ func TestReregistrationStopsProgramOfBatchInFlight(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
-	configs := make([]param.Config, 6)
-	for i := range configs {
-		configs[i] = param.Config{float64(i % 5), 1}
-	}
+	configs := sixConfigs()
 	body, _ := json.Marshal(EvaluateRequest{Problem: "bridged", Configs: configs})
-	replied := make(chan EvaluateResponse, 1)
+	replied := make(chan [][]float64, 1)
 	go func() {
 		var out EvaluateResponse
 		if resp, err := http.Post(srv.URL+"/evaluate", "application/json", strings.NewReader(string(body))); err == nil {
 			json.NewDecoder(resp.Body).Decode(&out)
 			resp.Body.Close()
 		}
+		replied <- out.Objectives
+	}()
+	waitProgram(t, pids)
+	if err := s.Register(problem()); err != nil {
+		t.Fatal(err)
+	}
+	checkRetiredBatch(t, pids, configs, <-replied)
+}
+
+// TestRetiredBridgeHeldForLocalBatch is the coordinator's side of the same
+// lifetime: a session's in-process batch, evaluated one configuration at a
+// time (core.LocalBackend with Workers 1), that outlives its bridge's
+// retirement restarts the program once and stops it when the batch ends.
+func TestRetiredBridgeHeldForLocalBatch(t *testing.T) {
+	pids := filepath.Join(t.TempDir(), "pids")
+	t.Setenv("BRIDGE_HELPER_PIDS", pids)
+	ev := helperEvaluator(t, "slow-sum", 2)
+	configs := sixConfigs()
+	replied := make(chan [][]float64, 1)
+	go func() {
+		out, _ := (&core.LocalBackend{Eval: ev, Workers: 1}).EvaluateBatch(context.Background(), configs)
 		replied <- out
 	}()
+	waitProgram(t, pids)
+	ev.Close()
+	checkRetiredBatch(t, pids, configs, <-replied)
+}
+
+// sixConfigs is the batch the retirement tests measure: at the helper's
+// 100 ms a configuration it is still running when the bridge retires.
+func sixConfigs() []param.Config {
+	configs := make([]param.Config, 6)
+	for i := range configs {
+		configs[i] = param.Config{float64(i % 5), 1}
+	}
+	return configs
+}
+
+// waitProgram waits until the helper program has recorded its first pid.
+func waitProgram(t *testing.T, pids string) {
+	t.Helper()
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		if data, _ := os.ReadFile(pids); len(data) > 0 {
-			break // the batch is measuring
+			return // the batch is measuring
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("the batch never started the program")
 		}
 	}
-	if err := s.Register(problem()); err != nil {
-		t.Fatal(err)
+}
+
+// checkRetiredBatch checks a batch whose bridge retired while it measured:
+// every configuration measured, exactly two programs started (the original
+// and the one restart the batch held to its end), and both gone.
+func checkRetiredBatch(t *testing.T, pids string, configs []param.Config, out [][]float64) {
+	t.Helper()
+	if len(out) != len(configs) {
+		t.Fatalf("batch answered %d of %d configurations", len(out), len(configs))
 	}
-	out := <-replied
-	if len(out.Objectives) != len(configs) {
-		t.Fatalf("batch answered %d of %d configurations", len(out.Objectives), len(configs))
-	}
-	for i, objs := range out.Objectives {
+	for i, objs := range out {
 		if len(objs) != 2 || objs[0] != configs[i][0]+configs[i][1] {
 			t.Fatalf("configuration %d measured %v", i, objs)
 		}
@@ -428,8 +471,8 @@ func TestReregistrationStopsProgramOfBatchInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Fields(string(data))
-	if len(lines) < 2 {
-		t.Fatalf("the replaced program was not restarted by the batch (pids %v); the test shows nothing", lines)
+	if len(lines) != 2 {
+		t.Errorf("%d programs started (pids %v), want 2: the original and one restart for the rest of the batch", len(lines), lines)
 	}
 	for _, line := range lines {
 		pid, err := strconv.Atoi(line)
@@ -437,7 +480,7 @@ func TestReregistrationStopsProgramOfBatchInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		if p, err := os.FindProcess(pid); err == nil && p.Signal(syscall.Signal(0)) == nil {
-			t.Errorf("the replaced problem's program (pid %d) still runs after the batch was answered", pid)
+			t.Errorf("the retired bridge's program (pid %d) still runs after the batch was answered", pid)
 		}
 	}
 }

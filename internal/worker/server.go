@@ -272,6 +272,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	// cancels (run cancelled, or this was the losing leg of a hedged pair)
 	// no further evaluations start and the response is abandoned.
 	ctx := r.Context()
+	release := func() {}
+	if h, ok := p.Eval.(interface{ Hold() (release func()) }); ok {
+		release = h.Hold() // an exec bridge's program stays up for the batch
+	}
 	out := make([][]float64, len(req.Configs))
 	s.inflight.Add(int64(len(req.Configs)))
 	par.ForWorkers(len(req.Configs), s.evalWorkers, func(i int) {
@@ -282,6 +286,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		out[i] = p.Eval.Evaluate(req.Configs[i])
 		s.evals.Add(1)
 	})
+	release() // before the reply: a retired program is gone once its batch is answered
 	if ctx.Err() != nil {
 		return // client is gone; nothing to write to
 	}
