@@ -223,16 +223,17 @@ func journalIndices(t *testing.T, dataDir, id string) []int64 {
 }
 
 // untimedIterations renders a run's GET /runs/{id} iterations without the
-// per-phase wall-clock timings, which no two runs share, and without the
-// memo-cache counts: a configuration a resumed run replays from its journal
-// is neither a cache hit nor a miss, and one the killed daemon measured but
+// per-phase wall-clock timings, which no two runs share. uncounted drops the
+// memo-cache counts too: a configuration the killed daemon spilled but
 // never journaled is a hit on its spill.
-func untimedIterations(t *testing.T, st server.RunStatus) string {
+func untimedIterations(t *testing.T, st server.RunStatus, uncounted bool) string {
 	t.Helper()
 	its := slices.Clone(st.Iterations)
 	for i := range its {
 		its[i].FitMS, its[i].EncodeMS, its[i].PredictMS, its[i].EvalMS = 0, 0, 0, 0
-		its[i].CacheHits, its[i].CacheMisses = 0, 0
+		if uncounted {
+			its[i].CacheHits, its[i].CacheMisses = 0, 0
+		}
 	}
 	data, err := json.Marshal(its)
 	if err != nil {
@@ -256,7 +257,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	refDir := t.TempDir()
 	ref := startDaemon(t, bin, "-data-dir", refDir)
 	refSt := ref.postRun(t, e2eReq)
-	refIters := untimedIterations(t, ref.waitDone(t, refSt.ID))
+	refIters := untimedIterations(t, ref.waitDone(t, refSt.ID), true)
 	refFront := ref.front(t, refSt.ID)
 	ref.stop(t)
 	refIdx := journalIndices(t, refDir, refSt.ID)
@@ -299,7 +300,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	if final.Samples != len(refIdx) {
 		t.Errorf("resumed run measured %d samples, reference %d", final.Samples, len(refIdx))
 	}
-	if got := untimedIterations(t, final); got != refIters {
+	if got := untimedIterations(t, final, true); got != refIters {
 		t.Errorf("resumed iterations differ from the reference's\nresumed:   %s\nreference: %s", got, refIters)
 	}
 	gotIdx := journalIndices(t, dataDir, st.ID)
@@ -335,7 +336,8 @@ func TestGracefulShutdownResume(t *testing.T) {
 	refDir := t.TempDir()
 	ref := startDaemon(t, bin, "-data-dir", refDir)
 	refSt := ref.postRun(t, e2eReq)
-	refIters := untimedIterations(t, ref.waitDone(t, refSt.ID))
+	refDone := ref.waitDone(t, refSt.ID)
+	refIters := untimedIterations(t, refDone, false)
 	refFront := ref.front(t, refSt.ID)
 	ref.stop(t)
 
@@ -368,8 +370,12 @@ func TestGracefulShutdownResume(t *testing.T) {
 	if got := revived.front(t, st.ID); got != refFront {
 		t.Errorf("front after graceful-shutdown resume differs\nresumed:   %s\nreference: %s", got, refFront)
 	}
-	if got := untimedIterations(t, final); got != refIters {
+	if got := untimedIterations(t, final, false); got != refIters {
 		t.Errorf("iterations after graceful-shutdown resume differ\nresumed:   %s\nreference: %s", got, refIters)
+	}
+	if final.CacheHits != refDone.CacheHits || final.CacheMisses != refDone.CacheMisses {
+		t.Errorf("memo-cache counts after graceful-shutdown resume: %d hits, %d misses; reference %d, %d",
+			final.CacheHits, final.CacheMisses, refDone.CacheHits, refDone.CacheMisses)
 	}
 	revived.stop(t)
 }

@@ -394,9 +394,11 @@ type run struct {
 
 	// skips holds a resumed run's pending journaled skips, consumed as its
 	// batches replay; journaled holds, per round, the one journal record
-	// that may fast-forward it. Both come from Options.ReplayBatches.
+	// that may fast-forward it; lookups, per phase, the memo-cache counts
+	// its journal records carry. All come from Options.ReplayBatches.
 	skips     map[int64]int
 	journaled map[int]*journal.Batch
+	lookups   map[int]batchOutcome
 	// fetch measures the configurations of a batch that replay does not
 	// answer, position-matched, with the memo-cache's hit and miss counts.
 	// It is resolved once, when the run starts: the space-bound view of
@@ -435,7 +437,7 @@ func newRun(ctx context.Context, space *param.Space, eval Evaluator, opts Option
 		ideal:     make([]float64, o.Objectives),
 		st:        newPoolState(space, o),
 	}
-	r.skips, r.journaled = replayPlan(o.ReplayBatches)
+	r.skips, r.journaled, r.lookups = replayPlan(o.ReplayBatches)
 	for k := range r.nadir {
 		r.nadir[k] = math.Inf(-1)
 		r.ideal[k] = math.Inf(1)
@@ -553,20 +555,26 @@ func (r *run) iterate(iter int) error {
 }
 
 // replayPlan derives from a journal's batch records, in order, the pending
-// skip count of every index a batch left unmeasured, and for each
+// skip count of every index a batch left unmeasured; for each
 // active-learning round recorded by exactly one record carrying a Round,
-// that record. A round with two records — a batch cut by a crash, whose
+// that record; and per phase, the memo-cache hits and misses of all its
+// records. A round with two records — a batch cut by a crash, whose
 // remainder the resumed run measured into a second — has lost the order of
-// its selection, so it is left out.
-func replayPlan(batches []journal.Batch) (map[int64]int, map[int]*journal.Batch) {
+// its selection, so it is left out of the rounds.
+func replayPlan(batches []journal.Batch) (map[int64]int, map[int]*journal.Batch, map[int]batchOutcome) {
 	skips := make(map[int64]int)
 	rounds := make(map[int]*journal.Batch)
 	records := make(map[int]int)
+	lookups := make(map[int]batchOutcome)
 	for i := range batches {
 		b := &batches[i]
 		for _, idx := range b.Unmeasured {
 			skips[idx]++
 		}
+		l := lookups[b.Iteration]
+		l.hits += b.Hits
+		l.misses += b.Misses
+		lookups[b.Iteration] = l
 		if b.Iteration > 0 {
 			records[b.Iteration]++
 			rounds[b.Iteration] = b
@@ -577,7 +585,7 @@ func replayPlan(batches []journal.Batch) (map[int64]int, map[int]*journal.Batch)
 			delete(rounds, iter)
 		}
 	}
-	return skips, rounds
+	return skips, rounds, lookups
 }
 
 // journaledRound returns round iter's batch, and what its model work
@@ -679,8 +687,10 @@ func (r *run) fit(iter int) ([]*forest.Forest, *forest.Classifier, error) {
 // measure is the one way configurations become samples, in either phase:
 // evaluate idxs, ingest what came back — on an error too, measurements are
 // too expensive to discard — and account for the batch in the phase's
-// statistics and the result's totals. An active-learning round's journal
-// record carries what its model work decided, read from stats.
+// statistics and the result's totals, with the memo-cache counts of the
+// phase's journaled records on a resumed run, so it reports what the
+// uninterrupted run would. An active-learning round's journal record
+// carries what its model work decided, read from stats.
 func (r *run) measure(idxs []int64, stats *IterationStats) error {
 	var round *journal.Round
 	if stats.Iteration > 0 {
@@ -694,6 +704,8 @@ func (r *run) measure(idxs []int64, stats *IterationStats) error {
 	start := time.Now()
 	batch, bo, err := r.evaluate(idxs, stats.Iteration, round)
 	stats.EvalTime = time.Since(start)
+	bo.hits += r.lookups[stats.Iteration].hits
+	bo.misses += r.lookups[stats.Iteration].misses
 	stats.NewSamples = len(batch)
 	stats.CacheHits, stats.CacheMisses, stats.Unmeasured = bo.hits, bo.misses, bo.unmeasured
 	r.res.CacheHits += bo.hits
@@ -907,8 +919,14 @@ func (r *run) evaluate(idxs []int64, iter int, round *journal.Round) ([]Sample, 
 	// replayed skips included, so a resumed run reaches the same verdict.
 	degraded := len(liveSkipped) > 0 && r.ctx.Err() == nil && o.MaxUnmeasuredFraction > 0 &&
 		float64(bo.unmeasured) <= o.MaxUnmeasuredFraction*float64(len(idxs))
+	rec.Hits, rec.Misses = bo.hits, bo.misses
 	if degraded {
 		rec.Unmeasured = liveSkipped
+	} else if len(liveSkipped) > 0 {
+		// The unmeasured tail is fetched, and counted, again on resume:
+		// the record counts only the misses it measured (none without a
+		// cache).
+		rec.Misses = min(bo.misses, len(rec.Samples)-bo.hits)
 	}
 	if o.Journal != nil && (len(rec.Samples) > 0 || degraded) {
 		if jerr := o.Journal.RecordBatch(rec); jerr != nil {

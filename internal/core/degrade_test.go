@@ -162,8 +162,11 @@ func TestEvaluatePath(t *testing.T) {
 	// position unanswered.
 	withWait := append(append(append([]Sample(nil), replayed...), cached, waited), missed...)
 	withoutWait := append(append(append([]Sample(nil), replayed...), cached), missed...)
-	journaled := func(samples []Sample, unmeasured ...int64) journal.Batch {
-		b := journal.Batch{Iteration: 2, Active: true, Unmeasured: unmeasured}
+	// A journaled batch counts the memo-cache lookups behind its samples
+	// and unmeasured indices: a miss left unmeasured and not journaled as
+	// such is fetched, and counted, again on resume.
+	journaled := func(samples []Sample, hits, misses int, unmeasured ...int64) journal.Batch {
+		b := journal.Batch{Iteration: 2, Active: true, Unmeasured: unmeasured, Hits: hits, Misses: misses}
 		for _, s := range samples[len(replayed):] {
 			b.Samples = append(b.Samples, record(s.Index, s.Objs))
 		}
@@ -182,25 +185,25 @@ func TestEvaluatePath(t *testing.T) {
 	}{
 		{name: "strict", fraction: 0,
 			samples: withWait, outcome: batchOutcome{hits: 2, misses: 3, unmeasured: 2},
-			journal: journaled(withWait), wantErr: "backend returned 6 results for a 8-configuration batch"},
+			journal: journaled(withWait, 2, 2), wantErr: "backend returned 6 results for a 8-configuration batch"},
 		{name: "below the loss", fraction: 0.2,
 			samples: withWait, outcome: batchOutcome{hits: 2, misses: 3, unmeasured: 2},
-			journal: journaled(withWait), wantErr: "backend returned 6 results"},
+			journal: journaled(withWait, 2, 2), wantErr: "backend returned 6 results"},
 		{name: "at the loss", fraction: 0.25,
 			samples: withWait, outcome: batchOutcome{hits: 2, misses: 3, unmeasured: 2},
-			journal: journaled(withWait, drop)},
+			journal: journaled(withWait, 2, 3, drop)},
 		{name: "above the loss", fraction: 1,
 			samples: withWait, outcome: batchOutcome{hits: 2, misses: 3, unmeasured: 2},
-			journal: journaled(withWait, drop)},
+			journal: journaled(withWait, 2, 3, drop)},
 		{name: "backend error below the loss", fraction: 0.25, loud: true,
 			samples: withoutWait, outcome: batchOutcome{hits: 1, misses: 3, unmeasured: 3},
-			journal: journaled(withoutWait), wantErr: "drop backend"},
+			journal: journaled(withoutWait, 1, 2), wantErr: "drop backend"},
 		{name: "backend error at the loss", fraction: 0.375, loud: true,
 			samples: withoutWait, outcome: batchOutcome{hits: 1, misses: 3, unmeasured: 3},
-			journal: journaled(withoutWait, wait, drop)},
+			journal: journaled(withoutWait, 1, 3, wait, drop)},
 		{name: "cancelled", fraction: 1, cancel: true,
 			samples: withoutWait, outcome: batchOutcome{hits: 1, misses: 3, unmeasured: 3},
-			journal: journaled(withoutWait), wantErr: "drop backend"},
+			journal: journaled(withoutWait, 1, 2), wantErr: "drop backend"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

@@ -237,16 +237,16 @@ func TestFastForwardByteIdentical(t *testing.T) {
 	}
 }
 
-// replayPlan counts every journaled skip of an index, across batches, and
+// replayPlan counts every journaled skip of an index, across batches,
 // keeps a round for fast-forwarding only when one record carrying a Round
-// holds it.
+// holds it, and sums each phase's memo-cache counts over its records.
 func TestReplayPlan(t *testing.T) {
 	rd := &journal.Round{Selected: 1}
-	skips, rounds := replayPlan([]journal.Batch{
-		{Iteration: 0, Samples: []journal.SampleRecord{{Index: 1}}, Unmeasured: []int64{7, 9}},
-		{Iteration: 1, Active: true, Unmeasured: []int64{7}, Round: rd},
-		{Iteration: 2, Active: true, Samples: []journal.SampleRecord{{Index: 2}}, Round: rd},
-		{Iteration: 2, Active: true, Samples: []journal.SampleRecord{{Index: 3}}, Round: rd},
+	skips, rounds, lookups := replayPlan([]journal.Batch{
+		{Iteration: 0, Samples: []journal.SampleRecord{{Index: 1}}, Unmeasured: []int64{7, 9}, Misses: 3},
+		{Iteration: 1, Active: true, Unmeasured: []int64{7}, Round: rd, Misses: 1},
+		{Iteration: 2, Active: true, Samples: []journal.SampleRecord{{Index: 2}}, Round: rd, Hits: 1},
+		{Iteration: 2, Active: true, Samples: []journal.SampleRecord{{Index: 3}}, Round: rd, Misses: 1},
 		{Iteration: 3, Active: true, Samples: []journal.SampleRecord{{Index: 4}}},
 	})
 	if !maps.Equal(skips, map[int64]int{7: 2, 9: 1}) {
@@ -254,5 +254,9 @@ func TestReplayPlan(t *testing.T) {
 	}
 	if len(rounds) != 1 || rounds[1] == nil || rounds[1].Round != rd {
 		t.Errorf("rounds = %v, want round 1 only", rounds)
+	}
+	want := map[int]batchOutcome{0: {misses: 3}, 1: {misses: 1}, 2: {hits: 1, misses: 1}, 3: {}}
+	if !maps.Equal(lookups, want) {
+		t.Errorf("lookups = %v, want %v", lookups, want)
 	}
 }

@@ -19,7 +19,10 @@ import (
 // Each namespace file is named by a hash of the space fingerprint and
 // begins with a header line carrying the full fingerprint; a file whose
 // header does not match is left untouched and the namespace runs
-// memory-only (never serve one space's objectives to another). Spill I/O
+// memory-only (never serve one space's objectives to another). The file is
+// opened the way a run journal is (journal.OpenAppend): a torn tail is cut,
+// so records appended after a crash stay readable, and a file with no
+// intact line — a crash inside its header — starts over. Spill I/O
 // degrades, it never breaks a run: a load failure starts the namespace
 // empty, a record of the wrong vector length or outside the space is
 // skipped (its index is measured again), an append failure disables
@@ -49,26 +52,21 @@ func spillPath(dir, fingerprint string) string {
 }
 
 // openSpill loads the namespace's persisted measurements into s.objs and
-// returns the appender for new ones. Called under c.mu, once per
-// namespace; any failure is reported through the returned error and the
-// namespace runs memory-only.
+// returns the appender for new ones, through journal.OpenAppend: a torn
+// tail is cut, and a file with no intact line starts over with the
+// namespace's header. Called under c.mu, once per namespace; any failure is
+// reported through the returned error and the namespace runs memory-only.
 func (c *EvalCache) openSpill(fingerprint string, s *spaceCache) (*journal.AppendFile, error) {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return nil, err
 	}
 	path := spillPath(c.dir, fingerprint)
-	first := true
-	foreign := false
-	_, _, err := journal.ReadLines(path, func(line []byte) error {
-		if first {
-			first = false
+	af, _, err := journal.OpenAppend(path, spillHeader{Fingerprint: fingerprint}, func(n int, line []byte) error {
+		if n == 0 {
 			var h spillHeader
 			if json.Unmarshal(line, &h) != nil || h.Fingerprint != fingerprint {
-				foreign = true
+				return fmt.Errorf("core: spill file %s belongs to a different space", path)
 			}
-			return nil
-		}
-		if foreign {
 			return nil
 		}
 		var r journal.SampleRecord
@@ -85,24 +83,7 @@ func (c *EvalCache) openSpill(fingerprint string, s *spaceCache) (*journal.Appen
 		s.objs[r.Index] = r.Objs
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if foreign {
-		return nil, fmt.Errorf("core: spill file %s belongs to a different space", path)
-	}
-	af, err := journal.OpenAppend(path)
-	if err != nil {
-		return nil, err
-	}
-	if first {
-		// Fresh file: stamp the namespace identity before any record.
-		if err := af.Append(spillHeader{Fingerprint: fingerprint}); err != nil {
-			af.Close()
-			return nil, err
-		}
-	}
-	return af, nil
+	return af, err
 }
 
 // spill durably appends newly memoized entries to the namespace file.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/param"
 )
 
@@ -73,21 +75,10 @@ func TestEvalCacheSpillSurvivesRestart(t *testing.T) {
 	}
 }
 
-// A torn trailing record in the spill file (crash mid-append) must not
-// poison the namespace: intact entries load, the torn one re-measures.
-func TestEvalCacheSpillTornTail(t *testing.T) {
-	dir := t.TempDir()
-	space := spillSpace(t)
-	eval := EvaluatorFunc(func(cfg param.Config) []float64 { return []float64{cfg[0], cfg[1]} })
-	opts := Options{Objectives: 2, RandomSamples: 8, MaxIterations: 1, MaxBatch: 4, Seed: 5}
-
-	c1 := NewEvalCacheDir(dir)
-	opts.Cache = c1
-	if _, err := Run(space, eval, opts); err != nil {
-		t.Fatal(err)
-	}
-	c1.Close()
-
+// tearSpill appends a torn record to the one spill file under dir, as a
+// crash mid-append leaves it.
+func tearSpill(t *testing.T, dir string) {
+	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("spill files = %v (%v)", files, err)
@@ -98,17 +89,127 @@ func TestEvalCacheSpillTornTail(t *testing.T) {
 	}
 	f.WriteString(`{"i":999,"o":[1.`)
 	f.Close()
+}
 
-	c2 := NewEvalCacheDir(dir)
-	opts.Cache = c2
-	res, err := Run(space, eval, opts)
+// runSpilled runs opts over a fresh cache on dir, as one daemon process
+// does, and returns how many configurations it measured and how many the
+// cache served.
+func runSpilled(t *testing.T, dir string, opts Options) (measured int64, hits int) {
+	t.Helper()
+	var calls atomic.Int64
+	eval := EvaluatorFunc(func(cfg param.Config) []float64 {
+		calls.Add(1)
+		return []float64{cfg[0], cfg[1]}
+	})
+	c := NewEvalCacheDir(dir)
+	defer c.Close()
+	opts.Cache = c
+	res, err := Run(spillSpace(t), eval, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CacheMisses != 0 {
-		t.Errorf("after torn tail, misses = %d, want 0 (intact entries must load)", res.CacheMisses)
+	if c.SpillErrors() != 0 {
+		t.Errorf("spill errors = %d, want 0", c.SpillErrors())
 	}
-	c2.Close()
+	return calls.Load(), res.CacheHits
+}
+
+// A torn trailing record in the spill file (crash mid-append) must not
+// poison the namespace: intact entries load, the torn tail is cut, and what
+// the next process spills after it loads in the process after that.
+func TestEvalCacheSpillTornTail(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Objectives: 2, RandomSamples: 8, MaxIterations: 1, MaxBatch: 4, Seed: 5}
+	runSpilled(t, dir, opts)
+	tearSpill(t, dir)
+
+	wider := opts
+	wider.RandomSamples = 14
+	if n, hits := runSpilled(t, dir, wider); n == 0 || hits == 0 {
+		t.Fatalf("after a torn tail, the second process measured %d and was served %d; want both > 0 (intact entries must load)", n, hits)
+	}
+	if n, _ := runSpilled(t, dir, wider); n != 0 {
+		t.Errorf("the third process re-measured %d configurations the second one spilled after the torn tail", n)
+	}
+}
+
+// A spill file cut inside its header line holds no intact line: the next
+// process starts it over, and the process after that measures nothing.
+func TestEvalCacheSpillTornHeader(t *testing.T) {
+	dir := t.TempDir()
+	space := spillSpace(t)
+	header, _ := json.Marshal(spillHeader{Fingerprint: SpaceFingerprint(space, 2)})
+	if err := os.WriteFile(spillPath(dir, SpaceFingerprint(space, 2)), header[:len(header)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Objectives: 2, RandomSamples: 8, MaxIterations: 1, MaxBatch: 4, Seed: 5}
+	if n, _ := runSpilled(t, dir, opts); n != 8 {
+		t.Fatalf("over a torn header the run measured %d, want 8", n)
+	}
+	if n, _ := runSpilled(t, dir, opts); n != 0 {
+		t.Errorf("the next process re-measured %d configurations spilled after a torn header", n)
+	}
+}
+
+// A crash can cut the spill file at any byte. Cut the committed spill file
+// at each: the records wholly before the cut load, nothing is counted as a
+// spill error, and the records a process appends after the cut survive the
+// next open.
+func TestSpillCrashCuts(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "spill.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := spillSpace(t)
+	fp := SpaceFingerprint(space, 2)
+	measure := &LocalBackend{Eval: EvaluatorFunc(func(cfg param.Config) []float64 { return []float64{cfg[0], -cfg[1]} })}
+	all := make([]int64, space.Size())
+	cfgs := make([]param.Config, space.Size())
+	for i := range all {
+		all[i] = int64(i)
+		cfgs[i] = space.AtIndex(all[i])
+	}
+	dir := t.TempDir()
+	for cut := 0; cut <= len(golden); cut++ {
+		if err := os.WriteFile(spillPath(dir, fp), golden[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		intact := bytes.LastIndexByte(golden[:cut], '\n') + 1
+		want := make(map[int64]string)
+		for n, line := range bytes.Split(golden[:intact], []byte("\n")) {
+			var r journal.SampleRecord
+			if n > 0 && json.Unmarshal(line, &r) == nil {
+				want[r.Index] = fmt.Sprint(r.Objs)
+			}
+		}
+
+		c := NewEvalCacheDir(dir)
+		v := c.view(fp, 2, space.Size(), measure)
+		loaded := make(map[int64]string, len(v.s.objs))
+		for idx, objs := range v.s.objs {
+			loaded[idx] = fmt.Sprint(objs)
+		}
+		if !reflect.DeepEqual(loaded, want) {
+			t.Fatalf("cut %d: loaded %v, want %v", cut, loaded, want)
+		}
+		objs, _, err := v.fetchBatch(context.Background(), all, cfgs)
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		reopened := NewEvalCacheDir(dir)
+		s := reopened.view(fp, 2, space.Size(), nil).s
+		for i, o := range objs {
+			if got := fmt.Sprint(s.objs[int64(i)]); got != fmt.Sprint(o) {
+				t.Fatalf("cut %d: index %d reopened as %s, want %v", cut, i, got, o)
+			}
+		}
+		if c.SpillErrors() != 0 || reopened.SpillErrors() != 0 {
+			t.Fatalf("cut %d: %d and %d spill errors, want none", cut, c.SpillErrors(), reopened.SpillErrors())
+		}
+		reopened.Close()
+	}
 }
 
 // A spill file from a different space must be refused, leaving the

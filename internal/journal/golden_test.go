@@ -118,7 +118,7 @@ func FuzzRecover(f *testing.F) {
 		if err != nil {
 			return
 		}
-		w, err := OpenAppendWriter(path)
+		w, _, err := Reopen(path, rec.Header)
 		if err != nil {
 			t.Fatal(err)
 		}

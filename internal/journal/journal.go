@@ -1,9 +1,10 @@
 // Package journal is the durability layer of the daemon: an append-only,
-// fsync'd JSON-lines evaluation journal per run, a torn-tail-tolerant
-// reader that makes crash recovery total (a half-written trailing record
-// is truncated and appending continues — recovery never crash-loops), and
-// the temp-file+rename atomic-write helper every other persisted artifact
-// in the repository goes through.
+// fsync'd JSON-lines evaluation journal per run, the one open path of every
+// append-only file (OpenAppend: the journal and the memo-cache spill alike)
+// that makes crash recovery total — a torn tail is cut on every open, a file
+// with no intact line restarts with its header, and appending continues, so
+// recovery never crash-loops — and the temp-file+rename atomic-write helper
+// every other persisted artifact in the repository goes through.
 //
 // A journal file is one record per line:
 //
@@ -23,8 +24,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"time"
@@ -93,6 +96,12 @@ type Batch struct {
 	// bootstrap and in journals written before it existed; a reader that
 	// ignores it resumes by recomputing the round.
 	Round *Round `json:"round,omitempty"`
+	// Hits and Misses count the memo-cache lookups behind the batch's
+	// measured and unmeasured configurations, so a resumed run reports the
+	// counts the interrupted one saw. Absent when zero — without a cache,
+	// and in journals written before they existed.
+	Hits   int `json:"hits,omitempty"`
+	Misses int `json:"misses,omitempty"`
 }
 
 // Round is the model side of one active-learning round: how many
@@ -142,13 +151,74 @@ type AppendFile struct {
 	f  *os.File
 }
 
-// OpenAppend opens (creating if needed) path for durable line appends.
-func OpenAppend(path string) (*AppendFile, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// OpenAppend is the one way an append-only JSON-lines file is opened — a
+// run journal (Reopen, Create) and a memo-cache spill alike. It passes each
+// intact line to each, in order, with its position among them (0 is the
+// header); cuts the torn tail, from the first line that is not valid JSON
+// or a final line without its newline to the end of the file; and opens the
+// file for durable appends. A file that holds no intact line — absent,
+// empty, or only a torn first line — is started over with header as its
+// first line. It returns the number of torn bytes cut. An error from each
+// (a foreign header, say) is returned with the file left byte for byte as
+// it was.
+func OpenAppend(path string, header any, each func(n int, line []byte) error) (*AppendFile, int64, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return &AppendFile{f: f}, nil
+	af := &AppendFile{f: f}
+	lines, cut, err := readCut(f, each)
+	if err == nil && lines == 0 {
+		if err = f.Truncate(0); err == nil {
+			err = af.Append(header)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return af, cut, nil
+}
+
+// readCut passes each intact line of f to each, as OpenAppend describes,
+// and truncates f after the last intact line. It returns how many lines
+// each saw and how many bytes were cut; after an error from each, f is
+// untouched.
+func readCut(f *os.File, each func(n int, line []byte) error) (lines int, cut int64, err error) {
+	var intact int64
+	r := bufio.NewReaderSize(f, 1<<16)
+	for {
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			// A final line without its newline is by definition torn: the
+			// newline is part of the record's single durable write.
+			break
+		}
+		if err != nil {
+			return lines, 0, err
+		}
+		trimmed := bytes.TrimSpace(line)
+		if len(trimmed) > 0 {
+			if !json.Valid(trimmed) {
+				break
+			}
+			if err := each(lines, trimmed); err != nil {
+				return lines, 0, err
+			}
+			lines++
+		}
+		intact += int64(len(line))
+	}
+	info, err := f.Stat()
+	if err != nil {
+		return lines, 0, err
+	}
+	if cut = info.Size() - intact; cut > 0 {
+		if err := f.Truncate(intact); err != nil {
+			return lines, 0, fmt.Errorf("journal: cutting the torn tail of %s: %w", f.Name(), err)
+		}
+	}
+	return lines, cut, nil
 }
 
 // Append durably writes each value as its own JSON line, with one write
@@ -185,76 +255,39 @@ func (a *AppendFile) Close() error {
 	return err
 }
 
-// ReadLines parses every intact JSON line of path through fn, stopping at
-// the first malformed line (a torn tail from a crash mid-append). It
-// returns the byte offset of the end of the last intact line — the length
-// the file should be truncated to before appending resumes — and whether
-// a malformed tail was found. A missing file reads as empty.
-func ReadLines(path string, fn func(line []byte) error) (intact int64, torn bool, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			// A final line without its newline is by definition torn: the
-			// newline is part of the record's single durable write.
-			return intact, len(line) > 0, nil
-		}
-		if err != nil {
-			return intact, false, err
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) > 0 && !json.Valid(trimmed) {
-			return intact, true, nil
-		}
-		if len(trimmed) > 0 {
-			if err := fn(trimmed); err != nil {
-				return intact, false, err
-			}
-		}
-		intact += int64(len(line))
-	}
-}
-
 // Writer appends records to one run's journal.
 type Writer struct {
 	af *AppendFile
 }
 
-// Create starts a fresh journal at path, truncating any previous content,
-// and durably writes the header as its first record.
+// Create starts a fresh journal at path, removing any previous one, and
+// durably writes the header as its first record.
 func Create(path string, h Header) (*Writer, error) {
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	w, _, err := Reopen(path, h)
+	return w, err
+}
+
+// Reopen is the resume path's one open of a run journal: it reads every
+// intact record, cuts the torn tail and opens the journal for appending, all
+// through OpenAppend. A journal with no intact line — absent, empty, or cut
+// inside its header — starts over with h as its header, and recovers as a
+// run that measured nothing. A header from a future format version, or one
+// whose fingerprint is not h's, is an error that leaves the file as it was,
+// so nothing is ever appended to another run's journal.
+func Reopen(path string, h Header) (*Writer, *Recovered, error) {
 	if h.Version == 0 {
 		h.Version = Version
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	rec := &Recovered{Header: h}
+	af, cut, err := OpenAppend(path, record{T: TypeHeader, Header: &h}, rec.parse(path, h.Fingerprint))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	w := &Writer{af: &AppendFile{f: f}}
-	if err := w.af.Append(record{T: TypeHeader, Header: &h}); err != nil {
-		w.Close()
-		return nil, err
-	}
-	return w, nil
-}
-
-// OpenAppendWriter opens an existing journal for appending — the resume
-// path, after Recover has truncated any torn tail. The header is not
-// rewritten.
-func OpenAppendWriter(path string) (*Writer, error) {
-	af, err := OpenAppend(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Writer{af: af}, nil
+	rec.TruncatedBytes = cut
+	return &Writer{af: af}, rec, nil
 }
 
 // Batch durably appends one completed evaluation batch.
@@ -309,61 +342,61 @@ func (r *Recovered) Replay() map[int64][]float64 {
 	return m
 }
 
-// Recover reads a run journal, tolerating a torn or corrupt trailing
-// record: everything after the last intact record is dropped and the file
-// is truncated in place so appending can resume cleanly. Only a journal
-// whose header is unreadable (or from a future format version) is an
-// error — anything less is recovered from, never crash-looped on.
+// Recover reads a run journal and cuts its torn tail, as Reopen does, but
+// opens nothing for appending and starts nothing over: a journal without a
+// readable header, an absent one included, is an error, as is one from a
+// future format version.
 func Recover(path string) (*Recovered, error) {
-	rec := &Recovered{}
-	sawHeader := false
-	intact, torn, err := ReadLines(path, func(line []byte) error {
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil {
-			// json.Valid passed, so this is a schema mismatch, not a torn
-			// write; treat the record as opaque (forward compatibility).
-			return nil
-		}
-		switch r.T {
-		case TypeHeader:
-			if r.Header != nil && !sawHeader {
-				rec.Header = *r.Header
-				sawHeader = true
-			}
-		case TypeBatch:
-			if r.Batch != nil {
-				rec.Batches = append(rec.Batches, *r.Batch)
-			}
-		case TypeCheckpoint:
-			if r.Checkpoint != nil {
-				rec.Checkpoints = append(rec.Checkpoints, *r.Checkpoint)
-			}
-		case TypeDone:
-			if r.Done != nil {
-				rec.Done = r.Done
-			}
-		}
-		return nil
-	})
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
 	}
-	if !sawHeader {
+	defer f.Close()
+	rec := &Recovered{}
+	lines, cut, err := readCut(f, rec.parse(path, ""))
+	if err != nil {
+		return nil, err
+	}
+	if lines == 0 {
 		return nil, fmt.Errorf("journal: %s has no readable header", path)
 	}
-	if rec.Header.Version > Version {
-		return nil, fmt.Errorf("journal: %s is format version %d, this build reads ≤ %d",
-			path, rec.Header.Version, Version)
-	}
-	if torn {
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-		rec.TruncatedBytes = info.Size() - intact
-		if err := os.Truncate(path, intact); err != nil {
-			return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
-		}
-	}
+	rec.TruncatedBytes = cut
 	return rec, nil
+}
+
+// parse returns the line parser Recover and Reopen pass to readCut. The
+// first line must be a header this build reads, of the given fingerprint
+// unless that is empty; every later line is a record, and one of an unknown
+// type or shape is skipped (forward compatibility).
+func (rec *Recovered) parse(path, fingerprint string) func(n int, line []byte) error {
+	return func(n int, line []byte) error {
+		var r record
+		err := json.Unmarshal(line, &r)
+		if n == 0 {
+			switch {
+			case err != nil || r.T != TypeHeader || r.Header == nil:
+				return fmt.Errorf("journal: %s has no readable header", path)
+			case r.Header.Version > Version:
+				return fmt.Errorf("journal: %s is format version %d, this build reads ≤ %d",
+					path, r.Header.Version, Version)
+			case fingerprint != "" && r.Header.Fingerprint != fingerprint:
+				return fmt.Errorf("journal: %s has fingerprint %q, not the relaunched run's %q; refusing to replay",
+					path, r.Header.Fingerprint, fingerprint)
+			}
+			rec.Header = *r.Header
+			return nil
+		}
+		if err != nil {
+			return nil
+		}
+		switch {
+		case r.T == TypeBatch && r.Batch != nil:
+			rec.Batches = append(rec.Batches, *r.Batch)
+		case r.T == TypeCheckpoint && r.Checkpoint != nil:
+			rec.Checkpoints = append(rec.Checkpoints, *r.Checkpoint)
+		case r.T == TypeDone && r.Done != nil:
+			rec.Done = r.Done
+		}
+		return nil
+	}
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -126,9 +127,9 @@ func TestRecoverTornTail(t *testing.T) {
 			}
 
 			// The file must now be clean: append a batch and recover again.
-			w2, err := OpenAppendWriter(path)
+			w2, _, err := Reopen(path, testHeader())
 			if err != nil {
-				t.Fatalf("OpenAppendWriter: %v", err)
+				t.Fatalf("Reopen: %v", err)
 			}
 			if err := w2.Batch(Batch{Iteration: 3}); err != nil {
 				t.Fatalf("Batch after recovery: %v", err)
@@ -192,10 +193,83 @@ func TestRecoverErrors(t *testing.T) {
 		t.Errorf("Recover(future) = %v, want version error", err)
 	}
 
-	// Missing file: readable as empty lines but an error from Recover
-	// (no header).
+	// Missing file: an error too (unlike Reopen, Recover starts nothing
+	// over).
 	if _, err := Recover(filepath.Join(dir, "missing.jsonl")); err == nil {
 		t.Error("Recover(missing) succeeded, want error")
+	}
+}
+
+// A journal with no intact line — absent, empty, or cut at any byte of its
+// header line — reopens as a run that measured nothing: Reopen starts it
+// over with the given header, and what is appended next recovers.
+func TestReopenHeaderlessJournal(t *testing.T) {
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole.jsonl")
+	w, err := Create(whole, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	headerLine, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testHeader()
+	want.Version = Version
+	path := filepath.Join(dir, "journal.jsonl")
+	for cut := -1; cut < len(headerLine); cut++ { // -1: no journal file at all
+		os.Remove(path)
+		if cut >= 0 {
+			if err := os.WriteFile(path, headerLine[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w, rec, err := Reopen(path, testHeader())
+		if err != nil {
+			t.Fatalf("cut %d: Reopen: %v", cut, err)
+		}
+		if rec.Header != want || len(rec.Batches) != 0 || rec.TruncatedBytes != int64(max(cut, 0)) {
+			t.Fatalf("cut %d: recovered %+v, want the given header, no batch and %d bytes cut", cut, rec, max(cut, 0))
+		}
+		if data, _ := os.ReadFile(path); !bytes.Equal(data, headerLine) {
+			t.Fatalf("cut %d: the journal restarted as %q, want the header line %q", cut, data, headerLine)
+		}
+		writeBatches(t, w, 1)
+		w.Close()
+		if rec, err := Recover(path); err != nil || len(rec.Batches) != 1 {
+			t.Fatalf("cut %d: after an append, Recover = %+v, %v; want one batch", cut, rec, err)
+		}
+	}
+}
+
+// Reopen refuses a journal it must not append to — another run's, or one
+// from a future format version — and leaves it byte for byte as it was,
+// torn tail included.
+func TestReopenForeignJournalUntouched(t *testing.T) {
+	for name, h := range map[string]Header{
+		"other fingerprint": {RunID: "run-000001", Fingerprint: "fp-2"},
+		"future version":    {Version: Version + 1, RunID: "run-000001", Fingerprint: "fp-1"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.jsonl")
+			w, err := Create(path, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeBatches(t, w, 2)
+			w.Close()
+			f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			f.WriteString(`{"t":"batch","bat`)
+			f.Close()
+			before, _ := os.ReadFile(path)
+			if _, _, err := Reopen(path, testHeader()); err == nil {
+				t.Fatal("Reopen accepted the journal")
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+				t.Errorf("the refused journal changed:\n%s\nwas\n%s", after, before)
+			}
+		})
 	}
 }
 
@@ -209,7 +283,7 @@ func TestRecoverSkipsUnknownRecords(t *testing.T) {
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	f.WriteString(`{"t":"future-metric","payload":{"x":1}}` + "\n")
 	f.Close()
-	w2, _ := OpenAppendWriter(path)
+	w2, _, _ := Reopen(path, testHeader())
 	writeBatches(t, w2, 1)
 	w2.Close()
 	rec, err := Recover(path)
@@ -256,7 +330,7 @@ func TestConcurrentAppends(t *testing.T) {
 
 func TestAppendAfterClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.jsonl")
-	af, err := OpenAppend(path)
+	af, _, err := OpenAppend(path, map[string]int{"header": 1}, func(int, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

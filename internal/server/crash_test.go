@@ -1,0 +1,217 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/journal"
+	"repro/internal/par"
+	"repro/internal/param"
+)
+
+// journalCuts lists the byte lengths a crash is made to leave of a run's
+// journal: -1 for no journal file at all, every byte of the header line,
+// every record boundary ±2 bytes, and a fixed stride over the rest.
+func journalCuts(data []byte) []int {
+	header := bytes.IndexByte(data, '\n') + 1
+	cuts := []int{-1}
+	seen := map[int]bool{-1: true}
+	add := func(n int) {
+		if n >= 0 && n <= len(data) && !seen[n] {
+			seen[n] = true
+			cuts = append(cuts, n)
+		}
+	}
+	for n := 0; n <= header; n++ {
+		add(n)
+	}
+	for end := 0; end < len(data); {
+		end += bytes.IndexByte(data[end:], '\n') + 1
+		for d := -2; d <= 2; d++ {
+			add(end + d)
+		}
+	}
+	for n := header; n <= len(data); n += 97 {
+		add(n)
+	}
+	return cuts
+}
+
+// journaledSamples counts the measurements in the intact batch records of a
+// journal prefix: the lines it holds whole, after a header.
+func journaledSamples(prefix []byte) int {
+	lines := bytes.Split(prefix[:bytes.LastIndexByte(prefix, '\n')+1], []byte("\n"))
+	n := 0
+	for i, line := range lines {
+		var r struct {
+			T     string         `json:"t"`
+			Batch *journal.Batch `json:"batch"`
+		}
+		if i == 0 && (json.Unmarshal(line, &r) != nil || r.T != journal.TypeHeader) {
+			return 0
+		}
+		if i > 0 && json.Unmarshal(line, &r) == nil && r.Batch != nil {
+			n += len(r.Batch.Samples)
+		}
+	}
+	return n
+}
+
+// crashProblem is the persistence tests' toy problem on a coarser grid,
+// whose short fingerprint keeps the journal's header line, each byte of
+// which is a cut, short; its evaluator counts its calls.
+func crashProblem(calls *atomic.Int64) Problem {
+	problem := testProblem("toy", 0)
+	problem.Space = param.MustSpace(param.Grid("a", 0, 4, 9), param.Grid("b", 0, 4, 9))
+	inner := problem.Eval
+	problem.Eval = core.EvaluatorFunc(func(cfg param.Config) []float64 {
+		calls.Add(1)
+		return inner.Evaluate(cfg)
+	})
+	return problem
+}
+
+// cutResult is how a run resumed from one journal cut ended.
+type cutResult struct {
+	res              storedResult
+	calls, journaled int
+	err              error
+}
+
+// resumeCut gives an interrupted run's directory under base — meta, no
+// result, no cache spill — the first cut bytes of data as its journal (no
+// journal file when cut is -1), resumes it in a fresh manager and returns
+// how the run ended.
+func resumeCut(base, id string, meta, data []byte, cut int) cutResult {
+	dir := filepath.Join(base, strconv.Itoa(cut))
+	defer os.RemoveAll(dir)
+	runDir := filepath.Join(dir, "runs", id)
+	var r cutResult
+	if r.err = os.MkdirAll(runDir, 0o755); r.err != nil {
+		return r
+	}
+	if r.err = os.WriteFile(filepath.Join(runDir, "meta.json"), meta, 0o644); r.err != nil {
+		return r
+	}
+	if cut >= 0 {
+		if r.err = os.WriteFile(filepath.Join(runDir, "journal.jsonl"), data[:cut], 0o644); r.err != nil {
+			return r
+		}
+		r.journaled = journaledSamples(data[:cut])
+	}
+	var calls atomic.Int64
+	m := NewManagerConfig(Config{DataDir: dir, Resume: true}, crashProblem(&calls))
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		if s, ok := m.Get(id); ok && s.status().State.Terminal() {
+			if st := s.status(); st.State != StateDone {
+				r.err = fmt.Errorf("%s (%s)", st.State, st.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			r.err = fmt.Errorf("run %s did not reach a terminal state", id)
+			break
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.Shutdown(ctx); err != nil && r.err == nil {
+		r.err = err
+	}
+	r.calls = int(calls.Load())
+	if r.err == nil {
+		r.res, r.err = readResult(runDir)
+	}
+	return r
+}
+
+// A crash can cut a run's journal at any byte, or come before the journal
+// file exists. A real run is journaled to the end; then an interrupted
+// run's directory takes each cut of that journal (journalCuts) and is
+// resumed (resumeCut). Every cut must end done with the reference front,
+// byte for byte, and the reference status, timings aside and memo-cache
+// counts included, and must call the evaluator exactly once per
+// measurement the cut lost: nothing lost, nothing measured twice. A cut
+// inside the header line resumes as a run that measured nothing.
+func TestPersistCrashCuts(t *testing.T) {
+	var calls atomic.Int64
+	src := t.TempDir()
+	m := NewManagerConfig(Config{DataDir: src}, crashProblem(&calls))
+	st, err := m.Start(persistReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitManagerTerminal(t, m, st.ID)
+	shutdownManager(t, m)
+	runDir := filepath.Join(src, "runs", st.ID)
+	want, err := readResult(runDir)
+	if err != nil || want.Status.State != StateDone {
+		t.Fatalf("reference run: %+v, %v", want.Status, err)
+	}
+	wantStatus, wantFront := untimedStatus(t, want.Status), frontJSON(t, want.Front)
+	total := int(calls.Load())
+	meta, err := os.ReadFile(filepath.Join(runDir, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(runDir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Cuts are independent, so a few resume at once: a resume waits on
+	// fsyncs as much as on the CPU.
+	base := t.TempDir()
+	cuts := journalCuts(data)
+	results := make([]cutResult, len(cuts))
+	par.ForWorkers(len(cuts), 4, func(i int) { results[i] = resumeCut(base, st.ID, meta, data, cuts[i]) })
+	bad := 0
+	for i, r := range results {
+		var problem string
+		switch {
+		case r.err != nil:
+			problem = r.err.Error()
+		case untimedStatus(t, r.res.Status) != wantStatus:
+			problem = fmt.Sprintf("resumed status\n%s\nwant\n%s", untimedStatus(t, r.res.Status), wantStatus)
+		case frontJSON(t, r.res.Front) != wantFront:
+			problem = fmt.Sprintf("resumed front\n%s\nwant\n%s", frontJSON(t, r.res.Front), wantFront)
+		case r.calls != total-r.journaled:
+			problem = fmt.Sprintf("%d evaluator calls, want %d (%d measured, %d journaled)",
+				r.calls, total-r.journaled, total, r.journaled)
+		default:
+			continue
+		}
+		if bad++; bad <= 5 {
+			t.Errorf("cut at byte %d: %s", cuts[i], problem)
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d cuts of a %d-byte journal failed", bad, len(cuts), len(data))
+	}
+	t.Logf("%d cuts of a %d-byte journal (header line %d bytes), %d measurements", len(cuts), len(data), bytes.IndexByte(data, '\n')+1, total)
+}
+
+// readResult reads a finished run's result.json.
+func readResult(runDir string) (storedResult, error) {
+	var rec storedResult
+	err := journal.ReadJSON(filepath.Join(runDir, "result.json"), &rec)
+	return rec, err
+}
+
+func frontJSON(t *testing.T, f *core.StoredFront) string {
+	t.Helper()
+	data, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}

@@ -24,8 +24,12 @@ import (
 //
 // meta.json is written before the first evaluation, result.json after the
 // last; both atomically (temp file + rename). Between the two the journal
-// is the single source of truth: a directory with meta and journal but no
-// result is by definition an interrupted run, which -resume replays.
+// is the single source of truth: a directory with meta but no result is by
+// definition an interrupted run, which -resume replays. The journal, like
+// the cache spill, is opened through journal.OpenAppend: a torn tail is cut
+// on every open, and a file with no intact line restarts with its header —
+// so a journal cut inside its header, or never created (a crash right
+// after meta.json), resumes as a run that measured nothing.
 // Resume works by relaunching the deterministic engine with the journaled
 // measurements and batch records pre-loaded (core.Options.Replay and
 // ReplayBatches): every round the journal holds whole is fast-forwarded —
@@ -104,19 +108,25 @@ func (m *Manager) persistStart(s *session, fingerprint string) error {
 		os.RemoveAll(dir)
 		return err
 	}
-	jw, err := journal.Create(m.journalPath(s.id), journal.Header{
-		RunID:       s.id,
-		Problem:     s.problem.Name,
-		Fingerprint: fingerprint,
-		Seed:        s.req.Seed,
-		Created:     s.created,
-	})
+	jw, err := journal.Create(m.journalPath(s.id), s.journalHeader(fingerprint))
 	if err != nil {
 		os.RemoveAll(dir)
 		return err
 	}
 	s.jw = jw
 	return nil
+}
+
+// journalHeader is the header of the session's journal: the run's
+// identity and the fingerprint resume checks.
+func (s *session) journalHeader(fingerprint string) journal.Header {
+	return journal.Header{
+		RunID:       s.id,
+		Problem:     s.problem.Name,
+		Fingerprint: fingerprint,
+		Seed:        s.req.Seed,
+		Created:     s.created,
+	}
 }
 
 // persistTerminal runs after a session's engine goroutine finishes: it
@@ -282,7 +292,10 @@ func (m *Manager) resumeRun(s *session) {
 		fail(fmt.Errorf("%w: %q (re-register it and restart to resume)", ErrUnknownProblem, s.problem.Name))
 		return
 	}
-	rec, err := journal.Recover(m.journalPath(s.id))
+	opts := m.buildOpts(s)
+	// Reopen refuses a journal of another fingerprint before appending to
+	// it, and starts one cut inside its header over as measuring nothing.
+	jw, rec, err := journal.Reopen(m.journalPath(s.id), s.journalHeader(core.RunFingerprint(s.problem.Space, opts)))
 	if err != nil {
 		fail(err)
 		return
@@ -290,14 +303,10 @@ func (m *Manager) resumeRun(s *session) {
 	if rec.TruncatedBytes > 0 {
 		m.logf("resume %s: dropped a %d-byte torn journal tail", s.id, rec.TruncatedBytes)
 	}
-	opts := m.buildOpts(s)
-	if fp := core.RunFingerprint(s.problem.Space, opts); fp != rec.Header.Fingerprint {
-		fail(fmt.Errorf("journal fingerprint mismatch (journal %q, relaunch %q); refusing to replay", rec.Header.Fingerprint, fp))
-		return
-	}
 	if rec.Done != nil && rec.Done.State != string(StateDone) {
 		// The run was cancelled or failed but crashed before result.json:
 		// persist the terminal state now instead of resurrecting the run.
+		jw.Close()
 		m.restoreDone(s, rec.Done)
 		return
 	}
@@ -305,11 +314,6 @@ func (m *Manager) resumeRun(s *session) {
 	// result (the engine stops at the same converged/budget point), which
 	// regenerates the missing result.json without any evaluator calls.
 	m.logf("resume %s: replaying %d measured evaluations across %d batches", s.id, rec.Samples(), len(rec.Batches))
-	jw, err := journal.OpenAppendWriter(m.journalPath(s.id))
-	if err != nil {
-		fail(err)
-		return
-	}
 	s.jw = jw
 	s.journaled.Store(int64(rec.Samples()))
 	opts.Replay = rec.Replay()

@@ -732,7 +732,6 @@ func untimedStatus(t *testing.T, st RunStatus) string {
 func TestPersistResumeWithoutRoundsRecomputes(t *testing.T) {
 	req := persistReq
 	req.Workers = 1
-	req.NoCache = true // a replayed configuration is neither a cache hit nor a miss
 	_, tsRef := newTestServer(t, testProblem("toy", 0))
 	refSt := postRun(t, tsRef, req)
 	want := waitTerminal(t, tsRef, refSt.ID)

@@ -106,10 +106,12 @@ type Health struct {
 	Status string `json:"status"`
 	// Problems lists the registered problem names, sorted.
 	Problems []string `json:"problems"`
-	// Evaluations counts configurations measured since the worker started.
+	// Evaluations counts configurations measured since the worker started,
+	// a cancelled batch's completed ones included.
 	Evaluations int64 `json:"evaluations"`
-	// InFlight counts configurations being measured right now. (Same
-	// JSON name as the coordinator's per-worker stats counter.)
+	// InFlight counts the configurations of the batches being measured
+	// right now, each batch whole until it is answered. (Same JSON name as
+	// the coordinator's per-worker stats counter.)
 	InFlight int64 `json:"in_flight"`
 	// Shed counts evaluate requests answered 503 by load shedding (the
 	// worker's shed limit; see Server.SetShedLimit).

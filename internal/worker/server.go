@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/param"
 )
 
@@ -67,11 +66,8 @@ type Server struct {
 
 // NewServer returns a worker with no problems registered. evalWorkers
 // bounds the concurrent evaluator calls per request batch; ≤ 0 selects
-// GOMAXPROCS.
+// GOMAXPROCS (core.LocalBackend's default).
 func NewServer(evalWorkers int) *Server {
-	if evalWorkers <= 0 {
-		evalWorkers = par.MaxWorkers()
-	}
 	return &Server{
 		problems:    make(map[string]Problem),
 		evalWorkers: evalWorkers,
@@ -267,27 +263,22 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Measure the batch, bounded to the worker's evaluation parallelism.
-	// The request context covers the whole batch: when the coordinator
-	// cancels (run cancelled, or this was the losing leg of a hedged pair)
-	// no further evaluations start and the response is abandoned.
-	ctx := r.Context()
-	release := func() {}
-	if h, ok := p.Eval.(interface{ Hold() (release func()) }); ok {
-		release = h.Hold() // an exec bridge's program stays up for the batch
-	}
-	out := make([][]float64, len(req.Configs))
-	s.inflight.Add(int64(len(req.Configs)))
-	par.ForWorkers(len(req.Configs), s.evalWorkers, func(i int) {
-		defer s.inflight.Add(-1)
-		if ctx.Err() != nil {
-			return
+	// Measure the batch in-process, bounded to the worker's evaluation
+	// parallelism, with an exec bridge's program held up for the batch and
+	// gone, when retired, before the reply. The request context covers the
+	// whole batch: when the coordinator cancels (run cancelled, or this was
+	// the losing leg of a hedged pair) no further evaluations start and the
+	// response is abandoned.
+	n := int64(len(req.Configs))
+	s.inflight.Add(n)
+	out, err := (&core.LocalBackend{Eval: p.Eval, Workers: s.evalWorkers}).EvaluateBatch(r.Context(), req.Configs)
+	s.inflight.Add(-n)
+	for _, objs := range out {
+		if objs != nil {
+			s.evals.Add(1)
 		}
-		out[i] = p.Eval.Evaluate(req.Configs[i])
-		s.evals.Add(1)
-	})
-	release() // before the reply: a retired program is gone once its batch is answered
-	if ctx.Err() != nil {
+	}
+	if err != nil {
 		return // client is gone; nothing to write to
 	}
 	body, err := encodeObjectives(out)
