@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	_ "net/http/pprof" // the handlers -pprof serves (catalog.Daemon)
 	"os"
 	"time"
 

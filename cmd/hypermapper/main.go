@@ -110,10 +110,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// Feature importance of the final forests: which parameters drive each
 	// metric (the paper's §IV-C correlation analysis, via the model).
-	if len(res.Run.Forests) > 0 {
+	forests, err := res.Run.Forests()
+	if err != nil {
+		return fmt.Errorf("fitting the final forests: %w", err)
+	}
+	if len(forests) > 0 {
 		fmt.Fprintln(stdout, "\nparameter importance per objective (impurity decrease):")
 		params := space.Names()
-		for k, f := range res.Run.Forests {
+		for k, f := range forests {
 			fmt.Fprintf(stdout, "  %-19s", objs.Names()[k])
 			for i, imp := range f.FeatureImportance() {
 				fmt.Fprintf(stdout, " %s=%.2f", params[i], imp)

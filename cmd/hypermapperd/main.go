@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	_ "net/http/pprof" // the handlers -pprof serves (catalog.Daemon)
 	"os"
 	"strings"
 	"time"

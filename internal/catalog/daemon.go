@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"syscall"
@@ -17,14 +19,14 @@ import (
 // Daemon is the part of a command line, a startup and a shutdown that the
 // coordinator and the worker daemon share: the catalog flags, the
 // program-prefixed output, the one way a daemon's catalog is built, and
-// the serve-until-signalled tail.
+// the serve-until-signalled tail with its optional profiling listener.
 type Daemon struct {
 	// Info writes program-prefixed lines to stdout (-quiet silences it once
 	// Catalog has run), Err to stderr; Err.Fatalf exits with status 1.
 	Info, Err *log.Logger
 
 	stdout                 io.Writer
-	scale, problems        *string
+	scale, problems, pprof *string
 	power, validate, quiet *bool
 }
 
@@ -43,6 +45,8 @@ func NewDaemon(name string, fs *flag.FlagSet, stdout io.Writer) *Daemon {
 			"build the problem catalog (builtins plus -problems specs), print it, and exit without serving"),
 		quiet: fs.Bool("quiet", false,
 			"suppress informational output and bridge-evaluator failure chatter (fatal errors still print)"),
+		pprof: fs.String("pprof", "",
+			"serve net/http/pprof's /debug/pprof/ on this address, a listener of its own, while the daemon serves (empty: none)"),
 	}
 }
 
@@ -88,9 +92,18 @@ func (d *Daemon) Catalog() ([]Problem, func(data []byte) (Problem, error), error
 
 // Serve runs srv until SIGINT or SIGTERM, then calls drain — what the daemon
 // must finish or refuse before its listener may close — and shuts srv down;
-// the two share one 10 s deadline. It returns the error of a listener that
-// fails.
+// the two share one 10 s deadline. With -pprof set, the profiling listener
+// serves alongside and closes when Serve returns. It returns the error of a
+// listener that fails.
 func (d *Daemon) Serve(srv *http.Server, drain func(ctx context.Context)) error {
+	if *d.pprof != "" {
+		ln, err := servePprof(*d.pprof)
+		if err != nil {
+			return err
+		}
+		defer ln.Close()
+		d.Info.Printf("profiling on http://%s/debug/pprof/", ln.Addr())
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -110,4 +123,23 @@ func (d *Daemon) Serve(srv *http.Server, drain func(ctx context.Context)) error 
 		d.Err.Printf("http shutdown: %v", err)
 	}
 	return nil
+}
+
+// servePprof serves, on a listener of its own at addr, never on the API's
+// mux, the profiling endpoints net/http/pprof registers on
+// http.DefaultServeMux (which nothing else serves), until the returned
+// listener is closed. The daemons import that package for its handlers;
+// this one does not, so the programs that link the catalog without serving
+// a daemon do not carry the profiler.
+func servePprof(addr string) (net.Listener, error) {
+	index := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/debug/pprof/"}}
+	if _, pattern := http.DefaultServeMux.Handler(index); pattern == "" {
+		return nil, errors.New("-pprof: this program does not link net/http/pprof")
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("pprof listener: %w", err)
+	}
+	go http.Serve(ln, http.DefaultServeMux)
+	return ln, nil
 }

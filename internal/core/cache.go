@@ -36,7 +36,7 @@ type EvalCache struct {
 	coalesced atomic.Int64
 
 	// dir, when non-empty, spills memoized entries to one JSON-lines file
-	// per space namespace and pre-loads them on first use; see
+	// per space namespace and loads them on the namespace's first fetch; see
 	// NewEvalCacheDir. spillErrors counts degraded-to-memory failures and
 	// persisted records skipped at load.
 	dir         string
@@ -44,15 +44,18 @@ type EvalCache struct {
 }
 
 // spaceCache is one space's namespace: memoized objectives plus the
-// in-flight evaluations being computed right now. objectives and size are
-// the space's vector length and index range: what a persisted record must
-// fit before it is served.
+// in-flight evaluations being computed right now. fingerprint names its
+// spill file; objectives and size are the space's vector length and index
+// range: what a persisted record must fit before it is served.
 type spaceCache struct {
-	objectives int
-	size       int64
-	objs       map[int64][]float64
-	inflight   map[int64]chan struct{}
-	spill      *journal.AppendFile // nil when memory-only (or degraded)
+	fingerprint string
+	objectives  int
+	size        int64
+	objs        map[int64][]float64
+	inflight    map[int64]chan struct{}
+	spill       *journal.AppendFile // nil when memory-only (or degraded)
+	// loaded is set once the namespace's spill has been read (see load).
+	loaded bool
 }
 
 // NewEvalCache returns an empty cache.
@@ -105,31 +108,41 @@ type evalCacheView struct {
 
 // view returns the handle for the given space fingerprint — built from
 // the same objective count and space size — creating the namespace on
-// first use.
+// first use. It reads no spill: a run whose every configuration replay
+// answers never fetches, so it never pays for loading one.
 func (c *EvalCache) view(fingerprint string, objectives int, size int64, backend Backend) *evalCacheView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.spaces[fingerprint]
 	if !ok {
 		s = &spaceCache{
-			objectives: objectives,
-			size:       size,
-			objs:       make(map[int64][]float64),
-			inflight:   make(map[int64]chan struct{}),
-		}
-		if c.dir != "" {
-			// Rehydrate the namespace from its spill file and keep the
-			// appender; on any failure the namespace degrades to
-			// memory-only rather than failing the run.
-			af, err := c.openSpill(fingerprint, s)
-			if err != nil {
-				c.spillErrors.Add(1)
-			}
-			s.spill = af
+			fingerprint: fingerprint,
+			objectives:  objectives,
+			size:        size,
+			objs:        make(map[int64][]float64),
+			inflight:    make(map[int64]chan struct{}),
 		}
 		c.spaces[fingerprint] = s
 	}
 	return &evalCacheView{c: c, s: s, backend: backend}
+}
+
+// load rehydrates the namespace from its spill file and keeps the appender,
+// once, on the namespace's first fetch; called under c.mu. On any failure
+// the namespace degrades to memory-only rather than failing the run.
+func (c *EvalCache) load(s *spaceCache) {
+	if s.loaded {
+		return
+	}
+	s.loaded = true
+	if c.dir == "" {
+		return
+	}
+	af, err := c.openSpill(s)
+	if err != nil {
+		c.spillErrors.Add(1)
+	}
+	s.spill = af
 }
 
 // fetchBatch resolves one evaluation batch against the cache: cached
@@ -157,6 +170,7 @@ func (v *evalCacheView) fetchBatch(ctx context.Context, idxs []int64, cfgs []par
 		var waits []int
 		var waitCh []chan struct{}
 		v.c.mu.Lock()
+		v.c.load(v.s)
 		for _, i := range pending {
 			idx := idxs[i]
 			if cached, ok := v.s.objs[idx]; ok {

@@ -243,10 +243,10 @@ type IterationStats struct {
 	// encoded on either), pool prediction (including the predicted-front
 	// filter), and hardware evaluation of the new batch.
 	// The bootstrap event carries only EvalTime, and a round a resumed run
-	// fast-forwards (Options.ReplayBatches) a PredictTime of 0 and a FitTime
-	// only when it is the last, whose forests are fit once. They make the
-	// optimizer-side cost observable end to end (they stream out over the
-	// server's /events NDJSON feed).
+	// fast-forwards (Options.ReplayBatches) a FitTime and PredictTime of 0:
+	// it fits nothing (Result.Forests fits a last such round's forests on
+	// demand). They make the optimizer-side cost observable end to end
+	// (they stream out over the server's /events NDJSON feed).
 	FitTime     time.Duration
 	EncodeTime  time.Duration
 	PredictTime time.Duration
@@ -274,9 +274,6 @@ type Result struct {
 	Front []pareto.Point
 	// Iterations records per-round statistics.
 	Iterations []IterationStats
-	// Forests holds the final per-objective models (e.g. for feature
-	// importance inspection).
-	Forests []*forest.Forest
 	// Converged reports whether the loop stopped because P − X_out = ∅
 	// rather than by exhausting MaxIterations.
 	Converged bool
@@ -293,6 +290,29 @@ type Result struct {
 	// FrontSamples is O(samples + front) instead of O(samples × front).
 	byIndexMu sync.Mutex
 	byIndex   map[int64]int
+
+	// forests are the last round's models; when that round was
+	// fast-forwarded, fitLast fits them on the first Forests call instead.
+	forestsMu  sync.Mutex
+	forests    []*forest.Forest
+	forestsErr error
+	fitLast    func() ([]*forest.Forest, error)
+}
+
+// Forests returns the final per-objective models (e.g. for feature
+// importance inspection): those of the run's last round, nil when it ran
+// none. A resumed run that fast-forwarded its last round fits them on the
+// first call, from the same training prefix and seed as the original fit,
+// so they are the uninterrupted run's forests; later calls return the same
+// forests. Safe for concurrent use on a completed Result.
+func (r *Result) Forests() ([]*forest.Forest, error) {
+	r.forestsMu.Lock()
+	defer r.forestsMu.Unlock()
+	if r.fitLast != nil {
+		r.forests, r.forestsErr = r.fitLast()
+		r.fitLast = nil
+	}
+	return r.forests, r.forestsErr
 }
 
 // ByIndex returns the sample with the given design-space index, if present.
@@ -512,7 +532,7 @@ func (r *run) iterate(iter int) error {
 		stats.OOBError = append(stats.OOBError, f.OOBError())
 		stats.OOBSamples = append(stats.OOBSamples, f.OOBSamples())
 	}
-	r.res.Forests = forests
+	r.res.forests, r.res.fitLast = forests, nil
 
 	// Predict every objective over the pool and filter the predicted
 	// front P. The grid is kept across rounds: all of its cells are the
@@ -627,8 +647,8 @@ func (r *run) journaledRound(iter int) ([]int64, *journal.Round) {
 // order is the batch's sample order, so X_out, the training matrix and the
 // fronts come out as in the original round; the presorted columns take the
 // skipped rounds' rows at the next fit. Fits are seeded by iteration, so
-// that fit is the original's too. The last round fits its forests once, for
-// Result.Forests.
+// that fit is the original's too, and so is the one Result.Forests runs if
+// this round turns out to be the last (fitLater).
 func (r *run) fastForward(iter int, todo []int64, rd *journal.Round) error {
 	stats := IterationStats{
 		Iteration:          iter,
@@ -636,20 +656,7 @@ func (r *run) fastForward(iter int, todo []int64, rd *journal.Round) error {
 		OOBError:           slices.Clone(rd.OOBError),
 		OOBSamples:         slices.Clone(rd.OOBSamples),
 	}
-	if iter == r.o.MaxIterations {
-		fitStart := time.Now()
-		cols, err := r.st.columns()
-		if err == nil {
-			r.res.Forests, err = fitForests(r.ctx, cols, r.st.ys, r.o, iter)
-		}
-		stats.FitTime = time.Since(fitStart)
-		if err != nil {
-			if cerr := r.ctx.Err(); cerr != nil {
-				return cerr
-			}
-			return r.fail(err)
-		}
-	}
+	r.res.forests, r.res.fitLast = nil, r.fitLater(iter)
 	if !r.st.enumerable {
 		encStart := time.Now()
 		r.o.Strategy.draw(r.space, r.rng, r.o.PoolCap)
@@ -660,6 +667,28 @@ func (r *run) fastForward(iter int, todo []int64, rd *journal.Round) error {
 	}
 	r.publish(stats, measuredFront(r.res.Samples))
 	return nil
+}
+
+// fitLater returns round iter's forest fit, deferred: over the training
+// matrix as it stands before the round's batch is ingested (a capped
+// prefix, so later appends stay out of it), from a from-scratch column sort,
+// which forest.Columns orders exactly as the warm-started one. It keeps
+// only the options fitForests reads, not the run's replay or journal.
+func (r *run) fitLater(iter int) func() ([]*forest.Forest, error) {
+	n := len(r.st.xRows)
+	rows := r.st.xRows[:n:n]
+	ys := make([][]float64, len(r.st.ys))
+	for k, y := range r.st.ys {
+		ys[k] = y[:n:n]
+	}
+	o := Options{Objectives: r.o.Objectives, Forest: r.o.Forest, Seed: r.o.Seed, Workers: r.o.Workers}
+	return func() ([]*forest.Forest, error) {
+		cols, err := forest.ColumnsFromRows(rows)
+		if err != nil {
+			return nil, err
+		}
+		return fitForests(context.Background(), cols, ys, o, iter)
+	}
 }
 
 // fit trains the round's models on everything measured so far: the fresh

@@ -117,8 +117,8 @@ func TestRunBasicInvariants(t *testing.T) {
 	if len(res.Iterations) == 0 {
 		t.Fatal("no iteration stats recorded")
 	}
-	if len(res.Forests) != 2 {
-		t.Fatalf("expected 2 final forests, got %d", len(res.Forests))
+	if forests := forestsOf(t, res); len(forests) != 2 {
+		t.Fatalf("expected 2 final forests, got %d", len(forests))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/forest"
@@ -108,6 +109,17 @@ func (sh ffShape) resumeFrom(t *testing.T, records []journal.Batch) (*Result, *m
 	return res, rec
 }
 
+// forestsOf returns a result's final forests, failing the test when they
+// cannot be fit.
+func forestsOf(t *testing.T, res *Result) []*forest.Forest {
+	t.Helper()
+	forests, err := res.Forests()
+	if err != nil {
+		t.Fatalf("final forests: %v", err)
+	}
+	return forests
+}
+
 // forestDigest hashes what a result's forests decided: every design-space
 // point's prediction, the feature importances and the OOB estimate.
 func forestDigest(t *testing.T, space *param.Space, forests []*forest.Forest) string {
@@ -157,7 +169,7 @@ func sameResult(t *testing.T, space *param.Space, got, want *Result) string {
 			want.CacheHits, want.CacheMisses, want.Unmeasured)
 	case len(got.Iterations) != len(want.Iterations):
 		return fmt.Sprintf("%d rounds, want %d", len(got.Iterations), len(want.Iterations))
-	case forestDigest(t, space, got.Forests) != forestDigest(t, space, want.Forests):
+	case forestDigest(t, space, forestsOf(t, got)) != forestDigest(t, space, forestsOf(t, want)):
 		return "forests differ"
 	}
 	for i := range got.Iterations {
@@ -169,12 +181,16 @@ func sameResult(t *testing.T, space *param.Space, got, want *Result) string {
 }
 
 // checkRounds checks which rounds a resumed run fast-forwarded: exactly the
-// whole ones, with a PredictTime of 0; every other round predicted.
+// whole ones, with a PredictTime of 0 and, the last one included, a FitTime
+// of 0; every other round predicted.
 func checkRounds(t *testing.T, res *Result, whole map[int]bool) {
 	t.Helper()
 	for _, it := range res.Iterations {
 		if ff := it.PredictTime == 0; ff != whole[it.Iteration] {
 			t.Errorf("round %d: PredictTime %v, journaled whole %v", it.Iteration, it.PredictTime, whole[it.Iteration])
+		}
+		if whole[it.Iteration] && it.FitTime != 0 {
+			t.Errorf("round %d: journaled whole, but fit its forests in %v", it.Iteration, it.FitTime)
 		}
 	}
 }
@@ -182,8 +198,9 @@ func checkRounds(t *testing.T, res *Result, whole map[int]bool) {
 // TestFastForwardByteIdentical cuts each shape's reference journal at every
 // record boundary and every sample count and resumes from the cut. Every
 // resumed run must equal the uninterrupted one — samples, invalid set,
-// fronts, totals, round statistics (timings aside) and the final forests —
-// while fast-forwarding exactly the rounds the cut holds whole. A run cut
+// fronts, totals, round statistics (timings aside) and the final forests,
+// which Forests fits on demand after a fast-forwarded last round — while
+// fast-forwarding, with no fit, exactly the rounds the cut holds whole. A run cut
 // mid-round journals the round's remainder as a second record; resuming
 // again from both must recompute that round, and only it, and still match.
 func TestFastForwardByteIdentical(t *testing.T) {
@@ -237,6 +254,43 @@ func TestFastForwardByteIdentical(t *testing.T) {
 	}
 }
 
+// A resumed run that fast-forwarded its last round fits the final forests
+// on the first Forests call, once, however many goroutines ask at the same
+// time, and they are the uninterrupted run's.
+func TestForestsFitOnceOnDemand(t *testing.T) {
+	sh := ffShapes(t)[1] // subsampled: runs every round, so the journal holds the last whole
+	ref := &memRecorder{}
+	want, err := Run(sh.space, sh.eval, sh.opts(ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := sh.resumeFrom(t, ref.batches)
+	if last := got.Iterations[len(got.Iterations)-1]; last.PredictTime != 0 {
+		t.Fatalf("the last round (%d) was recomputed", last.Iteration)
+	}
+	forests := make([][]*forest.Forest, 4)
+	var wg sync.WaitGroup
+	for i := range forests {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if forests[i], err = got.Forests(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, f := range forests[1:] {
+		if len(f) == 0 || &f[0] != &forests[0][0] {
+			t.Fatal("concurrent Forests calls returned different fits")
+		}
+	}
+	if forestDigest(t, sh.space, forests[0]) != forestDigest(t, sh.space, forestsOf(t, want)) {
+		t.Fatal("the forests fit on demand differ from the uninterrupted run's")
+	}
+}
+
 // replayPlan counts every journaled skip of an index, across batches,
 // keeps a round for fast-forwarding only when one record carrying a Round
 // holds it, and sums each phase's memo-cache counts over its records.
@@ -258,5 +312,41 @@ func TestReplayPlan(t *testing.T) {
 	want := map[int]batchOutcome{0: {misses: 3}, 1: {misses: 1}, 2: {hits: 1, misses: 1}, 3: {}}
 	if !maps.Equal(lookups, want) {
 		t.Errorf("lookups = %v, want %v", lookups, want)
+	}
+}
+
+// BenchmarkResumeFastForward times what a restarted daemon asks of the
+// engine: a run journaled in memory is resumed with the inputs the daemon
+// passes, its journal's samples as Replay and its records as ReplayBatches,
+// so every round is fast-forwarded and nothing is measured.
+func BenchmarkResumeFastForward(b *testing.B) {
+	space := benchSpace(b)
+	rec := &memRecorder{}
+	opts := Options{Objectives: 2, RandomSamples: 500, MaxIterations: 5, MaxBatch: 200, Seed: 3,
+		Forest: forest.Options{Trees: 16}, Journal: rec}
+	want, err := Run(space, benchEval(space), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts.Journal = nil
+	opts.Replay = make(map[int64][]float64)
+	for _, s := range rec.samples() {
+		opts.Replay[s.Index] = s.Objs
+	}
+	opts.ReplayBatches = rec.batches
+	unmeasured := EvaluatorFunc(func(param.Config) []float64 {
+		b.Fatal("a resumed run measured a configuration")
+		return nil
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := Run(space, unmeasured, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got.Samples) != len(want.Samples) {
+			b.Fatalf("resumed to %d samples, want %d", len(got.Samples), len(want.Samples))
+		}
 	}
 }

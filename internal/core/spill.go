@@ -12,9 +12,10 @@ import (
 
 // NewEvalCacheDir returns a cache that spills every memoized measurement
 // to a JSON-lines file per space namespace under dir (created on demand),
-// and that pre-loads each namespace from its file on first use — so
-// daemon restarts, re-runs, and replicas pointed at shared storage all
-// reuse measured objectives instead of re-paying for them.
+// and that loads each namespace from its file on the namespace's first
+// fetch — so daemon restarts, re-runs, and replicas pointed at shared
+// storage all reuse measured objectives instead of re-paying for them,
+// while a resumed run that its journal answers whole reads no spill.
 //
 // Each namespace file is named by a hash of the space fingerprint and
 // begins with a header line carrying the full fingerprint; a file whose
@@ -54,17 +55,18 @@ func spillPath(dir, fingerprint string) string {
 // openSpill loads the namespace's persisted measurements into s.objs and
 // returns the appender for new ones, through journal.OpenAppend: a torn
 // tail is cut, and a file with no intact line starts over with the
-// namespace's header. Called under c.mu, once per namespace; any failure is
-// reported through the returned error and the namespace runs memory-only.
-func (c *EvalCache) openSpill(fingerprint string, s *spaceCache) (*journal.AppendFile, error) {
+// namespace's header. Called under c.mu, once per namespace (load); any
+// failure is reported through the returned error and the namespace runs
+// memory-only.
+func (c *EvalCache) openSpill(s *spaceCache) (*journal.AppendFile, error) {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := spillPath(c.dir, fingerprint)
-	af, _, err := journal.OpenAppend(path, spillHeader{Fingerprint: fingerprint}, func(n int, line []byte) error {
+	path := spillPath(c.dir, s.fingerprint)
+	af, _, err := journal.OpenAppend(path, spillHeader{Fingerprint: s.fingerprint}, func(n int, line []byte) error {
 		if n == 0 {
 			var h spillHeader
-			if json.Unmarshal(line, &h) != nil || h.Fingerprint != fingerprint {
+			if json.Unmarshal(line, &h) != nil || h.Fingerprint != s.fingerprint {
 				return fmt.Errorf("core: spill file %s belongs to a different space", path)
 			}
 			return nil
@@ -122,12 +124,14 @@ func (c *EvalCache) spill(s *spaceCache, recs []journal.SampleRecord) {
 func (c *EvalCache) SpillErrors() int64 { return c.spillErrors.Load() }
 
 // Close releases every namespace's spill file. The cache remains usable
-// memory-only afterwards.
+// memory-only afterwards: a namespace whose spill was never loaded is not
+// loaded later either.
 func (c *EvalCache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var firstErr error
 	for _, s := range c.spaces {
+		s.loaded = true
 		if s.spill != nil {
 			if err := s.spill.Close(); err != nil && firstErr == nil {
 				firstErr = err

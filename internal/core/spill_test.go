@@ -75,6 +75,69 @@ func TestEvalCacheSpillSurvivesRestart(t *testing.T) {
 	}
 }
 
+// A restarted process whose resumed run its journal answers whole never
+// fetches, so it leaves the spill unread: the file keeps its bytes, nothing
+// is loaded or counted as a spill error. The next run that misses loads the
+// spill and is served every index in it.
+func TestSpillUnreadByFullReplay(t *testing.T) {
+	dir := t.TempDir()
+	space := spillSpace(t)
+	var calls atomic.Int64
+	eval := EvaluatorFunc(func(cfg param.Config) []float64 {
+		calls.Add(1)
+		return []float64{cfg[0] + cfg[1], cfg[0] - cfg[1]}
+	})
+	rec := &memRecorder{}
+	opts := Options{Objectives: 2, RandomSamples: 10, MaxIterations: 2, MaxBatch: 4, Seed: 3, Journal: rec}
+	first := NewEvalCacheDir(dir)
+	opts.Cache = first
+	want, err := Run(space, eval, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	spilled := int(calls.Load())
+	path := spillPath(dir, SpaceFingerprint(space, 2))
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := NewEvalCacheDir(dir)
+	defer c.Close()
+	resumed := opts
+	resumed.Cache, resumed.Journal = c, nil
+	resumed.Replay = make(map[int64][]float64)
+	for _, s := range rec.samples() {
+		resumed.Replay[s.Index] = s.Objs
+	}
+	resumed.ReplayBatches = rec.batches
+	got, err := Run(space, eval, resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSamples(got.Samples, want.Samples) || calls.Load() != int64(spilled) {
+		t.Fatalf("the resumed run differs from the journaled one, or measured (%d calls, want %d)", calls.Load(), spilled)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) || c.SpillErrors() != 0 || c.Len() != 0 {
+		t.Fatalf("a fully replayed run touched the spill: file changed %v, %d spill errors, %d entries loaded",
+			!bytes.Equal(after, before), c.SpillErrors(), c.Len())
+	}
+
+	whole := Options{Objectives: 2, RandomSamples: int(space.Size()), MaxIterations: 1, Seed: 5, Cache: c}
+	res, err := Run(space, eval, whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHits != spilled || c.SpillErrors() != 0 {
+		t.Fatalf("a run over the whole space was served %d of the %d spilled indices (%d spill errors)", res.CacheHits, spilled, c.SpillErrors())
+	}
+}
+
 // tearSpill appends a torn record to the one spill file under dir, as a
 // crash mid-append leaves it.
 func tearSpill(t *testing.T, dir string) {
@@ -185,8 +248,8 @@ func TestSpillCrashCuts(t *testing.T) {
 
 		c := NewEvalCacheDir(dir)
 		v := c.view(fp, 2, space.Size(), measure)
-		loaded := make(map[int64]string, len(v.s.objs))
-		for idx, objs := range v.s.objs {
+		loaded := make(map[int64]string)
+		for idx, objs := range loadedSpace(v).objs {
 			loaded[idx] = fmt.Sprint(objs)
 		}
 		if !reflect.DeepEqual(loaded, want) {
@@ -199,7 +262,7 @@ func TestSpillCrashCuts(t *testing.T) {
 		}
 
 		reopened := NewEvalCacheDir(dir)
-		s := reopened.view(fp, 2, space.Size(), nil).s
+		s := loadedSpace(reopened.view(fp, 2, space.Size(), nil))
 		for i, o := range objs {
 			if got := fmt.Sprint(s.objs[int64(i)]); got != fmt.Sprint(o) {
 				t.Fatalf("cut %d: index %d reopened as %s, want %v", cut, i, got, o)
@@ -252,7 +315,9 @@ func TestEvalCacheSpillForeignFile(t *testing.T) {
 }
 
 // RemoveSpill deletes the directory so a replaced evaluator cannot be
-// served stale measurements; nil and memory-only receivers are no-ops.
+// served stale measurements, and a namespace a run opened before it but
+// never fetched from does not recreate it; nil and memory-only receivers
+// are no-ops.
 func TestEvalCacheRemoveSpill(t *testing.T) {
 	base := t.TempDir()
 	dir := filepath.Join(base, "cache")
@@ -264,11 +329,18 @@ func TestEvalCacheRemoveSpill(t *testing.T) {
 	if _, err := os.Stat(dir); err != nil {
 		t.Fatalf("spill dir not created: %v", err)
 	}
+	unfetched := c.view(SpaceFingerprint(space, 2), 2, space.Size(), &LocalBackend{Eval: EvaluatorFunc(func(cfg param.Config) []float64 { return cfg })})
 	if err := c.RemoveSpill(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Error("spill dir survived RemoveSpill")
+	}
+	if _, _, err := unfetched.fetchBatch(context.Background(), []int64{0}, []param.Config{space.AtIndex(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Error("a fetch after RemoveSpill recreated the spill dir")
 	}
 	var nilCache *EvalCache
 	if err := nilCache.RemoveSpill(); err != nil {
@@ -347,9 +419,18 @@ func TestEvalCacheSpillHostileRecords(t *testing.T) {
 	}
 }
 
+// loadedSpace loads the view's namespace from its spill, as the
+// namespace's first fetch does, and returns it.
+func loadedSpace(v *evalCacheView) *spaceCache {
+	v.c.mu.Lock()
+	defer v.c.mu.Unlock()
+	v.c.load(v.s)
+	return v.s
+}
+
 // loadSpill opens a cache over a directory whose namespace file for
-// spillSpace's 2-objective fingerprint holds data, and returns the cache
-// and the namespace it loaded.
+// spillSpace's 2-objective fingerprint holds data, loads the namespace and
+// returns the cache and the namespace.
 func loadSpill(t *testing.T, data []byte) (*EvalCache, *spaceCache) {
 	t.Helper()
 	space := spillSpace(t)
@@ -360,7 +441,7 @@ func loadSpill(t *testing.T, data []byte) (*EvalCache, *spaceCache) {
 	}
 	c := NewEvalCacheDir(dir)
 	t.Cleanup(func() { c.Close() })
-	return c, c.view(fp, 2, space.Size(), nil).s
+	return c, loadedSpace(c.view(fp, 2, space.Size(), nil))
 }
 
 // The committed spill file (a seeded run's nine measurements plus one with

@@ -229,7 +229,7 @@ func TestNonFiniteObjectivesAreInvalidUnderEveryStrategy(t *testing.T) {
 					row := make([]float64, space.Dim())
 					for idx := int64(0); idx < space.Size(); idx++ {
 						space.Encode(space.AtIndex(idx), row)
-						for k, f := range res.Forests {
+						for k, f := range forestsOf(t, res) {
 							if v := f.Predict(row); nonFinite(v) {
 								t.Fatalf("objective %d forest predicts %v at index %d", k, v, idx)
 							}

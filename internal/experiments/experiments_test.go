@@ -163,8 +163,8 @@ func TestRunDSEWithPower(t *testing.T) {
 			t.Fatalf("sample has %d objectives", len(s.Objs))
 		}
 	}
-	if len(res.Run.Forests) != 3 {
-		t.Fatalf("%d forests", len(res.Run.Forests))
+	if forests, err := res.Run.Forests(); err != nil || len(forests) != 3 {
+		t.Fatalf("%d forests (%v)", len(forests), err)
 	}
 	dir := t.TempDir()
 	if err := res.WriteCSV(dir, "power"); err != nil {

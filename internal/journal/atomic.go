@@ -16,7 +16,7 @@ import (
 // own files are.
 func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+tempInfix+"*")
 	if err != nil {
 		return err
 	}
@@ -51,6 +51,25 @@ func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 		d.Close()
 	}
 	return nil
+}
+
+// tempInfix marks WriteFileAtomic's temp files: .<name>.tmp-<random>.
+const tempInfix = ".tmp-"
+
+// RemoveTemps deletes the temp files WriteFileAtomic left in dir, the ones
+// a crash came to before their rename; nothing reads them. Call it only
+// while nothing writes to dir. It returns how many it removed.
+func RemoveTemps(dir string) (int, error) {
+	temps, err := filepath.Glob(filepath.Join(dir, ".*"+tempInfix+"*"))
+	if err != nil {
+		return 0, err
+	}
+	for i, path := range temps {
+		if err := os.Remove(path); err != nil {
+			return i, err
+		}
+	}
+	return len(temps), nil
 }
 
 // WriteJSONAtomic atomically writes v as indented JSON.

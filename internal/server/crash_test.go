@@ -200,6 +200,109 @@ func TestPersistCrashCuts(t *testing.T) {
 	t.Logf("%d cuts of a %d-byte journal (header line %d bytes), %d measurements", len(cuts), len(data), bytes.IndexByte(data, '\n')+1, total)
 }
 
+// A crash can come on either side of the rename of meta.json or of
+// result.json. Each of the four cuts is an interrupted run's directory, made
+// from a reference run's files and restarted with Resume set:
+//   - before meta.json's rename, only a partial temp file exists: the run is
+//     skipped, and its id is not minted again;
+//   - after meta.json's rename, before the journal: the run resumes as one
+//     that measured nothing;
+//   - before result.json's rename, the journal ends with its done marker
+//     beside a partial temp file: the run resumes to the reference, with no
+//     evaluator call;
+//   - after result.json's rename: the run is restored terminal, not resumed,
+//     and its journal is left as it was.
+//
+// Every run ends done with the reference front and status, timings aside,
+// and the restore pass leaves no temp file behind.
+func TestCrashCutsMetaAndResult(t *testing.T) {
+	var calls atomic.Int64
+	src := t.TempDir()
+	m := NewManagerConfig(Config{DataDir: src}, crashProblem(&calls))
+	st, err := m.Start(persistReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitManagerTerminal(t, m, st.ID)
+	shutdownManager(t, m)
+	total := int(calls.Load())
+	runDir := filepath.Join(src, "runs", st.ID)
+	want, err := readResult(runDir)
+	if err != nil || want.Status.State != StateDone {
+		t.Fatalf("reference run: %+v, %v", want.Status, err)
+	}
+	files := map[string][]byte{}
+	for _, name := range []string{"meta.json", "journal.jsonl", "result.json"} {
+		if files[name], err = os.ReadFile(filepath.Join(runDir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	half := func(name string) []byte { return files[name][:len(files[name])/2] }
+	cuts := []struct {
+		name  string
+		files map[string][]byte
+		calls int // evaluator calls the restart makes
+	}{
+		{"meta.json before rename", map[string][]byte{".meta.json.tmp-1": half("meta.json")}, -1},
+		{"meta.json after rename", map[string][]byte{"meta.json": files["meta.json"]}, total},
+		{"result.json before rename", map[string][]byte{"meta.json": files["meta.json"],
+			"journal.jsonl": files["journal.jsonl"], ".result.json.tmp-1": half("result.json")}, 0},
+		{"result.json after rename", files, 0},
+	}
+	for _, cut := range cuts {
+		t.Run(cut.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cutDir := filepath.Join(dir, "runs", st.ID)
+			if err := os.MkdirAll(cutDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range cut.files {
+				if err := os.WriteFile(filepath.Join(cutDir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var calls atomic.Int64
+			m := NewManagerConfig(Config{DataDir: dir, Resume: true}, crashProblem(&calls))
+			if temps, _ := filepath.Glob(filepath.Join(cutDir, ".*.tmp-*")); len(temps) > 0 {
+				t.Errorf("the restore pass left %v", temps)
+			}
+			if cut.calls < 0 {
+				if _, ok := m.Get(st.ID); ok {
+					t.Error("a run with no meta.json was restored")
+				}
+				next, err := m.Start(persistReq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next.ID == st.ID {
+					t.Errorf("a new run took the id %s of the skipped directory", st.ID)
+				}
+				waitManagerTerminal(t, m, next.ID)
+				shutdownManager(t, m)
+				return
+			}
+			status := waitManagerTerminal(t, m, st.ID)
+			shutdownManager(t, m)
+			got, err := readResult(cutDir)
+			switch {
+			case err != nil:
+				t.Fatal(err)
+			case untimedStatus(t, status) != untimedStatus(t, want.Status):
+				t.Errorf("status\n%s\nwant\n%s", untimedStatus(t, status), untimedStatus(t, want.Status))
+			case frontJSON(t, got.Front) != frontJSON(t, want.Front):
+				t.Errorf("front\n%s\nwant\n%s", frontJSON(t, got.Front), frontJSON(t, want.Front))
+			case int(calls.Load()) != cut.calls:
+				t.Errorf("%d evaluator calls, want %d", calls.Load(), cut.calls)
+			}
+			if _, restored := cut.files["result.json"]; restored {
+				if journal, err := os.ReadFile(filepath.Join(cutDir, "journal.jsonl")); err != nil || !bytes.Equal(journal, files["journal.jsonl"]) {
+					t.Errorf("a terminal run's journal changed on restart (%v): it was resumed", err)
+				}
+			}
+		})
+	}
+}
+
 // readResult reads a finished run's result.json.
 func readResult(runDir string) (storedResult, error) {
 	var rec storedResult

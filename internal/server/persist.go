@@ -23,7 +23,8 @@ import (
 //	<data-dir>/cache/<problem>/        evaluator memo-cache spill files
 //
 // meta.json is written before the first evaluation, result.json after the
-// last; both atomically (temp file + rename). Between the two the journal
+// last; both atomically (temp file + rename), and the restore pass removes
+// the temp file a crash before a rename leaves. Between the two the journal
 // is the single source of truth: a directory with meta but no result is by
 // definition an interrupted run, which -resume replays. The journal, like
 // the cache spill, is opened through journal.OpenAppend: a torn tail is cut
@@ -175,7 +176,8 @@ func (s *session) RecordBatch(b journal.Batch) error {
 // TTL/cap eviction keeps applying to them), interrupted runs are returned
 // for the resume pass, and the sequence counter is advanced past every
 // run directory on disk, restored or skipped, so newly minted ids never
-// collide with old ones.
+// collide with old ones. Each run directory loses the temp files of
+// atomic writes a crash interrupted.
 func (m *Manager) restoreDataDir() []runMeta {
 	root := filepath.Join(m.cfg.DataDir, "runs")
 	entries, err := os.ReadDir(root)
@@ -197,6 +199,11 @@ func (m *Manager) restoreDataDir() []runMeta {
 		// id would truncate that run's journal beside its old result.json.
 		maxSeq = max(maxSeq, seq)
 		dir := filepath.Join(root, id)
+		if n, err := journal.RemoveTemps(dir); err != nil {
+			m.logf("run %s: removing temp files: %v", id, err)
+		} else if n > 0 {
+			m.logf("run %s: removed %d temp files left by a crash", id, n)
+		}
 		var meta runMeta
 		if err := journal.ReadJSON(filepath.Join(dir, "meta.json"), &meta); err != nil {
 			m.logf("run %s: unreadable meta.json, skipping: %v", id, err)

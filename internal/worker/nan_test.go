@@ -217,10 +217,14 @@ func TestNullOverExecBridgeIsInvalidUnderDefaultStrategy(t *testing.T) {
 			t.Fatalf("index %d entered Samples with first objective %v", s.Index, s.Objs[0])
 		}
 	}
+	forests, err := bridged.Forests()
+	if err != nil {
+		t.Fatal(err)
+	}
 	row := make([]float64, space.Dim())
 	for idx := int64(0); idx < space.Size(); idx++ {
 		space.Encode(space.AtIndex(idx), row)
-		if v := bridged.Forests[0].Predict(row); !(v >= 2-0.5) {
+		if v := forests[0].Predict(row); !(v >= 2-0.5) {
 			t.Fatalf("first-objective forest predicts %v at index %d: it was trained on a target no measurement produced", v, idx)
 		}
 	}
