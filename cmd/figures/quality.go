@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"slices"
 	"strconv"
@@ -70,7 +69,7 @@ func runQuality(args []string, stdout io.Writer) error {
 	}
 	// Shipped specs bind analytic builtin models, so the sweep stays cheap
 	// and deterministic.
-	problems, err := catalog.LoadDir(*specsDir, log.Printf)
+	problems, err := catalog.LoadDir(*specsDir)
 	if err != nil {
 		return err
 	}

@@ -87,14 +87,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	infof := boot.Info.Printf
-	problems, loadSpec, err := boot.Catalog()
+	problems, err := boot.Catalog()
 	if err != nil || problems == nil {
 		return err // nil list: -validate printed the catalog
 	}
 
 	ws := worker.NewServer(*evals)
 	ws.SetSpecLoader(func(data []byte) (worker.Problem, error) {
-		p, err := loadSpec(data)
+		p, err := catalog.FromSpecData(data)
 		return toWorkerProblem(p), err
 	})
 	for _, p := range problems {

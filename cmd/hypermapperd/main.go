@@ -82,7 +82,7 @@ func main() {
 	flag.Parse()
 
 	infof, fatalf := boot.Info.Printf, boot.Err.Fatalf
-	problems, loadSpec, err := boot.Catalog()
+	problems, err := boot.Catalog()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -95,7 +95,7 @@ func main() {
 		MaxSessions: *maxSessions,
 		DataDir:     *dataDir,
 		Resume:      *resume,
-		SpecLoader:  loadSpec,
+		SpecLoader:  catalog.FromSpecData,
 		Logf:        infof,
 
 		MaxUnmeasuredFraction: *maxUnmeasured,

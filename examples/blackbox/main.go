@@ -6,7 +6,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -26,7 +25,7 @@ var problemSpec = &spec.Spec{
 }
 
 func main() {
-	problem, err := catalog.FromSpec(problemSpec, log.Printf)
+	problem, err := catalog.FromSpec(problemSpec)
 	if err != nil {
 		panic(err)
 	}

@@ -1,4 +1,4 @@
-package worker
+package catalog
 
 import (
 	"bufio"
@@ -21,12 +21,10 @@ import (
 
 // This file implements the black-box evaluator bridges: core.Evaluator
 // adapters that measure configurations by driving a user program instead
-// of calling Go code. They live next to the worker protocol because they
-// are the same idea pointed the other way — the worker daemon serves
-// evaluators over HTTP; the bridges consume them from a subprocess or an
-// HTTP endpoint. A spec-defined problem with an exec: or http: binding
-// gets one of these as its evaluator, on the coordinator and on every
-// worker alike, so bridged problems distribute exactly like builtin ones.
+// of calling Go code. They live beside the spec loader that builds them
+// (FromSpec): a spec-defined problem with an exec: or http: binding gets
+// one of these as its evaluator, on the coordinator and on every worker
+// alike, so bridged problems distribute exactly like builtin ones.
 //
 // Both bridges speak named configurations (BridgeConfig) rather than
 // positional values: a user objective program keyed by parameter name
@@ -37,7 +35,9 @@ import (
 // subprocess, unreachable endpoint, malformed reply) is reported by
 // returning nil objectives: the engine counts the configuration as
 // unmeasured and fails the batch with partial results retained, exactly
-// like a remote worker outage.
+// like a remote worker outage. The failure itself goes to the process
+// logger (log.Printf), which Daemon points at stderr, or at nothing under
+// -quiet.
 
 // BridgeConfig is one configuration on the bridge wire: parameter values
 // keyed by parameter name, in no particular order.
@@ -82,7 +82,6 @@ type ExecEvaluator struct {
 	cmd     *exec.Cmd
 	in      io.WriteCloser
 	out     *bufio.Reader
-	logf    func(format string, args ...any)
 	retired bool // set by Close
 }
 
@@ -93,28 +92,16 @@ type ExecEvaluator struct {
 func NewExecEvaluator(command string, space *param.Space, objectives int) (*ExecEvaluator, error) {
 	argv := strings.Fields(command)
 	if len(argv) == 0 {
-		return nil, fmt.Errorf("worker: exec bridge with an empty command")
+		return nil, fmt.Errorf("catalog: exec bridge with an empty command")
 	}
 	if objectives < 1 {
-		return nil, fmt.Errorf("worker: exec bridge needs ≥ 1 objective, got %d", objectives)
+		return nil, fmt.Errorf("catalog: exec bridge needs ≥ 1 objective, got %d", objectives)
 	}
 	return &ExecEvaluator{
 		argv:       argv,
 		names:      space.Names(),
 		objectives: objectives,
-		logf:       log.Printf,
 	}, nil
-}
-
-// SetLogf routes the bridge's failure reports (dead subprocess, rejected
-// configuration) to logf instead of the process-global log.Printf. A nil
-// logf silences them — what a daemon running -validate or -quiet wants.
-// Call it before the first Evaluate; the bridge does not lock around it.
-func (e *ExecEvaluator) SetLogf(logf func(format string, args ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	e.logf = logf
 }
 
 // bridgeConfig names cfg's values for the wire.
@@ -148,13 +135,13 @@ func (e *ExecEvaluator) Evaluate(cfg param.Config) []float64 {
 		if appErr != nil {
 			// The program answered the protocol but declined this
 			// configuration; restarting would not change its mind.
-			e.logf("worker: exec bridge %s: %v", e.argv[0], appErr)
+			log.Printf("exec bridge %s: %v", e.argv[0], appErr)
 			return nil
 		}
 		lastErr = err
 		e.stopLocked() // dead or desynced subprocess: restart once
 	}
-	e.logf("worker: exec bridge %s: %v", e.argv[0], lastErr)
+	log.Printf("exec bridge %s: %v", e.argv[0], lastErr)
 	return nil
 }
 
@@ -259,9 +246,9 @@ func (e *ExecEvaluator) Close() error {
 	return nil
 }
 
-// maxExecReply bounds one reply line of an exec-bridge program (an
-// objective vector or an error message), so a program that never ends its
-// line cannot grow the coordinator's memory.
+// maxExecReply bounds one reply of either bridge — an exec program's reply
+// line (an objective vector or an error message), an HTTP endpoint's body —
+// so a program that never ends its reply cannot grow the daemon's memory.
 const maxExecReply = bufio.MaxScanTokenSize
 
 // httpBridgeTimeout is the per-request ceiling of the HTTP bridge — the
@@ -279,7 +266,6 @@ type HTTPEvaluator struct {
 	names      []string
 	objectives int
 	client     *http.Client
-	logf       func(format string, args ...any)
 }
 
 // NewHTTPEvaluator builds an HTTP bridge over the given endpoint URL for a
@@ -291,27 +277,16 @@ func NewHTTPEvaluator(url string, space *param.Space, objectives int) *HTTPEvalu
 		names:      space.Names(),
 		objectives: objectives,
 		client:     &http.Client{Timeout: httpBridgeTimeout},
-		logf:       log.Printf,
 	}
-}
-
-// SetLogf routes the bridge's failure reports (unreachable endpoint,
-// malformed reply) to logf instead of the process-global log.Printf. A nil
-// logf silences them. Call it before the first Evaluate.
-func (e *HTTPEvaluator) SetLogf(logf func(format string, args ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	e.logf = logf
 }
 
 // Evaluate implements core.Evaluator. It returns nil when the endpoint is
-// unreachable, answers non-200, or replies with a malformed or
-// wrong-length objective vector.
+// unreachable, answers non-200, or replies with a malformed, over-long
+// (maxExecReply) or wrong-length objective vector.
 func (e *HTTPEvaluator) Evaluate(cfg param.Config) []float64 {
 	objs, err := e.evaluate(cfg)
 	if err != nil {
-		e.logf("worker: http bridge %s: %v", e.url, err)
+		log.Printf("http bridge %s: %v", e.url, err)
 		return nil
 	}
 	return objs
@@ -331,25 +306,25 @@ func (e *HTTPEvaluator) evaluate(cfg param.Config) ([]float64, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("%d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	reply, err := readReply(resp.Body)
+	reply, err := io.ReadAll(io.LimitReader(resp.Body, maxExecReply+1))
+	if err == nil && len(reply) > maxExecReply {
+		err = fmt.Errorf("reply exceeds %d bytes", maxExecReply)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}
-	out, err := decodeObjectives(reply) // {"objectives":[[…],…]}; null → NaN
-	if err != nil {
+	// {"objectives":[[…]]}: a batch of one vector, null read as NaN.
+	var out struct {
+		Objectives []nanjson.Vector `json:"objectives"`
+	}
+	if err := json.Unmarshal(reply, &out); err != nil {
 		return nil, fmt.Errorf("decoding response: %w", err)
 	}
-	if len(out) != 1 || len(out[0]) != e.objectives {
-		return nil, fmt.Errorf("response shape %v, want 1 vector of %d objectives", shape(out), e.objectives)
+	if len(out.Objectives) != 1 {
+		return nil, fmt.Errorf("endpoint returned %d objective vectors, want 1", len(out.Objectives))
 	}
-	return out[0], nil
-}
-
-// shape renders the per-vector lengths of a reply for error messages.
-func shape(objs [][]float64) []int {
-	out := make([]int, len(objs))
-	for i, o := range objs {
-		out[i] = len(o)
+	if objs := out.Objectives[0]; len(objs) != e.objectives {
+		return nil, fmt.Errorf("endpoint returned %d objectives, want %d", len(objs), e.objectives)
 	}
-	return out
+	return out.Objectives[0], nil
 }

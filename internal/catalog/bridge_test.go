@@ -1,19 +1,17 @@
-package worker
+package catalog
 
 import (
 	"bufio"
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
-	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -123,7 +121,6 @@ func helperEvaluatorOver(t *testing.T, mode string, space *param.Space, objectiv
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.logf = t.Logf
 	t.Cleanup(func() { e.Close() })
 	return e
 }
@@ -194,57 +191,8 @@ func TestExecEvaluatorBadCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.logf = t.Logf
 	if objs := e.Evaluate(param.Config{0, 0}); objs != nil {
 		t.Fatalf("unstartable command returned %v, want nil", objs)
-	}
-}
-
-// TestBridgeSetLogf: failure chatter must go wherever SetLogf points —
-// and nowhere at all for SetLogf(nil), the -validate/-quiet contract.
-func TestBridgeSetLogf(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	capture := func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	e, err := NewExecEvaluator("/definitely/not/a/binary", bridgeSpace(t), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetLogf(capture)
-	if objs := e.Evaluate(param.Config{0, 0}); objs != nil {
-		t.Fatalf("unstartable command returned %v", objs)
-	}
-	mu.Lock()
-	captured := len(lines)
-	mu.Unlock()
-	if captured == 0 {
-		t.Fatal("SetLogf sink saw no failure report")
-	}
-
-	// nil silences: the evaluation still fails, with no panic and no output.
-	e.SetLogf(nil)
-	if objs := e.Evaluate(param.Config{0, 0}); objs != nil {
-		t.Fatalf("silenced bridge returned %v", objs)
-	}
-
-	h := NewHTTPEvaluator("http://127.0.0.1:1/eval", bridgeSpace(t), 2)
-	h.SetLogf(capture)
-	if objs := h.Evaluate(param.Config{0, 0}); objs != nil {
-		t.Fatalf("unreachable endpoint returned %v", objs)
-	}
-	mu.Lock()
-	grew := len(lines) > captured
-	mu.Unlock()
-	if !grew {
-		t.Fatal("HTTP SetLogf sink saw no failure report")
-	}
-	h.SetLogf(nil)
-	if objs := h.Evaluate(param.Config{0, 0}); objs != nil {
-		t.Fatalf("silenced http bridge returned %v", objs)
 	}
 }
 
@@ -265,7 +213,6 @@ func TestHTTPEvaluator(t *testing.T) {
 	defer srv.Close()
 
 	e := NewHTTPEvaluator(srv.URL+"/eval", bridgeSpace(t), 2)
-	e.logf = t.Logf
 	objs := e.Evaluate(param.Config{3, 1})
 	if len(objs) != 2 || objs[0] != 2 || objs[1] != 4 {
 		t.Fatalf("objectives = %v, want [2 4]", objs)
@@ -292,7 +239,6 @@ func TestHTTPEvaluatorFailures(t *testing.T) {
 			srv := httptest.NewServer(h)
 			defer srv.Close()
 			e := NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2)
-			e.logf = t.Logf
 			if objs := e.Evaluate(param.Config{0, 0}); objs != nil {
 				t.Fatalf("objectives = %v, want nil", objs)
 			}
@@ -301,186 +247,145 @@ func TestHTTPEvaluatorFailures(t *testing.T) {
 
 	t.Run("unreachable", func(t *testing.T) {
 		e := NewHTTPEvaluator("http://127.0.0.1:1/eval", bridgeSpace(t), 2)
-		e.logf = t.Logf
 		if objs := e.Evaluate(param.Config{0, 0}); objs != nil {
 			t.Fatalf("objectives = %v, want nil", objs)
 		}
 	})
 }
 
-func TestWorkerSpecRegistration(t *testing.T) {
-	s := NewServer(1)
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
-
-	// Without a loader the endpoint is explicitly unimplemented.
-	resp, err := http.Post(srv.URL+"/problems", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("POST /problems without loader = %d, want 501", resp.StatusCode)
-	}
-
-	s.SetSpecLoader(func(data []byte) (Problem, error) {
-		var doc struct {
-			Name string `json:"name"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil || doc.Name == "" {
-			return Problem{}, fmt.Errorf("bad spec")
-		}
-		return Problem{Name: doc.Name, Space: testSpace(t), Eval: testEval(), Objectives: 2}, nil
-	})
-
-	resp, err = http.Post(srv.URL+"/problems", "application/json", strings.NewReader(`{"name":""}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec = %d, want 400", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srv.URL+"/problems", "application/json", strings.NewReader(`{"name":"runtime-prob"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var info ProblemInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("good spec = %d, want 201", resp.StatusCode)
-	}
-	if info.Name != "runtime-prob" || len(info.Parameters) != 3 || info.Parameters[0].Kind != "real" {
-		t.Fatalf("registration reply = %+v", info)
-	}
-
-	// The problem is immediately evaluable.
-	body, _ := json.Marshal(EvaluateRequest{Problem: "runtime-prob", Configs: []param.Config{testSpace(t).AtIndex(7)}})
-	resp, err = http.Post(srv.URL+"/evaluate", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out EvaluateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(out.Objectives) != 1 || len(out.Objectives[0]) != 2 {
-		t.Fatalf("evaluate after registration = %+v", out)
-	}
+// logLines runs f with the process logger, where the bridges report their
+// failures, captured, and returns the lines f logged.
+func logLines(f func()) []string {
+	var buf bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&buf)
+	f()
+	return strings.FieldsFunc(buf.String(), func(r rune) bool { return r == '\n' })
 }
 
-// TestReregistrationStopsProgramOfBatchInFlight: a batch that captured an
-// exec-bound problem keeps measuring across a re-registration of that
-// problem, restarting the replaced program Register stopped once and
-// holding it for the rest of the batch, though the worker measures one
-// configuration at a time; the program must be stopped again by the time
-// the batch is answered.
-func TestReregistrationStopsProgramOfBatchInFlight(t *testing.T) {
-	pids := filepath.Join(t.TempDir(), "pids")
-	t.Setenv("BRIDGE_HELPER_PIDS", pids)
-	problem := func() Problem {
-		return Problem{Name: "bridged", Space: bridgeSpace(t), Eval: helperEvaluator(t, "slow-sum", 2), Objectives: 2}
-	}
-	s := NewServer(1)
-	if err := s.Register(problem()); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
-
-	configs := sixConfigs()
-	body, _ := json.Marshal(EvaluateRequest{Problem: "bridged", Configs: configs})
-	replied := make(chan [][]float64, 1)
-	go func() {
-		var out EvaluateResponse
-		if resp, err := http.Post(srv.URL+"/evaluate", "application/json", strings.NewReader(string(body))); err == nil {
-			json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-		}
-		replied <- out.Objectives
-	}()
-	waitProgram(t, pids)
-	if err := s.Register(problem()); err != nil {
-		t.Fatal(err)
-	}
-	checkRetiredBatch(t, pids, configs, <-replied)
-}
-
-// TestRetiredBridgeHeldForLocalBatch is the coordinator's side of the same
-// lifetime: a session's in-process batch, evaluated one configuration at a
-// time (core.LocalBackend with Workers 1), that outlives its bridge's
-// retirement restarts the program once and stops it when the batch ends.
-func TestRetiredBridgeHeldForLocalBatch(t *testing.T) {
-	pids := filepath.Join(t.TempDir(), "pids")
-	t.Setenv("BRIDGE_HELPER_PIDS", pids)
-	ev := helperEvaluator(t, "slow-sum", 2)
-	configs := sixConfigs()
-	replied := make(chan [][]float64, 1)
-	go func() {
-		out, _ := (&core.LocalBackend{Eval: ev, Workers: 1}).EvaluateBatch(context.Background(), configs)
-		replied <- out
-	}()
-	waitProgram(t, pids)
-	ev.Close()
-	checkRetiredBatch(t, pids, configs, <-replied)
-}
-
-// sixConfigs is the batch the retirement tests measure: at the helper's
-// 100 ms a configuration it is still running when the bridge retires.
-func sixConfigs() []param.Config {
-	configs := make([]param.Config, 6)
-	for i := range configs {
-		configs[i] = param.Config{float64(i % 5), 1}
-	}
-	return configs
-}
-
-// waitProgram waits until the helper program has recorded its first pid.
-func waitProgram(t *testing.T, pids string) {
-	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if data, _ := os.ReadFile(pids); len(data) > 0 {
-			return // the batch is measuring
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the batch never started the program")
+// padded answers every request with reply followed by JSON whitespace, size
+// bytes in all: a body that still decodes once fully buffered, so a reader
+// without a bound accepts it.
+func padded(reply string, size int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = io.WriteString(w, reply)
+		pad := bytes.Repeat([]byte(" "), 1<<16)
+		for left := size - len(reply); left > 0; left -= len(pad) {
+			if _, err := w.Write(pad[:min(left, len(pad))]); err != nil {
+				return // the reader gave up, as it should
+			}
 		}
 	}
 }
 
-// checkRetiredBatch checks a batch whose bridge retired while it measured:
-// every configuration measured, exactly two programs started (the original
-// and the one restart the batch held to its end), and both gone.
-func checkRetiredBatch(t *testing.T, pids string, configs []param.Config, out [][]float64) {
-	t.Helper()
-	if len(out) != len(configs) {
-		t.Fatalf("batch answered %d of %d configurations", len(out), len(configs))
+// An HTTP-bridged endpoint whose reply passes maxExecReply, by one byte or
+// by a stream that goes on, leaves the configuration unmeasured, with one
+// log line; a reply of exactly maxExecReply bytes is read.
+func TestHTTPEvaluatorBoundsReply(t *testing.T) {
+	const reply = `{"objectives":[[1,2]]}`
+	for name, size := range map[string]int{"one byte over": maxExecReply + 1, "streaming": 33 << 20} {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(padded(reply, size))
+			defer srv.Close()
+			e := NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2)
+			var objs []float64
+			logged := logLines(func() { objs = e.Evaluate(param.Config{1, 2}) })
+			if objs != nil {
+				t.Fatalf("objectives = %v, want nil for an over-long reply", objs)
+			}
+			if len(logged) != 1 {
+				t.Fatalf("log lines = %q, want exactly one", logged)
+			}
+		})
 	}
-	for i, objs := range out {
-		if len(objs) != 2 || objs[0] != configs[i][0]+configs[i][1] {
-			t.Fatalf("configuration %d measured %v", i, objs)
-		}
+	srv := httptest.NewServer(padded(reply, maxExecReply))
+	defer srv.Close()
+	if objs := NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2).Evaluate(param.Config{1, 2}); len(objs) != 2 || objs[0] != 1 || objs[1] != 2 {
+		t.Fatalf("objectives = %v, want [1 2] from a reply of exactly the bound", objs)
 	}
-	data, err := os.ReadFile(pids)
+}
+
+// An exec-bridged program whose reply line passes maxExecReply leaves the
+// configuration unmeasured, with one log line (after the one restart every
+// transport failure gets).
+func TestExecEvaluatorBoundsReplyLine(t *testing.T) {
+	e := helperEvaluator(t, "long-line", 2)
+	var objs []float64
+	logged := logLines(func() { objs = e.Evaluate(param.Config{1, 2}) })
+	if objs != nil {
+		t.Fatalf("objectives = %v, want nil for an over-long reply line", objs)
+	}
+	if len(logged) != 1 {
+		t.Fatalf("log lines = %q, want exactly one", logged)
+	}
+}
+
+// TestNullOverExecBridgeIsInvalidUnderDefaultStrategy is the ingest contract
+// seen from a user program: under the default strategy, a program that
+// answers null on a hidden belt yields the run an in-process evaluator
+// returning NaN yields — the belt in Result.Invalid, and no fabricated 0 in
+// Samples, on the front or in the forests' training targets.
+func TestNullOverExecBridgeIsInvalidUnderDefaultStrategy(t *testing.T) {
+	space := param.MustSpace(param.Grid("a", 0, 4, 17), param.Grid("b", 0, 4, 17))
+	opts := core.Options{Objectives: 2, RandomSamples: 50, MaxIterations: 3, MaxBatch: 15, Seed: 5}
+	local, err := core.Run(space, core.EvaluatorFunc(nullBeltEval), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Fields(string(data))
-	if len(lines) != 2 {
-		t.Errorf("%d programs started (pids %v), want 2: the original and one restart for the rest of the batch", len(lines), lines)
+	bridged, err := core.Run(space, helperEvaluatorOver(t, "null-belt", space, 2), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, line := range lines {
-		pid, err := strconv.Atoi(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p, err := os.FindProcess(pid); err == nil && p.Signal(syscall.Signal(0)) == nil {
-			t.Errorf("the retired bridge's program (pid %d) still runs after the batch was answered", pid)
+	if len(bridged.Invalid) == 0 || len(bridged.Front) == 0 {
+		t.Fatalf("the belt left %d invalid samples and a front of %d — the test lost its teeth", len(bridged.Invalid), len(bridged.Front))
+	}
+	if l, b := invalidFingerprint(local), invalidFingerprint(bridged); l != b {
+		t.Fatalf("Invalid diverged over the exec bridge:\nlocal:\n%sbridged:\n%s", l, b)
+	}
+	if fingerprint(local) != fingerprint(bridged) {
+		t.Fatal("Samples or Front diverged over the exec bridge")
+	}
+	for _, s := range bridged.Samples {
+		if !(s.Objs[0] >= 2-0.5) { // the objective's true minimum; also false for NaN
+			t.Fatalf("index %d entered Samples with first objective %v", s.Index, s.Objs[0])
 		}
 	}
+	forests, err := bridged.Forests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, space.Dim())
+	for idx := int64(0); idx < space.Size(); idx++ {
+		space.Encode(space.AtIndex(idx), row)
+		if v := forests[0].Predict(row); !(v >= 2-0.5) {
+			t.Fatalf("first-objective forest predicts %v at index %d: it was trained on a target no measurement produced", v, idx)
+		}
+	}
+}
+
+// fingerprint renders a run's samples and fronts one line each, so equal
+// strings mean byte-identical results.
+func fingerprint(res *core.Result) string {
+	var b strings.Builder
+	for _, s := range res.Samples {
+		fmt.Fprintf(&b, "s %d %v %v %d\n", s.Index, s.Config, s.Objs, s.Iteration)
+	}
+	for _, p := range res.Front {
+		fmt.Fprintf(&b, "f %d %v\n", p.ID, p.Objs)
+	}
+	for _, p := range res.RandomFront {
+		fmt.Fprintf(&b, "r %d %v\n", p.ID, p.Objs)
+	}
+	return b.String()
+}
+
+// invalidFingerprint renders Result.Invalid the way fingerprint renders
+// Samples; %v prints NaN as "NaN", so equal strings mean equal markers.
+func invalidFingerprint(res *core.Result) string {
+	var b strings.Builder
+	for _, s := range res.Invalid {
+		fmt.Fprintf(&b, "i %d %v %v %d\n", s.Index, s.Config, s.Objs, s.Iteration)
+	}
+	return b.String()
 }

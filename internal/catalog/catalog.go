@@ -1,12 +1,13 @@
 // Package catalog builds the problems the coordinator daemon
 // (cmd/hypermapperd) and the worker daemon (cmd/hypermapper-worker) serve:
 // the builtin problems and declarative spec files (internal/spec), either
-// from a -problems directory at startup or at runtime via POST /problems.
-// Both daemons build their startup list and their runtime spec loader
-// through one bootstrap (Daemon.Catalog), because the worker protocol
-// identifies evaluators by name only: a coordinator and its workers agree
-// on problem names, spaces and evaluator semantics only if both sides build
-// them identically. What a daemon serves after startup is its own registry's
+// from a -problems directory at startup or at runtime via POST /problems,
+// with the exec and HTTP bridges (bridge.go) for specs that bind a user
+// program. Both daemons build their startup list through one bootstrap
+// (Daemon.Catalog) and load a runtime spec through one loader
+// (FromSpecData), because the worker protocol identifies evaluators by name
+// only: a coordinator and its workers agree on problem names, spaces and
+// evaluator semantics only if both sides build them identically. What a daemon serves after startup is its own registry's
 // business (server.Manager, worker.Server), not this package's.
 package catalog
 

@@ -76,7 +76,7 @@ func TestRegisterBuiltins(t *testing.T) {
 func specsDir() string { return filepath.Join("..", "..", "specs") }
 
 func TestShippedSpecsLoadAndRegister(t *testing.T) {
-	problems, err := LoadDir(specsDir(), nil)
+	problems, err := LoadDir(specsDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestConstrainedSyntheticSamplingStaysFeasible(t *testing.T) {
 }
 
 func TestBuiltinModelsProduceFiniteObjectives(t *testing.T) {
-	problems, err := LoadDir(specsDir(), nil)
+	problems, err := LoadDir(specsDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestBuiltinModelsProduceFiniteObjectives(t *testing.T) {
 }
 
 func TestBuiltinModelsAreDeterministic(t *testing.T) {
-	problems, err := LoadDir(specsDir(), nil)
+	problems, err := LoadDir(specsDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestFromSpecErrors(t *testing.T) {
 
 	s := base()
 	s.Evaluator = "builtin:no-such-model"
-	if _, err := FromSpec(s, nil); err == nil || !strings.Contains(err.Error(), "no builtin model") {
+	if _, err := FromSpec(s); err == nil || !strings.Contains(err.Error(), "no builtin model") {
 		t.Fatalf("err = %v", err)
 	}
 
@@ -201,14 +201,14 @@ func TestFromSpecErrors(t *testing.T) {
 	s = base()
 	s.Objectives = []string{"f0", "f1"}
 	s.Evaluator = "builtin:dbms-model"
-	if _, err := FromSpec(s, nil); err == nil || !strings.Contains(err.Error(), "needs parameter") {
+	if _, err := FromSpec(s); err == nil || !strings.Contains(err.Error(), "needs parameter") {
 		t.Fatalf("err = %v", err)
 	}
 
 	// Wrong objective count for a fixed-output model.
 	s = base()
 	s.Evaluator = "builtin:constrained-model"
-	if _, err := FromSpec(s, nil); err == nil || !strings.Contains(err.Error(), "objectives") {
+	if _, err := FromSpec(s); err == nil || !strings.Contains(err.Error(), "objectives") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -221,7 +221,7 @@ func TestFromSpecExecAndHTTPBindings(t *testing.T) {
 		Objectives: []string{"f"},
 		Evaluator:  "exec:/does/not/run --yet",
 	}
-	p, err := FromSpec(s, nil)
+	p, err := FromSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFromSpecExecAndHTTPBindings(t *testing.T) {
 	}
 
 	s.Evaluator = "http://localhost:1/eval"
-	if p, err = FromSpec(s, nil); err != nil || p.Eval == nil {
+	if p, err = FromSpec(s); err != nil || p.Eval == nil {
 		t.Fatalf("http binding: %v", err)
 	}
 }

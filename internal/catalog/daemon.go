@@ -50,34 +50,35 @@ func NewDaemon(name string, fs *flag.FlagSet, stdout io.Writer) *Daemon {
 	}
 }
 
-// Catalog builds what the daemon serves at startup — the builtin problems
-// of the -dataset scale, then every spec of the -problems directory, as one
-// catalog (a later name replaces an earlier one) — and the spec loader it
-// hands to POST /problems. Bridge evaluators (exec: / http: spec bindings)
-// report measurement failures through Err; -quiet and -validate silence
-// them. Under -validate it prints the catalog to stdout and returns a nil
-// list: the daemon is done and exits 0.
-func (d *Daemon) Catalog() ([]Problem, func(data []byte) (Problem, error), error) {
-	var bridgeLogf func(format string, args ...any)
+// Catalog builds what the daemon serves at startup: the builtin problems of
+// the -dataset scale, then every spec of the -problems directory, as one
+// catalog (a later name replaces an earlier one). It points the process
+// logger, which carries the bridge evaluators' failure lines, at stderr
+// with the program prefix, or at nothing under -quiet. Under -validate it
+// prints the catalog to stdout and returns a nil list: the daemon is done
+// and exits 0.
+func (d *Daemon) Catalog() ([]Problem, error) {
+	log.SetFlags(0)
+	log.SetPrefix(d.Err.Prefix())
+	log.SetOutput(d.Err.Writer())
 	if *d.quiet {
 		d.Info.SetOutput(io.Discard)
-	} else if !*d.validate {
-		bridgeLogf = d.Err.Printf
+		log.SetOutput(io.Discard)
 	}
 	problems, err := builtins(*d.scale, *d.power)
 	if err != nil {
-		return nil, nil, fmt.Errorf("registering builtin problems: %w", err)
+		return nil, fmt.Errorf("registering builtin problems: %w", err)
 	}
 	if *d.problems != "" {
-		specs, err := fromDir(*d.problems, bridgeLogf)
+		specs, err := fromDir(*d.problems)
 		if err != nil {
-			return nil, nil, fmt.Errorf("loading problem specs: %w", err)
+			return nil, fmt.Errorf("loading problem specs: %w", err)
 		}
 		d.Info.Printf("loaded %d problem specs from %s", len(specs), *d.problems)
 		problems = append(problems, specs...)
 	}
 	if problems, err = byName(problems); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if *d.validate {
 		for _, p := range problems {
@@ -85,9 +86,9 @@ func (d *Daemon) Catalog() ([]Problem, func(data []byte) (Problem, error), error
 				p.Name, p.Space.Dim(), len(p.Objectives), p.Space.Size())
 		}
 		fmt.Fprintf(d.stdout, "%scatalog valid (%d problems)\n", d.Err.Prefix(), len(problems))
-		return nil, nil, nil
+		return nil, nil
 	}
-	return problems, func(data []byte) (Problem, error) { return fromSpecData(data, bridgeLogf) }, nil
+	return problems, nil
 }
 
 // Serve runs srv until SIGINT or SIGTERM, then calls drain — what the daemon
@@ -104,6 +105,7 @@ func (d *Daemon) Serve(srv *http.Server, drain func(ctx context.Context)) error 
 		defer ln.Close()
 		d.Info.Printf("profiling on http://%s/debug/pprof/", ln.Addr())
 	}
+	srv.ErrorLog = d.Err // not the process logger, which -quiet silences
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -2,21 +2,17 @@ package catalog
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/spec"
-	"repro/internal/worker"
 )
 
 // FromSpec materializes a declarative problem spec into a registrable
 // Problem: the space is built with its constraints compiled in, and the
 // evaluator binding resolves to a builtin model, an exec bridge, or an
-// HTTP bridge (internal/worker). Exec and HTTP evaluators are constructed
+// HTTP bridge (bridge.go). Exec and HTTP evaluators are constructed
 // lazily enough to be safe here — no subprocess is started and no request
-// is sent until the first evaluation. A bridge reports its measurement
-// failures to logf: log.Printf, a daemon's own logger, or nil for silence.
-// Builtin evaluators have no failure log and ignore it.
-func FromSpec(sp *spec.Spec, logf func(format string, args ...any)) (Problem, error) {
+// is sent until the first evaluation.
+func FromSpec(sp *spec.Spec) (Problem, error) {
 	if err := sp.Validate(); err != nil {
 		return Problem{}, err
 	}
@@ -46,46 +42,33 @@ func FromSpec(sp *spec.Spec, logf func(format string, args ...any)) (Problem, er
 			return Problem{}, fmt.Errorf("spec %q: %w", sp.Name, err)
 		}
 	case "exec":
-		ex, err := worker.NewExecEvaluator(binding.Target, space, len(sp.Objectives))
-		if err != nil {
+		if p.Eval, err = NewExecEvaluator(binding.Target, space, len(sp.Objectives)); err != nil {
 			return Problem{}, fmt.Errorf("spec %q: %w", sp.Name, err)
 		}
-		ex.SetLogf(logf)
-		p.Eval = ex
 	case "http":
-		he := worker.NewHTTPEvaluator(binding.Target, space, len(sp.Objectives))
-		he.SetLogf(logf)
-		p.Eval = he
+		p.Eval = NewHTTPEvaluator(binding.Target, space, len(sp.Objectives))
 	default:
 		return Problem{}, fmt.Errorf("spec %q: unknown binding kind %q", sp.Name, binding.Kind)
 	}
 	return p, nil
 }
 
-// FromSpecData parses raw spec JSON and materializes it, with bridge
-// failures on the process-global logger — the catalog-free form for tools
-// that run one problem.
-func FromSpecData(data []byte) (Problem, error) {
-	return fromSpecData(data, log.Printf)
-}
-
-// fromSpecData parses raw spec JSON and materializes it with bridge
-// failures on logf. Bound to a daemon's bridge logger it is the runtime
-// loader both daemons hand to POST /problems (server.Config.SpecLoader,
+// FromSpecData parses raw spec JSON and materializes it: the runtime loader
+// both daemons hand to POST /problems (server.Config.SpecLoader,
 // worker.Server.SetSpecLoader).
-func fromSpecData(data []byte, logf func(format string, args ...any)) (Problem, error) {
+func FromSpecData(data []byte) (Problem, error) {
 	sp, err := spec.Parse(data)
 	if err != nil {
 		return Problem{}, err
 	}
-	return FromSpec(sp, logf)
+	return FromSpec(sp)
 }
 
-// LoadDir materializes every *.json spec in dir with bridge failures on
-// logf and returns them as a catalog: sorted by name, the later file (by
-// name) winning a name collision.
-func LoadDir(dir string, logf func(format string, args ...any)) ([]Problem, error) {
-	problems, err := fromDir(dir, logf)
+// LoadDir materializes every *.json spec in dir and returns them as a
+// catalog: sorted by name, the later file (by name) winning a name
+// collision.
+func LoadDir(dir string) ([]Problem, error) {
+	problems, err := fromDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -93,14 +76,14 @@ func LoadDir(dir string, logf func(format string, args ...any)) ([]Problem, erro
 }
 
 // fromDir materializes every *.json spec in dir, in file-name order.
-func fromDir(dir string, logf func(format string, args ...any)) ([]Problem, error) {
+func fromDir(dir string) ([]Problem, error) {
 	specs, err := spec.LoadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Problem, len(specs))
 	for i, sp := range specs {
-		if out[i], err = FromSpec(sp, logf); err != nil {
+		if out[i], err = FromSpec(sp); err != nil {
 			return nil, err
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 
 	"repro/internal/par"
 	"repro/internal/param"
@@ -49,6 +50,17 @@ type LocalBackend struct {
 // evaluated one configuration at a time does not restart it between them.
 type batchHolder interface {
 	Hold() (release func())
+}
+
+// Retire retires a replaced or released evaluator that is an io.Closer —
+// an exec bridge: its program stops now and runs again only while a batch
+// or session that captured ev measures with it (Hold keeps it up for the
+// rest of such a batch). Both daemons' Register and the coordinator's
+// shutdown call it.
+func Retire(ev Evaluator) {
+	if c, ok := ev.(io.Closer); ok {
+		_ = c.Close() // the exec bridge's Close always returns nil
+	}
 }
 
 // EvaluateBatch implements Backend. Cancellation is checked before each

@@ -41,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -381,16 +380,7 @@ func (m *Manager) Register(p Problem) {
 	m.served[p.Name] = r
 	m.mu.Unlock()
 	if old != nil {
-		closeEval(old.Eval) // unlocked: Close waits for an evaluation in flight
-	}
-}
-
-// closeEval retires ev when it is an exec bridge (an io.Closer): its
-// program stops now, and runs again only while a session that captured ev
-// is evaluating with it.
-func closeEval(ev core.Evaluator) {
-	if c, ok := ev.(io.Closer); ok {
-		_ = c.Close() // the exec bridge's Close always returns nil
+		core.Retire(old.Eval) // unlocked: Close waits for an evaluation in flight
 	}
 }
 
@@ -789,6 +779,6 @@ func (m *Manager) closeServed() {
 	defer m.mu.Unlock()
 	for _, r := range m.served {
 		_ = r.cache.Close()
-		closeEval(r.Eval)
+		core.Retire(r.Eval)
 	}
 }

@@ -39,7 +39,7 @@ func TestHelperSpecObjective(t *testing.T) {
 	in := bufio.NewScanner(os.Stdin)
 	out := json.NewEncoder(os.Stdout)
 	for in.Scan() {
-		var req worker.ExecRequest
+		var req catalog.ExecRequest
 		if err := json.Unmarshal(in.Bytes(), &req); err != nil {
 			out.Encode(map[string]string{"error": err.Error()})
 			continue

@@ -37,7 +37,7 @@ func FuzzSpecParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		p, err := catalog.FromSpec(sp, nil)
+		p, err := catalog.FromSpec(sp)
 		if err != nil {
 			return
 		}

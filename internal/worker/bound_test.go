@@ -3,7 +3,6 @@ package worker
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -57,36 +56,5 @@ func TestPoolBoundsWorkerReply(t *testing.T) {
 	}
 	if st := pool.Stats()[0]; st.Failures == 0 {
 		t.Fatalf("the over-long reply was not counted as a failure: %+v", st)
-	}
-}
-
-// An HTTP-bridged endpoint that streams past the bound leaves the
-// configuration unmeasured, with one log line.
-func TestHTTPEvaluatorBoundsReply(t *testing.T) {
-	srv := httptest.NewServer(padded(`{"objectives":[[1,2]]}`))
-	defer srv.Close()
-	e := NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2)
-	var logged []string
-	e.SetLogf(func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
-	if objs := e.Evaluate(param.Config{1, 2}); objs != nil {
-		t.Fatalf("objectives = %v, want nil for an over-long reply", objs)
-	}
-	if len(logged) != 1 {
-		t.Fatalf("log lines = %q, want exactly one", logged)
-	}
-}
-
-// An exec-bridged program whose reply line passes maxExecReply leaves the
-// configuration unmeasured, with one log line (after the one restart every
-// transport failure gets).
-func TestExecEvaluatorBoundsReplyLine(t *testing.T) {
-	e := helperEvaluator(t, "long-line", 2)
-	var logged []string
-	e.SetLogf(func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
-	if objs := e.Evaluate(param.Config{1, 2}); objs != nil {
-		t.Fatalf("objectives = %v, want nil for an over-long reply line", objs)
-	}
-	if len(logged) != 1 {
-		t.Fatalf("log lines = %q, want exactly one", logged)
 	}
 }

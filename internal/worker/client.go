@@ -641,7 +641,13 @@ func (p *Pool) post(ctx context.Context, w *workerState, problem string, cfgs []
 		}
 		return o
 	}
-	reply, err := readReply(resp.Body)
+	// The reply is bounded like the request that asked for it
+	// (maxEvaluateBody): the coordinator does not buffer whatever a worker
+	// chooses to send. A longer body fails as any malformed reply does.
+	reply, err := io.ReadAll(io.LimitReader(resp.Body, maxEvaluateBody+1))
+	if err == nil && len(reply) > maxEvaluateBody {
+		err = fmt.Errorf("reply exceeds %d bytes", maxEvaluateBody)
+	}
 	if err != nil {
 		return fail(fmt.Errorf("reading response: %w", err))
 	}
@@ -658,18 +664,6 @@ func (p *Pool) post(ctx context.Context, w *workerState, problem string, cfgs []
 		}
 	}
 	return outcome{kind: succeeded, objs: out}
-}
-
-// readReply reads a peer's reply body, bounded like the request that asked
-// for it (maxEvaluateBody): the coordinator does not buffer whatever a
-// worker or a bridged endpoint chooses to send. A longer body is an error,
-// handled as any malformed reply is.
-func readReply(body io.Reader) ([]byte, error) {
-	reply, err := io.ReadAll(io.LimitReader(body, maxEvaluateBody+1))
-	if err == nil && len(reply) > maxEvaluateBody {
-		err = fmt.Errorf("reply exceeds %d bytes", maxEvaluateBody)
-	}
-	return reply, err
 }
 
 // parseRetryAfter reads a Retry-After header's delay-seconds form; 0 when

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/param"
 )
@@ -128,7 +129,7 @@ func TestNaNRunMatchesLocalOverFleet(t *testing.T) {
 	// program is the user's objective service behind the HTTP bridge:
 	// testEval keyed by parameter name, null where the belt is.
 	program := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req HTTPRequest
+		var req catalog.HTTPRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Configs) != 1 {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return
@@ -142,8 +143,7 @@ func TestNaNRunMatchesLocalOverFleet(t *testing.T) {
 		json.NewEncoder(w).Encode(map[string]any{"objectives": [][]any{{first, objs[1]}}})
 	}))
 	defer program.Close()
-	bridge := NewHTTPEvaluator(program.URL, space, 2)
-	bridge.logf = t.Logf
+	bridge := catalog.NewHTTPEvaluator(program.URL, space, 2)
 
 	opts := runOpts(31)
 	opts.Strategy = core.Strategy{Feasibility: true}
@@ -184,49 +184,6 @@ func TestNaNRunMatchesLocalOverFleet(t *testing.T) {
 			}
 			requireHealthyFleet(t, pool)
 		})
-	}
-}
-
-// TestNullOverExecBridgeIsInvalidUnderDefaultStrategy is the ingest contract
-// seen from a user program: under the default strategy, a program that
-// answers null on a hidden belt yields the run an in-process evaluator
-// returning NaN yields — the belt in Result.Invalid, and no fabricated 0 in
-// Samples, on the front or in the forests' training targets.
-func TestNullOverExecBridgeIsInvalidUnderDefaultStrategy(t *testing.T) {
-	space := param.MustSpace(param.Grid("a", 0, 4, 17), param.Grid("b", 0, 4, 17))
-	opts := core.Options{Objectives: 2, RandomSamples: 50, MaxIterations: 3, MaxBatch: 15, Seed: 5}
-	local, err := core.Run(space, core.EvaluatorFunc(nullBeltEval), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bridged, err := core.Run(space, helperEvaluatorOver(t, "null-belt", space, 2), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bridged.Invalid) == 0 || len(bridged.Front) == 0 {
-		t.Fatalf("the belt left %d invalid samples and a front of %d — the test lost its teeth", len(bridged.Invalid), len(bridged.Front))
-	}
-	if l, b := invalidFingerprint(local), invalidFingerprint(bridged); l != b {
-		t.Fatalf("Invalid diverged over the exec bridge:\nlocal:\n%sbridged:\n%s", l, b)
-	}
-	if fingerprint(local) != fingerprint(bridged) {
-		t.Fatal("Samples or Front diverged over the exec bridge")
-	}
-	for _, s := range bridged.Samples {
-		if !(s.Objs[0] >= 2-0.5) { // the objective's true minimum; also false for NaN
-			t.Fatalf("index %d entered Samples with first objective %v", s.Index, s.Objs[0])
-		}
-	}
-	forests, err := bridged.Forests()
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := make([]float64, space.Dim())
-	for idx := int64(0); idx < space.Size(); idx++ {
-		space.Encode(space.AtIndex(idx), row)
-		if v := forests[0].Predict(row); !(v >= 2-0.5) {
-			t.Fatalf("first-objective forest predicts %v at index %d: it was trained on a target no measurement produced", v, idx)
-		}
 	}
 }
 

@@ -69,10 +69,9 @@ func encodeObjectives(objs [][]float64) ([]byte, error) {
 }
 
 // decodeObjectives parses a {"objectives": [[…], …]} body, reading a null
-// objective back as NaN: the receiving side of encodeObjectives, and how an
-// HTTP-bridged program marks a configuration invalid. Only a body that
-// spells null anywhere pays for nanjson.Vector's second look; every other
-// body is decoded once, as plain float64s.
+// objective back as NaN: the receiving side of encodeObjectives. Only a
+// body that spells null anywhere pays for nanjson.Vector's second look;
+// every other body is decoded once, as plain float64s.
 func decodeObjectives(body []byte) ([][]float64, error) {
 	if bytes.Contains(body, []byte("null")) {
 		var marked nullableResponse

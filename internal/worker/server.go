@@ -100,8 +100,8 @@ func (s *Server) SetSpecLoader(fn func(data []byte) (Problem, error)) {
 }
 
 // Register adds or replaces a problem by name. Replacing retires the old
-// evaluator if it is an exec bridge (an io.Closer): its program stops, and
-// a batch in flight that still evaluates with it stops it again when done.
+// evaluator (core.Retire): an exec bridge's program stops, and a batch in
+// flight that still evaluates with it stops it again when done.
 func (s *Server) Register(p Problem) error {
 	if p.Name == "" {
 		return errors.New("worker: problem with empty name")
@@ -113,9 +113,7 @@ func (s *Server) Register(p Problem) error {
 	old := s.problems[p.Name]
 	s.problems[p.Name] = p
 	s.mu.Unlock()
-	if c, ok := old.Eval.(io.Closer); ok {
-		_ = c.Close() // the exec bridge's Close always returns nil
-	}
+	core.Retire(old.Eval)
 	return nil
 }
 

@@ -600,3 +600,69 @@ func TestRegisterValidation(t *testing.T) {
 		t.Fatal("problem without space/eval should not register")
 	}
 }
+
+func TestWorkerSpecRegistration(t *testing.T) {
+	s := NewServer(1)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+
+	// Without a loader the endpoint is explicitly unimplemented.
+	resp, err := http.Post(srv.URL+"/problems", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("POST /problems without loader = %d, want 501", resp.StatusCode)
+	}
+
+	s.SetSpecLoader(func(data []byte) (Problem, error) {
+		var doc struct {
+			Name string `json:"name"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil || doc.Name == "" {
+			return Problem{}, fmt.Errorf("bad spec")
+		}
+		return Problem{Name: doc.Name, Space: testSpace(t), Eval: testEval(), Objectives: 2}, nil
+	})
+
+	resp, err = http.Post(srv.URL+"/problems", "application/json", strings.NewReader(`{"name":""}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad spec = %d, want 400", resp.StatusCode)
+	}
+
+	resp, err = http.Post(srv.URL+"/problems", "application/json", strings.NewReader(`{"name":"runtime-prob"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info ProblemInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("good spec = %d, want 201", resp.StatusCode)
+	}
+	if info.Name != "runtime-prob" || len(info.Parameters) != 3 || info.Parameters[0].Kind != "real" {
+		t.Fatalf("registration reply = %+v", info)
+	}
+
+	// The problem is immediately evaluable.
+	body, _ := json.Marshal(EvaluateRequest{Problem: "runtime-prob", Configs: []param.Config{testSpace(t).AtIndex(7)}})
+	resp, err = http.Post(srv.URL+"/evaluate", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out EvaluateResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(out.Objectives) != 1 || len(out.Objectives[0]) != 2 {
+		t.Fatalf("evaluate after registration = %+v", out)
+	}
+}
