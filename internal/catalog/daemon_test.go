@@ -67,7 +67,7 @@ func TestDaemonLogsBridgeFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		e, err := NewExecEvaluator("/definitely/not/a/binary", bridgeSpace(t), 1)
+		e, err := NewExecEvaluator("/definitely/not/a/binary", param.MustSpace(param.Grid("a", 0, 4, 5), param.Grid("b", 0, 4, 5)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

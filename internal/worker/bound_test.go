@@ -12,16 +12,16 @@ import (
 	"repro/internal/param"
 )
 
-// padded answers every request with reply followed by enough JSON
-// whitespace to pass maxEvaluateBody: a body that still decodes once fully
-// buffered, so a reader without a bound accepts it.
-func padded(reply string) http.HandlerFunc {
+// padded answers every request with reply followed by JSON whitespace, size
+// bytes in all: a body that still decodes once fully buffered, so a reader
+// without a bound accepts it.
+func padded(reply string, size int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
 		_, _ = io.WriteString(w, reply)
-		pad := bytes.Repeat([]byte(" "), 1<<20)
-		for sent := 0; sent <= maxEvaluateBody; sent += len(pad) {
-			if _, err := w.Write(pad); err != nil {
+		pad := bytes.Repeat([]byte(" "), 1<<16)
+		for left := size - len(reply); left > 0; left -= len(pad) {
+			if _, err := w.Write(pad[:min(left, len(pad))]); err != nil {
 				return // the reader gave up, as it should
 			}
 		}
@@ -32,7 +32,7 @@ func padded(reply string) http.HandlerFunc {
 // the chunk fails on it, is retried on another worker, and the failure
 // counts against the sender.
 func TestPoolBoundsWorkerReply(t *testing.T) {
-	fat := httptest.NewServer(padded(`{"objectives":[[1,2]]}`))
+	fat := httptest.NewServer(padded(`{"objectives":[[1,2]]}`, maxEvaluateBody+1<<20))
 	defer fat.Close()
 	honest := newWorker(t, nil)
 	pool, err := NewPool([]string{fat.URL, honest.URL}, Options{

@@ -1,23 +1,31 @@
-package catalog
+package worker
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/param"
 )
+
+// maxBridgeReply is the bridges' bound on one configuration's reply, the
+// exec reply line or the HTTP body: 64 KiB.
+const maxBridgeReply = 64 << 10
 
 // TestHelperObjective is not a test: it is the exec-bridge subprocess,
 // re-invoked from this test binary (the standard self-exec pattern). Its
@@ -39,7 +47,7 @@ func TestHelperObjective(t *testing.T) {
 	out := json.NewEncoder(os.Stdout)
 	served := 0
 	for in.Scan() {
-		var req ExecRequest
+		var req catalog.ExecRequest
 		if err := json.Unmarshal(in.Bytes(), &req); err != nil {
 			out.Encode(map[string]string{"error": err.Error()})
 			continue
@@ -68,8 +76,8 @@ func TestHelperObjective(t *testing.T) {
 		case "garbage":
 			fmt.Println("this is not JSON")
 		case "long-line":
-			// A valid reply, padded past maxExecReply before its newline.
-			fmt.Printf("{\"objectives\":[1,2]%s}\n", strings.Repeat(" ", 2*maxExecReply))
+			// A valid reply, padded past maxBridgeReply before its newline.
+			fmt.Printf("{\"objectives\":[1,2]%s}\n", strings.Repeat(" ", 2*maxBridgeReply))
 		case "null-belt":
 			// A program that marks a configuration invalid the JSON way:
 			// null where it has no number (the belt of nullBeltEval).
@@ -106,18 +114,18 @@ func nullBeltEval(cfg param.Config) []float64 {
 	return objs
 }
 
-// helperEvaluator builds an ExecEvaluator that re-runs this test binary as
-// the objective program in the given mode.
-func helperEvaluator(t *testing.T, mode string, objectives int) *ExecEvaluator {
+// helperEvaluator builds a catalog.ExecEvaluator that re-runs this test
+// binary as the objective program in the given mode.
+func helperEvaluator(t *testing.T, mode string, objectives int) *catalog.ExecEvaluator {
 	t.Helper()
 	return helperEvaluatorOver(t, mode, bridgeSpace(t), objectives)
 }
 
-func helperEvaluatorOver(t *testing.T, mode string, space *param.Space, objectives int) *ExecEvaluator {
+func helperEvaluatorOver(t *testing.T, mode string, space *param.Space, objectives int) *catalog.ExecEvaluator {
 	t.Helper()
 	t.Setenv("BRIDGE_HELPER_MODE", mode)
 	cmd := os.Args[0] + " -test.run=^TestHelperObjective$"
-	e, err := NewExecEvaluator(cmd, space, objectives)
+	e, err := catalog.NewExecEvaluator(cmd, space, objectives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +192,10 @@ func TestExecEvaluatorGarbageOutput(t *testing.T) {
 }
 
 func TestExecEvaluatorBadCommand(t *testing.T) {
-	if _, err := NewExecEvaluator("   ", bridgeSpace(t), 1); err == nil {
+	if _, err := catalog.NewExecEvaluator("   ", bridgeSpace(t), 1); err == nil {
 		t.Fatal("accepted an empty command")
 	}
-	e, err := NewExecEvaluator("/definitely/not/a/binary", bridgeSpace(t), 1)
+	e, err := catalog.NewExecEvaluator("/definitely/not/a/binary", bridgeSpace(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +208,7 @@ func TestHTTPEvaluator(t *testing.T) {
 	var gotPath string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotPath = r.URL.Path
-		var req HTTPRequest
+		var req catalog.HTTPRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Configs) != 1 {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return
@@ -212,7 +220,7 @@ func TestHTTPEvaluator(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	e := NewHTTPEvaluator(srv.URL+"/eval", bridgeSpace(t), 2)
+	e := catalog.NewHTTPEvaluator(srv.URL+"/eval", bridgeSpace(t), 2)
 	objs := e.Evaluate(param.Config{3, 1})
 	if len(objs) != 2 || objs[0] != 2 || objs[1] != 4 {
 		t.Fatalf("objectives = %v, want [2 4]", objs)
@@ -238,7 +246,7 @@ func TestHTTPEvaluatorFailures(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			srv := httptest.NewServer(h)
 			defer srv.Close()
-			e := NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2)
+			e := catalog.NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2)
 			if objs := e.Evaluate(param.Config{0, 0}); objs != nil {
 				t.Fatalf("objectives = %v, want nil", objs)
 			}
@@ -246,7 +254,7 @@ func TestHTTPEvaluatorFailures(t *testing.T) {
 	}
 
 	t.Run("unreachable", func(t *testing.T) {
-		e := NewHTTPEvaluator("http://127.0.0.1:1/eval", bridgeSpace(t), 2)
+		e := catalog.NewHTTPEvaluator("http://127.0.0.1:1/eval", bridgeSpace(t), 2)
 		if objs := e.Evaluate(param.Config{0, 0}); objs != nil {
 			t.Fatalf("objectives = %v, want nil", objs)
 		}
@@ -263,32 +271,16 @@ func logLines(f func()) []string {
 	return strings.FieldsFunc(buf.String(), func(r rune) bool { return r == '\n' })
 }
 
-// padded answers every request with reply followed by JSON whitespace, size
-// bytes in all: a body that still decodes once fully buffered, so a reader
-// without a bound accepts it.
-func padded(reply string, size int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.Copy(io.Discard, r.Body)
-		_, _ = io.WriteString(w, reply)
-		pad := bytes.Repeat([]byte(" "), 1<<16)
-		for left := size - len(reply); left > 0; left -= len(pad) {
-			if _, err := w.Write(pad[:min(left, len(pad))]); err != nil {
-				return // the reader gave up, as it should
-			}
-		}
-	}
-}
-
-// An HTTP-bridged endpoint whose reply passes maxExecReply, by one byte or
+// An HTTP-bridged endpoint whose reply passes maxBridgeReply, by one byte or
 // by a stream that goes on, leaves the configuration unmeasured, with one
-// log line; a reply of exactly maxExecReply bytes is read.
+// log line; a reply of exactly maxBridgeReply bytes is read.
 func TestHTTPEvaluatorBoundsReply(t *testing.T) {
 	const reply = `{"objectives":[[1,2]]}`
-	for name, size := range map[string]int{"one byte over": maxExecReply + 1, "streaming": 33 << 20} {
+	for name, size := range map[string]int{"one byte over": maxBridgeReply + 1, "streaming": 33 << 20} {
 		t.Run(name, func(t *testing.T) {
 			srv := httptest.NewServer(padded(reply, size))
 			defer srv.Close()
-			e := NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2)
+			e := catalog.NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2)
 			var objs []float64
 			logged := logLines(func() { objs = e.Evaluate(param.Config{1, 2}) })
 			if objs != nil {
@@ -299,14 +291,14 @@ func TestHTTPEvaluatorBoundsReply(t *testing.T) {
 			}
 		})
 	}
-	srv := httptest.NewServer(padded(reply, maxExecReply))
+	srv := httptest.NewServer(padded(reply, maxBridgeReply))
 	defer srv.Close()
-	if objs := NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2).Evaluate(param.Config{1, 2}); len(objs) != 2 || objs[0] != 1 || objs[1] != 2 {
+	if objs := catalog.NewHTTPEvaluator(srv.URL, bridgeSpace(t), 2).Evaluate(param.Config{1, 2}); len(objs) != 2 || objs[0] != 1 || objs[1] != 2 {
 		t.Fatalf("objectives = %v, want [1 2] from a reply of exactly the bound", objs)
 	}
 }
 
-// An exec-bridged program whose reply line passes maxExecReply leaves the
+// An exec-bridged program whose reply line passes maxBridgeReply leaves the
 // configuration unmeasured, with one log line (after the one restart every
 // transport failure gets).
 func TestExecEvaluatorBoundsReplyLine(t *testing.T) {
@@ -364,28 +356,116 @@ func TestNullOverExecBridgeIsInvalidUnderDefaultStrategy(t *testing.T) {
 	}
 }
 
-// fingerprint renders a run's samples and fronts one line each, so equal
-// strings mean byte-identical results.
-func fingerprint(res *core.Result) string {
-	var b strings.Builder
-	for _, s := range res.Samples {
-		fmt.Fprintf(&b, "s %d %v %v %d\n", s.Index, s.Config, s.Objs, s.Iteration)
+// The lifetime of an exec bridge's program across the two batch loops that
+// hold it: the worker's /evaluate and the coordinator's core.LocalBackend.
+
+// TestReregistrationStopsProgramOfBatchInFlight: a batch that captured an
+// exec-bound problem keeps measuring across a re-registration of that
+// problem, restarting the replaced program Register stopped once and
+// holding it for the rest of the batch, though the worker measures one
+// configuration at a time; the program must be stopped again by the time
+// the batch is answered.
+func TestReregistrationStopsProgramOfBatchInFlight(t *testing.T) {
+	pids := filepath.Join(t.TempDir(), "pids")
+	t.Setenv("BRIDGE_HELPER_PIDS", pids)
+	problem := func() Problem {
+		return Problem{Name: "bridged", Space: bridgeSpace(t), Eval: helperEvaluator(t, "slow-sum", 2), Objectives: 2}
 	}
-	for _, p := range res.Front {
-		fmt.Fprintf(&b, "f %d %v\n", p.ID, p.Objs)
+	s := NewServer(1)
+	if err := s.Register(problem()); err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range res.RandomFront {
-		fmt.Fprintf(&b, "r %d %v\n", p.ID, p.Objs)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+
+	configs := sixConfigs()
+	body, _ := json.Marshal(EvaluateRequest{Problem: "bridged", Configs: configs})
+	replied := make(chan [][]float64, 1)
+	go func() {
+		var out EvaluateResponse
+		if resp, err := http.Post(srv.URL+"/evaluate", "application/json", strings.NewReader(string(body))); err == nil {
+			json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+		}
+		replied <- out.Objectives
+	}()
+	waitProgram(t, pids)
+	if err := s.Register(problem()); err != nil {
+		t.Fatal(err)
 	}
-	return b.String()
+	checkRetiredBatch(t, pids, configs, <-replied)
 }
 
-// invalidFingerprint renders Result.Invalid the way fingerprint renders
-// Samples; %v prints NaN as "NaN", so equal strings mean equal markers.
-func invalidFingerprint(res *core.Result) string {
-	var b strings.Builder
-	for _, s := range res.Invalid {
-		fmt.Fprintf(&b, "i %d %v %v %d\n", s.Index, s.Config, s.Objs, s.Iteration)
+// TestRetiredBridgeHeldForLocalBatch is the coordinator's side of the same
+// lifetime: a session's in-process batch, evaluated one configuration at a
+// time (core.LocalBackend with Workers 1), that outlives its bridge's
+// retirement restarts the program once and stops it when the batch ends.
+func TestRetiredBridgeHeldForLocalBatch(t *testing.T) {
+	pids := filepath.Join(t.TempDir(), "pids")
+	t.Setenv("BRIDGE_HELPER_PIDS", pids)
+	ev := helperEvaluator(t, "slow-sum", 2)
+	configs := sixConfigs()
+	replied := make(chan [][]float64, 1)
+	go func() {
+		out, _ := (&core.LocalBackend{Eval: ev, Workers: 1}).EvaluateBatch(context.Background(), configs)
+		replied <- out
+	}()
+	waitProgram(t, pids)
+	ev.Close()
+	checkRetiredBatch(t, pids, configs, <-replied)
+}
+
+// sixConfigs is the batch the retirement tests measure: at the helper's
+// 100 ms a configuration it is still running when the bridge retires.
+func sixConfigs() []param.Config {
+	configs := make([]param.Config, 6)
+	for i := range configs {
+		configs[i] = param.Config{float64(i % 5), 1}
 	}
-	return b.String()
+	return configs
+}
+
+// waitProgram waits until the helper program has recorded its first pid.
+func waitProgram(t *testing.T, pids string) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if data, _ := os.ReadFile(pids); len(data) > 0 {
+			return // the batch is measuring
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the batch never started the program")
+		}
+	}
+}
+
+// checkRetiredBatch checks a batch whose bridge retired while it measured:
+// every configuration measured, exactly two programs started (the original
+// and the one restart the batch held to its end), and both gone.
+func checkRetiredBatch(t *testing.T, pids string, configs []param.Config, out [][]float64) {
+	t.Helper()
+	if len(out) != len(configs) {
+		t.Fatalf("batch answered %d of %d configurations", len(out), len(configs))
+	}
+	for i, objs := range out {
+		if len(objs) != 2 || objs[0] != configs[i][0]+configs[i][1] {
+			t.Fatalf("configuration %d measured %v", i, objs)
+		}
+	}
+	data, err := os.ReadFile(pids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(data))
+	if len(lines) != 2 {
+		t.Errorf("%d programs started (pids %v), want 2: the original and one restart for the rest of the batch", len(lines), lines)
+	}
+	for _, line := range lines {
+		pid, err := strconv.Atoi(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := os.FindProcess(pid); err == nil && p.Signal(syscall.Signal(0)) == nil {
+			t.Errorf("the retired bridge's program (pid %d) still runs after the batch was answered", pid)
+		}
+	}
 }
