@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"slices"
 	"strings"
@@ -68,14 +69,12 @@ func run(args []string, stdout io.Writer) error {
 		want[k] = true
 	}
 
-	opts := experiments.Options{
-		Scale:  experiments.Scale(*scale),
-		OutDir: *out,
-		Seed:   *seed,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stdout, "  "+format+"\n", args...)
-		},
-	}
+	// The generators' progress lines, written to the process logger, go to
+	// stdout indented under each step's title.
+	log.SetFlags(0)
+	log.SetPrefix("  ")
+	log.SetOutput(stdout)
+	opts := experiments.Options{Scale: experiments.Scale(*scale), OutDir: *out, Seed: *seed}
 
 	type renderer interface{ Render(io.Writer) }
 	var fig3a, fig4 *experiments.DSEResult

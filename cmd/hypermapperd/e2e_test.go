@@ -379,3 +379,46 @@ func TestGracefulShutdownResume(t *testing.T) {
 	}
 	revived.stop(t)
 }
+
+// TestSecondDaemonOnDataDirRefused: while one daemon serves a data
+// directory, a second one started on it exits non-zero within 10 s, naming
+// the lock file, and the first keeps serving.
+func TestSecondDaemonOnDataDirRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real daemon processes")
+	}
+	bin := buildDaemon(t)
+	dataDir := t.TempDir()
+	first := startDaemon(t, bin, "-data-dir", dataDir)
+
+	second := exec.Command(bin, "-addr", freeAddr(t), "-dataset", "test", "-data-dir", dataDir)
+	var stderr bytes.Buffer
+	second.Stderr = &stderr
+	if err := second.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- second.Wait() }()
+	select {
+	case err := <-exited:
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Errorf("second daemon on %s: exit %v, want a non-zero status", dataDir, err)
+		}
+	case <-time.After(10 * time.Second):
+		second.Process.Kill()
+		<-exited
+		t.Fatalf("second daemon on %s still running after 10 s", dataDir)
+	}
+	if lock := filepath.Join(dataDir, "LOCK"); !bytes.Contains(stderr.Bytes(), []byte(lock)) {
+		t.Errorf("second daemon's stderr %q does not name %s", stderr.String(), lock)
+	}
+	resp, err := http.Get(first.url + "/healthz")
+	if err != nil {
+		t.Fatalf("first daemon stopped answering: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("first daemon /healthz = %d, want 200", resp.StatusCode)
+	}
+	first.stop(t)
+}

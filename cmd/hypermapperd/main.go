@@ -23,7 +23,9 @@ import (
 	"net/http"
 	_ "net/http/pprof" // the handlers -pprof serves (catalog.Daemon)
 	"os"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/catalog"
@@ -96,7 +98,6 @@ func main() {
 		DataDir:     *dataDir,
 		Resume:      *resume,
 		SpecLoader:  catalog.FromSpecData,
-		Logf:        infof,
 
 		MaxUnmeasuredFraction: *maxUnmeasured,
 	}
@@ -105,6 +106,13 @@ func main() {
 	}
 	if f := *maxUnmeasured; f < 0 || f > 1 {
 		fatalf("-max-unmeasured %g must be in [0, 1]", f)
+	}
+	if *dataDir != "" {
+		lock, err := lockDataDir(*dataDir)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		defer lock.Close() // held, and kept reachable, until the process exits
 	}
 	// A daemon given none of these admits every run at once and leaves
 	// evaluation batches unmerged (cfg.Sched stays nil).
@@ -174,4 +182,26 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+}
+
+// lockDataDir takes <dir>/LOCK with an exclusive, non-blocking flock, so a
+// second daemon on the same data directory fails at start instead of
+// minting the same run IDs into the same journals. The kernel drops the
+// lock when the process dies, SIGKILL included. Go opens files
+// close-on-exec, so an exec-bridge program that outlives the daemon does
+// not inherit, and so does not hold, the lock.
+func lockDataDir(dir string) (*os.File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	path := filepath.Join(dir, "LOCK")
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: another daemon holds this data directory: %w", path, err)
+	}
+	return f, nil
 }

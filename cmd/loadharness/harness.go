@@ -150,29 +150,7 @@ type harness struct {
 	statMu          sync.Mutex
 	maxQueueDepth   int
 	quotaViolations int64
-	lastStats       statsResp
-}
-
-// statsResp mirrors the subset of GET /stats the harness asserts on.
-type statsResp struct {
-	CacheHits         int64 `json:"cache_hits"`
-	CacheMisses       int64 `json:"cache_misses"`
-	CacheCoalesceHits int64 `json:"cache_coalesce_hits"`
-	Sched             struct {
-		MaxRunning    int     `json:"max_running"`
-		Running       int     `json:"running"`
-		Queued        int     `json:"queued"`
-		MaxQueueDepth int     `json:"max_queue_depth"`
-		WaitP50MS     float64 `json:"wait_p50_ms"`
-		WaitP99MS     float64 `json:"wait_p99_ms"`
-		Tenants       []struct {
-			Tenant  string `json:"tenant"`
-			Running int    `json:"running"`
-		} `json:"tenants"`
-	} `json:"sched"`
-	Coalesce *struct {
-		Deduped int64 `json:"deduped"`
-	} `json:"coalesce"`
+	lastStats       server.Stats // Sched never nil
 }
 
 // run executes the whole harness: embed (or attach to) a daemon, release
@@ -205,8 +183,9 @@ func run(cfg config, out io.Writer) (*report, error) {
 				MaxIdleConnsPerHost: cfg.executors() + 8,
 			},
 		},
-		wake:     make(chan struct{}, 1),
-		byTenant: make([]atomic.Int64, cfg.Tenants),
+		wake:      make(chan struct{}, 1),
+		byTenant:  make([]atomic.Int64, cfg.Tenants),
+		lastStats: server.Stats{Sched: &sched.Stats{}},
 	}
 
 	start := time.Now()
@@ -536,11 +515,11 @@ func (h *harness) pollStats() {
 	if err != nil {
 		return
 	}
-	var st statsResp
+	var st server.Stats
 	err = json.NewDecoder(resp.Body).Decode(&st)
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
-	if err != nil {
+	if err != nil || st.Sched == nil {
 		return
 	}
 	h.statMu.Lock()

@@ -98,30 +98,24 @@ type Options struct {
 	// drop the durability the caller asked for. Measurements that
 	// completed before the failure are still returned.
 	Journal BatchRecorder
-	// Replay, when non-nil, serves previously measured objectives by
-	// design-space index before the cache and backend are consulted — the
-	// resume half of the journal: replaying a crashed run's journal through
-	// a run with identical space, seed, and budgets reconstructs its exact
-	// exploration state (same RNG draws, same samples, same fronts) without
-	// re-measuring anything, and continues live at the first unjournaled
-	// configuration. On its own it recomputes every round's fit, pool and
-	// selection; ReplayBatches lets the run skip that work. Entries are
-	// objective vectors of length Objectives; the map is only read.
-	Replay map[int64][]float64
-	// ReplayBatches complements Replay with the journal's batch records, in
-	// order (journal.Recovered.Batches); the slice is only read. The run
-	// derives two things from them. First, the degraded-batch history: how
-	// many batches skipped each index unmeasured (Batch.Unmeasured). During
-	// replay a pending skip is consumed before Replay is consulted, so a
-	// resumed run reproduces the original's degraded batches exactly — an
-	// index skipped in one round and measured in a later one replays in
-	// that same order. Second, the rounds it fast-forwards: a round the
-	// journal holds whole (see run.journaledRound) is taken as journaled —
-	// its batch is measured through replay without a forest fit, pool
-	// prediction or selection, and its statistics are the journaled
-	// Batch.Round. Every other round, one split across records by a crash
-	// mid-batch or journaled without a Round, is recomputed.
-	ReplayBatches []journal.Batch
+	// Replay holds a journal's batch records, in order
+	// (journal.Recovered.Batches) — the resume half of the journal: a run
+	// with identical space, seed, and budgets reconstructs from them the
+	// journaled run's exact exploration state (same RNG draws, samples and
+	// fronts) without re-measuring anything, and continues live at the
+	// first unjournaled configuration. The slice is only read; the run
+	// derives what it needs from it once, when it starts (replayPlan).
+	// Journaled objectives are served by design-space index before the
+	// cache and backend are consulted. A journaled skip (Batch.Unmeasured)
+	// is consumed before them, so a resumed run reproduces the original's
+	// degraded batches exactly — an index skipped in one round and measured
+	// in a later one replays in that same order. A round the journal holds
+	// whole (see run.journaledRound) is fast-forwarded: its batch is
+	// measured through replay without a forest fit, pool prediction or
+	// selection, and its statistics are the journaled Batch.Round. Every
+	// other round, one split across records by a crash mid-batch or
+	// journaled without a Round, is recomputed.
+	Replay []journal.Batch
 	// MaxUnmeasuredFraction bounds graceful degradation. When a batch
 	// comes back partially unmeasured — the evaluation backend exhausted
 	// its retries on some chunk, or returned fewer results than asked —
@@ -243,7 +237,7 @@ type IterationStats struct {
 	// encoded on either), pool prediction (including the predicted-front
 	// filter), and hardware evaluation of the new batch.
 	// The bootstrap event carries only EvalTime, and a round a resumed run
-	// fast-forwards (Options.ReplayBatches) a FitTime and PredictTime of 0:
+	// fast-forwards (Options.Replay) a FitTime and PredictTime of 0:
 	// it fits nothing (Result.Forests fits a last such round's forests on
 	// demand). They make the optimizer-side cost observable end to end
 	// (they stream out over the server's /events NDJSON feed).
@@ -412,13 +406,8 @@ type run struct {
 	// per-phase hypervolume stat: reference = nadir + 10% of the range.
 	nadir, ideal []float64
 
-	// skips holds a resumed run's pending journaled skips, consumed as its
-	// batches replay; journaled holds, per round, the one journal record
-	// that may fast-forward it; lookups, per phase, the memo-cache counts
-	// its journal records carry. All come from Options.ReplayBatches.
-	skips     map[int64]int
-	journaled map[int]*journal.Batch
-	lookups   map[int]batchOutcome
+	// replay is what a resumed run takes from Options.Replay.
+	replay replay
 	// fetch measures the configurations of a batch that replay does not
 	// answer, position-matched, with the memo-cache's hit and miss counts.
 	// It is resolved once, when the run starts: the space-bound view of
@@ -456,8 +445,8 @@ func newRun(ctx context.Context, space *param.Space, eval Evaluator, opts Option
 		nadir:     make([]float64, o.Objectives),
 		ideal:     make([]float64, o.Objectives),
 		st:        newPoolState(space, o),
+		replay:    replayPlan(o.Replay),
 	}
-	r.skips, r.journaled, r.lookups = replayPlan(o.ReplayBatches)
 	for k := range r.nadir {
 		r.nadir[k] = math.Inf(-1)
 		r.ideal[k] = math.Inf(1)
@@ -574,38 +563,54 @@ func (r *run) iterate(iter int) error {
 	return nil
 }
 
-// replayPlan derives from a journal's batch records, in order, the pending
-// skip count of every index a batch left unmeasured; for each
-// active-learning round recorded by exactly one record carrying a Round,
-// that record; and per phase, the memo-cache hits and misses of all its
-// records. A round with two records — a batch cut by a crash, whose
-// remainder the resumed run measured into a second — has lost the order of
-// its selection, so it is left out of the rounds.
-func replayPlan(batches []journal.Batch) (map[int64]int, map[int]*journal.Batch, map[int]batchOutcome) {
-	skips := make(map[int64]int)
-	rounds := make(map[int]*journal.Batch)
+// replay is a resumed run's plan, derived once from its journal's batch
+// records. objs holds the journaled objectives of every measured index;
+// skips, the pending skip count of every index a batch left unmeasured,
+// consumed as the run's batches replay; rounds, for each active-learning
+// round recorded by exactly one record carrying a Round, that record; and
+// lookups, per phase, the memo-cache hits and misses of all its records.
+type replay struct {
+	objs    map[int64][]float64
+	skips   map[int64]int
+	rounds  map[int]*journal.Batch
+	lookups map[int]batchOutcome
+}
+
+// replayPlan reads a journal's batch records, in order, into a replay. A
+// round with two records — a batch cut by a crash, whose remainder the
+// resumed run measured into a second — has lost the order of its
+// selection, so it is left out of the rounds.
+func replayPlan(batches []journal.Batch) replay {
+	p := replay{
+		objs:    make(map[int64][]float64),
+		skips:   make(map[int64]int),
+		rounds:  make(map[int]*journal.Batch),
+		lookups: make(map[int]batchOutcome),
+	}
 	records := make(map[int]int)
-	lookups := make(map[int]batchOutcome)
 	for i := range batches {
 		b := &batches[i]
-		for _, idx := range b.Unmeasured {
-			skips[idx]++
+		for _, s := range b.Samples {
+			p.objs[s.Index] = s.Objs
 		}
-		l := lookups[b.Iteration]
+		for _, idx := range b.Unmeasured {
+			p.skips[idx]++
+		}
+		l := p.lookups[b.Iteration]
 		l.hits += b.Hits
 		l.misses += b.Misses
-		lookups[b.Iteration] = l
+		p.lookups[b.Iteration] = l
 		if b.Iteration > 0 {
 			records[b.Iteration]++
-			rounds[b.Iteration] = b
+			p.rounds[b.Iteration] = b
 		}
 	}
-	for iter, b := range rounds {
+	for iter, b := range p.rounds {
 		if records[iter] != 1 || b.Round == nil {
-			delete(rounds, iter)
+			delete(p.rounds, iter)
 		}
 	}
-	return skips, rounds, lookups
+	return p
 }
 
 // journaledRound returns round iter's batch, and what its model work
@@ -616,7 +621,7 @@ func replayPlan(batches []journal.Batch) (map[int64]int, map[int]*journal.Batch,
 // of them has been measured yet. The batch is the samples in order, then the
 // unmeasured indices. It returns nil when the round must be recomputed.
 func (r *run) journaledRound(iter int) ([]int64, *journal.Round) {
-	b := r.journaled[iter]
+	b := r.replay.rounds[iter]
 	if b == nil {
 		return nil, nil
 	}
@@ -733,8 +738,8 @@ func (r *run) measure(idxs []int64, stats *IterationStats) error {
 	start := time.Now()
 	batch, bo, err := r.evaluate(idxs, stats.Iteration, round)
 	stats.EvalTime = time.Since(start)
-	bo.hits += r.lookups[stats.Iteration].hits
-	bo.misses += r.lookups[stats.Iteration].misses
+	bo.hits += r.replay.lookups[stats.Iteration].hits
+	bo.misses += r.replay.lookups[stats.Iteration].misses
 	stats.NewSamples = len(batch)
 	stats.CacheHits, stats.CacheMisses, stats.Unmeasured = bo.hits, bo.misses, bo.unmeasured
 	r.res.CacheHits += bo.hits
@@ -870,8 +875,8 @@ type batchOutcome struct {
 // answered by the first stage that can: a pending journaled skip of a
 // resumed run leaves it unmeasured again (consumed before the replay is
 // consulted, so an index the original run skipped in one batch and measured
-// in a later one replays in that same order), then Options.Replay serves
-// the journaled objectives, then run.fetch — the memo-cache, and the
+// in a later one replays in that same order), then the journaled
+// objectives of Options.Replay, then run.fetch — the memo-cache, and the
 // Backend in one call for what is left. What fetch answered — and only
 // that, so a resumed run never re-journals what it replayed — is recorded
 // to Options.Journal before returning, with round, the model side of an
@@ -902,10 +907,10 @@ func (r *run) evaluate(idxs []int64, iter int, round *journal.Round) ([]Sample, 
 	var liveCfgs []param.Config
 	for i, idx := range idxs {
 		cfgs[i] = r.space.AtIndex(idx)
-		if r.skips[idx] > 0 {
-			r.skips[idx]--
+		if r.replay.skips[idx] > 0 {
+			r.replay.skips[idx]--
 			skipped[i] = true
-		} else if rec, ok := o.Replay[idx]; ok {
+		} else if rec, ok := r.replay.objs[idx]; ok {
 			objs[i] = append([]float64(nil), rec...)
 		} else {
 			live = append(live, i)
@@ -938,7 +943,7 @@ func (r *run) evaluate(idxs []int64, iter int, round *journal.Round) ([]Sample, 
 			continue // not evaluated: skipped, cancelled, or failed mid-batch
 		}
 		out = append(out, Sample{Index: idxs[i], Config: cfgs[i], Objs: ob, Iteration: iter, ActiveLearning: iter > 0})
-		if _, replayed := o.Replay[idxs[i]]; !replayed {
+		if _, replayed := r.replay.objs[idxs[i]]; !replayed {
 			rec.Samples = append(rec.Samples, journal.SampleRecord{Index: idxs[i], Objs: ob})
 		}
 	}

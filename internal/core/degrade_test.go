@@ -237,9 +237,9 @@ func TestEvaluatePath(t *testing.T) {
 			rec := &memRecorder{}
 			r := newRun(ctx, space, nil, Options{
 				Objectives: 2, MaxUnmeasuredFraction: tc.fraction, Journal: rec, Cache: cache,
-				Backend:       b,
-				Replay:        map[int64][]float64{replayA: replayed[0].Objs, replayB: replayed[1].Objs},
-				ReplayBatches: []journal.Batch{{Iteration: 1, Active: true, Unmeasured: []int64{skip}}},
+				Backend: b,
+				Replay: []journal.Batch{{Iteration: 1, Active: true, Unmeasured: []int64{skip},
+					Samples: []journal.SampleRecord{record(replayA, replayed[0].Objs), record(replayB, replayed[1].Objs)}}},
 			})
 			out, bo, err := r.evaluate(idxs, 2, nil)
 			<-otherDone
@@ -265,7 +265,7 @@ func TestEvaluatePath(t *testing.T) {
 			if waits := cache.CoalesceHits(); waits != int64(tc.outcome.hits-1) {
 				t.Errorf("%d coalesce hits, want %d", waits, tc.outcome.hits-1)
 			}
-			if r.skips[skip] != 0 {
+			if r.replay.skips[skip] != 0 {
 				t.Errorf("the replayed skip was not consumed")
 			}
 		})
@@ -302,7 +302,7 @@ func TestFullyUnmeasuredBootstrapFails(t *testing.T) {
 	}
 }
 
-// Resuming a degraded run from its journal (Replay + ReplayBatches) must be
+// Resuming a degraded run from its journal (Options.Replay) must be
 // byte-identical — same samples, same front, same skip history — without
 // a single backend call.
 func TestDegradedResumeByteIdentical(t *testing.T) {
@@ -316,15 +316,10 @@ func TestDegradedResumeByteIdentical(t *testing.T) {
 		t.Fatal("reference run skipped nothing; the scenario is not exercised")
 	}
 
-	replay := make(map[int64][]float64)
-	for _, s := range ref.samples() {
-		replay[s.Index] = s.Objs
-	}
 	dead := &dropBackend{fn: degradeEval}
 	rec := &memRecorder{}
 	opts := degradeOpts(rec, 0.9, dead)
-	opts.Replay = replay
-	opts.ReplayBatches = ref.batches
+	opts.Replay = ref.batches
 	res, err := Run(space, nil, opts)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -89,19 +90,13 @@ func cutsOf(batches []journal.Batch) []journalCut {
 	return append(cuts, journalCut{fmt.Sprintf("records=%d", len(batches)), batches, whole, -1})
 }
 
-// resumeFrom runs the shape over a journal: its samples as Replay, its
-// records as ReplayBatches. It returns the result and what the run journaled.
+// resumeFrom runs the shape over a journal's records. It returns the result
+// and what the run journaled.
 func (sh ffShape) resumeFrom(t *testing.T, records []journal.Batch) (*Result, *memRecorder) {
 	t.Helper()
 	rec := &memRecorder{}
 	opts := sh.opts(rec)
-	opts.Replay = make(map[int64][]float64)
-	for _, b := range records {
-		for _, s := range b.Samples {
-			opts.Replay[s.Index] = s.Objs
-		}
-	}
-	opts.ReplayBatches = records
+	opts.Replay = records
 	res, err := Run(sh.space, sh.eval, opts)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
@@ -291,18 +286,27 @@ func TestForestsFitOnceOnDemand(t *testing.T) {
 	}
 }
 
-// replayPlan counts every journaled skip of an index, across batches,
-// keeps a round for fast-forwarding only when one record carrying a Round
-// holds it, and sums each phase's memo-cache counts over its records.
+// replayPlan maps every journaled sample's index to its objectives, counts
+// every journaled skip of an index, across batches, keeps a round for
+// fast-forwarding only when one record carrying a Round holds it, and sums
+// each phase's memo-cache counts over its records.
 func TestReplayPlan(t *testing.T) {
 	rd := &journal.Round{Selected: 1}
-	skips, rounds, lookups := replayPlan([]journal.Batch{
-		{Iteration: 0, Samples: []journal.SampleRecord{{Index: 1}}, Unmeasured: []int64{7, 9}, Misses: 3},
+	sample := func(idx int64) []journal.SampleRecord {
+		return []journal.SampleRecord{{Index: idx, Objs: []float64{float64(idx), -float64(idx)}}}
+	}
+	p := replayPlan([]journal.Batch{
+		{Iteration: 0, Samples: sample(1), Unmeasured: []int64{7, 9}, Misses: 3},
 		{Iteration: 1, Active: true, Unmeasured: []int64{7}, Round: rd, Misses: 1},
-		{Iteration: 2, Active: true, Samples: []journal.SampleRecord{{Index: 2}}, Round: rd, Hits: 1},
-		{Iteration: 2, Active: true, Samples: []journal.SampleRecord{{Index: 3}}, Round: rd, Misses: 1},
-		{Iteration: 3, Active: true, Samples: []journal.SampleRecord{{Index: 4}}},
+		{Iteration: 2, Active: true, Samples: sample(2), Round: rd, Hits: 1},
+		{Iteration: 2, Active: true, Samples: sample(3), Round: rd, Misses: 1},
+		{Iteration: 3, Active: true, Samples: sample(4)},
 	})
+	skips, rounds, lookups := p.skips, p.rounds, p.lookups
+	wantObjs := map[int64][]float64{1: {1, -1}, 2: {2, -2}, 3: {3, -3}, 4: {4, -4}}
+	if !maps.EqualFunc(p.objs, wantObjs, slices.Equal[[]float64]) {
+		t.Errorf("objs = %v, want %v", p.objs, wantObjs)
+	}
 	if !maps.Equal(skips, map[int64]int{7: 2, 9: 1}) {
 		t.Errorf("skips = %v, want map[7:2 9:1]", skips)
 	}
@@ -315,10 +319,10 @@ func TestReplayPlan(t *testing.T) {
 	}
 }
 
-// BenchmarkResumeFastForward times what a restarted daemon asks of the
-// engine: a run journaled in memory is resumed with the inputs the daemon
-// passes, its journal's samples as Replay and its records as ReplayBatches,
-// so every round is fast-forwarded and nothing is measured.
+// BenchmarkResumeFastForward times what a restarted daemon, and the
+// ledger's core.replay_s probe, ask of the engine: a run journaled in memory
+// is resumed from its journal's records, so every round is fast-forwarded
+// and nothing is measured.
 func BenchmarkResumeFastForward(b *testing.B) {
 	space := benchSpace(b)
 	rec := &memRecorder{}
@@ -329,11 +333,7 @@ func BenchmarkResumeFastForward(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts.Journal = nil
-	opts.Replay = make(map[int64][]float64)
-	for _, s := range rec.samples() {
-		opts.Replay[s.Index] = s.Objs
-	}
-	opts.ReplayBatches = rec.batches
+	opts.Replay = rec.batches
 	unmeasured := EvaluatorFunc(func(param.Config) []float64 {
 		b.Fatal("a resumed run measured a configuration")
 		return nil

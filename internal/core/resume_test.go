@@ -99,6 +99,43 @@ func recordKeys(recs []journal.SampleRecord) []int64 {
 	return out
 }
 
+// journalPrefix returns the records that hold a journal's first n samples:
+// whole records, then the first samples of the one a crash cut.
+func journalPrefix(batches []journal.Batch, n int) []journal.Batch {
+	var out []journal.Batch
+	for _, b := range batches {
+		if n <= 0 {
+			break
+		}
+		if len(b.Samples) > n {
+			b.Samples = b.Samples[:n:n]
+		}
+		n -= len(b.Samples)
+		out = append(out, b)
+	}
+	return out
+}
+
+// noModelWork fails t unless the run fit and predicted nothing in any of its
+// active-learning rounds, of which it ran at least one: every round was
+// taken as journaled.
+func noModelWork(t *testing.T, res *Result) {
+	t.Helper()
+	rounds := 0
+	for _, it := range res.Iterations {
+		if it.Iteration == 0 {
+			continue
+		}
+		rounds++
+		if it.FitTime != 0 || it.PredictTime != 0 {
+			t.Errorf("round %d: fit %v, predict %v; want a fast-forward with neither", it.Iteration, it.FitTime, it.PredictTime)
+		}
+	}
+	if rounds == 0 {
+		t.Error("the run had no active-learning round")
+	}
+}
+
 // A run resumed from a replay of any journaled prefix must be
 // byte-identical to the uninterrupted run — same sample order, same
 // objectives, same front — and must journal exactly the suffix it
@@ -125,13 +162,9 @@ func TestResumeReplayByteIdentical(t *testing.T) {
 		// cancellation path journals completed samples of an interrupted
 		// batch).
 		cut := 1 + rng.Intn(len(refSamples)-1)
-		replay := make(map[int64][]float64, cut)
-		for _, s := range refSamples[:cut] {
-			replay[s.Index] = s.Objs
-		}
 		rec := &memRecorder{}
 		opts := resumeOpts(rec)
-		opts.Replay = replay
+		opts.Replay = journalPrefix(ref.batches, cut)
 		res, err := Run(space, resumeEval(), opts)
 		if err != nil {
 			t.Fatalf("cut=%d: resumed run: %v", cut, err)
@@ -171,13 +204,9 @@ func TestResumeFullReplayNeverEvaluates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := make(map[int64][]float64)
-	for _, s := range ref.samples() {
-		replay[s.Index] = s.Objs
-	}
 	rec := &memRecorder{}
 	opts := resumeOpts(rec)
-	opts.Replay = replay
+	opts.Replay = ref.batches
 	calls := 0
 	eval := EvaluatorFunc(func(cfg param.Config) []float64 {
 		calls++
@@ -196,6 +225,7 @@ func TestResumeFullReplayNeverEvaluates(t *testing.T) {
 	if !reflect.DeepEqual(res.Front, refRes.Front) {
 		t.Error("fully replayed front differs from reference")
 	}
+	noModelWork(t, res)
 }
 
 // Replay composes with the memo-cache: replayed indices bypass it (no
@@ -209,12 +239,8 @@ func TestResumeWithCache(t *testing.T) {
 	}
 	refSamples := ref.samples()
 	cut := len(refSamples) / 2
-	replay := make(map[int64][]float64)
-	for _, s := range refSamples[:cut] {
-		replay[s.Index] = s.Objs
-	}
 	opts := resumeOpts(&memRecorder{})
-	opts.Replay = replay
+	opts.Replay = journalPrefix(ref.batches, cut)
 	opts.Cache = NewEvalCache()
 	res, err := Run(space, resumeEval(), opts)
 	if err != nil {
@@ -320,6 +346,7 @@ func TestResumeAcrossNaNBatch(t *testing.T) {
 	if !reflect.DeepEqual(res.Front, ref.Front) {
 		t.Error("replayed front differs from the original run")
 	}
+	noModelWork(t, res)
 
 	reopened := NewEvalCacheDir(filepath.Join(dir, "cache"))
 	defer reopened.Close()

@@ -107,11 +107,7 @@ func TestSpillUnreadByFullReplay(t *testing.T) {
 	defer c.Close()
 	resumed := opts
 	resumed.Cache, resumed.Journal = c, nil
-	resumed.Replay = make(map[int64][]float64)
-	for _, s := range rec.samples() {
-		resumed.Replay[s.Index] = s.Objs
-	}
-	resumed.ReplayBatches = rec.batches
+	resumed.Replay = rec.batches
 	got, err := Run(space, eval, resumed)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"time"
 
 	"repro/internal/core"
@@ -259,7 +260,7 @@ func (o Options) figDSE(fig, benchName string, dev device.Model) (*DSEResult, er
 	}
 	budget := o.dseBudget(benchName == "elasticfusion")
 	budget.OnIteration = func(s core.IterationStats) {
-		o.logf("iteration %d: predicted front %d, new samples %d, front size %d",
+		log.Printf("iteration %d: predicted front %d, new samples %d, front size %d",
 			s.Iteration, s.PredictedFrontSize, s.NewSamples, s.FrontSize)
 	}
 	res, err := RunDSE(context.Background(), bench, dev, slambench.RuntimeAccuracy, budget)

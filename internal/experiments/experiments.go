@@ -33,7 +33,8 @@ const (
 	ScaleFull Scale = "full"
 )
 
-// Options configures a generator run.
+// Options configures a generator run. Generators write their progress
+// lines to the process logger.
 type Options struct {
 	// Scale selects the budget (default ScaleQuick).
 	Scale Scale
@@ -41,8 +42,6 @@ type Options struct {
 	OutDir string
 	// Seed drives all sampling.
 	Seed int64
-	// Logf, when non-nil, receives progress lines.
-	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
@@ -53,12 +52,6 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	return o
-}
-
-func (o Options) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
 }
 
 // datasetScale maps the experiment scale to the dataset cache key: the

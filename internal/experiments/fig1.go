@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"log"
 	"math"
 
 	"repro/internal/device"
@@ -61,7 +62,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 		}
 		res.RuntimeMs = append(res.RuntimeMs, rtRow)
 		res.MaxATE = append(res.MaxATE, ateRow)
-		opts.logf("fig1: mu=%.3f done", mu)
+		log.Printf("fig1: mu=%.3f done", mu)
 	}
 
 	rows := make([][]string, 0, len(mus)*len(icps))

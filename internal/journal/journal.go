@@ -330,17 +330,9 @@ func (r *Recovered) Samples() int {
 	return n
 }
 
-// Replay flattens the journal into the design-space-index → objectives
-// map the engine's resume path consumes.
-func (r *Recovered) Replay() map[int64][]float64 {
-	m := make(map[int64][]float64, r.Samples())
-	for _, b := range r.Batches {
-		for _, s := range b.Samples {
-			m[s.Index] = s.Objs
-		}
-	}
-	return m
-}
+// Replay returns the journal's batch records, in order: what the engine's
+// resume path consumes (core.Options.Replay).
+func (r *Recovered) Replay() []Batch { return r.Batches }
 
 // Recover reads a run journal and cuts its torn tail, as Reopen does, but
 // opens nothing for appending and starts nothing over: a journal without a

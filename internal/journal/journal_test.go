@@ -78,11 +78,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("clean journal reported %d truncated bytes", rec.TruncatedBytes)
 	}
 	replay := rec.Replay()
-	if len(replay) != 12 {
-		t.Fatalf("replay has %d entries, want 12", len(replay))
+	if len(replay) != 4 {
+		t.Fatalf("replay has %d records, want 4", len(replay))
 	}
-	if objs := replay[31]; len(objs) != 2 || objs[0] != 3 || objs[1] != 1 {
-		t.Errorf("replay[31] = %v", objs)
+	if s := replay[3].Samples[1]; s.Index != 31 || len(s.Objs) != 2 || s.Objs[0] != 3 || s.Objs[1] != 1 {
+		t.Errorf("replay[3].Samples[1] = %+v", s)
 	}
 }
 

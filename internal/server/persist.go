@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,13 +32,14 @@ import (
 // on every open, and a file with no intact line restarts with its header —
 // so a journal cut inside its header, or never created (a crash right
 // after meta.json), resumes as a run that measured nothing.
-// Resume works by relaunching the deterministic engine with the journaled
-// measurements and batch records pre-loaded (core.Options.Replay and
-// ReplayBatches): every round the journal holds whole is fast-forwarded —
-// its journaled batch measured from the journal, with no forest fit, pool
-// prediction or selection — and only an incomplete or unrecorded round is
-// recomputed. No evaluator call is repeated, so a resumed run is
-// byte-identical to an uninterrupted one.
+// Resume works by relaunching the deterministic engine with the journal's
+// batch records pre-loaded (core.Options.Replay, its one resume input):
+// every round the journal holds whole is fast-forwarded — its journaled
+// batch measured from the journal, with no forest fit, pool prediction or
+// selection — and only an incomplete or unrecorded round is recomputed.
+// No evaluator call is repeated, so a resumed run is byte-identical to an
+// uninterrupted one. Recovery progress, resume refusals and persistence
+// errors go to the process logger, which the daemon points at stderr.
 
 // runMeta is meta.json: enough to rebuild the session and its engine
 // options after a restart.
@@ -88,12 +90,6 @@ func cacheDirName(problem string) string {
 	}
 	sum := sha256.Sum256([]byte(problem))
 	return fmt.Sprintf("%s-%x", clean, sum[:4])
-}
-
-func (m *Manager) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf(format, args...)
-	}
 }
 
 // persistStart creates the run directory, writes meta.json, and opens the
@@ -152,7 +148,7 @@ func (m *Manager) persistTerminal(s *session, rec *storedResult) {
 // writeResult writes a terminal record as the run's result.json.
 func (m *Manager) writeResult(id string, rec *storedResult) {
 	if err := journal.WriteJSONAtomic(filepath.Join(m.runDir(id), "result.json"), rec); err != nil {
-		m.logf("run %s: persisting result: %v", id, err)
+		log.Printf("run %s: persisting result: %v", id, err)
 	}
 }
 
@@ -183,7 +179,7 @@ func (m *Manager) restoreDataDir() []runMeta {
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			m.logf("scanning %s: %v", root, err)
+			log.Printf("scanning %s: %v", root, err)
 		}
 		return nil
 	}
@@ -200,19 +196,19 @@ func (m *Manager) restoreDataDir() []runMeta {
 		maxSeq = max(maxSeq, seq)
 		dir := filepath.Join(root, id)
 		if n, err := journal.RemoveTemps(dir); err != nil {
-			m.logf("run %s: removing temp files: %v", id, err)
+			log.Printf("run %s: removing temp files: %v", id, err)
 		} else if n > 0 {
-			m.logf("run %s: removed %d temp files left by a crash", id, n)
+			log.Printf("run %s: removed %d temp files left by a crash", id, n)
 		}
 		var meta runMeta
 		if err := journal.ReadJSON(filepath.Join(dir, "meta.json"), &meta); err != nil {
-			m.logf("run %s: unreadable meta.json, skipping: %v", id, err)
+			log.Printf("run %s: unreadable meta.json, skipping: %v", id, err)
 			continue
 		}
 		if meta.ID != id || meta.Seq != seq {
 			// The store and eviction key a session by its id: one built from
 			// this meta would shadow, and on eviction unlink, another run.
-			m.logf("run %s: meta.json names %s (seq %d), skipping", id, meta.ID, meta.Seq)
+			log.Printf("run %s: meta.json names %s (seq %d), skipping", id, meta.ID, meta.Seq)
 			continue
 		}
 		var rec storedResult
@@ -228,7 +224,7 @@ func (m *Manager) restoreDataDir() []runMeta {
 		default:
 			// The run finished but its result artifact is unreadable; surface
 			// that as a failed session rather than replaying a finished run.
-			m.logf("run %s: unreadable result.json: %v", id, err)
+			log.Printf("run %s: unreadable result.json: %v", id, err)
 			m.restoreFailed(meta, fmt.Errorf("stored result unreadable: %w", err))
 		}
 	}
@@ -291,7 +287,7 @@ func (m *Manager) resumeInterrupted(metas []runMeta) {
 func (m *Manager) resumeRun(s *session) {
 	defer m.release(s, nil)
 	fail := func(err error) {
-		m.logf("resume %s: %v", s.id, err)
+		log.Printf("resume %s: %v", s.id, err)
 		s.keepDir = true
 		s.finish(nil, err)
 	}
@@ -308,7 +304,7 @@ func (m *Manager) resumeRun(s *session) {
 		return
 	}
 	if rec.TruncatedBytes > 0 {
-		m.logf("resume %s: dropped a %d-byte torn journal tail", s.id, rec.TruncatedBytes)
+		log.Printf("resume %s: dropped a %d-byte torn journal tail", s.id, rec.TruncatedBytes)
 	}
 	if rec.Done != nil && rec.Done.State != string(StateDone) {
 		// The run was cancelled or failed but crashed before result.json:
@@ -320,11 +316,10 @@ func (m *Manager) resumeRun(s *session) {
 	// A journal with a done(done) marker replays to the identical finished
 	// result (the engine stops at the same converged/budget point), which
 	// regenerates the missing result.json without any evaluator calls.
-	m.logf("resume %s: replaying %d measured evaluations across %d batches", s.id, rec.Samples(), len(rec.Batches))
+	log.Printf("resume %s: replaying %d measured evaluations across %d batches", s.id, rec.Samples(), len(rec.Batches))
 	s.jw = jw
 	s.journaled.Store(int64(rec.Samples()))
-	opts.Replay = rec.Replay()
-	opts.ReplayBatches = rec.Batches
+	opts.Replay = rec.Batches
 	m.run(s, opts)
 }
 

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -128,7 +130,7 @@ func TestPersistShutdownResumeByteIdentical(t *testing.T) {
 	refFront := getFrontBytes(t, tsRef, refSt.ID)
 
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, Resume: true, Logf: t.Logf}
+	cfg := Config{DataDir: dir, Resume: true}
 	// Slow evaluator: the run cannot finish before the shutdown below.
 	m1 := NewManagerConfig(cfg, testProblem("toy", 3*time.Millisecond))
 	ts1 := httptest.NewServer(m1.Handler())
@@ -297,10 +299,13 @@ func TestPersistRestoreSkipsMismatchedMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var logged []string
-	cfg := Config{DataDir: dir, MaxSessions: 1, janitorInterval: time.Hour,
-		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }}
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf) // the restore pass logs the skip to the process logger
+	cfg := Config{DataDir: dir, MaxSessions: 1, janitorInterval: time.Hour}
 	m := NewManagerConfig(cfg, testProblem("toy", 0))
+	log.SetOutput(prev)
+	logged := strings.FieldsFunc(buf.String(), func(r rune) bool { return r == '\n' })
 	defer shutdownManager(t, m)
 	if _, ok := m.Get(impostor); ok {
 		t.Errorf("%s restored from a meta.json that names %s", impostor, victim)
@@ -632,7 +637,7 @@ func getReadyz(t *testing.T, ts *httptest.Server) int {
 // or refuse the journal.
 func TestPersistResumeTornJournalTail(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, Resume: true, Logf: t.Logf}
+	cfg := Config{DataDir: dir, Resume: true}
 
 	m1 := NewManagerConfig(cfg, testProblem("toy", 3*time.Millisecond))
 	ts1 := httptest.NewServer(m1.Handler())
@@ -668,7 +673,7 @@ func TestPersistResumeTornJournalTail(t *testing.T) {
 // holds such nulls — ends on the same front, byte for byte.
 func TestPersistNaNObjectiveResumes(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, Resume: true, Logf: t.Logf}
+	cfg := Config{DataDir: dir, Resume: true}
 	problem := testProblem("toy", 0)
 	inner := problem.Eval
 	problem.Eval = core.EvaluatorFunc(func(cfg param.Config) []float64 {

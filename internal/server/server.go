@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -225,9 +226,6 @@ type Config struct {
 	// are left intact, so a later restart with resume enabled can still
 	// pick them up.
 	Resume bool
-	// Logf, when non-nil, receives durability-layer diagnostics (recovery
-	// progress, resume refusals, persistence errors).
-	Logf func(format string, args ...any)
 	// Sched configures the multi-tenant fair-share scheduler every new run
 	// is admitted through: a run starts immediately, waits (state "queued")
 	// while its tenant is at quota or the fleet is saturated, or is rejected
@@ -357,7 +355,7 @@ func (m *Manager) Register(p Problem) {
 	if old != nil {
 		// Before the new cache opens the same spill directory.
 		if err := old.cache.RemoveSpill(); err != nil {
-			m.logf("problem %q: removing stale cache spill: %v", p.Name, err)
+			log.Printf("problem %q: removing stale cache spill: %v", p.Name, err)
 		}
 	}
 	r := &served{Problem: p, cache: core.NewEvalCache()}
@@ -517,7 +515,7 @@ func (m *Manager) dispatch(s *session, t *sched.Ticket) {
 
 // run is the one engine call in this package: fresh and dequeued sessions
 // reach it from dispatch, resumed ones from resumeRun with their journal
-// pre-loaded in opts.Replay / opts.ReplayBatches. Either way a session that
+// pre-loaded in opts.Replay. Either way a session that
 // has a journal open records every batch to it.
 func (m *Manager) run(s *session, opts core.Options) {
 	if s.jw != nil {
