@@ -72,7 +72,7 @@ func main() {
 		retryAfter = flag.Duration("retry-after", 0,
 			"backoff hint attached to 429 queue-full rejections (0 selects the default)")
 		coalesceWindow = flag.Duration("coalesce-window", 0,
-			"how long a run's evaluation batch waits to merge with concurrent runs' batches before dispatch, once any admission bound turns merging on (0 selects the default, negative disables merging)")
+			"how long a no_cache run's evaluation batch waits to merge with concurrent no_cache runs' batches before dispatch, once any admission bound turns merging on; cached runs never wait (0 selects the default, negative disables merging)")
 
 		dataDir = flag.String("data-dir", "",
 			"durable state directory: per-run evaluation journals, persisted results, and memo-cache spill live here and survive restarts (empty = in-memory only)")

@@ -39,9 +39,10 @@ const defaultCoalesceMaxConfigs = 4096
 // Merging is time-bounded: the first batch to arrive opens a merge window
 // (Window); batches arriving within it join the merge, and the combined
 // call flushes when the window lapses or the merge reaches its size bound.
-// The engine consults its memo-cache before the backend, so a Coalescer
-// only ever sees genuine misses — cross-tenant duplicates of already
-// measured configurations never even reach it.
+// The daemon routes only runs without a memo-cache (NoCache) through its
+// Coalescer, for which the in-merge dedup is the only cross-run dedup.
+// Runs with the cache skip it: the cache already single-flights misses
+// across runs, so merging would add the window's wait and dedup nothing.
 type Coalescer struct {
 	space      *param.Space
 	inner      core.Backend

@@ -53,11 +53,14 @@ func coalesceSpace(t *testing.T) *param.Space {
 
 // TestCoalescerMergesAndDedups: two concurrent calls sharing a config land
 // in one combined backend dispatch, the shared config is evaluated once,
-// and each caller gets position-matched results as if it ran alone.
+// and each caller gets position-matched results as if it ran alone. The
+// window is an hour, so the merge closes on its size bound, three unique
+// configurations, when the second call joins, whichever comes first.
 func TestCoalescerMergesAndDedups(t *testing.T) {
 	space := coalesceSpace(t)
 	inner := &fakeBackend{}
-	c := NewCoalescer(space, inner, 50*time.Millisecond)
+	c := NewCoalescer(space, inner, time.Hour)
+	c.maxConfigs = 3
 
 	shared := space.AtIndex(0)
 	a := []param.Config{shared, space.AtIndex(1)}
@@ -158,11 +161,13 @@ func TestCoalescerDisabledWindow(t *testing.T) {
 
 // TestCoalescerMemberCancellation: a cancelled member gets its context
 // error and nil results; the other members of the same merge still get
-// real results.
+// real results. The window is an hour and the size bound two
+// configurations, so the live call is what closes the merge.
 func TestCoalescerMemberCancellation(t *testing.T) {
 	space := coalesceSpace(t)
 	inner := &fakeBackend{}
-	c := NewCoalescer(space, inner, 20*time.Millisecond)
+	c := NewCoalescer(space, inner, time.Hour)
+	c.maxConfigs = 2
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the member must not block for the window
@@ -181,6 +186,9 @@ func TestCoalescerMemberCancellation(t *testing.T) {
 	}
 	if len(live) != 1 || live[0] == nil {
 		t.Fatalf("live member got no results: %v", live)
+	}
+	if st := c.Stats(); st.Calls != 2 || st.Flushes != 1 || st.MergedCalls != 2 {
+		t.Fatalf("stats: %+v (want both calls in one flush)", st)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -312,8 +313,9 @@ func TestSchedHTTP429RetryAfter(t *testing.T) {
 
 // TestCoalescingKeepsEachProblemsEvaluator: two problems over one design
 // space (as the kfusion/<platform> builtins are), one run on each, on a
-// daemon with a scheduler config and so with cross-run coalescing. Each run
-// must be measured by its own problem's evaluator.
+// daemon with a scheduler config, first with the memo-cache and then
+// without it, so through each problem's coalescer. Each run must be
+// measured by its own problem's evaluator.
 func TestCoalescingKeepsEachProblemsEvaluator(t *testing.T) {
 	space := param.MustSpace(param.Grid("a", 0, 4, 40), param.Grid("b", 0, 4, 40))
 	var calls [2]atomic.Int64
@@ -327,27 +329,82 @@ func TestCoalescingKeepsEachProblemsEvaluator(t *testing.T) {
 	m := NewManagerConfig(Config{Sched: &sched.Config{}}, problem("pa", 0, 1), problem("pb", 1, 1001))
 	defer shutdownManager(t, m)
 
-	ids := map[string]string{}
-	for _, name := range []string{"pa", "pb"} {
+	for _, noCache := range []bool{false, true} {
+		calls[0].Store(0)
+		calls[1].Store(0)
+		ids := map[string]string{}
+		for _, name := range []string{"pa", "pb"} {
+			req := schedReq
+			req.Problem, req.NoCache = name, noCache
+			st, err := m.Start(req)
+			if err != nil {
+				t.Fatalf("run on %s: %v", name, err)
+			}
+			ids[name] = st.ID
+		}
+		for name, id := range ids {
+			if st := waitManagerTerminal(t, m, id); st.State != StateDone {
+				t.Fatalf("no_cache=%v run on %s ended %s: %s", noCache, name, st.State, st.Error)
+			}
+		}
+		if a, b := calls[0].Load(), calls[1].Load(); a == 0 || b == 0 {
+			t.Fatalf("no_cache=%v evaluator calls: pa %d, pb %d; each problem's run must reach its own evaluator", noCache, a, b)
+		}
+		if lo := frontMin(t, m, ids["pa"]); lo >= 1000 {
+			t.Fatalf("no_cache=%v: pa's front holds %v, measured by pb's evaluator", noCache, lo)
+		}
+		if lo := frontMin(t, m, ids["pb"]); lo < 1000 {
+			t.Fatalf("no_cache=%v: pb's front holds %v, measured by pa's evaluator", noCache, lo)
+		}
+	}
+	if c := m.Stats().Coalesce; c == nil || c.Calls == 0 {
+		t.Fatalf("coalesce stats after the no_cache runs: %+v; they must go through the coalescers", c)
+	}
+}
+
+// TestCachedRunSkipsCoalescer: a run that uses the memo-cache measures its
+// misses through the problem's backend directly, never waiting out a merge
+// window, while a no_cache run still goes through the coalescer.
+func TestCachedRunSkipsCoalescer(t *testing.T) {
+	t.Run("cached", func(t *testing.T) {
+		const window = 10 * time.Second
+		m := NewManagerConfig(Config{Sched: &sched.Config{CoalesceWindow: window}}, testProblem("toy", 0))
+		defer shutdownManager(t, m)
+		t0 := time.Now()
+		st, err := m.Start(schedReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitManagerTerminal(t, m, st.ID); st.State != StateDone {
+			t.Fatalf("cached run ended %s: %s", st.State, st.Error)
+		}
+		if took := time.Since(t0); took > window/2 {
+			t.Fatalf("cached run took %v; its batches waited in the %v merge window", took, window)
+		}
+		stats := m.Stats()
+		if stats.CacheMisses == 0 {
+			t.Fatal("the run measured nothing; the test needs batches that miss")
+		}
+		if stats.Coalesce == nil || stats.Coalesce.Calls != 0 {
+			t.Fatalf("coalesce stats %+v, want a zero-call coalescer", stats.Coalesce)
+		}
+	})
+	t.Run("no_cache", func(t *testing.T) {
+		m := NewManagerConfig(Config{Sched: &sched.Config{}}, testProblem("toy", 0))
+		defer shutdownManager(t, m)
 		req := schedReq
-		req.Problem = name
+		req.NoCache = true
 		st, err := m.Start(req)
 		if err != nil {
-			t.Fatalf("run on %s: %v", name, err)
+			t.Fatal(err)
 		}
-		ids[name] = st.ID
-	}
-	for name, id := range ids {
-		if st := waitManagerTerminal(t, m, id); st.State != StateDone {
-			t.Fatalf("run on %s ended %s: %s", name, st.State, st.Error)
+		if st := waitManagerTerminal(t, m, st.ID); st.State != StateDone {
+			t.Fatalf("no_cache run ended %s: %s", st.State, st.Error)
 		}
-	}
-	if a, b := calls[0].Load(), calls[1].Load(); a == 0 || b == 0 {
-		t.Fatalf("evaluator calls: pa %d, pb %d; each problem's run must reach its own evaluator", a, b)
-	}
-	if lo := frontMin(t, m, ids["pb"]); lo < 1000 {
-		t.Fatalf("pb's front holds %v, measured by pa's evaluator", lo)
-	}
+		if c := m.Stats().Coalesce; c == nil || c.Calls == 0 {
+			t.Fatalf("coalesce stats %+v, want the no_cache run's batches counted", c)
+		}
+	})
 }
 
 // frontMin returns the smallest first objective on a finished run's front.
@@ -371,8 +428,17 @@ func frontMin(t *testing.T, m *Manager, id string) float64 {
 // when Register replaces p (same space, an evaluator that adds 1000) is
 // measured by the evaluator it was submitted against, and the next run of
 // p by the replacement's — a queued run must not bind the replacement's
-// coalescer to the old evaluator.
+// backend or coalescer to the old evaluator. Both kinds of session are
+// checked: with the memo-cache, and without it through the coalescer.
 func TestRegisterWhileQueuedKeepsEachRunsEvaluator(t *testing.T) {
+	for _, noCache := range []bool{false, true} {
+		t.Run(fmt.Sprintf("no_cache=%v", noCache), func(t *testing.T) {
+			registerWhileQueued(t, noCache)
+		})
+	}
+}
+
+func registerWhileQueued(t *testing.T, noCache bool) {
 	gate := make(chan struct{})
 	space := param.MustSpace(param.Grid("a", 0, 4, 40), param.Grid("b", 0, 4, 40))
 	var calls [2]atomic.Int64
@@ -393,7 +459,7 @@ func TestRegisterWhileQueuedKeepsEachRunsEvaluator(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := schedReq
-	req.Problem = "p"
+	req.Problem, req.NoCache = "p", noCache
 	queued, err := m.Start(req)
 	if err != nil {
 		t.Fatal(err)
@@ -422,6 +488,9 @@ func TestRegisterWhileQueuedKeepsEachRunsEvaluator(t *testing.T) {
 	}
 	if old, repl := calls[0].Load(), calls[1].Load(); old == 0 || repl == 0 {
 		t.Fatalf("evaluator calls: replaced %d, replacement %d; each run must reach its own", old, repl)
+	}
+	if c := m.Stats().Coalesce; noCache && (c == nil || c.Calls == 0) {
+		t.Fatalf("coalesce stats after the no_cache runs: %+v; they must go through the coalescer", c)
 	}
 }
 

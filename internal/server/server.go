@@ -233,14 +233,17 @@ type Config struct {
 	// nothing, so every accepted run starts immediately. A non-nil config
 	// also gives every registered problem one sched.Coalescer, built by
 	// Register with the problem's memo-cache and replaced with them, which
-	// merges its concurrent runs' evaluation batches; with a nil EvalPool,
-	// coalesced batches evaluate in-process bounded by GOMAXPROCS rather
-	// than by each run's Workers field.
+	// merges its concurrent NoCache runs' evaluation batches; with a nil
+	// EvalPool, coalesced batches evaluate in-process bounded by GOMAXPROCS
+	// rather than by each run's Workers field.
 	//
 	// Two caveats: resumed runs (Resume) relaunch without admission so
-	// recovery can never deadlock behind queued work, and NoCache runs still
+	// recovery can never deadlock behind queued work, and only NoCache runs
 	// go through batch coalescing (merging dedups within a dispatch, not
-	// across time, so fresh measurements stay fresh).
+	// across time, so fresh measurements stay fresh). Cached runs measure
+	// their misses through the problem's backend directly, under their own
+	// Workers bound without a fleet: the memo-cache already single-flights
+	// misses across runs, so a merge window would only delay them.
 	Sched *sched.Config
 
 	// janitorInterval, set only by tests, overrides how often TTL/cap
@@ -329,19 +332,22 @@ func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 }
 
 // served is one registered problem as the daemon serves it: the problem,
-// the memo-cache its runs share, and the backend they measure through. All
-// three are built together by Register and replaced together when the
+// the memo-cache its runs share, and the backends they measure through.
+// All are built together by Register and replaced together when the
 // problem is re-registered, so a session that captured a record measures
 // with that record's evaluator and memoizes into that record's cache, even
 // if it was still queued when the replacement arrived.
 type served struct {
 	Problem
 	cache *core.EvalCache
-	// backend is the problem's sched.Coalescer when the daemon has a
-	// scheduler config (over the fleet's backend, or over Eval in-process),
-	// the fleet's backend otherwise, and nil — evaluate through Eval — with
-	// neither.
+	// backend is what cached runs measure through: the fleet's backend, or
+	// nil (evaluate through Eval) without a fleet.
 	backend core.Backend
+	// coalesce, set when the daemon has a scheduler config, merges the
+	// NoCache runs' batches over backend (over Eval in-process without a
+	// fleet). Its in-merge dedup is the only cross-run dedup those runs
+	// have; cached runs get theirs from the memo-cache.
+	coalesce *sched.Coalescer
 }
 
 // Register adds or replaces a problem. Replacing always resets the
@@ -373,7 +379,7 @@ func (m *Manager) Register(p Problem) {
 		if inner == nil {
 			inner = &core.LocalBackend{Eval: p.Eval}
 		}
-		r.backend = sched.NewCoalescer(p.Space, inner, m.window)
+		r.coalesce = sched.NewCoalescer(p.Space, inner, m.window)
 	}
 	m.served[p.Name] = r
 	m.mu.Unlock()
@@ -479,8 +485,11 @@ func (m *Manager) newSession(meta runMeta, state State) *session {
 	defer m.mu.Unlock()
 	if r, ok := m.served[meta.Problem]; ok {
 		s.problem, s.backend = r.Problem, r.backend
-		if !meta.Request.NoCache {
+		switch {
+		case !meta.Request.NoCache:
 			s.cache = r.cache
+		case r.coalesce != nil:
+			s.backend = r.coalesce
 		}
 	}
 	return s
@@ -707,8 +716,8 @@ func (m *Manager) Stats() Stats {
 		st.CacheHits += c.Hits()
 		st.CacheMisses += c.Misses()
 		st.CacheCoalesceHits += c.CoalesceHits()
-		if co, ok := r.backend.(*sched.Coalescer); ok {
-			rs := co.Stats()
+		if r.coalesce != nil {
+			rs := r.coalesce.Stats()
 			cs.Calls += rs.Calls
 			cs.Flushes += rs.Flushes
 			cs.MergedCalls += rs.MergedCalls
