@@ -71,8 +71,6 @@ func main() {
 			"per-tenant admission-queue depth; submissions past it are rejected with 429 + Retry-After (0 selects the default)")
 		retryAfter = flag.Duration("retry-after", 0,
 			"backoff hint attached to 429 queue-full rejections (0 selects the default)")
-		coalesceWindow = flag.Duration("coalesce-window", 0,
-			"how long a no_cache run's evaluation batch waits to merge with concurrent no_cache runs' batches before dispatch, once any admission bound turns merging on; cached runs never wait (0 selects the default, negative disables merging)")
 
 		dataDir = flag.String("data-dir", "",
 			"durable state directory: per-run evaluation journals, persisted results, and memo-cache spill live here and survive restarts (empty = in-memory only)")
@@ -114,20 +112,19 @@ func main() {
 		}
 		defer lock.Close() // held, and kept reachable, until the process exits
 	}
-	// A daemon given none of these admits every run at once and leaves
-	// evaluation batches unmerged (cfg.Sched stays nil).
+	// A daemon given none of these admits every run at once (cfg.Sched
+	// stays nil).
 	admission := "no admission bounds"
-	if *maxConcurrentRuns > 0 || *tenantMaxRunning > 0 || *tenantMaxQueued > 0 || *coalesceWindow != 0 {
+	if *maxConcurrentRuns > 0 || *tenantMaxRunning > 0 || *tenantMaxQueued > 0 {
 		cfg.Sched = &sched.Config{
 			MaxRunning: *maxConcurrentRuns,
 			Quota: sched.TenantQuota{
 				MaxRunning: *tenantMaxRunning,
 				MaxQueued:  *tenantMaxQueued,
 			},
-			RetryAfter:     *retryAfter,
-			CoalesceWindow: *coalesceWindow,
+			RetryAfter: *retryAfter,
 		}
-		admission = fmt.Sprintf("run slots: %d fleet-wide, %d per tenant (0 = unbounded), batch coalescing",
+		admission = fmt.Sprintf("run slots: %d fleet-wide, %d per tenant (0 = unbounded)",
 			*maxConcurrentRuns, *tenantMaxRunning)
 	}
 	if *workers != "" {

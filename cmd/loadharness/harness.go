@@ -42,7 +42,6 @@ type config struct {
 	MaxRunning       int
 	TenantMaxRunning int
 	TenantMaxQueued  int
-	CoalesceWindow   time.Duration
 	RunSeeds         int
 	P99BoundMS       float64
 	RSSBoundMB       float64
@@ -55,12 +54,6 @@ func (c config) executors() int {
 		return c.Executors
 	}
 	return min(256, 32*runtime.NumCPU())
-}
-
-// primers is how many clients, the first by id, join at once and always
-// explore seed 1; see seedCrowd.
-func (c config) primers() int {
-	return min(c.Clients, 2*max(c.MaxRunning, 1))
 }
 
 // thinkBase scales the crowd's think-time distribution to the run length so
@@ -90,7 +83,6 @@ type report struct {
 	CacheHits       int64
 	CacheMisses     int64
 	CoalesceHits    int64 // memo-cache singleflight waits
-	MergedCalls     int64 // no_cache batches that shared a coalescer flush
 	Elapsed         time.Duration
 
 	Failures []string
@@ -215,9 +207,9 @@ func run(cfg config, out io.Writer) (*report, error) {
 
 // measureCost is the embedded daemon's simulated time to measure one
 // configuration. The synthetic problem alone answers in microseconds, so
-// duplicate-seed runs would almost never have a miss in flight at the
-// same moment, and the memo-cache's singleflight would rarely have
-// anything to dedup.
+// duplicate-seed runs would seldom have a miss in flight at the same
+// moment and the memo-cache's singleflight would seldom have a wait to
+// count. Only misses pay it: a configuration is measured once per crowd.
 const measureCost = 500 * time.Microsecond
 
 // startEmbedded boots a real daemon — manager, scheduler, HTTP server — on
@@ -239,7 +231,6 @@ func startEmbedded(cfg config) (base string, shutdown func(), err error) {
 				MaxRunning: cfg.TenantMaxRunning,
 				MaxQueued:  cfg.TenantMaxQueued,
 			},
-			CoalesceWindow: cfg.CoalesceWindow,
 		},
 	}, p)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -257,18 +248,12 @@ func startEmbedded(cfg config) (base string, shutdown func(), err error) {
 	return "http://" + ln.Addr().String(), shutdown, nil
 }
 
-// noCacheTenant is the tenant whose runs opt out of the memo-cache, so the
-// daemon sends their batches through its coalescer; every other tenant's
-// runs use the cache and never reach it.
-const noCacheTenant = 1
-
 // seedCrowd builds the client population over the device market and
 // schedules every join, staggered across the first part of the window. The
-// first 2×MaxRunning clients are same-seed "primers" that join
+// first 2×MaxRunning clients are duplicate-seed "primers" that join
 // immediately: their identical runs dispatch together into the idle fleet,
-// deliberately overlapping in flight so the memo-cache singleflight (and,
-// for noCacheTenant, the batch coalescer) dedupe across runs from the very
-// start.
+// deliberately overlapping in flight so the memo-cache singleflight dedupes
+// across runs from the very start.
 func (h *harness) seedCrowd() {
 	devices := device.MarketDevices(min(h.cfg.Clients, 1024), h.cfg.Seed)
 	ramp := h.cfg.Duration / 2
@@ -276,7 +261,7 @@ func (h *harness) seedCrowd() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.events = make(eventHeap, 0, h.cfg.Clients)
-	primers := h.cfg.primers()
+	primers := min(h.cfg.Clients, 2*max(h.cfg.MaxRunning, 1))
 	for i := 0; i < h.cfg.Clients; i++ {
 		c := &client{
 			id:     i,
@@ -384,16 +369,12 @@ func (h *harness) step(c *client) {
 
 // submit POSTs one run. Seeds are drawn from a small set shared across
 // tenants, so the crowd deliberately re-explores duplicate configurations —
-// the workload cross-run coalescing exists for. Primers all take seed 1,
-// so the runs they start together measure the same configurations at once.
+// the workload cross-run coalescing exists for.
 func (h *harness) submit(c *client) {
-	seed := int64(1)
-	if c.id >= h.cfg.primers() {
-		seed = int64(c.rng.Intn(h.cfg.RunSeeds)) + 1
-	}
+	seed := int64(c.rng.Intn(h.cfg.RunSeeds)) + 1
 	body := fmt.Sprintf(
-		`{"problem":%q,"seed":%d,"random_samples":12,"max_iterations":1,"max_batch":8,"pool_cap":2000,"trees":4,"tenant":"tenant-%d","priority":%d,"no_cache":%t}`,
-		h.cfg.Problem, seed, c.tenant, c.rng.Intn(3), c.tenant == noCacheTenant)
+		`{"problem":%q,"seed":%d,"random_samples":12,"max_iterations":1,"max_batch":8,"pool_cap":2000,"trees":4,"tenant":"tenant-%d","priority":%d}`,
+		h.cfg.Problem, seed, c.tenant, c.rng.Intn(3))
 	t0 := time.Now()
 	resp, err := h.hc.Post(h.base+"/runs", "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
@@ -612,9 +593,6 @@ func (h *harness) buildReport(elapsed time.Duration) *report {
 	rep.CacheHits = st.CacheHits
 	rep.CacheMisses = st.CacheMisses
 	rep.CoalesceHits = st.CacheCoalesceHits
-	if st.Coalesce != nil {
-		rep.MergedCalls = st.Coalesce.MergedCalls
-	}
 	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
 		rep.CoalesceRate = float64(rep.CoalesceHits) / float64(lookups)
 	}
@@ -643,11 +621,7 @@ func (h *harness) buildReport(elapsed time.Duration) *report {
 	}
 	if h.cfg.RequireCoalesce && rep.CoalesceHits == 0 {
 		rep.Failures = append(rep.Failures,
-			"coalescing: duplicate-seed cached runs produced zero memo-cache singleflight waits")
-	}
-	if h.cfg.RequireCoalesce && rep.MergedCalls == 0 {
-		rep.Failures = append(rep.Failures,
-			fmt.Sprintf("coalescing: tenant-%d's no_cache runs never shared a coalescer flush", noCacheTenant))
+			"coalescing: duplicate-seed tenants produced zero memo-cache singleflight waits")
 	}
 	return rep
 }
@@ -663,8 +637,8 @@ func (h *harness) printReport(rep *report) {
 		rep.Clients, len(rep.ByTenant), rep.Elapsed.Seconds(), rep.Completed, rep.Cancelled, rep.Rejected429, rep.HTTPErrors)
 	fmt.Fprintf(h.out, "LOAD: runs_per_s=%.1f post_p50_ms=%.2f post_p99_ms=%.2f admit_wait_p50_ms=%.2f admit_wait_p99_ms=%.2f\n",
 		float64(rep.Completed)/rep.Elapsed.Seconds(), rep.PostP50MS, rep.PostP99MS, rep.WaitP50MS, rep.WaitP99MS)
-	fmt.Fprintf(h.out, "LOAD: max_queue_depth=%d quota_violations=%d peak_rss_mb=%.1f coalesce_hits=%d coalesce_rate=%.4f merged_calls=%d cache_hits=%d cache_misses=%d\n",
-		rep.MaxQueueDepth, rep.QuotaViolations, rep.PeakRSSMB, rep.CoalesceHits, rep.CoalesceRate, rep.MergedCalls, rep.CacheHits, rep.CacheMisses)
+	fmt.Fprintf(h.out, "LOAD: max_queue_depth=%d quota_violations=%d peak_rss_mb=%.1f coalesce_hits=%d coalesce_rate=%.4f cache_hits=%d cache_misses=%d\n",
+		rep.MaxQueueDepth, rep.QuotaViolations, rep.PeakRSSMB, rep.CoalesceHits, rep.CoalesceRate, rep.CacheHits, rep.CacheMisses)
 	fmt.Fprintf(h.out, "LOAD: completions by tenant: %s\n", strings.Join(tenants, " "))
 	for _, f := range rep.Failures {
 		fmt.Fprintf(h.out, "LOAD: FAIL %s\n", f)

@@ -10,10 +10,6 @@ import (
 	"repro/internal/param"
 )
 
-// DefaultCoalesceWindow is how long the first batch of a merge waits for
-// company before flushing; see Coalescer.
-const DefaultCoalesceWindow = 2 * time.Millisecond
-
 // defaultCoalesceMaxConfigs flushes a merge early once this many unique
 // configurations have accumulated, bounding both the wait and the combined
 // request size.
@@ -30,19 +26,17 @@ const defaultCoalesceMaxConfigs = 4096
 // A Coalescer is bound to exactly one space and one inner backend: every
 // incoming configuration is resolved to its design-space index, which is
 // the deduplication key. A configuration that does not belong to the space
-// fails the call. The daemon builds one Coalescer per registered problem,
-// together with the problem's memo-cache, and replaces both when the
-// problem is re-registered, so results never mix across problems (two
-// platforms over one space), across spaces whose configs happen to look
-// alike, or across a problem's old and new evaluator.
+// fails the call, so results never mix across spaces whose configs happen
+// to look alike.
 //
 // Merging is time-bounded: the first batch to arrive opens a merge window
 // (Window); batches arriving within it join the merge, and the combined
 // call flushes when the window lapses or the merge reaches its size bound.
-// The daemon routes only runs without a memo-cache (NoCache) through its
-// Coalescer, for which the in-merge dedup is the only cross-run dedup.
-// Runs with the cache skip it: the cache already single-flights misses
-// across runs, so merging would add the window's wait and dedup nothing.
+//
+// The daemon no longer builds one: the memo-cache already single-flights
+// misses across runs, so a merge only added its window's wait, and for
+// NoCache runs its dedup did not pay for that wait either. The type stays
+// while the benchmark still times it.
 type Coalescer struct {
 	space      *param.Space
 	inner      core.Backend
@@ -73,8 +67,7 @@ type CoalesceStats struct {
 
 // NewCoalescer returns a coalescer for one space over inner. window ≤ 0
 // disables time-based merging (each call flushes immediately, still
-// deduplicated within itself); use DefaultCoalesceWindow for the standard
-// setting.
+// deduplicated within itself).
 func NewCoalescer(space *param.Space, inner core.Backend, window time.Duration) *Coalescer {
 	return &Coalescer{space: space, inner: inner, window: window, maxConfigs: defaultCoalesceMaxConfigs}
 }
@@ -204,8 +197,8 @@ func (c *Coalescer) flush(m *merge) {
 	close(m.done)
 }
 
-// Stats snapshots the coalescer's counters.
-func (c *Coalescer) Stats() CoalesceStats {
+// counters snapshots the coalescer's counters.
+func (c *Coalescer) counters() CoalesceStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats

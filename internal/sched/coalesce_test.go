@@ -104,7 +104,7 @@ func TestCoalescerMergesAndDedups(t *testing.T) {
 	check("a", a, resA)
 	check("b", b, resB)
 
-	st := c.Stats()
+	st := c.counters()
 	if st.Calls != 2 || st.Flushes != 1 || st.MergedCalls != 2 || st.Configs != 4 || st.Deduped != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -147,7 +147,7 @@ func TestCoalescerDisabledWindow(t *testing.T) {
 	if _, err := c.EvaluateBatch(context.Background(), []param.Config{space.AtIndex(1)}); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
+	st := c.counters()
 	if st.Flushes != 2 || st.MergedCalls != 0 || st.Deduped != 1 {
 		t.Fatalf("stats: %+v (want one flush per call, 1 within-call dedup)", st)
 	}
@@ -187,7 +187,7 @@ func TestCoalescerMemberCancellation(t *testing.T) {
 	if len(live) != 1 || live[0] == nil {
 		t.Fatalf("live member got no results: %v", live)
 	}
-	if st := c.Stats(); st.Calls != 2 || st.Flushes != 1 || st.MergedCalls != 2 {
+	if st := c.counters(); st.Calls != 2 || st.Flushes != 1 || st.MergedCalls != 2 {
 		t.Fatalf("stats: %+v (want both calls in one flush)", st)
 	}
 }

@@ -75,12 +75,6 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to ErrQueueFull rejections
 	// (the HTTP Retry-After header value; default DefaultRetryAfter).
 	RetryAfter time.Duration
-	// CoalesceWindow bounds how long a NoCache run's evaluation batch may
-	// wait to be merged with other such runs' batches; see Coalescer. Runs
-	// that use the memo-cache never wait in a merge. 0 selects
-	// DefaultCoalesceWindow; negative disables merging (batches pass
-	// through unmerged, still deduplicated within themselves).
-	CoalesceWindow time.Duration
 }
 
 // RetryAfterHint returns the configured backoff hint for rejections.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -313,9 +312,8 @@ func TestSchedHTTP429RetryAfter(t *testing.T) {
 
 // TestCoalescingKeepsEachProblemsEvaluator: two problems over one design
 // space (as the kfusion/<platform> builtins are), one run on each, on a
-// daemon with a scheduler config, first with the memo-cache and then
-// without it, so through each problem's coalescer. Each run must be
-// measured by its own problem's evaluator.
+// daemon with a scheduler config. Each run must be measured by its own
+// problem's evaluator.
 func TestCoalescingKeepsEachProblemsEvaluator(t *testing.T) {
 	space := param.MustSpace(param.Grid("a", 0, 4, 40), param.Grid("b", 0, 4, 40))
 	var calls [2]atomic.Int64
@@ -329,82 +327,65 @@ func TestCoalescingKeepsEachProblemsEvaluator(t *testing.T) {
 	m := NewManagerConfig(Config{Sched: &sched.Config{}}, problem("pa", 0, 1), problem("pb", 1, 1001))
 	defer shutdownManager(t, m)
 
-	for _, noCache := range []bool{false, true} {
-		calls[0].Store(0)
-		calls[1].Store(0)
-		ids := map[string]string{}
-		for _, name := range []string{"pa", "pb"} {
-			req := schedReq
-			req.Problem, req.NoCache = name, noCache
-			st, err := m.Start(req)
-			if err != nil {
-				t.Fatalf("run on %s: %v", name, err)
-			}
-			ids[name] = st.ID
+	ids := map[string]string{}
+	for _, name := range []string{"pa", "pb"} {
+		req := schedReq
+		req.Problem = name
+		st, err := m.Start(req)
+		if err != nil {
+			t.Fatalf("run on %s: %v", name, err)
 		}
-		for name, id := range ids {
-			if st := waitManagerTerminal(t, m, id); st.State != StateDone {
-				t.Fatalf("no_cache=%v run on %s ended %s: %s", noCache, name, st.State, st.Error)
-			}
-		}
-		if a, b := calls[0].Load(), calls[1].Load(); a == 0 || b == 0 {
-			t.Fatalf("no_cache=%v evaluator calls: pa %d, pb %d; each problem's run must reach its own evaluator", noCache, a, b)
-		}
-		if lo := frontMin(t, m, ids["pa"]); lo >= 1000 {
-			t.Fatalf("no_cache=%v: pa's front holds %v, measured by pb's evaluator", noCache, lo)
-		}
-		if lo := frontMin(t, m, ids["pb"]); lo < 1000 {
-			t.Fatalf("no_cache=%v: pb's front holds %v, measured by pa's evaluator", noCache, lo)
+		ids[name] = st.ID
+	}
+	for name, id := range ids {
+		if st := waitManagerTerminal(t, m, id); st.State != StateDone {
+			t.Fatalf("run on %s ended %s: %s", name, st.State, st.Error)
 		}
 	}
-	if c := m.Stats().Coalesce; c == nil || c.Calls == 0 {
-		t.Fatalf("coalesce stats after the no_cache runs: %+v; they must go through the coalescers", c)
+	if a, b := calls[0].Load(), calls[1].Load(); a == 0 || b == 0 {
+		t.Fatalf("evaluator calls: pa %d, pb %d; each problem's run must reach its own evaluator", a, b)
+	}
+	if lo := frontMin(t, m, ids["pb"]); lo < 1000 {
+		t.Fatalf("pb's front holds %v, measured by pa's evaluator", lo)
 	}
 }
 
-// TestCachedRunSkipsCoalescer: a run that uses the memo-cache measures its
-// misses through the problem's backend directly, never waiting out a merge
-// window, while a no_cache run still goes through the coalescer.
-func TestCachedRunSkipsCoalescer(t *testing.T) {
-	t.Run("cached", func(t *testing.T) {
-		const window = 10 * time.Second
-		m := NewManagerConfig(Config{Sched: &sched.Config{CoalesceWindow: window}}, testProblem("toy", 0))
-		defer shutdownManager(t, m)
-		t0 := time.Now()
-		st, err := m.Start(schedReq)
-		if err != nil {
-			t.Fatal(err)
+// TestNoCoalescerOnScheduledDaemon: a scheduler config changes admission
+// only. Runs with and without the memo-cache measure through the problem's
+// backend, here each run's own LocalBackend, so a run's Workers field
+// bounds its concurrent evaluations, and /stats reports no coalescer.
+func TestNoCoalescerOnScheduledDaemon(t *testing.T) {
+	var inFlight, peak atomic.Int64
+	p := testProblem("toy", 0)
+	eval := p.Eval
+	p.Eval = core.EvaluatorFunc(func(cfg param.Config) []float64 {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
 		}
-		if st := waitManagerTerminal(t, m, st.ID); st.State != StateDone {
-			t.Fatalf("cached run ended %s: %s", st.State, st.Error)
-		}
-		if took := time.Since(t0); took > window/2 {
-			t.Fatalf("cached run took %v; its batches waited in the %v merge window", took, window)
-		}
-		stats := m.Stats()
-		if stats.CacheMisses == 0 {
-			t.Fatal("the run measured nothing; the test needs batches that miss")
-		}
-		if stats.Coalesce == nil || stats.Coalesce.Calls != 0 {
-			t.Fatalf("coalesce stats %+v, want a zero-call coalescer", stats.Coalesce)
-		}
+		time.Sleep(2 * time.Millisecond)
+		return eval.Evaluate(cfg)
 	})
-	t.Run("no_cache", func(t *testing.T) {
-		m := NewManagerConfig(Config{Sched: &sched.Config{}}, testProblem("toy", 0))
-		defer shutdownManager(t, m)
+	m := NewManagerConfig(Config{Sched: &sched.Config{}}, p)
+	defer shutdownManager(t, m)
+
+	for _, noCache := range []bool{false, true} {
 		req := schedReq
-		req.NoCache = true
+		req.Workers, req.NoCache = 1, noCache
 		st, err := m.Start(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st := waitManagerTerminal(t, m, st.ID); st.State != StateDone {
-			t.Fatalf("no_cache run ended %s: %s", st.State, st.Error)
+			t.Fatalf("no_cache=%v run ended %s: %s", noCache, st.State, st.Error)
 		}
-		if c := m.Stats().Coalesce; c == nil || c.Calls == 0 {
-			t.Fatalf("coalesce stats %+v, want the no_cache run's batches counted", c)
-		}
-	})
+	}
+	if n := peak.Load(); n != 1 {
+		t.Fatalf("%d evaluations in flight at once; Workers 1 allows one", n)
+	}
+	if c := m.Stats().Coalesce; c != nil {
+		t.Fatalf("coalesce stats %+v; no run should reach a coalescer", c)
+	}
 }
 
 // frontMin returns the smallest first objective on a finished run's front.
@@ -428,17 +409,8 @@ func frontMin(t *testing.T, m *Manager, id string) float64 {
 // when Register replaces p (same space, an evaluator that adds 1000) is
 // measured by the evaluator it was submitted against, and the next run of
 // p by the replacement's — a queued run must not bind the replacement's
-// backend or coalescer to the old evaluator. Both kinds of session are
-// checked: with the memo-cache, and without it through the coalescer.
+// record to the old evaluator.
 func TestRegisterWhileQueuedKeepsEachRunsEvaluator(t *testing.T) {
-	for _, noCache := range []bool{false, true} {
-		t.Run(fmt.Sprintf("no_cache=%v", noCache), func(t *testing.T) {
-			registerWhileQueued(t, noCache)
-		})
-	}
-}
-
-func registerWhileQueued(t *testing.T, noCache bool) {
 	gate := make(chan struct{})
 	space := param.MustSpace(param.Grid("a", 0, 4, 40), param.Grid("b", 0, 4, 40))
 	var calls [2]atomic.Int64
@@ -459,7 +431,7 @@ func registerWhileQueued(t *testing.T, noCache bool) {
 		t.Fatal(err)
 	}
 	req := schedReq
-	req.Problem, req.NoCache = "p", noCache
+	req.Problem = "p"
 	queued, err := m.Start(req)
 	if err != nil {
 		t.Fatal(err)
@@ -488,9 +460,6 @@ func registerWhileQueued(t *testing.T, noCache bool) {
 	}
 	if old, repl := calls[0].Load(), calls[1].Load(); old == 0 || repl == 0 {
 		t.Fatalf("evaluator calls: replaced %d, replacement %d; each run must reach its own", old, repl)
-	}
-	if c := m.Stats().Coalesce; noCache && (c == nil || c.Calls == 0) {
-		t.Fatalf("coalesce stats after the no_cache runs: %+v; they must go through the coalescer", c)
 	}
 }
 

@@ -37,7 +37,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -230,20 +229,10 @@ type Config struct {
 	// is admitted through: a run starts immediately, waits (state "queued")
 	// while its tenant is at quota or the fleet is saturated, or is rejected
 	// with 429 + Retry-After when the tenant's queue is full. Nil bounds
-	// nothing, so every accepted run starts immediately. A non-nil config
-	// also gives every registered problem one sched.Coalescer, built by
-	// Register with the problem's memo-cache and replaced with them, which
-	// merges its concurrent NoCache runs' evaluation batches; with a nil
-	// EvalPool, coalesced batches evaluate in-process bounded by GOMAXPROCS
-	// rather than by each run's Workers field.
-	//
-	// Two caveats: resumed runs (Resume) relaunch without admission so
-	// recovery can never deadlock behind queued work, and only NoCache runs
-	// go through batch coalescing (merging dedups within a dispatch, not
-	// across time, so fresh measurements stay fresh). Cached runs measure
-	// their misses through the problem's backend directly, under their own
-	// Workers bound without a fleet: the memo-cache already single-flights
-	// misses across runs, so a merge window would only delay them.
+	// nothing, so every accepted run starts immediately. Admission is all
+	// it changes: a run measures through the problem's backend the same
+	// way on either config. Resumed runs (Resume) relaunch without
+	// admission so recovery can never deadlock behind queued work.
 	Sched *sched.Config
 
 	// janitorInterval, set only by tests, overrides how often TTL/cap
@@ -274,7 +263,6 @@ type Manager struct {
 	cfg        Config
 	sched      *sched.Scheduler // admits every fresh run
 	retryAfter time.Duration    // backoff hint on a queue-full rejection
-	window     time.Duration    // the coalescers' merge window (cfg.Sched set)
 	store      *store
 	evictMu    sync.Mutex   // serializes eviction passes (janitor vs Start)
 	evictedTTL atomic.Int64 // sessions evicted by TTL expiry
@@ -306,7 +294,6 @@ func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 	var sc sched.Config // no limits: every submission is admitted in Submit
 	if cfg.Sched != nil {
 		sc = *cfg.Sched
-		m.window = cmp.Or(sc.CoalesceWindow, sched.DefaultCoalesceWindow)
 	}
 	m.sched = sched.New(sc)
 	m.retryAfter = sc.RetryAfterHint()
@@ -332,26 +319,22 @@ func NewManagerConfig(cfg Config, problems ...Problem) *Manager {
 }
 
 // served is one registered problem as the daemon serves it: the problem,
-// the memo-cache its runs share, and the backends they measure through.
-// All are built together by Register and replaced together when the
+// the memo-cache its runs share, and the backend they measure through. All
+// three are built together by Register and replaced together when the
 // problem is re-registered, so a session that captured a record measures
 // with that record's evaluator and memoizes into that record's cache, even
 // if it was still queued when the replacement arrived.
 type served struct {
 	Problem
 	cache *core.EvalCache
-	// backend is what cached runs measure through: the fleet's backend, or
-	// nil (evaluate through Eval) without a fleet.
+	// backend is what every run of the problem measures through: the
+	// fleet's backend, or nil (evaluate through Eval, under the run's own
+	// Workers bound) without a fleet.
 	backend core.Backend
-	// coalesce, set when the daemon has a scheduler config, merges the
-	// NoCache runs' batches over backend (over Eval in-process without a
-	// fleet). Its in-merge dedup is the only cross-run dedup those runs
-	// have; cached runs get theirs from the memo-cache.
-	coalesce *sched.Coalescer
 }
 
 // Register adds or replaces a problem. Replacing always resets the
-// problem's memo-cache, including its on-disk spill, and its coalescer:
+// problem's memo-cache, including its on-disk spill, and its backend:
 // the space fingerprint cannot detect an evaluator change, and serving the
 // old evaluator's measurements to the new one would silently corrupt
 // results. It also stops the old evaluator's program, if it runs one.
@@ -371,15 +354,6 @@ func (m *Manager) Register(p Problem) {
 	if m.cfg.EvalPool != nil {
 		// The objective count pins the fleet to this daemon's catalog.
 		r.backend = m.cfg.EvalPool.Backend(p.Name, len(p.Objectives))
-	}
-	if m.cfg.Sched != nil {
-		// A merged batch serves many runs' Workers settings at once, so an
-		// in-process inner backend runs at the default bound (GOMAXPROCS).
-		inner := r.backend
-		if inner == nil {
-			inner = &core.LocalBackend{Eval: p.Eval}
-		}
-		r.coalesce = sched.NewCoalescer(p.Space, inner, m.window)
 	}
 	m.served[p.Name] = r
 	m.mu.Unlock()
@@ -485,11 +459,8 @@ func (m *Manager) newSession(meta runMeta, state State) *session {
 	defer m.mu.Unlock()
 	if r, ok := m.served[meta.Problem]; ok {
 		s.problem, s.backend = r.Problem, r.backend
-		switch {
-		case !meta.Request.NoCache:
+		if !meta.Request.NoCache {
 			s.cache = r.cache
-		case r.coalesce != nil:
-			s.backend = r.coalesce
 		}
 	}
 	return s
@@ -672,9 +643,9 @@ type Stats struct {
 	// per-tenant running/queued/rejected counts, queue-depth high-water
 	// mark, and admission-wait quantiles. Always set.
 	Sched *sched.Stats `json:"sched"`
-	// Coalesce reports cross-run evaluation-batch merging (calls vs
-	// flushes, configs deduplicated inside merges); absent unless the
-	// daemon was given a scheduler config.
+	// Coalesce is always nil: the daemon no longer merges runs' batches
+	// (the memo-cache single-flights misses across runs instead). The field
+	// stays until the benchmark stops reading it.
 	Coalesce *sched.CoalesceStats `json:"coalesce,omitempty"`
 	// CacheHits / CacheMisses / CacheCoalesceHits total memo-cache lookups
 	// across every problem cache; CacheCoalesceHits is the subset of hits
@@ -707,7 +678,6 @@ func (m *Manager) Stats() Stats {
 	}
 	ss := m.sched.Stats()
 	st.Sched = &ss
-	var cs sched.CoalesceStats
 	m.mu.Lock()
 	st.Problems = len(m.served)
 	for _, r := range m.served {
@@ -716,19 +686,8 @@ func (m *Manager) Stats() Stats {
 		st.CacheHits += c.Hits()
 		st.CacheMisses += c.Misses()
 		st.CacheCoalesceHits += c.CoalesceHits()
-		if r.coalesce != nil {
-			rs := r.coalesce.Stats()
-			cs.Calls += rs.Calls
-			cs.Flushes += rs.Flushes
-			cs.MergedCalls += rs.MergedCalls
-			cs.Configs += rs.Configs
-			cs.Deduped += rs.Deduped
-		}
 	}
 	m.mu.Unlock()
-	if m.cfg.Sched != nil {
-		st.Coalesce = &cs
-	}
 	for _, s := range m.store.Snapshot() {
 		st.Sessions++
 		switch state, _ := s.terminalInfo(); {
