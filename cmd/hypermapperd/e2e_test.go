@@ -20,7 +20,7 @@ import (
 
 // This file is the crash-recovery end-to-end harness: it builds the real
 // hypermapperd binary, SIGKILLs it at a randomized point mid-run — no
-// graceful checkpoint, no flushing, exactly what a power loss or OOM kill
+// graceful shutdown, no flushing, exactly what a power loss or OOM kill
 // looks like — restarts it with -resume, and asserts the resumed run
 // finishes with a Pareto front byte-identical to an uninterrupted
 // reference run of the same seed, with the same round statistics and the
@@ -325,8 +325,9 @@ func TestKillResumeByteIdentical(t *testing.T) {
 }
 
 // TestGracefulShutdownResume covers the orderly half: SIGTERM mid-run
-// journals a shutdown checkpoint and leaves the run resumable, and a
-// -resume restart finishes it byte-identical to the reference.
+// leaves the run resumable, its journal as a crash between two batch
+// appends would, and a -resume restart finishes it byte-identical to the
+// reference.
 func TestGracefulShutdownResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and signals real daemon processes")
@@ -354,15 +355,7 @@ func TestGracefulShutdownResume(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	victim.stop(t) // SIGTERM: graceful — checkpoint, then exit
-
-	rec, err := journal.Recover(filepath.Join(dataDir, "runs", st.ID, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Checkpoints) == 0 || rec.Checkpoints[len(rec.Checkpoints)-1].Reason != "shutdown" {
-		t.Fatalf("no shutdown checkpoint in journal: %+v", rec.Checkpoints)
-	}
+	victim.stop(t) // SIGTERM: graceful — cancel the run, resumable, then exit
 
 	revived := startDaemon(t, bin, "-data-dir", dataDir, "-resume")
 	revived.waitReady(t)

@@ -369,7 +369,7 @@ func (h *harness) step(c *client) {
 
 // submit POSTs one run. Seeds are drawn from a small set shared across
 // tenants, so the crowd deliberately re-explores duplicate configurations —
-// the workload cross-run coalescing exists for.
+// the load the memo-cache's cross-run singleflight waits absorb.
 func (h *harness) submit(c *client) {
 	seed := int64(c.rng.Intn(h.cfg.RunSeeds)) + 1
 	body := fmt.Sprintf(

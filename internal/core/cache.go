@@ -32,7 +32,7 @@ type EvalCache struct {
 	misses atomic.Int64
 	// coalesced counts the subset of hits that were resolved by waiting on
 	// another run's in-flight evaluation of the same configuration — the
-	// cross-run singleflight dedup the scheduler's coalescing exploits.
+	// memo-cache's cross-run singleflight waits.
 	coalesced atomic.Int64
 
 	// dir, when non-empty, spills memoized entries to one JSON-lines file

@@ -180,9 +180,8 @@ func (o Options) withDefaults() Options {
 // already journaled) and, in Unmeasured, the live skips tolerated under
 // MaxUnmeasuredFraction in batch order; at least one of the two is
 // non-empty. An interrupted batch's missing tail is deliberately NOT listed
-// as unmeasured, so resume re-measures it instead of skipping it.
-// Implementations must be safe for concurrent use with whatever else writes
-// the same journal (e.g. a shutdown checkpoint).
+// as unmeasured, so resume re-measures it instead of skipping it. The
+// engine calls it from the run's own goroutine, one batch at a time.
 type BatchRecorder interface {
 	// RecordBatch records one completed batch (bootstrap or
 	// active-learning round).

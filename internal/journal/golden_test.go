@@ -12,8 +12,9 @@ import (
 
 // goldenRecovered is what testdata/golden.jsonl must recover to: a header,
 // the bootstrap batch, a degraded active-learning batch holding an invalid
-// measurement (a null objective) and two unmeasured indices, a shutdown
-// checkpoint and a done marker.
+// measurement (a null objective) and two unmeasured indices, and a done
+// marker. Between the last two the file holds the shutdown marker older
+// builds wrote, which recovery skips.
 func goldenRecovered() *Recovered {
 	stamp := time.Date(2024, 3, 9, 12, 0, 0, 0, time.UTC)
 	return &Recovered{
@@ -28,8 +29,7 @@ func goldenRecovered() *Recovered {
 				{Index: 18, Objs: []float64{0, -2.5e+21}},
 			}, Unmeasured: []int64{5, 44}},
 		},
-		Checkpoints: []Checkpoint{{Reason: "shutdown", Samples: 4, Time: stamp.Add(90 * time.Second)}},
-		Done:        &Done{State: "failed", Error: "core: backend returned 2 results for a 4-configuration batch"},
+		Done: &Done{State: "failed", Error: "core: backend returned 2 results for a 4-configuration batch"},
 	}
 }
 
@@ -48,12 +48,61 @@ func copyGolden(t *testing.T, name string) string {
 	return path
 }
 
+// writeGolden writes want's records through a fresh Writer and returns the
+// file's bytes.
+func writeGolden(t *testing.T, want *Recovered) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	w, err := Create(path, want.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range want.Batches {
+		if err := w.Batch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want.Done != nil {
+		if err := w.Done(*want.Done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return written
+}
+
+// withoutShutdownMarker returns a committed journal without its one
+// shutdown-marker line, the record older builds wrote and today's writer
+// does not.
+func withoutShutdownMarker(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var out []byte
+	markers := 0
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(`{"t":"checkpoint",`)) {
+			markers++
+			continue
+		}
+		out = append(out, line...)
+	}
+	if markers != 1 {
+		t.Fatalf("the committed journal holds %d shutdown markers, want 1", markers)
+	}
+	return out
+}
+
 // The committed journal is the on-disk format: today's reader must recover
-// it to the fixed value, with or without a torn tail after it, and today's
-// writer must produce it byte for byte — so a format drift fails here
-// instead of in somebody's resume.
+// it to the fixed value, with or without a torn tail after it, skipping the
+// shutdown marker older builds wrote, and today's writer must produce it
+// byte for byte but for that marker — so a format drift fails here instead
+// of in somebody's resume.
 func TestGoldenJournal(t *testing.T) {
 	want := goldenRecovered()
+	written := writeGolden(t, want)
 	for name, torn := range map[string]int64{"golden.jsonl": 0, "golden_torn.jsonl": 76} {
 		rec, err := Recover(copyGolden(t, name))
 		if err != nil {
@@ -71,29 +120,10 @@ func TestGoldenJournal(t *testing.T) {
 		if v := rec.Batches[1].Samples[0].Objs[0]; !math.IsNaN(v) {
 			t.Errorf("%s: null objective read back as %v, want NaN", name, v)
 		}
-	}
-
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	w, err := Create(path, want.Header)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range want.Batches {
-		if err := w.Batch(b); err != nil {
-			t.Fatal(err)
+		golden, _ := os.ReadFile(filepath.Join("testdata", name))
+		if intact := withoutShutdownMarker(t, golden[:int64(len(golden))-torn]); !bytes.Equal(written, intact) {
+			t.Errorf("the writer produced\n%s\nwant testdata/%s without its tail and shutdown marker\n%s", written, name, intact)
 		}
-	}
-	if err := w.Checkpoint(want.Checkpoints[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Done(*want.Done); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	written, _ := os.ReadFile(path)
-	golden, _ := os.ReadFile(filepath.Join("testdata", "golden.jsonl"))
-	if !bytes.Equal(written, golden) {
-		t.Errorf("the writer produced\n%s\nwant testdata/golden.jsonl\n%s", written, golden)
 	}
 }
 
@@ -143,7 +173,8 @@ func FuzzRecover(f *testing.F) {
 // to: a run journaled with each active-learning round's model decisions — a
 // round whose first OOB estimate is undefined (null), a degraded round that
 // selected four configurations and measured two, and a round cut short by a
-// shutdown, whose record holds fewer samples than it selected.
+// shutdown, whose record holds fewer samples than it selected. The file ends
+// with the shutdown marker older builds wrote, which recovery skips.
 func goldenRoundsRecovered() *Recovered {
 	stamp := time.Date(2024, 3, 9, 12, 0, 0, 0, time.UTC)
 	return &Recovered{
@@ -164,13 +195,12 @@ func goldenRoundsRecovered() *Recovered {
 				{Index: 30, Objs: []float64{2, 2}},
 			}, Round: &Round{Selected: 3, PredictedFrontSize: 3, OOBError: []float64{0.75, 0.25}, OOBSamples: []int{4, 5}}},
 		},
-		Checkpoints: []Checkpoint{{Reason: "shutdown", Samples: 6, Time: stamp.Add(90 * time.Second)}},
 	}
 }
 
 // The round object is part of the on-disk format: the committed journal
 // recovers to the fixed value, NaN OOB errors included, and the writer
-// produces it byte for byte.
+// produces it byte for byte but for its shutdown marker.
 func TestGoldenRoundsJournal(t *testing.T) {
 	want := goldenRoundsRecovered()
 	rec, err := Recover(copyGolden(t, "golden_rounds.jsonl"))
@@ -185,23 +215,9 @@ func TestGoldenRoundsJournal(t *testing.T) {
 		t.Errorf("round 1 recovered as %+v, want a NaN first OOB error", r)
 	}
 
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	w, err := Create(path, want.Header)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range want.Batches {
-		if err := w.Batch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Checkpoint(want.Checkpoints[0]); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	written, _ := os.ReadFile(path)
+	written := writeGolden(t, want)
 	golden, _ := os.ReadFile(filepath.Join("testdata", "golden_rounds.jsonl"))
-	if !bytes.Equal(written, golden) {
-		t.Errorf("the writer produced\n%s\nwant testdata/golden_rounds.jsonl\n%s", written, golden)
+	if intact := withoutShutdownMarker(t, golden); !bytes.Equal(written, intact) {
+		t.Errorf("the writer produced\n%s\nwant testdata/golden_rounds.jsonl without its shutdown marker\n%s", written, intact)
 	}
 }

@@ -8,16 +8,18 @@
 //
 // A journal file is one record per line:
 //
-//	{"t":"header","header":{...}}     exactly once, first line
-//	{"t":"batch","batch":{...}}       one per measured evaluation batch
-//	{"t":"checkpoint","checkpoint":…} clean-shutdown markers
-//	{"t":"done","done":{...}}         terminal-state marker, at most once
+//	{"t":"header","header":{...}} exactly once, first line
+//	{"t":"batch","batch":{...}}   one per measured evaluation batch
+//	{"t":"done","done":{...}}     terminal-state marker, at most once
 //
 // Every record is written with a single write(2) call and fsync'd before
 // the append returns, so after a crash the file is a strict prefix of the
-// record sequence plus at most one torn tail. Measured objectives are the
-// expensive thing in this system — seconds to minutes of real compute per
-// configuration — and the journal is what makes them survive a SIGKILL.
+// record sequence plus at most one torn tail. A graceful shutdown appends
+// nothing, so it leaves the shape of a crash between two batch appends; a
+// line of any other type (the shutdown markers older builds wrote) is
+// skipped on read. Measured objectives are the expensive thing in this
+// system — seconds to minutes of real compute per configuration — and the
+// journal is what makes them survive a SIGKILL.
 package journal
 
 import (
@@ -37,10 +39,9 @@ import (
 
 // Record types, the "t" discriminator of each journal line.
 const (
-	TypeHeader     = "header"
-	TypeBatch      = "batch"
-	TypeCheckpoint = "checkpoint"
-	TypeDone       = "done"
+	TypeHeader = "header"
+	TypeBatch  = "batch"
+	TypeDone   = "done"
 )
 
 // Version is the journal format version written into new headers. Readers
@@ -115,14 +116,6 @@ type Round struct {
 	OOBSamples         []int          `json:"oob_samples"`
 }
 
-// Checkpoint marks an orderly event mid-run — today, a graceful daemon
-// shutdown that is about to cancel the run while leaving it resumable.
-type Checkpoint struct {
-	Reason  string    `json:"reason"`
-	Samples int       `json:"samples"` // evaluations journaled so far
-	Time    time.Time `json:"time"`
-}
-
 // Done marks the run terminal. A journal with a done record is never
 // resumed: the run finished (its result artifact is persisted separately)
 // or was deliberately cancelled, and restarting it would resurrect work
@@ -134,11 +127,10 @@ type Done struct {
 
 // record is the on-disk envelope of every journal line.
 type record struct {
-	T          string      `json:"t"`
-	Header     *Header     `json:"header,omitempty"`
-	Batch      *Batch      `json:"batch,omitempty"`
-	Checkpoint *Checkpoint `json:"checkpoint,omitempty"`
-	Done       *Done       `json:"done,omitempty"`
+	T      string  `json:"t"`
+	Header *Header `json:"header,omitempty"`
+	Batch  *Batch  `json:"batch,omitempty"`
+	Done   *Done   `json:"done,omitempty"`
 }
 
 // AppendFile is a concurrency-safe fsync'd JSON-lines appender: each
@@ -295,11 +287,6 @@ func (w *Writer) Batch(b Batch) error {
 	return w.af.Append(record{T: TypeBatch, Batch: &b})
 }
 
-// Checkpoint durably appends a checkpoint marker.
-func (w *Writer) Checkpoint(c Checkpoint) error {
-	return w.af.Append(record{T: TypeCheckpoint, Checkpoint: &c})
-}
-
 // Done durably appends the terminal-state marker.
 func (w *Writer) Done(d Done) error {
 	return w.af.Append(record{T: TypeDone, Done: &d})
@@ -310,9 +297,8 @@ func (w *Writer) Close() error { return w.af.Close() }
 
 // Recovered is the replayable content of one journal file.
 type Recovered struct {
-	Header      Header
-	Batches     []Batch
-	Checkpoints []Checkpoint
+	Header  Header
+	Batches []Batch
 	// Done is non-nil when the run reached a terminal state before the
 	// journal stopped; such a journal must not be resumed.
 	Done *Done
@@ -384,8 +370,6 @@ func (rec *Recovered) parse(path, fingerprint string) func(n int, line []byte) e
 		switch {
 		case r.T == TypeBatch && r.Batch != nil:
 			rec.Batches = append(rec.Batches, *r.Batch)
-		case r.T == TypeCheckpoint && r.Checkpoint != nil:
-			rec.Checkpoints = append(rec.Checkpoints, *r.Checkpoint)
 		case r.T == TypeDone && r.Done != nil:
 			rec.Done = r.Done
 		}

@@ -46,9 +46,6 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	writeBatches(t, w, 4)
-	if err := w.Checkpoint(Checkpoint{Reason: "shutdown", Samples: 12}); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
 	if err := w.Done(Done{State: "done"}); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
@@ -67,9 +64,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if len(rec.Batches) != 4 || rec.Samples() != 12 {
 		t.Errorf("got %d batches, %d samples; want 4, 12", len(rec.Batches), rec.Samples())
-	}
-	if len(rec.Checkpoints) != 1 || rec.Checkpoints[0].Reason != "shutdown" {
-		t.Errorf("checkpoints = %+v", rec.Checkpoints)
 	}
 	if rec.Done == nil || rec.Done.State != "done" {
 		t.Errorf("done = %+v", rec.Done)
@@ -295,8 +289,9 @@ func TestRecoverSkipsUnknownRecords(t *testing.T) {
 	}
 }
 
-// The writer must be safe for concurrent appends: the engine journals
-// batches while a graceful shutdown writes its checkpoint.
+// Appends must be safe for concurrent callers: every run of a problem
+// appends to its memo-cache spill at once, and no record may interleave
+// with another.
 func TestConcurrentAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	w, err := Create(path, testHeader())
@@ -309,11 +304,7 @@ func TestConcurrentAppends(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if g%2 == 0 {
-					_ = w.Batch(Batch{Iteration: g*100 + i})
-				} else {
-					_ = w.Checkpoint(Checkpoint{Reason: "tick", Samples: i})
-				}
+				_ = w.Batch(Batch{Iteration: g*100 + i, Samples: []SampleRecord{{Index: int64(i), Objs: []float64{float64(g)}}}})
 			}
 		}(g)
 	}
@@ -323,8 +314,8 @@ func TestConcurrentAppends(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if got := len(rec.Batches) + len(rec.Checkpoints); got != 100 {
-		t.Errorf("recovered %d records, want 100", got)
+	if len(rec.Batches) != 100 || rec.TruncatedBytes != 0 {
+		t.Errorf("recovered %d batches and cut %d bytes, want 100 and 0", len(rec.Batches), rec.TruncatedBytes)
 	}
 }
 

@@ -27,9 +27,9 @@
 // among the first picked when a slot frees.
 //
 // The scheduler is deliberately engine-agnostic: it hands out start
-// callbacks and is told via Done when a run finished. coalesce.go is the
-// second half of the package — cross-run evaluation-batch coalescing onto a
-// shared backend.
+// callbacks and is told via Done when a run finished. coalesce.go, which
+// merges runs' evaluation batches onto a shared backend, is no longer built
+// by the daemon; only the performance ledger's probe builds one.
 package sched
 
 import (

@@ -80,6 +80,27 @@ func crashProblem(calls *atomic.Int64) Problem {
 	return problem
 }
 
+// crashReference runs persistReq to completion on a durable manager over
+// crashProblem: the run every crash test resumes against. It returns the
+// run's directory and id, its result and its evaluator calls.
+func crashReference(t *testing.T) (runDir, id string, want storedResult, calls int) {
+	t.Helper()
+	var n atomic.Int64
+	src := t.TempDir()
+	m := NewManagerConfig(Config{DataDir: src}, crashProblem(&n))
+	st, err := m.Start(persistReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitManagerTerminal(t, m, st.ID)
+	shutdownManager(t, m)
+	runDir = filepath.Join(src, "runs", st.ID)
+	if want, err = readResult(runDir); err != nil || want.Status.State != StateDone {
+		t.Fatalf("reference run: %+v, %v", want.Status, err)
+	}
+	return runDir, st.ID, want, int(n.Load())
+}
+
 // cutResult is how a run resumed from one journal cut ended.
 type cutResult struct {
 	res              storedResult
@@ -143,22 +164,8 @@ func resumeCut(base, id string, meta, data []byte, cut int) cutResult {
 // measurement the cut lost: nothing lost, nothing measured twice. A cut
 // inside the header line resumes as a run that measured nothing.
 func TestPersistCrashCuts(t *testing.T) {
-	var calls atomic.Int64
-	src := t.TempDir()
-	m := NewManagerConfig(Config{DataDir: src}, crashProblem(&calls))
-	st, err := m.Start(persistReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitManagerTerminal(t, m, st.ID)
-	shutdownManager(t, m)
-	runDir := filepath.Join(src, "runs", st.ID)
-	want, err := readResult(runDir)
-	if err != nil || want.Status.State != StateDone {
-		t.Fatalf("reference run: %+v, %v", want.Status, err)
-	}
+	runDir, id, want, total := crashReference(t)
 	wantStatus, wantFront := untimedStatus(t, want.Status), frontJSON(t, want.Front)
-	total := int(calls.Load())
 	meta, err := os.ReadFile(filepath.Join(runDir, "meta.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +180,7 @@ func TestPersistCrashCuts(t *testing.T) {
 	base := t.TempDir()
 	cuts := journalCuts(data)
 	results := make([]cutResult, len(cuts))
-	par.ForWorkers(len(cuts), 4, func(i int) { results[i] = resumeCut(base, st.ID, meta, data, cuts[i]) })
+	par.ForWorkers(len(cuts), 4, func(i int) { results[i] = resumeCut(base, id, meta, data, cuts[i]) })
 	bad := 0
 	for i, r := range results {
 		var problem string
@@ -200,6 +207,47 @@ func TestPersistCrashCuts(t *testing.T) {
 	t.Logf("%d cuts of a %d-byte journal (header line %d bytes), %d measurements", len(cuts), len(data), bytes.IndexByte(data, '\n')+1, total)
 }
 
+// Older builds appended a shutdown marker, a "checkpoint" record, to every
+// live run's journal on a graceful shutdown. Such a journal must still
+// resume: the reader skips the marker, the run ends done with the reference
+// front and status, timings aside, and the evaluator is called exactly once
+// per measurement the journal lacks.
+func TestGracefulShutdownResumeFromOlderJournal(t *testing.T) {
+	runDir, id, want, total := crashReference(t)
+	meta, err := os.ReadFile(filepath.Join(runDir, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(runDir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The header, the bootstrap and the first round, then the marker as
+	// older builds wrote it.
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if len(lines) < 4 {
+		t.Fatalf("reference journal has %d lines, want a header, two batches and more", len(lines))
+	}
+	interrupted := bytes.Join(lines[:3], nil)
+	journaled := journaledSamples(interrupted)
+	interrupted = fmt.Appendf(interrupted, `{"t":"checkpoint","checkpoint":{"reason":"shutdown","samples":%d,"time":"2024-03-09T12:01:30Z"}}`+"\n", journaled)
+
+	r := resumeCut(t.TempDir(), id, meta, interrupted, len(interrupted))
+	switch {
+	case r.err != nil:
+		t.Fatal(r.err)
+	case r.journaled != journaled || journaled >= total:
+		t.Fatalf("%d measurements journaled before the marker, want %d of %d", r.journaled, journaled, total)
+	case untimedStatus(t, r.res.Status) != untimedStatus(t, want.Status):
+		t.Errorf("resumed status\n%s\nwant\n%s", untimedStatus(t, r.res.Status), untimedStatus(t, want.Status))
+	case frontJSON(t, r.res.Front) != frontJSON(t, want.Front):
+		t.Errorf("resumed front\n%s\nwant\n%s", frontJSON(t, r.res.Front), frontJSON(t, want.Front))
+	case r.calls != total-journaled:
+		t.Errorf("%d evaluator calls, want %d (%d measured, %d journaled)", r.calls, total-journaled, total, journaled)
+	}
+}
+
 // A crash can come on either side of the rename of meta.json or of
 // result.json. Each of the four cuts is an interrupted run's directory, made
 // from a reference run's files and restarted with Resume set:
@@ -216,23 +264,10 @@ func TestPersistCrashCuts(t *testing.T) {
 // Every run ends done with the reference front and status, timings aside,
 // and the restore pass leaves no temp file behind.
 func TestCrashCutsMetaAndResult(t *testing.T) {
-	var calls atomic.Int64
-	src := t.TempDir()
-	m := NewManagerConfig(Config{DataDir: src}, crashProblem(&calls))
-	st, err := m.Start(persistReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitManagerTerminal(t, m, st.ID)
-	shutdownManager(t, m)
-	total := int(calls.Load())
-	runDir := filepath.Join(src, "runs", st.ID)
-	want, err := readResult(runDir)
-	if err != nil || want.Status.State != StateDone {
-		t.Fatalf("reference run: %+v, %v", want.Status, err)
-	}
+	runDir, id, want, total := crashReference(t)
 	files := map[string][]byte{}
 	for _, name := range []string{"meta.json", "journal.jsonl", "result.json"} {
+		var err error
 		if files[name], err = os.ReadFile(filepath.Join(runDir, name)); err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +287,7 @@ func TestCrashCutsMetaAndResult(t *testing.T) {
 	for _, cut := range cuts {
 		t.Run(cut.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cutDir := filepath.Join(dir, "runs", st.ID)
+			cutDir := filepath.Join(dir, "runs", id)
 			if err := os.MkdirAll(cutDir, 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -267,21 +302,21 @@ func TestCrashCutsMetaAndResult(t *testing.T) {
 				t.Errorf("the restore pass left %v", temps)
 			}
 			if cut.calls < 0 {
-				if _, ok := m.Get(st.ID); ok {
+				if _, ok := m.Get(id); ok {
 					t.Error("a run with no meta.json was restored")
 				}
 				next, err := m.Start(persistReq)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if next.ID == st.ID {
-					t.Errorf("a new run took the id %s of the skipped directory", st.ID)
+				if next.ID == id {
+					t.Errorf("a new run took the id %s of the skipped directory", id)
 				}
 				waitManagerTerminal(t, m, next.ID)
 				shutdownManager(t, m)
 				return
 			}
-			status := waitManagerTerminal(t, m, st.ID)
+			status := waitManagerTerminal(t, m, id)
 			shutdownManager(t, m)
 			got, err := readResult(cutDir)
 			switch {

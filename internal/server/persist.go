@@ -126,18 +126,18 @@ func (s *session) journalHeader(fingerprint string) journal.Header {
 	}
 }
 
-// persistTerminal runs after a session's engine goroutine finishes: it
-// journals the terminal marker and writes the session's record as
-// result.json — unless the run was stopped by daemon shutdown, in which
-// case the journal keeps only its shutdown checkpoint and the directory
-// stays in the interrupted (resumable) shape. A user DELETE is different:
-// it persists as terminal, so a restart cannot resurrect a run its owner
-// ended.
+// persistTerminal runs after a session's engine goroutine finishes, with
+// s.disk held: it journals the terminal marker, writes the session's record
+// as result.json and closes the journal — unless the run was stopped by
+// daemon shutdown, in which case the journal ends at its last batch, as a
+// crash between two appends would leave it, and the directory stays in the
+// interrupted (resumable) shape. A user DELETE is different: it persists as
+// terminal, so a restart cannot resurrect a run its owner ended.
 func (m *Manager) persistTerminal(s *session, rec *storedResult) {
 	if s.jw == nil {
 		return
 	}
-	defer s.closeJournal()
+	defer s.jw.Close()
 	if rec.Status.State == StateCancelled && m.isClosed() {
 		return // graceful shutdown: leave the run resumable
 	}
@@ -162,7 +162,6 @@ func (s *session) RecordBatch(b journal.Batch) error {
 	if err := s.jw.Batch(b); err != nil {
 		return err
 	}
-	s.journaled.Add(int64(len(b.Samples)))
 	s.leaveRecovering()
 	return nil
 }
@@ -318,7 +317,6 @@ func (m *Manager) resumeRun(s *session) {
 	// regenerates the missing result.json without any evaluator calls.
 	log.Printf("resume %s: replaying %d measured evaluations across %d batches", s.id, rec.Samples(), len(rec.Batches))
 	s.jw = jw
-	s.journaled.Store(int64(rec.Samples()))
 	opts.Replay = rec.Batches
 	m.run(s, opts)
 }
@@ -332,5 +330,7 @@ func (m *Manager) restoreDone(s *session, done *journal.Done) {
 	if done.State != string(StateCancelled) {
 		err = errors.New(done.Error)
 	}
+	s.disk.Lock()
+	defer s.disk.Unlock()
 	m.writeResult(s.id, s.finish(nil, err))
 }

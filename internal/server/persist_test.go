@@ -116,9 +116,10 @@ func TestPersistRestartServesTerminalRuns(t *testing.T) {
 	waitTerminal(t, ts2, st2.ID)
 }
 
-// Graceful shutdown mid-run leaves the run resumable; a restart with
-// Resume replays the journal and finishes with a front byte-identical to
-// an uninterrupted run of the same seed.
+// Graceful shutdown mid-run leaves the run resumable — its journal holds
+// only batch records after the header, and there is no result.json; a
+// restart with Resume replays the journal and finishes with a front
+// byte-identical to an uninterrupted run of the same seed.
 func TestPersistShutdownResumeByteIdentical(t *testing.T) {
 	// Uninterrupted reference, memory-only.
 	ref, tsRef := newTestServer(t, testProblem("toy", 0))
@@ -150,15 +151,23 @@ func TestPersistShutdownResumeByteIdentical(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "runs", st.ID, "result.json")); !os.IsNotExist(err) {
 		t.Fatalf("shutdown-cancelled run has a result.json (err=%v); it would not be resumable", err)
 	}
-	rec, err := journal.Recover(filepath.Join(dir, "runs", st.ID, "journal.jsonl"))
+	// A graceful shutdown appends nothing: the journal is what a crash
+	// between two batch appends leaves, with no done marker to stop a resume.
+	data, err := os.ReadFile(filepath.Join(dir, "runs", st.ID, "journal.jsonl"))
 	if err != nil {
-		t.Fatalf("recovering journal: %v", err)
+		t.Fatal(err)
 	}
-	if len(rec.Checkpoints) == 0 || rec.Checkpoints[0].Reason != "shutdown" {
-		t.Fatalf("journal has no shutdown checkpoint: %+v", rec.Checkpoints)
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("journal holds no batch record:\n%s", data)
 	}
-	if rec.Done != nil {
-		t.Fatal("journal has a done marker; run would not be resumable")
+	for i, line := range lines[1:] {
+		var r struct {
+			T string `json:"t"`
+		}
+		if err := json.Unmarshal([]byte(line), &r); err != nil || r.T != journal.TypeBatch {
+			t.Fatalf("journal line %d after a graceful shutdown is %s, want only batch records after the header", i+2, line)
+		}
 	}
 
 	m2 := NewManagerConfig(cfg, testProblem("toy", 0))
@@ -214,6 +223,49 @@ func TestPersistEvictionUnlinksAndSurvivesRestart(t *testing.T) {
 	}
 	if _, ok := m2.Get(second.ID); !ok {
 		t.Error("retained session lost after restart")
+	}
+}
+
+// A session is terminal, and so evictable, while its record is still being
+// written. Eviction must wait for that write: a directory unlinked amid it
+// keeps the result.json renamed in after RemoveAll listed it, which every
+// restart then skips as a run without meta.json and never removes.
+func TestPersistEvictionWaitsForTerminalWrite(t *testing.T) {
+	dir := t.TempDir()
+	st := newStore(dir)
+	s := storeSession(1)
+	runDir := filepath.Join(dir, "runs", s.id)
+	if err := os.MkdirAll(runDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"meta.json", "journal.jsonl"} {
+		if err := os.WriteFile(filepath.Join(runDir, name), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.disk.Lock() // as Manager.run holds it from the terminal state to result.json
+	s.settle(&storedResult{Status: RunStatus{ID: s.id, State: StateDone}, Finished: time.Now()})
+	st.Put(s)
+	evicted := make(chan bool)
+	go func() { evicted <- st.Delete(s.id) }()
+	select {
+	case <-evicted:
+		t.Fatal("eviction returned while the session's terminal write held its lock")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := os.Stat(filepath.Join(runDir, "meta.json")); err != nil {
+		t.Fatalf("run directory unlinked amid its terminal write: %v", err)
+	}
+	if err := journal.WriteJSONAtomic(filepath.Join(runDir, "result.json"), s.record); err != nil {
+		t.Fatal(err)
+	}
+	s.disk.Unlock()
+	if !<-evicted {
+		t.Fatal("eviction missed the session")
+	}
+	if _, err := os.Stat(runDir); !os.IsNotExist(err) {
+		left, _ := os.ReadDir(runDir)
+		t.Fatalf("evicted run directory still on disk (err=%v): %v", err, left)
 	}
 }
 

@@ -496,12 +496,15 @@ func (m *Manager) dispatch(s *session, t *sched.Ticket) {
 // run is the one engine call in this package: fresh and dequeued sessions
 // reach it from dispatch, resumed ones from resumeRun with their journal
 // pre-loaded in opts.Replay. Either way a session that
-// has a journal open records every batch to it.
+// has a journal open records every batch to it. The session turns terminal,
+// and so evictable, with s.disk held until its record is on disk.
 func (m *Manager) run(s *session, opts core.Options) {
 	if s.jw != nil {
 		opts.Journal = s
 	}
 	res, err := core.RunContext(s.runCtx, s.problem.Space, s.problem.Eval, opts)
+	s.disk.Lock()
+	defer s.disk.Unlock()
 	m.persistTerminal(s, s.finish(res, err))
 }
 
@@ -705,10 +708,10 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// Shutdown refuses new sessions, journals a clean-shutdown checkpoint for
-// every live run (which persistTerminal then leaves in the resumable
-// shape), cancels them, stops the janitor, and waits (up to the context
-// deadline) for their goroutines to drain.
+// Shutdown refuses new sessions, cancels every live run (which
+// persistTerminal leaves in the resumable shape: nothing is appended to its
+// journal), stops the janitor, and waits (up to the context deadline) for
+// their goroutines to drain.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true // every wg.Add happened-before this; Wait is now safe
@@ -716,13 +719,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	// Drop every queued ticket first (their abort callbacks end the
 	// sessions); dispatched runs are cancelled via the base context below.
 	m.sched.Close()
-	if m.cfg.DataDir != "" {
-		for _, s := range m.store.Snapshot() {
-			if state, _ := s.terminalInfo(); !state.Terminal() {
-				s.checkpoint("shutdown")
-			}
-		}
-	}
 	m.baseStop()
 	done := make(chan struct{})
 	go func() {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -149,11 +148,13 @@ type session struct {
 	backend core.Backend
 	ticket  *sched.Ticket
 	// jw is the run's evaluation journal; nil when the manager has no data
-	// directory, and for sessions restored already-terminal.
+	// directory, and for sessions restored already-terminal. Only the
+	// engine goroutine appends to it.
 	jw *journal.Writer
-	// journaled counts evaluations durably recorded in the journal,
-	// including replayed history on resume; checkpoints persist it.
-	journaled atomic.Int64
+	// disk is held while the session turns terminal and its record goes to
+	// disk, and while eviction unlinks its run directory, so an unlink never
+	// lands between a write's start and its rename.
+	disk sync.Mutex
 	// keepDir marks a session that ended failed without a record on disk,
 	// whose run directory a later restart must find as it was: evicting it
 	// drops it from memory only. Set before the session turns terminal, and
@@ -284,28 +285,6 @@ func (s *session) leaveRecovering() {
 		s.state = StateRunning
 	}
 	s.mu.Unlock()
-}
-
-// checkpoint journals a clean-shutdown marker; the run stays resumable.
-// Best-effort: the journal's batch records alone are enough to resume.
-func (s *session) checkpoint(reason string) {
-	if s.jw == nil {
-		return
-	}
-	_ = s.jw.Checkpoint(journal.Checkpoint{
-		Reason:  reason,
-		Samples: int(s.journaled.Load()),
-		Time:    time.Now(),
-	})
-}
-
-// closeJournal releases the journal file, if one is open. Appends that
-// race a close (a shutdown checkpoint against a finishing run) fail with
-// os.ErrClosed, which every caller tolerates.
-func (s *session) closeJournal() {
-	if s.jw != nil {
-		_ = s.jw.Close()
-	}
 }
 
 // failure returns the error a failed session ended with, nil otherwise.

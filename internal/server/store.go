@@ -90,7 +90,9 @@ func (st *store) Delete(id string) bool {
 	delete(st.runs, seq)
 	st.mu.Unlock()
 	if st.dataDir != "" && !s.keepDir {
+		s.disk.Lock() // after the terminal record's writes, never amid them
 		_ = os.RemoveAll(filepath.Join(st.dataDir, "runs", id))
+		s.disk.Unlock()
 	}
 	return true
 }

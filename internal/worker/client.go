@@ -173,8 +173,7 @@ type Pool struct {
 
 	// batches/batchConfigs count backend-level dispatches: how many
 	// EvaluateBatch calls reached the fleet and how many configurations
-	// they carried. Their ratio is the average dispatched batch size — the
-	// observable effect of the scheduler's cross-run batch coalescing.
+	// they carried. Their ratio is the average batch size the fleet sees.
 	batches      atomic.Int64
 	batchConfigs atomic.Int64
 
@@ -282,9 +281,8 @@ func (p *Pool) Stats() []WorkerStats {
 func (p *Pool) Size() int { return len(p.workers) }
 
 // BatchStats reports backend-level dispatch totals: EvaluateBatch calls
-// that reached the fleet and the configurations they carried. With the
-// scheduler's cross-run coalescing active, configs/batches grows — the
-// fleet sees fewer, larger requests for the same evaluation volume.
+// that reached the fleet and the configurations they carried — what a
+// run's memo-cache, when it has one, could not answer.
 func (p *Pool) BatchStats() (batches, configs int64) {
 	return p.batches.Load(), p.batchConfigs.Load()
 }

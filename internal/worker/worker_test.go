@@ -297,6 +297,79 @@ func TestSlowWorkerHedgingFirstReplyWins(t *testing.T) {
 	}
 }
 
+func TestAdaptiveHedgeRescuesStalledWorker(t *testing.T) {
+	// The adaptive hedge (HedgeAfter 0) with no per-request ceiling: once
+	// the problem's latency window holds hedgeMinSamples completions, a
+	// worker that stalls /evaluate until its request ends must not hang a
+	// batch — only a hedge leg armed from that window can finish it.
+	var stall atomic.Bool
+	stalling := newWorker(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if stall.Load() && r.URL.Path == "/evaluate" {
+				_, _ = io.Copy(io.Discard, r.Body)
+				<-r.Context().Done()
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	healthy := newWorker(t, nil)
+	pool, err := NewPool([]string{stalling.URL, healthy.URL}, Options{
+		ChunkSize:      64,
+		requestTimeout: -1, // no ceiling: nothing but the hedge ends a stalled request
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	space := testSpace(t)
+	eval := testEval()
+	cfgs := make([]param.Config, 20)
+	want := make([][]float64, len(cfgs))
+	for i := range cfgs {
+		cfgs[i] = space.AtIndex(int64(i * 13))
+		want[i] = eval.Evaluate(cfgs[i])
+	}
+	backend := pool.Backend("test", 2)
+	batch := func(phase string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		out, err := backend.EvaluateBatch(ctx, cfgs)
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		for i := range out {
+			if len(out[i]) != 2 || out[i][0] != want[i][0] || out[i][1] != want[i][1] {
+				t.Fatalf("%s: config %d objectives %v, want %v", phase, i, out[i], want[i])
+			}
+		}
+	}
+
+	// Warm the window past hedgeMinSamples: one chunk, one completion, per
+	// batch.
+	for i := 0; i < hedgeMinSamples; i++ {
+		batch("warm-up")
+	}
+	if d := pool.hedgeDelay("test", len(cfgs)); d <= 0 {
+		t.Fatalf("hedge still cold after %d completions", hedgeMinSamples)
+	}
+
+	// Round-robin parks one of two primaries on the stalling worker.
+	stall.Store(true)
+	for round := 0; round < 2; round++ {
+		batch(fmt.Sprintf("stalled round %d", round))
+	}
+	var hedges, failures int64
+	for _, st := range pool.Stats() {
+		hedges += st.Hedges
+		failures += st.Failures
+	}
+	if hedges == 0 || failures != 0 {
+		t.Fatalf("%d hedges, %d failures; want > 0 and 0: %+v", hedges, failures, pool.Stats())
+	}
+}
+
 func TestCancellationPropagatesToInFlightRemoteEvaluations(t *testing.T) {
 	// Cancelling the engine context must abort in-flight worker requests:
 	// the run returns promptly with context.Canceled, and the worker stops
